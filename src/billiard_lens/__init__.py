@@ -5,6 +5,8 @@ All operations are pure functions of immutable scenes and trajectories and
 are safe to evaluate concurrently from many workers.
 """
 
+__version__ = "0.1.0"  # the one version source; set before the submodules import it
+
 from .flow import Event, Limits, PhasePoint, Trajectory, first_hit, omega_theta, reflect, \
     reflection_count, sojourn_time, trace, trace_phase, travelling_time
 from .geometry import CurveObstacle, EllipsoidObstacle, Scene, SphereObstacle, \
@@ -16,5 +18,3 @@ from .lens import ComparisonReport, LensSample, LensTable, SampleSpec, boundary_
 from .variation import ConjugateResult, Incidence, JacobiFrame, RankReport, RegularityResult, \
     conjugate_test, fd_flow_jacobian, flow_differentials, propagate_free, \
     propagate_reflection, regularity_test, seed_frame, symplectic_pairing
-
-__version__ = "0.1.0"

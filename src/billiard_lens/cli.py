@@ -17,10 +17,9 @@ import sys
 
 import numpy as np
 
+from . import __version__ as VERSION
 from . import flow, geometry, lens, render, variation
 from .geometry import canonical_json
-
-VERSION = "0.1.0"
 
 
 def _add_common(sub):

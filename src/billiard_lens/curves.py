@@ -14,6 +14,44 @@ from dataclasses import dataclass
 import numpy as np
 
 _COARSE = 33  # samples per piece for the coarse closest-point pass
+_JOIN_OVERLAP = 1e-12  # pieces overlap by this much parameter at joins, so rounding drops no root
+
+
+def _stable_quadratic(a: float, b: float, c: float):
+    """Real roots of a t^2 + b t + c, numerically stable; [] if none."""
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    sq = math.sqrt(disc)
+    if b >= 0.0:
+        qq = -0.5 * (b + sq)
+    else:
+        qq = -0.5 * (b - sq)
+    roots = []
+    if a != 0.0:
+        roots.append(qq / a)
+    if qq != 0.0:
+        roots.append(c / qq)
+    elif a != 0.0:
+        roots.append(0.0)
+    return sorted(roots)
+
+
+def _circle_roots(p, w, radius, theta0, sweep):
+    """Ray parameters t where p + t w meets the arc of the circle of given radius
+    about the origin from angle theta0 through sweep. The quadratic is solved
+    about the ray point nearest the centre, so a small arc far from p keeps
+    its precision."""
+    ww = float(w @ w)
+    t0 = -float(p @ w) / ww
+    p = p + t0 * w
+    mid, half = theta0 + 0.5 * sweep, 0.5 * abs(sweep) + _JOIN_OVERLAP
+    roots = []
+    for s in _stable_quadratic(ww, 2.0 * float(p @ w), float(p @ p) - radius * radius):
+        x = p + s * w
+        if abs((math.atan2(x[1], x[0]) - mid + math.pi) % (2.0 * math.pi) - math.pi) <= half:
+            roots.append(t0 + s)
+    return roots
 
 
 def _rot90(v):
@@ -45,6 +83,10 @@ class CurvePiece:
         return self.point(np.array(1.0))
 
     def to_dict(self) -> dict:
+        raise NotImplementedError
+
+    def ray_roots(self, q, v):
+        """Parameters t where the line q + t v crosses the piece."""
         raise NotImplementedError
 
     def project(self, X, s0):
@@ -82,10 +124,16 @@ class LinePiece(CurvePiece):
     def deriv2(self, s):
         return np.zeros(np.shape(s) + (2,))
 
-    def project(self, X, s0):
-        denom = float(self._d @ self._d)
-        s = np.sum((X - self.p0) * self._d, axis=-1) / denom
-        return np.clip(s, 0.0, 1.0)
+    def ray_roots(self, q, v):
+        # q + t v = p0 + s d, solved by 2D cross products
+        w, d = self.p0 - q, self._d
+        det = float(v[0] * d[1] - v[1] * d[0])
+        if det == 0.0:
+            return []
+        s = float(w[0] * v[1] - w[1] * v[0]) / det
+        if not -_JOIN_OVERLAP <= s <= 1.0 + _JOIN_OVERLAP:
+            return []
+        return [float(w[0] * d[1] - w[1] * d[0]) / det]
 
     def to_dict(self):
         return {"type": "line", "p0": list(self.p0), "p1": list(self.p1)}
@@ -125,11 +173,38 @@ class BumpLinePiece(CurvePiece):
             self.amplitude * 2.0 * np.pi * np.pi * np.cos(2.0 * np.pi * s), self.direction
         )
 
-    def project(self, X, s0):
-        if self.amplitude == 0.0:
-            denom = float(self._d @ self._d)
-            return np.clip(np.sum((X - self.p0) * self._d, axis=-1) / denom, 0.0, 1.0)
-        return super().project(X, s0)
+    def ray_roots(self, q, v):
+        # the offset across the ray, g(s) = alpha + beta s + gamma sin^2(pi s), is
+        # monotone between the zeros of g'(s) = beta + gamma pi sin(2 pi s)
+        n = np.array([-v[1], v[0]])
+        alpha, beta = float(n @ (self.p0 - q)), float(n @ self._d)
+        gamma = self.amplitude * float(n @ self.direction)
+        if beta == 0.0 and gamma == 0.0:
+            return []
+        knots = [-_JOIN_OVERLAP, 1.0 + _JOIN_OVERLAP]
+        if abs(beta) <= abs(gamma) * math.pi:
+            phi = math.asin(-beta / (gamma * math.pi))
+            knots += [s for s in ((0.5 * phi / math.pi) % 1.0, (0.5 - 0.5 * phi / math.pi) % 1.0)
+                      if 0.0 < s < 1.0]
+        knots.sort()
+
+        def g(s):
+            return alpha + beta * s + gamma * math.sin(math.pi * s) ** 2
+
+        roots = []
+        for lo, hi in zip(knots, knots[1:]):
+            g_lo, g_hi = g(lo), g(hi)
+            if g_lo * g_hi > 0.0:
+                continue
+            rising = g_hi > g_lo
+            while hi - lo > 1e-15:  # bisection: g is monotone on the bracket
+                mid = 0.5 * (lo + hi)
+                if (g(mid) > 0.0) == rising:
+                    hi = mid
+                else:
+                    lo = mid
+            roots.append(float(v @ (self.point(0.5 * (lo + hi)) - q)))
+        return roots
 
     def to_dict(self):
         return {
@@ -168,20 +243,8 @@ class ArcPiece(CurvePiece):
         th = self._theta(s)
         return -self.radius * self._sweep**2 * np.stack([np.cos(th), np.sin(th)], axis=-1)
 
-    def project(self, X, s0):
-        rel = X - self.center
-        ang = np.arctan2(rel[..., 1], rel[..., 0])
-        if self._sweep >= 0:
-            u = np.mod(ang - self.theta0, 2.0 * math.pi)
-        else:
-            u = -np.mod(self.theta0 - ang, 2.0 * math.pi)
-        s = u / self._sweep if self._sweep != 0 else np.zeros_like(u)
-        inside = (s >= 0.0) & (s <= 1.0)
-        # outside the sweep: nearer endpoint wins
-        d0 = np.linalg.norm(X - self.start(), axis=-1)
-        d1 = np.linalg.norm(X - self.end(), axis=-1)
-        s_end = np.where(d0 <= d1, 0.0, 1.0)
-        return np.where(inside, np.clip(s, 0.0, 1.0), s_end)
+    def ray_roots(self, q, v):
+        return _circle_roots(q - self.center, v, self.radius, self.theta0, self._sweep)
 
     def to_dict(self):
         return {
@@ -229,6 +292,11 @@ class EllipseArcPiece(CurvePiece):
             [self.semi_axes[0] * np.cos(th), self.semi_axes[1] * np.sin(th)], axis=-1
         )
         return body @ self._R.T
+
+    def ray_roots(self, q, v):
+        # a unit-circle arc in scaled body coordinates; t is unchanged by the map
+        return _circle_roots((q - self.center) @ self._R / self.semi_axes,
+                             v @ self._R / self.semi_axes, 1.0, self.theta0, self._sweep)
 
     def to_dict(self):
         out = {
@@ -370,6 +438,14 @@ class CurveChain:
 
     def bounding_circle(self):
         return self._bbox_center, self._bound_radius
+
+    def ray_roots(self, q, v):
+        """Sorted parameters t of every crossing of the line q + t v with the chain."""
+        d = q - self._bbox_center
+        b = float(d @ v)
+        if float(d @ d) - b * b >= self._bound_radius**2:
+            return []
+        return sorted(t for piece in self.pieces for t in piece.ray_roots(q, v))
 
     def closest_batch(self, X: np.ndarray) -> FootData:
         X = np.atleast_2d(np.asarray(X, dtype=float))

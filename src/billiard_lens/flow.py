@@ -3,8 +3,10 @@ reflecting rays.
 
 Rays move at unit speed inside the reference ball, reflect specularly at
 obstacle boundaries, continue straight through diffractive tangencies, and
-finish when they cross the boundary sphere outward. Orbits that graze into
-the boundary (gliding) are detected and rejected, never integrated.
+finish when they cross the boundary sphere outward. Every obstacle kind
+intersects rays exactly through `ray_roots`, with no step size, so no
+validated feature is too thin to hit. Orbits that graze into the boundary
+(gliding) are detected and rejected, never integrated.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ from .geometry import canonical_json
 
 TANGENCY_THRESHOLD = 1e-7   # |<v, normal>| at or below this is a tangent encounter
 REHIT_FACTOR = 1e-9         # advance after an event, in units of the ball radius
-MARCH_DIVISIONS = 1024      # marching step = ball_radius / MARCH_DIVISIONS
 GLIDING_ARC_FACTOR = 0.01   # same-obstacle tangencies closer than this * a reject the orbit
-_TANGENT_DEAD_ZONE = 1e-5   # * a; residual grazing roots inside it are skipped, not events
-_PENETRATION_PROBE = 1e-4   # * a; straight continuation probed here after a tangency
+_TANGENT_DEAD_ZONE = 1e-5   # * a; grazing residues and departures inside it are skipped
 
 
 class RootPolishFailed(RuntimeError):
@@ -94,119 +94,50 @@ def _ball_exit_time(q, v, a):
     return -b + math.sqrt(disc)
 
 
-def _march_first_root(obs, q, v, t_lo, t_hi, step):
-    """First sign change of the implicit value along the ray, bracketed on a
-    marching grid clipped to the obstacle bounding sphere, then polished.
-
-    Returns ("root", t), ("penetration", t) when the ray runs into the solid
-    without a detectable free-to-solid crossing (a gliding start or a hop
-    below the re-hit guard), or None.
-    """
-    bc, br = obs.bounding_center(), obs.bounding_radius()
-    d = q - bc
-    b = float(d @ v)
-    c0 = float(d @ d) - br * br
-    disc = b * b - c0
-    if disc <= 0.0:
-        return None
-    sq = math.sqrt(disc)
-    w0, w1 = max(t_lo, -b - sq), min(t_hi, -b + sq)
-    if w1 <= w0:
-        return None
-    tol_pen = 1e-9 * max(1.0, step * MARCH_DIVISIONS)  # ~1e-9 * ball radius
-    n_steps = max(2, int(math.ceil((w1 - w0) / step)) + 1)
-    prev_t, prev_f = None, None
-    lo, chunk = 0, 64  # grow the chunk so short segments stay cheap
-    while lo < n_steps:
-        hi = min(lo + chunk, n_steps)
-        ts = w0 + (w1 - w0) * np.arange(lo, hi) / (n_steps - 1)
-        fs = obs.implicit_batch(q[None, :] + ts[:, None] * v[None, :])
-        if prev_t is not None:
-            ts = np.concatenate([[prev_t], ts])
-            fs = np.concatenate([[prev_f], fs])
-        elif fs[0] <= 0.0:
-            # started at or below the surface: penetration unless the value
-            # recovers before dipping decisively into the solid
-            deep = np.where(fs < -tol_pen)[0]
-            free = np.where(fs > 0.0)[0]
-            if deep.size and (not free.size or deep[0] < free[0]):
-                return "penetration", float(ts[deep[0]])
-        pos = fs[:-1] > 0.0
-        neg = fs[1:] <= 0.0
-        hits = np.where(pos & neg)[0]
-        if hits.size:
-            k = int(hits[0])
-            return "root", _polish(obs, q, v, float(ts[k]), float(ts[k + 1]), step)
-        prev_t, prev_f = float(ts[-1]), float(fs[-1])
-        lo, chunk = hi, min(2 * chunk, 1024)
-    return None
-
-
-def _polish(obs, q, v, lo, hi, scale):
-    """Safeguarded Newton/bisection on F(q + t v) inside a sign-change bracket."""
-    tol_f = 1e-12 * max(1.0, scale * MARCH_DIVISIONS)  # ~1e-12 * ball radius
-    t = 0.5 * (lo + hi)
-    for _ in range(200):
-        x = q + t * v
-        f, grad = obs.implicit_grad(x)
-        if abs(f) <= tol_f:
-            return t
-        if f > 0.0:
-            lo = t
-        else:
-            hi = t
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-            return 0.5 * (lo + hi)
-        g = float(grad @ v)
-        t_newton = t - f / g if g != 0.0 else t
-        t = t_newton if lo < t_newton < hi else 0.5 * (lo + hi)
-    raise RootPolishFailed(f"no convergence in bracket [{lo}, {hi}]")
-
-
 def _first_root(scene, q, v, t_min, cap):
-    """Smallest boundary root over all obstacles in (t_min, cap].
-
-    Returns (kind, t, obstacle index, point) with kind "root" or
-    "penetration", or None."""
-    step = scene.ball_radius / MARCH_DIVISIONS
+    """Smallest boundary root over all obstacles in (t_min, cap]:
+    (t, obstacle index), or None."""
     best = None
     for idx, obs in enumerate(scene.obstacles):
-        limit = cap if best is None else best[1]
-        roots = obs.ray_roots(q, v)
-        if roots is not None:
-            t = next((r for r in roots if t_min < r <= limit), None)
-            found = None if t is None else ("root", t)
-        else:
-            found = _march_first_root(obs, q, v, t_min, limit, step)
-            if found is not None and not (t_min < found[1] <= limit):
-                found = None
-        if found is not None and (best is None or found[1] < best[1]):
-            best = (found[0], found[1], idx)
-    if best is None:
-        return None
-    kind, t, idx = best
-    return kind, t, idx, q + t * v
+        limit = cap if best is None else best[0]
+        t = next((r for r in obs.ray_roots(q, v) if t_min < r <= limit), None)
+        if t is not None and (best is None or t < best[0]):
+            best = (t, idx)
+    return best
+
+
+def _first_crossing(scene, q, v, t_min, cap):
+    """First boundary root in (t_min, cap] that the ray meets from outside or
+    tangentially: (t, obstacle index, point, unit normal, <v, normal>), or
+    None. A departure from an obstacle inside the tangent dead zone is
+    skipped; one beyond it means the segment ran inside the solid, and
+    raises RootPolishFailed."""
+    a = scene.ball_radius
+    while (found := _first_root(scene, q, v, t_min, cap)) is not None:
+        t, idx = found
+        x = q + t * v
+        normal = _normal_at(scene, idx, x)
+        cos_in = float(v @ normal)
+        if cos_in <= TANGENCY_THRESHOLD:
+            return t, idx, x, normal, cos_in
+        if t > _TANGENT_DEAD_ZONE * a:
+            raise RootPolishFailed("ray runs inside an obstacle")
+        t_min = t + REHIT_FACTOR * a
+    return None
 
 
 def first_hit(scene, phase_point: PhasePoint, max_advance: float):
     """First obstacle intersection of the ray, or None if the ray leaves the
     ball (or reaches max_advance) first. Returns (t, obstacle index, point).
+    Roots are exact for every obstacle kind.
 
     Raises RootPolishFailed if the ray starts inside an obstacle (the
     precondition requires a free or outgoing phase point)."""
     q, v = phase_point.q, phase_point.v
     a = scene.ball_radius
-    t_min = REHIT_FACTOR * a
     cap = min(max_advance, _ball_exit_time(q, v, a))
-    if cap <= t_min:
-        return None
-    res = _first_root(scene, q, v, t_min, cap)
-    if res is None:
-        return None
-    kind, t, idx, x = res
-    if kind == "penetration":
-        raise RootPolishFailed("ray runs inside an obstacle (bad start point)")
-    return t, idx, x
+    hit = _first_crossing(scene, q, v, REHIT_FACTOR * a, cap)
+    return None if hit is None else hit[:3]
 
 
 def _normal_at(scene, idx, x):
@@ -237,6 +168,10 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
     total = 0.0
     last_tangent = None  # (obstacle index, point)
 
+    def near_last_tangent(hit, radius):
+        return (last_tangent is not None and last_tangent[0] == hit[1]
+                and float(np.linalg.norm(hit[2] - last_tangent[1])) < radius)
+
     while True:
         if len(events) >= limits.n_max:
             return Trajectory(entry, events, "trapped", None, None, "max_reflections", seg_lengths)
@@ -245,34 +180,14 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
 
         t_ball = _ball_exit_time(q, v, a)
         t_min = guard
-        hit = None
-        for _ in range(32):
-            res = _first_root(scene, q, v, t_min, t_ball)
-            if res is None:
-                break
-            kind, t_hit, idx, x_hit = res
-            if kind == "penetration":
-                return Trajectory(entry, events, "gliding_rejected", None, None,
-                                  "boundary_penetration", seg_lengths)
-            normal = _normal_at(scene, idx, x_hit)
-            cos_in = float(v @ normal)
-            if abs(cos_in) <= TANGENCY_THRESHOLD:
-                if (
-                    last_tangent is not None
-                    and last_tangent[0] == idx
-                    and float(np.linalg.norm(x_hit - last_tangent[1])) < dead_zone
-                ):
-                    t_min = t_hit + guard  # residue of the same grazing chord
-                    continue
-                hit = (t_hit, idx, x_hit, normal, "tangent")
-            elif cos_in < 0.0:
-                hit = (t_hit, idx, x_hit, normal, "transversal")
-            else:
-                t_min = t_hit + guard  # outgoing root (e.g. far side of a chord)
-                continue
-            break
-        else:
-            raise RootPolishFailed("root skipping did not terminate")
+        try:
+            while (hit := _first_crossing(scene, q, v, t_min, t_ball)) is not None:
+                if abs(hit[4]) > TANGENCY_THRESHOLD or not near_last_tangent(hit, dead_zone):
+                    break
+                t_min = hit[0] + guard  # residue of the same grazing chord
+        except RootPolishFailed:
+            return Trajectory(entry, events, "gliding_rejected", None, None,
+                              "boundary_penetration", seg_lengths)
 
         if hit is None:
             seg_lengths.append(t_ball)
@@ -281,26 +196,17 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
             return Trajectory(entry, events, "exited", PhasePoint(exit_q, v.copy()), total,
                               None, seg_lengths)
 
-        t_hit, idx, x_hit, normal, etype = hit
-        if etype == "transversal":
-            v_out = reflect(v, normal)
+        t_hit, idx, x_hit, normal, cos_in = hit
+        if abs(cos_in) > TANGENCY_THRESHOLD:
+            etype, v_out = "transversal", reflect(v, normal)
         else:
-            v_out = v.copy()
+            etype, v_out = "tangent", v.copy()
         events.append(Event(total + t_hit, x_hit, idx, etype, v.copy(), v_out.copy()))
         seg_lengths.append(t_hit)
         total += t_hit
 
         if etype == "tangent":
-            probe = _PENETRATION_PROBE * a
-            f_probe = scene.obstacles[idx].implicit(x_hit + probe * v_out)
-            if f_probe < -1e-12 * a:
-                return Trajectory(entry, events, "gliding_rejected", None, None,
-                                  "boundary_penetration", seg_lengths)
-            if (
-                last_tangent is not None
-                and last_tangent[0] == idx
-                and float(np.linalg.norm(x_hit - last_tangent[1])) < gliding_arc
-            ):
+            if near_last_tangent(hit, gliding_arc):
                 return Trajectory(entry, events, "gliding_rejected", None, None,
                                   "tangency_chain", seg_lengths)
             last_tangent = (idx, x_hit.copy())

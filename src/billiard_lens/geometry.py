@@ -21,6 +21,7 @@ from .curves import (
     CurveChain,
     EllipseArcPiece,
     LinePiece,
+    _stable_quadratic,
     piece_from_dict,
 )
 
@@ -179,37 +180,18 @@ class Obstacle:
     def boundary_points(self, target: int) -> np.ndarray:
         raise NotImplementedError
 
-    # -- ray intersection (quadrics only) -----------------------------------
+    # -- ray intersection --------------------------------------------------
     def ray_roots(self, q, v):
-        """Sorted parameters of exact ray/boundary intersections, or None if
-        the kind has no closed form (marching is used instead)."""
-        return None
+        """Sorted parameters t of every crossing of the line q + t v with the
+        boundary, exact up to rounding: no step size, so no feature is too
+        thin to be seen."""
+        raise NotImplementedError
 
     def params_dict(self) -> dict:
         raise NotImplementedError
 
     def rotation_list(self):
         return None
-
-
-def _stable_quadratic(a: float, b: float, c: float):
-    """Real roots of a t^2 + b t + c, numerically stable; [] if none."""
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    if b >= 0.0:
-        qq = -0.5 * (b + sq)
-    else:
-        qq = -0.5 * (b - sq)
-    roots = []
-    if a != 0.0:
-        roots.append(qq / a)
-    if qq != 0.0:
-        roots.append(c / qq)
-    elif a != 0.0:
-        roots.append(0.0)
-    return sorted(roots)
 
 
 class SphereObstacle(Obstacle):
@@ -378,6 +360,36 @@ class SuperellipsoidObstacle(Obstacle):
     def bounding_radius(self):
         return float(np.linalg.norm(self.semi_axes))
 
+    def ray_roots(self, q, v):
+        # the gauge |R^T(x-c)/a|_p - 1 is convex along the ray, so Newton from
+        # either end of the bounding-sphere chord converges monotonically to
+        # the entry or exit root; a slope turning away first means a miss
+        d = q - self.center
+        ends = _stable_quadratic(1.0, 2.0 * float(d @ v), float(d @ d) - self.bounding_radius()**2)
+        if not ends:
+            return []
+        y = (d @ self.rotation / self.semi_axes).tolist()
+        w = (v @ self.rotation / self.semi_axes).tolist()
+        p = self.exponent
+        roots = []
+        for t, toward in ((ends[0], 1.0), (ends[1], -1.0)):
+            for _ in range(100):
+                u = [yi + t * wi for yi, wi in zip(y, w)]
+                s = sum(abs(ui) ** p for ui in u)
+                gauge = s ** (1.0 / p)
+                if gauge <= 1.0:
+                    break
+                slope = gauge / s * sum(math.copysign(abs(ui) ** (p - 1.0), ui) * wi
+                                        for ui, wi in zip(u, w))
+                if slope * toward >= 0.0:
+                    return []
+                t_next = t - (gauge - 1.0) / slope
+                if t_next == t:
+                    break
+                t = t_next
+            roots.append(t)
+        return sorted(roots)
+
     def boundary_points(self, target):
         e = 2.0 / self.exponent
 
@@ -442,13 +454,9 @@ class CurveObstacle(Obstacle):
         return self.implicit_grad(x)[1]
 
     def implicit_grad(self, x):
-        x = np.asarray(x, dtype=float)
-        fd = self.chain.closest_batch(x[None, :])
-        if fd.dist[0] < 1e-12:
-            return float(fd.signed[0]), fd.normal[0].copy()
-        rel = x - fd.foot[0]
-        sign = np.sign(fd.signed[0]) if fd.signed[0] != 0 else 1.0
-        return float(fd.signed[0]), sign * rel / fd.dist[0]
+        # the signed-distance gradient of a C^1 chain is the foot normal on both sides
+        fd = self.chain.closest_batch(np.asarray(x, dtype=float)[None, :])
+        return float(fd.signed[0]), fd.normal[0].copy()
 
     def hessian(self, x):
         fd = self.chain.closest_batch(np.asarray(x, dtype=float)[None, :])
@@ -471,6 +479,9 @@ class CurveObstacle(Obstacle):
 
     def bounding_center(self):
         return self.chain.bounding_circle()[0]
+
+    def ray_roots(self, q, v):
+        return self.chain.ray_roots(q, v)
 
     def boundary_points(self, target):
         return self.chain.sample_points(target)

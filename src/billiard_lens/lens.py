@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__ as VERSION
 from . import flow, geometry
 from .flow import Limits, PhasePoint
 from .geometry import canonical_json, tangent_basis
 from .rng import Xoshiro256StarStar
-
-VERSION = "0.1.0"
 
 STATUSES = ("free", "scattered", "trapped", "gliding_rejected", "tangent_flagged", "error")
 

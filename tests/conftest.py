@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import billiard_lens as bl
 from billiard_lens import geometry
 
 A_BALL = 10.0
+
+# the same examples on every run, no flaky deadlines, bounded time
+settings.register_profile("billiard-lens", derandomize=True, deadline=None, max_examples=40,
+                          database=None)
+settings.load_profile("billiard-lens")
 
 
 @pytest.fixture(scope="session")

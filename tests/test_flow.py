@@ -247,7 +247,7 @@ def test_single_convex_obstacle_at_most_one_bounce(disc_scene):
 
 
 def test_superellipsoid_marching_face_hit():
-    # the marching/polish path (no closed-form roots): diametric ray meets the
+    # the superellipsoid's Newton-on-gauge roots: diametric ray meets the
     # flat-ish face centre at x = semi-axis
     for dim in (2, 3):
         axes = [1.5, 1.0] if dim == 2 else [1.5, 1.0, 0.8]
@@ -308,6 +308,31 @@ def test_gliding_rejected_on_concave_tangency():
     traj = flow.trace_phase(scene, q, tangent)
     assert traj.status == "gliding_rejected"
     assert traj.cutoff_reason == "boundary_penetration"
+
+
+@pytest.mark.parametrize("thickness", [0.005, 0.002, 1e-4])
+def test_thin_mirror_is_not_tunnelled(thickness):
+    # head-on rays through the centre of curvature across the whole aperture,
+    # the joins with the end caps included: every one reflects straight back
+    mirror = geometry.concave_mirror_obstacle([0.0, 0.0], 3.0, 0.6, thickness, [1.0, 0.0])
+    scene = bl.make_scene(2, A_BALL, [mirror], "thin-mirror")
+    geometry.validate_scene(scene)
+    for phi in np.linspace(-0.6, 0.6, 201):
+        v = np.array([math.cos(phi), math.sin(phi)])
+        traj = flow.trace(scene, PhasePoint(-A_BALL * v, v))
+        assert traj.status == "exited" and len(traj.events) == 1
+        ev = traj.events[0]
+        assert ev.type == "transversal"
+        assert abs(np.linalg.norm(ev.x) - 3.0) <= 1e-12 * A_BALL
+        assert np.allclose(ev.v_out, -v, atol=1e-9)
+
+
+def test_first_hit_raises_on_inside_start(sphere_scene):
+    boxy = bl.make_scene(3, A_BALL, [bl.SuperellipsoidObstacle([0.0] * 3, [1.5, 1.0, 0.8], 8.0)],
+                         "boxy")
+    for scene in (sphere_scene, boxy):
+        with pytest.raises(flow.RootPolishFailed):
+            flow.first_hit(scene, PhasePoint(np.array([0.2, 0.1, 0.0]), np.array([1.0, 0, 0])), 100.0)
 
 
 def test_trajectory_jsonl_format(sphere_scene):

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import billiard_lens as bl
 from billiard_lens import geometry
-from billiard_lens.curves import ArcPiece, CurveChain
+from billiard_lens.curves import ArcPiece, BumpLinePiece, CurveChain, EllipseArcPiece, LinePiece
 from billiard_lens.geometry import (
     InvalidParameters,
     SchemaError,
@@ -22,6 +24,8 @@ from billiard_lens.geometry import (
     validate_scene,
 )
 from billiard_lens.rng import Xoshiro256StarStar
+
+from conftest import A_BALL
 
 
 def test_implicit_value_sphere_examples():
@@ -298,3 +302,107 @@ def test_rotation_matrix_validation():
 def test_superellipsoid_exponent_validation():
     with pytest.raises(InvalidParameters):
         bl.SuperellipsoidObstacle([0.0, 0.0], [1.0, 1.0], 2.5)
+
+
+def test_curve_gradient_is_foot_normal_off_the_curve():
+    # points a few 1e-12 off the outer arc (concentric with the ball) on either side
+    scene, _ = geometry.livshits_scene()
+    obstacle = scene.obstacles[0]
+    r_out = obstacle.chain.pieces[9].radius
+    for ang in np.linspace(0.3 * math.pi, 0.7 * math.pi, 11):
+        radial = np.array([math.cos(ang), math.sin(ang)])
+        for off in (3e-12, -5e-12, 8e-12, -8e-12):
+            g = obstacle.gradient((r_out + off) * radial)
+            assert np.linalg.norm(g - radial) <= 1e-12
+
+
+# -- ray_roots against a dense sign-scan oracle ---------------------------------
+
+_unit = st.floats(-1.0, 1.0)
+_angle = st.floats(-math.pi, math.pi)
+
+
+def _rotation(dim, angles):
+    c = [math.cos(x) for x in angles]
+    s = [math.sin(x) for x in angles]
+    if dim == 2:
+        return [c[0], -s[0], s[0], c[0]]
+    rz0 = np.array([[c[0], -s[0], 0.0], [s[0], c[0], 0.0], [0.0, 0.0, 1.0]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, c[1], -s[1]], [0.0, s[1], c[1]]])
+    rz2 = np.array([[c[2], -s[2], 0.0], [s[2], c[2], 0.0], [0.0, 0.0, 1.0]])
+    return list((rz0 @ rx @ rz2).ravel())
+
+
+def _all_pieces_curve(draw):
+    """Rotated closed chain using every piece kind: an upper half-ellipse, two
+    straight sides, two rounded corners and a bumped bottom edge."""
+    a, b, h = draw(st.floats(1.0, 3.0)), draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    r = draw(st.floats(0.1, 0.45)) * min(a, h)
+    amp = draw(st.floats(0.05, 0.8)) * h * draw(st.sampled_from([-1.0, 1.0]))
+    rho = draw(_angle)
+    c = np.array([draw(_unit), draw(_unit)])
+    rot = np.array(_rotation(2, [rho])).reshape(2, 2)
+
+    def at(x, y):
+        return c + rot @ np.array([x, y])
+
+    return bl.CurveObstacle([
+        EllipseArcPiece(c, (a, b), 0.0, math.pi, rotation=rho),
+        LinePiece(at(-a, 0.0), at(-a, -h)),
+        ArcPiece(at(-a + r, -h), r, math.pi + rho, 1.5 * math.pi + rho),
+        BumpLinePiece(at(-a + r, -h - r), at(a - r, -h - r), amp, rot @ np.array([0.0, 1.0])),
+        ArcPiece(at(a - r, -h), r, -0.5 * math.pi + rho, rho),
+        LinePiece(at(a, -h), at(a, 0.0)),
+    ])
+
+
+def _obstacle(draw, kind):
+    dim = 2 if "2d" in kind else 3
+    center = [draw(_unit) for _ in range(dim)]
+    axes = [draw(st.floats(0.3, 3.0)) for _ in range(dim)]
+    rotation = _rotation(dim, [draw(_angle) for _ in range(1 if dim == 2 else 3)])
+    if kind.startswith("sphere"):
+        return bl.SphereObstacle(center, axes[0])
+    if kind.startswith("ellipsoid"):
+        return bl.EllipsoidObstacle(center, axes, rotation)
+    if kind.startswith("superellipsoid"):
+        return bl.SuperellipsoidObstacle(center, axes, draw(st.floats(4.0, 12.0)), rotation)
+    return _all_pieces_curve(draw)
+
+
+def _ray_along_bump(draw, bump):
+    """Ray inside the bump's amplitude band, nearly parallel to its chord, so
+    that it often crosses the bump twice."""
+    q = (bump.p0 + draw(st.floats(0.2, 0.8)) * (bump.p1 - bump.p0)
+         + draw(st.floats(0.05, 0.95)) * bump.amplitude * bump.direction)
+    ang = math.atan2(*(bump.p1 - bump.p0)[::-1]) + draw(st.floats(-0.2, 0.2))
+    return q, np.array([math.cos(ang), math.sin(ang)])
+
+
+@pytest.mark.parametrize("kind", ["sphere2d", "sphere3d", "ellipsoid3d", "superellipsoid2d",
+                                  "superellipsoid3d", "curve2d", "curve2d-bump"])
+@given(data=st.data())
+def test_ray_roots_match_sign_scan(kind, data):
+    obs = _obstacle(data.draw, kind)
+    dim = obs.dim
+    r = obs.bounding_radius()
+    if kind == "curve2d-bump":
+        q, v = _ray_along_bump(data.draw, obs.chain.pieces[3])
+    else:
+        v = np.array([data.draw(_unit) for _ in range(dim)])
+        if np.linalg.norm(v) < 1e-3:
+            v[0] = 1.0
+        v /= np.linalg.norm(v)
+        q = obs.bounding_center() + np.array([1.2 * r * data.draw(_unit) for _ in range(dim)])
+    roots = obs.ray_roots(q, v)
+    assert roots == sorted(roots)
+    for t in roots:
+        f, grad = obs.implicit_grad(q + t * v)
+        assert abs(f) / np.linalg.norm(grad) <= 1e-12 * A_BALL
+    # every sign change on a dense grid over the bounding chord is bracketed by a root
+    b = float((q - obs.bounding_center()) @ v)
+    ts = np.linspace(-b - 1.1 * r, -b + 1.1 * r, 4001)
+    inside = obs.implicit_batch(q[None, :] + ts[:, None] * v[None, :]) <= 0.0
+    slack = 1e-9 * A_BALL
+    for k in np.where(inside[:-1] != inside[1:])[0]:
+        assert any(ts[k] - slack <= t <= ts[k + 1] + slack for t in roots)

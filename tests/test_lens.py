@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import billiard_lens as bl
-from billiard_lens import flow, lens
+from billiard_lens import flow, geometry, lens
 from billiard_lens.flow import PhasePoint
 from billiard_lens.lens import SampleSpec, SpecMismatch
 
@@ -288,3 +288,20 @@ def test_livshits_pocket_is_open_trapped_set(livshits_pair):
         for w in (v, -v):
             traj = flow.trace_phase(base, x, w, flow.Limits(n_max=90))
             assert traj.status == "trapped"
+
+
+@pytest.mark.parametrize("base_kw, deformation", [
+    ({}, 0.3),
+    ({"wall_thickness": 2.3}, 0.5),
+    ({"semi_axes": (4.3, 2.65)}, 0.5),
+])
+def test_livshits_pocket_invisible_across_variants(base_kw, deformation):
+    # the deformed wall sits in the invisible pocket: not a single travelling time moves
+    base, _ = geometry.livshits_scene(**base_kw)
+    deformed, _ = geometry.livshits_scene(deformation=deformation, **base_kw)
+    spec = SampleSpec("grid", 36, 24, n_max=600)
+    table_base = lens.build_lens_table(base, spec)
+    report = lens.compare_lens(table_base, lens.build_lens_table(deformed, spec), 1e-6 * A_BALL)
+    assert report.verdict == "indistinguishable"
+    assert report.max_dt == 0.0
+    assert table_base.summary["counts"]["scattered"] > 100
