@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Commands: validate, trace, lens, trapped, sls, compare, conjugate,
-regularity, livshits, render. Every output file starts with a header
-embedding the tool version, scene hash, sample spec, seed and the exact
-invocation, and identical invocations reproduce byte-identical files.
+regularity, livshits, render. Every JSON, JSONL and SVG output starts with
+a header embedding the tool version, scene hash, sample spec, seed and the
+exact invocation; a CSV lens table starts with a `#` line of the version,
+scene hash, spec and seed. Identical invocations reproduce byte-identical
+files.
 
 Exit codes: 0 success, 2 bad input, 3 numeric failure, 4 distinguishable
 comparison verdict when --expect-equal is set.
@@ -88,11 +90,8 @@ def _parse_entry(text: str, scene) -> flow.PhasePoint:
     vals = [float(x) for x in text.split(",")]
     dim = scene.dimension
     a = scene.ball_radius
-    if dim == 2 and len(vals) == 2:
-        e = lens._entry_2d(a, vals[0], vals[1])
-        return flow.PhasePoint(e.q, e.v)
-    if dim == 3 and len(vals) == 4:
-        e = lens._entry_3d(a, vals[0], vals[1], vals[2], vals[3])
+    if len(vals) == 2 * (dim - 1):  # intrinsic coordinates, as in lens tables
+        e = lens._entries(a, dim, np.array([vals]))[0]
         return flow.PhasePoint(e.q, e.v)
     if len(vals) == 2 * dim:
         q = np.array(vals[:dim])

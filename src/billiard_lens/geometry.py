@@ -52,8 +52,14 @@ _BOUNDARY_TOL = 1e-6  # relative to the obstacle bounding radius
 # canonical serialization + hashing
 
 
+def format_float(x) -> str:
+    """A float (or int) with 17 significant digits, enough to read back the
+    same double; every output file prints its numbers this way."""
+    return format(x, ".17g")
+
+
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats with 17 significant digits."""
+    """Deterministic JSON: sorted keys, floats by `format_float`."""
     if isinstance(obj, dict):
         items = ",".join(
             f"{json.dumps(str(k))}:{canonical_json(v)}" for k, v in sorted(obj.items())
@@ -68,7 +74,7 @@ def canonical_json(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
+        return format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -86,19 +92,28 @@ def fnv1a64(data: bytes) -> int:
 # frames
 
 
+def _cross(a, b):
+    """3D cross product over the last axis, as component differences."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def tangent_basis(normal: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the plane orthogonal to `normal`,
-    returned as an (n, n-1) matrix of columns."""
+    returned as an (n, n-1) matrix of columns; a stack of normals (N, n)
+    gives (N, n, n-1), each row equal bit for bit to its single call.
+
+    In 3D, e1 = h x n / |h x n| with h the axis of the smallest |n_k| (the
+    first on ties) and e2 = n x e1. The norm is a matmul of e1 with itself,
+    which rounds like `np.linalg.norm` of one vector."""
     n = np.asarray(normal, dtype=float)
-    if n.shape[0] == 2:
-        return np.array([[-n[1]], [n[0]]])
-    k = int(np.argmin(np.abs(n)))
-    h = np.zeros(3)
-    h[k] = 1.0
-    e1 = np.cross(h, n)
-    e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
-    return np.column_stack([e1, e2])
+    if n.shape[-1] == 2:
+        return np.stack([-n[..., 1], n[..., 0]], axis=-1)[..., None]
+    h = np.eye(3)[np.argmin(np.abs(n), axis=-1)]
+    e1 = _cross(h, n)
+    e1 = e1 / np.sqrt(np.matmul(e1[..., None, :], e1[..., :, None]))[..., 0]
+    return np.stack([e1, _cross(n, e1)], axis=-1)
 
 
 @dataclass

@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__ as VERSION
 from . import flow, geometry
 from .flow import Limits, PhasePoint
-from .geometry import canonical_json, tangent_basis
+from .geometry import canonical_json, format_float, tangent_basis
 from .rng import Xoshiro256StarStar
 
 STATUSES = ("free", "scattered", "trapped", "gliding_rejected", "tangent_flagged", "error")
@@ -98,22 +98,44 @@ def _rounded_partition(total: int, bands: int):
     return [edges[k + 1] - edges[k] for k in range(bands)]
 
 
-def _entry_2d(a: float, alpha: float, beta: float) -> Entry:
-    q = a * np.array([math.cos(alpha), math.sin(alpha)])
-    nu = -q / a
-    tangent = np.array([-nu[1], nu[0]])
-    v = math.cos(beta) * nu + math.sin(beta) * tangent
-    return Entry((alpha, beta), q, v)
+def _cos_sin(x: np.ndarray):
+    """cos and sin of each element by `math`, so that a batch rounds like the
+    one-entry formulas on every platform (numpy's own may differ by an ulp)."""
+    x = x.tolist()
+    return np.array(list(map(math.cos, x))), np.array(list(map(math.sin, x)))
 
 
-def _entry_3d(a: float, z: float, phi: float, mu: float, psi: float) -> Entry:
-    rho = math.sqrt(max(0.0, 1.0 - z * z))
-    q = a * np.array([rho * math.cos(phi), rho * math.sin(phi), z])
-    nu = -q / a
-    T = tangent_basis(nu)
-    sin_theta = math.sqrt(max(0.0, 1.0 - mu * mu))
-    v = sin_theta * (math.cos(psi) * T[:, 0] + math.sin(psi) * T[:, 1]) + mu * nu
-    return Entry((z, phi, mu, psi), q, v)
+def _entries(a: float, dim: int, P: np.ndarray) -> list[Entry]:
+    """Entries for the rows of the parameter matrix P: (alpha, beta) in 2D,
+    position angle and angle of v from the inward normal; (z, phi, mu, psi)
+    in 3D, position height and azimuth, mu = <v, nu> and the azimuth of v in
+    the tangent frame."""
+    if dim == 2:
+        cos_a, sin_a = _cos_sin(P[:, 0])
+        cos_b, sin_b = _cos_sin(P[:, 1])
+        q = a * np.stack([cos_a, sin_a], axis=-1)
+        nu = -q / a
+        v = cos_b[:, None] * nu + sin_b[:, None] * tangent_basis(nu)[..., 0]
+    else:
+        z, mu = P[:, 0], P[:, 2]
+        cos_phi, sin_phi = _cos_sin(P[:, 1])
+        cos_psi, sin_psi = _cos_sin(P[:, 3])
+        rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        q = a * np.stack([rho * cos_phi, rho * sin_phi, z], axis=-1)
+        nu = -q / a
+        T = tangent_basis(nu)
+        sin_theta = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
+        v = (sin_theta[:, None] * (cos_psi[:, None] * T[..., 0] + sin_psi[:, None] * T[..., 1])
+             + mu[:, None] * nu)
+    return [Entry(p, qk, vk) for p, qk, vk in zip(map(tuple, P.tolist()), q, v)]
+
+
+def _band_grid(total: int, heights: list) -> np.ndarray:
+    """(height, azimuth) rows: the total split between bands at the given
+    heights, each band at equally spaced azimuths."""
+    return np.array([(h, 2.0 * math.pi * i / max(1, m))
+                     for h, m in zip(heights, _rounded_partition(total, len(heights)))
+                     for i in range(m)])
 
 
 def sample_phase_sphere(spec: SampleSpec, ball_radius: float, dimension: int):
@@ -125,46 +147,28 @@ def sample_phase_sphere(spec: SampleSpec, ball_radius: float, dimension: int):
     <v, inward normal> >= 0.
     """
     a = float(ball_radius)
-    entries: list[Entry] = []
     if spec.mode == "grid":
         if dimension == 2:
-            for i in range(spec.n_positions):
-                alpha = 2.0 * math.pi * i / spec.n_positions
-                for j in range(spec.n_directions):
-                    beta = -0.5 * math.pi + math.pi * (j + 0.5) / spec.n_directions
-                    entries.append(_entry_2d(a, alpha, beta))
+            alpha = 2.0 * math.pi * np.arange(spec.n_positions) / spec.n_positions
+            beta = -0.5 * math.pi + math.pi * (np.arange(spec.n_directions) + 0.5) / spec.n_directions
+            positions, directions = alpha[:, None], beta[:, None]
         else:
             nb = max(2, int(round(math.sqrt(spec.n_positions))))
-            counts = _rounded_partition(spec.n_positions, nb)
-            positions = []
-            for k, m in enumerate(counts):
-                z = 1.0 - (2.0 * k + 1.0) / nb
-                for i in range(m):
-                    positions.append((z, 2.0 * math.pi * i / max(1, m)))
             db = max(1, int(round(math.sqrt(spec.n_directions / 2.0))))
-            dcounts = _rounded_partition(spec.n_directions, db)
-            directions = []
-            for k, m in enumerate(dcounts):
-                mu = 1.0 - (k + 0.5) / db
-                for i in range(m):
-                    directions.append((mu, 2.0 * math.pi * i / max(1, m)))
-            for z, phi in positions:
-                for mu, psi in directions:
-                    entries.append(_entry_3d(a, z, phi, mu, psi))
+            positions = _band_grid(spec.n_positions, [1.0 - (2.0 * k + 1.0) / nb for k in range(nb)])
+            directions = _band_grid(spec.n_directions, [1.0 - (k + 0.5) / db for k in range(db)])
+        P = np.hstack([np.repeat(positions, len(directions), axis=0),
+                       np.tile(directions, (len(positions), 1))])
     else:
         gen = Xoshiro256StarStar(spec.seed)
-        for _ in range(spec.n_total):
-            if dimension == 2:
-                alpha = gen.unit_angle()
-                beta = -0.5 * math.pi + math.pi * gen.uniform()
-                entries.append(_entry_2d(a, alpha, beta))
-            else:
-                z = 2.0 * gen.uniform() - 1.0
-                phi = gen.unit_angle()
-                mu = gen.uniform()
-                psi = gen.unit_angle()
-                entries.append(_entry_3d(a, z, phi, mu, psi))
-    return entries
+        draws = 2 * (dimension - 1)  # per entry, in the order of its parameters
+        U = np.array([gen.uniform() for _ in range(draws * spec.n_total)]).reshape(-1, draws)
+        if dimension == 2:
+            P = np.column_stack([2.0 * math.pi * U[:, 0], -0.5 * math.pi + math.pi * U[:, 1]])
+        else:
+            P = np.column_stack([2.0 * U[:, 0] - 1.0, 2.0 * math.pi * U[:, 1], U[:, 2],
+                                 2.0 * math.pi * U[:, 3]])
+    return _entries(a, dimension, P)
 
 
 @dataclass
@@ -497,28 +501,46 @@ def boundary_distance(scene_k, scene_l, density: float) -> float:
 # serialization
 
 
-def _sample_to_dict(s: LensSample) -> dict:
-    return {
-        "params": list(s.params),
-        "q": list(s.q),
-        "v": list(s.v),
-        "status": s.status,
-        "t": s.t,
-        "reflections": s.reflections,
-        "theta": list(s.theta) if s.theta is not None else None,
-        "sojourn": s.sojourn,
-        "error": s.error,
-    }
+def _floats(xs) -> str:
+    return ",".join(map(format_float, xs))
+
+
+def _json_vectors(vectors) -> list[str]:
+    """JSON arrays of a column of vectors (None for null)."""
+    return ["null" if x is None else "[" + _floats(x.tolist()) + "]" for x in vectors]
+
+
+def _nullable(xs, none: str) -> list[str]:
+    return [none if x is None else format_float(x) for x in xs]
+
+
+# one row in canonical_json's sorted-key order
+_JSONL_ROW = ('{"error":%s,"params":[%s],"q":%s,"reflections":%d,"sojourn":%s,"status":%s,'
+              '"t":%s,"theta":%s,"v":%s}')
 
 
 def table_to_jsonl(table: LensTable, header_extra: dict | None = None) -> str:
+    """Header line, then one row per sample, each equal to canonical_json of
+    the sample's fields; the rows are written a column at a time."""
     header = {"scene_hash": table.scene_hash, "spec": table.spec.to_dict(),
               "version": VERSION, "summary": table.summary}
     if header_extra:
         header = {**header_extra, **header}  # core table keys win on collision
-    lines = [canonical_json(header)]
-    lines.extend(canonical_json(_sample_to_dict(s)) for s in table.samples)
-    return "\n".join(lines) + "\n"
+    S = table.samples
+    statuses = [s.status for s in S]
+    quoted = {st: json.dumps(st) for st in set(statuses)}
+    rows = zip(
+        ["null" if s.error is None else json.dumps(s.error) for s in S],
+        [_floats(s.params) for s in S],
+        _json_vectors([s.q for s in S]),
+        [s.reflections for s in S],
+        _nullable([s.sojourn for s in S], "null"),
+        [quoted[st] for st in statuses],
+        _nullable([s.t for s in S], "null"),
+        _json_vectors([s.theta for s in S]),
+        _json_vectors([s.v for s in S]),
+    )
+    return "\n".join([canonical_json(header), *(_JSONL_ROW % r for r in rows)]) + "\n"
 
 
 _HEADER_KEYS = frozenset(("scene_hash", "spec"))
@@ -586,25 +608,23 @@ def table_from_jsonl(text: str) -> LensTable:
 
 
 def table_to_csv(table: LensTable, dimension: int) -> str:
+    """A `#` line with the version, scene hash, spec and seed, a column line,
+    then one row per sample; the rows are written a column at a time."""
     param_names = ["alpha", "beta"] if dimension == 2 else ["pos_z", "pos_phi", "dir_mu", "dir_psi"]
     theta_names = [f"theta_{ax}" for ax in "xyz"[:dimension]]
     cols = param_names + ["status", "t", "reflections"] + theta_names + ["sojourn"]
     out = ["# billiard-lens " + VERSION + " scene=" + table.scene_hash
            + " spec=" + table.spec.spec_string() + " seed=" + str(table.spec.seed)]
     out.append(",".join(cols))
-
-    def fmt(x):
-        return "" if x is None else format(float(x), ".17g")
-
-    for s in table.samples:
-        row = [fmt(p) for p in s.params]
-        row.append(s.status)
-        row.append(fmt(s.t))
-        row.append(str(s.reflections))
-        if s.theta is None:
-            row.extend([""] * dimension)
-        else:
-            row.extend(fmt(c) for c in s.theta)
-        row.append(fmt(s.sojourn))
-        out.append(",".join(row))
+    S = table.samples
+    no_theta = "," * (dimension - 1)
+    rows = zip(
+        [_floats(s.params) for s in S],
+        [s.status for s in S],
+        _nullable([s.t for s in S], ""),
+        [s.reflections for s in S],
+        [no_theta if s.theta is None else _floats(s.theta.tolist()) for s in S],
+        _nullable([s.sojourn for s in S], ""),
+    )
+    out.extend("%s,%s,%s,%d,%s,%s" % r for r in rows)
     return "\n".join(out) + "\n"

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+from .geometry import format_float as _fmt
 
 
 def _pt(p) -> str:

@@ -107,6 +107,18 @@ def entry_through(point, direction, a=A_BALL):
     return bl.PhasePoint(q, v)
 
 
+def cross_basis(n):
+    """Tangent basis of one normal by np.cross and np.linalg.norm: the
+    reference for `geometry.tangent_basis`."""
+    if n.shape[0] == 2:
+        return np.array([[-n[1]], [n[0]]])
+    h = np.zeros(3)
+    h[int(np.argmin(np.abs(n)))] = 1.0
+    e1 = np.cross(h, n)
+    e1 = e1 / np.linalg.norm(e1)
+    return np.column_stack([e1, np.cross(n, e1)])
+
+
 def run_python(*args):
     """Run a fresh interpreter on this source tree; returns the CompletedProcess."""
     src = str(Path(bl.__file__).resolve().parents[1])

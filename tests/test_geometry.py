@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -26,7 +26,7 @@ from billiard_lens.geometry import (
 )
 from billiard_lens.rng import Xoshiro256StarStar
 
-from conftest import A_BALL, run_python
+from conftest import A_BALL, cross_basis, run_python
 
 
 def test_implicit_value_sphere_examples():
@@ -295,6 +295,40 @@ def eval_scene_dict(scene):
 def test_canonical_json_floats():
     assert canonical_json({"a": 0.1}) == '"a":0.10000000000000001'.join(["{", "}"])
     assert canonical_json([1, True, None]) == "[1,true,null]"
+
+
+# -- tangent_basis: a batch against single calls and an np.cross oracle ---------
+
+
+def _check_bases(N):
+    N = np.asarray(N, dtype=float)
+    dim = N.shape[1]
+    B = geometry.tangent_basis(N)
+    assert B.shape == (N.shape[0], dim, dim - 1)
+    for n, b in zip(N, B):
+        single, oracle = geometry.tangent_basis(n), cross_basis(n)
+        assert single.shape == oracle.shape == b.shape
+        assert single.tobytes() == b.tobytes() == oracle.tobytes()  # bit for bit, signed zeros too
+        np.testing.assert_allclose(b.T @ b, np.eye(dim - 1), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(n @ b, 0.0, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@given(data=st.data())
+def test_tangent_basis_batch_matches_single_calls_and_cross_oracle(dim, data):
+    N = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 8)), dim),
+                             elements=st.floats(-1.0, 1.0)))
+    norms = np.linalg.norm(N, axis=1)
+    assume(np.all(norms > 1e-3))
+    _check_bases(N / norms[:, None])
+
+
+def test_tangent_basis_axes_and_ties():
+    r2, r3 = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(3.0)
+    axes3 = np.vstack([np.eye(3), -np.eye(3)])
+    ties3 = [[r2, r2, 0.0], [r2, 0.0, r2], [0.0, r2, r2], [-r2, r2, 0.0], [r3, r3, r3], [-r3, r3, -r3]]
+    _check_bases(np.vstack([axes3, ties3]))
+    _check_bases(np.vstack([np.eye(2), -np.eye(2), [[r2, r2], [r2, -r2]]]))
 
 
 def test_fnv1a64_known_values():

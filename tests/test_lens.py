@@ -1,14 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import billiard_lens as bl
-from billiard_lens import flow, geometry, lens
+from billiard_lens import cli, flow, geometry, lens
 from billiard_lens.flow import PhasePoint
 from billiard_lens.lens import SampleSpec, SpecMismatch
+from billiard_lens.rng import Xoshiro256StarStar
 
-from conftest import A_BALL
+from conftest import A_BALL, cross_basis
 
 
 def test_parse_spec_round_trip():
@@ -305,3 +307,183 @@ def test_livshits_pocket_invisible_across_variants(base_kw, deformation):
     assert report.verdict == "indistinguishable"
     assert report.max_dt == 0.0
     assert table_base.summary["counts"]["scattered"] > 100
+
+
+# -- batched sampler against the one-entry formulas ----------------------------
+
+
+def _oracle_entry_2d(a, alpha, beta):
+    q = a * np.array([math.cos(alpha), math.sin(alpha)])
+    nu = -q / a
+    tangent = np.array([-nu[1], nu[0]])
+    v = math.cos(beta) * nu + math.sin(beta) * tangent
+    return (alpha, beta), q, v
+
+
+def _oracle_entry_3d(a, z, phi, mu, psi):
+    rho = math.sqrt(max(0.0, 1.0 - z * z))
+    q = a * np.array([rho * math.cos(phi), rho * math.sin(phi), z])
+    nu = -q / a
+    T = cross_basis(nu)
+    sin_theta = math.sqrt(max(0.0, 1.0 - mu * mu))
+    v = sin_theta * (math.cos(psi) * T[:, 0] + math.sin(psi) * T[:, 1]) + mu * nu
+    return (z, phi, mu, psi), q, v
+
+
+def _oracle_bands(total, bands, height):
+    edges = [round(total * k / bands) for k in range(bands + 1)]
+    out = []
+    for k in range(bands):
+        m = edges[k + 1] - edges[k]
+        out.extend((height(k), 2.0 * math.pi * i / max(1, m)) for i in range(m))
+    return out
+
+
+def _oracle_entries(spec, a, dim):
+    """Entries one at a time, in the order and arithmetic of the scalar sampler."""
+    if spec.mode == "grid" and dim == 2:
+        return [_oracle_entry_2d(a, 2.0 * math.pi * i / spec.n_positions,
+                                 -0.5 * math.pi + math.pi * (j + 0.5) / spec.n_directions)
+                for i in range(spec.n_positions) for j in range(spec.n_directions)]
+    if spec.mode == "grid":
+        nb = max(2, int(round(math.sqrt(spec.n_positions))))
+        db = max(1, int(round(math.sqrt(spec.n_directions / 2.0))))
+        positions = _oracle_bands(spec.n_positions, nb, lambda k: 1.0 - (2.0 * k + 1.0) / nb)
+        directions = _oracle_bands(spec.n_directions, db, lambda k: 1.0 - (k + 0.5) / db)
+        return [_oracle_entry_3d(a, z, phi, mu, psi) for z, phi in positions for mu, psi in directions]
+    gen = Xoshiro256StarStar(spec.seed)
+    out = []
+    for _ in range(spec.n_total):
+        if dim == 2:
+            alpha = gen.unit_angle()
+            out.append(_oracle_entry_2d(a, alpha, -0.5 * math.pi + math.pi * gen.uniform()))
+        else:
+            z = 2.0 * gen.uniform() - 1.0
+            phi = gen.unit_angle()
+            mu = gen.uniform()
+            out.append(_oracle_entry_3d(a, z, phi, mu, gen.unit_angle()))
+    return out
+
+
+@pytest.mark.parametrize("dim,spec", [
+    (2, "grid:4x25"), (2, "grid:8x125"), (2, "grid:16x625"), (2, "grid:1x7"), (2, "mc:500"),
+    (3, "grid:20x16"), (3, "grid:4x25"), (3, "grid:1x3"), (3, "grid:1x1"), (3, "mc:500"),
+])
+def test_sampler_matches_one_entry_formulas(dim, spec):
+    spec = lens.parse_spec(spec, seed=11)
+    entries = lens.sample_phase_sphere(spec, A_BALL, dim)
+    oracle = _oracle_entries(spec, A_BALL, dim)
+    assert len(entries) == len(oracle) == spec.count()
+    for e, (params, q, v) in zip(entries, oracle):
+        assert e.params == params and all(type(p) is float for p in e.params)
+        assert np.array_equal(e.q, q) and np.array_equal(e.v, v)
+
+
+def test_cli_intrinsic_entry_is_the_sampler_entry(tmp_path):
+    scenes = {2: bl.make_scene(2, A_BALL, [bl.SphereObstacle([0.5, -0.3], 1.0)]),
+              3: bl.make_scene(3, A_BALL, [bl.SphereObstacle([0.5, -0.3, 0.2], 1.0)])}
+    cases = [(2, (0.7, -0.4)), (2, (3.0, 0.0)), (3, (0.3, 1.1, 0.8, 2.5)), (3, (-1.0, 0.0, 1.0, 0.0))]
+    for dim, params in cases:
+        scene_path = tmp_path / f"scene{dim}.json"
+        scene_path.write_text(geometry.scene_to_json(scenes[dim]) + "\n")
+        out = tmp_path / "t.jsonl"
+        text = ",".join(repr(p) for p in params)
+        assert cli.main(["trace", "--scene", str(scene_path), f"--entry={text}", "--out", str(out)]) == 0
+        _, q, v = (_oracle_entry_2d if dim == 2 else _oracle_entry_3d)(A_BALL, *params)
+        parsed = cli._parse_entry(text, scenes[dim])
+        assert np.array_equal(parsed.q, q) and np.array_equal(parsed.v, v)
+        # the tracer stores the entry direction renormalised
+        header = json.loads(out.read_text().split("\n")[0])
+        assert np.array_equal(header["entry_q"], q)
+        assert np.array_equal(header["entry_v"], v / np.linalg.norm(v))
+
+
+# -- column-wise writers against canonical_json of each row ----------------------
+
+
+def _oracle_row(s):
+    return {
+        "params": list(s.params),
+        "q": list(s.q),
+        "v": list(s.v),
+        "status": s.status,
+        "t": s.t,
+        "reflections": s.reflections,
+        "theta": list(s.theta) if s.theta is not None else None,
+        "sojourn": s.sojourn,
+        "error": s.error,
+    }
+
+
+def _oracle_csv(table, dim):
+    names = (["alpha", "beta"] if dim == 2 else ["pos_z", "pos_phi", "dir_mu", "dir_psi"])
+    names += ["status", "t", "reflections"] + [f"theta_{ax}" for ax in "xyz"[:dim]] + ["sojourn"]
+
+    def fmt(x):
+        return "" if x is None else format(float(x), ".17g")
+
+    lines = [f"# billiard-lens {lens.VERSION} scene={table.scene_hash} "
+             f"spec={table.spec.spec_string()} seed={table.spec.seed}", ",".join(names)]
+    for s in table.samples:
+        theta = [""] * dim if s.theta is None else [fmt(c) for c in s.theta]
+        lines.append(",".join([fmt(p) for p in s.params] + [s.status, fmt(s.t), str(s.reflections)]
+                              + theta + [fmt(s.sojourn)]))
+    return "\n".join(lines) + "\n"
+
+
+def _every_status_table(dim):
+    """Hand-made rows of every status; integer-valued numbers (which read
+    back as int), tiny and huge magnitudes, and an error message with quotes
+    and non-ASCII text."""
+    rng = np.random.default_rng(dim)
+
+    def unit():
+        x = rng.normal(size=dim)
+        return x / np.linalg.norm(x)
+
+    def params(first):
+        return (first,) + tuple(float(x) for x in rng.uniform(-1.0, 1.0, 2 * dim - 3))
+
+    rows = [
+        ("free", 20.0, 0, unit(), 0.0, None),
+        ("scattered", 13.141592653589793, 3, unit(), -6.859e-17, None),
+        ("trapped", None, 10000, None, None, None),
+        ("tangent_flagged", None, 2, unit(), None, None),
+        ("gliding_rejected", None, 1, None, None, None),
+        ("error", None, 0, None, None, 'ray starts inside "disc 2" — Ω, 1e-300'),
+        ("scattered", 1.25e22, 1, unit(), 3.0000000000000004, None),
+    ]
+    samples = [lens.LensSample(params(float(k)), A_BALL * unit(), unit(), status, t, refl,
+                               theta, soj, err)
+               for k, (status, t, refl, theta, soj, err) in enumerate(rows)]
+    spec = SampleSpec("mc", n_total=len(samples), seed=3)
+    counts = {s: sum(r[0] == s for r in rows) for s in lens.STATUSES}
+    return lens.LensTable("00ff00ff00ff00ff", spec, samples,
+                          {"counts": counts, "t_min": 0.5, "t_max": None, "t_mean": 7.0})
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_writers_match_row_oracles(dim):
+    table = _every_status_table(dim)
+    assert {s.status for s in table.samples} == set(lens.STATUSES)
+    header = {"scene_hash": table.scene_hash, "spec": table.spec.to_dict(), "version": lens.VERSION,
+              "summary": table.summary}
+    extra = {"tool": "x", "invocation": ["lens", "--out", "t \"q\" é.jsonl"], "spec": "ignored"}
+    for header_extra in (None, extra):
+        text = lens.table_to_jsonl(table, header_extra)
+        head = {**(header_extra or {}), **header}
+        oracle = [geometry.canonical_json(head)] + [geometry.canonical_json(_oracle_row(s))
+                                                    for s in table.samples]
+        assert text == "\n".join(oracle) + "\n"
+        back = lens.table_from_jsonl(text)
+        assert type(back.samples[0].params[0]) is int and type(back.samples[0].t) is int
+        assert lens.table_to_jsonl(back, header_extra) == text
+    assert lens.table_to_csv(table, dim) == _oracle_csv(table, dim)
+    assert lens.table_to_csv(lens.table_from_jsonl(lens.table_to_jsonl(table)), dim) \
+        == _oracle_csv(table, dim)
+
+
+def test_writers_of_an_empty_table():
+    table = lens.LensTable("00", SampleSpec("grid", 1, 1), [], {})
+    assert lens.table_to_jsonl(table).count("\n") == 1
+    assert lens.table_to_csv(table, 2) == _oracle_csv(table, 2)
