@@ -1,20 +1,21 @@
 """Command-line interface.
 
-Commands: validate, trace, lens, trapped, sls, compare, conjugate,
-regularity, livshits, render. Every JSON, JSONL and SVG output starts with
-a header embedding the tool version, scene hash, sample spec, seed and the
-exact invocation; a CSV lens table starts with a `#` line of the version,
-scene hash, spec and seed. Identical invocations reproduce byte-identical
-files.
+Each command accepts exactly the flags that the table `_COMMANDS` lists for
+it, required or optional; any other flag, a missing required flag or an
+abbreviated flag exits 2. Every JSON, JSONL and SVG output starts with a
+header embedding the tool version, scene hash, sample spec, seed (null for
+commands without --seed) and the exact invocation; a CSV lens table starts
+with a `#` line of the version, scene hash, spec and seed. Identical
+invocations reproduce byte-identical files.
 
-Exit codes: 0 success, 2 bad input, 3 numeric failure, 4 distinguishable
-comparison verdict when --expect-equal is set.
+Exit codes: 0 success, 2 bad input (with a message on stderr), 3 numeric
+failure, 4 distinguishable comparison verdict when --expect-equal is set.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 
 import numpy as np
@@ -24,30 +25,39 @@ from . import flow, geometry, lens, render, variation
 from .geometry import canonical_json
 
 
-def _add_common(sub):
-    sub.add_argument("--scene", help="scene JSON path (for compare: lens table K)")
-    sub.add_argument("--scene-b", dest="scene_b", help="second input (compare: lens table L)")
-    sub.add_argument("--out", help="output file path (default: stdout)")
-    sub.add_argument("--spec", help="sample spec grid:POSxDIR | mc:N (trapped: comma list)")
-    sub.add_argument("--seed", type=int, default=0, help="64-bit seed for mc sampling")
-    sub.add_argument("--nmax", type=int, default=10000, help="reflection cutoff")
-    sub.add_argument("--tmax", type=float, default=None, help="time cutoff (default 1000*a)")
-    sub.add_argument("--tol", type=float, default=None, help="command tolerance")
-    sub.add_argument("--omega", help="incoming direction CSV")
-    sub.add_argument("--theta", help="outgoing direction CSV")
-    sub.add_argument("--entry", help="entry: q,v CSV or intrinsic coordinates CSV")
-    sub.add_argument("--expect-equal", dest="expect_equal", action="store_true",
-                     help="compare: exit 4 when the verdict is distinguishable")
-    sub.add_argument("--svg", help="SVG output path for 2D scenes")
+def _csv_floats(text: str) -> list:
+    """Comma-separated finite numbers (--entry, --omega, --theta)."""
+    vals = [float(x) for x in text.split(",")]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"non-finite component in {text!r}")
+    return vals
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="billiard-lens")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("validate", "trace", "lens", "trapped", "sls", "compare",
-                 "conjugate", "regularity", "livshits", "render"):
-        _add_common(subs.add_parser(name))
-    return parser
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return tol
+
+
+_FLAGS = {
+    "--scene": dict(help="scene JSON path (compare: lens table K)"),
+    "--scene-b": dict(help="lens table L"),
+    "--out": dict(help="output file path, default stdout (livshits: output prefix)"),
+    "--spec": dict(help="sample spec grid:POSxDIR | mc:N (trapped: comma-separated ladder)"),
+    "--seed": dict(type=int, default=0, help="64-bit seed for mc sampling"),
+    "--nmax": dict(type=int, default=10000, help="reflection cutoff"),
+    "--tmax": dict(type=float, help="time cutoff (default 1000*a)"),
+    "--tol": dict(type=_tolerance, help="command tolerance"),
+    "--omega": dict(help="incoming direction CSV"),
+    "--theta": dict(help="outgoing direction CSV"),
+    "--entry": dict(help="entry: q,v CSV or intrinsic coordinates CSV"),
+    "--expect-equal": dict(action="store_true", help="exit 4 when the verdict is distinguishable"),
+    "--svg": dict(help="SVG output path (2D scenes)"),
+}
 
 
 def _header(args, scene=None, spec=None):
@@ -55,28 +65,27 @@ def _header(args, scene=None, spec=None):
         "tool": f"billiard-lens {VERSION}",
         "scene_hash": geometry.scene_hash(scene) if scene is not None else None,
         "spec": spec.spec_string() if spec is not None else None,
-        "seed": args.seed,
+        "seed": vars(args).get("seed"),
         "invocation": list(args._invocation),
     }
 
 
-def _write(args, text: str):
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
+def _write(path, text: str):
+    """Write text to the file at path, or to stdout without a path."""
+    if path:
+        with open(path, "w", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
 def _load_scene(path: str):
-    if path is None:
-        raise ValueError("--scene is required")
     with open(path) as fh:
         return geometry.scene_from_json(fh.read())
 
 
 def _parse_vector(text: str, dim: int):
-    vals = [float(x) for x in text.split(",")]
+    vals = _csv_floats(text)
     if len(vals) != dim:
         raise ValueError(f"expected {dim} comma-separated components")
     v = np.array(vals)
@@ -87,7 +96,7 @@ def _parse_vector(text: str, dim: int):
 
 
 def _parse_entry(text: str, scene) -> flow.PhasePoint:
-    vals = [float(x) for x in text.split(",")]
+    vals = _csv_floats(text)
     dim = scene.dimension
     a = scene.ball_radius
     if len(vals) == 2 * (dim - 1):  # intrinsic coordinates, as in lens tables
@@ -115,52 +124,44 @@ def _cmd_validate(args):
     scene = _load_scene(args.scene)
     report = geometry.validate_scene(scene)
     doc = {"header": _header(args, scene), "report": report.to_dict()}
-    _write(args, canonical_json(doc) + "\n")
+    _write(args.out, canonical_json(doc) + "\n")
     return 0
 
 
 def _cmd_trace(args):
     scene = _load_scene(args.scene)
-    if not args.entry:
-        raise ValueError("--entry is required for trace")
     entry = _parse_entry(args.entry, scene)
     traj = flow.trace(scene, entry, _limits(args))
-    _write(args, flow.trajectory_jsonl(traj, header_extra=_header(args, scene)))
+    header = _header(args, scene)
+    _write(args.out, flow.trajectory_jsonl(traj, header_extra=header))
     if args.svg:
-        with open(args.svg, "w", newline="\n") as fh:
-            fh.write(render.svg_scene(scene, [traj], comment=canonical_json(_header(args, scene))))
+        _write(args.svg, render.svg_scene(scene, [traj], comment=canonical_json(header)))
     return 0
 
 
 def _cmd_lens(args):
     scene = _load_scene(args.scene)
-    if not args.spec:
-        raise ValueError("--spec is required for lens")
     spec = lens.parse_spec(args.spec, seed=args.seed, n_max=args.nmax, t_max=args.tmax)
     table = lens.build_lens_table(scene, spec)
     if args.out and args.out.endswith(".csv"):
-        _write(args, lens.table_to_csv(table, scene.dimension))
+        _write(args.out, lens.table_to_csv(table, scene.dimension))
     else:
-        _write(args, lens.table_to_jsonl(table, header_extra=_header(args, scene, spec)))
+        _write(args.out, lens.table_to_jsonl(table, header_extra=_header(args, scene, spec)))
     return 0
 
 
 def _cmd_trapped(args):
     scene = _load_scene(args.scene)
-    if not args.spec:
-        raise ValueError("--spec is required for trapped (comma-separated ladder)")
     specs = [lens.parse_spec(s, seed=args.seed, n_max=args.nmax, t_max=args.tmax)
              for s in args.spec.split(",")]
     estimate = lens.estimate_trapped(scene, specs)
     doc = {"header": _header(args, scene), "estimate": estimate.to_dict()}
-    _write(args, canonical_json(doc) + "\n")
+    _write(args.out, canonical_json(doc) + "\n")
     return 0
 
 
 def _cmd_sls(args):
     scene = _load_scene(args.scene)
-    if not (args.omega and args.theta and args.spec):
-        raise ValueError("sls requires --omega, --theta and --spec")
     omega = _parse_vector(args.omega, scene.dimension)
     theta = _parse_vector(args.theta, scene.dimension)
     spec = lens.parse_spec(args.spec, seed=args.seed, n_max=args.nmax, t_max=args.tmax)
@@ -173,13 +174,11 @@ def _cmd_sls(args):
         "angular_tolerance": tol,
         "bins": [b.to_dict() for b in bins],
     }
-    _write(args, canonical_json(doc) + "\n")
+    _write(args.out, canonical_json(doc) + "\n")
     return 0
 
 
 def _cmd_compare(args):
-    if not (args.scene and args.scene_b):
-        raise ValueError("compare requires --scene and --scene-b (lens table files)")
     with open(args.scene) as fh:
         table_k = lens.table_from_jsonl(fh.read())
     with open(args.scene_b) as fh:
@@ -192,7 +191,7 @@ def _cmd_compare(args):
     report = lens.compare_lens(table_k, table_l, tol)
     doc = {"header": _header(args), "table_k": table_k.scene_hash,
            "table_l": table_l.scene_hash, "report": report.to_dict()}
-    _write(args, canonical_json(doc) + "\n")
+    _write(args.out, canonical_json(doc) + "\n")
     if args.expect_equal and report.verdict != "indistinguishable":
         return 4
     return 0
@@ -200,8 +199,6 @@ def _cmd_compare(args):
 
 def _cmd_conjugate(args):
     scene = _load_scene(args.scene)
-    if not args.entry:
-        raise ValueError("--entry is required for conjugate")
     entry = _parse_entry(args.entry, scene)
     traj = flow.trace(scene, entry, _limits(args))
     tol = args.tol if args.tol is not None else 1e-4
@@ -214,33 +211,27 @@ def _cmd_conjugate(args):
             results.append({"i": i, "j": j, **res.to_dict()})
     doc = {"header": _header(args, scene), "status": traj.status,
            "events": len(traj.events), "pairs": results}
-    _write(args, canonical_json(doc) + "\n")
+    _write(args.out, canonical_json(doc) + "\n")
     return 0
 
 
 def _cmd_regularity(args):
     scene = _load_scene(args.scene)
-    if not args.entry:
-        raise ValueError("--entry is required for regularity")
     entry = _parse_entry(args.entry, scene)
     tol = args.tol if args.tol is not None else 1e-6
     result = variation.regularity_test(scene, entry, tolerance=tol)
     doc = {"header": _header(args, scene), **result.to_dict()}
-    _write(args, canonical_json(doc) + "\n")
+    _write(args.out, canonical_json(doc) + "\n")
     return 0
 
 
 def _cmd_livshits(args):
-    if not args.out:
-        raise ValueError("--out prefix is required for livshits")
     ball_radius = 10.0
     deformation = 0.05 * ball_radius
     base, foci = geometry.livshits_scene(ball_radius=ball_radius)
     deformed, _ = geometry.livshits_scene(ball_radius=ball_radius, deformation=deformation)
-    with open(args.out + ".base.json", "w", newline="\n") as fh:
-        fh.write(geometry.scene_to_json(base) + "\n")
-    with open(args.out + ".deformed.json", "w", newline="\n") as fh:
-        fh.write(geometry.scene_to_json(deformed) + "\n")
+    _write(args.out + ".base.json", geometry.scene_to_json(base) + "\n")
+    _write(args.out + ".deformed.json", geometry.scene_to_json(deformed) + "\n")
     meta = {
         "header": _header(args),
         "foci": [list(f) for f in foci],
@@ -249,8 +240,7 @@ def _cmd_livshits(args):
         "base_hash": geometry.scene_hash(base),
         "deformed_hash": geometry.scene_hash(deformed),
     }
-    with open(args.out + ".meta.json", "w", newline="\n") as fh:
-        fh.write(canonical_json(meta) + "\n")
+    _write(args.out + ".meta.json", canonical_json(meta) + "\n")
     sys.stdout.write(canonical_json({"foci": [list(f) for f in foci]}) + "\n")
     return 0
 
@@ -261,28 +251,36 @@ def _cmd_render(args):
     if args.entry:
         entry = _parse_entry(args.entry, scene)
         trajectories.append(flow.trace(scene, entry, _limits(args)))
-    svg = render.svg_scene(scene, trajectories, comment=canonical_json(_header(args, scene)))
-    path = args.svg or args.out
-    if path:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(svg)
-    else:
-        sys.stdout.write(svg)
+    comment = canonical_json(_header(args, scene))
+    _write(args.svg, render.svg_scene(scene, trajectories, comment=comment))
     return 0
 
 
+_LIMITS = ("--nmax", "--tmax")
+# command: (handler, required flags, optional flags)
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "trace": _cmd_trace,
-    "lens": _cmd_lens,
-    "trapped": _cmd_trapped,
-    "sls": _cmd_sls,
-    "compare": _cmd_compare,
-    "conjugate": _cmd_conjugate,
-    "regularity": _cmd_regularity,
-    "livshits": _cmd_livshits,
-    "render": _cmd_render,
+    "validate": (_cmd_validate, ("--scene",), ("--out",)),
+    "trace": (_cmd_trace, ("--scene", "--entry"), ("--out", *_LIMITS, "--svg")),
+    "lens": (_cmd_lens, ("--scene", "--spec"), ("--out", "--seed", *_LIMITS)),
+    "trapped": (_cmd_trapped, ("--scene", "--spec"), ("--out", "--seed", *_LIMITS)),
+    "sls": (_cmd_sls, ("--scene", "--omega", "--theta", "--spec"),
+            ("--out", "--seed", *_LIMITS, "--tol")),
+    "compare": (_cmd_compare, ("--scene", "--scene-b"), ("--out", "--tol", "--expect-equal")),
+    "conjugate": (_cmd_conjugate, ("--scene", "--entry"), ("--out", *_LIMITS, "--tol")),
+    "regularity": (_cmd_regularity, ("--scene", "--entry"), ("--out", "--tol")),
+    "livshits": (_cmd_livshits, ("--out",), ()),
+    "render": (_cmd_render, ("--scene",), ("--entry", *_LIMITS, "--svg")),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="billiard-lens", allow_abbrev=False)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (_, required, optional) in _COMMANDS.items():
+        sub = subs.add_parser(name, allow_abbrev=False)
+        for flag in required + optional:
+            sub.add_argument(flag, required=flag in required, **_FLAGS[flag])
+    return parser
 
 
 def main(argv=None) -> int:
@@ -291,15 +289,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 0 if code == 0 else 2
+    except SystemExit as exc:  # --help exits 0, a usage error 2
+        return 0 if exc.code == 0 else 2
     args._invocation = list(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (geometry.SchemaError, geometry.InvalidParameters, geometry.ValidationFailed,
-            lens.SpecMismatch, FileNotFoundError, IsADirectoryError, ValueError,
-            json.JSONDecodeError) as exc:
+        return _COMMANDS[args.command][0](args)
+    except (ValueError, OSError, geometry.ValidationFailed) as exc:
+        # ValueError includes schema errors, spec mismatches and malformed JSON
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (flow.RootPolishFailed, variation.ItineraryChanged, variation.TangentOnPath,

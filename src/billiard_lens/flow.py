@@ -71,8 +71,13 @@ class Trajectory:
 @dataclass
 class Limits:
     n_max: int = 10000
-    t_max: float | None = None       # defaults to 1000 * ball radius
-    gliding_arc: float | None = None  # defaults to GLIDING_ARC_FACTOR * ball radius
+    t_max: float | None = None  # defaults to 1000 * ball radius
+
+    def __post_init__(self):
+        if self.n_max < 1:
+            raise ValueError(f"reflection cutoff must be at least 1, got {self.n_max}")
+        if self.t_max is not None and not 0.0 < self.t_max < math.inf:
+            raise ValueError(f"time cutoff must be a positive finite number, got {self.t_max}")
 
 
 def reflect(v, normal):
@@ -154,7 +159,7 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
     limits = limits or Limits()
     a = scene.ball_radius
     t_max = limits.t_max if limits.t_max is not None else 1000.0 * a
-    gliding_arc = limits.gliding_arc if limits.gliding_arc is not None else GLIDING_ARC_FACTOR * a
+    gliding_arc = GLIDING_ARC_FACTOR * a
     guard = REHIT_FACTOR * a
     dead_zone = _TANGENT_DEAD_ZONE * a
 

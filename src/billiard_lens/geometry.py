@@ -46,6 +46,7 @@ class ValidationFailed(RuntimeError):
 
 _GRAD_FLOOR = 1e-10
 _BOUNDARY_TOL = 1e-6  # relative to the obstacle bounding radius
+_VALIDATION_SAMPLES = {2: 512, 3: 900}  # boundary samples per obstacle, by dimension
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +60,8 @@ def format_float(x) -> str:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats by `format_float`."""
+    """Deterministic JSON: sorted keys, floats by `format_float`. A NaN or
+    infinity raises ValueError: JSON has no spelling for it."""
     if isinstance(obj, dict):
         items = ",".join(
             f"{json.dumps(str(k))}:{canonical_json(v)}" for k, v in sorted(obj.items())
@@ -74,6 +76,8 @@ def canonical_json(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot write the non-finite number {float(obj)!r} as JSON")
         return format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -161,15 +165,10 @@ class Obstacle:
         raise NotImplementedError
 
     def implicit_batch(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.array([self.implicit(x) for x in X])
+        raise NotImplementedError
 
     def gradient(self, x) -> np.ndarray:
         raise NotImplementedError
-
-    def implicit_grad(self, x):
-        """(F, grad F) in one query; overridden where a fused query is cheaper."""
-        return self.implicit(x), self.gradient(x)
 
     def hessian(self, x) -> np.ndarray:
         raise NotImplementedError
@@ -668,9 +667,9 @@ class ValidationReport:
     obstacle_count: int
     pairwise_gap_min: float | None
     containment_margin: float
-    min_gradient_norm: float
-    curvature_min: float
-    curvature_max: float
+    min_gradient_norm: float | None  # None (null) without boundary samples
+    curvature_min: float | None
+    curvature_max: float | None
     flatness_flag: bool
     flagged_nonconvex: bool
     exterior_connected: bool | None
@@ -736,8 +735,7 @@ def _exterior_connected(scene: Scene) -> bool:
     return int(count) <= 1
 
 
-def validate_scene(scene: Scene, samples_per_obstacle: int | None = None,
-                   connectivity: bool = True) -> ValidationReport:
+def validate_scene(scene: Scene, connectivity: bool = True) -> ValidationReport:
     """Numerical scene validation.
 
     Raises ValidationFailed (with the first violated invariant) for hard
@@ -746,13 +744,11 @@ def validate_scene(scene: Scene, samples_per_obstacle: int | None = None,
     flatness flag and the class-convexity diagnostic are reported, not raised.
     """
     a = scene.ball_radius
-    if samples_per_obstacle is None:
-        samples_per_obstacle = 512 if scene.dimension == 2 else 900
-
     for obs in scene.obstacles:
         _check_obstacle_parameters(obs)
 
-    clouds = [obs.boundary_points(samples_per_obstacle) for obs in scene.obstacles]
+    samples = _VALIDATION_SAMPLES[scene.dimension]
+    clouds = [obs.boundary_points(samples) for obs in scene.obstacles]
 
     containment_margin = a
     for obs, cloud in zip(scene.obstacles, clouds):
@@ -816,9 +812,9 @@ def validate_scene(scene: Scene, samples_per_obstacle: int | None = None,
         obstacle_count=len(scene.obstacles),
         pairwise_gap_min=gap_min,
         containment_margin=containment_margin,
-        min_gradient_norm=float(min_grad) if np.isfinite(min_grad) else float("nan"),
-        curvature_min=float(curv_min) if np.isfinite(curv_min) else float("nan"),
-        curvature_max=float(curv_max) if np.isfinite(curv_max) else float("nan"),
+        min_gradient_norm=float(min_grad) if np.isfinite(min_grad) else None,
+        curvature_min=float(curv_min) if np.isfinite(curv_min) else None,
+        curvature_max=float(curv_max) if np.isfinite(curv_max) else None,
         flatness_flag=flat_flag,
         flagged_nonconvex=flagged_nonconvex,
         exterior_connected=connected,

@@ -21,6 +21,7 @@ from .geometry import canonical_json, format_float, tangent_basis
 from .rng import Xoshiro256StarStar
 
 STATUSES = ("free", "scattered", "trapped", "gliding_rejected", "tangent_flagged", "error")
+SPECTRUM_GAP_FACTOR = 5e-3  # * a; sojourn times closer than this share a spectrum bin
 
 
 class SpecMismatch(ValueError):
@@ -44,6 +45,7 @@ class SampleSpec:
             raise ValueError("grid mode needs n_positions >= 1 and n_directions >= 1")
         if self.mode == "mc" and self.n_total < 1:
             raise ValueError("mc mode needs n_total >= 1")
+        self.limits()  # range checks of n_max and t_max
 
     def count(self) -> int:
         return self.n_positions * self.n_directions if self.mode == "grid" else self.n_total
@@ -354,19 +356,18 @@ def _impact_offsets(scene, omega, spec: SampleSpec):
     return offsets
 
 
-def scattering_spectrum(scene, omega, theta, angular_tol: float, spec: SampleSpec,
-                        gap: float | None = None):
+def scattering_spectrum(scene, omega, theta, angular_tol: float, spec: SampleSpec):
     """Sojourn-time bins of rays entering with direction omega and leaving
     within angular_tol of theta. Rays are launched from the support plane of
     the sphere across the obstacle shadow, traced, filtered by exit
-    direction, and their sojourn times clustered with the gap threshold."""
+    direction, and their sojourn times clustered with the gap threshold
+    SPECTRUM_GAP_FACTOR * a."""
     omega = np.asarray(omega, dtype=float)
     omega = omega / np.linalg.norm(omega)
     theta = np.asarray(theta, dtype=float)
     theta = theta / np.linalg.norm(theta)
     a = scene.ball_radius
-    if gap is None:
-        gap = 5e-3 * a
+    gap = SPECTRUM_GAP_FACTOR * a
     limits = spec.limits()
     kept = []
     for offset in _impact_offsets(scene, omega, spec):
@@ -438,7 +439,8 @@ def compare_lens(table_k: LensTable, table_l: LensTable, time_tolerance: float) 
 
     Tangent-flagged samples are excluded (measure-zero strata); trapped
     samples compare by status only. The verdict is 'indistinguishable' iff
-    no status mismatches and no time differences above tolerance remain."""
+    no status or reflection-count mismatches and no time differences above
+    tolerance remain."""
     if table_k.spec != table_l.spec:
         raise SpecMismatch("lens tables were generated from different sample specs")
     if len(table_k.samples) != len(table_l.samples):
@@ -470,7 +472,8 @@ def compare_lens(table_k: LensTable, table_l: LensTable, time_tolerance: float) 
     max_dt = max(dts) if dts else 0.0
     mean_dt = sum(dts) / compared if compared else 0.0
     exceed_fraction = exceed / compared if compared else 0.0
-    verdict = "indistinguishable" if (exceed == 0 and status_mm == 0) else "distinguishable"
+    verdict = ("indistinguishable" if exceed == 0 and status_mm == 0 and refl_mm == 0
+               else "distinguishable")
     return ComparisonReport(matched, compared, excluded, both_trapped, status_mm, refl_mm,
                             max_dt, mean_dt, exceed_fraction, time_tolerance, verdict)
 
@@ -548,10 +551,18 @@ _ROW_KEYS = frozenset(("params", "q", "v", "status", "t", "reflections", "theta"
 _NUMBER_TYPES = frozenset((int, float))  # exact types: JSON true/false load as bool, rejected
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+# one decoder for every line: json.loads with keyword arguments builds one per call
+_DECODER = json.JSONDecoder(parse_constant=_no_constant)
+
+
 def _json_object(line: str, lineno: int, keys) -> dict:
     try:
-        d = json.loads(line)
-    except json.JSONDecodeError as exc:
+        d = _DECODER.decode(line)
+    except ValueError as exc:  # malformed JSON, or NaN / Infinity
         raise geometry.SchemaError(f"lens table line {lineno}: invalid JSON: {exc}") from exc
     if not isinstance(d, dict):
         raise geometry.SchemaError(f"lens table line {lineno}: not a JSON object")
@@ -577,7 +588,7 @@ def table_from_jsonl(text: str) -> LensTable:
     header = _json_object(first, lineno, _HEADER_KEYS)
     try:
         spec = SampleSpec.from_dict(header["spec"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise geometry.SchemaError(f"lens table line {lineno}: bad spec: {exc!r}") from exc
     samples = []
     for lineno, ln in lines[1:]:

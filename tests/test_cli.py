@@ -1,12 +1,29 @@
+import argparse
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import billiard_lens as bl
-from billiard_lens import cli, geometry
+from billiard_lens import cli, geometry, lens
 
 from conftest import run_python
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, as a strict JSON reader does."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 @pytest.fixture()
@@ -110,9 +127,10 @@ def _set(key, value):
 
 @pytest.mark.parametrize("corrupt", [_drop_spec, _drop_status, _array_row, _set("t", "fast"),
                                      _set("q", [1.0, "x"]), _set("status", "bogus"),
-                                     _set("reflections", "many")],
+                                     _set("reflections", "many"), _set("t", math.nan)],
                          ids=["header-without-spec", "row-without-status", "row-not-object",
-                              "text-time", "text-in-q", "unknown-status", "text-reflections"])
+                              "text-time", "text-in-q", "unknown-status", "text-reflections",
+                              "nan-time"])
 def test_compare_malformed_table_exits_2(disc_json, tmp_path, corrupt):
     good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
     assert cli.main(["lens", "--scene", disc_json, "--spec", "grid:4x4", "--out", str(good)]) == 0
@@ -272,3 +290,222 @@ def test_intrinsic_entry(disc_json, tmp_path):
     assert code == 0
     header = json.loads(out.read_text().split("\n")[0])
     assert header["total_time"] == pytest.approx(18.0, abs=1e-6)
+
+
+def test_compare_reflection_mismatch_is_distinguishable(disc_json, tmp_path):
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    assert cli.main(["lens", "--scene", disc_json, "--spec", "grid:4x4", "--out", str(good)]) == 0
+    lines = good.read_text().splitlines()
+    k = next(k for k, ln in enumerate(lines[1:], 1) if json.loads(ln)["status"] == "free")
+    row = json.loads(lines[k])
+    assert row["reflections"] == 0
+    row["reflections"] = 3
+    lines[k] = json.dumps(row)
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "cmp.json"
+    assert cli.main(["compare", "--scene", str(good), "--scene-b", str(bad), "--expect-equal",
+                     "--out", str(out)]) == 4
+    report = json.loads(out.read_text())["report"]
+    assert report["reflection_mismatches"] == 1 and report["max_dt"] == 0
+    assert report["verdict"] == "distinguishable"
+
+
+def test_validate_empty_scene_writes_strict_json(tmp_path):
+    path, out = tmp_path / "empty.json", tmp_path / "report.json"
+    path.write_text(geometry.scene_to_json(bl.make_scene(2, 10.0, [], "empty")) + "\n")
+    assert cli.main(["validate", "--scene", str(path), "--out", str(out)]) == 0
+    doc = _strict_json(out.read_text())
+    assert doc["header"]["seed"] is None
+    for key in ("min_gradient_norm", "curvature_min", "curvature_max"):
+        assert doc["report"][key] is None
+
+
+# -- the flag table --------------------------------------------------------------
+
+_LIMITS = ["--nmax", "--tmax"]
+FLAG_TABLE = {  # command: (required flags, optional flags)
+    "validate": (["--scene"], ["--out"]),
+    "trace": (["--scene", "--entry"], ["--out", *_LIMITS, "--svg"]),
+    "lens": (["--scene", "--spec"], ["--out", "--seed", *_LIMITS]),
+    "trapped": (["--scene", "--spec"], ["--out", "--seed", *_LIMITS]),
+    "sls": (["--scene", "--omega", "--theta", "--spec"], ["--out", "--seed", *_LIMITS, "--tol"]),
+    "compare": (["--scene", "--scene-b"], ["--out", "--tol", "--expect-equal"]),
+    "conjugate": (["--scene", "--entry"], ["--out", *_LIMITS, "--tol"]),
+    "regularity": (["--scene", "--entry"], ["--out", "--tol"]),
+    "livshits": (["--out"], []),
+    "render": (["--scene"], ["--entry", *_LIMITS, "--svg"]),
+}
+
+
+def test_parser_flags_are_the_table():
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {}
+    for name, sub in subs.choices.items():
+        actions = [a for a in sub._actions if a.dest != "help"]
+        flags[name] = ({o for a in actions if a.required for o in a.option_strings},
+                       {o for a in actions if not a.required for o in a.option_strings})
+    assert flags == {c: (set(r), set(o)) for c, (r, o) in FLAG_TABLE.items()}
+    assert sum(len(r) + len(o) for r, o in flags.values()) == 50
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--scene", "{disc}", "--spec", "grid:1x1"],
+    ["compare", "--scene", "{table}", "--scene-b", "{table}", "--seed", "3"],
+    ["regularity", "--scene", "{disc}", "--entry", "3.1,0", "--nmax", "5"],
+    ["livshits", "--scene", "x", "--out", "{tmp}/liv"],
+    ["render", "--scene", "{disc}", "--out", "{tmp}/x.svg"],
+    ["lens", "--scene", "{disc}", "--spe", "grid:2x2"],
+    ["lens", "--scene", "{disc}", "--spec", "grid:2x2", "--nmax", "0"],
+    ["lens", "--scene", "{disc}", "--spec", "grid:2x2", "--tmax", "-1"],
+    ["trapped", "--scene", "{disc}", "--spec", "grid:2x2,grid:3x3,grid:4x4", "--tmax", "nan"],
+    ["trace", "--scene", "{disc}", "--entry=nan,0"],
+    ["sls", "--scene", "{sphere}", "--omega", "inf,0,0", "--theta=-1,0,0", "--spec", "grid:3x3"],
+    ["compare", "--scene", "{table}", "--scene-b", "{table}", "--tol", "nan"],
+    ["trace", "--scene", "{disc}", "--entry=-10,0,1,0", "--out", "{table}/x.jsonl"],
+], ids=["validate-spec", "compare-seed", "regularity-nmax", "livshits-scene", "render-out",
+        "abbreviated-spec", "nmax-0", "tmax-negative", "tmax-nan", "entry-nan", "omega-inf",
+        "tol-nan", "out-below-a-file"])
+def test_rejected_input_exits_2(argv, disc_json, sphere_json, tmp_path, capsys):
+    table = tmp_path / "t.jsonl"
+    assert cli.main(["lens", "--scene", disc_json, "--spec", "grid:2x2", "--out", str(table)]) == 0
+    capsys.readouterr()
+    files = sorted(tmp_path.iterdir())
+    names = {"disc": disc_json, "sphere": sphere_json, "table": str(table), "tmp": str(tmp_path)}
+    assert cli.main([a.format(**names) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+    assert sorted(tmp_path.iterdir()) == files  # nothing written
+
+
+# -- property: argv drawn from the flag table ---------------------------------------
+#
+# Values are good or bad (0, -1, nan, inf, text, a missing path, a path below a
+# file); required flags are sometimes left out and a flag the command does not
+# read sometimes added. Sizes stay tiny: specs up to grid:4x4 or mc:16, --nmax
+# up to 50. `validate` draws 2D scenes only: the 3D connectivity check floods a
+# 128^3 grid (about a second).
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli-property")
+    files = {}
+    for key, scene in [
+        ("disc", bl.make_scene(2, 10.0, [bl.SphereObstacle([0.5, -0.3], 1.0)], "disc")),
+        ("disc2", bl.make_scene(2, 10.0, [bl.SphereObstacle([0.5, -0.3], 1.5)], "disc2")),
+        ("empty", bl.make_scene(2, 10.0, [], "empty")),
+        ("sphere", bl.make_scene(3, 10.0, [bl.SphereObstacle([0.5, -0.3, 0.2], 1.0)], "sphere")),
+    ]:
+        files[key] = str(d / f"{key}.json")
+        Path(files[key]).write_text(geometry.scene_to_json(scene) + "\n")
+    # disc-table and disc2-table share their spec and compare distinguishable
+    for key, scene, spec in [("disc-table", "disc", "grid:4x4"), ("disc2-table", "disc2", "grid:4x4"),
+                             ("sphere-table", "sphere", "mc:8")]:
+        files[key] = str(d / f"{key}.jsonl")
+        assert cli.main(["lens", "--scene", files[scene], "--spec", spec, "--out", files[key]]) == 0
+    return files
+
+
+_BAD_VALUES = ["0", "-1", "nan", "inf", "-inf", "abc", ""]
+_SPEC = st.one_of(st.builds("grid:{}x{}".format, st.integers(1, 4), st.integers(1, 4)),
+                  st.builds("mc:{}".format, st.integers(1, 16)))
+_ANGLE = st.floats(0.0, 2.0 * math.pi)
+_TABLES = ["disc-table", "disc2-table", "sphere-table"]
+
+
+def _good_value(draw, flag, command, scene, dim, files, tmp):
+    if flag == "--scene-b" or (flag == "--scene" and command == "compare"):
+        return files[draw(st.sampled_from(_TABLES))]
+    if flag == "--scene":
+        return files[scene]
+    if flag == "--out":
+        name = {"lens": draw(st.sampled_from(["o.jsonl", "o.csv"])), "livshits": "liv"}
+        return str(tmp / name.get(command, "o.json"))
+    if flag == "--svg":
+        return str(tmp / "o.svg")
+    if flag == "--spec":
+        if command == "trapped":  # a ladder of increasing sizes
+            return ",".join(f"mc:{n}" for n in sorted(draw(st.sets(st.integers(1, 16),
+                                                                   min_size=3, max_size=3))))
+        return draw(_SPEC)
+    if flag == "--seed":
+        return str(draw(st.integers(0, 2**64 - 1)))
+    if flag == "--nmax":
+        return str(draw(st.integers(1, 50)))
+    if flag == "--tmax":
+        return repr(draw(st.floats(0.01, 1e4)))
+    if flag == "--tol":
+        return repr(draw(st.floats(0.0, 1.0)))
+    if flag in ("--omega", "--theta"):
+        return ",".join(repr(draw(st.floats(-1.0, 1.0))) for _ in range(dim))
+    if flag == "--entry":
+        if dim == 2:
+            coords = [draw(_ANGLE), draw(st.floats(-1.5, 1.5))]
+        else:
+            coords = [draw(st.floats(-1.0, 1.0)), draw(_ANGLE), draw(st.floats(0.0, 1.0)),
+                      draw(_ANGLE)]
+        return ",".join(map(repr, coords))
+    raise AssertionError(flag)
+
+
+def _bad_value(draw, flag, tmp):
+    if flag in ("--scene", "--scene-b", "--out", "--svg"):  # tmp holds a file named "file"
+        return draw(st.sampled_from([str(tmp / "missing" / "x"), str(tmp / "file" / "x"), str(tmp)]))
+    return draw(st.sampled_from(_BAD_VALUES))
+
+
+@st.composite
+def _argv(draw, command, files, tmp):
+    scenes = ["disc", "empty"] if command == "validate" else ["disc", "empty", "sphere"]
+    scene = draw(st.sampled_from(scenes))
+    dim = 3 if scene == "sphere" else 2
+    required, optional = FLAG_TABLE[command]
+    # hypothesis shrinks towards 0, so 0 is the good choice in each of these draws
+    flags = [f for f in required if draw(st.integers(0, 9)) < 9]  # drop one now and then
+    flags += [f for f in optional if draw(st.booleans())]
+    if draw(st.integers(0, 7)) == 7:
+        flags.append(draw(st.sampled_from(sorted(set(cli._FLAGS) - set(required + optional)))))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        if flag == "--expect-equal":
+            argv.append(flag)
+        elif draw(st.integers(0, 7)) == 7:
+            argv.append(f"{flag}={_bad_value(draw, flag, tmp)}")
+        elif flag in required + optional:
+            argv.append(f"{flag}={_good_value(draw, flag, command, scene, dim, files, tmp)}")
+        else:
+            argv.append(f"{flag}=1")
+    return argv
+
+
+def _check_output(name, text):
+    if name.endswith(".csv"):
+        for line in text.splitlines()[2:]:
+            for field in line.split(","):
+                assert field in lens.STATUSES or not field or math.isfinite(float(field)), line
+    elif text.startswith("<!--"):
+        _strict_json(text[4:text.index("-->")])
+    else:
+        for line in filter(None, text.splitlines()):
+            _strict_json(line)
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_TABLE))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_cli_exit_codes_and_strict_outputs(command, cli_files, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "file").write_text("x")
+        argv = data.draw(_argv(command, cli_files, tmp), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code != 0:
+            assert err.getvalue() or code == 4
+        _check_output("stdout", out.getvalue())
+        for path in tmp.iterdir():
+            if path.is_file() and path.name != "file":
+                _check_output(path.name, path.read_text())

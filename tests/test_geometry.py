@@ -268,6 +268,15 @@ def test_scene_hash_distinguishes():
     assert scene_hash(s1) != scene_hash(s2)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64("nan")],
+                         ids=["nan", "inf", "-inf", "numpy-nan"])
+def test_canonical_json_rejects_non_finite(x):
+    with pytest.raises(ValueError):
+        canonical_json(x)
+    with pytest.raises(ValueError):
+        canonical_json({"a": [1.0, x]})
+
+
 def test_scene_json_rejects_unknown_keys():
     s = bl.make_scene(2, 10.0, [bl.SphereObstacle([0.0, 0.0], 1.0)], "s")
     d = json.loads(json.dumps(eval_scene_dict(s)))
@@ -440,8 +449,8 @@ def test_ray_roots_match_sign_scan(kind, data):
     roots = obs.ray_roots(q, v)
     assert roots == sorted(roots)
     for t in roots:
-        f, grad = obs.implicit_grad(q + t * v)
-        assert abs(f) / np.linalg.norm(grad) <= 1e-12 * A_BALL
+        x = q + t * v
+        assert abs(obs.implicit(x)) / np.linalg.norm(obs.gradient(x)) <= 1e-12 * A_BALL
     # every sign change on a dense grid over the bounding chord is bracketed by a root
     b = float((q - obs.bounding_center()) @ v)
     ts = np.linspace(-b - 1.1 * r, -b + 1.1 * r, 4001)

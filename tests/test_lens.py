@@ -487,3 +487,14 @@ def test_writers_of_an_empty_table():
     table = lens.LensTable("00", SampleSpec("grid", 1, 1), [], {})
     assert lens.table_to_jsonl(table).count("\n") == 1
     assert lens.table_to_csv(table, 2) == _oracle_csv(table, 2)
+
+
+@pytest.mark.parametrize("limits", [{"n_max": 0}, {"n_max": -1}, {"t_max": 0.0}, {"t_max": -1.0},
+                                    {"t_max": math.nan}, {"t_max": math.inf}],
+                         ids=["nmax-0", "nmax-negative", "tmax-0", "tmax-negative", "tmax-nan",
+                              "tmax-inf"])
+def test_limits_reject_out_of_range(limits):
+    with pytest.raises(ValueError):
+        flow.Limits(**limits)
+    with pytest.raises(ValueError):
+        SampleSpec("grid", 2, 2, **limits)
