@@ -133,9 +133,11 @@ def _cmd_trace(args):
     entry = _parse_entry(args.entry, scene)
     traj = flow.trace(scene, entry, _limits(args))
     header = _header(args, scene)
+    # the SVG is built first: a 3D scene has none, and then nothing is written
+    svg = render.svg_scene(scene, [traj], comment=canonical_json(header)) if args.svg else None
     _write(args.out, flow.trajectory_jsonl(traj, header_extra=header))
-    if args.svg:
-        _write(args.svg, render.svg_scene(scene, [traj], comment=canonical_json(header)))
+    if svg is not None:
+        _write(args.svg, svg)
     return 0
 
 

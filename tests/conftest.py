@@ -95,6 +95,17 @@ def conjugate_fixture_scene():
     return bl.make_scene(2, A_BALL, [disc, mirror], "conjugate-fixture")
 
 
+def plugged_crescent_scene(gap):
+    """A crescent mirror opening towards -x and a disc about (-1, 0) whose edge
+    passes `gap` from both end caps of the mirror (caps of radius 0.25 about
+    2.25 (cos 1.5, +-sin 1.5)): below one grid cell the cavity is closed."""
+    mirror = geometry.concave_mirror_obstacle([0.0, 0.0], 2.0, 1.5, 0.5, [1.0, 0.0])
+    cap = 2.25 * np.array([np.cos(1.5), np.sin(1.5)])
+    radius = float(np.linalg.norm(cap - [-1.0, 0.0])) - 0.25 - gap
+    disc = bl.SphereObstacle([-1.0, 0.0], radius)
+    return bl.make_scene(2, A_BALL, [mirror, disc], f"plugged-crescent-{gap:g}")
+
+
 def entry_through(point, direction, a=A_BALL):
     """Entry phase point on the sphere whose ray passes through `point` with
     the given direction."""

@@ -26,7 +26,7 @@ from billiard_lens.geometry import (
 )
 from billiard_lens.rng import Xoshiro256StarStar
 
-from conftest import A_BALL, cross_basis, run_python
+from conftest import A_BALL, cross_basis, plugged_crescent_scene, run_python
 
 
 def test_implicit_value_sphere_examples():
@@ -386,13 +386,17 @@ def _rotation(dim, angles):
 
 
 def _all_pieces_curve(draw):
-    """Rotated closed chain using every piece kind: an upper half-ellipse, two
-    straight sides, two rounded corners and a bumped bottom edge."""
     a, b, h = draw(st.floats(1.0, 3.0)), draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
     r = draw(st.floats(0.1, 0.45)) * min(a, h)
     amp = draw(st.floats(0.05, 0.8)) * h * draw(st.sampled_from([-1.0, 1.0]))
-    rho = draw(_angle)
-    c = np.array([draw(_unit), draw(_unit)])
+    return _all_pieces_chain(a, b, h, r, amp, draw(_angle), [draw(_unit), draw(_unit)])
+
+
+def _all_pieces_chain(a, b, h, r, amp, rho, c):
+    """Rotated closed chain using every piece kind: an upper half-ellipse of
+    semi-axes (a, b) about c, straight sides of height h, corners of radius r
+    and a bottom edge with a bump of amplitude amp, all turned by rho."""
+    c = np.asarray(c, dtype=float)
     rot = np.array(_rotation(2, [rho])).reshape(2, 2)
 
     def at(x, y):
@@ -458,6 +462,96 @@ def test_ray_roots_match_sign_scan(kind, data):
     slack = 1e-9 * A_BALL
     for k in np.where(inside[:-1] != inside[1:])[0]:
         assert any(ts[k] - slack <= t <= ts[k + 1] + slack for t in roots)
+
+
+def test_superellipsoid_ray_roots_miss_inside_the_bounding_sphere():
+    # the line misses the body (|x| > 2) inside the bounding sphere, where the
+    # gauge is nearly flat along it: a Newton step leaves the chord, and at
+    # p = 40 the next |y|^p overflowed
+    obs = bl.SuperellipsoidObstacle([0.0, 0.0, 0.0], [2.0, 1.5, 1.0], 40.0)
+    assert obs.ray_roots(np.array([-2.578125, -0.703125, 0.0]), np.array([0.0, 0.0, 1.0])) == []
+    assert len(obs.ray_roots(np.array([-1.9, -0.703125, 0.0]), np.array([0.0, 0.0, 1.0]))) == 2
+
+
+# -- the connectivity mask against the per-cell sign oracle -----------------------
+
+
+def test_validate_scene_plugged_crescent():
+    with pytest.raises(ValidationFailed) as excinfo:
+        validate_scene(plugged_crescent_scene(0.01))
+    assert excinfo.value.reason == "exterior_disconnected"
+    assert validate_scene(plugged_crescent_scene(0.2)).exterior_connected is True
+
+
+def _cell_centres(dim, a):
+    """Cell-centre coordinates of the validation grid, (cells,), and the step."""
+    cells = 400 if dim == 2 else 128
+    step = 2.0 * a / cells
+    return -a + (np.arange(cells) + 0.5) * step, step
+
+
+def _per_cell_free(scene):
+    """Reference mask: F > 0 at every cell centre inside the ball, one
+    implicit value per cell."""
+    axis, step = _cell_centres(scene.dimension, scene.ball_radius)
+    grids = np.meshgrid(*[axis] * scene.dimension, indexing="ij")
+    pts = np.column_stack([g.ravel() for g in grids])
+    free = np.sum(pts * pts, axis=1) < (scene.ball_radius - 0.5 * step) ** 2
+    for obs in scene.obstacles:
+        idx = np.flatnonzero(free)
+        free[idx[~(obs.implicit_batch(pts[idx]) > 0.0)]] = False
+    return free.reshape(grids[0].shape)
+
+
+def _mask_scenes():
+    base, _ = geometry.livshits_scene()
+    deformed, _ = geometry.livshits_scene(deformation=0.5)
+    rot2, rot3 = _rotation(2, [0.5]), _rotation(3, [0.3, 0.5, 0.7])
+    return {
+        "livshits-base": base,
+        "livshits-deformed": deformed,
+        "curve2d-all-pieces": bl.make_scene(
+            2, A_BALL, [_all_pieces_chain(2.5, 1.5, 1.2, 0.4, 0.5, 0.7, [0.3, -0.2])], "all"),
+        "plugged-0.01": plugged_crescent_scene(0.01),
+        "plugged-0.2": plugged_crescent_scene(0.2),
+        "two-disc": bl.make_scene(2, A_BALL, [bl.SphereObstacle([-3.0, 0.0], 1.0),
+                                              bl.SphereObstacle([3.0, 0.0], 1.0)], "two-disc"),
+        # the scan line x = 0.025 grazes the disc between two cell centres
+        "grazed-disc": bl.make_scene(2, A_BALL, [bl.SphereObstacle([0.025 - 1.3, 0.0], 1.3)],
+                                     "grazed"),
+        "superellipse-ellipse": bl.make_scene(2, A_BALL, [
+            bl.SuperellipsoidObstacle([-3.0, 1.0], [2.0, 1.2], 6.0, rot2),
+            bl.EllipsoidObstacle([3.5, -1.0], [1.5, 0.8])], "super-2d"),
+        "sphere": bl.make_scene(3, A_BALL, [bl.SphereObstacle([0.0, 0.0, 0.0], 1.0)], "sphere"),
+        "sphere-ellipsoid": bl.make_scene(3, A_BALL, [
+            bl.SphereObstacle([-3.0, 0.4, 0.0], 1.0),
+            bl.EllipsoidObstacle([3.0, -0.4, 0.2], [1.5, 1.0, 0.8])], "sphere-ellipsoid"),
+        "superellipsoid-3d": bl.make_scene(3, A_BALL, [
+            bl.SuperellipsoidObstacle([0.2, -0.1, 0.3], [3.0, 2.5, 2.0], 6.0, rot3)], "super-3d"),
+        "superellipsoid-3d-p40": bl.make_scene(3, A_BALL, [
+            bl.SuperellipsoidObstacle([0.0, 0.0, 0.0], [2.0, 1.5, 1.0], 40.0)], "super-3d-p40"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_mask_scenes()))
+def test_free_cells_match_per_cell_signs(name):
+    scene = _mask_scenes()[name]
+    assert np.array_equal(geometry._free_cells(scene), _per_cell_free(scene))
+
+
+@pytest.mark.parametrize("radius", [0.25, 0.5, 1.25, 2.5])
+def test_free_cells_differ_from_per_cell_signs_only_on_the_boundary(radius):
+    # a disc about a cell centre passes exactly through other cell centres (at
+    # offsets such as (3, 4) cells), where a run's first cell can sit on its cut
+    # and the sign of F there is rounding; only such cells may differ
+    axis, _ = _cell_centres(2, A_BALL)
+    disc = bl.SphereObstacle([axis[201], axis[190]], radius)
+    scene = bl.make_scene(2, A_BALL, [disc], "grid-aligned")
+    pts = np.column_stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")])
+    F = disc.implicit_batch(pts).reshape(axis.size, axis.size)
+    assert np.count_nonzero(np.abs(F) <= 1e-12) > 0  # the disc does hit cell centres
+    differ = geometry._free_cells(scene) != _per_cell_free(scene)
+    assert np.all(np.abs(F[differ]) <= 1e-12)
 
 
 # -- nearest_distances against a brute-force oracle ----------------------------
