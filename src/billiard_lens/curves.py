@@ -3,7 +3,9 @@
 A CurveChain is an ordered list of C^1-joined parametric pieces forming one
 simple closed boundary. It answers closest-point queries (vectorised), from
 which the owning obstacle derives a signed distance field, boundary normals
-and the signed curvature seen from the free side.
+and the signed curvature seen from the free side. Its ray roots come from
+each piece's exact solver and carry the piece and parameter of the crossing,
+so the normal there needs no closest-point query.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ def _stable_quadratic(a: float, b: float, c: float):
 
 
 def _circle_roots(p, w, radius, theta0, sweep):
-    """Ray parameters t where p + t w meets the arc of the circle of given radius
-    about the origin from angle theta0 through sweep. The quadratic is solved
+    """(t, s) pairs where p + t w meets the arc of the circle of given radius
+    about the origin from angle theta0 through sweep: the ray parameter and the
+    arc parameter, the angle's fraction of the sweep. The quadratic is solved
     about the ray point nearest the centre, so a small arc far from p keeps
     its precision."""
     ww = float(w @ w)
@@ -47,10 +50,11 @@ def _circle_roots(p, w, radius, theta0, sweep):
     p = p + t0 * w
     mid, half = theta0 + 0.5 * sweep, 0.5 * abs(sweep) + _JOIN_OVERLAP
     roots = []
-    for s in _stable_quadratic(ww, 2.0 * float(p @ w), float(p @ p) - radius * radius):
-        x = p + s * w
-        if abs((math.atan2(x[1], x[0]) - mid + math.pi) % (2.0 * math.pi) - math.pi) <= half:
-            roots.append(t0 + s)
+    for t in _stable_quadratic(ww, 2.0 * float(p @ w), float(p @ p) - radius * radius):
+        x = p + t * w
+        off = (math.atan2(x[1], x[0]) - mid + math.pi) % (2.0 * math.pi) - math.pi
+        if abs(off) <= half:
+            roots.append((t0 + t, 0.5 + off / sweep))
     return roots
 
 
@@ -60,6 +64,32 @@ def _rot90(v):
     out[..., 0] = -v[..., 1]
     out[..., 1] = v[..., 0]
     return out
+
+
+def _speed(piece, s):
+    return float(np.linalg.norm(piece.deriv(s)))
+
+
+def _nonzero_sweep(theta0, theta1):
+    # a root's arc parameter is its angle over the sweep
+    if theta1 == theta0:
+        raise ValueError("arc sweep must be nonzero")
+    return theta1 - theta0
+
+
+class Root(float):
+    """Ray parameter t of a crossing with a chain (a float), carrying the
+    index `piece` and the parameter `s` on that piece of the crossing."""
+
+    __slots__ = ("piece", "s")
+
+    def __new__(cls, t, piece, s):
+        root = super().__new__(cls, t)
+        root.piece, root.s = piece, s
+        return root
+
+    def __reduce__(self):  # copy and pickle keep the piece and parameter
+        return Root, (float(self), self.piece, self.s)
 
 
 class CurvePiece:
@@ -86,7 +116,8 @@ class CurvePiece:
         raise NotImplementedError
 
     def ray_roots(self, q, v):
-        """Parameters t where the line q + t v crosses the piece."""
+        """(t, s) pairs where the line q + t v crosses the piece: the ray
+        parameter and the piece parameter of each crossing."""
         raise NotImplementedError
 
     def project(self, X, s0):
@@ -133,7 +164,7 @@ class LinePiece(CurvePiece):
         s = float(w[0] * v[1] - w[1] * v[0]) / det
         if not -_JOIN_OVERLAP <= s <= 1.0 + _JOIN_OVERLAP:
             return []
-        return [float(w[0] * d[1] - w[1] * d[0]) / det]
+        return [(float(w[0] * d[1] - w[1] * d[0]) / det, s)]
 
     def to_dict(self):
         return {"type": "line", "p0": list(self.p0), "p1": list(self.p1)}
@@ -203,7 +234,8 @@ class BumpLinePiece(CurvePiece):
                     hi = mid
                 else:
                     lo = mid
-            roots.append(float(v @ (self.point(0.5 * (lo + hi)) - q)))
+            s = 0.5 * (lo + hi)
+            roots.append((float(v @ (self.point(s) - q)), s))
         return roots
 
     def to_dict(self):
@@ -226,7 +258,7 @@ class ArcPiece(CurvePiece):
         self.radius = float(radius)
         self.theta0 = float(theta0)
         self.theta1 = float(theta1)
-        self._sweep = self.theta1 - self.theta0
+        self._sweep = _nonzero_sweep(self.theta0, self.theta1)
 
     def _theta(self, s):
         return self.theta0 + np.asarray(s, dtype=float) * self._sweep
@@ -269,7 +301,7 @@ class EllipseArcPiece(CurvePiece):
         self.rotation = float(rotation)
         c, s = math.cos(self.rotation), math.sin(self.rotation)
         self._R = np.array([[c, -s], [s, c]])
-        self._sweep = self.theta1 - self.theta0
+        self._sweep = _nonzero_sweep(self.theta0, self.theta1)
 
     def _theta(self, s):
         return self.theta0 + np.asarray(s, dtype=float) * self._sweep
@@ -440,12 +472,29 @@ class CurveChain:
         return self._bbox_center, self._bound_radius
 
     def ray_roots(self, q, v):
-        """Sorted parameters t of every crossing of the line q + t v with the chain."""
+        """Sorted parameters t of every crossing of the line q + t v with the
+        chain, as `Root`s that carry the piece and piece parameter."""
         d = q - self._bbox_center
         b = float(d @ v)
         if float(d @ d) - b * b >= self._bound_radius**2:
             return []
-        return sorted(t for piece in self.pieces for t in piece.ray_roots(q, v))
+        return sorted(Root(t, k, s) for k, piece in enumerate(self.pieces) for t, s in piece.ray_roots(q, v))
+
+    def piece_normal(self, k, s):
+        """Unit normal into the free side at parameter s of piece k, by the
+        formula `closest_batch` applies at a foot. A root past an end of its
+        piece (inside the join overlap) lies on the neighbouring piece, where
+        the normal has turned by the neighbour's curvature: it is taken there,
+        the same arc length past the join."""
+        n = len(self.pieces)
+        if s > 1.0:
+            s = (s - 1.0) * _speed(self.pieces[k], 1.0) / _speed(self.pieces[(k + 1) % n], 0.0)
+            k = (k + 1) % n
+        elif s < 0.0:
+            s = 1.0 + s * _speed(self.pieces[k], 0.0) / _speed(self.pieces[k - 1], 1.0)
+            k = (k - 1) % n
+        g1 = self.pieces[k].deriv(s)
+        return self.orientation * _rot90(g1 / np.linalg.norm(g1))
 
     def closest_batch(self, X: np.ndarray) -> FootData:
         X = np.atleast_2d(np.asarray(X, dtype=float))

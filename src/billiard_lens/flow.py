@@ -5,8 +5,13 @@ Rays move at unit speed inside the reference ball, reflect specularly at
 obstacle boundaries, continue straight through diffractive tangencies, and
 finish when they cross the boundary sphere outward. Every obstacle kind
 intersects rays exactly through `ray_roots`, with no step size, so no
-validated feature is too thin to hit. Orbits that graze into the boundary
-(gliding) are detected and rejected, never integrated.
+validated feature is too thin to hit. The normal at a root is
+`root_gradient` normalised: the implicit gradient for quadrics and
+superellipsoids, and for a `curve2d` the closed-form normal at the piece and
+parameter its root carries, so the tracer makes no closest-point query
+(those serve `validate`, `surface_frame` and `boundary_distance`). Orbits
+that graze into the boundary (gliding) are detected and rejected, never
+integrated.
 """
 
 from __future__ import annotations
@@ -121,7 +126,7 @@ def _first_crossing(scene, q, v, t_min, cap):
     while (found := _first_root(scene, q, v, t_min, cap)) is not None:
         t, idx = found
         x = q + t * v
-        normal = _normal_at(scene, idx, x)
+        normal = _normal_at(scene, idx, x, t)
         cos_in = float(v @ normal)
         if cos_in <= TANGENCY_THRESHOLD:
             return t, idx, x, normal, cos_in
@@ -145,9 +150,8 @@ def first_hit(scene, phase_point: PhasePoint, max_advance: float):
     return None if hit is None else hit[:3]
 
 
-def _normal_at(scene, idx, x):
-    obs = scene.obstacles[idx]
-    g = obs.gradient(x)
+def _normal_at(scene, idx, x, t):
+    g = scene.obstacles[idx].root_gradient(x, t)
     gn = float(np.linalg.norm(g))
     if gn < 1e-14:
         raise geometry.SingularGradient(f"singular normal on obstacle {idx}")

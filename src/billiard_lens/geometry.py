@@ -174,15 +174,25 @@ class Obstacle:
         raise NotImplementedError
 
     def frame_at(self, x) -> SurfaceFrame:
-        x = np.asarray(x, dtype=float)
+        return self._frame(np.asarray(x, dtype=float))[0]
+
+    def normal_at(self, x) -> np.ndarray:
+        """Unit normal into the free region at x, as `frame_at` computes it."""
+        return self._unit_gradient(np.asarray(x, dtype=float))[0]
+
+    def _unit_gradient(self, x):
         g = self.gradient(x)
         gn = float(np.linalg.norm(g))
         if gn < _GRAD_FLOOR * max(1.0, self.bounding_radius()):
             raise SingularGradient(f"|grad F| = {gn:g} at {x}")
-        normal = g / gn
+        return g / gn, gn
+
+    def _frame(self, x):
+        """(surface frame, F(x), |grad F(x)|) from one gradient evaluation."""
+        normal, gn = self._unit_gradient(x)
         T = tangent_basis(normal)
         S = T.T @ self.hessian(x) @ T / gn
-        return SurfaceFrame(x, normal, 0.5 * (S + S.T), T)
+        return SurfaceFrame(x, normal, 0.5 * (S + S.T), T), self.implicit(x), gn
 
     # -- extents -----------------------------------------------------------
     def bounding_radius(self) -> float:
@@ -200,6 +210,10 @@ class Obstacle:
         boundary, exact up to rounding: no step size, so no feature is too
         thin to be seen."""
         raise NotImplementedError
+
+    def root_gradient(self, x, root):
+        """Gradient of F at the point x = q + root v of a root of `ray_roots`."""
+        return self.gradient(x)
 
     def params_dict(self) -> dict:
         raise NotImplementedError
@@ -480,11 +494,15 @@ class CurveObstacle(Obstacle):
         t = fd.tangent[0]
         return fd.shape[0] * np.outer(t, t)
 
-    def frame_at(self, x):
-        x = np.asarray(x, dtype=float)
+    def normal_at(self, x):
+        return self.chain.closest_batch(np.asarray(x, dtype=float)[None, :]).normal[0].copy()
+
+    def _frame(self, x):
+        # implicit value, normal and curvature from one closest-point query
         fd = self.chain.closest_batch(x[None, :])
-        t = fd.tangent[0]
-        return SurfaceFrame(x, fd.normal[0].copy(), np.array([[fd.shape[0]]]), t[:, None])
+        normal = fd.normal[0].copy()
+        frame = SurfaceFrame(x, normal, np.array([[fd.shape[0]]]), fd.tangent[0][:, None])
+        return frame, float(fd.signed[0]), float(np.linalg.norm(normal))
 
     def frames_batch(self, X):
         """Vectorised (normals, shape values) for validation sampling."""
@@ -499,6 +517,11 @@ class CurveObstacle(Obstacle):
 
     def ray_roots(self, q, v):
         return self.chain.ray_roots(q, v)
+
+    def root_gradient(self, x, root):
+        # on the boundary the signed-distance gradient is the unit normal at the
+        # root's piece and parameter, in closed form
+        return self.chain.piece_normal(root.piece, root.s)
 
     def boundary_points(self, target):
         return self.chain.sample_points(target)
@@ -523,10 +546,8 @@ def surface_frame(obstacle: Obstacle, point) -> SurfaceFrame:
     point is not on the boundary (within 1e-6 of the obstacle scale).
     """
     x = np.asarray(point, dtype=float)
-    frame = obstacle.frame_at(x)
-    dist_est = abs(obstacle.implicit(x)) / max(
-        float(np.linalg.norm(obstacle.gradient(x))), _GRAD_FLOOR
-    )
+    frame, value, grad_norm = obstacle._frame(x)
+    dist_est = abs(value) / max(grad_norm, _GRAD_FLOOR)
     if dist_est > _BOUNDARY_TOL * max(1.0, obstacle.bounding_radius()):
         raise ValueError(f"point {x} is not on the obstacle boundary (distance ~ {dist_est:g})")
     return frame

@@ -110,18 +110,26 @@ def _incidence_at(scene, event) -> Incidence:
 
 def _frames_along(scene, trajectory, t: float, seeds):
     """Propagate seed frames from the entry to time t through the recorded
-    transversal events. Raises TangentOnPath on a tangent event before t."""
-    frames = [seed_frame(trajectory.entry.v, A0, B0) for A0, B0 in seeds]
+    transversal events. Raises TangentOnPath on a tangent event before t.
+
+    The seeds (scalar A0, B0 pairs) travel as one frame with their blocks
+    side by side, so each event mirrors one basis; every column is
+    propagated on its own, and the frames are split apart at the end."""
+    eye = np.eye(trajectory.entry.v.shape[0] - 1)
+    frame = seed_frame(trajectory.entry.v, np.hstack([A0 * eye for A0, _ in seeds]),
+                       np.hstack([B0 * eye for _, B0 in seeds]))
     t_prev = 0.0
     for ev in trajectory.events:
         if ev.t >= t:
             break
         if ev.type != "transversal":
             raise TangentOnPath(f"tangent event at t = {ev.t:g}")
-        inc = _incidence_at(scene, ev)
-        frames = [propagate_reflection(propagate_free(f, ev.t - t_prev), inc) for f in frames]
+        frame = propagate_reflection(propagate_free(frame, ev.t - t_prev), _incidence_at(scene, ev))
         t_prev = ev.t
-    return [propagate_free(f, t - t_prev) for f in frames]
+    frame = propagate_free(frame, t - t_prev)
+    m = eye.shape[0]
+    return [JacobiFrame(frame.A[:, k:k + m], frame.B[:, k:k + m], frame.basis, frame.direction)
+            for k in range(0, frame.A.shape[1], m)]
 
 
 def flow_differentials(scene, entry: flow.PhasePoint, t: float, trajectory=None):
@@ -150,8 +158,7 @@ def transport_basis(scene, trajectory, t: float):
             break
         if ev.type != "transversal":
             raise TangentOnPath(f"tangent event at t = {ev.t:g}")
-        normal = _incidence_at(scene, ev).normal
-        basis, _ = _reflect_basis(basis, normal)
+        basis, _ = _reflect_basis(basis, scene.obstacles[ev.obstacle].normal_at(ev.x))
         v = ev.v_out.copy()
     return basis, v
 
@@ -301,7 +308,7 @@ def conjugate_test(scene, trajectory, i: int, j: int, tolerance: float = 1e-4) -
     frame = propagate_free(frame, events[j].t - t_prev)
 
     arrival = events[j]
-    normal = _incidence_at(scene, arrival).normal
+    normal = scene.obstacles[arrival.obstacle].normal_at(arrival.x)
     v = arrival.v_in
     cos_j = -float(v @ normal)
     if cos_j <= TANGENCY_THRESHOLD:

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +10,15 @@ from hypothesis.extra import numpy as hnp
 
 import billiard_lens as bl
 from billiard_lens import geometry
-from billiard_lens.curves import ArcPiece, BumpLinePiece, CurveChain, EllipseArcPiece, LinePiece
+from billiard_lens.curves import (
+    _JOIN_OVERLAP,
+    ArcPiece,
+    BumpLinePiece,
+    CurveChain,
+    EllipseArcPiece,
+    LinePiece,
+    piece_from_dict,
+)
 from billiard_lens.geometry import (
     InvalidParameters,
     SchemaError,
@@ -60,6 +69,22 @@ def test_surface_frame_interior_point_rejected():
         surface_frame(s, [0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         surface_frame(s, [0.5, 0.0, 0.0])
+
+
+def test_surface_frame_of_a_curve_makes_one_closest_point_query(monkeypatch):
+    obs = _all_pieces_chain(2.5, 1.5, 1.2, 0.4, 0.5, 0.7, [0.3, -0.2])
+    x = obs.chain.pieces[3].point(np.array(0.3))
+    expected = obs.frame_at(x)
+    calls = []
+    closest = CurveChain.closest_batch
+    monkeypatch.setattr(CurveChain, "closest_batch", lambda self, X: calls.append(1) or closest(self, X))
+    frame = surface_frame(obs, x)
+    assert len(calls) == 1
+    for name in ("point", "normal", "shape", "tangent"):
+        assert np.array_equal(getattr(frame, name), getattr(expected, name))
+    with pytest.raises(ValueError):
+        surface_frame(obs, x + 1e-3 * frame.normal)
+    assert len(calls) == 2
 
 
 def _builtin_obstacles():
@@ -297,6 +322,17 @@ def test_scene_json_rejects_unknown_keys():
         geometry.scene_from_dict(d)
 
 
+@pytest.mark.parametrize("piece", [
+    {"type": "arc", "center": [0.0, 0.0], "radius": 1.0, "theta0": 0.5, "theta1": 0.5},
+    {"type": "ellipse_arc", "center": [0.0, 0.0], "semi_axes": [1.0, 2.0], "theta0": 0.5,
+     "theta1": 0.5},
+], ids=["arc", "ellipse_arc"])
+def test_zero_sweep_arc_rejected(piece):
+    # a root's arc parameter is its angle over the sweep
+    with pytest.raises(ValueError, match="sweep"):
+        piece_from_dict(piece)
+
+
 def eval_scene_dict(scene):
     return json.loads(scene_to_json(scene))
 
@@ -462,6 +498,34 @@ def test_ray_roots_match_sign_scan(kind, data):
     slack = 1e-9 * A_BALL
     for k in np.where(inside[:-1] != inside[1:])[0]:
         assert any(ts[k] - slack <= t <= ts[k + 1] + slack for t in roots)
+
+
+@given(data=st.data())
+def test_curve_hit_normals_are_closed_form(data):
+    # rays through a point of a random piece: inside it, at its start, or up to
+    # the join overlap to either side of its start, where one of the two roots
+    # lies past the end of its piece, on the curved neighbour
+    obs = _all_pieces_curve(data.draw)
+    chain = obs.chain
+    k = data.draw(st.integers(0, len(chain.pieces) - 1))
+    near_join = st.floats(0.25, 1.0).map(lambda u: u * _JOIN_OVERLAP)
+    s0 = data.draw(st.one_of(st.floats(0.0, 1.0), st.just(0.0), near_join,
+                             near_join.map(lambda s: -s)))
+    ang = data.draw(_angle)
+    v = np.array([math.cos(ang), math.sin(ang)])
+    q = chain.pieces[k].point(np.array(s0)) - 2.0 * obs.bounding_radius() * v
+    roots = obs.ray_roots(q, v)
+    assert roots
+    # the roots are the per-piece crossings, each carrying its piece and parameter
+    assert [(float(t), t.piece, t.s) for t in roots] == sorted(
+        (t, k, s) for k, piece in enumerate(chain.pieces) for t, s in piece.ray_roots(q, v))
+    copied = pickle.loads(pickle.dumps(roots))
+    assert [(float(t), t.piece, t.s) for t in copied] == [(float(t), t.piece, t.s) for t in roots]
+    for t in roots:
+        x = q + t * v
+        normal = obs.root_gradient(x, t)
+        assert abs(np.linalg.norm(normal) - 1.0) <= 1e-15
+        assert np.max(np.abs(normal - chain.closest_batch(x[None, :]).normal[0])) <= 1e-12
 
 
 def test_superellipsoid_ray_roots_miss_inside_the_bounding_sphere():

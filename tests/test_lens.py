@@ -6,6 +6,7 @@ import pytest
 
 import billiard_lens as bl
 from billiard_lens import cli, flow, geometry, lens
+from billiard_lens.curves import CurveChain
 from billiard_lens.flow import PhasePoint
 from billiard_lens.lens import SampleSpec, SpecMismatch
 from billiard_lens.rng import Xoshiro256StarStar
@@ -307,6 +308,22 @@ def test_livshits_pocket_invisible_across_variants(base_kw, deformation):
     assert report.verdict == "indistinguishable"
     assert report.max_dt == 0.0
     assert table_base.summary["counts"]["scattered"] > 100
+
+
+def test_livshits_lens_build_makes_no_closest_point_query(livshits_pair, monkeypatch):
+    # reflection normals on curve2d come from the piece and parameter of each root
+    base, deformed, _ = livshits_pair
+    calls = []
+    closest = CurveChain.closest_batch
+    monkeypatch.setattr(CurveChain, "closest_batch", lambda self, X: calls.append(1) or closest(self, X))
+    spec = SampleSpec("grid", 16, 12, n_max=300)
+    table_base = lens.build_lens_table(base, spec)
+    table_deformed = lens.build_lens_table(deformed, spec)
+    assert calls == []
+    assert table_base.summary["counts"]["scattered"] > 0
+    report = lens.compare_lens(table_base, table_deformed, 1e-6 * A_BALL)
+    assert report.verdict == "indistinguishable"
+    assert report.max_dt == 0.0
 
 
 # -- batched sampler against the one-entry formulas ----------------------------

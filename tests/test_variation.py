@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import billiard_lens as bl
-from billiard_lens import flow, variation
+from billiard_lens import flow, geometry, variation
 from billiard_lens.flow import PhasePoint
 from billiard_lens.rng import Xoshiro256StarStar
 from billiard_lens.variation import (
@@ -238,6 +238,45 @@ def test_2d_transfer_determinant(disc_ellipse_scene):
             ]
         )
         assert abs(abs(np.linalg.det(transfer)) - 1.0) < 1e-12
+        done += 1
+
+
+def _frames_one_seed_at_a_time(scene, traj, t, seeds):
+    """The reference: each seed propagated on its own through surface_frame incidences."""
+    frames = [seed_frame(traj.entry.v, A0, B0) for A0, B0 in seeds]
+    t_prev = 0.0
+    for ev in traj.events:
+        if ev.t >= t:
+            break
+        sf = geometry.surface_frame(scene.obstacles[ev.obstacle], ev.x)
+        inc = Incidence(ev.v_in, sf.normal, sf.shape_ambient())
+        frames = [propagate_reflection(propagate_free(f, ev.t - t_prev), inc) for f in frames]
+        t_prev = ev.t
+    return [propagate_free(f, t - t_prev) for f in frames]
+
+
+@pytest.mark.parametrize("name", ["disc_ellipse_scene", "sphere_ellipsoid_scene", "livshits_pair"])
+def test_frames_along_match_one_seed_at_a_time(name, request):
+    scene = request.getfixturevalue(name)
+    scene = scene[0] if name == "livshits_pair" else scene
+    gen = Xoshiro256StarStar(7)
+    done = 0
+    while done < 8:
+        entry = _random_entry(gen, scene.dimension)
+        traj = flow.trace(scene, entry)
+        if traj.status != "exited" or not traj.events:
+            continue
+        if any(ev.type != "transversal" for ev in traj.events):
+            continue
+        t = traj.events[-1].t + 0.5 * (traj.total_time - traj.events[-1].t)
+        seeds = [(0.0, 1.0), (1.0, 0.0)]
+        for got, want in zip(variation._frames_along(scene, traj, t, seeds),
+                             _frames_one_seed_at_a_time(scene, traj, t, seeds)):
+            for attr in ("A", "B", "basis", "direction"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        for ev in traj.events:
+            obs = scene.obstacles[ev.obstacle]
+            assert np.array_equal(obs.normal_at(ev.x), geometry.surface_frame(obs, ev.x).normal)
         done += 1
 
 
