@@ -5,7 +5,9 @@ simple closed boundary. It answers closest-point queries (vectorised), from
 which the owning obstacle derives a signed distance field, boundary normals
 and the signed curvature seen from the free side. Its ray roots come from
 each piece's exact solver and carry the piece and parameter of the crossing,
-so the normal there needs no closest-point query.
+so the normal there needs no closest-point query. The piece solvers work in
+plain float arithmetic on (x, y) pairs; the closest-point queries stay
+vectorised.
 """
 
 from __future__ import annotations
@@ -39,20 +41,19 @@ def _stable_quadratic(a: float, b: float, c: float):
     return sorted(roots)
 
 
-def _circle_roots(p, w, radius, theta0, sweep):
-    """(t, s) pairs where p + t w meets the arc of the circle of given radius
-    about the origin from angle theta0 through sweep: the ray parameter and the
-    arc parameter, the angle's fraction of the sweep. The quadratic is solved
-    about the ray point nearest the centre, so a small arc far from p keeps
-    its precision."""
-    ww = float(w @ w)
-    t0 = -float(p @ w) / ww
-    p = p + t0 * w
+def _circle_roots(px, py, wx, wy, radius, theta0, sweep):
+    """(t, s) pairs where (px, py) + t (wx, wy) meets the arc of the circle of
+    given radius about the origin from angle theta0 through sweep: the ray
+    parameter and the arc parameter, the angle's fraction of the sweep. The
+    quadratic is solved about the ray point nearest the centre, so a small arc
+    far from p keeps its precision."""
+    ww = wx * wx + wy * wy
+    t0 = -(px * wx + py * wy) / ww
+    px, py = px + t0 * wx, py + t0 * wy
     mid, half = theta0 + 0.5 * sweep, 0.5 * abs(sweep) + _JOIN_OVERLAP
     roots = []
-    for t in _stable_quadratic(ww, 2.0 * float(p @ w), float(p @ p) - radius * radius):
-        x = p + t * w
-        off = (math.atan2(x[1], x[0]) - mid + math.pi) % (2.0 * math.pi) - math.pi
+    for t in _stable_quadratic(ww, 2.0 * (px * wx + py * wy), px * px + py * py - radius * radius):
+        off = (math.atan2(py + t * wy, px + t * wx) - mid + math.pi) % (2.0 * math.pi) - math.pi
         if abs(off) <= half:
             roots.append((t0 + t, 0.5 + off / sweep))
     return roots
@@ -68,6 +69,13 @@ def _rot90(v):
 
 def _speed(piece, s):
     return float(np.linalg.norm(piece.deriv(s)))
+
+
+def _nonzero_chord(p0, p1):
+    # a zero-length segment has no tangent to join or project onto
+    if np.array_equal(p0, p1):
+        raise ValueError("segment endpoints must differ")
+    return p1 - p0
 
 
 def _nonzero_sweep(theta0, theta1):
@@ -117,7 +125,9 @@ class CurvePiece:
 
     def ray_roots(self, q, v):
         """(t, s) pairs where the line q + t v crosses the piece: the ray
-        parameter and the piece parameter of each crossing."""
+        parameter and the piece parameter of each crossing. q and v are any
+        (x, y) pairs (arrays, tuples or lists); the same pairs give the same
+        roots whatever their type."""
         raise NotImplementedError
 
     def project(self, X, s0):
@@ -144,7 +154,8 @@ class LinePiece(CurvePiece):
     def __init__(self, p0, p1):
         self.p0 = np.asarray(p0, dtype=float)
         self.p1 = np.asarray(p1, dtype=float)
-        self._d = self.p1 - self.p0
+        self._d = _nonzero_chord(self.p0, self.p1)
+        self._floats = (*self.p0.tolist(), *self._d.tolist())  # p0 and d, for the ray solver
 
     def point(self, s):
         return self.p0 + np.multiply.outer(s, self._d)
@@ -157,14 +168,16 @@ class LinePiece(CurvePiece):
 
     def ray_roots(self, q, v):
         # q + t v = p0 + s d, solved by 2D cross products
-        w, d = self.p0 - q, self._d
-        det = float(v[0] * d[1] - v[1] * d[0])
+        (qx, qy), (vx, vy) = q, v
+        x0, y0, dx, dy = self._floats
+        wx, wy = x0 - qx, y0 - qy
+        det = vx * dy - vy * dx
         if det == 0.0:
             return []
-        s = float(w[0] * v[1] - w[1] * v[0]) / det
+        s = (wx * vy - wy * vx) / det
         if not -_JOIN_OVERLAP <= s <= 1.0 + _JOIN_OVERLAP:
             return []
-        return [(float(w[0] * d[1] - w[1] * d[0]) / det, s)]
+        return [((wx * dy - wy * dx) / det, s)]
 
     def to_dict(self):
         return {"type": "line", "p0": list(self.p0), "p1": list(self.p1)}
@@ -174,7 +187,9 @@ class BumpLinePiece(CurvePiece):
     """Line segment with a smooth sin^2 bump of given amplitude along a fixed direction.
 
     Amplitude 0 degenerates to the plain segment; the bump and its first
-    derivative vanish at both endpoints, so C^1 joins are preserved.
+    derivative vanish at both endpoints, so C^1 joins are preserved. The bump
+    runs along the unit vector of `direction`, which is kept and written as
+    given, so a scene and its reloaded file describe the same piece.
     """
 
     kind = "bump_line"
@@ -183,33 +198,38 @@ class BumpLinePiece(CurvePiece):
         self.p0 = np.asarray(p0, dtype=float)
         self.p1 = np.asarray(p1, dtype=float)
         self.amplitude = float(amplitude)
-        d = np.asarray(direction, dtype=float)
-        self.direction = d / np.linalg.norm(d)
-        self._d = self.p1 - self.p0
+        self.direction = np.asarray(direction, dtype=float)
+        norm = float(np.linalg.norm(self.direction))
+        if not norm > 0.0:
+            raise ValueError("bump direction must be nonzero")
+        self._u = self.direction / norm
+        self._d = _nonzero_chord(self.p0, self.p1)
+        self._floats = (*self.p0.tolist(), *self._d.tolist(), *self._u.tolist())  # for the ray solver
 
     def point(self, s):
         s = np.asarray(s, dtype=float)
         base = self.p0 + np.multiply.outer(s, self._d)
-        return base + np.multiply.outer(self.amplitude * np.sin(np.pi * s) ** 2, self.direction)
+        return base + np.multiply.outer(self.amplitude * np.sin(np.pi * s) ** 2, self._u)
 
     def deriv(self, s):
         s = np.asarray(s, dtype=float)
         out = np.broadcast_to(self._d, np.shape(s) + (2,)).copy()
-        out += np.multiply.outer(self.amplitude * np.pi * np.sin(2.0 * np.pi * s), self.direction)
+        out += np.multiply.outer(self.amplitude * np.pi * np.sin(2.0 * np.pi * s), self._u)
         return out
 
     def deriv2(self, s):
         s = np.asarray(s, dtype=float)
         return np.multiply.outer(
-            self.amplitude * 2.0 * np.pi * np.pi * np.cos(2.0 * np.pi * s), self.direction
+            self.amplitude * 2.0 * np.pi * np.pi * np.cos(2.0 * np.pi * s), self._u
         )
 
     def ray_roots(self, q, v):
         # the offset across the ray, g(s) = alpha + beta s + gamma sin^2(pi s), is
         # monotone between the zeros of g'(s) = beta + gamma pi sin(2 pi s)
-        n = np.array([-v[1], v[0]])
-        alpha, beta = float(n @ (self.p0 - q)), float(n @ self._d)
-        gamma = self.amplitude * float(n @ self.direction)
+        (qx, qy), (vx, vy) = q, v
+        x0, y0, dx, dy, ux, uy = self._floats
+        alpha, beta = -vy * (x0 - qx) + vx * (y0 - qy), -vy * dx + vx * dy
+        gamma = self.amplitude * (-vy * ux + vx * uy)
         if beta == 0.0 and gamma == 0.0:
             return []
         knots = [-_JOIN_OVERLAP, 1.0 + _JOIN_OVERLAP]
@@ -235,7 +255,8 @@ class BumpLinePiece(CurvePiece):
                 else:
                     lo = mid
             s = 0.5 * (lo + hi)
-            roots.append((float(v @ (self.point(s) - q)), s))
+            k = self.amplitude * math.sin(math.pi * s) ** 2
+            roots.append((vx * (x0 + s * dx + k * ux - qx) + vy * (y0 + s * dy + k * uy - qy), s))
         return roots
 
     def to_dict(self):
@@ -259,6 +280,7 @@ class ArcPiece(CurvePiece):
         self.theta0 = float(theta0)
         self.theta1 = float(theta1)
         self._sweep = _nonzero_sweep(self.theta0, self.theta1)
+        self._floats = tuple(self.center.tolist())  # centre, for the ray solver
 
     def _theta(self, s):
         return self.theta0 + np.asarray(s, dtype=float) * self._sweep
@@ -276,7 +298,9 @@ class ArcPiece(CurvePiece):
         return -self.radius * self._sweep**2 * np.stack([np.cos(th), np.sin(th)], axis=-1)
 
     def ray_roots(self, q, v):
-        return _circle_roots(q - self.center, v, self.radius, self.theta0, self._sweep)
+        (qx, qy), (vx, vy) = q, v
+        cx, cy = self._floats
+        return _circle_roots(qx - cx, qy - cy, vx, vy, self.radius, self.theta0, self._sweep)
 
     def to_dict(self):
         return {
@@ -302,6 +326,7 @@ class EllipseArcPiece(CurvePiece):
         c, s = math.cos(self.rotation), math.sin(self.rotation)
         self._R = np.array([[c, -s], [s, c]])
         self._sweep = _nonzero_sweep(self.theta0, self.theta1)
+        self._floats = (*self.center.tolist(), c, s, *self.semi_axes.tolist())  # for the ray solver
 
     def _theta(self, s):
         return self.theta0 + np.asarray(s, dtype=float) * self._sweep
@@ -327,8 +352,12 @@ class EllipseArcPiece(CurvePiece):
 
     def ray_roots(self, q, v):
         # a unit-circle arc in scaled body coordinates; t is unchanged by the map
-        return _circle_roots((q - self.center) @ self._R / self.semi_axes,
-                             v @ self._R / self.semi_axes, 1.0, self.theta0, self._sweep)
+        (qx, qy), (vx, vy) = q, v
+        cx, cy, c, s, a, b = self._floats
+        dx, dy = qx - cx, qy - cy
+        return _circle_roots((c * dx + s * dy) / a, (-s * dx + c * dy) / b,
+                             (c * vx + s * vy) / a, (-s * vx + c * vy) / b,
+                             1.0, self.theta0, self._sweep)
 
     def to_dict(self):
         out = {
@@ -399,6 +428,7 @@ class CurveChain:
         self.total_length = float(sum(self.lengths))
         dense = self.sample_points(max(256, 48 * len(self.pieces)))
         self._bbox_center = 0.5 * (dense.min(axis=0) + dense.max(axis=0))
+        self._bbox_xy = tuple(self._bbox_center.tolist())
         self._bound_radius = float(np.max(np.linalg.norm(dense - self._bbox_center, axis=1))) * 1.0001
         # shoelace area decides which side of the traversal is free space
         x, y = dense[:, 0], dense[:, 1]
@@ -472,11 +502,13 @@ class CurveChain:
         return self._bbox_center, self._bound_radius
 
     def ray_roots(self, q, v):
-        """Sorted parameters t of every crossing of the line q + t v with the
-        chain, as `Root`s that carry the piece and piece parameter."""
-        d = q - self._bbox_center
-        b = float(d @ v)
-        if float(d @ d) - b * b >= self._bound_radius**2:
+        """Sorted parameters t of every crossing of the line q + t v (arrays)
+        with the chain, as `Root`s that carry the piece and piece parameter."""
+        q, v = q.tolist(), v.tolist()
+        cx, cy = self._bbox_xy
+        dx, dy = q[0] - cx, q[1] - cy
+        b = dx * v[0] + dy * v[1]
+        if dx * dx + dy * dy - b * b >= self._bound_radius**2:
             return []
         return sorted(Root(t, k, s) for k, piece in enumerate(self.pieces) for t, s in piece.ray_roots(q, v))
 

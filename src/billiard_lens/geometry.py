@@ -669,9 +669,15 @@ def scene_to_json(scene: Scene) -> str:
     return canonical_json(scene_to_dict(scene))
 
 
+def _json_int(text: str):
+    # format_float writes -0.0 as "-0"; read back as the integer 0 it would
+    # lose its sign, and a reloaded scene would write and hash differently
+    return -0.0 if text == "-0" else int(text)
+
+
 def scene_from_json(text: str) -> Scene:
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
     return scene_from_dict(data)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 import billiard_lens as bl
 from billiard_lens import geometry
+from billiard_lens.curves import ArcPiece, BumpLinePiece, EllipseArcPiece, LinePiece
 
 A_BALL = 10.0
 
@@ -104,6 +107,51 @@ def plugged_crescent_scene(gap):
     radius = float(np.linalg.norm(cap - [-1.0, 0.0])) - 0.25 - gap
     disc = bl.SphereObstacle([-1.0, 0.0], radius)
     return bl.make_scene(2, A_BALL, [mirror, disc], f"plugged-crescent-{gap:g}")
+
+
+def _rotation(dim, angles):
+    """Row-major entries of the rotation by one angle (2D) or by z-x-z Euler
+    angles (3D)."""
+    c = [math.cos(x) for x in angles]
+    s = [math.sin(x) for x in angles]
+    if dim == 2:
+        return [c[0], -s[0], s[0], c[0]]
+    rz0 = np.array([[c[0], -s[0], 0.0], [s[0], c[0], 0.0], [0.0, 0.0, 1.0]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, c[1], -s[1]], [0.0, s[1], c[1]]])
+    rz2 = np.array([[c[2], -s[2], 0.0], [s[2], c[2], 0.0], [0.0, 0.0, 1.0]])
+    return list((rz0 @ rx @ rz2).ravel())
+
+
+def _all_pieces_chain(a, b, h, r, amp, rho, c, bump_direction=(0.0, 1.0)):
+    """Rotated closed chain using every piece kind: an upper half-ellipse of
+    semi-axes (a, b) about c, straight sides of height h, corners of radius r
+    and a bottom edge with a bump of amplitude amp along bump_direction, all
+    turned by rho."""
+    c = np.asarray(c, dtype=float)
+    rot = np.array(_rotation(2, [rho])).reshape(2, 2)
+
+    def at(x, y):
+        return c + rot @ np.array([x, y])
+
+    return bl.CurveObstacle([
+        EllipseArcPiece(c, (a, b), 0.0, math.pi, rotation=rho),
+        LinePiece(at(-a, 0.0), at(-a, -h)),
+        ArcPiece(at(-a + r, -h), r, math.pi + rho, 1.5 * math.pi + rho),
+        BumpLinePiece(at(-a + r, -h - r), at(a - r, -h - r), amp, rot @ np.asarray(bump_direction)),
+        ArcPiece(at(a - r, -h), r, -0.5 * math.pi + rho, rho),
+        LinePiece(at(a, -h), at(a, 0.0)),
+    ])
+
+
+def _all_pieces_curve(draw, bump_direction=(0.0, 1.0)):
+    """`_all_pieces_chain` with drawn proportions, turn and centre (within the
+    unit square), for a hypothesis `data.draw`."""
+    a, b, h = draw(st.floats(1.0, 3.0)), draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    r = draw(st.floats(0.1, 0.45)) * min(a, h)
+    amp = draw(st.floats(0.05, 0.8)) * h * draw(st.sampled_from([-1.0, 1.0]))
+    rho = draw(st.floats(-math.pi, math.pi))
+    c = [draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))]
+    return _all_pieces_chain(a, b, h, r, amp, rho, c, bump_direction)
 
 
 def entry_through(point, direction, a=A_BALL):

@@ -62,6 +62,25 @@ def test_validate_rejects_bad_scene(tmp_path, capsys):
     assert cli.main(["validate", "--scene", str(broken)]) == 2
 
 
+@pytest.mark.parametrize("piece", [
+    {"type": "line", "p0": [1.0, 0.0], "p1": [1.0, 0.0]},
+    {"type": "bump_line", "p0": [1.0, 0.0], "p1": [1.0, 0.0], "amplitude": 0.1,
+     "direction": [1.0, 0.0]},
+], ids=["line", "bump_line"])
+def test_validate_zero_length_segment_exits_2(piece, tmp_path, capsys):
+    halves = [{"type": "arc", "center": [0.0, 0.0], "radius": 1.0, "theta0": theta0,
+               "theta1": theta0 + math.pi} for theta0 in (0.0, math.pi)]
+    scene = {"dimension": 2, "ball_radius": 10.0, "name": "zero-length",
+             "obstacles": [{"kind": "curve2d", "center": [0.0, 0.0],
+                            "params": {"pieces": [*halves, piece]}}]}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(scene))
+    assert cli.main(["validate", "--scene", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "endpoints" in err
+    assert "Traceback" not in err
+
+
 def test_validate_disconnected_scene_exits_2(tmp_path, capsys):
     scene = tmp_path / "plugged.json"
     scene.write_text(geometry.scene_to_json(plugged_crescent_scene(0.01)) + "\n")

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import billiard_lens as bl
 from billiard_lens import flow, geometry
 from billiard_lens.flow import Limits, NotScattered, PhasePoint
 from billiard_lens.rng import Xoshiro256StarStar
 
-from conftest import A_BALL, entry_through
+from conftest import A_BALL, _all_pieces_curve, entry_through
 
 
 def test_first_hit_diametric(sphere_scene):
@@ -230,6 +232,30 @@ def test_time_reversibility(disc_ellipse_scene, sphere_ellipsoid_scene):
                 assert np.linalg.norm(ev_f.x - ev_b.x) < 1e-7 * A_BALL
             done += 1
         assert done >= 20
+
+
+@given(data=st.data())
+def test_time_reversibility_on_every_curve_piece_kind(data):
+    # rays through points of random pieces of a chain with every piece kind
+    obs = _all_pieces_curve(data.draw)
+    scene = bl.make_scene(2, A_BALL, [obs], "all-pieces")
+    pieces = obs.chain.pieces
+    checked = 0
+    for _ in range(8):
+        piece = pieces[data.draw(st.integers(0, len(pieces) - 1))]
+        point = piece.point(np.array(data.draw(st.floats(0.0, 1.0))))
+        ang = data.draw(st.floats(-math.pi, math.pi))
+        traj = flow.trace(scene, entry_through(point, [math.cos(ang), math.sin(ang)]))
+        if traj.status != "exited" or any(ev.type != "transversal" for ev in traj.events):
+            continue
+        rev = flow.trace(scene, PhasePoint(traj.exit_state.q, -traj.exit_state.v))
+        assert rev.status == "exited"
+        assert [ev.type for ev in rev.events] == [ev.type for ev in traj.events]
+        assert rev.total_time == pytest.approx(traj.total_time, abs=1e-9 * A_BALL)
+        for ev_f, ev_b in zip(traj.events, reversed(rev.events)):
+            assert np.linalg.norm(ev_f.x - ev_b.x) < 1e-7 * A_BALL
+        checked += 1
+    assert checked >= 4
 
 
 def test_single_convex_obstacle_at_most_one_bounce(disc_scene):

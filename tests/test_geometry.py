@@ -15,8 +15,6 @@ from billiard_lens.curves import (
     ArcPiece,
     BumpLinePiece,
     CurveChain,
-    EllipseArcPiece,
-    LinePiece,
     piece_from_dict,
 )
 from billiard_lens.geometry import (
@@ -35,7 +33,8 @@ from billiard_lens.geometry import (
 )
 from billiard_lens.rng import Xoshiro256StarStar
 
-from conftest import A_BALL, cross_basis, plugged_crescent_scene, run_python
+from conftest import (A_BALL, _all_pieces_chain, _all_pieces_curve, _rotation, cross_basis,
+                      plugged_crescent_scene, run_python)
 
 
 def test_implicit_value_sphere_examples():
@@ -333,6 +332,42 @@ def test_zero_sweep_arc_rejected(piece):
         piece_from_dict(piece)
 
 
+@pytest.mark.parametrize("piece", [
+    {"type": "line", "p0": [1.0, 0.0], "p1": [1.0, 0.0]},
+    {"type": "bump_line", "p0": [1.0, 0.0], "p1": [1.0, 0.0], "amplitude": 0.1,
+     "direction": [1.0, 0.0]},
+], ids=["line", "bump_line"])
+def test_zero_length_segment_rejected(piece):
+    # at the join of two half circles it closes the chain, with no tangent there
+    halves = [ArcPiece([0.0, 0.0], 1.0, 0.0, math.pi), ArcPiece([0.0, 0.0], 1.0, math.pi, 2.0 * math.pi)]
+    with pytest.raises(ValueError, match="endpoints"):
+        CurveChain([*halves, piece_from_dict(piece)])
+
+
+def test_bump_direction_must_be_nonzero():
+    with pytest.raises(ValueError, match="direction"):
+        BumpLinePiece([0.0, 0.0], [1.0, 0.0], 0.1, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("kind", ["sphere2d", "sphere3d", "ellipsoid2d", "ellipsoid3d",
+                                  "superellipsoid2d", "superellipsoid3d", "curve2d"])
+@given(data=st.data())
+def test_scene_file_round_trip_is_exact(kind, data):
+    # the file a scene writes reads back to a scene that writes the same file,
+    # so a scene and its reloaded file hash the same; the curve's bump
+    # direction is not a unit vector
+    if kind == "curve2d":
+        bump_direction = (data.draw(st.floats(-3.0, 3.0)), data.draw(st.floats(0.1, 3.0)))
+        obs = _all_pieces_curve(data.draw, bump_direction)
+    else:
+        obs = _obstacle(data.draw, kind)
+    scene = bl.make_scene(obs.dim, A_BALL, [obs], kind)
+    text = scene_to_json(scene)
+    again = scene_from_json(text)
+    assert scene_to_json(again) == text
+    assert scene_hash(again) == scene_hash(scene)
+
+
 def eval_scene_dict(scene):
     return json.loads(scene_to_json(scene))
 
@@ -408,44 +443,6 @@ def test_curve_gradient_is_foot_normal_off_the_curve():
 
 _unit = st.floats(-1.0, 1.0)
 _angle = st.floats(-math.pi, math.pi)
-
-
-def _rotation(dim, angles):
-    c = [math.cos(x) for x in angles]
-    s = [math.sin(x) for x in angles]
-    if dim == 2:
-        return [c[0], -s[0], s[0], c[0]]
-    rz0 = np.array([[c[0], -s[0], 0.0], [s[0], c[0], 0.0], [0.0, 0.0, 1.0]])
-    rx = np.array([[1.0, 0.0, 0.0], [0.0, c[1], -s[1]], [0.0, s[1], c[1]]])
-    rz2 = np.array([[c[2], -s[2], 0.0], [s[2], c[2], 0.0], [0.0, 0.0, 1.0]])
-    return list((rz0 @ rx @ rz2).ravel())
-
-
-def _all_pieces_curve(draw):
-    a, b, h = draw(st.floats(1.0, 3.0)), draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
-    r = draw(st.floats(0.1, 0.45)) * min(a, h)
-    amp = draw(st.floats(0.05, 0.8)) * h * draw(st.sampled_from([-1.0, 1.0]))
-    return _all_pieces_chain(a, b, h, r, amp, draw(_angle), [draw(_unit), draw(_unit)])
-
-
-def _all_pieces_chain(a, b, h, r, amp, rho, c):
-    """Rotated closed chain using every piece kind: an upper half-ellipse of
-    semi-axes (a, b) about c, straight sides of height h, corners of radius r
-    and a bottom edge with a bump of amplitude amp, all turned by rho."""
-    c = np.asarray(c, dtype=float)
-    rot = np.array(_rotation(2, [rho])).reshape(2, 2)
-
-    def at(x, y):
-        return c + rot @ np.array([x, y])
-
-    return bl.CurveObstacle([
-        EllipseArcPiece(c, (a, b), 0.0, math.pi, rotation=rho),
-        LinePiece(at(-a, 0.0), at(-a, -h)),
-        ArcPiece(at(-a + r, -h), r, math.pi + rho, 1.5 * math.pi + rho),
-        BumpLinePiece(at(-a + r, -h - r), at(a - r, -h - r), amp, rot @ np.array([0.0, 1.0])),
-        ArcPiece(at(a - r, -h), r, -0.5 * math.pi + rho, rho),
-        LinePiece(at(a, -h), at(a, 0.0)),
-    ])
 
 
 def _obstacle(draw, kind):
@@ -526,6 +523,29 @@ def test_curve_hit_normals_are_closed_form(data):
         normal = obs.root_gradient(x, t)
         assert abs(np.linalg.norm(normal) - 1.0) <= 1e-15
         assert np.max(np.abs(normal - chain.closest_batch(x[None, :]).normal[0])) <= 1e-12
+
+
+@given(data=st.data())
+def test_piece_ray_roots_are_the_same_for_arrays_and_tuples(data):
+    # the chain hands its pieces lists of floats; validate's scanline and the
+    # tests hand them arrays: every piece gives the same bits for either, on
+    # rays through a piece point or up to the join overlap to either side of
+    # its start
+    chain = _all_pieces_curve(data.draw).chain
+    k = data.draw(st.integers(0, len(chain.pieces) - 1))
+    near_join = st.floats(0.25, 1.0).map(lambda u: u * _JOIN_OVERLAP)
+    s0 = data.draw(st.one_of(st.floats(0.0, 1.0), st.just(0.0), near_join,
+                             near_join.map(lambda s: -s)))
+    ang = data.draw(_angle)
+    v = np.array([math.cos(ang), math.sin(ang)])
+    q = chain.pieces[k].point(np.array(s0)) - 2.0 * chain.bounding_circle()[1] * v
+    hits = 0
+    for piece in chain.pieces:
+        ref = [(float(t).hex(), float(s).hex()) for t, s in piece.ray_roots(q, v)]
+        for pair in ((tuple(q.tolist()), tuple(v.tolist())), (q.tolist(), v.tolist())):
+            assert [(t.hex(), s.hex()) for t, s in piece.ray_roots(*pair)] == ref
+        hits += len(ref)
+    assert hits
 
 
 def test_superellipsoid_ray_roots_miss_inside_the_bounding_sphere():
