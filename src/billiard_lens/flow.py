@@ -9,9 +9,9 @@ validated feature is too thin to hit. The normal at a root is
 `root_gradient` normalised: the implicit gradient for quadrics and
 superellipsoids, and for a `curve2d` the closed-form normal at the piece and
 parameter its root carries, so the tracer makes no closest-point query
-(those serve `validate`, `surface_frame` and `boundary_distance`). Orbits
-that graze into the boundary (gliding) are detected and rejected, never
-integrated.
+(those serve `validate`, `surface_frame`, `ambient_shape` and
+`boundary_distance`). Orbits that graze into the boundary (gliding) are
+detected and rejected, never integrated.
 """
 
 from __future__ import annotations

@@ -194,6 +194,13 @@ class Obstacle:
         S = T.T @ self.hessian(x) @ T / gn
         return SurfaceFrame(x, normal, 0.5 * (S + S.T), T), self.implicit(x), gn
 
+    def _ambient_shape(self, x):
+        """((normal, P Hess F P / |grad F|), F(x), |grad F(x)|) with
+        P = I - n n^T, from one gradient and one Hessian evaluation."""
+        normal, gn = self._unit_gradient(x)
+        P = np.eye(self.dim) - np.outer(normal, normal)
+        return (normal, P @ self.hessian(x) @ P / gn), self.implicit(x), gn
+
     # -- extents -----------------------------------------------------------
     def bounding_radius(self) -> float:
         raise NotImplementedError
@@ -504,6 +511,13 @@ class CurveObstacle(Obstacle):
         frame = SurfaceFrame(x, normal, np.array([[fd.shape[0]]]), fd.tangent[0][:, None])
         return frame, float(fd.signed[0]), float(np.linalg.norm(normal))
 
+    def _ambient_shape(self, x):
+        # normal and kappa t t^T from one closest-point query
+        fd = self.chain.closest_batch(x[None, :])
+        normal, t = fd.normal[0].copy(), fd.tangent[0]
+        shape = fd.shape[0] * np.outer(t, t)
+        return (normal, shape), float(fd.signed[0]), float(np.linalg.norm(normal))
+
     def frames_batch(self, X):
         """Vectorised (normals, shape values) for validation sampling."""
         fd = self.chain.closest_batch(np.atleast_2d(np.asarray(X, dtype=float)))
@@ -539,18 +553,33 @@ def implicit_value(obstacle: Obstacle, point) -> float:
     return obstacle.implicit(np.asarray(point, dtype=float))
 
 
+def _on_boundary(build, obstacle: Obstacle, point):
+    """The result of build(x), the obstacle's `_frame` or `_ambient_shape`
+    (both raise SingularGradient below the gradient floor), once x is checked
+    to be on the boundary: ValueError beyond 1e-6 of the obstacle scale."""
+    x = np.asarray(point, dtype=float)
+    out, value, grad_norm = build(x)
+    dist_est = abs(value) / max(grad_norm, _GRAD_FLOOR)
+    if dist_est > _BOUNDARY_TOL * max(1.0, obstacle.bounding_radius()):
+        raise ValueError(f"point {x} is not on the obstacle boundary (distance ~ {dist_est:g})")
+    return out
+
+
 def surface_frame(obstacle: Obstacle, point) -> SurfaceFrame:
     """Unit normal into the free region and shape operator at a boundary point.
 
     Raises SingularGradient below the gradient floor and ValueError when the
     point is not on the boundary (within 1e-6 of the obstacle scale).
     """
-    x = np.asarray(point, dtype=float)
-    frame, value, grad_norm = obstacle._frame(x)
-    dist_est = abs(value) / max(grad_norm, _GRAD_FLOOR)
-    if dist_est > _BOUNDARY_TOL * max(1.0, obstacle.bounding_radius()):
-        raise ValueError(f"point {x} is not on the obstacle boundary (distance ~ {dist_est:g})")
-    return frame
+    return _on_boundary(obstacle._frame, obstacle, point)
+
+
+def ambient_shape(obstacle: Obstacle, point):
+    """Unit normal into the free region and ambient shape operator at a
+    boundary point: (n, P Hess F P / |grad F|) with P = I - n n^T, the
+    (n, n) form of `surface_frame`'s tangent-plane shape, built without a
+    tangent basis. Same checks as `surface_frame`."""
+    return _on_boundary(obstacle._ambient_shape, obstacle, point)
 
 
 # ---------------------------------------------------------------------------

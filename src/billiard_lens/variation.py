@@ -1,12 +1,15 @@
 """Linearized dynamics along trajectories.
 
 A JacobiFrame carries the transverse position block A and direction block B
-of a family of variations, expressed in an orthonormal basis orthogonal to
-the current ray direction. Free flight maps (A, B) to (A + tB, B); a
-transversal reflection mirrors the basis and adds the curvature term
-C = 2 cos(phi) * dy^T S dy built from the boundary shape operator, where dy
-projects transverse offsets onto the tangent plane along the ray. Both maps
-are linear symplectic.
+of a family of variations, expressed in a basis orthogonal to the current
+ray direction. Free flight maps (A, B) to (A + tB, B); a transversal
+reflection maps the basis E to H E with the mirror H = I - 2 n n^T, keeps A
+and adds C A to B, with the curvature term C = 2 cos(phi) * dy^T S dy built
+from the ambient shape operator S at the event, where dy projects
+transverse offsets onto the tangent plane along the ray. Both maps are
+linear symplectic. H is orthogonal, so the mirrored basis stays orthonormal
+up to rounding and is not re-orthonormalised: its columns drift by about
+one rounding per reflection.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import flow, geometry
+from . import flow
 from .flow import TANGENCY_THRESHOLD
-from .geometry import tangent_basis
+from .geometry import ambient_shape, tangent_basis
 
 
 class TangentIncidence(RuntimeError):
@@ -40,7 +43,7 @@ class IndexOutOfRange(IndexError):
 class JacobiFrame:
     A: np.ndarray          # (n-1, n-1) transverse position variation
     B: np.ndarray          # (n-1, n-1) transverse direction variation
-    basis: np.ndarray      # (n, n-1) orthonormal columns orthogonal to direction
+    basis: np.ndarray      # (n, n-1) columns orthogonal to direction, orthonormal up to rounding
     direction: np.ndarray  # (n,)
 
 
@@ -48,7 +51,9 @@ class JacobiFrame:
 class Incidence:
     v_in: np.ndarray
     normal: np.ndarray
-    shape_ambient: np.ndarray  # (n, n) symmetric, annihilates the normal
+    # (n, n) P Hess F P / |grad F| with P = I - n n^T (geometry.ambient_shape):
+    # symmetric, annihilates the normal
+    shape_ambient: np.ndarray
 
     @property
     def cos_incidence(self) -> float:
@@ -71,14 +76,10 @@ def propagate_free(frame: JacobiFrame, t: float) -> JacobiFrame:
                        frame.direction.copy())
 
 
-def _reflect_basis(basis: np.ndarray, normal: np.ndarray):
-    """Mirror the transverse basis and re-orthonormalize; returns the new
-    basis and the (tiny) change-of-coordinates matrix."""
-    mirrored = basis - 2.0 * np.outer(normal, normal @ basis)
-    Q, R = np.linalg.qr(mirrored)
-    signs = np.where(np.diag(R) < 0.0, -1.0, 1.0)
-    fresh = Q * signs
-    return fresh, fresh.T @ mirrored
+def _reflect_basis(basis: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """The mirrored basis H E, H = I - 2 n n^T. H is orthogonal, so the
+    coordinates of a variation in the basis pass the mirror unchanged."""
+    return basis - 2.0 * np.outer(normal, normal @ basis)
 
 
 def propagate_reflection(frame: JacobiFrame, incidence: Incidence) -> JacobiFrame:
@@ -89,13 +90,11 @@ def propagate_reflection(frame: JacobiFrame, incidence: Incidence) -> JacobiFram
     if cos_phi <= TANGENCY_THRESHOLD:
         raise TangentIncidence(f"cos(incidence) = {cos_phi:g}")
     E = frame.basis
-    coef = (n @ E) / float(v @ n)
-    dy = E - np.outer(v, coef)
+    dy = E - np.outer(v, (n @ E) / -cos_phi)
     C = 2.0 * cos_phi * (dy.T @ incidence.shape_ambient @ dy)
     C = 0.5 * (C + C.T)
-    v_out = v - 2.0 * float(v @ n) * n
-    new_basis, M = _reflect_basis(E, n)
-    return JacobiFrame(M @ frame.A, M @ (frame.B + C @ frame.A), new_basis, v_out)
+    v_out = v + 2.0 * cos_phi * n
+    return JacobiFrame(frame.A.copy(), frame.B + C @ frame.A, _reflect_basis(E, n), v_out)
 
 
 def symplectic_pairing(f1: JacobiFrame, f2: JacobiFrame) -> np.ndarray:
@@ -104,8 +103,7 @@ def symplectic_pairing(f1: JacobiFrame, f2: JacobiFrame) -> np.ndarray:
 
 
 def _incidence_at(scene, event) -> Incidence:
-    sf = geometry.surface_frame(scene.obstacles[event.obstacle], event.x)
-    return Incidence(event.v_in, sf.normal, sf.shape_ambient())
+    return Incidence(event.v_in, *ambient_shape(scene.obstacles[event.obstacle], event.x))
 
 
 def _frames_along(scene, trajectory, t: float, seeds):
@@ -158,7 +156,7 @@ def transport_basis(scene, trajectory, t: float):
             break
         if ev.type != "transversal":
             raise TangentOnPath(f"tangent event at t = {ev.t:g}")
-        basis, _ = _reflect_basis(basis, scene.obstacles[ev.obstacle].normal_at(ev.x))
+        basis = _reflect_basis(basis, scene.obstacles[ev.obstacle].normal_at(ev.x))
         v = ev.v_out.copy()
     return basis, v
 
@@ -222,7 +220,6 @@ def rank_report(matrix: np.ndarray, tolerance: float, floor: float = 0.0) -> Ran
     still reads as rank deficient; with floor 0 the test is purely relative.
     """
     sv = np.linalg.svd(matrix, compute_uv=False)
-    sv = np.sort(sv)[::-1]
     smax = float(sv[0]) if sv.size else 0.0
     threshold = tolerance * max(smax, floor)
     rank = int(np.count_nonzero(sv > threshold)) if threshold > 0 else int(np.count_nonzero(sv > 0))
@@ -315,10 +312,10 @@ def conjugate_test(scene, trajectory, i: int, j: int, tolerance: float = 1e-4) -
         raise TangentIncidence("tangent incidence at the arrival event")
     ambient = frame.basis @ frame.A
     coef = (normal @ ambient) / float(v @ normal)
+    # columns in the tangent plane at the arrival, so their singular values
+    # are those of the map onto it
     onto_boundary = ambient - np.outer(v, coef)
-    T = tangent_basis(normal)
-    dG = T.T @ onto_boundary
-    sv = np.sort(np.linalg.svd(dG, compute_uv=False))[::-1]
+    sv = np.linalg.svd(onto_boundary, compute_uv=False)
     smax = float(sv[0]) if sv.size else 0.0
     smin = float(sv[-1]) if sv.size else 0.0
     span = events[j].t - events[i].t

@@ -244,6 +244,30 @@ def test_regularity_and_conjugate_commands(sphere_json, tmp_path):
     assert doc2["pairs"] == []  # single bounce has no event pairs
 
 
+@pytest.mark.parametrize("command", ["regularity", "conjugate"])
+def test_tangent_event_on_the_path_exits_3(command, tmp_path, capsys):
+    # disc L turns the entry onto the line y = 1 - 2e-15, which grazes disc G
+    # (|cos| ~ 6e-8, a tangent event) on its way to disc R: a transversal,
+    # tangent, transversal orbit, so both the frame propagation and the
+    # conjugate pair (0, 2) meet the tangent event
+    b, s = 1.0 - 2e-15, 2**-0.5
+    scene = bl.make_scene(2, 10.0, [bl.SphereObstacle([-4.0 - s, b - s], 1.0),
+                                    bl.SphereObstacle([0.0, 0.0], 1.0),
+                                    bl.SphereObstacle([4.0, b + 0.6], 1.0)], "graze")
+    path = tmp_path / "graze.json"
+    path.write_text(geometry.scene_to_json(scene) + "\n")
+    entry = f"-4.0,{math.sqrt(84.0)!r},0,-1"
+    traj = bl.trace(scene, cli._parse_entry(entry, scene))
+    assert [(ev.obstacle, ev.type) for ev in traj.events] == [
+        (0, "transversal"), (1, "tangent"), (2, "transversal")]
+    out = tmp_path / "out.json"
+    code = cli.main([command, "--scene", str(path), f"--entry={entry}", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numeric failure:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_livshits_command(tmp_path, capsys):
     prefix = tmp_path / "liv"
     code = cli.main(["livshits", "--out", str(prefix)])

@@ -11,6 +11,7 @@ from billiard_lens.variation import (
     Incidence,
     IndexOutOfRange,
     ItineraryChanged,
+    JacobiFrame,
     TangentIncidence,
     conjugate_test,
     fd_flow_jacobian,
@@ -23,7 +24,7 @@ from billiard_lens.variation import (
     symplectic_pairing,
 )
 
-from conftest import A_BALL, entry_through
+from conftest import A_BALL, _rotation, entry_through
 
 
 def test_propagate_free_examples():
@@ -242,14 +243,13 @@ def test_2d_transfer_determinant(disc_ellipse_scene):
 
 
 def _frames_one_seed_at_a_time(scene, traj, t, seeds):
-    """The reference: each seed propagated on its own through surface_frame incidences."""
+    """The reference: each seed propagated on its own through ambient_shape incidences."""
     frames = [seed_frame(traj.entry.v, A0, B0) for A0, B0 in seeds]
     t_prev = 0.0
     for ev in traj.events:
         if ev.t >= t:
             break
-        sf = geometry.surface_frame(scene.obstacles[ev.obstacle], ev.x)
-        inc = Incidence(ev.v_in, sf.normal, sf.shape_ambient())
+        inc = Incidence(ev.v_in, *geometry.ambient_shape(scene.obstacles[ev.obstacle], ev.x))
         frames = [propagate_reflection(propagate_free(f, ev.t - t_prev), inc) for f in frames]
         t_prev = ev.t
     return [propagate_free(f, t - t_prev) for f in frames]
@@ -277,7 +277,161 @@ def test_frames_along_match_one_seed_at_a_time(name, request):
         for ev in traj.events:
             obs = scene.obstacles[ev.obstacle]
             assert np.array_equal(obs.normal_at(ev.x), geometry.surface_frame(obs, ev.x).normal)
+            assert np.array_equal(obs.normal_at(ev.x), geometry.ambient_shape(obs, ev.x)[0])
         done += 1
+
+
+def _tangent_plane_reflection(frame, inc):
+    """The reflection before the ambient route, kept as the reference: the
+    mirrored basis re-orthonormalised by QR with a sign fix, and the blocks
+    carried into it by M = Q^T H E."""
+    v, n = inc.v_in, inc.normal
+    E = frame.basis
+    dy = E - np.outer(v, (n @ E) / float(v @ n))
+    C = 2.0 * inc.cos_incidence * (dy.T @ inc.shape_ambient @ dy)
+    C = 0.5 * (C + C.T)
+    mirrored = E - 2.0 * np.outer(n, n @ E)
+    Q, R = np.linalg.qr(mirrored)
+    fresh = Q * np.where(np.diag(R) < 0.0, -1.0, 1.0)
+    M = fresh.T @ mirrored
+    return JacobiFrame(M @ frame.A, M @ (frame.B + C @ frame.A), fresh,
+                       v - 2.0 * float(v @ n) * n)
+
+
+def _tangent_plane_frame(scene, events, frame, t_prev, t):
+    """Propagate `frame` from time t_prev to t through `events`, with the
+    surface_frame shape and the QR reflection."""
+    for ev in events:
+        if ev.t >= t:
+            break
+        sf = geometry.surface_frame(scene.obstacles[ev.obstacle], ev.x)
+        inc = Incidence(ev.v_in, sf.normal, sf.shape_ambient())
+        frame = _tangent_plane_reflection(propagate_free(frame, ev.t - t_prev), inc)
+        t_prev = ev.t
+    return propagate_free(frame, t - t_prev)
+
+
+def _tangent_plane_blocks(scene, traj, t):
+    v = traj.entry.v
+    f_dir = _tangent_plane_frame(scene, traj.events, seed_frame(v, 0.0, 1.0), 0.0, t)
+    f_pos = _tangent_plane_frame(scene, traj.events, seed_frame(v, 1.0, 0.0), 0.0, t)
+    return f_dir.A, f_pos.B
+
+
+def _tangent_plane_conjugate(scene, traj, i, j, tolerance=1e-4):
+    """(singular values, verdict) of conjugate_test on the old route: the
+    arrival map projected onto tangent_basis(normal) before its SVD."""
+    events = traj.events
+    frame = _tangent_plane_frame(scene, events[i + 1:j], seed_frame(events[i].v_out, 0.0, 1.0),
+                                 events[i].t, events[j].t)
+    normal = scene.obstacles[events[j].obstacle].normal_at(events[j].x)
+    v = events[j].v_in
+    ambient = frame.basis @ frame.A
+    onto = ambient - np.outer(v, (normal @ ambient) / float(v @ normal))
+    sv = np.sort(np.linalg.svd(geometry.tangent_basis(normal).T @ onto, compute_uv=False))[::-1]
+    return sv, bool(sv[-1] <= tolerance * max(sv[0], events[j].t - events[i].t))
+
+
+def _relative_gap(got, want, scale=0.0):
+    return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), scale)
+
+
+def _aimed_entry(gen, scene):
+    """Entry whose ray passes a point between the two obstacles on its way
+    into one of them, so the reversed ray from that point usually meets the
+    other one first and the orbit reflects twice or more."""
+    centers = [obs.center for obs in scene.obstacles]
+    target = centers[int(2.0 * gen.uniform())]
+    p, aim = (0.5 * (centers[0] + centers[1]) + np.array([gen.uniform() - 0.5 for _ in target]),
+              target + np.array([gen.uniform() - 0.5 for _ in target]))
+    v = (aim - p) / np.linalg.norm(aim - p)
+    back = flow.trace_phase(scene, p, -v)
+    return PhasePoint(back.exit_state.q, -back.exit_state.v)
+
+
+@pytest.fixture(scope="module")
+def superellipsoid_scene():
+    return bl.make_scene(3, A_BALL, [
+        bl.SuperellipsoidObstacle([-3.0, 0.4, 0.0], [1.5, 1.2, 1.0], 6.0),
+        bl.SuperellipsoidObstacle([3.0, -0.4, 0.2], [1.4, 1.1, 0.9], 8.0,
+                                  _rotation(3, [0.3, 0.7, -0.4])),
+    ], "two-superellipsoids")
+
+
+@pytest.mark.parametrize("name", ["disc_ellipse_scene", "sphere_ellipsoid_scene",
+                                  "superellipsoid_scene", "livshits_pair",
+                                  "conjugate_fixture_scene"])
+def test_ambient_route_matches_tangent_plane_route(name, request):
+    """Mirrored basis and event-built ambient shape against the QR and
+    surface_frame route: flow differentials, regularity blocks and conjugate
+    singular values within 1e-13 relative, with equal ranks and verdicts."""
+    scene = request.getfixturevalue(name)
+    scene = scene[0] if name == "livshits_pair" else scene
+    # the refocusing orbit of the fixture has a conjugate pair
+    entries = [entry_through([0.0, 1.0], [2**-0.5, -(2**-0.5)])] if name.startswith("conj") else []
+    aimed = name in ("disc_ellipse_scene", "sphere_ellipsoid_scene", "superellipsoid_scene")
+    gen = Xoshiro256StarStar(11)
+    done = pairs = 0
+    while done < 10:
+        if entries:
+            entry = entries.pop()
+        else:
+            entry = _aimed_entry(gen, scene) if aimed else _random_entry(gen, scene.dimension)
+        traj = flow.trace(scene, entry)
+        if traj.status != "exited" or not traj.events:
+            continue
+        if any(ev.type != "transversal" for ev in traj.events):
+            continue
+        t = traj.events[-1].t + 0.5 * (traj.total_time - traj.events[-1].t)
+        for got, want in zip(flow_differentials(scene, entry, t, traj),
+                             _tangent_plane_blocks(scene, traj, t)):
+            assert _relative_gap(got, want) <= 1e-13
+        reg = regularity_test(scene, entry)
+        for rep, want in zip((reg.position_by_direction, reg.direction_by_position),
+                             _tangent_plane_blocks(scene, traj, reg.t)):
+            assert _relative_gap(rep.matrix, want) <= 1e-13
+            assert rep.rank == rank_report(want, 1e-6, floor=reg.t).rank
+        n = len(traj.events)
+        for i in range(n):
+            for j in range(i + 1, n):
+                got = conjugate_test(scene, traj, i, j)
+                sv, verdict = _tangent_plane_conjugate(scene, traj, i, j)
+                assert got.singular_values.shape == sv.shape
+                # relative to the scale of the verdict: a collapsed map has
+                # only rounding noise for its singular value
+                span = traj.events[j].t - traj.events[i].t
+                assert _relative_gap(got.singular_values, sv, span) <= 1e-13
+                assert got.conjugate == verdict
+                pairs += 1
+        done += 1
+    assert pairs >= 3
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_mirrored_basis_drift_over_a_long_chain(dim):
+    """The basis is never re-orthonormalised: through 10 000 seeded mirrors
+    of the production reflection step it stays orthonormal and orthogonal to
+    the direction within 1e-12."""
+    gen = Xoshiro256StarStar(1000 + dim)
+    frame = seed_frame(np.eye(dim)[0], 1.0, 0.0)
+    flat = np.zeros((dim, dim))
+    mirrors = 0
+    while mirrors < 10000:
+        if dim == 2:
+            phi = gen.unit_angle()
+            n = np.array([math.cos(phi), math.sin(phi)])
+        else:
+            z, phi = 2.0 * gen.uniform() - 1.0, gen.unit_angle()
+            rho = math.sqrt(1.0 - z * z)
+            n = np.array([rho * math.cos(phi), rho * math.sin(phi), z])
+        if abs(float(frame.direction @ n)) <= 1e-3:  # keep clear of tangent incidence
+            continue
+        n = -n if float(frame.direction @ n) > 0.0 else n  # the normal faces the ray
+        frame = propagate_reflection(frame, Incidence(frame.direction, n, flat))
+        mirrors += 1
+    E = frame.basis
+    assert float(np.max(np.abs(E.T @ E - np.eye(dim - 1)))) <= 1e-12
+    assert float(np.max(np.abs(E.T @ frame.direction))) <= 1e-12
 
 
 def test_rank_report_structure():
