@@ -9,15 +9,16 @@ validated feature is too thin to hit. The normal at a root is
 `root_gradient` normalised: the implicit gradient for quadrics and
 superellipsoids, and for a `curve2d` the closed-form normal at the piece and
 parameter its root carries, so the tracer makes no closest-point query
-(those serve `validate`, `surface_frame`, `ambient_shape` and
-`boundary_distance`). Orbits that graze into the boundary (gliding) are
+(those serve `boundary_distance`, `validate` and the curve's one local query
+`local_geometry`, which `surface_frame`, `ambient_shape` and `normal_at`
+read). Orbits that graze into the boundary (gliding) are
 detected and rejected, never integrated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +71,6 @@ class Trajectory:
     exit_state: PhasePoint | None
     total_time: float | None
     cutoff_reason: str | None = None
-    segment_lengths: list = field(default_factory=list)
 
 
 @dataclass
@@ -173,7 +173,6 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
     entry = PhasePoint(q.copy(), v.copy())
 
     events: list[Event] = []
-    seg_lengths: list[float] = []
     total = 0.0
     last_tangent = None  # (obstacle index, point)
 
@@ -183,9 +182,9 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
 
     while True:
         if len(events) >= limits.n_max:
-            return Trajectory(entry, events, "trapped", None, None, "max_reflections", seg_lengths)
+            return Trajectory(entry, events, "trapped", None, None, "max_reflections")
         if total > t_max:
-            return Trajectory(entry, events, "trapped", None, None, "max_time", seg_lengths)
+            return Trajectory(entry, events, "trapped", None, None, "max_time")
 
         t_ball = _ball_exit_time(q, v, a)
         t_min = guard
@@ -196,14 +195,12 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
                 t_min = hit[0] + guard  # residue of the same grazing chord
         except RootPolishFailed:
             return Trajectory(entry, events, "gliding_rejected", None, None,
-                              "boundary_penetration", seg_lengths)
+                              "boundary_penetration")
 
         if hit is None:
-            seg_lengths.append(t_ball)
             total += t_ball
             exit_q = q + t_ball * v
-            return Trajectory(entry, events, "exited", PhasePoint(exit_q, v.copy()), total,
-                              None, seg_lengths)
+            return Trajectory(entry, events, "exited", PhasePoint(exit_q, v.copy()), total)
 
         t_hit, idx, x_hit, normal, cos_in = hit
         if abs(cos_in) > TANGENCY_THRESHOLD:
@@ -211,13 +208,12 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
         else:
             etype, v_out = "tangent", v.copy()
         events.append(Event(total + t_hit, x_hit, idx, etype, v.copy(), v_out.copy()))
-        seg_lengths.append(t_hit)
         total += t_hit
 
         if etype == "tangent":
             if near_last_tangent(hit, gliding_arc):
                 return Trajectory(entry, events, "gliding_rejected", None, None,
-                                  "tangency_chain", seg_lengths)
+                                  "tangency_chain")
             last_tangent = (idx, x_hit.copy())
 
         q, v = x_hit, v_out

@@ -173,33 +173,28 @@ class Obstacle:
     def hessian(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def frame_at(self, x) -> SurfaceFrame:
-        return self._frame(np.asarray(x, dtype=float))[0]
+    def local_geometry(self, X):
+        """The local geometry at the rows of X (N, n): (F (N,), unit normals
+        into the free region (N, n), |grad F| (N,), Hess F (N, n, n)), from
+        `implicit`, `gradient` and `hessian` row by row. Raises
+        SingularGradient below the gradient floor."""
+        floor = _GRAD_FLOOR * max(1.0, self.bounding_radius())
+        values, grads, norms, hessians = [], [], [], []
+        for x in X:
+            g = self.gradient(x)
+            gn = math.sqrt(g.dot(g))  # np.linalg.norm of one vector, without its overhead
+            if gn < floor:
+                raise SingularGradient(f"|grad F| = {gn:g} at {x}")
+            values.append(self.implicit(x))
+            grads.append(g)
+            norms.append(gn)
+            hessians.append(self.hessian(x))
+        norms = np.array(norms)
+        return np.array(values), np.array(grads) / norms[:, None], norms, np.array(hessians)
 
     def normal_at(self, x) -> np.ndarray:
-        """Unit normal into the free region at x, as `frame_at` computes it."""
-        return self._unit_gradient(np.asarray(x, dtype=float))[0]
-
-    def _unit_gradient(self, x):
-        g = self.gradient(x)
-        gn = float(np.linalg.norm(g))
-        if gn < _GRAD_FLOOR * max(1.0, self.bounding_radius()):
-            raise SingularGradient(f"|grad F| = {gn:g} at {x}")
-        return g / gn, gn
-
-    def _frame(self, x):
-        """(surface frame, F(x), |grad F(x)|) from one gradient evaluation."""
-        normal, gn = self._unit_gradient(x)
-        T = tangent_basis(normal)
-        S = T.T @ self.hessian(x) @ T / gn
-        return SurfaceFrame(x, normal, 0.5 * (S + S.T), T), self.implicit(x), gn
-
-    def _ambient_shape(self, x):
-        """((normal, P Hess F P / |grad F|), F(x), |grad F(x)|) with
-        P = I - n n^T, from one gradient and one Hessian evaluation."""
-        normal, gn = self._unit_gradient(x)
-        P = np.eye(self.dim) - np.outer(normal, normal)
-        return (normal, P @ self.hessian(x) @ P / gn), self.implicit(x), gn
+        """Unit normal into the free region at x, from `local_geometry`."""
+        return self.local_geometry(np.asarray(x, dtype=float)[None, :])[1][0]
 
     # -- extents -----------------------------------------------------------
     def bounding_radius(self) -> float:
@@ -304,6 +299,7 @@ class EllipsoidObstacle(Obstacle):
             diag = np.where(self.semi_axes > 0, 1.0 / self.semi_axes**2, np.inf)
         diag = np.where(np.isfinite(diag), diag, 1e300)
         self._M = self.rotation @ np.diag(diag) @ self.rotation.T
+        self._bounding_radius = float(np.max(self.semi_axes))
 
     def implicit(self, x):
         d = np.asarray(x, dtype=float) - self.center
@@ -321,7 +317,7 @@ class EllipsoidObstacle(Obstacle):
         return 2.0 * self._M
 
     def bounding_radius(self):
-        return float(np.max(self.semi_axes))
+        return self._bounding_radius
 
     def ray_roots(self, q, v):
         d = q - self.center
@@ -367,6 +363,7 @@ class SuperellipsoidObstacle(Obstacle):
             raise InvalidParameters("superellipsoid exponent must be >= 4 (use ellipsoid below)")
         self.rotation = _rotation_matrix(self.dim, rotation)
         self._has_rotation = rotation is not None
+        self._bounding_radius = float(np.linalg.norm(self.semi_axes))
 
     def _body(self, x):
         return self.rotation.T @ (np.asarray(x, dtype=float) - self.center)
@@ -393,7 +390,7 @@ class SuperellipsoidObstacle(Obstacle):
         return self.rotation @ np.diag(hy) @ self.rotation.T
 
     def bounding_radius(self):
-        return float(np.linalg.norm(self.semi_axes))
+        return self._bounding_radius
 
     def ray_roots(self, q, v):
         # the gauge |R^T(x-c)/a|_p - 1 is convex along the ray, so Newton from
@@ -497,31 +494,15 @@ class CurveObstacle(Obstacle):
         return float(fd.signed[0]), fd.normal[0].copy()
 
     def hessian(self, x):
-        fd = self.chain.closest_batch(np.asarray(x, dtype=float)[None, :])
-        t = fd.tangent[0]
-        return fd.shape[0] * np.outer(t, t)
+        return self.local_geometry(np.asarray(x, dtype=float)[None, :])[3][0]
 
-    def normal_at(self, x):
-        return self.chain.closest_batch(np.asarray(x, dtype=float)[None, :]).normal[0].copy()
-
-    def _frame(self, x):
-        # implicit value, normal and curvature from one closest-point query
-        fd = self.chain.closest_batch(x[None, :])
-        normal = fd.normal[0].copy()
-        frame = SurfaceFrame(x, normal, np.array([[fd.shape[0]]]), fd.tangent[0][:, None])
-        return frame, float(fd.signed[0]), float(np.linalg.norm(normal))
-
-    def _ambient_shape(self, x):
-        # normal and kappa t t^T from one closest-point query
-        fd = self.chain.closest_batch(x[None, :])
-        normal, t = fd.normal[0].copy(), fd.tangent[0]
-        shape = fd.shape[0] * np.outer(t, t)
-        return (normal, shape), float(fd.signed[0]), float(np.linalg.norm(normal))
-
-    def frames_batch(self, X):
-        """Vectorised (normals, shape values) for validation sampling."""
-        fd = self.chain.closest_batch(np.atleast_2d(np.asarray(X, dtype=float)))
-        return fd.normal, fd.shape
+    def local_geometry(self, X):
+        # signed distance, foot normal and kappa t t^T from one closest-point
+        # query; the signed-distance gradient has unit length
+        fd = self.chain.closest_batch(X)
+        t = fd.tangent
+        return (fd.signed, fd.normal, np.ones(len(fd.signed)),
+                fd.shape[:, None, None] * (t[:, :, None] * t[:, None, :]))
 
     def bounding_radius(self):
         return self.chain.bounding_circle()[1]
@@ -545,7 +526,10 @@ class CurveObstacle(Obstacle):
 
 
 # ---------------------------------------------------------------------------
-# the [OP] surface: implicit_value / surface_frame
+# the [OP] surface: implicit values, and the views of an obstacle's one
+# local query (`local_geometry`): the tangent-plane shape of `surface_frame`
+# and of validate's principal curvatures, the ambient shape of
+# `ambient_shape`, and `Obstacle.normal_at`
 
 
 def implicit_value(obstacle: Obstacle, point) -> float:
@@ -553,16 +537,25 @@ def implicit_value(obstacle: Obstacle, point) -> float:
     return obstacle.implicit(np.asarray(point, dtype=float))
 
 
-def _on_boundary(build, obstacle: Obstacle, point):
-    """The result of build(x), the obstacle's `_frame` or `_ambient_shape`
-    (both raise SingularGradient below the gradient floor), once x is checked
-    to be on the boundary: ValueError beyond 1e-6 of the obstacle scale."""
+def _tangent_shapes(normals, grad_norms, hessians):
+    """(tangent bases (N, n, n-1), shape operators T^T Hess F T / |grad F|
+    on them (N, n-1, n-1), symmetrised) from a local query's normals,
+    gradient norms and Hessians."""
+    T = tangent_basis(normals)
+    S = np.swapaxes(T, 1, 2) @ hessians @ T / grad_norms[:, None, None]
+    return T, 0.5 * (S + np.swapaxes(S, 1, 2))
+
+
+def _on_boundary(obstacle: Obstacle, point):
+    """(x, normals, gradient norms, Hessians): the local query at x as a batch
+    of one, once x is checked to be on the boundary: ValueError beyond 1e-6
+    of the obstacle scale."""
     x = np.asarray(point, dtype=float)
-    out, value, grad_norm = build(x)
-    dist_est = abs(value) / max(grad_norm, _GRAD_FLOOR)
+    values, normals, grad_norms, hessians = obstacle.local_geometry(x[None, :])
+    dist_est = abs(values[0]) / max(grad_norms[0], _GRAD_FLOOR)
     if dist_est > _BOUNDARY_TOL * max(1.0, obstacle.bounding_radius()):
         raise ValueError(f"point {x} is not on the obstacle boundary (distance ~ {dist_est:g})")
-    return out
+    return x, normals, grad_norms, hessians
 
 
 def surface_frame(obstacle: Obstacle, point) -> SurfaceFrame:
@@ -571,7 +564,9 @@ def surface_frame(obstacle: Obstacle, point) -> SurfaceFrame:
     Raises SingularGradient below the gradient floor and ValueError when the
     point is not on the boundary (within 1e-6 of the obstacle scale).
     """
-    return _on_boundary(obstacle._frame, obstacle, point)
+    x, normals, grad_norms, hessians = _on_boundary(obstacle, point)
+    T, S = _tangent_shapes(normals, grad_norms, hessians)
+    return SurfaceFrame(x, normals[0], S[0], T[0])
 
 
 def ambient_shape(obstacle: Obstacle, point):
@@ -579,7 +574,10 @@ def ambient_shape(obstacle: Obstacle, point):
     boundary point: (n, P Hess F P / |grad F|) with P = I - n n^T, the
     (n, n) form of `surface_frame`'s tangent-plane shape, built without a
     tangent basis. Same checks as `surface_frame`."""
-    return _on_boundary(obstacle._ambient_shape, obstacle, point)
+    _, normals, grad_norms, hessians = _on_boundary(obstacle, point)
+    n = normals[0]
+    P = np.eye(obstacle.dim) - n[:, None] * n
+    return n, P @ hessians[0] @ P / grad_norms[0]
 
 
 # ---------------------------------------------------------------------------
@@ -756,24 +754,6 @@ def _check_obstacle_parameters(obs: Obstacle):
         raise ValidationFailed("obstacle_parameters", "ellipsoid semi-axes must be positive")
 
 
-def _sample_frames(obs: Obstacle, pts: np.ndarray):
-    """(min gradient norm, principal curvature array (N, n-1)) over sample points:
-    the shape operators of `frame_at`, with the tangent bases and eigenvalues
-    of all points taken in one call each."""
-    if isinstance(obs, CurveObstacle):
-        _, shape = obs.frames_batch(pts)
-        return 1.0, shape[:, None]
-    grads = np.array([obs.gradient(p) for p in pts])
-    norms = np.array([np.linalg.norm(g) for g in grads])
-    singular = np.flatnonzero(norms < _GRAD_FLOOR * max(1.0, obs.bounding_radius()))
-    if singular.size:
-        k = singular[0]
-        raise SingularGradient(f"|grad F| = {norms[k]:g} at {pts[k]}")
-    T = tangent_basis(grads / norms[:, None])
-    S = np.array([t.T @ obs.hessian(p) @ t / gn for p, t, gn in zip(pts, T, norms)])
-    return float(np.min(norms)), np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, 1, 2)))
-
-
 def _free_cells(scene: Scene) -> np.ndarray:
     """Boolean grid of the cells whose centres lie inside the ball (by half a
     cell) and outside every obstacle: 400^2 cells in 2D, 128^3 in 3D.
@@ -874,8 +854,9 @@ def validate_scene(scene: Scene, connectivity: bool = True) -> ValidationReport:
     flagged_nonconvex = False
     notes = []
     for obs, cloud in zip(scene.obstacles, clouds):
-        g_min, curv = _sample_frames(obs, cloud)
-        min_grad = min(min_grad, g_min)
+        _, normals, grad_norms, hessians = obs.local_geometry(cloud)
+        curv = np.linalg.eigvalsh(_tangent_shapes(normals, grad_norms, hessians)[1])
+        min_grad = min(min_grad, float(np.min(grad_norms)))
         curv_min = min(curv_min, float(np.min(curv)))
         curv_max = max(curv_max, float(np.max(curv)))
         flagged = np.max(np.abs(curv), axis=1) < flat_thr

@@ -590,6 +590,9 @@ def table_from_jsonl(text: str) -> LensTable:
         spec = SampleSpec.from_dict(header["spec"])
     except (KeyError, TypeError, ValueError) as exc:
         raise geometry.SchemaError(f"lens table line {lineno}: bad spec: {exc!r}") from exc
+    if len(lines) - 1 != spec.count():
+        raise geometry.SchemaError(f"lens table has {len(lines) - 1} rows, but its spec "
+                                   f"{spec.spec_string()} has {spec.count()}")
     samples = []
     for lineno, ln in lines[1:]:
         d = _json_object(ln, lineno, _ROW_KEYS)

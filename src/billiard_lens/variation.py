@@ -106,6 +106,19 @@ def _incidence_at(scene, event) -> Incidence:
     return Incidence(event.v_in, *ambient_shape(scene.obstacles[event.obstacle], event.x))
 
 
+def _walk(scene, events, frame: JacobiFrame, t_prev: float, t: float) -> JacobiFrame:
+    """Propagate `frame` from time t_prev to t through the events before t.
+    Raises TangentOnPath on a tangent one."""
+    for ev in events:
+        if ev.t >= t:
+            break
+        if ev.type != "transversal":
+            raise TangentOnPath(f"tangent event at t = {ev.t:g}")
+        frame = propagate_reflection(propagate_free(frame, ev.t - t_prev), _incidence_at(scene, ev))
+        t_prev = ev.t
+    return propagate_free(frame, t - t_prev)
+
+
 def _frames_along(scene, trajectory, t: float, seeds):
     """Propagate seed frames from the entry to time t through the recorded
     transversal events. Raises TangentOnPath on a tangent event before t.
@@ -116,15 +129,7 @@ def _frames_along(scene, trajectory, t: float, seeds):
     eye = np.eye(trajectory.entry.v.shape[0] - 1)
     frame = seed_frame(trajectory.entry.v, np.hstack([A0 * eye for A0, _ in seeds]),
                        np.hstack([B0 * eye for _, B0 in seeds]))
-    t_prev = 0.0
-    for ev in trajectory.events:
-        if ev.t >= t:
-            break
-        if ev.type != "transversal":
-            raise TangentOnPath(f"tangent event at t = {ev.t:g}")
-        frame = propagate_reflection(propagate_free(frame, ev.t - t_prev), _incidence_at(scene, ev))
-        t_prev = ev.t
-    frame = propagate_free(frame, t - t_prev)
+    frame = _walk(scene, trajectory.events, frame, 0.0, t)
     m = eye.shape[0]
     return [JacobiFrame(frame.A[:, k:k + m], frame.B[:, k:k + m], frame.basis, frame.direction)
             for k in range(0, frame.A.shape[1], m)]
@@ -146,19 +151,17 @@ def flow_differentials(scene, entry: flow.PhasePoint, t: float, trajectory=None)
     return f_dir.A.copy(), f_pos.B.copy()
 
 
-def transport_basis(scene, trajectory, t: float):
-    """Transverse basis and direction at time t, mirrored through the same
-    chain used by the frame propagation."""
-    basis = tangent_basis(trajectory.entry.v)
-    v = trajectory.entry.v.copy()
+def transport_basis(scene, trajectory, t: float, basis: np.ndarray) -> np.ndarray:
+    """The transverse basis `basis` at the entry, mirrored at every event
+    before time t by the normals of `Obstacle.normal_at`: the oracle's own
+    copy of the chain the frame propagation mirrors through."""
     for ev in trajectory.events:
         if ev.t >= t:
             break
         if ev.type != "transversal":
             raise TangentOnPath(f"tangent event at t = {ev.t:g}")
         basis = _reflect_basis(basis, scene.obstacles[ev.obstacle].normal_at(ev.x))
-        v = ev.v_out.copy()
-    return basis, v
+    return basis
 
 
 def _itinerary(trajectory, t: float):
@@ -171,8 +174,10 @@ def fd_flow_jacobian(scene, entry: flow.PhasePoint, t: float, h: float):
     loses an event before time t."""
     central = flow.trace(scene, entry)
     signature = _itinerary(central, t)
-    basis_t, _ = transport_basis(scene, central, t)
-    basis_0 = tangent_basis(entry.v)
+    # the traced entry direction, as the frames are seeded: entry.v may differ
+    # from it by a rounding of the tracer's normalisation
+    basis_0 = tangent_basis(central.entry.v)
+    basis_t = transport_basis(scene, central, t, basis_0)
     m = entry.q.shape[0] - 1
     pos_block = np.zeros((m, m))
     dir_block = np.zeros((m, m))
@@ -294,15 +299,10 @@ def conjugate_test(scene, trajectory, i: int, j: int, tolerance: float = 1e-4) -
         raise IndexOutOfRange(f"need 0 <= i < j < {len(events)}, got ({i}, {j})")
     if events[i].type != "transversal" or events[j].type != "transversal":
         raise TangentIncidence("conjugate_test endpoints must be transversal events")
-    frame = seed_frame(events[i].v_out, 0.0, 1.0)
-    t_prev = events[i].t
-    for k in range(i + 1, j):
-        ev = events[k]
-        if ev.type != "transversal":
-            raise TangentIncidence(f"tangent event between indices {i} and {j}")
-        frame = propagate_reflection(propagate_free(frame, ev.t - t_prev), _incidence_at(scene, ev))
-        t_prev = ev.t
-    frame = propagate_free(frame, events[j].t - t_prev)
+    if any(ev.type != "transversal" for ev in events[i + 1:j]):
+        raise TangentIncidence(f"tangent event between indices {i} and {j}")
+    frame = _walk(scene, events[i + 1:j], seed_frame(events[i].v_out, 0.0, 1.0), events[i].t,
+                  events[j].t)
 
     arrival = events[j]
     normal = scene.obstacles[arrival.obstacle].normal_at(arrival.x)

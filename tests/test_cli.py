@@ -174,6 +174,22 @@ def test_compare_malformed_table_exits_2(disc_json, tmp_path, corrupt):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("kept", [0, 255], ids=["header-only", "one-row-missing"])
+def test_compare_truncated_table_exits_2(disc_json, tmp_path, kept):
+    # a table with fewer rows than its spec compares nothing; it must not pass
+    # as "indistinguishable" with itself
+    full, cut = tmp_path / "full.jsonl", tmp_path / "cut.jsonl"
+    assert cli.main(["lens", "--scene", disc_json, "--spec", "grid:16x16", "--out", str(full)]) == 0
+    lines = full.read_text().splitlines()
+    cut.write_text("\n".join(lines[:1 + kept]) + "\n")
+    proc = run_python("-m", "billiard_lens.cli", "compare", "--scene", str(cut),
+                      "--scene-b", str(cut), "--expect-equal")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert f"has {kept} rows" in proc.stderr and "grid:16x16 has 256" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_compare_expect_equal_exit_code(disc_json, tmp_path):
     other = tmp_path / "disc2.json"
     scene = bl.make_scene(2, 10.0, [bl.SphereObstacle([0.0, 0.0], 1.02)], "bigger")

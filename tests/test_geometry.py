@@ -70,20 +70,73 @@ def test_surface_frame_interior_point_rejected():
         surface_frame(s, [0.5, 0.0, 0.0])
 
 
-def test_surface_frame_of_a_curve_makes_one_closest_point_query(monkeypatch):
+def test_singular_gradient_raised_by_every_view():
+    # the gradient floor is checked in the local query, before its division
+    s = bl.SphereObstacle([0.0, 0.0, 0.0], 1.0)
+    for view in (s.normal_at, lambda x: surface_frame(s, x), lambda x: geometry.ambient_shape(s, x)):
+        with pytest.raises(SingularGradient):
+            view([0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("view", ["surface_frame", "ambient_shape", "normal_at", "validate"])
+def test_each_local_view_of_a_curve_makes_one_closest_point_query(monkeypatch, view):
     obs = _all_pieces_chain(2.5, 1.5, 1.2, 0.4, 0.5, 0.7, [0.3, -0.2])
     x = obs.chain.pieces[3].point(np.array(0.3))
-    expected = obs.frame_at(x)
+    foot = obs.chain.closest_batch(x[None, :])
+    normal, t, kappa = foot.normal[0], foot.tangent[0], foot.shape[0]
     calls = []
     closest = CurveChain.closest_batch
     monkeypatch.setattr(CurveChain, "closest_batch", lambda self, X: calls.append(1) or closest(self, X))
-    frame = surface_frame(obs, x)
+    if view == "validate":
+        validate_scene(bl.make_scene(2, A_BALL, [obs], "one-curve"), connectivity=False)
+        assert len(calls) == 1  # one per curve obstacle, for the whole boundary cloud
+        return
+    if view == "normal_at":
+        assert np.array_equal(obs.normal_at(x), normal)
+        assert len(calls) == 1
+        return
+    if view == "surface_frame":
+        frame = surface_frame(obs, x)
+        assert np.array_equal(frame.point, x)
+        assert np.array_equal(frame.normal, normal)
+        # the chain runs counter-clockwise, so the basis (-n_y, n_x) of the
+        # outward normal is the traversal tangent itself
+        assert np.array_equal(frame.tangent[:, 0], t)
+        assert abs(frame.shape[0, 0] - kappa) <= 1e-15 * abs(kappa)
+        build = surface_frame
+    else:
+        n, shape = geometry.ambient_shape(obs, x)
+        assert np.array_equal(n, normal)
+        assert np.max(np.abs(shape - kappa * np.outer(t, t))) <= 1e-15 * abs(kappa)
+        build = geometry.ambient_shape
     assert len(calls) == 1
-    for name in ("point", "normal", "shape", "tangent"):
-        assert np.array_equal(getattr(frame, name), getattr(expected, name))
     with pytest.raises(ValueError):
-        surface_frame(obs, x + 1e-3 * frame.normal)
+        build(obs, x + 1e-3 * normal)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("kind", ["sphere2d", "sphere3d", "ellipsoid2d", "ellipsoid3d",
+                                  "superellipsoid2d", "superellipsoid3d", "curve2d"])
+@given(data=st.data())
+def test_local_views_agree_at_boundary_points(kind, data):
+    # normal_at, surface_frame and ambient_shape are views of one local query:
+    # the same normal bit for bit, and the same shape operator up to rounding
+    obs = _obstacle(data.draw, kind)
+    v = np.array([data.draw(_unit) for _ in range(obs.dim)])
+    assume(np.linalg.norm(v) > 1e-3)
+    v /= np.linalg.norm(v)
+    roots = obs.ray_roots(obs.bounding_center(), v)
+    assume(roots)
+    x = obs.bounding_center() + roots[data.draw(st.integers(0, len(roots) - 1))] * v
+    frame = surface_frame(obs, x)
+    normal, shape = geometry.ambient_shape(obs, x)
+    assert np.array_equal(obs.normal_at(x), frame.normal)
+    assert np.array_equal(obs.normal_at(x), normal)
+    _, _, grad_norms, hessians = obs.local_geometry(x[None, :])
+    # rounding scales with Hess F / |grad F|, which at a flat point of a
+    # superellipsoid is much larger than the projected shape
+    scale = max(float(np.max(np.abs(shape))), float(np.max(np.abs(hessians[0]))) / grad_norms[0])
+    assert np.max(np.abs(frame.shape_ambient() - shape)) <= 1e-13 * scale
 
 
 def _builtin_obstacles():
@@ -103,7 +156,7 @@ def test_normal_unit_and_outward():
     for obs in _builtin_obstacles():
         pts = obs.boundary_points(64)
         for p in pts[:: max(1, len(pts) // 16)]:
-            frame = obs.frame_at(p)
+            frame = surface_frame(obs, p)
             g = obs.gradient(p)
             assert abs(np.linalg.norm(frame.normal) - 1.0) < 1e-12
             assert float(frame.normal @ g) > 0.0
@@ -147,13 +200,13 @@ def test_shape_operator_matches_fd_normal_map():
         for _ in range(4):
             p = pts[int(gen.uniform() * len(pts))]
             p = _project_to_boundary(obs, p)
-            frame = obs.frame_at(p)
+            frame = surface_frame(obs, p)
             h = 1e-5 * max(1.0, obs.bounding_radius())
             for col in range(frame.tangent.shape[1]):
                 t_dir = frame.tangent[:, col]
                 xp = _project_to_boundary(obs, p + h * t_dir)
                 xm = _project_to_boundary(obs, p - h * t_dir)
-                dn = (obs.frame_at(xp).normal - obs.frame_at(xm).normal) / (2.0 * h)
+                dn = (surface_frame(obs, xp).normal - surface_frame(obs, xm).normal) / (2.0 * h)
                 expected = frame.tangent @ frame.shape[:, col]
                 scale = max(np.linalg.norm(expected), 1e-6)
                 assert np.linalg.norm(dn - expected) / scale < 1e-4

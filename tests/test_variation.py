@@ -451,3 +451,16 @@ def test_tangent_on_path_rejected(disc_scene):
     assert any(ev.type == "tangent" for ev in traj.events)
     with pytest.raises(variation.TangentOnPath):
         flow_differentials(disc_scene, entry, 0.9 * traj.total_time)
+
+
+def test_tangent_event_between_conjugate_endpoints_rejected():
+    # the transversal, tangent, transversal orbit of the CLI's exit-3 test: the
+    # pair (0, 2) is refused as a tangent incidence before any propagation
+    b, s = 1.0 - 2e-15, 2**-0.5
+    scene = bl.make_scene(2, A_BALL, [bl.SphereObstacle([-4.0 - s, b - s], 1.0),
+                                      bl.SphereObstacle([0.0, 0.0], 1.0),
+                                      bl.SphereObstacle([4.0, b + 0.6], 1.0)], "graze")
+    traj = flow.trace(scene, PhasePoint([-4.0, math.sqrt(84.0)], [0.0, -1.0]))
+    assert [ev.type for ev in traj.events] == ["transversal", "tangent", "transversal"]
+    with pytest.raises(TangentIncidence, match="between indices 0 and 2"):
+        conjugate_test(scene, traj, 0, 2)
