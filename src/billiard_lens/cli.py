@@ -2,11 +2,11 @@
 
 Each command accepts exactly the flags that the table `_COMMANDS` lists for
 it, required or optional; any other flag, a missing required flag or an
-abbreviated flag exits 2. Every JSON, JSONL and SVG output starts with a
-header embedding the tool version, scene hash, sample spec, seed (null for
-commands without --seed) and the exact invocation; a CSV lens table starts
-with a `#` line of the version, scene hash, spec and seed. Identical
-invocations reproduce byte-identical files.
+abbreviated flag exits 2; a flag's value may begin with "-". Every JSON,
+JSONL and SVG output starts with a header embedding the tool version, scene
+hash, sample spec, seed (null for commands without --seed) and the exact
+invocation; a CSV lens table starts with a `#` line of the version, scene
+hash, spec and seed. Identical invocations reproduce byte-identical files.
 
 Exit codes: 0 success, 2 bad input (with a message on stderr), 3 numeric
 failure, 4 distinguishable comparison verdict when --expect-equal is set.
@@ -274,6 +274,19 @@ _COMMANDS = {
 }
 
 
+def _attach_dash_values(argv):
+    """argv with `--flag -value` written `--flag=-value`, which argparse reads
+    as a value, for the flags that take one; a flag name is never a value."""
+    out = []
+    for word in argv:
+        if (out and out[-1] in _FLAGS and "action" not in _FLAGS[out[-1]] and word.startswith("-")
+                and word.split("=")[0] not in {"-h", "--help", *_FLAGS}):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="billiard-lens", allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -289,7 +302,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(argv))
     except SystemExit as exc:  # --help exits 0, a usage error 2
         return 0 if exc.code == 0 else 2
     args._invocation = list(argv)

@@ -131,8 +131,10 @@ class CurvePiece:
         raise NotImplementedError
 
     def project(self, X, s0):
-        """Per-piece parameter of the nearest point; default is safeguarded Newton."""
+        """Per-piece parameter of the nearest point; default is safeguarded
+        Newton, each row stopping at its own first step below 1e-12."""
         s = np.clip(np.asarray(s0, dtype=float), 0.0, 1.0)
+        active = np.ones(s.shape, dtype=bool)
         for _ in range(14):
             g = self.point(s)
             g1 = self.deriv(s)
@@ -142,8 +144,9 @@ class CurvePiece:
             fp = -np.sum(g1 * g1, axis=-1) + np.sum(r * g2, axis=-1)
             step = np.where(np.abs(fp) > 1e-300, f / fp, 0.0)
             step = np.clip(step, -0.25, 0.25)
-            s = np.clip(s - step, 0.0, 1.0)
-            if np.max(np.abs(step)) < 1e-12:
+            s = np.where(active, np.clip(s - step, 0.0, 1.0), s)
+            active &= np.abs(step) >= 1e-12
+            if not np.any(active):
                 break
         return s
 
@@ -331,24 +334,27 @@ class EllipseArcPiece(CurvePiece):
     def _theta(self, s):
         return self.theta0 + np.asarray(s, dtype=float) * self._sweep
 
+    def _rotate(self, body):  # a product per row: a point rounds alike in any batch
+        return (body[..., None, :] @ self._R.T)[..., 0, :]
+
     def point(self, s):
         th = self._theta(s)
         body = np.stack([self.semi_axes[0] * np.cos(th), self.semi_axes[1] * np.sin(th)], axis=-1)
-        return self.center + body @ self._R.T
+        return self.center + self._rotate(body)
 
     def deriv(self, s):
         th = self._theta(s)
         body = self._sweep * np.stack(
             [-self.semi_axes[0] * np.sin(th), self.semi_axes[1] * np.cos(th)], axis=-1
         )
-        return body @ self._R.T
+        return self._rotate(body)
 
     def deriv2(self, s):
         th = self._theta(s)
         body = -self._sweep**2 * np.stack(
             [self.semi_axes[0] * np.cos(th), self.semi_axes[1] * np.sin(th)], axis=-1
         )
-        return body @ self._R.T
+        return self._rotate(body)
 
     def ray_roots(self, q, v):
         # a unit-circle arc in scaled body coordinates; t is unchanged by the map
@@ -416,7 +422,7 @@ class FootData:
 class CurveChain:
     """Closed C^1 chain of pieces with closest-point and orientation machinery."""
 
-    def __init__(self, pieces, check=True):
+    def __init__(self, pieces):
         if not pieces:
             raise ValueError("empty curve chain")
         self.pieces = list(pieces)
@@ -435,8 +441,7 @@ class CurveChain:
         area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
         self.orientation = -1.0 if area > 0 else 1.0  # normal = orientation * rot90(tangent)
         self._build_groups()
-        if check:
-            self._check_chain()
+        self._check_chain()
 
     def _build_groups(self):
         # pieces with closed-form projections are batched across the chain

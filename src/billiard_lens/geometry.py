@@ -159,42 +159,49 @@ class Obstacle:
         self.dim = int(dim)
         if self.center.shape != (self.dim,):
             raise InvalidParameters("center has wrong dimension")
+        self._eye = np.eye(self.dim)
 
-    # -- implicit data -----------------------------------------------------
+    # -- implicit data: each formula once, over a batch of points ----------
     def implicit(self, x) -> float:
-        raise NotImplementedError
+        """F at the point x: `implicit_batch` on a batch of one."""
+        return float(self.implicit_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def implicit_batch(self, X) -> np.ndarray:
+        """F at the rows of X (N, n)."""
         raise NotImplementedError
 
     def gradient(self, x) -> np.ndarray:
+        """grad F at the point x (n,), or at each row of X (N, n)."""
         raise NotImplementedError
 
-    def hessian(self, x) -> np.ndarray:
-        raise NotImplementedError
+    def hessian(self, X) -> np.ndarray:
+        """Hess F at the rows of X (N, n): one (n, n) block per row; here the
+        constant `_hessian` a quadric sets, which other kinds override."""
+        return self._hessian[None].repeat(len(X), axis=0)
 
     def local_geometry(self, X):
         """The local geometry at the rows of X (N, n): (F (N,), unit normals
-        into the free region (N, n), |grad F| (N,), Hess F (N, n, n)), from
-        `implicit`, `gradient` and `hessian` row by row. Raises
-        SingularGradient below the gradient floor."""
-        floor = _GRAD_FLOOR * max(1.0, self.bounding_radius())
-        values, grads, norms, hessians = [], [], [], []
-        for x in X:
-            g = self.gradient(x)
-            gn = math.sqrt(g.dot(g))  # np.linalg.norm of one vector, without its overhead
-            if gn < floor:
-                raise SingularGradient(f"|grad F| = {gn:g} at {x}")
-            values.append(self.implicit(x))
-            grads.append(g)
-            norms.append(gn)
-            hessians.append(self.hessian(x))
-        norms = np.array(norms)
-        return np.array(values), np.array(grads) / norms[:, None], norms, np.array(hessians)
+        into the free region (N, n), |grad F| (N,), Hess F (N, n, n)), each
+        evaluated once for the whole batch. Raises SingularGradient below
+        the gradient floor."""
+        normals, norms = self._unit_normals(X, self.gradient(X))
+        return self.implicit_batch(X), normals, norms, self.hessian(X)
 
     def normal_at(self, x) -> np.ndarray:
-        """Unit normal into the free region at x, from `local_geometry`."""
-        return self.local_geometry(np.asarray(x, dtype=float)[None, :])[1][0]
+        """Unit normal into the free region at x: `local_geometry`'s normal,
+        from the gradient alone."""
+        x = np.asarray(x, dtype=float)
+        return self._unit_normals(x[None, :], self.gradient(x)[None, :])[0][0]
+
+    def _unit_normals(self, X, G):
+        """(G / |G|, |G|) for the gradients G (N, n) at the rows of X, |G| rounded
+        like `math.sqrt(g.dot(g))`. Raises SingularGradient below the floor."""
+        norms = np.sqrt(np.matmul(G[:, None, :], G[:, :, None]))[:, 0, 0]
+        floor = _GRAD_FLOOR * max(1.0, self.bounding_radius())
+        if norms.min() < floor:
+            k = np.flatnonzero(norms < floor)[0]
+            raise SingularGradient(f"|grad F| = {norms[k]:g} at {X[k]}")
+        return G / norms[:, None], norms
 
     # -- extents -----------------------------------------------------------
     def bounding_radius(self) -> float:
@@ -233,20 +240,16 @@ class SphereObstacle(Obstacle):
         center = np.atleast_1d(np.asarray(center, dtype=float))
         super().__init__(center, center.shape[0])
         self.radius = float(radius)
-
-    def implicit(self, x):
-        d = np.asarray(x, dtype=float) - self.center
-        return float(d @ d - self.radius**2)
+        if self.radius <= 0:
+            raise InvalidParameters("sphere radius must be positive")
+        self._hessian = 2.0 * self._eye
 
     def implicit_batch(self, X):
-        d = np.atleast_2d(np.asarray(X, dtype=float)) - self.center
-        return np.sum(d * d, axis=1) - self.radius**2
+        d = np.asarray(X, dtype=float) - self.center
+        return (d * d).sum(axis=1) - self.radius**2
 
     def gradient(self, x):
         return 2.0 * (np.asarray(x, dtype=float) - self.center)
-
-    def hessian(self, x):
-        return 2.0 * np.eye(self.dim)
 
     def bounding_radius(self):
         return self.radius
@@ -258,8 +261,6 @@ class SphereObstacle(Obstacle):
         return _stable_quadratic(1.0, b, c)
 
     def boundary_points(self, target):
-        if self.radius <= 0:
-            return np.tile(self.center, (max(1, target), 1))
         if self.dim == 2:
             t = 2.0 * np.pi * np.arange(target) / max(1, target)
             return self.center + self.radius * np.column_stack([np.cos(t), np.sin(t)])
@@ -293,28 +294,23 @@ class EllipsoidObstacle(Obstacle):
         self.semi_axes = np.atleast_1d(np.asarray(semi_axes, dtype=float))
         if self.semi_axes.shape != (self.dim,):
             raise InvalidParameters("semi_axes has wrong dimension")
+        if np.any(self.semi_axes <= 0):
+            raise InvalidParameters("ellipsoid semi_axes must be positive")
         self.rotation = _rotation_matrix(self.dim, rotation)
         self._has_rotation = rotation is not None
-        with np.errstate(divide="ignore"):
-            diag = np.where(self.semi_axes > 0, 1.0 / self.semi_axes**2, np.inf)
-        diag = np.where(np.isfinite(diag), diag, 1e300)
-        self._M = self.rotation @ np.diag(diag) @ self.rotation.T
+        self._M = self.rotation @ np.diag(1.0 / self.semi_axes**2) @ self.rotation.T
+        self._hessian = 2.0 * self._M
         self._bounding_radius = float(np.max(self.semi_axes))
 
-    def implicit(self, x):
-        d = np.asarray(x, dtype=float) - self.center
-        return float(d @ self._M @ d - 1.0)
-
     def implicit_batch(self, X):
-        d = np.atleast_2d(np.asarray(X, dtype=float)) - self.center
-        return np.einsum("ni,ij,nj->n", d, self._M, d) - 1.0
+        # (d M) d row by row, as stacked matmuls: each row rounds alone
+        d = np.asarray(X, dtype=float) - self.center
+        return (d[:, None, :] @ self._M @ d[:, :, None])[:, 0, 0] - 1.0
 
     def gradient(self, x):
+        # Hess F d: doubling M is exact, so this is 2 (M d) bit for bit
         d = np.asarray(x, dtype=float) - self.center
-        return 2.0 * (self._M @ d)
-
-    def hessian(self, x):
-        return 2.0 * self._M
+        return (self._hessian @ d[..., None])[..., 0]
 
     def bounding_radius(self):
         return self._bounding_radius
@@ -364,30 +360,27 @@ class SuperellipsoidObstacle(Obstacle):
         self.rotation = _rotation_matrix(self.dim, rotation)
         self._has_rotation = rotation is not None
         self._bounding_radius = float(np.linalg.norm(self.semi_axes))
+        self._grad_factor = self.exponent / self.semi_axes
+        self._hess_factor = self.exponent * (self.exponent - 1.0) / self.semi_axes**2
 
     def _body(self, x):
-        return self.rotation.T @ (np.asarray(x, dtype=float) - self.center)
-
-    def implicit(self, x):
-        y = self._body(x)
-        return float(np.sum(np.abs(y / self.semi_axes) ** self.exponent) - 1.0)
+        """Body coordinates R^T (x - c) of a point or of each row."""
+        d = np.asarray(x, dtype=float) - self.center
+        return (self.rotation.T @ d[..., None])[..., 0]
 
     def implicit_batch(self, X):
-        d = np.atleast_2d(np.asarray(X, dtype=float)) - self.center
-        y = d @ self.rotation
-        return np.sum(np.abs(y / self.semi_axes) ** self.exponent, axis=1) - 1.0
+        return (np.abs(self._body(X) / self.semi_axes) ** self.exponent).sum(axis=1) - 1.0
 
     def gradient(self, x):
         y = self._body(x)
-        p = self.exponent
-        gy = (p / self.semi_axes) * np.abs(y / self.semi_axes) ** (p - 1.0) * np.sign(y)
-        return self.rotation @ gy
+        gy = self._grad_factor * np.abs(y / self.semi_axes) ** (self.exponent - 1.0) * np.sign(y)
+        return (self.rotation @ gy[..., None])[..., 0]
 
-    def hessian(self, x):
-        y = self._body(x)
-        p = self.exponent
-        hy = (p * (p - 1.0) / self.semi_axes**2) * np.abs(y / self.semi_axes) ** (p - 2.0)
-        return self.rotation @ np.diag(hy) @ self.rotation.T
+    def hessian(self, X):
+        y = self._body(X)
+        hy = self._hess_factor * np.abs(y / self.semi_axes) ** (self.exponent - 2.0)
+        # hy[..., None] * I is np.diag(hy) row by row, bit for bit
+        return self.rotation @ (hy[..., None] * self._eye) @ self.rotation.T
 
     def bounding_radius(self):
         return self._bounding_radius
@@ -470,13 +463,10 @@ class CurveObstacle(Obstacle):
 
     kind = "curve2d"
 
-    def __init__(self, pieces, check=True):
-        self.chain = pieces if isinstance(pieces, CurveChain) else CurveChain(pieces, check=check)
+    def __init__(self, pieces):
+        self.chain = pieces if isinstance(pieces, CurveChain) else CurveChain(pieces)
         center, _ = self.chain.bounding_circle()
         super().__init__(center, 2)
-
-    def implicit(self, x):
-        return float(self.chain.closest_batch(np.asarray(x, dtype=float)[None, :]).signed[0])
 
     def implicit_batch(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -486,15 +476,17 @@ class CurveObstacle(Obstacle):
         return out
 
     def gradient(self, x):
-        return self.implicit_grad(x)[1]
+        # the signed-distance gradient of a C^1 chain is the foot normal on both sides
+        x = np.asarray(x, dtype=float)
+        return self.chain.closest_batch(x.reshape(-1, 2)).normal.reshape(x.shape)
 
     def implicit_grad(self, x):
-        # the signed-distance gradient of a C^1 chain is the foot normal on both sides
+        """(F, grad F) at the point x, from one closest-point query."""
         fd = self.chain.closest_batch(np.asarray(x, dtype=float)[None, :])
         return float(fd.signed[0]), fd.normal[0].copy()
 
-    def hessian(self, x):
-        return self.local_geometry(np.asarray(x, dtype=float)[None, :])[3][0]
+    def normal_at(self, x):
+        return self.gradient(x)  # already of unit length
 
     def local_geometry(self, X):
         # signed distance, foot normal and kappa t t^T from one closest-point
@@ -576,7 +568,7 @@ def ambient_shape(obstacle: Obstacle, point):
     tangent basis. Same checks as `surface_frame`."""
     _, normals, grad_norms, hessians = _on_boundary(obstacle, point)
     n = normals[0]
-    P = np.eye(obstacle.dim) - n[:, None] * n
+    P = obstacle._eye - n[:, None] * n
     return n, P @ hessians[0] @ P / grad_norms[0]
 
 
@@ -729,7 +721,7 @@ class ValidationReport:
     curvature_max: float | None
     flatness_flag: bool
     flagged_nonconvex: bool
-    exterior_connected: bool | None
+    exterior_connected: bool
     notes: list = field(default_factory=list)
 
     def to_dict(self):
@@ -745,13 +737,6 @@ class ValidationReport:
             "exterior_connected": self.exterior_connected,
             "notes": list(self.notes),
         }
-
-
-def _check_obstacle_parameters(obs: Obstacle):
-    if isinstance(obs, SphereObstacle) and obs.radius <= 0:
-        raise ValidationFailed("obstacle_parameters", "sphere radius must be positive")
-    if isinstance(obs, EllipsoidObstacle) and np.any(obs.semi_axes <= 0):
-        raise ValidationFailed("obstacle_parameters", "ellipsoid semi-axes must be positive")
 
 
 def _free_cells(scene: Scene) -> np.ndarray:
@@ -805,21 +790,19 @@ def _exterior_connected(scene: Scene) -> bool:
     return ndimage.label(_free_cells(scene))[1] <= 1
 
 
-def validate_scene(scene: Scene, connectivity: bool = True) -> ValidationReport:
+def validate_scene(scene: Scene) -> ValidationReport:
     """Numerical scene validation.
 
     Raises ValidationFailed (with the first violated invariant) for hard
-    failures: bad obstacle parameters, obstacle outside the ball, overlapping
-    obstacles, a singular boundary gradient, or a disconnected exterior. The
-    flatness flag and the class-convexity diagnostic are reported, not raised.
-    Connectivity is judged on a grid of resolution a/200 in 2D and a/64 in 3D
-    whose lines are classified from their exact `ray_roots` crossings (see
-    `_free_cells`), so a gap narrower than one cell counts as closed.
+    failures: obstacle outside the ball, overlapping obstacles, a singular
+    boundary gradient, or a disconnected exterior (obstacle sizes are checked
+    when the obstacles are built). The flatness flag and the class-convexity
+    diagnostic are reported, not raised. Connectivity is judged on a grid of
+    resolution a/200 in 2D and a/64 in 3D whose lines are classified from
+    their exact `ray_roots` crossings (see `_free_cells`), so a gap narrower
+    than one cell counts as closed.
     """
     a = scene.ball_radius
-    for obs in scene.obstacles:
-        _check_obstacle_parameters(obs)
-
     samples = _VALIDATION_SAMPLES[scene.dimension]
     clouds = [obs.boundary_points(samples) for obs in scene.obstacles]
 
@@ -873,11 +856,8 @@ def validate_scene(scene: Scene, connectivity: bool = True) -> ValidationReport:
     if min_grad < _GRAD_FLOOR * max(1.0, a):
         raise ValidationFailed("gradient_floor", f"boundary gradient norm {min_grad:g} too small")
 
-    connected = None
-    if connectivity:
-        connected = _exterior_connected(scene)
-        if not connected:
-            raise ValidationFailed("exterior_disconnected", "free region splits into components")
+    if not _exterior_connected(scene):
+        raise ValidationFailed("exterior_disconnected", "free region splits into components")
 
     if flagged_nonconvex:
         notes.append("flat patches adjoin concave boundary (fails the generic-obstacle proxy)")
@@ -891,7 +871,7 @@ def validate_scene(scene: Scene, connectivity: bool = True) -> ValidationReport:
         curvature_max=float(curv_max) if np.isfinite(curv_max) else None,
         flatness_flag=flat_flag,
         flagged_nonconvex=flagged_nonconvex,
-        exterior_connected=connected,
+        exterior_connected=True,
         notes=notes,
     )
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import billiard_lens as bl
 from billiard_lens import cli, geometry, lens
+from billiard_lens.geometry import canonical_json
 
 from conftest import plugged_crescent_scene, run_python
 
@@ -448,6 +449,50 @@ def test_rejected_input_exits_2(argv, disc_json, sphere_json, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
     assert sorted(tmp_path.iterdir()) == files  # nothing written
+
+
+@pytest.mark.parametrize("command, flag, value, rest", [
+    ("sls", "--theta", "-1,0", ["--omega", "1,0", "--spec", "grid:8x8"]),
+    ("trace", "--entry", "-10,0,1,0", []),
+], ids=["sls-theta", "trace-entry"])
+def test_flag_value_may_begin_with_a_dash(command, flag, value, rest, disc_json, tmp_path, capsys):
+    texts = {}
+    for spelling in ([flag, value], [f"{flag}={value}"]):
+        out = tmp_path / f"{len(spelling)}.out"
+        argv = [command, "--scene", disc_json, *spelling, *rest, "--out", str(out)]
+        assert cli.main(argv) == 0
+        # the header holds the invocation as typed; the rest is the same report
+        texts[len(spelling)] = out.read_text().replace(canonical_json(argv), "INVOCATION")
+        assert texts[len(spelling)].count("INVOCATION") == 1
+    assert texts[1] == texts[2]
+    # a flag without its value still exits 2, and a flag name is never a value
+    for argv in ([*rest, flag], [flag, *rest, "--out", str(tmp_path / "x")]):
+        assert cli.main([command, "--scene", disc_json, *argv]) == 2
+        assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("obstacle, param", [
+    ({"kind": "sphere", "center": [0.0, 0.0], "params": {"radius": -1.0}}, "radius"),
+    ({"kind": "sphere", "center": [0.0, 0.0], "params": {"radius": 0.0}}, "radius"),
+    ({"kind": "ellipsoid", "center": [0.0, 0.0], "params": {"semi_axes": [2.0, -0.5]}}, "semi_axes"),
+], ids=["radius-negative", "radius-zero", "semi-axis-negative"])
+@pytest.mark.parametrize("command, args", [
+    ("validate", []),
+    ("lens", ["--spec", "grid:16x16"]),
+    ("trace", ["--entry=-10,0,1,0"]),
+    ("trapped", ["--spec", "grid:2x2,grid:3x3,grid:4x4"]),
+    ("sls", ["--omega", "1,0", "--theta=-1,0", "--spec", "grid:4x4"]),
+], ids=["validate", "lens", "trace", "trapped", "sls"])
+def test_non_positive_size_exits_2(command, args, obstacle, param, tmp_path, capsys):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"dimension": 2, "ball_radius": 10.0, "name": "bad",
+                                 "obstacles": [obstacle]}))
+    out = tmp_path / "out.json"
+    assert cli.main([command, "--scene", str(scene), *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{param} must be positive" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # -- property: argv drawn from the flag table ---------------------------------------

@@ -86,10 +86,13 @@ def test_each_local_view_of_a_curve_makes_one_closest_point_query(monkeypatch, v
     normal, t, kappa = foot.normal[0], foot.tangent[0], foot.shape[0]
     calls = []
     closest = CurveChain.closest_batch
-    monkeypatch.setattr(CurveChain, "closest_batch", lambda self, X: calls.append(1) or closest(self, X))
+    monkeypatch.setattr(CurveChain, "closest_batch", lambda self, X: calls.append(X) or closest(self, X))
     if view == "validate":
-        validate_scene(bl.make_scene(2, A_BALL, [obs], "one-curve"), connectivity=False)
-        assert len(calls) == 1  # one per curve obstacle, for the whole boundary cloud
+        validate_scene(bl.make_scene(2, A_BALL, [obs], "one-curve"))
+        # one per curve obstacle for the whole boundary cloud, then one for
+        # the connectivity check's grid-line runs
+        assert len(calls) == 2
+        assert np.array_equal(calls[0], obs.boundary_points(geometry._VALIDATION_SAMPLES[2]))
         return
     if view == "normal_at":
         assert np.array_equal(obs.normal_at(x), normal)
@@ -137,6 +140,30 @@ def test_local_views_agree_at_boundary_points(kind, data):
     # superellipsoid is much larger than the projected shape
     scale = max(float(np.max(np.abs(shape))), float(np.max(np.abs(hessians[0]))) / grad_norms[0])
     assert np.max(np.abs(frame.shape_ambient() - shape)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("kind", ["sphere2d", "sphere3d", "ellipsoid2d", "ellipsoid3d",
+                                  "superellipsoid2d", "superellipsoid3d", "curve2d"])
+@given(data=st.data())
+def test_local_geometry_of_a_stack_is_its_rows(kind, data):
+    # each quantity has one formula over a batch of points: a stack of
+    # boundary points gets the bits of its rows queried one at a time
+    obs = _obstacle(data.draw, kind)
+    dirs = data.draw(hnp.arrays(float, (data.draw(st.integers(2, 6)), obs.dim), elements=_unit))
+    c = obs.bounding_center()
+    rows = []
+    for v in dirs:
+        if np.linalg.norm(v) > 1e-3:
+            v = v / np.linalg.norm(v)
+            rows += [c + t * v for t in obs.ray_roots(c, v)]
+    assume(len(rows) > 1)
+    X = np.array(rows)
+    one_row = [obs.local_geometry(x[None, :]) for x in X]
+    for k, stacked in enumerate(obs.local_geometry(X)):
+        assert stacked.tobytes() == np.concatenate([q[k] for q in one_row]).tobytes()
+    G = obs.gradient(X)
+    for g, x in zip(G, X):
+        assert g.tobytes() == obs.gradient(x).tobytes()
 
 
 def _builtin_obstacles():
@@ -218,14 +245,14 @@ def test_validate_scene_two_spheres_gap():
         [bl.SphereObstacle([-3.0, 0, 0], 1.0), bl.SphereObstacle([3.0, 0, 0], 1.0)],
         "gap",
     )
-    report = validate_scene(scene, connectivity=False)
+    report = validate_scene(scene)
     assert report.pairwise_gap_min == pytest.approx(4.0, abs=0.02)
 
 
 def test_validate_scene_containment_failure():
     scene = bl.make_scene(3, 10.0, [bl.SphereObstacle([0, 0, 0], 11.0)], "too-big")
     with pytest.raises(ValidationFailed) as err:
-        validate_scene(scene, connectivity=False)
+        validate_scene(scene)
     assert err.value.reason == "containment"
 
 
@@ -236,21 +263,29 @@ def test_validate_scene_overlap_failure():
         "overlap",
     )
     with pytest.raises(ValidationFailed) as err:
-        validate_scene(scene, connectivity=False)
+        validate_scene(scene)
     assert err.value.reason == "overlap"
 
 
-def test_validate_scene_zero_radius_failure():
-    scene = bl.make_scene(2, 10.0, [bl.SphereObstacle([0.0, 0.0], 0.0)], "degenerate")
-    with pytest.raises(ValidationFailed):
-        validate_scene(scene, connectivity=False)
+@pytest.mark.parametrize("build", [
+    lambda: bl.SphereObstacle([0.0, 0.0], 0.0),
+    lambda: bl.SphereObstacle([0.0, 0.0, 0.0], -1.0),
+    lambda: bl.EllipsoidObstacle([0.0, 0.0], [1.0, 0.0]),
+    lambda: bl.EllipsoidObstacle([0.0, 0.0, 0.0], [1.0, -2.0, 1.0]),
+    lambda: bl.SuperellipsoidObstacle([0.0, 0.0], [0.0, 1.0], 6.0),
+], ids=["sphere-zero", "sphere-negative", "ellipsoid-zero", "ellipsoid-negative",
+        "superellipsoid-zero"])
+def test_non_positive_size_rejected_when_built(build):
+    # sizes are checked where obstacles are built, so no command reads such a scene
+    with pytest.raises(InvalidParameters, match="must be positive"):
+        build()
 
 
 def test_validate_scene_superellipsoid_flatness_flag():
     scene = bl.make_scene(
         3, 10.0, [bl.SuperellipsoidObstacle([0, 0, 0], [1.5, 1.2, 1.0], 8.0)], "boxy"
     )
-    report = validate_scene(scene, connectivity=False)
+    report = validate_scene(scene)
     assert report.flatness_flag
     assert not report.flagged_nonconvex
 
@@ -258,7 +293,7 @@ def test_validate_scene_superellipsoid_flatness_flag():
 def test_validate_scene_flags_flat_walls_beside_concave_arcs(livshits_pair):
     # the Livshits cavity's straight walls meet its concave smoothing arcs
     base, _, _ = livshits_pair
-    report = validate_scene(base, connectivity=False)
+    report = validate_scene(base)
     assert report.flatness_flag
     assert report.flagged_nonconvex
 
