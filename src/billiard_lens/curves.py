@@ -21,6 +21,33 @@ _COARSE = 33  # samples per piece for the coarse closest-point pass
 _JOIN_OVERLAP = 1e-12  # pieces overlap by this much parameter at joins, so rounding drops no root
 
 
+def _floats(x):
+    """A point or direction as a sequence of Python floats: an array is
+    converted once by `tolist`, a list or tuple is used as it is."""
+    return x.tolist() if isinstance(x, np.ndarray) else x
+
+
+def _dot(a, b):
+    """<a, b> of two float pairs or triples, summed left to right."""
+    if len(a) == 2:
+        return a[0] * b[0] + a[1] * b[1]
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _sub(a, b):
+    """a - b of two float pairs or triples, as a list."""
+    if len(a) == 2:
+        return [a[0] - b[0], a[1] - b[1]]
+    return [a[0] - b[0], a[1] - b[1], a[2] - b[2]]
+
+
+def _axpy(q, t, v):
+    """q + t v of two float pairs or triples, as a list."""
+    if len(q) == 2:
+        return [q[0] + t * v[0], q[1] + t * v[1]]
+    return [q[0] + t * v[0], q[1] + t * v[1], q[2] + t * v[2]]
+
+
 def _stable_quadratic(a: float, b: float, c: float):
     """Real roots of a t^2 + b t + c, numerically stable; [] if none."""
     disc = b * b - 4.0 * a * c
@@ -431,7 +458,7 @@ class CurveChain:
         self.lengths = [
             float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1))) for pts in self._coarse_pts
         ]
-        self.total_length = float(sum(self.lengths))
+        self.total_length = math.fsum(self.lengths)
         dense = self.sample_points(max(256, 48 * len(self.pieces)))
         self._bbox_center = 0.5 * (dense.min(axis=0) + dense.max(axis=0))
         self._bbox_xy = tuple(self._bbox_center.tolist())
@@ -495,7 +522,7 @@ class CurveChain:
         weights = getattr(self, "lengths", None)
         if weights is None:
             weights = [1.0] * len(self.pieces)
-        total = sum(weights)
+        total = math.fsum(weights)
         chunks = []
         for piece, w in zip(self.pieces, weights):
             k = max(8, int(round(n_total * w / total)))
@@ -507,9 +534,10 @@ class CurveChain:
         return self._bbox_center, self._bound_radius
 
     def ray_roots(self, q, v):
-        """Sorted parameters t of every crossing of the line q + t v (arrays)
-        with the chain, as `Root`s that carry the piece and piece parameter."""
-        q, v = q.tolist(), v.tolist()
+        """Sorted parameters t of every crossing of the line q + t v (arrays,
+        tuples or lists) with the chain, as `Root`s that carry the piece and
+        piece parameter."""
+        q, v = _floats(q), _floats(v)
         cx, cy = self._bbox_xy
         dx, dy = q[0] - cx, q[1] - cy
         b = dx * v[0] + dy * v[1]

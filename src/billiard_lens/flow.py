@@ -13,6 +13,13 @@ parameter its root carries, so the tracer makes no closest-point query
 `local_geometry`, which `surface_frame` and `ambient_shape` read, and its
 gradient, which `normal_at` reads). Orbits that graze into the boundary
 (gliding) are detected and rejected, never integrated.
+
+The per-ray path runs on Python floats, as lists of two or three: the entry
+checks of `trace`, the normalisation and event loop of `trace_phase`, the
+ball exit, `ray_roots`, the unit normal (the kind's `root_gradient`,
+converted once, under the obstacle's `gradient_floor`), `reflect` and
+`sojourn_time`. Numpy arrays appear only at the boundary: each `Event` and
+`PhasePoint` gets its own, once per event and once at the exit.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
+from .curves import _axpy, _dot, _floats, _sub
 from .geometry import canonical_json
 
 TANGENCY_THRESHOLD = 1e-7   # |<v, normal>| at or below this is a tangent encounter
@@ -47,10 +55,6 @@ class PhasePoint:
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
-
-    def unit_check(self):
-        if abs(float(self.v @ self.v) - 1.0) > 1e-9:
-            raise ValueError("direction must be a unit vector")
 
 
 @dataclass
@@ -86,18 +90,19 @@ class Limits:
 
 
 def reflect(v, normal):
-    """Specular reflection v' = v - 2 <v,n> n; requires an approaching ray."""
-    v = np.asarray(v, dtype=float)
-    n = np.asarray(normal, dtype=float)
-    c = float(v @ n)
+    """Specular reflection v' = v - 2 <v,n> n of a direction and a unit normal
+    (arrays, tuples or lists), as a list of floats; requires an approaching
+    ray."""
+    v, n = _floats(v), _floats(normal)
+    c = _dot(v, n)
     if c >= 0.0:
         raise ValueError("reflect requires <v, normal> < 0 (approaching ray)")
-    return v - 2.0 * c * n
+    return _axpy(v, -2.0 * c, n)
 
 
 def _ball_exit_time(q, v, a):
-    b = float(q @ v)
-    c0 = float(q @ q) - a * a
+    b = _dot(q, v)
+    c0 = _dot(q, q) - a * a
     disc = b * b - c0
     if disc <= 0.0:
         return 0.0
@@ -106,13 +111,14 @@ def _ball_exit_time(q, v, a):
 
 def _first_root(scene, q, v, t_min, cap):
     """Smallest boundary root over all obstacles in (t_min, cap]:
-    (t, obstacle index), or None."""
+    (t, obstacle index), or None; on a tie, the first obstacle's."""
     best = None
     for idx, obs in enumerate(scene.obstacles):
-        limit = cap if best is None else best[0]
-        t = next((r for r in obs.ray_roots(q, v) if t_min < r <= limit), None)
-        if t is not None and (best is None or t < best[0]):
-            best = (t, idx)
+        for r in obs.ray_roots(q, v):  # sorted: only the first beyond t_min counts
+            if r > t_min:
+                if r <= cap and (best is None or r < best[0]):
+                    best = (r, idx)
+                break
     return best
 
 
@@ -125,9 +131,9 @@ def _first_crossing(scene, q, v, t_min, cap):
     a = scene.ball_radius
     while (found := _first_root(scene, q, v, t_min, cap)) is not None:
         t, idx = found
-        x = q + t * v
+        x = _axpy(q, t, v)
         normal = _normal_at(scene, idx, x, t)
-        cos_in = float(v @ normal)
+        cos_in = _dot(v, normal)
         if cos_in <= TANGENCY_THRESHOLD:
             return t, idx, x, normal, cos_in
         if t > _TANGENT_DEAD_ZONE * a:
@@ -143,23 +149,27 @@ def first_hit(scene, phase_point: PhasePoint, max_advance: float):
 
     Raises RootPolishFailed if the ray starts inside an obstacle (the
     precondition requires a free or outgoing phase point)."""
-    q, v = phase_point.q, phase_point.v
+    q, v = phase_point.q.tolist(), phase_point.v.tolist()
     a = scene.ball_radius
     cap = min(max_advance, _ball_exit_time(q, v, a))
     hit = _first_crossing(scene, q, v, REHIT_FACTOR * a, cap)
-    return None if hit is None else hit[:3]
+    return None if hit is None else (hit[0], hit[1], np.array(hit[2]))
 
 
-def _normal_at(scene, idx, x, t):
-    g = scene.obstacles[idx].root_gradient(x, t)
-    gn = float(np.linalg.norm(g))
-    if gn < 1e-14:
-        raise geometry.SingularGradient(f"singular normal on obstacle {idx}")
-    return g / gn
+def _normal_at(scene, idx, x, root):
+    """Unit normal at the point x of a root: the kind's `root_gradient`, in
+    floats, over its length; SingularGradient under the obstacle's floor."""
+    obs = scene.obstacles[idx]
+    g = _floats(obs.root_gradient(x, root))
+    gn = math.sqrt(_dot(g, g))
+    if gn < obs.gradient_floor():
+        raise geometry.SingularGradient(f"singular normal on obstacle {idx}: |grad F| = {gn:g}")
+    return [gi / gn for gi in g]
 
 
 def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
-    """Trace from an arbitrary phase point inside the ball (no entry check)."""
+    """Trace from an arbitrary phase point inside the ball (no entry check);
+    q and v are arrays, tuples or lists, and v is normalised."""
     limits = limits or Limits()
     a = scene.ball_radius
     t_max = limits.t_max if limits.t_max is not None else 1000.0 * a
@@ -167,18 +177,20 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
     guard = REHIT_FACTOR * a
     dead_zone = _TANGENT_DEAD_ZONE * a
 
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    v = v / np.linalg.norm(v)
-    entry = PhasePoint(q.copy(), v.copy())
+    q, v = _floats(q), _floats(v)
+    speed = math.sqrt(_dot(v, v))
+    v = [vi / speed for vi in v]
+    entry = PhasePoint(q, v)
 
     events: list[Event] = []
     total = 0.0
     last_tangent = None  # (obstacle index, point)
 
     def near_last_tangent(hit, radius):
-        return (last_tangent is not None and last_tangent[0] == hit[1]
-                and float(np.linalg.norm(hit[2] - last_tangent[1])) < radius)
+        if last_tangent is None or last_tangent[0] != hit[1]:
+            return False
+        d = _sub(hit[2], last_tangent[1])
+        return math.sqrt(_dot(d, d)) < radius
 
     while True:
         if len(events) >= limits.n_max:
@@ -197,24 +209,25 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
             return Trajectory(entry, events, "gliding_rejected", None, None,
                               "boundary_penetration")
 
+        # the loop's points and directions are lists of floats, never changed
+        # in place; events and the exit get arrays of their own
         if hit is None:
             total += t_ball
-            exit_q = q + t_ball * v
-            return Trajectory(entry, events, "exited", PhasePoint(exit_q, v.copy()), total)
+            return Trajectory(entry, events, "exited", PhasePoint(_axpy(q, t_ball, v), v), total)
 
         t_hit, idx, x_hit, normal, cos_in = hit
         if abs(cos_in) > TANGENCY_THRESHOLD:
             etype, v_out = "transversal", reflect(v, normal)
         else:
-            etype, v_out = "tangent", v.copy()
-        events.append(Event(total + t_hit, x_hit, idx, etype, v.copy(), v_out.copy()))
+            etype, v_out = "tangent", v
+        events.append(Event(total + t_hit, np.array(x_hit), idx, etype, np.array(v), np.array(v_out)))
         total += t_hit
 
         if etype == "tangent":
             if near_last_tangent(hit, gliding_arc):
                 return Trajectory(entry, events, "gliding_rejected", None, None,
                                   "tangency_chain")
-            last_tangent = (idx, x_hit.copy())
+            last_tangent = (idx, x_hit)
 
         q, v = x_hit, v_out
 
@@ -222,14 +235,16 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
 def trace(scene, entry: PhasePoint, limits: Limits | None = None) -> Trajectory:
     """Trace an entry phase point: position on the boundary sphere, direction
     with non-negative inward component."""
-    entry.unit_check()
+    q, v = entry.q.tolist(), entry.v.tolist()
+    if abs(_dot(v, v) - 1.0) > 1e-9:
+        raise ValueError("direction must be a unit vector")
     a = scene.ball_radius
-    if abs(float(np.linalg.norm(entry.q)) - a) > 1e-6 * a:
+    if abs(math.sqrt(_dot(q, q)) - a) > 1e-6 * a:
         raise ValueError("entry point must lie on the boundary sphere")
-    inward = -float(entry.q @ entry.v) / a
+    inward = -_dot(q, v) / a
     if inward < -1e-9:
         raise ValueError("entry direction points outward")
-    return trace_phase(scene, entry.q, entry.v, limits)
+    return trace_phase(scene, q, v, limits)
 
 
 def travelling_time(scene, entry: PhasePoint, limits: Limits | None = None):
@@ -258,10 +273,9 @@ def sojourn_time(scene, trajectory: Trajectory) -> float:
     and orthogonal to the incoming/outgoing directions, minus one diameter."""
     if trajectory.status != "exited":
         raise NotScattered(f"trajectory status is {trajectory.status}")
-    omega, theta = omega_theta(trajectory)
-    q0 = trajectory.entry.q
-    q1 = trajectory.exit_state.q
-    return trajectory.total_time + float(q0 @ omega) - float(q1 @ theta)
+    entry, exit_state = trajectory.entry, trajectory.exit_state
+    return (trajectory.total_time + _dot(entry.q.tolist(), entry.v.tolist())
+            - _dot(exit_state.q.tolist(), exit_state.v.tolist()))
 
 
 def reflection_count(trajectory: Trajectory) -> int:

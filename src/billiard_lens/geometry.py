@@ -21,7 +21,11 @@ from .curves import (
     CurveChain,
     EllipseArcPiece,
     LinePiece,
+    _axpy,
+    _dot,
+    _floats,
     _stable_quadratic,
+    _sub,
     piece_from_dict,
 )
 
@@ -157,9 +161,12 @@ class Obstacle:
     def __init__(self, center, dim):
         self.center = np.asarray(center, dtype=float)
         self.dim = int(dim)
+        if self.dim not in (2, 3):
+            raise InvalidParameters("obstacles are 2D or 3D")
         if self.center.shape != (self.dim,):
             raise InvalidParameters("center has wrong dimension")
         self._eye = np.eye(self.dim)
+        self._c = tuple(self.center.tolist())  # the centre in floats, for the ray solvers
 
     # -- implicit data: each formula once, over a batch of points ----------
     def implicit(self, x) -> float:
@@ -197,11 +204,16 @@ class Obstacle:
         """(G / |G|, |G|) for the gradients G (N, n) at the rows of X, |G| rounded
         like `math.sqrt(g.dot(g))`. Raises SingularGradient below the floor."""
         norms = np.sqrt(np.matmul(G[:, None, :], G[:, :, None]))[:, 0, 0]
-        floor = _GRAD_FLOOR * max(1.0, self.bounding_radius())
+        floor = self.gradient_floor()
         if norms.min() < floor:
             k = np.flatnonzero(norms < floor)[0]
             raise SingularGradient(f"|grad F| = {norms[k]:g} at {X[k]}")
         return G / norms[:, None], norms
+
+    def gradient_floor(self) -> float:
+        """|grad F| under which a boundary normal is singular: 1e-10 max(1, R)
+        for the bounding radius R."""
+        return _GRAD_FLOOR * max(1.0, self.bounding_radius())
 
     # -- extents -----------------------------------------------------------
     def bounding_radius(self) -> float:
@@ -217,7 +229,9 @@ class Obstacle:
     def ray_roots(self, q, v):
         """Sorted parameters t of every crossing of the line q + t v with the
         boundary, exact up to rounding: no step size, so no feature is too
-        thin to be seen."""
+        thin to be seen. q and v are arrays, tuples or lists; each kind
+        solves in plain float arithmetic, so the same points give the same
+        roots whatever their type."""
         raise NotImplementedError
 
     def root_gradient(self, x, root):
@@ -243,6 +257,7 @@ class SphereObstacle(Obstacle):
         if self.radius <= 0:
             raise InvalidParameters("sphere radius must be positive")
         self._hessian = 2.0 * self._eye
+        self._r2 = self.radius**2
 
     def implicit_batch(self, X):
         d = np.asarray(X, dtype=float) - self.center
@@ -255,10 +270,7 @@ class SphereObstacle(Obstacle):
         return self.radius
 
     def ray_roots(self, q, v):
-        d = q - self.center
-        b = 2.0 * float(d @ v)
-        c = float(d @ d) - self.radius**2
-        return _stable_quadratic(1.0, b, c)
+        return _ball_roots(_sub(_floats(q), self._c), _floats(v), self._r2)
 
     def boundary_points(self, target):
         if self.dim == 2:
@@ -268,6 +280,16 @@ class SphereObstacle(Obstacle):
 
     def params_dict(self):
         return {"radius": self.radius}
+
+
+def _ball_roots(d, v, r2):
+    """Sorted roots t of |d + t v|^2 = r2 for float pairs or triples d and v,
+    solved about the point p of the line nearest the centre, so that a small
+    ball far from d keeps its precision."""
+    vv = _dot(v, v)
+    t0 = -_dot(d, v) / vv
+    p = _axpy(d, t0, v)
+    return [t0 + t for t in _stable_quadratic(vv, 2.0 * _dot(p, v), _dot(p, p) - r2)]
 
 
 def _lat_band_sphere(target: int) -> np.ndarray:
@@ -299,6 +321,7 @@ class EllipsoidObstacle(Obstacle):
         self.rotation = _rotation_matrix(self.dim, rotation)
         self._has_rotation = rotation is not None
         self._M = self.rotation @ np.diag(1.0 / self.semi_axes**2) @ self.rotation.T
+        self._m_rows = tuple(map(tuple, self._M.tolist()))  # for the ray solver
         self._hessian = 2.0 * self._M
         self._bounding_radius = float(np.max(self.semi_axes))
 
@@ -316,11 +339,15 @@ class EllipsoidObstacle(Obstacle):
         return self._bounding_radius
 
     def ray_roots(self, q, v):
-        d = q - self.center
-        a = float(v @ self._M @ v)
-        b = 2.0 * float(d @ self._M @ v)
-        c = float(d @ self._M @ d) - 1.0
-        return _stable_quadratic(a, b, c)
+        # as `_ball_roots`, about the ray point p nearest the centre in the metric M
+        v = _floats(v)
+        d = _sub(_floats(q), self._c)
+        mv = [_dot(row, v) for row in self._m_rows]
+        vmv = _dot(v, mv)
+        t0 = -_dot(d, mv) / vmv
+        p = _axpy(d, t0, v)
+        mp = [_dot(row, p) for row in self._m_rows]
+        return [t0 + t for t in _stable_quadratic(vmv, 2.0 * _dot(p, mv), _dot(p, mp) - 1.0)]
 
     def boundary_points(self, target):
         if self.dim == 2:
@@ -360,6 +387,9 @@ class SuperellipsoidObstacle(Obstacle):
         self.rotation = _rotation_matrix(self.dim, rotation)
         self._has_rotation = rotation is not None
         self._bounding_radius = float(np.linalg.norm(self.semi_axes))
+        # for the ray solver: R^2, and the rows of R^T / a that map x - c to y / a
+        self._r2 = self._bounding_radius**2
+        self._body_rows = tuple(map(tuple, (self.rotation.T / self.semi_axes[:, None]).tolist()))
         self._grad_factor = self.exponent / self.semi_axes
         self._hess_factor = self.exponent * (self.exponent - 1.0) / self.semi_axes**2
 
@@ -390,23 +420,30 @@ class SuperellipsoidObstacle(Obstacle):
         # either end of the bounding-sphere chord converges monotonically to
         # the entry or exit root; a slope turning away first, or a step that
         # leaves the chord (where a near-tangent miss sends it), means a miss
-        d = q - self.center
-        ends = _stable_quadratic(1.0, 2.0 * float(d @ v), float(d @ d) - self.bounding_radius()**2)
+        v = _floats(v)
+        d = _sub(_floats(q), self._c)
+        ends = _ball_roots(d, v, self._r2)
         if not ends:
             return []
-        y = (d @ self.rotation / self.semi_axes).tolist()
-        w = (v @ self.rotation / self.semi_axes).tolist()
+        y = [_dot(row, d) for row in self._body_rows]
+        w = [_dot(row, v) for row in self._body_rows]
         p = self.exponent
+        pm1, inv_p = p - 1.0, 1.0 / p
         roots = []
         for t, toward in ((ends[0], 1.0), (ends[1], -1.0)):
             for _ in range(100):
-                u = [yi + t * wi for yi, wi in zip(y, w)]
-                s = sum(abs(ui) ** p for ui in u)
-                gauge = s ** (1.0 / p)
+                # with s = sum |u_i|^p at u = y + t w, the gauge is s^(1/p) and its
+                # slope s^(1/p - 1) sum sign(u_i) |u_i|^(p-1) w_i: one pass gives both
+                s = ds = 0.0
+                for yi, wi in zip(y, w):
+                    ui = yi + t * wi
+                    power = abs(ui) ** pm1
+                    s += power * abs(ui)
+                    ds += math.copysign(power, ui) * wi
+                gauge = s ** inv_p
                 if gauge <= 1.0:
                     break
-                slope = gauge / s * sum(math.copysign(abs(ui) ** (p - 1.0), ui) * wi
-                                        for ui, wi in zip(u, w))
+                slope = gauge / s * ds
                 if slope * toward >= 0.0:
                     return []
                 t_next = t - (gauge - 1.0) / slope
@@ -762,7 +799,8 @@ def _free_cells(scene: Scene) -> np.ndarray:
     free = r2 < (a - 0.5 * step) ** 2
     lines = free.reshape(-1, cells)  # a view; row i is the line through heads[i]
     heads = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"), axis=-1).reshape(-1, n - 1)
-    e = np.eye(n)[-1]
+    heads_f = heads.tolist()  # each line's ray in floats, for `ray_roots`
+    e = [0.0] * (n - 1) + [1.0]
     for obs in scene.obstacles:
         c = obs.bounding_center()
         hit = np.flatnonzero(np.sum((heads - c[:-1]) ** 2, axis=1) <= obs.bounding_radius() ** 2)
@@ -772,7 +810,7 @@ def _free_cells(scene: Scene) -> np.ndarray:
         # so the next start is also the end of a line's last run
         starts = []
         for k, i in enumerate(hit):
-            cuts = np.searchsorted(axis, obs.ray_roots(np.append(heads[i], 0.0), e))
+            cuts = np.searchsorted(axis, obs.ray_roots(heads_f[i] + [0.0], e))
             starts.append(k * cells + np.unique(np.append(cuts[cuts < cells], 0)))
         starts = np.concatenate(starts)
         ends = np.append(starts[1:], hit.size * cells)

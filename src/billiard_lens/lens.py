@@ -194,6 +194,12 @@ class LensTable:
     summary: dict
 
 
+def _mean(xs) -> float:
+    """Mean of a non-empty list of floats by the correctly rounded `math.fsum`:
+    the builtin `sum` of floats rounds differently from Python 3.12 on."""
+    return math.fsum(xs) / len(xs)
+
+
 def classify_trajectory(traj) -> str:
     if traj.status == "gliding_rejected":
         return "gliding_rejected"
@@ -240,7 +246,7 @@ def build_lens_table(scene, spec: SampleSpec) -> LensTable:
         "counts": counts,
         "t_min": min(times) if times else None,
         "t_max": max(times) if times else None,
-        "t_mean": (sum(times) / len(times)) if times else None,
+        "t_mean": _mean(times) if times else None,
     }
     return LensTable(geometry.scene_hash(scene), spec, samples, summary)
 
@@ -395,7 +401,7 @@ def scattering_spectrum(scene, omega, theta, angular_tol: float, spec: SampleSpe
     for k in range(1, len(kept) + 1):
         if k == len(kept) or kept[k] - kept[k - 1] > gap:
             group = kept[start:k]
-            bins.append(SpectrumBin(sum(group) / len(group), len(group), group[0], group[-1]))
+            bins.append(SpectrumBin(_mean(group), len(group), group[0], group[-1]))
             start = k
     return bins
 
@@ -470,7 +476,7 @@ def compare_lens(table_k: LensTable, table_l: LensTable, time_tolerance: float) 
                 exceed += 1
     compared = len(dts)
     max_dt = max(dts) if dts else 0.0
-    mean_dt = sum(dts) / compared if compared else 0.0
+    mean_dt = _mean(dts) if compared else 0.0
     exceed_fraction = exceed / compared if compared else 0.0
     verdict = ("indistinguishable" if exceed == 0 and status_mm == 0 and refl_mm == 0
                else "distinguishable")

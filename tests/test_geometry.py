@@ -281,6 +281,13 @@ def test_non_positive_size_rejected_when_built(build):
         build()
 
 
+@pytest.mark.parametrize("dim", [1, 4])
+def test_obstacles_outside_2d_and_3d_rejected_when_built(dim):
+    # the ray solvers work on float pairs and triples
+    with pytest.raises(InvalidParameters, match="2D or 3D"):
+        bl.SphereObstacle([0.0] * dim, 1.0)
+
+
 def test_validate_scene_superellipsoid_flatness_flag():
     scene = bl.make_scene(
         3, 10.0, [bl.SuperellipsoidObstacle([0, 0, 0], [1.5, 1.2, 1.0], 8.0)], "boxy"
@@ -634,6 +641,31 @@ def test_piece_ray_roots_are_the_same_for_arrays_and_tuples(data):
             assert [(t.hex(), s.hex()) for t, s in piece.ray_roots(*pair)] == ref
         hits += len(ref)
     assert hits
+
+
+@pytest.mark.parametrize("kind", ["sphere2d", "sphere3d", "ellipsoid2d", "ellipsoid3d",
+                                  "superellipsoid2d", "superellipsoid3d", "curve2d"])
+@given(data=st.data())
+def test_ray_roots_are_the_same_for_arrays_tuples_and_lists(kind, data):
+    # every kind solves in floats: an array, a tuple or a list of the same
+    # numbers gives the same bits, on a ray through a drawn point of the
+    # bounding box, and on the parallel ray through the bounding centre,
+    # which crosses every kind's (rotated) body
+    obs = _obstacle(data.draw, kind)
+    dim = obs.dim
+    phi = data.draw(_angle)
+    mu = data.draw(_unit) if dim == 3 else 0.0
+    v = np.array([math.sqrt(1.0 - mu * mu) * math.cos(phi), math.sqrt(1.0 - mu * mu) * math.sin(phi),
+                  mu][:dim])
+    c, r = obs.bounding_center(), obs.bounding_radius()
+    offset = r * np.array([data.draw(_unit) for _ in range(dim)])
+    hits = 0
+    for q in (c + offset - 2.0 * r * v, c - 2.0 * r * v):
+        ref = [float(t).hex() for t in obs.ray_roots(q, v)]
+        for pair in ((tuple(q.tolist()), tuple(v.tolist())), (q.tolist(), v.tolist())):
+            assert [float(t).hex() for t in obs.ray_roots(*pair)] == ref
+        hits += len(ref)
+    assert hits >= 2
 
 
 def test_superellipsoid_ray_roots_miss_inside_the_bounding_sphere():
