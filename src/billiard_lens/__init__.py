@@ -13,7 +13,7 @@ from .geometry import CurveObstacle, EllipsoidObstacle, Scene, SphereObstacle, \
     SuperellipsoidObstacle, SurfaceFrame, concave_mirror_obstacle, implicit_value, \
     livshits_scene, make_scene, scene_from_json, scene_hash, scene_to_json, surface_frame, \
     validate_scene
-from .lens import ComparisonReport, LensSample, LensTable, SampleSpec, boundary_distance, \
+from .lens import ComparisonReport, LensTable, SampleSpec, boundary_distance, \
     build_lens_table, compare_lens, estimate_trapped, sample_phase_sphere, scattering_spectrum
 from .variation import ConjugateResult, Incidence, JacobiFrame, RankReport, RegularityResult, \
     conjugate_test, fd_flow_jacobian, flow_differentials, propagate_free, \

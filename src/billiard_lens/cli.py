@@ -188,7 +188,7 @@ def _cmd_compare(args):
     tol = args.tol
     if tol is None:
         # default 1e-6 * ball radius; entry points sit on the sphere
-        tol = 1e-6 * float(np.linalg.norm(table_k.samples[0].q))
+        tol = 1e-6 * float(np.linalg.norm(table_k.q[0]))
     report = lens.compare_lens(table_k, table_l, tol)
     doc = {"header": _header(args), "table_k": table_k.scene_hash,
            "table_l": table_l.scene_hash, "report": report.to_dict()}

@@ -4,20 +4,30 @@ Entries are pairs (q, v) with q on the sphere and v pointing inward. Grid
 mode enumerates a deterministic equal-area product grid of positions and
 inward directions; Monte Carlo mode draws from the seeded xoshiro256**
 stream, so identical specs give bitwise identical tables on any platform.
+
+A lens table is held in columns, one array per field with one row per
+entry: params (N, k), q and v (N, n), status, reflections, t, theta (N, n),
+sojourn and error. A null t, sojourn or theta is NaN in its column (a table
+holds no NaN otherwise), a null error is None. The table, like the entry set
+of the sampler, reads as a sequence of row views built on access.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__ as VERSION
 from . import flow, geometry
 from .flow import Limits, PhasePoint
-from .geometry import canonical_json, format_float, tangent_basis
+from .geometry import canonical_json, tangent_basis
 from .rng import Xoshiro256StarStar
 
 STATUSES = ("free", "scattered", "trapped", "gliding_rejected", "tangent_flagged", "error")
@@ -88,11 +98,34 @@ def parse_spec(text: str, seed: int = 0, n_max: int = 10000, t_max: float | None
     raise ValueError(f"bad sample spec {text!r}")
 
 
-@dataclass
-class Entry:
+class _RowViews(Sequence):
+    """Column data read one row at a time: self[k] is the view of row k,
+    built on access from the k-th entry of each column."""
+
+    def __len__(self):
+        return len(self.q)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self._row(i) for i in range(len(self))[k]]
+        return self._row(range(len(self))[k])
+
+
+class Entry(NamedTuple):
     params: tuple
     q: np.ndarray
     v: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class Entries(_RowViews):
+    """Entry states in columns: parameters (N, k), positions and directions (N, n)."""
+    params: np.ndarray
+    q: np.ndarray
+    v: np.ndarray
+
+    def _row(self, k: int) -> Entry:
+        return Entry(tuple(self.params[k].tolist()), self.q[k], self.v[k])
 
 
 def _rounded_partition(total: int, bands: int):
@@ -107,7 +140,7 @@ def _cos_sin(x: np.ndarray):
     return np.array(list(map(math.cos, x))), np.array(list(map(math.sin, x)))
 
 
-def _entries(a: float, dim: int, P: np.ndarray) -> list[Entry]:
+def _entries(a: float, dim: int, P: np.ndarray) -> Entries:
     """Entries for the rows of the parameter matrix P: (alpha, beta) in 2D,
     position angle and angle of v from the inward normal; (z, phi, mu, psi)
     in 3D, position height and azimuth, mu = <v, nu> and the azimuth of v in
@@ -129,7 +162,7 @@ def _entries(a: float, dim: int, P: np.ndarray) -> list[Entry]:
         sin_theta = np.sqrt(np.maximum(0.0, 1.0 - mu * mu))
         v = (sin_theta[:, None] * (cos_psi[:, None] * T[..., 0] + sin_psi[:, None] * T[..., 1])
              + mu[:, None] * nu)
-    return [Entry(p, qk, vk) for p, qk, vk in zip(map(tuple, P.tolist()), q, v)]
+    return Entries(P, q, v)
 
 
 def _band_grid(total: int, heights: list) -> np.ndarray:
@@ -140,8 +173,9 @@ def _band_grid(total: int, heights: list) -> np.ndarray:
                      for i in range(m)])
 
 
-def sample_phase_sphere(spec: SampleSpec, ball_radius: float, dimension: int):
-    """Entry samples covering the inward phase set of the boundary sphere.
+def sample_phase_sphere(spec: SampleSpec, ball_radius: float, dimension: int) -> Entries:
+    """Entry samples covering the inward phase set of the boundary sphere,
+    as columns; entries[k] is the Entry of row k.
 
     Grid mode: positions on an equal-area grid of the sphere crossed with an
     equal-area grid of the inward hemisphere in the local tangent frame.
@@ -173,8 +207,8 @@ def sample_phase_sphere(spec: SampleSpec, ball_radius: float, dimension: int):
     return _entries(a, dimension, P)
 
 
-@dataclass
-class LensSample:
+class LensRow(NamedTuple):
+    """One row of a LensTable, as its columns hold it, with None for null."""
     params: tuple
     q: np.ndarray
     v: np.ndarray
@@ -183,15 +217,46 @@ class LensSample:
     reflections: int
     theta: np.ndarray | None
     sojourn: float | None
-    error: str | None = None
+    error: str | None
 
 
-@dataclass
-class LensTable:
+def _or_none(x: float):
+    return None if math.isnan(x) else x
+
+
+def _status_column(status) -> np.ndarray:
+    """Strings of STATUSES, in an array wide enough for any of them."""
+    return np.array(status, dtype=(str, max(map(len, STATUSES))))
+
+
+@dataclass(eq=False)
+class LensTable(_RowViews):
+    """Lens data of every entry of a spec, one column per field (see the
+    module docstring); `status` holds strings of STATUSES."""
     scene_hash: str
     spec: SampleSpec
-    samples: list
+    params: np.ndarray       # (N, k)
+    q: np.ndarray            # (N, n)
+    v: np.ndarray            # (N, n)
+    status: np.ndarray       # (N,) str
+    reflections: np.ndarray  # (N,) int
+    t: np.ndarray            # (N,), NaN for null
+    theta: np.ndarray        # (N, n), NaN rows for null
+    sojourn: np.ndarray      # (N,), NaN for null
+    error: np.ndarray        # (N,) object: str or None
     summary: dict
+
+    @property
+    def samples(self) -> "LensTable":
+        """The rows, as a read-only sequence of LensRow views."""
+        return self
+
+    def _row(self, k: int) -> LensRow:
+        theta = self.theta[k]
+        return LensRow(tuple(self.params[k].tolist()), self.q[k], self.v[k], str(self.status[k]),
+                       _or_none(float(self.t[k])), int(self.reflections[k]),
+                       None if np.isnan(theta).any() else theta, _or_none(float(self.sojourn[k])),
+                       self.error[k])
 
 
 def _mean(xs) -> float:
@@ -210,45 +275,48 @@ def classify_trajectory(traj) -> str:
     return "free" if not traj.events else "scattered"
 
 
+def _summary(status: list, t: np.ndarray) -> dict:
+    times = t[~np.isnan(t)].tolist()
+    return {
+        "counts": {s: status.count(s) for s in STATUSES},
+        "t_min": min(times) if times else None,
+        "t_max": max(times) if times else None,
+        "t_mean": _mean(times) if times else None,
+    }
+
+
 def build_lens_table(scene, spec: SampleSpec) -> LensTable:
     """Trace every entry of the spec and collect per-entry lens data.
 
     Tangent-flagged samples (an orbit with any tangent event) carry no
     travelling time: they sit on the measure-zero strata excluded from the
-    comparison harness. Per-sample numeric failures are recorded in the
-    sample rather than aborting the batch.
+    comparison harness. A numeric failure of one ray (a failed root polish,
+    a gradient under the floor, an overflow) is recorded in its row, with
+    status "error", rather than aborting the batch.
     """
     entries = sample_phase_sphere(spec, scene.ball_radius, scene.dimension)
     limits = spec.limits()
-    samples = []
-    for entry in entries:
+    n = len(entries)
+    status, error, reflections = ["error"] * n, [None] * n, [0] * n
+    t, sojourn = [math.nan] * n, [math.nan] * n
+    theta = np.full(entries.v.shape, math.nan)
+    for k, (q, v) in enumerate(zip(entries.q, entries.v)):
         try:
-            traj = flow.trace(scene, PhasePoint(entry.q, entry.v), limits)
-        except flow.RootPolishFailed as exc:
-            samples.append(LensSample(entry.params, entry.q, entry.v, "error", None, 0,
-                                      None, None, str(exc)))
+            traj = flow.trace(scene, PhasePoint(q, v), limits)
+        except (flow.RootPolishFailed, geometry.SingularGradient, ArithmeticError) as exc:
+            error[k] = str(exc)
             continue
-        status = classify_trajectory(traj)
-        refl = len(traj.events)
-        theta = traj.exit_state.v.copy() if traj.status == "exited" else None
-        if status in ("free", "scattered"):
-            t = traj.total_time
-            sojourn = flow.sojourn_time(scene, traj)
-        else:
-            t = None
-            sojourn = None
-        samples.append(LensSample(entry.params, entry.q, entry.v, status, t, refl, theta, sojourn))
-    counts = {s: 0 for s in STATUSES}
-    for s in samples:
-        counts[s.status] += 1
-    times = [s.t for s in samples if s.t is not None]
-    summary = {
-        "counts": counts,
-        "t_min": min(times) if times else None,
-        "t_max": max(times) if times else None,
-        "t_mean": _mean(times) if times else None,
-    }
-    return LensTable(geometry.scene_hash(scene), spec, samples, summary)
+        status[k] = classify_trajectory(traj)
+        reflections[k] = len(traj.events)
+        if traj.status == "exited":
+            theta[k] = traj.exit_state.v
+        if status[k] in ("free", "scattered"):
+            t[k] = traj.total_time
+            sojourn[k] = flow.sojourn_time(scene, traj)
+    t = np.array(t)
+    return LensTable(geometry.scene_hash(scene), spec, entries.params, entries.q, entries.v,
+                     _status_column(status), np.array(reflections, dtype=np.int64), t, theta,
+                     np.array(sojourn), np.array(error, dtype=object), _summary(status, t))
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +339,8 @@ class TrappedEstimate:
         }
 
 
-def _phase_coords(samples, a: float) -> np.ndarray:
-    return np.array([np.concatenate([s.q / a, s.v]) for s in samples])
+def _phase_coords(table: LensTable, rows: np.ndarray, a: float) -> np.ndarray:
+    return np.hstack([table.q[rows] / a, table.v[rows]])
 
 
 def estimate_trapped(scene, specs) -> TrappedEstimate:
@@ -294,19 +362,18 @@ def estimate_trapped(scene, specs) -> TrappedEstimate:
     fractions, radii, trapped_counts = [], [], []
     for spec in specs:
         table = build_lens_table(scene, spec)
-        trapped = [s for s in table.samples if s.status == "trapped"]
-        others = [s for s in table.samples if s.status != "trapped"]
-        frac = len(trapped) / len(table.samples)
-        if not trapped:
+        trapped = table.status == "trapped"
+        count = int(np.count_nonzero(trapped))
+        if count == 0:
             radius = 0.0
-        elif not others:
+        elif count == len(table):
             radius = 2.0 * math.sqrt(2.0)  # diameter bound of the normalized phase space
         else:
-            radius = float(np.max(geometry.nearest_distances(_phase_coords(trapped, a),
-                                                             _phase_coords(others, a))))
-        fractions.append(frac)
+            radius = float(np.max(geometry.nearest_distances(_phase_coords(table, trapped, a),
+                                                             _phase_coords(table, ~trapped, a))))
+        fractions.append(count / len(table))
         radii.append(radius)
-        trapped_counts.append(len(trapped))
+        trapped_counts.append(count)
     return TrappedEstimate(counts, fractions, radii, trapped_counts)
 
 
@@ -449,39 +516,28 @@ def compare_lens(table_k: LensTable, table_l: LensTable, time_tolerance: float) 
     tolerance remain."""
     if table_k.spec != table_l.spec:
         raise SpecMismatch("lens tables were generated from different sample specs")
-    if len(table_k.samples) != len(table_l.samples):
+    if len(table_k) != len(table_l):
         raise SpecMismatch("lens tables have different sample counts")
-    matched = len(table_k.samples)
-    excluded = both_trapped = status_mm = refl_mm = 0
-    dts = []
-    exceed = 0
-    for sk, sl in zip(table_k.samples, table_l.samples):
-        if sk.params != sl.params:
-            raise SpecMismatch("sample entry parameters do not align")
-        if sk.status == "tangent_flagged" or sl.status == "tangent_flagged":
-            excluded += 1
-            continue
-        if sk.status == "trapped" and sl.status == "trapped":
-            both_trapped += 1
-            continue
-        if sk.status != sl.status:
-            status_mm += 1
-            continue
-        if sk.status in ("free", "scattered"):
-            if sk.reflections != sl.reflections:
-                refl_mm += 1
-            dt = abs(sk.t - sl.t)
-            dts.append(dt)
-            if dt > time_tolerance:
-                exceed += 1
+    if not np.array_equal(table_k.params, table_l.params):
+        raise SpecMismatch("sample entry parameters do not align")
+    sk, sl = table_k.status, table_l.status
+    excluded = (sk == "tangent_flagged") | (sl == "tangent_flagged")
+    both_trapped = ~excluded & (sk == "trapped") & (sl == "trapped")
+    joined = ~excluded & ~both_trapped
+    status_mm = joined & (sk != sl)
+    timed = joined & ~status_mm & ((sk == "free") | (sk == "scattered"))
+    refl_mm = np.count_nonzero(table_k.reflections[timed] != table_l.reflections[timed])
+    dts = np.abs(table_k.t[timed] - table_l.t[timed])
     compared = len(dts)
-    max_dt = max(dts) if dts else 0.0
-    mean_dt = _mean(dts) if compared else 0.0
+    exceed = int(np.count_nonzero(dts > time_tolerance))
+    max_dt = float(dts.max()) if compared else 0.0
+    mean_dt = _mean(dts.tolist()) if compared else 0.0
     exceed_fraction = exceed / compared if compared else 0.0
-    verdict = ("indistinguishable" if exceed == 0 and status_mm == 0 and refl_mm == 0
+    verdict = ("indistinguishable" if exceed == 0 and not status_mm.any() and refl_mm == 0
                else "distinguishable")
-    return ComparisonReport(matched, compared, excluded, both_trapped, status_mm, refl_mm,
-                            max_dt, mean_dt, exceed_fraction, time_tolerance, verdict)
+    return ComparisonReport(len(table_k), compared, int(np.count_nonzero(excluded)),
+                            int(np.count_nonzero(both_trapped)), int(np.count_nonzero(status_mm)),
+                            int(refl_mm), max_dt, mean_dt, exceed_fraction, time_tolerance, verdict)
 
 
 def boundary_distance(scene_k, scene_l, density: float) -> float:
@@ -510,50 +566,57 @@ def boundary_distance(scene_k, scene_l, density: float) -> float:
 # serialization
 
 
-def _floats(xs) -> str:
-    return ",".join(map(format_float, xs))
+def _numbers(width: int) -> str:
+    """A %-template of `width` numbers: '%.17g' % x is format_float(x)."""
+    return ",".join(["%.17g"] * width)
 
 
-def _json_vectors(vectors) -> list[str]:
-    """JSON arrays of a column of vectors (None for null)."""
-    return ["null" if x is None else "[" + _floats(x.tolist()) + "]" for x in vectors]
-
-
-def _nullable(xs, none: str) -> list[str]:
-    return [none if x is None else format_float(x) for x in xs]
-
-
-# one row in canonical_json's sorted-key order
-_JSONL_ROW = ('{"error":%s,"params":[%s],"q":%s,"reflections":%d,"sojourn":%s,"status":%s,'
-              '"t":%s,"theta":%s,"v":%s}')
+def _lines(table: LensTable, template) -> list:
+    """One text line per row. Rows that share a status and a pattern of null
+    t, sojourn and theta share one %-template: template(status, t_null,
+    sojourn_null, theta_null) returns it and the columns whose numbers it
+    takes, in order."""
+    nulls = np.isnan(table.t) + 2 * np.isnan(table.sojourn) + 4 * np.isnan(table.theta[:, 0])
+    names, status = np.unique(table.status, return_inverse=True)
+    groups = 8 * status + nulls
+    out = np.empty(len(table), dtype=object)
+    for group in np.unique(groups).tolist():
+        rows = np.flatnonzero(groups == group)
+        k, null = divmod(group, 8)
+        tpl, cols = template(str(names[k]), null & 1, null & 2, null & 4)
+        out[rows] = [tpl % tuple(r) for r in np.column_stack([c[rows] for c in cols]).tolist()]
+    return out.tolist()
 
 
 def table_to_jsonl(table: LensTable, header_extra: dict | None = None) -> str:
     """Header line, then one row per sample, each equal to canonical_json of
-    the sample's fields; the rows are written a column at a time."""
+    the sample's fields."""
     header = {"scene_hash": table.scene_hash, "spec": table.spec.to_dict(),
               "version": VERSION, "summary": table.summary}
     if header_extra:
         header = {**header_extra, **header}  # core table keys win on collision
-    S = table.samples
-    statuses = [s.status for s in S]
-    quoted = {st: json.dumps(st) for st in set(statuses)}
-    rows = zip(
-        ["null" if s.error is None else json.dumps(s.error) for s in S],
-        [_floats(s.params) for s in S],
-        _json_vectors([s.q for s in S]),
-        [s.reflections for s in S],
-        _nullable([s.sojourn for s in S], "null"),
-        [quoted[st] for st in statuses],
-        _nullable([s.t for s in S], "null"),
-        _json_vectors([s.theta for s in S]),
-        _json_vectors([s.v for s in S]),
-    )
-    return "\n".join([canonical_json(header), *(_JSONL_ROW % r for r in rows)]) + "\n"
+    params = _numbers(table.params.shape[1])
+    vector = "[" + _numbers(table.q.shape[1]) + "]"
+
+    def template(status, t_null, sojourn_null, theta_null):
+        # the keys in canonical_json's sorted order
+        cols = [table.params, table.q, table.reflections] + [
+            col for col, null in ((table.sojourn, sojourn_null), (table.t, t_null),
+                                  (table.theta, theta_null)) if not null] + [table.v]
+        return ('{"error":null,"params":[' + params + '],"q":' + vector + ',"reflections":%d'
+                + ',"sojourn":' + ("null" if sojourn_null else "%.17g")
+                + ',"status":' + json.dumps(status) + ',"t":' + ("null" if t_null else "%.17g")
+                + ',"theta":' + ("null" if theta_null else vector) + ',"v":' + vector + "}"), cols
+
+    rows = _lines(table, template)
+    for k, error in enumerate(table.error.tolist()):
+        if error is not None:
+            rows[k] = '{"error":' + json.dumps(error) + rows[k][len('{"error":null'):]
+    return "\n".join([canonical_json(header), *rows]) + "\n"
 
 
 _HEADER_KEYS = frozenset(("scene_hash", "spec"))
-_ROW_KEYS = frozenset(("params", "q", "v", "status", "t", "reflections", "theta", "sojourn"))
+_ROW_KEYS = ("params", "q", "v", "status", "t", "reflections", "theta", "sojourn")
 _NUMBER_TYPES = frozenset((int, float))  # exact types: JSON true/false load as bool, rejected
 
 
@@ -561,15 +624,20 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
-# one decoder for every line: json.loads with keyword arguments builds one per call
-_DECODER = json.JSONDecoder(parse_constant=_no_constant)
+# one decoder for every line: json.loads with keyword arguments builds one per
+# call; "-0" reads as the float -0.0, so a table rewrites it with its sign
+_DECODER = json.JSONDecoder(parse_constant=_no_constant, parse_int=geometry._json_int)
+
+
+def _decode(line: str, lineno: int):
+    try:
+        return _DECODER.decode(line)
+    except ValueError as exc:  # malformed JSON, or NaN / Infinity
+        raise geometry.SchemaError(f"lens table line {lineno}: invalid JSON: {exc}") from exc
 
 
 def _json_object(line: str, lineno: int, keys) -> dict:
-    try:
-        d = _DECODER.decode(line)
-    except ValueError as exc:  # malformed JSON, or NaN / Infinity
-        raise geometry.SchemaError(f"lens table line {lineno}: invalid JSON: {exc}") from exc
+    d = _decode(line, lineno)
     if not isinstance(d, dict):
         raise geometry.SchemaError(f"lens table line {lineno}: not a JSON object")
     if not d.keys() >= keys:
@@ -578,15 +646,110 @@ def _json_object(line: str, lineno: int, keys) -> dict:
     return d
 
 
-def _numbers(d: dict, key: str, lineno: int) -> list:
-    x = d[key]
-    if type(x) is not list or not set(map(type, x)) <= _NUMBER_TYPES:
-        raise geometry.SchemaError(f"lens table line {lineno}: {key} must be a list of numbers")
+def _finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _check(every: bool, col, ok, linenos, message: str):
+    """Unless `every` (a test of the whole column) holds, raise SchemaError
+    naming the line of the first row of col that fails ok; the message may
+    name that row's value as {!r}."""
+    if not every:
+        k = next(k for k, x in enumerate(col) if not ok(x))
+        raise geometry.SchemaError(f"lens table line {linenos[k]}: " + message.format(col[k]))
+
+
+def _floats(numbers, count: int, col, ok, linenos, message) -> np.ndarray:
+    """The count numbers (of checked types; None gives NaN) of a column as
+    finite floats; col, ok and message name the first bad row otherwise."""
+    try:
+        x = np.fromiter(numbers, dtype=float, count=count)
+        finite = not np.isinf(x).any()
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    _check(finite, col, ok, linenos, message)
     return x
 
 
+def _vectors(col, width: int, linenos, key: str, nullable: bool = False) -> np.ndarray:
+    """(N, width) floats of a column of lists of numbers; NaN rows for null."""
+    present = [x for x in col if x is not None] if nullable else col
+
+    def ok(x):
+        return ((nullable and x is None)
+                or (type(x) is list and len(x) == width and set(map(type, x)) <= _NUMBER_TYPES
+                    and all(map(_finite, x))))
+
+    message = f"{key} must be a list of {width} numbers" + (" or null" if nullable else "")
+    _check(set(map(type, present)) <= {list} and set(map(len, present)) <= {width}
+           and set(map(type, chain.from_iterable(present))) <= _NUMBER_TYPES,
+           col, ok, linenos, message)
+    rows = [[math.nan] * width if x is None else x for x in col] if nullable else col
+    return _floats(chain.from_iterable(rows), width * len(col), col, ok, linenos,
+                   message).reshape(-1, width)
+
+
+def _scalars(col, linenos, key: str) -> np.ndarray:
+    """Floats of a column of numbers or nulls; NaN for null."""
+    def ok(x):
+        return x is None or (type(x) in _NUMBER_TYPES and _finite(x))
+
+    message = f"{key} must be a number or null"
+    _check(set(map(type, col)) <= _NUMBER_TYPES | {type(None)}, col, ok, linenos, message)
+    return _floats(col, len(col), col, ok, linenos, message)
+
+
+def _columns(lines: list, n: int | None) -> tuple:
+    """The columns of a block of (line number, row) pairs, in LensTable
+    order: each row decoded once, each column checked in one pass, and the
+    first bad row of a bad column named. n is the dimension, None to take
+    it from the first row."""
+    linenos = [k for k, _ in lines]
+    raw_decode = _DECODER.raw_decode
+    rows = []
+    for lineno, ln in lines:
+        try:
+            row, end = raw_decode(ln)
+        except ValueError:
+            end = None
+        # whitespace around the value, or an error: the full decoder reads it or names it
+        rows.append(row if end == len(ln) else _decode(ln, lineno))
+    try:
+        params, q, v, status, t, reflections, theta, sojourn = (
+            list(map(itemgetter(key), rows)) for key in _ROW_KEYS)
+    except (KeyError, TypeError):  # a row that is no object, or lacks a key: find it
+        for lineno, ln in lines:
+            _json_object(ln, lineno, frozenset(_ROW_KEYS))
+        raise
+    error = [d.get("error") for d in rows]
+    _check(set(map(type, status)) <= {str} and set(status) <= set(STATUSES), status,
+           STATUSES.__contains__, linenos, "unknown status {!r}")
+    # a count that the writers, which format it from a float, keep exactly
+    _check(set(map(type, reflections)) <= {int} and 0 <= min(reflections)
+           and max(reflections) <= 2**53, reflections, lambda r: type(r) is int and 0 <= r <= 2**53,
+           linenos, "reflections must be an integer from 0 to 2**53")
+    _check(set(map(type, error)) <= {str, type(None)}, error, lambda e: e is None or type(e) is str,
+           linenos, "error must be a string or null")
+    status = _status_column(status)
+    t = _scalars(t, linenos, "t")
+    timed = (status == "free") | (status == "scattered")
+    _check(not np.isnan(t[timed]).any(), range(len(t)), lambda k: not (timed[k] and math.isnan(t[k])),
+           linenos, "a free or scattered row must have a number t")
+    if n is None:
+        n = len(q[0]) if type(q[0]) is list and len(q[0]) in (2, 3) else 2
+    return (_vectors(params, 2 * (n - 1), linenos, "params"), _vectors(q, n, linenos, "q"),
+            _vectors(v, n, linenos, "v"), status, np.array(reflections, dtype=np.int64), t,
+            _vectors(theta, n, linenos, "theta", nullable=True), _scalars(sojourn, linenos, "sojourn"),
+            np.array(error, dtype=object))
+
+
 def table_from_jsonl(text: str) -> LensTable:
-    """Parse a lens table; raises SchemaError naming the line on malformed input."""
+    """Parse a lens table; raises SchemaError naming the line on malformed
+    input. The rows become columns 4096 lines at a time, so that besides the
+    columns only one block of decoded rows is held."""
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty lens table file")
@@ -599,52 +762,31 @@ def table_from_jsonl(text: str) -> LensTable:
     if len(lines) - 1 != spec.count():
         raise geometry.SchemaError(f"lens table has {len(lines) - 1} rows, but its spec "
                                    f"{spec.spec_string()} has {spec.count()}")
-    samples = []
-    for lineno, ln in lines[1:]:
-        d = _json_object(ln, lineno, _ROW_KEYS)
-        if d["status"] not in STATUSES:
-            raise geometry.SchemaError(f"lens table line {lineno}: unknown status {d['status']!r}")
-        if type(d["reflections"]) is not int:
-            raise geometry.SchemaError(f"lens table line {lineno}: reflections must be an integer")
-        for key in ("t", "sojourn"):
-            if d[key] is not None and type(d[key]) not in _NUMBER_TYPES:
-                raise geometry.SchemaError(f"lens table line {lineno}: {key} must be a number "
-                                           "or null")
-        theta = None if d["theta"] is None else np.array(_numbers(d, "theta", lineno), dtype=float)
-        samples.append(
-            LensSample(
-                tuple(_numbers(d, "params", lineno)),
-                np.array(_numbers(d, "q", lineno), dtype=float),
-                np.array(_numbers(d, "v", lineno), dtype=float),
-                d["status"],
-                d["t"],
-                d["reflections"],
-                theta,
-                d["sojourn"],
-                d.get("error"),
-            )
-        )
-    return LensTable(header["scene_hash"], spec, samples, header.get("summary", {}))
+    blocks, n = [], None
+    for start in range(1, len(lines), 4096):
+        blocks.append(_columns(lines[start:start + 4096], n))
+        n = blocks[0][1].shape[1]
+    return LensTable(header["scene_hash"], spec, *map(np.concatenate, zip(*blocks)),
+                     header.get("summary", {}))
 
 
 def table_to_csv(table: LensTable, dimension: int) -> str:
     """A `#` line with the version, scene hash, spec and seed, a column line,
-    then one row per sample; the rows are written a column at a time."""
+    then one row per sample."""
     param_names = ["alpha", "beta"] if dimension == 2 else ["pos_z", "pos_phi", "dir_mu", "dir_psi"]
     theta_names = [f"theta_{ax}" for ax in "xyz"[:dimension]]
     cols = param_names + ["status", "t", "reflections"] + theta_names + ["sojourn"]
-    out = ["# billiard-lens " + VERSION + " scene=" + table.scene_hash
-           + " spec=" + table.spec.spec_string() + " seed=" + str(table.spec.seed)]
-    out.append(",".join(cols))
-    S = table.samples
-    no_theta = "," * (dimension - 1)
-    rows = zip(
-        [_floats(s.params) for s in S],
-        [s.status for s in S],
-        _nullable([s.t for s in S], ""),
-        [s.reflections for s in S],
-        [no_theta if s.theta is None else _floats(s.theta.tolist()) for s in S],
-        _nullable([s.sojourn for s in S], ""),
-    )
-    out.extend("%s,%s,%s,%d,%s,%s" % r for r in rows)
-    return "\n".join(out) + "\n"
+    head = ["# billiard-lens " + VERSION + " scene=" + table.scene_hash
+            + " spec=" + table.spec.spec_string() + " seed=" + str(table.spec.seed), ",".join(cols)]
+    params = _numbers(table.params.shape[1])
+    theta = _numbers(table.theta.shape[1])
+
+    def template(status, t_null, sojourn_null, theta_null):
+        cols = [table.params] + [col for col, null in ((table.t, t_null), (table.reflections, False),
+                                                       (table.theta, theta_null),
+                                                       (table.sojourn, sojourn_null)) if not null]
+        return (params + "," + status + "," + ("" if t_null else "%.17g") + ",%d,"
+                + ("," * (dimension - 1) if theta_null else theta) + ","
+                + ("" if sojourn_null else "%.17g")), cols
+
+    return "\n".join(head + _lines(table, template)) + "\n"

@@ -154,6 +154,18 @@ def _all_pieces_curve(draw, bump_direction=(0.0, 1.0)):
     return _all_pieces_chain(a, b, h, r, amp, rho, c, bump_direction)
 
 
+class FaintSphere(bl.SphereObstacle):
+    """A sphere whose gradient is scaled by `scale`: the same boundary, a
+    weaker |grad F|."""
+
+    def __init__(self, center, radius, scale):
+        super().__init__(center, radius)
+        self.scale = scale
+
+    def gradient(self, x):
+        return self.scale * super().gradient(x)
+
+
 def entry_through(point, direction, a=A_BALL):
     """Entry phase point on the sphere whose ray passes through `point` with
     the given direction."""

@@ -132,47 +132,53 @@ def test_lens_and_compare_self(disc_json, tmp_path):
     assert doc["report"]["max_dt"] == 0.0
 
 
-def _drop_status(lines):
-    row = json.loads(lines[1])
+def _drop_status(lines, k):
+    row = json.loads(lines[k])
     del row["status"]
-    lines[1] = json.dumps(row)
+    lines[k] = json.dumps(row)
 
 
-def _drop_spec(lines):
+def _drop_spec(lines, k):
     header = json.loads(lines[0])
     del header["spec"]
     lines[0] = json.dumps(header)
 
 
-def _array_row(lines):
-    lines[2] = "[1, 2, 3]"
+def _array_row(lines, k):
+    lines[k] = "[1, 2, 3]"
 
 
 def _set(key, value):
-    def corrupt(lines):
-        row = json.loads(lines[1])
+    def corrupt(lines, k):
+        row = json.loads(lines[k])
         row[key] = value
-        lines[1] = json.dumps(row)
+        lines[k] = json.dumps(row)
     return corrupt
 
 
 @pytest.mark.parametrize("corrupt", [_drop_spec, _drop_status, _array_row, _set("t", "fast"),
                                      _set("q", [1.0, "x"]), _set("status", "bogus"),
-                                     _set("reflections", "many"), _set("t", math.nan)],
+                                     _set("reflections", "many"), _set("t", math.nan),
+                                     _set("t", None), _set("q", [10.0, 0.0, 0.0]),
+                                     _set("reflections", -1), _set("error", 5)],
                          ids=["header-without-spec", "row-without-status", "row-not-object",
                               "text-time", "text-in-q", "unknown-status", "text-reflections",
-                              "nan-time"])
+                              "nan-time", "free-row-without-time", "q-of-three-in-2d",
+                              "negative-reflections", "number-error"])
 def test_compare_malformed_table_exits_2(disc_json, tmp_path, corrupt):
     good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
     assert cli.main(["lens", "--scene", disc_json, "--spec", "grid:4x4", "--out", str(good)]) == 0
-    lines = good.read_text().splitlines()
-    corrupt(lines)
-    bad.write_text("\n".join(lines) + "\n")
-    proc = run_python("-m", "billiard_lens.cli", "compare", "--scene", str(good),
-                      "--scene-b", str(bad))
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ")
-    assert "Traceback" not in proc.stderr
+    # the header has one place; a row fault is put in the first row and in a
+    # middle one, and the message names the line either way
+    for k in [0] if corrupt is _drop_spec else [1, 9]:
+        lines = good.read_text().splitlines()
+        corrupt(lines, k)
+        bad.write_text("\n".join(lines) + "\n")
+        proc = run_python("-m", "billiard_lens.cli", "compare", "--scene", str(good),
+                          "--scene-b", str(bad))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: lens table line {k + 1}: ")
+        assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("kept", [0, 255], ids=["header-only", "one-row-missing"])
@@ -189,6 +195,20 @@ def test_compare_truncated_table_exits_2(disc_json, tmp_path, kept):
     assert proc.stderr.startswith("error: ")
     assert f"has {kept} rows" in proc.stderr and "grid:16x16 has 256" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_lens_records_an_overflow_per_ray(tmp_path):
+    # |u_i|^(p-1) leaves the float range inside the bounding circle of this
+    # thin body: those rays are error rows, and the table is still written
+    scene = bl.make_scene(2, 10.0, [bl.SuperellipsoidObstacle([0.0, 0.0], [5.0, 0.1], 200.0)], "thin")
+    path, out = tmp_path / "thin.json", tmp_path / "thin.jsonl"
+    path.write_text(geometry.scene_to_json(scene) + "\n")
+    assert cli.main(["lens", "--scene", str(path), "--spec", "grid:16x16", "--out", str(out)]) == 0
+    table = lens.table_from_jsonl(out.read_text())
+    errors = table.status == "error"
+    assert table.summary["counts"]["error"] == np.count_nonzero(errors) == 60
+    assert set(table.error[errors]) == {str(OverflowError(34, "Numerical result out of range"))}
+    assert table.summary["counts"]["scattered"] > 0
 
 
 def test_compare_expect_equal_exit_code(disc_json, tmp_path):

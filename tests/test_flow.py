@@ -10,7 +10,7 @@ from billiard_lens import flow, geometry
 from billiard_lens.flow import Limits, NotScattered, PhasePoint
 from billiard_lens.rng import Xoshiro256StarStar
 
-from conftest import A_BALL, _all_pieces_curve, _rotation, entry_through
+from conftest import A_BALL, FaintSphere, _all_pieces_curve, _rotation, entry_through
 
 
 def test_first_hit_diametric(sphere_scene):
@@ -388,30 +388,18 @@ def test_first_hit_raises_on_inside_start(sphere_scene):
             flow.first_hit(scene, PhasePoint(np.array([0.2, 0.1, 0.0]), np.array([1.0, 0, 0])), 100.0)
 
 
-class _FaintSphere(bl.SphereObstacle):
-    """A sphere whose gradient is scaled by `scale`: the same boundary, a
-    weaker |grad F|."""
-
-    def __init__(self, center, radius, scale):
-        super().__init__(center, radius)
-        self.scale = scale
-
-    def gradient(self, x):
-        return self.scale * super().gradient(x)
-
-
 def test_tracer_normal_has_the_obstacle_gradient_floor():
     # |grad F| = 2e-12 on the unit circle, under the floor 1e-10 max(1, R)
     # that the tracer's normal shares with the local query
     entry = PhasePoint(np.array([-A_BALL, 0.0]), np.array([1.0, 0.0]))
-    faint = _FaintSphere([0.0, 0.0], 1.0, 1e-12)
+    faint = FaintSphere([0.0, 0.0], 1.0, 1e-12)
     assert faint.gradient_floor() == geometry._GRAD_FLOOR
     with pytest.raises(geometry.SingularGradient):
         faint.normal_at([-1.0, 0.0])
     with pytest.raises(geometry.SingularGradient):
         flow.trace(bl.make_scene(2, A_BALL, [faint], "faint"), entry)
     # 2e-9 is above the floor, and the orbit is the plain disc's
-    traj = flow.trace(bl.make_scene(2, A_BALL, [_FaintSphere([0.0, 0.0], 1.0, 1e-9)], "weak"), entry)
+    traj = flow.trace(bl.make_scene(2, A_BALL, [FaintSphere([0.0, 0.0], 1.0, 1e-9)], "weak"), entry)
     assert traj.status == "exited" and len(traj.events) == 1
     assert np.allclose(traj.events[0].v_out, [-1.0, 0.0], atol=1e-15)
 

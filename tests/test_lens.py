@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import json
 import math
+import operator
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -15,7 +17,7 @@ from billiard_lens.flow import PhasePoint
 from billiard_lens.lens import LensTable, SampleSpec, SpecMismatch
 from billiard_lens.rng import Xoshiro256StarStar
 
-from conftest import A_BALL, cross_basis
+from conftest import A_BALL, FaintSphere, cross_basis
 
 
 def test_parse_spec_round_trip():
@@ -126,12 +128,30 @@ def test_means_are_correctly_rounded(disc_scene, livshits_pair):
     table = lens.build_lens_table(disc_scene, SampleSpec("grid", 3, 3))
     times = [s.t for s in table.samples]
     assert table.summary["t_mean"] == math.fsum(times) / 9 == 12.666666666666664
-    shifted = LensTable(table.scene_hash, table.spec,
-                        [dataclasses.replace(s, t=s.t + 3.3) for s in table.samples], table.summary)
+    shifted = dataclasses.replace(table, t=table.t + 3.3)
     dts = [abs(s.t - r.t) for s, r in zip(table.samples, shifted.samples)]
     assert lens.compare_lens(table, shifted, 10.0).mean_dt == math.fsum(dts) / 9
+    # one large time difference and eight small ones, whose sum left to
+    # right or pairwise (numpy's) rounds off part of the small ones
+    far = dataclasses.replace(table, t=table.t + np.array([1e16] + [1.0] * 7 + [3.0]))
+    dts = [abs(s.t - r.t) for s, r in zip(table.samples, far.samples)]
+    assert functools.reduce(operator.add, dts) != math.fsum(dts) != float(np.sum(dts))
+    assert lens.compare_lens(table, far, 10.0).mean_dt == math.fsum(dts) / 9
     chain = livshits_pair[0].obstacles[0].chain
     assert chain.total_length == math.fsum(chain.lengths)
+
+
+def test_gradient_under_the_floor_is_an_error_row():
+    # |grad F| = 2e-12 on the unit circle: every ray that meets the disc
+    # fails at its normal; the table records those rows and goes on
+    scene = bl.make_scene(2, A_BALL, [FaintSphere([0.0, 0.0], 1.0, 1e-12)], "faint")
+    table = lens.build_lens_table(scene, SampleSpec("grid", 16, 16))
+    errors = table.status == "error"
+    assert table.summary["counts"]["error"] == np.count_nonzero(errors) > 0
+    assert set(table.error[errors]) == {"singular normal on obstacle 0: |grad F| = 2e-12"}
+    assert all(e is None for e in table.error[~errors])
+    assert np.isnan(table.t[errors]).all() and (table.reflections[errors] == 0).all()
+    assert table.summary["counts"]["free"] == len(table) - np.count_nonzero(errors)
 
 
 def test_compare_with_itself(disc_scene):
@@ -155,16 +175,22 @@ def test_compare_detects_radius_change():
     assert rep.max_dt >= 2.0 * 0.01 * (1.0 - 1e-6)
 
 
-def test_compare_excludes_tangent_flagged(disc_scene):
-    import copy
+def _with_row(table, index, **fields):
+    """A copy of the table with the named fields of one row replaced; None
+    is null (NaN) in a float column."""
+    columns = {}
+    for name, value in fields.items():
+        col = getattr(table, name).copy()
+        col[index] = math.nan if value is None and col.dtype.kind == "f" else value
+        columns[name] = col
+    return dataclasses.replace(table, **columns)
 
+
+def test_compare_excludes_tangent_flagged(disc_scene):
     spec = SampleSpec("grid", 8, 6)
     t1 = lens.build_lens_table(disc_scene, spec)
-    t2 = copy.deepcopy(t1)
-    flagged = t2.samples[5]
-    t2.samples[5] = lens.LensSample(flagged.params, flagged.q, flagged.v,
-                                    "tangent_flagged", None, flagged.reflections,
-                                    flagged.theta, None)
+    t2 = _with_row(t1, 5, status="tangent_flagged", t=None, sojourn=None)
+    assert t2.samples[5].status == "tangent_flagged" and t1.samples[5].status != "tangent_flagged"
     rep = lens.compare_lens(t1, t2, 1e-8)
     assert rep.excluded_tangent == 1
     assert rep.verdict == "indistinguishable"
@@ -172,13 +198,7 @@ def test_compare_excludes_tangent_flagged(disc_scene):
 
 
 def _with_status(table, index, status):
-    import copy
-
-    out = copy.deepcopy(table)
-    s = out.samples[index]
-    out.samples[index] = lens.LensSample(s.params, s.q, s.v, status, None,
-                                         s.reflections, None, None)
-    return out
+    return _with_row(table, index, status=status, t=None, theta=None, sojourn=None)
 
 
 def test_compare_trapped_status_branches(disc_scene):
@@ -468,10 +488,29 @@ def _oracle_csv(table, dim):
     return "\n".join(lines) + "\n"
 
 
+def _table_of_rows(rows, dim, summary=None):
+    """A LensTable holding the given LensRow rows in its columns."""
+    def vectors(xs, width):
+        return np.array([[math.nan] * width if x is None else list(x) for x in xs],
+                        dtype=float).reshape(-1, width)
+
+    def scalars(xs):
+        return np.array([math.nan if x is None else x for x in xs], dtype=float)
+
+    spec = SampleSpec("mc", n_total=max(1, len(rows)), seed=3)
+    return LensTable("00ff00ff00ff00ff", spec, vectors([r.params for r in rows], 2 * (dim - 1)),
+                     vectors([r.q for r in rows], dim), vectors([r.v for r in rows], dim),
+                     lens._status_column([r.status for r in rows]),
+                     np.array([r.reflections for r in rows], dtype=np.int64),
+                     scalars([r.t for r in rows]), vectors([r.theta for r in rows], dim),
+                     scalars([r.sojourn for r in rows]), np.array([r.error for r in rows], dtype=object),
+                     summary if summary is not None else {})
+
+
 def _every_status_table(dim):
-    """Hand-made rows of every status; integer-valued numbers (which read
-    back as int), tiny and huge magnitudes, and an error message with quotes
-    and non-ASCII text."""
+    """Hand-made rows of every status; integer-valued numbers (which are
+    written as integers), tiny and huge magnitudes, and an error message with
+    quotes and non-ASCII text."""
     rng = np.random.default_rng(dim)
 
     def unit():
@@ -490,13 +529,11 @@ def _every_status_table(dim):
         ("error", None, 0, None, None, 'ray starts inside "disc 2" — Ω, 1e-300'),
         ("scattered", 1.25e22, 1, unit(), 3.0000000000000004, None),
     ]
-    samples = [lens.LensSample(params(float(k)), A_BALL * unit(), unit(), status, t, refl,
-                               theta, soj, err)
-               for k, (status, t, refl, theta, soj, err) in enumerate(rows)]
-    spec = SampleSpec("mc", n_total=len(samples), seed=3)
     counts = {s: sum(r[0] == s for r in rows) for s in lens.STATUSES}
-    return lens.LensTable("00ff00ff00ff00ff", spec, samples,
-                          {"counts": counts, "t_min": 0.5, "t_max": None, "t_mean": 7.0})
+    return _table_of_rows([lens.LensRow(params(float(k)), A_BALL * unit(), unit(), status, t, refl,
+                                        theta, soj, err)
+                           for k, (status, t, refl, theta, soj, err) in enumerate(rows)],
+                          dim, {"counts": counts, "t_min": 0.5, "t_max": None, "t_mean": 7.0})
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -512,8 +549,11 @@ def test_writers_match_row_oracles(dim):
         oracle = [geometry.canonical_json(head)] + [geometry.canonical_json(_oracle_row(s))
                                                     for s in table.samples]
         assert text == "\n".join(oracle) + "\n"
+        # integral floats are written as integers, read back as floats and
+        # rewritten as the same integers
+        assert '"params":[0,' in text and '"t":20,' in text and '"reflections":10000,' in text
         back = lens.table_from_jsonl(text)
-        assert type(back.samples[0].params[0]) is int and type(back.samples[0].t) is int
+        assert back.params[0, 0] == 0.0 and back.t[0] == 20.0 and back.reflections[2] == 10000
         assert lens.table_to_jsonl(back, header_extra) == text
     assert lens.table_to_csv(table, dim) == _oracle_csv(table, dim)
     assert lens.table_to_csv(lens.table_from_jsonl(lens.table_to_jsonl(table)), dim) \
@@ -521,9 +561,82 @@ def test_writers_match_row_oracles(dim):
 
 
 def test_writers_of_an_empty_table():
-    table = lens.LensTable("00", SampleSpec("grid", 1, 1), [], {})
+    table = _table_of_rows([], 2)
+    assert len(table) == 0 and table.samples[:] == []
     assert lens.table_to_jsonl(table).count("\n") == 1
     assert lens.table_to_csv(table, 2) == _oracle_csv(table, 2)
+
+
+def _oracle_read(text):
+    """The rows of a table read one line at a time into Python values, as
+    the per-line reader before the column model did, with "-0" read as -0.0."""
+    return [json.loads(ln, parse_int=geometry._json_int) for ln in text.splitlines()[1:] if ln.strip()]
+
+
+def _same_bits(column, values):
+    """Column equal to the values bit for bit; None is a NaN row or entry."""
+    width = column.shape[1:]
+    expected = np.array([np.full(width, math.nan) if x is None else x for x in values],
+                        dtype=float).reshape(column.shape)
+    return column.tobytes() == expected.tobytes()
+
+
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-2**53, 2**53).map(float),
+                    st.sampled_from([-0.0, 0.0, 1e22, -1.25e22, 5e-324, 2.2250738585072009e-308]))
+
+
+@st.composite
+def _rows(draw, dim):
+    status = draw(st.sampled_from(lens.STATUSES))
+    timed = status in ("free", "scattered")
+    vector = st.lists(_FLOATS, min_size=dim, max_size=dim).map(tuple)
+    return lens.LensRow(
+        tuple(draw(st.lists(_FLOATS, min_size=2 * (dim - 1), max_size=2 * (dim - 1)))),
+        draw(vector), draw(vector), status,
+        draw(_FLOATS if timed else st.none() | _FLOATS), draw(st.integers(0, 2**53)),
+        draw(st.none() | vector), draw(st.none() | _FLOATS), draw(st.none() | st.text(max_size=12)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@given(data=st.data())
+def test_tables_round_trip_byte_for_byte(dim, data):
+    rows = data.draw(st.lists(_rows(dim), min_size=1, max_size=12))
+    table = _table_of_rows(rows, dim, {"counts": {}, "t_min": None, "t_max": None, "t_mean": None})
+    text = lens.table_to_jsonl(table)
+    back = lens.table_from_jsonl(text)
+    assert lens.table_to_jsonl(back) == text
+    assert lens.table_to_csv(back, dim) == lens.table_to_csv(table, dim)
+    oracle = _oracle_read(text)
+    for key in ("params", "q", "v", "t", "theta", "sojourn"):
+        assert _same_bits(getattr(back, key), [r[key] for r in oracle]), key
+    assert back.status.tolist() == [r["status"] for r in oracle]
+    assert back.reflections.tolist() == [r["reflections"] for r in oracle]
+    assert back.error.tolist() == [r["error"] for r in oracle]
+    assert _same_bits(back.t, [r.t for r in rows]) and _same_bits(back.q, [r.q for r in rows])
+
+
+def test_tables_of_several_blocks_read_back(disc_scene):
+    # the reader turns rows into columns a block of lines at a time
+    table = lens.build_lens_table(disc_scene, SampleSpec("grid", 65, 64))
+    text = lens.table_to_jsonl(table)
+    back = lens.table_from_jsonl(text)
+    assert lens.table_to_jsonl(back) == text
+    assert np.array_equal(back.params, table.params) and back.status.tolist() == table.status.tolist()
+    lines = text.splitlines()
+    lines[4149] = lines[4149].replace('"status":"', '"status":"x')
+    with pytest.raises(geometry.SchemaError, match="^lens table line 4150: unknown status 'x"):
+        lens.table_from_jsonl("\n".join(lines))
+
+
+def test_negative_zero_survives_a_round_trip():
+    row = lens.LensRow((1.0, -0.0), (10.0, -0.0), (-1.0, -0.0), "free", 20.0, 0, (-1.0, -0.0), -0.0,
+                       None)
+    text = lens.table_to_jsonl(_table_of_rows([row], 2))
+    assert '"v":[-1,-0]' in text and '"sojourn":-0,' in text
+    back = lens.table_from_jsonl(text)
+    assert math.copysign(1.0, back.v[0, 1]) == -1.0 and math.copysign(1.0, back.sojourn[0]) == -1.0
+    assert lens.table_to_jsonl(back) == text
 
 
 @pytest.mark.parametrize("limits", [{"n_max": 0}, {"n_max": -1}, {"t_max": 0.0}, {"t_max": -1.0},

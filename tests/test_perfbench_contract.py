@@ -14,3 +14,31 @@ def test_benchmark_tracer_installs_on_every_wrapped_name():
             "tracer.install(tracer.Recorder())")
     done = run_python("-c", code, str(PERFBENCH))
     assert done.returncode == 0, done.stderr
+
+
+_TABLE_CHECKS = """
+import random, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import workloads
+from billiard_lens import cli, lens
+work = Path(sys.argv[2])
+path, scene = workloads._write_scene(work, workloads._two_disc(random.Random(4)))
+out = work / "two.jsonl"
+assert cli.main(["lens", "--scene", path, "--spec", "grid:16x16", "--out", str(out)]) == 0
+spec = lens.parse_spec("grid:16x16")
+rows = workloads._read_jsonl(out)[1]
+assert sum(r["status"] == "scattered" for r in rows) > 0
+print(workloads._round_trip_problems(scene, spec, out))
+print(workloads._reversal_problems(scene, spec, [r["params"] for r in rows], rows,
+                                   random.Random(4), "two-disc"))
+"""
+
+
+def test_benchmark_table_checks_pass_on_a_written_table(tmp_path):
+    # the benchmark reads tables through the package's own table API (row
+    # views of a table read back, entries of the sampler): a change to it
+    # that would stop those checks fails here
+    done = run_python("-c", _TABLE_CHECKS, str(PERFBENCH), str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "[]"]
