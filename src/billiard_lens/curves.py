@@ -1,13 +1,15 @@
 """Piecewise analytic closed curves in the plane.
 
 A CurveChain is an ordered list of C^1-joined parametric pieces forming one
-simple closed boundary. It answers closest-point queries (vectorised), from
-which the owning obstacle derives a signed distance field, boundary normals
-and the signed curvature seen from the free side. Its ray roots come from
+simple closed boundary. It answers closest-point queries (vectorised over the
+query points), from which the owning obstacle derives a signed distance
+field, boundary normals and the signed curvature seen from the free side.
+Each piece projects points onto itself: segments, flat bumps and circular
+arcs in closed form, ellipse arcs and curved bumps by safeguarded Newton, and
+the chain keeps the nearest foot over its pieces. Its ray roots come from
 each piece's exact solver and carry the piece and parameter of the crossing,
-so the normal there needs no closest-point query. The piece solvers work in
-plain float arithmetic on (x, y) pairs; the closest-point queries stay
-vectorised.
+so the normal there needs no closest-point query. The ray solvers work in
+plain float arithmetic on (x, y) pairs.
 """
 
 from __future__ import annotations
@@ -105,6 +107,12 @@ def _nonzero_chord(p0, p1):
     return p1 - p0
 
 
+def _segment_parameter(X, p0, d, dd):
+    """Parameter of the point of the segment p0 + s d, s in [0, 1], nearest
+    each row of X, where dd = <d, d>."""
+    return np.clip(np.sum((X - p0) * d, axis=-1) / dd, 0.0, 1.0)
+
+
 def _nonzero_sweep(theta0, theta1):
     # a root's arc parameter is its angle over the sweep
     if theta1 == theta0:
@@ -131,6 +139,7 @@ class CurvePiece:
     """Base class: parametric map [0,1] -> R^2 with two derivatives."""
 
     kind = "piece"
+    closed_form_projection = False  # whether `project` needs no start parameters
 
     def point(self, s):
         raise NotImplementedError
@@ -157,9 +166,12 @@ class CurvePiece:
         roots whatever their type."""
         raise NotImplementedError
 
-    def project(self, X, s0):
-        """Per-piece parameter of the nearest point; default is safeguarded
-        Newton, each row stopping at its own first step below 1e-12."""
+    def project(self, X, s0=None):
+        """Parameter of the point of the piece nearest each row of X (N, 2).
+        Pieces with `closed_form_projection` give it exactly and ignore s0.
+        The default is safeguarded Newton from the start parameters s0 (N,),
+        each row stopping at its own first step below 1e-12: a local minimum,
+        so s0 must lie in the basin of the nearest point."""
         s = np.clip(np.asarray(s0, dtype=float), 0.0, 1.0)
         active = np.ones(s.shape, dtype=bool)
         for _ in range(14):
@@ -180,11 +192,13 @@ class CurvePiece:
 
 class LinePiece(CurvePiece):
     kind = "line"
+    closed_form_projection = True
 
     def __init__(self, p0, p1):
         self.p0 = np.asarray(p0, dtype=float)
         self.p1 = np.asarray(p1, dtype=float)
         self._d = _nonzero_chord(self.p0, self.p1)
+        self._dd = np.sum(self._d * self._d)
         self._floats = (*self.p0.tolist(), *self._d.tolist())  # p0 and d, for the ray solver
 
     def point(self, s):
@@ -195,6 +209,9 @@ class LinePiece(CurvePiece):
 
     def deriv2(self, s):
         return np.zeros(np.shape(s) + (2,))
+
+    def project(self, X, s0=None):
+        return _segment_parameter(X, self.p0, self._d, self._dd)
 
     def ray_roots(self, q, v):
         # q + t v = p0 + s d, solved by 2D cross products
@@ -234,6 +251,7 @@ class BumpLinePiece(CurvePiece):
             raise ValueError("bump direction must be nonzero")
         self._u = self.direction / norm
         self._d = _nonzero_chord(self.p0, self.p1)
+        self._dd = np.sum(self._d * self._d)
         self._floats = (*self.p0.tolist(), *self._d.tolist(), *self._u.tolist())  # for the ray solver
 
     def point(self, s):
@@ -252,6 +270,15 @@ class BumpLinePiece(CurvePiece):
         return np.multiply.outer(
             self.amplitude * 2.0 * np.pi * np.pi * np.cos(2.0 * np.pi * s), self._u
         )
+
+    @property
+    def closed_form_projection(self):
+        return self.amplitude == 0.0
+
+    def project(self, X, s0=None):
+        if self.closed_form_projection:  # flat: the segment's closed form
+            return _segment_parameter(X, self.p0, self._d, self._dd)
+        return super().project(X, s0)
 
     def ray_roots(self, q, v):
         # the offset across the ray, g(s) = alpha + beta s + gamma sin^2(pi s), is
@@ -301,6 +328,7 @@ class BumpLinePiece(CurvePiece):
 
 class ArcPiece(CurvePiece):
     kind = "arc"
+    closed_form_projection = True
 
     def __init__(self, center, radius, theta0, theta1):
         if radius <= 0:
@@ -310,6 +338,7 @@ class ArcPiece(CurvePiece):
         self.theta0 = float(theta0)
         self.theta1 = float(theta1)
         self._sweep = _nonzero_sweep(self.theta0, self.theta1)
+        self._ends = (self.start(), self.end())
         self._floats = tuple(self.center.tolist())  # centre, for the ray solver
 
     def _theta(self, s):
@@ -326,6 +355,19 @@ class ArcPiece(CurvePiece):
     def deriv2(self, s):
         th = self._theta(s)
         return -self.radius * self._sweep**2 * np.stack([np.cos(th), np.sin(th)], axis=-1)
+
+    def project(self, X, s0=None):
+        # the angle's fraction of the sweep where it falls within it, else the nearer end
+        rel = X - self.center
+        ang = np.arctan2(rel[:, 1], rel[:, 0])
+        if self._sweep >= 0.0:
+            s = np.mod(ang - self.theta0, 2.0 * math.pi) / self._sweep
+        else:
+            s = -np.mod(self.theta0 - ang, 2.0 * math.pi) / self._sweep
+        e0, e1 = self._ends
+        d0 = np.sum((X - e0) ** 2, axis=1)
+        d1 = np.sum((X - e1) ** 2, axis=1)
+        return np.where(s <= 1.0, s, np.where(d0 <= d1, 0.0, 1.0))  # s >= 0 by the mod
 
     def ray_roots(self, q, v):
         (qx, qy), (vx, vy) = q, v
@@ -467,41 +509,14 @@ class CurveChain:
         x, y = dense[:, 0], dense[:, 1]
         area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
         self.orientation = -1.0 if area > 0 else 1.0  # normal = orientation * rot90(tangent)
-        self._build_groups()
-        self._check_chain()
-
-    def _build_groups(self):
-        # pieces with closed-form projections are batched across the chain
-        line_idx, arc_idx, newton_idx = [], [], []
-        for k, p in enumerate(self.pieces):
-            if isinstance(p, LinePiece) or (isinstance(p, BumpLinePiece) and p.amplitude == 0.0):
-                line_idx.append(k)
-            elif isinstance(p, ArcPiece):
-                arc_idx.append(k)
-            else:
-                newton_idx.append(k)
-        self._line_idx = np.array(line_idx, dtype=int)
-        if line_idx:
-            self._line_p0 = np.array([self.pieces[k].p0 for k in line_idx])
-            d = np.array([self.pieces[k].p1 - self.pieces[k].p0 for k in line_idx])
-            self._line_d = d
-            self._line_dd = np.sum(d * d, axis=1)
-        self._arc_idx = np.array(arc_idx, dtype=int)
-        if arc_idx:
-            arcs = [self.pieces[k] for k in arc_idx]
-            self._arc_c = np.array([a.center for a in arcs])
-            self._arc_r = np.array([a.radius for a in arcs])
-            self._arc_t0 = np.array([a.theta0 for a in arcs])
-            self._arc_sweep = np.array([a._sweep for a in arcs])
-            self._arc_e0 = np.array([a.start() for a in arcs])
-            self._arc_e1 = np.array([a.end() for a in arcs])
-        self._newton_idx = newton_idx
+        # closed-form projections first, in chain order, so that the Newton
+        # pieces after them run only where their coarse bound can still win
+        self._projection_order = sorted(range(len(self.pieces)),
+                                        key=lambda k: not self.pieces[k].closed_form_projection)
         # coarse-sampling slack: true distance >= coarse distance - slack
-        self._newton_slack = {}
-        for k in newton_idx:
-            pts = self._coarse_pts[k]
-            gap = float(np.max(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
-            self._newton_slack[k] = 0.55 * gap
+        self._coarse_slack = [0.55 * float(np.max(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
+                              for pts in self._coarse_pts]
+        self._check_chain()
 
     def _check_chain(self):
         scale = max(self.total_length, 1e-12)
@@ -519,13 +534,9 @@ class CurveChain:
 
     def sample_points(self, n_total: int) -> np.ndarray:
         """Roughly arclength-balanced boundary samples over all pieces."""
-        weights = getattr(self, "lengths", None)
-        if weights is None:
-            weights = [1.0] * len(self.pieces)
-        total = math.fsum(weights)
         chunks = []
-        for piece, w in zip(self.pieces, weights):
-            k = max(8, int(round(n_total * w / total)))
+        for piece, w in zip(self.pieces, self.lengths):
+            k = max(8, int(round(n_total * w / self.total_length)))
             s = (np.arange(k) + 0.5) / k
             chunks.append(piece.point(s))
         return np.vstack(chunks)
@@ -562,77 +573,38 @@ class CurveChain:
         return self.orientation * _rot90(g1 / np.linalg.norm(g1))
 
     def closest_batch(self, X: np.ndarray) -> FootData:
+        """Nearest point of the chain to each row of X (N, 2). Of two feet at
+        the same distance, a closed-form piece wins over a Newton piece, and
+        otherwise the first in chain order."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         n = X.shape[0]
+        every = np.arange(n)
         foot = np.zeros_like(X)
         dist2 = np.full(n, np.inf)
         piece_idx = np.zeros(n, dtype=int)
         s_out = np.zeros(n)
-
-        def absorb(f, d2, s, pidx):
-            nonlocal foot, dist2, piece_idx, s_out
-            take = d2 < dist2
-            foot[take] = f[take]
-            dist2[take] = d2[take]
-            piece_idx[take] = pidx if np.isscalar(pidx) else pidx[take]
-            s_out[take] = s[take]
-
-        if self._line_idx.size:
-            diff = X[:, None, :] - self._line_p0[None, :, :]
-            s = np.clip(np.sum(diff * self._line_d[None], axis=2) / self._line_dd[None], 0.0, 1.0)
-            f = self._line_p0[None] + s[:, :, None] * self._line_d[None]
-            d2 = np.sum((X[:, None, :] - f) ** 2, axis=2)
-            k = np.argmin(d2, axis=1)
-            rows = np.arange(n)
-            absorb(f[rows, k], d2[rows, k], s[rows, k], self._line_idx[k])
-
-        if self._arc_idx.size:
-            rel = X[:, None, :] - self._arc_c[None, :, :]
-            ang = np.arctan2(rel[:, :, 1], rel[:, :, 0])
-            fwd = self._arc_sweep >= 0.0
-            u = np.where(fwd[None, :],
-                         np.mod(ang - self._arc_t0[None, :], 2.0 * math.pi),
-                         -np.mod(self._arc_t0[None, :] - ang, 2.0 * math.pi))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = u / self._arc_sweep[None, :]
-            inside = (s >= 0.0) & (s <= 1.0)
-            s_in = np.clip(np.where(inside, s, 0.0), 0.0, 1.0)
-            th = self._arc_t0[None, :] + s_in * self._arc_sweep[None, :]
-            f_in = self._arc_c[None] + self._arc_r[None, :, None] * np.stack(
-                [np.cos(th), np.sin(th)], axis=2
-            )
-            d0 = np.sum((X[:, None, :] - self._arc_e0[None]) ** 2, axis=2)
-            d1 = np.sum((X[:, None, :] - self._arc_e1[None]) ** 2, axis=2)
-            s_end = np.where(d0 <= d1, 0.0, 1.0)
-            f_end = np.where((d0 <= d1)[:, :, None], self._arc_e0[None], self._arc_e1[None])
-            d_in = np.sum((X[:, None, :] - f_in) ** 2, axis=2)
-            f_all = np.where(inside[:, :, None], f_in, f_end)
-            d_all = np.where(inside, d_in, np.minimum(d0, d1))
-            s_all = np.where(inside, s_in, s_end)
-            k = np.argmin(d_all, axis=1)
-            rows = np.arange(n)
-            absorb(f_all[rows, k], d_all[rows, k], s_all[rows, k], self._arc_idx[k])
-
-        for idx in self._newton_idx:
-            piece = self.pieces[idx]
-            pts = self._coarse_pts[idx]
-            d2c = np.sum((X[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-            kc = np.argmin(d2c, axis=1)
-            rows = np.arange(n)
-            lower = np.sqrt(d2c[rows, kc]) - self._newton_slack[idx]
-            need = (lower * lower < dist2) | (lower <= 0.0)
-            if not np.any(need):
-                continue
-            s_sub = piece.project(X[need], self._coarse_s[kc[need]])
-            f_sub = piece.point(s_sub)
-            d2_sub = np.sum((X[need] - f_sub) ** 2, axis=1)
-            f = np.zeros_like(X)
-            d2 = np.full(n, np.inf)
-            s = np.zeros(n)
-            f[need] = f_sub
-            d2[need] = d2_sub
-            s[need] = s_sub
-            absorb(f, d2, s, idx)
+        for k in self._projection_order:
+            piece = self.pieces[k]
+            if piece.closed_form_projection:
+                rows, s = every, piece.project(X)
+            else:
+                # Newton only on the rows where the coarse samples' lower bound
+                # can still beat the nearest foot so far
+                d2c = np.sum((X[:, None, :] - self._coarse_pts[k][None, :, :]) ** 2, axis=2)
+                kc = np.argmin(d2c, axis=1)
+                lower = np.sqrt(d2c[every, kc]) - self._coarse_slack[k]
+                rows = np.flatnonzero((lower * lower < dist2) | (lower <= 0.0))
+                if not rows.size:
+                    continue
+                s = piece.project(X[rows], self._coarse_s[kc[rows]])
+            f = piece.point(s)
+            d2 = np.sum((X[rows] - f) ** 2, axis=1)
+            take = d2 < dist2[rows]
+            won = rows[take]
+            foot[won] = f[take]
+            dist2[won] = d2[take]
+            piece_idx[won] = k
+            s_out[won] = s[take]
 
         dist = np.sqrt(dist2)
         tang = np.zeros_like(X)

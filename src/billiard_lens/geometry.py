@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -761,19 +761,8 @@ class ValidationReport:
     exterior_connected: bool
     notes: list = field(default_factory=list)
 
-    def to_dict(self):
-        return {
-            "obstacle_count": self.obstacle_count,
-            "pairwise_gap_min": self.pairwise_gap_min,
-            "containment_margin": self.containment_margin,
-            "min_gradient_norm": self.min_gradient_norm,
-            "curvature_min": self.curvature_min,
-            "curvature_max": self.curvature_max,
-            "flatness_flag": self.flatness_flag,
-            "flagged_nonconvex": self.flagged_nonconvex,
-            "exterior_connected": self.exterior_connected,
-            "notes": list(self.notes),
-        }
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def _free_cells(scene: Scene) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
@@ -69,15 +69,7 @@ class SampleSpec:
         return f"mc:{self.n_total}"
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_positions": self.n_positions,
-            "n_directions": self.n_directions,
-            "n_total": self.n_total,
-            "seed": self.seed,
-            "n_max": self.n_max,
-            "t_max": self.t_max,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "SampleSpec":
@@ -330,13 +322,8 @@ class TrappedEstimate:
     cluster_radii: list
     trapped_counts: list
 
-    def to_dict(self):
-        return {
-            "resolutions": self.resolutions,
-            "fractions": self.fractions,
-            "cluster_radii": self.cluster_radii,
-            "trapped_counts": self.trapped_counts,
-        }
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def _phase_coords(table: LensTable, rows: np.ndarray, a: float) -> np.ndarray:
@@ -388,8 +375,8 @@ class SpectrumBin:
     lo: float
     hi: float
 
-    def to_dict(self):
-        return {"sojourn": self.sojourn, "count": self.count, "lo": self.lo, "hi": self.hi}
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def _impact_offsets(scene, omega, spec: SampleSpec):
@@ -454,7 +441,7 @@ def scattering_spectrum(scene, omega, theta, angular_tol: float, spec: SampleSpe
         t_enter = -b - math.sqrt(disc)
         q0 = origin + t_enter * omega
         traj = flow.trace(scene, PhasePoint(q0, omega.copy()), limits)
-        if traj.status != "exited" or any(ev.type == "tangent" for ev in traj.events):
+        if classify_trajectory(traj) not in ("free", "scattered"):
             continue
         theta_exit = traj.exit_state.v
         if float(np.arccos(np.clip(theta_exit @ theta, -1.0, 1.0))) > angular_tol:
@@ -491,20 +478,8 @@ class ComparisonReport:
     time_tolerance: float
     verdict: str
 
-    def to_dict(self):
-        return {
-            "matched": self.matched,
-            "compared": self.compared,
-            "excluded_tangent": self.excluded_tangent,
-            "both_trapped": self.both_trapped,
-            "status_mismatches": self.status_mismatches,
-            "reflection_mismatches": self.reflection_mismatches,
-            "max_dt": self.max_dt,
-            "mean_dt": self.mean_dt,
-            "exceed_fraction": self.exceed_fraction,
-            "time_tolerance": self.time_tolerance,
-            "verdict": self.verdict,
-        }
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def compare_lens(table_k: LensTable, table_l: LensTable, time_tolerance: float) -> ComparisonReport:

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -641,6 +641,56 @@ def test_piece_ray_roots_are_the_same_for_arrays_and_tuples(data):
             assert [(t.hex(), s.hex()) for t, s in piece.ray_roots(*pair)] == ref
         hits += len(ref)
     assert hits
+
+
+def _probe_points(chain, rng, n):
+    """n points of the chain's bounding box, eight on each piece and eight
+    just off it, and every piece end."""
+    c, r = chain.bounding_circle()
+    on = np.vstack([piece.point(rng.uniform(0.0, 1.0, 8)) for piece in chain.pieces])
+    ends = [np.array([piece.start(), piece.end()]) for piece in chain.pieces]
+    return np.vstack([c + rng.uniform(-1.2 * r, 1.2 * r, (n, 2)), on,
+                      on + rng.normal(0.0, 0.02 * r, on.shape), *ends])
+
+
+def _assert_feet_are_nearest(chain, X):
+    # closest_batch against its own foot, and the chain's and each
+    # closed-form piece's nearest point against a dense sample: no sample is
+    # nearer (up to the k-d tree's rounding), and the nearest is at most half
+    # the longest arc between two samples farther, which exceeds their
+    # longest chord by under 1e-6 here
+    fd = chain.closest_batch(X)
+    c, r = chain.bounding_circle()
+    scale = float(np.linalg.norm(c)) + r
+    assert np.array_equal(fd.dist, np.linalg.norm(X - fd.foot, axis=1))
+    for k, piece in enumerate(chain.pieces):
+        rows = fd.piece == k
+        assert np.max(np.abs(piece.point(fd.s[rows]) - fd.foot[rows]), initial=0.0) <= 1e-15 * scale
+    dense = [piece.point(np.linspace(0.0, 1.0, 2049)) for piece in chain.pieces]
+    spacing = max(float(np.max(np.linalg.norm(np.diff(d, axis=0), axis=1))) for d in dense)
+    nearest = [(np.vstack(dense), fd.dist)]
+    nearest += [(d, np.linalg.norm(X - piece.point(piece.project(X)), axis=1))
+                for piece, d in zip(chain.pieces, dense) if piece.closed_form_projection]
+    for samples, dist in nearest:
+        gap = geometry.nearest_distances(X, samples) - dist
+        assert np.min(gap) >= -1e-12
+        assert np.max(gap) <= 0.5 * spacing * (1.0 + 1e-6) + 1e-12
+
+
+@settings(max_examples=20)
+@given(data=st.data())
+def test_closest_batch_finds_the_nearest_point_of_drawn_chains(data):
+    chain = _all_pieces_curve(data.draw).chain
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    _assert_feet_are_nearest(chain, _probe_points(chain, rng, 200))
+
+
+def test_closest_batch_finds_the_nearest_point_of_fixed_chains(livshits_pair, crescent_focus_scene):
+    base, deformed, _ = livshits_pair
+    rng = np.random.default_rng(11)
+    for scene in (base, deformed, crescent_focus_scene):
+        chain = scene.obstacles[0].chain
+        _assert_feet_are_nearest(chain, _probe_points(chain, rng, 400))
 
 
 @pytest.mark.parametrize("kind", ["sphere2d", "sphere3d", "ellipsoid2d", "ellipsoid3d",

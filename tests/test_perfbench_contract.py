@@ -42,3 +42,29 @@ def test_benchmark_table_checks_pass_on_a_written_table(tmp_path):
     done = run_python("-c", _TABLE_CHECKS, str(PERFBENCH), str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["[]", "[]"]
+
+
+_WORKLOAD_CHECKS = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import workloads
+for name in sys.argv[3:]:
+    setup, run_pass, check, _ = workloads.WORKLOADS[name]
+    work = Path(sys.argv[2]) / name
+    work.mkdir()
+    inputs = setup(work, 4)
+    result = run_pass(inputs)
+    problems, _ = check(inputs, [result])
+    print(name, result["failed"], list(problems))
+"""
+
+
+def test_benchmark_workloads_pass_their_checks(tmp_path):
+    # each workload's set-up (seed 4), one pass and its check, as a benchmark
+    # run makes them: a check that fails, a failed operation or an exception
+    # fails here, with what the run printed
+    names = ["lens-implicit", "livshits"]
+    done = run_python("-c", _WORKLOAD_CHECKS, str(PERFBENCH), str(tmp_path), *names)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [f"{name} 0 []" for name in names], done.stdout
