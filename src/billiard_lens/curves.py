@@ -10,10 +10,14 @@ the chain keeps the nearest foot over its pieces. Its ray roots come from
 each piece's exact solver and carry the piece and parameter of the crossing,
 so the normal there needs no closest-point query. The ray solvers work in
 plain float arithmetic on (x, y) pairs.
+
+The scene file's shape checks live here too, shared with `geometry`.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -113,6 +117,47 @@ def _segment_parameter(X, p0, d, dd):
     return np.clip(np.sum((X - p0) * d, axis=-1) / dd, 0.0, 1.0)
 
 
+class SchemaError(ValueError):
+    """Scene JSON does not match the expected schema."""
+
+
+def check_object(value, what: str, required=None, optional=()) -> dict:
+    """`value` if it is a JSON object and, unless `required` is None, its keys
+    are all of `required` and any of `optional`; SchemaError otherwise."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{what} must be an object, not {type(value).__name__}")
+    if required is None:
+        return value
+    missing, unknown = set(required) - set(value), set(value) - set(required) - set(optional)
+    problems = [f"{verb} keys {sorted(keys)}"
+                for verb, keys in (("lacks", missing), ("has unknown", unknown)) if keys]
+    if problems:
+        raise SchemaError(f"{what} " + " and ".join(problems))
+    return value
+
+
+def check_list(value, what: str) -> list:
+    """`value` if it is a JSON list; SchemaError otherwise."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a list, not {type(value).__name__}")
+    return value
+
+
+def class_of_kind(table: dict, kind, what: str):
+    """The class that `table` maps the name `kind` to; SchemaError if none."""
+    cls = table.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise SchemaError(f"unknown {what} {kind!r}")
+    return cls
+
+
+@functools.cache  # per class: a scene file reads and writes many pieces
+def _defaults(cls) -> dict:
+    """The constructor parameters of `cls` that have a default, with it."""
+    return {name: p.default for name, p in inspect.signature(cls).parameters.items()
+            if p.default is not p.empty}
+
+
 def _nonzero_sweep(theta0, theta1):
     # a root's arc parameter is its angle over the sweep
     if theta1 == theta0:
@@ -136,9 +181,12 @@ class Root(float):
 
 
 class CurvePiece:
-    """Base class: parametric map [0,1] -> R^2 with two derivatives."""
+    """Base class: parametric map [0,1] -> R^2 with two derivatives. `keys`
+    names the piece's scene-file keys besides "type": its constructor's
+    parameters, in order, each kept under the attribute of the same name."""
 
     kind = "piece"
+    keys = ()
     closed_form_projection = False  # whether `project` needs no start parameters
 
     def point(self, s):
@@ -157,7 +205,12 @@ class CurvePiece:
         return self.point(np.array(1.0))
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """The piece's scene-file object: its type and the value of each of
+        `keys`, less those left at their constructor default."""
+        defaults = _defaults(type(self))
+        values = {key: getattr(self, key) for key in self.keys}
+        return {"type": self.kind, **{key: _floats(value) for key, value in values.items()
+                                      if key not in defaults or value != defaults[key]}}
 
     def ray_roots(self, q, v):
         """(t, s) pairs where the line q + t v crosses the piece: the ray
@@ -192,6 +245,7 @@ class CurvePiece:
 
 class LinePiece(CurvePiece):
     kind = "line"
+    keys = ("p0", "p1")
     closed_form_projection = True
 
     def __init__(self, p0, p1):
@@ -226,9 +280,6 @@ class LinePiece(CurvePiece):
             return []
         return [((wx * dy - wy * dx) / det, s)]
 
-    def to_dict(self):
-        return {"type": "line", "p0": list(self.p0), "p1": list(self.p1)}
-
 
 class BumpLinePiece(CurvePiece):
     """Line segment with a smooth sin^2 bump of given amplitude along a fixed direction.
@@ -240,6 +291,7 @@ class BumpLinePiece(CurvePiece):
     """
 
     kind = "bump_line"
+    keys = ("p0", "p1", "amplitude", "direction")
 
     def __init__(self, p0, p1, amplitude, direction):
         self.p0 = np.asarray(p0, dtype=float)
@@ -247,8 +299,8 @@ class BumpLinePiece(CurvePiece):
         self.amplitude = float(amplitude)
         self.direction = np.asarray(direction, dtype=float)
         norm = float(np.linalg.norm(self.direction))
-        if not norm > 0.0:
-            raise ValueError("bump direction must be nonzero")
+        if not 0.0 < norm < math.inf:
+            raise ValueError("bump direction must be nonzero and finite")
         self._u = self.direction / norm
         self._d = _nonzero_chord(self.p0, self.p1)
         self._dd = np.sum(self._d * self._d)
@@ -316,18 +368,10 @@ class BumpLinePiece(CurvePiece):
             roots.append((vx * (x0 + s * dx + k * ux - qx) + vy * (y0 + s * dy + k * uy - qy), s))
         return roots
 
-    def to_dict(self):
-        return {
-            "type": "bump_line",
-            "p0": list(self.p0),
-            "p1": list(self.p1),
-            "amplitude": self.amplitude,
-            "direction": list(self.direction),
-        }
-
 
 class ArcPiece(CurvePiece):
     kind = "arc"
+    keys = ("center", "radius", "theta0", "theta1")
     closed_form_projection = True
 
     def __init__(self, center, radius, theta0, theta1):
@@ -374,18 +418,10 @@ class ArcPiece(CurvePiece):
         cx, cy = self._floats
         return _circle_roots(qx - cx, qy - cy, vx, vy, self.radius, self.theta0, self._sweep)
 
-    def to_dict(self):
-        return {
-            "type": "arc",
-            "center": list(self.center),
-            "radius": self.radius,
-            "theta0": self.theta0,
-            "theta1": self.theta1,
-        }
-
 
 class EllipseArcPiece(CurvePiece):
     kind = "ellipse_arc"
+    keys = ("center", "semi_axes", "theta0", "theta1", "rotation")
 
     def __init__(self, center, semi_axes, theta0, theta1, rotation=0.0):
         self.center = np.asarray(center, dtype=float)
@@ -434,44 +470,19 @@ class EllipseArcPiece(CurvePiece):
                              (c * vx + s * vy) / a, (-s * vx + c * vy) / b,
                              1.0, self.theta0, self._sweep)
 
-    def to_dict(self):
-        out = {
-            "type": "ellipse_arc",
-            "center": list(self.center),
-            "semi_axes": list(self.semi_axes),
-            "theta0": self.theta0,
-            "theta1": self.theta1,
-        }
-        if self.rotation != 0.0:
-            out["rotation"] = self.rotation
-        return out
+
+_PIECE_KINDS = {cls.kind: cls for cls in (LinePiece, BumpLinePiece, ArcPiece, EllipseArcPiece)}
 
 
-_PIECE_TYPES = {
-    "line": lambda d: LinePiece(d["p0"], d["p1"]),
-    "bump_line": lambda d: BumpLinePiece(d["p0"], d["p1"], d["amplitude"], d["direction"]),
-    "arc": lambda d: ArcPiece(d["center"], d["radius"], d["theta0"], d["theta1"]),
-    "ellipse_arc": lambda d: EllipseArcPiece(
-        d["center"], d["semi_axes"], d["theta0"], d["theta1"], d.get("rotation", 0.0)
-    ),
-}
-
-_PIECE_KEYS = {
-    "line": {"type", "p0", "p1"},
-    "bump_line": {"type", "p0", "p1", "amplitude", "direction"},
-    "arc": {"type", "center", "radius", "theta0", "theta1"},
-    "ellipse_arc": {"type", "center", "semi_axes", "theta0", "theta1", "rotation"},
-}
-
-
-def piece_from_dict(d: dict) -> CurvePiece:
-    kind = d.get("type")
-    if kind not in _PIECE_TYPES:
-        raise ValueError(f"unknown curve piece type {kind!r}")
-    extra = set(d) - _PIECE_KEYS[kind]
-    if extra:
-        raise ValueError(f"unknown keys {sorted(extra)} in {kind} piece")
-    return _PIECE_TYPES[kind](d)
+def piece_from_dict(d) -> CurvePiece:
+    """A piece from its scene-file object: the constructor of its type called
+    on the object's keys, which are the type's `keys` (those with a
+    constructor default may be left out)."""
+    check_object(d, "curve piece")
+    cls = class_of_kind(_PIECE_KINDS, d.get("type"), "curve piece type")
+    optional = _defaults(cls)
+    check_object(d, f"{cls.kind} piece", {"type", *cls.keys} - set(optional), optional)
+    return cls(**{key: d[key] for key in cls.keys if key in d})
 
 
 @dataclass
@@ -497,6 +508,9 @@ class CurveChain:
         self.pieces = list(pieces)
         self._coarse_s = np.linspace(0.0, 1.0, _COARSE)
         self._coarse_pts = [p.point(self._coarse_s) for p in self.pieces]
+        finite = np.isfinite(self._coarse_pts).all(axis=(1, 2))
+        if not finite.all():  # one check for every number a piece is given
+            raise ValueError(f"curve piece {int(np.argmin(finite))} has a non-finite number")
         self.lengths = [
             float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1))) for pts in self._coarse_pts
         ]
@@ -625,6 +639,3 @@ class CurveChain:
         sgn = np.where(np.sum(rel * normal, axis=1) >= 0.0, 1.0, -1.0)
         signed = np.where(dist < 1e-14, 0.0, sgn * dist)
         return FootData(foot, dist, signed, piece_idx, s_out, tang, normal, shape)
-
-    def to_dicts(self):
-        return [p.to_dict() for p in self.pieces]

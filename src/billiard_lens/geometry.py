@@ -21,21 +21,21 @@ from .curves import (
     CurveChain,
     EllipseArcPiece,
     LinePiece,
+    SchemaError,
     _axpy,
     _dot,
     _floats,
     _stable_quadratic,
     _sub,
+    check_list,
+    check_object,
+    class_of_kind,
     piece_from_dict,
 )
 
 
 class InvalidParameters(ValueError):
     """Constructor arguments outside the supported family."""
-
-
-class SchemaError(ValueError):
-    """Scene JSON does not match the expected schema."""
 
 
 class SingularGradient(RuntimeError):
@@ -143,28 +143,32 @@ class SurfaceFrame:
 # obstacles
 
 
-def _rotation_matrix(dim: int, rotation) -> np.ndarray:
-    if rotation is None:
-        return np.eye(dim)
-    R = np.asarray(rotation, dtype=float)
-    if R.size != dim * dim:
-        raise InvalidParameters(f"rotation must have {dim * dim} entries")
-    R = R.reshape(dim, dim)
-    if not np.allclose(R @ R.T, np.eye(dim), atol=1e-9):
-        raise InvalidParameters("rotation matrix is not orthonormal")
-    return R
+def _positive(name: str, value) -> float:
+    """`value` as a float in (0, inf); InvalidParameters naming it otherwise."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameters(f"{name} must be a number, not {value!r}") from None
+    if not 0.0 < x < math.inf:
+        raise InvalidParameters(f"{name} must be positive and finite, not {x!r}")
+    return x
 
 
 class Obstacle:
-    kind = "obstacle"
+    """Base class. `params` names the keys of the obstacle's scene-file
+    "params": its constructor's parameters after the centre, in order, each
+    kept under the attribute of the same name."""
 
-    def __init__(self, center, dim):
+    kind = "obstacle"
+    params = ()
+
+    def __init__(self, center):
         self.center = np.asarray(center, dtype=float)
-        self.dim = int(dim)
-        if self.dim not in (2, 3):
-            raise InvalidParameters("obstacles are 2D or 3D")
-        if self.center.shape != (self.dim,):
-            raise InvalidParameters("center has wrong dimension")
+        if self.center.shape not in ((2,), (3,)):
+            raise InvalidParameters("obstacles are 2D or 3D: the center needs 2 or 3 numbers")
+        if not np.isfinite(self.center).all():
+            raise InvalidParameters(f"center must be finite, not {self.center.tolist()}")
+        self.dim = len(self.center)
         self._eye = np.eye(self.dim)
         self._c = tuple(self.center.tolist())  # the centre in floats, for the ray solvers
 
@@ -239,9 +243,11 @@ class Obstacle:
         return self.gradient(x)
 
     def params_dict(self) -> dict:
-        raise NotImplementedError
+        """The scene file's "params": the value of each of `params`."""
+        return {key: _floats(getattr(self, key)) for key in self.params}
 
     def rotation_list(self):
+        """Row-major entries of the rotation the obstacle was built with, or None."""
         return None
 
 
@@ -249,13 +255,11 @@ class SphereObstacle(Obstacle):
     """Ball in dimension n with F(x) = |x - c|^2 - r^2."""
 
     kind = "sphere"
+    params = ("radius",)
 
     def __init__(self, center, radius):
-        center = np.atleast_1d(np.asarray(center, dtype=float))
-        super().__init__(center, center.shape[0])
-        self.radius = float(radius)
-        if self.radius <= 0:
-            raise InvalidParameters("sphere radius must be positive")
+        super().__init__(center)
+        self.radius = _positive("sphere radius", radius)
         self._hessian = 2.0 * self._eye
         self._r2 = self.radius**2
 
@@ -277,9 +281,6 @@ class SphereObstacle(Obstacle):
             t = 2.0 * np.pi * np.arange(target) / max(1, target)
             return self.center + self.radius * np.column_stack([np.cos(t), np.sin(t)])
         return self.center + self.radius * _lat_band_sphere(target)
-
-    def params_dict(self):
-        return {"radius": self.radius}
 
 
 def _ball_roots(d, v, r2):
@@ -305,21 +306,39 @@ def _lat_band_sphere(target: int) -> np.ndarray:
     return np.vstack([np.atleast_2d(p) for p in pts])
 
 
-class EllipsoidObstacle(Obstacle):
+class AxesObstacle(Obstacle):
+    """Base class of the obstacles with positive semi-axes a along the
+    columns of a rotation R (the identity when none is given) about the
+    centre c, in the body coordinates y = R^T (x - c)."""
+
+    def __init__(self, center, semi_axes, rotation=None):
+        super().__init__(center)
+        self.semi_axes = np.asarray(semi_axes, dtype=float)
+        if self.semi_axes.shape != (self.dim,):
+            raise InvalidParameters("semi_axes has wrong dimension")
+        if not np.all((self.semi_axes > 0.0) & (self.semi_axes < math.inf)):
+            raise InvalidParameters(f"{self.kind} semi_axes must be positive and finite, "
+                                    f"not {self.semi_axes.tolist()}")
+        self._has_rotation = rotation is not None
+        R = np.asarray(rotation, dtype=float) if self._has_rotation else np.eye(self.dim)
+        if R.size != self.dim**2:
+            raise InvalidParameters(f"rotation must have {self.dim**2} entries")
+        self.rotation = R.reshape(self.dim, self.dim)
+        if not np.allclose(self.rotation @ self.rotation.T, self._eye, atol=1e-9):
+            raise InvalidParameters("rotation matrix is not orthonormal")
+
+    def rotation_list(self):
+        return self.rotation.reshape(-1).tolist() if self._has_rotation else None
+
+
+class EllipsoidObstacle(AxesObstacle):
     """Ellipsoid with F(x) = (x-c)^T M (x-c) - 1, M = R diag(1/a_i^2) R^T."""
 
     kind = "ellipsoid"
+    params = ("semi_axes",)
 
     def __init__(self, center, semi_axes, rotation=None):
-        center = np.atleast_1d(np.asarray(center, dtype=float))
-        super().__init__(center, center.shape[0])
-        self.semi_axes = np.atleast_1d(np.asarray(semi_axes, dtype=float))
-        if self.semi_axes.shape != (self.dim,):
-            raise InvalidParameters("semi_axes has wrong dimension")
-        if np.any(self.semi_axes <= 0):
-            raise InvalidParameters("ellipsoid semi_axes must be positive")
-        self.rotation = _rotation_matrix(self.dim, rotation)
-        self._has_rotation = rotation is not None
+        super().__init__(center, semi_axes, rotation)
         self._M = self.rotation @ np.diag(1.0 / self.semi_axes**2) @ self.rotation.T
         self._m_rows = tuple(map(tuple, self._M.tolist()))  # for the ray solver
         self._hessian = 2.0 * self._M
@@ -358,34 +377,21 @@ class EllipsoidObstacle(Obstacle):
             body = u * self.semi_axes
         return self.center + body @ self.rotation.T
 
-    def params_dict(self):
-        return {"semi_axes": list(self.semi_axes)}
 
-    def rotation_list(self):
-        return list(self.rotation.reshape(-1)) if self._has_rotation else None
-
-
-class SuperellipsoidObstacle(Obstacle):
+class SuperellipsoidObstacle(AxesObstacle):
     """Superellipsoid F = sum |y_i/a_i|^p - 1 in body coordinates y = R^T (x-c).
 
     Exponent p >= 4 keeps the boundary C^3; nearly flat faces appear for large p.
     """
 
     kind = "superellipsoid"
+    params = ("semi_axes", "exponent")
 
     def __init__(self, center, semi_axes, exponent, rotation=None):
-        center = np.atleast_1d(np.asarray(center, dtype=float))
-        super().__init__(center, center.shape[0])
-        self.semi_axes = np.atleast_1d(np.asarray(semi_axes, dtype=float))
-        if self.semi_axes.shape != (self.dim,):
-            raise InvalidParameters("semi_axes has wrong dimension")
-        if np.any(self.semi_axes <= 0):
-            raise InvalidParameters("semi_axes must be positive")
-        self.exponent = float(exponent)
+        super().__init__(center, semi_axes, rotation)
+        self.exponent = _positive("superellipsoid exponent", exponent)
         if self.exponent < 4.0:
             raise InvalidParameters("superellipsoid exponent must be >= 4 (use ellipsoid below)")
-        self.rotation = _rotation_matrix(self.dim, rotation)
-        self._has_rotation = rotation is not None
         self._bounding_radius = float(np.linalg.norm(self.semi_axes))
         # for the ray solver: R^2, and the rows of R^T / a that map x - c to y / a
         self._r2 = self._bounding_radius**2
@@ -483,12 +489,6 @@ class SuperellipsoidObstacle(Obstacle):
             )
         return self.center + body @ self.rotation.T
 
-    def params_dict(self):
-        return {"semi_axes": list(self.semi_axes), "exponent": self.exponent}
-
-    def rotation_list(self):
-        return list(self.rotation.reshape(-1)) if self._has_rotation else None
-
 
 class CurveObstacle(Obstacle):
     """2D obstacle bounded by a closed C^1 chain of analytic curve pieces.
@@ -499,11 +499,11 @@ class CurveObstacle(Obstacle):
     """
 
     kind = "curve2d"
+    params = ("pieces",)  # kept as `chain`: its own `params_dict` writes them
 
     def __init__(self, pieces):
         self.chain = pieces if isinstance(pieces, CurveChain) else CurveChain(pieces)
-        center, _ = self.chain.bounding_circle()
-        super().__init__(center, 2)
+        super().__init__(self.chain.bounding_circle()[0])
 
     def implicit_batch(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -551,7 +551,7 @@ class CurveObstacle(Obstacle):
         return self.chain.sample_points(target)
 
     def params_dict(self):
-        return {"pieces": self.chain.to_dicts()}
+        return {"pieces": [piece.to_dict() for piece in self.chain.pieces]}
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +623,7 @@ class Scene:
     def __post_init__(self):
         if self.dimension not in (2, 3):
             raise InvalidParameters("dimension must be 2 or 3")
-        if self.ball_radius <= 0:
-            raise InvalidParameters("ball_radius must be positive")
+        _positive("ball_radius", self.ball_radius)
         for obs in self.obstacles:
             if obs.dim != self.dimension:
                 raise InvalidParameters("obstacle dimension does not match scene")
@@ -634,12 +633,8 @@ def make_scene(dimension, ball_radius, obstacles, name="scene") -> Scene:
     return Scene(int(dimension), float(ball_radius), tuple(obstacles), str(name))
 
 
-_OBSTACLE_PARAM_KEYS = {
-    "sphere": {"radius"},
-    "ellipsoid": {"semi_axes"},
-    "superellipsoid": {"semi_axes", "exponent"},
-    "curve2d": {"pieces"},
-}
+_OBSTACLE_KINDS = {cls.kind: cls for cls in (SphereObstacle, EllipsoidObstacle,
+                                              SuperellipsoidObstacle, CurveObstacle)}
 
 
 def obstacle_to_dict(obs: Obstacle) -> dict:
@@ -650,43 +645,25 @@ def obstacle_to_dict(obs: Obstacle) -> dict:
     return out
 
 
-def obstacle_from_dict(d: dict, dimension: int) -> Obstacle:
-    if not isinstance(d, dict):
-        raise SchemaError("obstacle entry must be an object")
-    keys = set(d)
-    if not {"kind", "center", "params"} <= keys:
-        raise SchemaError("obstacle requires kind, center and params")
-    extra = keys - {"kind", "center", "params", "rotation"}
-    if extra:
-        raise SchemaError(f"unknown obstacle keys {sorted(extra)}")
-    kind = d["kind"]
-    if kind not in _OBSTACLE_PARAM_KEYS:
-        raise SchemaError(f"unknown obstacle kind {kind!r}")
-    params = d["params"]
-    if set(params) != _OBSTACLE_PARAM_KEYS[kind]:
-        raise SchemaError(
-            f"params for {kind} must be exactly {sorted(_OBSTACLE_PARAM_KEYS[kind])}"
-        )
-    rotation = d.get("rotation")
-    center = d["center"]
-    if len(center) != dimension:
-        raise SchemaError("obstacle center dimension mismatch")
-    try:
-        if kind == "sphere":
-            if rotation is not None:
-                raise SchemaError("rotation is meaningless for a sphere")
-            return SphereObstacle(center, params["radius"])
-        if kind == "ellipsoid":
-            return EllipsoidObstacle(center, params["semi_axes"], rotation)
-        if kind == "superellipsoid":
-            return SuperellipsoidObstacle(center, params["semi_axes"], params["exponent"], rotation)
-        if rotation is not None:
-            raise SchemaError("rotation is not supported for curve2d (bake it into the pieces)")
-        if dimension != 2:
-            raise SchemaError("curve2d obstacles require a 2D scene")
-        return CurveObstacle([piece_from_dict(p) for p in params["pieces"]])
-    except InvalidParameters as exc:
-        raise SchemaError(str(exc)) from exc
+def obstacle_from_dict(d) -> Obstacle:
+    """An obstacle from its scene-file object, by the constructor of its kind.
+    Any kind may have a null rotation, but only an `AxesObstacle` a given one;
+    a curve2d is built from its pieces, and its centre checked for length."""
+    check_object(d, "obstacle", {"kind", "center", "params"}, {"rotation"})
+    cls = class_of_kind(_OBSTACLE_KINDS, d["kind"], "obstacle kind")
+    params = check_object(d["params"], f"{cls.kind} params", cls.params)
+    values = [params[key] for key in cls.params]
+    if d.get("rotation") is not None:
+        if not issubclass(cls, AxesObstacle):
+            raise SchemaError(f"rotation is not supported for {cls.kind}")
+        values.append(d["rotation"])
+    if cls is CurveObstacle:
+        obstacle = CurveObstacle([piece_from_dict(p) for p in check_list(values[0], "pieces")])
+    else:
+        obstacle = cls(d["center"], *values)
+    if len(d["center"]) != obstacle.dim:
+        raise SchemaError("center has wrong dimension")
+    return obstacle
 
 
 def scene_to_dict(scene: Scene) -> dict:
@@ -698,25 +675,23 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
-def scene_from_dict(d: dict) -> Scene:
-    if not isinstance(d, dict):
-        raise SchemaError("scene must be a JSON object")
-    required = {"dimension", "ball_radius", "obstacles", "name"}
-    if set(d) != required:
-        missing = required - set(d)
-        extra = set(d) - required
-        parts = []
-        if missing:
-            parts.append(f"missing keys {sorted(missing)}")
-        if extra:
-            parts.append(f"unknown keys {sorted(extra)}")
-        raise SchemaError("; ".join(parts))
+def scene_from_dict(d) -> Scene:
+    check_object(d, "scene", {"dimension", "ball_radius", "obstacles", "name"})
     dim = d["dimension"]
     if dim not in (2, 3):
         raise SchemaError("dimension must be 2 or 3")
-    obstacles = [obstacle_from_dict(o, dim) for o in d["obstacles"]]
+    obstacles = []
+    for k, entry in enumerate(check_list(d["obstacles"], "obstacles")):
+        try:
+            # a non-finite number is refused by a check, not warned about on the way there
+            with np.errstate(all="ignore"):
+                obstacles.append(obstacle_from_dict(entry))
+        except (TypeError, ValueError, OverflowError) as exc:
+            # a constructor given a JSON value of the wrong type raises TypeError
+            raise SchemaError(f"obstacle {k}: {exc}") from exc
     try:
-        return Scene(int(dim), float(d["ball_radius"]), tuple(obstacles), str(d["name"]))
+        return Scene(int(dim), _positive("ball_radius", d["ball_radius"]), tuple(obstacles),
+                     str(d["name"]))
     except InvalidParameters as exc:
         raise SchemaError(str(exc)) from exc
 

@@ -63,8 +63,9 @@ for name in sys.argv[3:]:
 def test_benchmark_workloads_pass_their_checks(tmp_path):
     # each workload's set-up (seed 4), one pass and its check, as a benchmark
     # run makes them: a check that fails, a failed operation or an exception
-    # fails here, with what the run printed
-    names = ["lens-implicit", "livshits"]
+    # fails here, with what the run printed. Every workload writes its scenes
+    # and reads them back, so a reader that refuses one fails here too
+    names = ["lens-implicit", "livshits", "single-orbit"]
     done = run_python("-c", _WORKLOAD_CHECKS, str(PERFBENCH), str(tmp_path), *names)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [f"{name} 0 []" for name in names], done.stdout
