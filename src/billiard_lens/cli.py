@@ -70,13 +70,19 @@ def _header(args, scene=None, spec=None):
     }
 
 
-def _write(path, text: str):
-    """Write text to the file at path, or to stdout without a path."""
+def _stream(path, write):
+    """Call write, a function of an open text stream, on the file at path,
+    opened only now, or on stdout without a path."""
     if path:
         with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
+
+
+def _write(path, text: str):
+    """Write text to the file at path, or to stdout without a path."""
+    _stream(path, lambda fh: fh.write(text))
 
 
 def _load_scene(path: str):
@@ -146,9 +152,9 @@ def _cmd_lens(args):
     spec = lens.parse_spec(args.spec, seed=args.seed, n_max=args.nmax, t_max=args.tmax)
     table = lens.build_lens_table(scene, spec)
     if args.out and args.out.endswith(".csv"):
-        _write(args.out, lens.table_to_csv(table, scene.dimension))
+        _stream(args.out, lens.csv_writer(table, scene.dimension))
     else:
-        _write(args.out, lens.table_to_jsonl(table, header_extra=_header(args, scene, spec)))
+        _stream(args.out, lens.jsonl_writer(table, header_extra=_header(args, scene, spec)))
     return 0
 
 
@@ -182,9 +188,9 @@ def _cmd_sls(args):
 
 def _cmd_compare(args):
     with open(args.scene) as fh:
-        table_k = lens.table_from_jsonl(fh.read())
+        table_k = lens.read_jsonl(fh)
     with open(args.scene_b) as fh:
-        table_l = lens.table_from_jsonl(fh.read())
+        table_l = lens.read_jsonl(fh)
     tol = args.tol
     if tol is None:
         # default 1e-6 * ball radius; entry points sit on the sphere
@@ -314,7 +320,7 @@ def main(argv=None) -> int:
         return 2
     except (flow.RootPolishFailed, variation.ItineraryChanged, variation.TangentOnPath,
             variation.TangentIncidence, geometry.SingularGradient, ArithmeticError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -158,6 +158,26 @@ def _defaults(cls) -> dict:
             if p.default is not p.empty}
 
 
+def _number(name: str, value) -> float:
+    """A piece's number as a float; ValueError naming it otherwise. A
+    non-finite number is refused by CurveChain, with the others."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{name} must be a number, not {value!r}") from None
+
+
+def _pair(name: str, value) -> np.ndarray:
+    """A piece's point or vector as two floats; ValueError naming it otherwise."""
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        x = None
+    if x is None or x.shape != (2,):
+        raise ValueError(f"{name} must be a list of 2 numbers, not {value!r}")
+    return x
+
+
 def _nonzero_sweep(theta0, theta1):
     # a root's arc parameter is its angle over the sweep
     if theta1 == theta0:
@@ -249,8 +269,8 @@ class LinePiece(CurvePiece):
     closed_form_projection = True
 
     def __init__(self, p0, p1):
-        self.p0 = np.asarray(p0, dtype=float)
-        self.p1 = np.asarray(p1, dtype=float)
+        self.p0 = _pair("line p0", p0)
+        self.p1 = _pair("line p1", p1)
         self._d = _nonzero_chord(self.p0, self.p1)
         self._dd = np.sum(self._d * self._d)
         self._floats = (*self.p0.tolist(), *self._d.tolist())  # p0 and d, for the ray solver
@@ -294,10 +314,10 @@ class BumpLinePiece(CurvePiece):
     keys = ("p0", "p1", "amplitude", "direction")
 
     def __init__(self, p0, p1, amplitude, direction):
-        self.p0 = np.asarray(p0, dtype=float)
-        self.p1 = np.asarray(p1, dtype=float)
-        self.amplitude = float(amplitude)
-        self.direction = np.asarray(direction, dtype=float)
+        self.p0 = _pair("bump_line p0", p0)
+        self.p1 = _pair("bump_line p1", p1)
+        self.amplitude = _number("bump_line amplitude", amplitude)
+        self.direction = _pair("bump_line direction", direction)
         norm = float(np.linalg.norm(self.direction))
         if not 0.0 < norm < math.inf:
             raise ValueError("bump direction must be nonzero and finite")
@@ -375,12 +395,12 @@ class ArcPiece(CurvePiece):
     closed_form_projection = True
 
     def __init__(self, center, radius, theta0, theta1):
-        if radius <= 0:
+        self.center = _pair("arc center", center)
+        self.radius = _number("arc radius", radius)
+        if self.radius <= 0:
             raise ValueError("arc radius must be positive")
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        self.theta0 = float(theta0)
-        self.theta1 = float(theta1)
+        self.theta0 = _number("arc theta0", theta0)
+        self.theta1 = _number("arc theta1", theta1)
         self._sweep = _nonzero_sweep(self.theta0, self.theta1)
         self._ends = (self.start(), self.end())
         self._floats = tuple(self.center.tolist())  # centre, for the ray solver
@@ -424,14 +444,16 @@ class EllipseArcPiece(CurvePiece):
     keys = ("center", "semi_axes", "theta0", "theta1", "rotation")
 
     def __init__(self, center, semi_axes, theta0, theta1, rotation=0.0):
-        self.center = np.asarray(center, dtype=float)
-        self.semi_axes = np.asarray(semi_axes, dtype=float)
+        self.center = _pair("ellipse_arc center", center)
+        self.semi_axes = _pair("ellipse_arc semi_axes", semi_axes)
         if np.any(self.semi_axes <= 0):
             raise ValueError("ellipse semi-axes must be positive")
-        self.theta0 = float(theta0)
-        self.theta1 = float(theta1)
-        self.rotation = float(rotation)
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
+        self.theta0 = _number("ellipse_arc theta0", theta0)
+        self.theta1 = _number("ellipse_arc theta1", theta1)
+        self.rotation = _number("ellipse_arc rotation", rotation)
+        # a non-finite rotation gives NaN points, which CurveChain refuses by name
+        c, s = ((math.cos(self.rotation), math.sin(self.rotation)) if math.isfinite(self.rotation)
+                else (math.nan, math.nan))
         self._R = np.array([[c, -s], [s, c]])
         self._sweep = _nonzero_sweep(self.theta0, self.theta1)
         self._floats = (*self.center.tolist(), c, s, *self.semi_axes.tolist())  # for the ray solver
@@ -510,7 +532,11 @@ class CurveChain:
         self._coarse_pts = [p.point(self._coarse_s) for p in self.pieces]
         finite = np.isfinite(self._coarse_pts).all(axis=(1, 2))
         if not finite.all():  # one check for every number a piece is given
-            raise ValueError(f"curve piece {int(np.argmin(finite))} has a non-finite number")
+            k = int(np.argmin(finite))
+            piece = self.pieces[k]
+            named = next((f": {piece.kind} {key} = {_floats(getattr(piece, key))}"
+                          for key in piece.keys if not np.isfinite(getattr(piece, key)).all()), "")
+            raise ValueError(f"curve piece {k} has a non-finite number{named}")
         self.lengths = [
             float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1))) for pts in self._coarse_pts
         ]

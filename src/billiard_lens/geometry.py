@@ -650,6 +650,7 @@ def obstacle_from_dict(d) -> Obstacle:
     Any kind may have a null rotation, but only an `AxesObstacle` a given one;
     a curve2d is built from its pieces, and its centre checked for length."""
     check_object(d, "obstacle", {"kind", "center", "params"}, {"rotation"})
+    check_list(d["center"], "center")
     cls = class_of_kind(_OBSTACLE_KINDS, d["kind"], "obstacle kind")
     params = check_object(d["params"], f"{cls.kind} params", cls.params)
     values = [params[key] for key in cls.params]

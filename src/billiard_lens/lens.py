@@ -10,15 +10,23 @@ entry: params (N, k), q and v (N, n), status, reflections, t, theta (N, n),
 sojourn and error. A null t, sojourn or theta is NaN in its column (a table
 holds no NaN otherwise), a null error is None. The table, like the entry set
 of the sampler, reads as a sequence of row views built on access.
+
+A table moves between its columns and a JSONL or CSV file one block of
+BLOCK_ROWS rows at a time: the writers format a block and write it to an
+open text stream before they format the next, and the reader turns each
+block of lines of an open file into columns, so that neither holds more than
+one block of text or of decoded rows besides the columns.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from itertools import chain
+from functools import partial
+from itertools import chain, islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -32,6 +40,7 @@ from .rng import Xoshiro256StarStar
 
 STATUSES = ("free", "scattered", "trapped", "gliding_rejected", "tangent_flagged", "error")
 SPECTRUM_GAP_FACTOR = 5e-3  # * a; sojourn times closer than this share a spectrum bin
+BLOCK_ROWS = 1024  # rows that the table writers format, and the reader decodes, at a time
 
 
 class SpecMismatch(ValueError):
@@ -296,7 +305,7 @@ def build_lens_table(scene, spec: SampleSpec) -> LensTable:
         try:
             traj = flow.trace(scene, PhasePoint(q, v), limits)
         except (flow.RootPolishFailed, geometry.SingularGradient, ArithmeticError) as exc:
-            error[k] = str(exc)
+            error[k] = f"{type(exc).__name__}: {exc}"
             continue
         status[k] = classify_trajectory(traj)
         reflections[k] = len(traj.events)
@@ -546,26 +555,48 @@ def _numbers(width: int) -> str:
     return ",".join(["%.17g"] * width)
 
 
-def _lines(table: LensTable, template) -> list:
-    """One text line per row. Rows that share a status and a pattern of null
-    t, sojourn and theta share one %-template: template(status, t_null,
-    sojourn_null, theta_null) returns it and the columns whose numbers it
-    takes, in order."""
-    nulls = np.isnan(table.t) + 2 * np.isnan(table.sojourn) + 4 * np.isnan(table.theta[:, 0])
-    names, status = np.unique(table.status, return_inverse=True)
+def _lines(table: LensTable, template, lo: int, hi: int) -> list:
+    """One text line for each row of [lo, hi), ending in a newline. Rows that
+    share a status and a pattern of null t, sojourn and theta share one
+    %-template: template(status, t_null, sojourn_null, theta_null) returns it
+    and the columns whose numbers it takes, in order."""
+    block = slice(lo, hi)
+    nulls = (np.isnan(table.t[block]) + 2 * np.isnan(table.sojourn[block])
+             + 4 * np.isnan(table.theta[block, 0]))
+    names, status = np.unique(table.status[block], return_inverse=True)
     groups = 8 * status + nulls
-    out = np.empty(len(table), dtype=object)
+    out = np.empty(hi - lo, dtype=object)
     for group in np.unique(groups).tolist():
         rows = np.flatnonzero(groups == group)
         k, null = divmod(group, 8)
         tpl, cols = template(str(names[k]), null & 1, null & 2, null & 4)
-        out[rows] = [tpl % tuple(r) for r in np.column_stack([c[rows] for c in cols]).tolist()]
+        tpl += "\n"
+        out[rows] = [tpl % tuple(r) for r in np.column_stack([c[rows + lo] for c in cols]).tolist()]
     return out.tolist()
 
 
-def table_to_jsonl(table: LensTable, header_extra: dict | None = None) -> str:
-    """Header line, then one row per sample, each equal to canonical_json of
-    the sample's fields."""
+def _block_writer(head: str, n: int, lines):
+    """A function of an open text stream that writes the line head, then
+    the lines(lo, hi) of each block [lo, hi) of BLOCK_ROWS of the n rows."""
+    def write(out):
+        out.write(head + "\n")
+        for lo in range(0, n, BLOCK_ROWS):
+            out.writelines(lines(lo, min(lo + BLOCK_ROWS, n)))
+    return write
+
+
+def _text(write) -> str:
+    """What a writer of _block_writer writes, as one string."""
+    out = io.StringIO()
+    write(out)
+    return out.getvalue()
+
+
+def jsonl_writer(table: LensTable, header_extra: dict | None = None):
+    """The table's JSONL writer, a function of an open text stream: it
+    writes the header line, then one row per sample, each equal to
+    canonical_json of the sample's fields. The header line is built here,
+    before any stream is opened."""
     header = {"scene_hash": table.scene_hash, "spec": table.spec.to_dict(),
               "version": VERSION, "summary": table.summary}
     if header_extra:
@@ -583,11 +614,19 @@ def table_to_jsonl(table: LensTable, header_extra: dict | None = None) -> str:
                 + ',"status":' + json.dumps(status) + ',"t":' + ("null" if t_null else "%.17g")
                 + ',"theta":' + ("null" if theta_null else vector) + ',"v":' + vector + "}"), cols
 
-    rows = _lines(table, template)
-    for k, error in enumerate(table.error.tolist()):
-        if error is not None:
-            rows[k] = '{"error":' + json.dumps(error) + rows[k][len('{"error":null'):]
-    return "\n".join([canonical_json(header), *rows]) + "\n"
+    def lines(lo, hi):
+        rows = _lines(table, template, lo, hi)
+        for k, error in enumerate(table.error[lo:hi].tolist()):
+            if error is not None:
+                rows[k] = '{"error":' + json.dumps(error) + rows[k][len('{"error":null'):]
+        return rows
+
+    return _block_writer(canonical_json(header), len(table), lines)
+
+
+def table_to_jsonl(table: LensTable, header_extra: dict | None = None) -> str:
+    """The text that jsonl_writer writes."""
+    return _text(jsonl_writer(table, header_extra))
 
 
 _HEADER_KEYS = frozenset(("scene_hash", "spec"))
@@ -678,7 +717,7 @@ def _scalars(col, linenos, key: str) -> np.ndarray:
 
 
 def _columns(lines: list, n: int | None) -> tuple:
-    """The columns of a block of (line number, row) pairs, in LensTable
+    """The columns of a block of (line number, line) pairs, in LensTable
     order: each row decoded once, each column checked in one pass, and the
     first bad row of a bad column named. n is the dimension, None to take
     it from the first row."""
@@ -721,38 +760,50 @@ def _columns(lines: list, n: int | None) -> tuple:
             np.array(error, dtype=object))
 
 
-def table_from_jsonl(text: str) -> LensTable:
-    """Parse a lens table; raises SchemaError naming the line on malformed
-    input. The rows become columns 4096 lines at a time, so that besides the
-    columns only one block of decoded rows is held."""
-    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines:
+def read_jsonl(lines) -> LensTable:
+    """Parse a lens table from an iterable of text lines (an open file);
+    raises SchemaError naming the line on malformed input, a bad row before
+    a wrong row count. The rows become columns BLOCK_ROWS lines at a time,
+    so that besides the columns only one block of text and of decoded rows
+    is held."""
+    numbered = ((k, ln.rstrip("\n")) for k, ln in enumerate(lines, 1) if ln.strip())
+    lineno, first = next(numbered, (None, None))
+    if first is None:
         raise ValueError("empty lens table file")
-    lineno, first = lines[0]
     header = _json_object(first, lineno, _HEADER_KEYS)
     try:
         spec = SampleSpec.from_dict(header["spec"])
     except (KeyError, TypeError, ValueError) as exc:
         raise geometry.SchemaError(f"lens table line {lineno}: bad spec: {exc!r}") from exc
-    if len(lines) - 1 != spec.count():
-        raise geometry.SchemaError(f"lens table has {len(lines) - 1} rows, but its spec "
+    fields = [[] for _ in range(9)]  # the blocks of each of the table's nine columns
+    n, rows = None, 0
+    for block in iter(lambda: list(islice(numbered, BLOCK_ROWS)), []):
+        for parts, col in zip(fields, _columns(block, n)):
+            parts.append(col)
+        n, rows = fields[1][0].shape[1], rows + len(block)
+    if rows != spec.count():
+        raise geometry.SchemaError(f"lens table has {rows} rows, but its spec "
                                    f"{spec.spec_string()} has {spec.count()}")
-    blocks, n = [], None
-    for start in range(1, len(lines), 4096):
-        blocks.append(_columns(lines[start:start + 4096], n))
-        n = blocks[0][1].shape[1]
-    return LensTable(header["scene_hash"], spec, *map(np.concatenate, zip(*blocks)),
-                     header.get("summary", {}))
+    # one field at a time, each freeing its blocks: the columns are held once
+    columns = [np.concatenate(fields.pop(0)) for _ in range(len(fields))]
+    return LensTable(header["scene_hash"], spec, *columns, header.get("summary", {}))
 
 
-def table_to_csv(table: LensTable, dimension: int) -> str:
-    """A `#` line with the version, scene hash, spec and seed, a column line,
+def table_from_jsonl(text: str) -> LensTable:
+    """The table that read_jsonl reads from the lines of text. (An
+    io.StringIO of the text would hold four bytes per character.)"""
+    return read_jsonl(text.splitlines())
+
+
+def csv_writer(table: LensTable, dimension: int):
+    """The table's CSV writer, a function of an open text stream: it writes
+    a `#` line with the version, scene hash, spec and seed, a column line,
     then one row per sample."""
     param_names = ["alpha", "beta"] if dimension == 2 else ["pos_z", "pos_phi", "dir_mu", "dir_psi"]
     theta_names = [f"theta_{ax}" for ax in "xyz"[:dimension]]
     cols = param_names + ["status", "t", "reflections"] + theta_names + ["sojourn"]
-    head = ["# billiard-lens " + VERSION + " scene=" + table.scene_hash
-            + " spec=" + table.spec.spec_string() + " seed=" + str(table.spec.seed), ",".join(cols)]
+    head = ("# billiard-lens " + VERSION + " scene=" + table.scene_hash + " spec="
+            + table.spec.spec_string() + " seed=" + str(table.spec.seed) + "\n" + ",".join(cols))
     params = _numbers(table.params.shape[1])
     theta = _numbers(table.theta.shape[1])
 
@@ -764,4 +815,9 @@ def table_to_csv(table: LensTable, dimension: int) -> str:
                 + ("," * (dimension - 1) if theta_null else theta) + ","
                 + ("" if sojourn_null else "%.17g")), cols
 
-    return "\n".join(head + _lines(table, template)) + "\n"
+    return _block_writer(head, len(table), partial(_lines, table, template))
+
+
+def table_to_csv(table: LensTable, dimension: int) -> str:
+    """The text that csv_writer writes."""
+    return _text(csv_writer(table, dimension))

@@ -190,9 +190,10 @@ def cross_basis(n):
     return np.column_stack([e1, np.cross(n, e1)])
 
 
-def run_python(*args):
-    """Run a fresh interpreter on this source tree; returns the CompletedProcess."""
+def run_python(*args, text=True):
+    """Run a fresh interpreter on this source tree; returns the CompletedProcess,
+    whose output is text, or bytes if not `text`."""
     src = str(Path(bl.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=text, env=env)

@@ -197,9 +197,10 @@ def test_compare_truncated_table_exits_2(disc_json, tmp_path, kept):
     assert "Traceback" not in proc.stderr
 
 
-def test_lens_records_an_overflow_per_ray(tmp_path):
+def test_lens_records_an_overflow_per_ray(tmp_path, capsys):
     # |u_i|^(p-1) leaves the float range inside the bounding circle of this
-    # thin body: those rays are error rows, and the table is still written
+    # thin body: those rays are error rows, and the table is still written;
+    # `validate`, which has no rows, ends with the same text
     scene = bl.make_scene(2, 10.0, [bl.SuperellipsoidObstacle([0.0, 0.0], [5.0, 0.1], 200.0)], "thin")
     path, out = tmp_path / "thin.json", tmp_path / "thin.jsonl"
     path.write_text(geometry.scene_to_json(scene) + "\n")
@@ -207,8 +208,12 @@ def test_lens_records_an_overflow_per_ray(tmp_path):
     table = lens.table_from_jsonl(out.read_text())
     errors = table.status == "error"
     assert table.summary["counts"]["error"] == np.count_nonzero(errors) == 60
-    assert set(table.error[errors]) == {str(OverflowError(34, "Numerical result out of range"))}
+    assert set(table.error[errors]) == {"OverflowError: (34, 'Numerical result out of range')"}
     assert table.summary["counts"]["scattered"] > 0
+    capsys.readouterr()
+    assert cli.main(["validate", "--scene", str(path)]) == 3
+    assert capsys.readouterr().err == \
+        "numeric failure: OverflowError: (34, 'Numerical result out of range')\n"
 
 
 def test_compare_expect_equal_exit_code(disc_json, tmp_path):
@@ -228,6 +233,17 @@ def test_lens_rerun_byte_identical(disc_json, tmp_path):
     assert cli.main(args + ["--out", str(a)]) == 0
     assert cli.main(args + ["--out", str(b)]) == 0
     assert a.read_bytes().replace(b"a.jsonl", b"") == b.read_bytes().replace(b"b.jsonl", b"")
+
+
+def test_lens_prints_to_stdout_the_bytes_it_writes(disc_json, tmp_path):
+    # 1200 rows, two blocks of the writer; only the header's invocation,
+    # which names the output file, tells the two apart
+    args = ["-m", "billiard_lens.cli", "lens", "--scene", disc_json, "--spec", "grid:40x30"]
+    out = tmp_path / "t.jsonl"
+    assert run_python(*args, "--out", str(out)).returncode == 0
+    printed = run_python(*args, text=False)
+    assert printed.returncode == 0 and printed.stdout.count(b"\n") == 1201
+    assert printed.stdout == out.read_bytes().replace(b',"--out",' + json.dumps(str(out)).encode(), b"")
 
 
 def test_lens_csv_output(disc_json, tmp_path):

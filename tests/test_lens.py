@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import operator
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -148,7 +149,8 @@ def test_gradient_under_the_floor_is_an_error_row():
     table = lens.build_lens_table(scene, SampleSpec("grid", 16, 16))
     errors = table.status == "error"
     assert table.summary["counts"]["error"] == np.count_nonzero(errors) > 0
-    assert set(table.error[errors]) == {"singular normal on obstacle 0: |grad F| = 2e-12"}
+    assert set(table.error[errors]) == {
+        "SingularGradient: singular normal on obstacle 0: |grad F| = 2e-12"}
     assert all(e is None for e in table.error[~errors])
     assert np.isnan(table.t[errors]).all() and (table.reflections[errors] == 0).all()
     assert table.summary["counts"]["free"] == len(table) - np.count_nonzero(errors)
@@ -627,6 +629,110 @@ def test_tables_of_several_blocks_read_back(disc_scene):
     lines[4149] = lines[4149].replace('"status":"', '"status":"x')
     with pytest.raises(geometry.SchemaError, match="^lens table line 4150: unknown status 'x"):
         lens.table_from_jsonl("\n".join(lines))
+
+
+_COLUMNS = ("params", "q", "v", "status", "reflections", "t", "theta", "sojourn", "error")
+
+
+def _block_table(n, dim):
+    """n hand-made rows whose null pattern of t, sojourn and theta cycles with
+    period 8, each with a status it allows (cycling too), and a message on
+    every error row: each block of the writers and the reader has them all."""
+    rng = np.random.default_rng(n)
+    k = np.arange(n)
+    t_null, sojourn_null, theta_null = (k & 1) > 0, (k & 2) > 0, (k & 4) > 0
+    untimed = np.array(["trapped", "tangent_flagged", "gliding_rejected", "error"])
+    status = np.where(t_null, untimed[(k // 8) % 4], np.array(lens.STATUSES)[(k // 8) % 6])
+    theta = rng.normal(size=(n, dim))
+    theta[theta_null] = math.nan
+    error = np.array([f"RootPolishFailed: row {i}" if s == "error" else None
+                      for i, s in enumerate(status.tolist())], dtype=object)
+    return LensTable("00ff00ff00ff00ff", SampleSpec("mc", n_total=n, seed=3),
+                     rng.uniform(-1.0, 1.0, (n, 2 * (dim - 1))), rng.normal(size=(n, dim)) * A_BALL,
+                     rng.normal(size=(n, dim)), lens._status_column(status),
+                     rng.integers(0, 50, n), np.where(t_null, math.nan, rng.uniform(0.0, 40.0, n)),
+                     theta, np.where(sojourn_null, math.nan, rng.normal(size=n)), error, {})
+
+
+def _check_rows_and_columns(table, dim):
+    """Each written row is canonical_json of its row's fields, the JSONL reads
+    back to the same columns, and the CSV matches its row oracle."""
+    text = lens.table_to_jsonl(table)
+    assert text.splitlines()[1:] == [geometry.canonical_json(_oracle_row(s)) for s in table.samples]
+    back = lens.table_from_jsonl(text)
+    for key in _COLUMNS:
+        a, b = getattr(back, key), getattr(table, key)
+        assert a.tolist() == b.tolist() if key == "error" else (
+            a.dtype == b.dtype and a.tobytes() == b.tobytes()), key
+    assert lens.table_to_csv(table, dim) == _oracle_csv(table, dim)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 4099])
+def test_tables_across_block_boundaries(n, dim):
+    assert lens.BLOCK_ROWS == 1024
+    table = _block_table(n, dim)
+    assert set(table.status.tolist()) == set(lens.STATUSES) or n == 1
+    _check_rows_and_columns(table, dim)
+
+
+def test_error_rows_in_several_blocks():
+    # the thin superellipsoid of test_lens_records_an_overflow_per_ray: its
+    # overflow rows fall in every block of a 4096-row table
+    scene = bl.make_scene(2, 10.0, [bl.SuperellipsoidObstacle([0.0, 0.0], [5.0, 0.1], 200.0)], "thin")
+    table = lens.build_lens_table(scene, SampleSpec("grid", 64, 64))
+    errors = np.flatnonzero(table.status == "error")
+    assert set((errors // lens.BLOCK_ROWS).tolist()) == {0, 1, 2, 3}
+    _check_rows_and_columns(table, 2)
+
+
+def test_a_bad_row_in_the_third_block_is_named():
+    text = lens.table_to_jsonl(_block_table(4099, 2))
+    lines = text.splitlines()
+    lines[2500] = lines[2500].replace('"status":"', '"status":"x')
+    with pytest.raises(geometry.SchemaError, match="^lens table line 2501: unknown status 'x"):
+        lens.table_from_jsonl("\n".join(lines))
+    # read before the rows are counted: with a row missing too, the bad row is named
+    with pytest.raises(geometry.SchemaError, match="^lens table line 2501: unknown status 'x"):
+        lens.table_from_jsonl("\n".join(lines[:-1]))
+    with pytest.raises(geometry.SchemaError, match="^lens table has 4098 rows, but its spec"):
+        lens.table_from_jsonl("\n".join(text.splitlines()[:-1]))
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of memory that tracemalloc sees it allocate."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_and_reader_hold_one_block(tmp_path):
+    # the JSONL writer's peak, and the reader's besides the columns it
+    # returns, do not grow with the table: they hold one block of rows
+    path = tmp_path / "table.jsonl"
+
+    def write(table):
+        with open(path, "w", newline="\n") as fh:
+            lens.jsonl_writer(table)(fh)
+
+    def read():
+        with open(path) as fh:
+            return lens.read_jsonl(fh)
+
+    write(_block_table(64, 2))
+    read()  # lazy imports and first-call caches, outside the measurements
+    writer, reader = [], []
+    for n in (4096, 16384):
+        table = _block_table(n, 2)
+        writer.append(_traced_peak(lambda: write(table))[1])
+        back, peak = _traced_peak(read)
+        reader.append(peak - sum(getattr(back, key).nbytes for key in _COLUMNS))
+    assert writer[1] <= 1.5 * writer[0], writer
+    assert reader[1] <= 1.5 * reader[0], reader
 
 
 def test_negative_zero_survives_a_round_trip():

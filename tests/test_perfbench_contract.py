@@ -60,6 +60,40 @@ for name in sys.argv[3:]:
 """
 
 
+_TRACED_PASS = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+import tracer, workloads
+setup, run_pass, _, _ = workloads.WORKLOADS["lens-implicit"]
+inputs = setup(Path(sys.argv[2]), 4)
+untraced = run_pass(inputs)
+rec = tracer.Recorder()
+tracer.install(rec)
+traced = run_pass(inputs)
+agg = rec.finish_pass(traced["wall_s"])
+rec.paused = True
+tracer.layer_metrics([agg], 0.0)
+counts = tracer.pass_counts(agg)
+statuses = sum(counts["flow.status." + s] for s in tracer.STATUSES)
+print(counts["flow.trace.calls"], statuses, untraced["rays_traced"], traced["rays_traced"])
+print(untraced["digest"] == traced["digest"], untraced["failed"], traced["failed"],
+      untraced["codes"] + traced["codes"])
+"""
+
+
+def test_benchmark_traced_pass_keeps_its_checks(tmp_path):
+    # a `--trace 1` run wraps the package's callables (tracer.install) and
+    # checks what run.py checks: the traced ray statuses sum to the traced
+    # rays, which are the rays the outputs hold, and traced outputs equal
+    # untraced ones. One untraced and one traced lens-implicit pass, seed 4
+    done = run_python("-c", _TRACED_PASS, str(PERFBENCH), str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    rays, statuses, untraced_rays, traced_rays = map(int, done.stdout.split()[:4])
+    assert rays == statuses == untraced_rays == traced_rays > 0, done.stdout
+    assert done.stdout.splitlines()[1] == "True 0 0 [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]", done.stdout
+
+
 def test_benchmark_workloads_pass_their_checks(tmp_path):
     # each workload's set-up (seed 4), one pass and its check, as a benchmark
     # run makes them: a check that fails, a failed operation or an exception

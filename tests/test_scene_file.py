@@ -66,9 +66,12 @@ REFUSED = [
     ("pieces-5", _scene([_curve(5)]), "pieces must be a list"),
     ("center-5", _scene([{**SPHERE, "center": 5}]), "center"),
     ("center-null", _scene([{**SPHERE, "center": None}]), "center"),
-    ("curve-center-5", _scene([{**_curve(HALVES), "center": 5}]), "obstacle 0"),
+    ("curve-center-5", _scene([{**_curve(HALVES), "center": 5}]),
+     "obstacle 0: center must be a list, not int"),
     ("params-list", _scene([{**SPHERE, "params": ["radius"]}]), "params must be an object"),
     ("radius-null", _scene([{**SPHERE, "params": {"radius": None}}]), "radius must be a number"),
+    ("arc-radius-null", _scene([_curve([HALVES[0], {**HALVES[1], "radius": None}])]),
+     "obstacle 0: arc radius must be a number, not None"),
     ("ball-radius-null", _scene([SPHERE], ball_radius=None), "ball_radius must be a number"),
     ("kind-list", _scene([{**SPHERE, "kind": ["sphere"]}]), "unknown obstacle kind ['sphere']"),
     ("type-list", _scene([_curve(_replace(HALVES, 1, type=["line"]))]),
@@ -108,6 +111,8 @@ REFUSED = [
      "bump direction must be nonzero and finite"),
     ("ellipse-arc-rotation-nan", _scene([_curve(_ellipse_halves(math.nan))]),
      "curve piece 0 has a non-finite number"),
+    ("ellipse-arc-rotation-inf", _scene([_curve(_ellipse_halves(math.inf))]),
+     "obstacle 0: curve piece 0 has a non-finite number: ellipse_arc rotation = inf"),
     ("ellipse-arc-semi-axis-inf",
      _scene([_curve(_replace(_ellipse_halves(None), 0, semi_axes=[2.0, math.inf]))]),
      "curve piece 0 has a non-finite number"),
