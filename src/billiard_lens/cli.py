@@ -9,7 +9,8 @@ invocation; a CSV lens table starts with a `#` line of the version, scene
 hash, spec and seed. Identical invocations reproduce byte-identical files.
 
 Exit codes: 0 success, 2 bad input (with a message on stderr), 3 numeric
-failure, 4 distinguishable comparison verdict when --expect-equal is set.
+failure that ends a command (`lens`, `trapped` and `sls` record one per
+ray), 4 distinguishable comparison verdict when --expect-equal is set.
 """
 
 from __future__ import annotations
@@ -174,13 +175,14 @@ def _cmd_sls(args):
     theta = _parse_vector(args.theta, scene.dimension)
     spec = lens.parse_spec(args.spec, seed=args.seed, n_max=args.nmax, t_max=args.tmax)
     tol = args.tol if args.tol is not None else 1e-2
-    bins = lens.scattering_spectrum(scene, omega, theta, tol, spec)
+    spectrum = lens.scattering_spectrum(scene, omega, theta, tol, spec)
     doc = {
         "header": _header(args, scene, spec),
         "omega": list(omega),
         "theta": list(theta),
         "angular_tolerance": tol,
-        "bins": [b.to_dict() for b in bins],
+        "bins": [b.to_dict() for b in spectrum],
+        "counts": spectrum.counts,
     }
     _write(args.out, canonical_json(doc) + "\n")
     return 0
@@ -314,12 +316,11 @@ def main(argv=None) -> int:
     args._invocation = list(argv)
     try:
         return _COMMANDS[args.command][0](args)
-    except (ValueError, OSError, geometry.ValidationFailed) as exc:
-        # ValueError includes schema errors, spec mismatches and malformed JSON
+    except (ValueError, OSError, MemoryError, geometry.ValidationFailed) as exc:
+        # ValueError: schema errors, spec mismatches, malformed JSON; MemoryError: a huge spec
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (flow.RootPolishFailed, variation.ItineraryChanged, variation.TangentOnPath,
-            variation.TangentIncidence, geometry.SingularGradient, ArithmeticError) as exc:
+    except geometry.NUMERIC_FAILURES as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -143,6 +143,18 @@ def check_list(value, what: str) -> list:
     return value
 
 
+def check_numeric(value, what: str):
+    """`value` unless it is, or a list, tuple or array holds, a string or a
+    boolean, which float() reads as a number; SchemaError naming `what`."""
+    x = value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+    if isinstance(x, (list, tuple)):
+        for item in x:
+            check_numeric(item, what)
+    elif isinstance(x, (str, bool)):
+        raise SchemaError(f"{what} must be a number, not {x!r}")
+    return value
+
+
 def class_of_kind(table: dict, kind, what: str):
     """The class that `table` maps the name `kind` to; SchemaError if none."""
     cls = table.get(kind) if isinstance(kind, str) else None
@@ -162,7 +174,7 @@ def _number(name: str, value) -> float:
     """A piece's number as a float; ValueError naming it otherwise. A
     non-finite number is refused by CurveChain, with the others."""
     try:
-        return float(value)
+        return float(check_numeric(value, name))
     except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be a number, not {value!r}") from None
 
@@ -170,7 +182,7 @@ def _number(name: str, value) -> float:
 def _pair(name: str, value) -> np.ndarray:
     """A piece's point or vector as two floats; ValueError naming it otherwise."""
     try:
-        x = np.asarray(value, dtype=float)
+        x = np.asarray(check_numeric(value, name), dtype=float)
     except (TypeError, ValueError, OverflowError):
         x = None
     if x is None or x.shape != (2,):

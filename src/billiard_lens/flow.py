@@ -20,12 +20,16 @@ ball exit, `ray_roots`, the unit normal (the kind's `root_gradient`,
 converted once, under the obstacle's `gradient_floor`), `reflect` and
 `sojourn_time`. Numpy arrays appear only at the boundary: each `Event` and
 `PhasePoint` gets its own, once per event and once at the exit.
+
+A `Trajectory` holds each datum of its ray once: `status`, `total_time` (the
+travelling time t), `exit_state.v` (the exit direction theta) and
+`len(events)` (the reflection count). `lens` records them per ray.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,7 +43,7 @@ GLIDING_ARC_FACTOR = 0.01   # same-obstacle tangencies closer than this * a reje
 _TANGENT_DEAD_ZONE = 1e-5   # * a; grazing residues and departures inside it are skipped
 
 
-class RootPolishFailed(RuntimeError):
+class RootPolishFailed(geometry.NumericFailure):
     """The ray starts or runs inside an obstacle (`_first_crossing`, `first_hit`)."""
 
 
@@ -247,27 +251,6 @@ def trace(scene, entry: PhasePoint, limits: Limits | None = None) -> Trajectory:
     return trace_phase(scene, q, v, limits)
 
 
-def travelling_time(scene, entry: PhasePoint, limits: Limits | None = None):
-    """Travelling time of an entry: ("exited", t) with the time to leave the
-    ball, or ("trapped", None) / ("gliding_rejected", None).
-
-    Entries tangent to the boundary sphere report time zero immediately."""
-    inward = -float(entry.q @ entry.v) / scene.ball_radius
-    if abs(inward) <= 1e-12:
-        return "exited", 0.0
-    traj = trace(scene, entry, limits)
-    if traj.status == "exited":
-        return "exited", traj.total_time
-    return traj.status, None
-
-
-def omega_theta(trajectory: Trajectory):
-    """(incoming direction, outgoing direction) of an exited trajectory."""
-    if trajectory.status != "exited":
-        raise NotScattered(f"trajectory status is {trajectory.status}")
-    return trajectory.entry.v.copy(), trajectory.exit_state.v.copy()
-
-
 def sojourn_time(scene, trajectory: Trajectory) -> float:
     """Sojourn time: length between the support planes tangent to the sphere
     and orthogonal to the incoming/outgoing directions, minus one diameter."""
@@ -276,12 +259,6 @@ def sojourn_time(scene, trajectory: Trajectory) -> float:
     entry, exit_state = trajectory.entry, trajectory.exit_state
     return (trajectory.total_time + _dot(entry.q.tolist(), entry.v.tolist())
             - _dot(exit_state.q.tolist(), exit_state.v.tolist()))
-
-
-def reflection_count(trajectory: Trajectory) -> int:
-    if trajectory.status != "exited":
-        raise NotScattered(f"trajectory status is {trajectory.status}")
-    return len(trajectory.events)
 
 
 def state_at(trajectory: Trajectory, t: float):
@@ -311,18 +288,5 @@ def trajectory_jsonl(trajectory: Trajectory, header_extra: dict | None = None) -
     }
     if header_extra:
         header.update(header_extra)
-    lines = [canonical_json(header)]
-    for ev in trajectory.events:
-        lines.append(
-            canonical_json(
-                {
-                    "t": ev.t,
-                    "x": list(ev.x),
-                    "obstacle": ev.obstacle,
-                    "type": ev.type,
-                    "v_in": list(ev.v_in),
-                    "v_out": list(ev.v_out),
-                }
-            )
-        )
+    lines = [canonical_json(header)] + [canonical_json(asdict(ev)) for ev in trajectory.events]
     return "\n".join(lines) + "\n"

@@ -28,6 +28,7 @@ from .curves import (
     _stable_quadratic,
     _sub,
     check_list,
+    check_numeric,
     check_object,
     class_of_kind,
     piece_from_dict,
@@ -38,7 +39,16 @@ class InvalidParameters(ValueError):
     """Constructor arguments outside the supported family."""
 
 
-class SingularGradient(RuntimeError):
+class NumericFailure(RuntimeError):
+    """A computation failed on valid input: a gradient under the floor, a
+    failed root polish, a Jacobi transfer that meets a tangent event."""
+
+
+# the numeric failures: an `error` row of lens data, exit 3 if one ends a command
+NUMERIC_FAILURES = (NumericFailure, ArithmeticError)
+
+
+class SingularGradient(NumericFailure):
     """Implicit gradient below the validated floor at a boundary point."""
 
 
@@ -146,7 +156,7 @@ class SurfaceFrame:
 def _positive(name: str, value) -> float:
     """`value` as a float in (0, inf); InvalidParameters naming it otherwise."""
     try:
-        x = float(value)
+        x = float(check_numeric(value, name))
     except (TypeError, ValueError, OverflowError):
         raise InvalidParameters(f"{name} must be a number, not {value!r}") from None
     if not 0.0 < x < math.inf:
@@ -163,7 +173,7 @@ class Obstacle:
     params = ()
 
     def __init__(self, center):
-        self.center = np.asarray(center, dtype=float)
+        self.center = np.asarray(check_numeric(center, "center"), dtype=float)
         if self.center.shape not in ((2,), (3,)):
             raise InvalidParameters("obstacles are 2D or 3D: the center needs 2 or 3 numbers")
         if not np.isfinite(self.center).all():
@@ -313,14 +323,15 @@ class AxesObstacle(Obstacle):
 
     def __init__(self, center, semi_axes, rotation=None):
         super().__init__(center)
-        self.semi_axes = np.asarray(semi_axes, dtype=float)
+        self.semi_axes = np.asarray(check_numeric(semi_axes, "semi_axes"), dtype=float)
         if self.semi_axes.shape != (self.dim,):
             raise InvalidParameters("semi_axes has wrong dimension")
         if not np.all((self.semi_axes > 0.0) & (self.semi_axes < math.inf)):
             raise InvalidParameters(f"{self.kind} semi_axes must be positive and finite, "
                                     f"not {self.semi_axes.tolist()}")
         self._has_rotation = rotation is not None
-        R = np.asarray(rotation, dtype=float) if self._has_rotation else np.eye(self.dim)
+        R = (np.asarray(check_numeric(rotation, "rotation"), dtype=float) if self._has_rotation
+             else np.eye(self.dim))
         if R.size != self.dim**2:
             raise InvalidParameters(f"rotation must have {self.dim**2} entries")
         self.rotation = R.reshape(self.dim, self.dim)
@@ -536,9 +547,6 @@ class CurveObstacle(Obstacle):
     def bounding_radius(self):
         return self.chain.bounding_circle()[1]
 
-    def bounding_center(self):
-        return self.chain.bounding_circle()[0]
-
     def ray_roots(self, q, v):
         return self.chain.ray_roots(q, v)
 
@@ -555,15 +563,10 @@ class CurveObstacle(Obstacle):
 
 
 # ---------------------------------------------------------------------------
-# the [OP] surface: implicit values, and the views of an obstacle's one
-# local query (`local_geometry`): the tangent-plane shape of `surface_frame`
-# and of validate's principal curvatures, the ambient shape of
-# `ambient_shape`, and `Obstacle.normal_at`
-
-
-def implicit_value(obstacle: Obstacle, point) -> float:
-    """Signed implicit value: negative inside, zero on the boundary, positive outside."""
-    return obstacle.implicit(np.asarray(point, dtype=float))
+# the [OP] surface: the views of an obstacle's one local query
+# (`local_geometry`): the tangent-plane shape of `surface_frame` and of
+# validate's principal curvatures, the ambient shape of `ambient_shape`, and
+# `Obstacle.normal_at`
 
 
 def _tangent_shapes(normals, grad_norms, hessians):
@@ -650,7 +653,7 @@ def obstacle_from_dict(d) -> Obstacle:
     Any kind may have a null rotation, but only an `AxesObstacle` a given one;
     a curve2d is built from its pieces, and its centre checked for length."""
     check_object(d, "obstacle", {"kind", "center", "params"}, {"rotation"})
-    check_list(d["center"], "center")
+    check_numeric(check_list(d["center"], "center"), "center")
     cls = class_of_kind(_OBSTACLE_KINDS, d["kind"], "obstacle kind")
     params = check_object(d["params"], f"{cls.kind} params", cls.params)
     values = [params[key] for key in cls.params]
@@ -681,6 +684,8 @@ def scene_from_dict(d) -> Scene:
     dim = d["dimension"]
     if dim not in (2, 3):
         raise SchemaError("dimension must be 2 or 3")
+    if not isinstance(d["name"], str):
+        raise SchemaError(f"name must be a string, not {d['name']!r}")
     obstacles = []
     for k, entry in enumerate(check_list(d["obstacles"], "obstacles")):
         try:
@@ -692,7 +697,7 @@ def scene_from_dict(d) -> Scene:
             raise SchemaError(f"obstacle {k}: {exc}") from exc
     try:
         return Scene(int(dim), _positive("ball_radius", d["ball_radius"]), tuple(obstacles),
-                     str(d["name"]))
+                     d["name"])
     except InvalidParameters as exc:
         raise SchemaError(str(exc)) from exc
 

@@ -16,6 +16,10 @@ BLOCK_ROWS rows at a time: the writers format a block and write it to an
 open text stream before they format the next, and the reader turns each
 block of lines of an open file into columns, so that neither holds more than
 one block of text or of decoded rows besides the columns.
+
+Lens tables, the trapped ladder and the scattering spectrum record their
+rays through one recorder (`_trace_rows`): one trace per entry, and a
+numeric failure of one ray is an "error" row, not the end of the batch.
 """
 
 from __future__ import annotations
@@ -276,35 +280,36 @@ def classify_trajectory(traj) -> str:
     return "free" if not traj.events else "scattered"
 
 
-def _summary(status: list, t: np.ndarray) -> dict:
+def _counts(status: np.ndarray) -> dict:
+    """The number of rows of each of STATUSES in a status column."""
+    return {s: int(np.count_nonzero(status == s)) for s in STATUSES}
+
+
+def _summary(status: np.ndarray, t: np.ndarray) -> dict:
     times = t[~np.isnan(t)].tolist()
     return {
-        "counts": {s: status.count(s) for s in STATUSES},
+        "counts": _counts(status),
         "t_min": min(times) if times else None,
         "t_max": max(times) if times else None,
         "t_mean": _mean(times) if times else None,
     }
 
 
-def build_lens_table(scene, spec: SampleSpec) -> LensTable:
-    """Trace every entry of the spec and collect per-entry lens data.
-
-    Tangent-flagged samples (an orbit with any tangent event) carry no
-    travelling time: they sit on the measure-zero strata excluded from the
-    comparison harness. A numeric failure of one ray (a failed root polish,
-    a gradient under the floor, an overflow) is recorded in its row, with
-    status "error", rather than aborting the batch.
-    """
-    entries = sample_phase_sphere(spec, scene.ball_radius, scene.dimension)
-    limits = spec.limits()
-    n = len(entries)
+def _trace_rows(scene, Q, V, limits: Limits) -> tuple:
+    """The LensTable columns from status to error of the entries (Q[k], V[k]),
+    each traced once: the status by classify_trajectory, the reflection
+    count, theta of an exited ray, t and sojourn of a free or scattered one.
+    A numeric failure of one ray (geometry.NUMERIC_FAILURES) is recorded in
+    its row, status "error" with the exception's name and message, rather
+    than aborting the batch."""
+    n = len(Q)
     status, error, reflections = ["error"] * n, [None] * n, [0] * n
     t, sojourn = [math.nan] * n, [math.nan] * n
-    theta = np.full(entries.v.shape, math.nan)
-    for k, (q, v) in enumerate(zip(entries.q, entries.v)):
+    theta = np.full(V.shape, math.nan)
+    for k, (q, v) in enumerate(zip(Q, V)):
         try:
             traj = flow.trace(scene, PhasePoint(q, v), limits)
-        except (flow.RootPolishFailed, geometry.SingularGradient, ArithmeticError) as exc:
+        except geometry.NUMERIC_FAILURES as exc:
             error[k] = f"{type(exc).__name__}: {exc}"
             continue
         status[k] = classify_trajectory(traj)
@@ -314,10 +319,20 @@ def build_lens_table(scene, spec: SampleSpec) -> LensTable:
         if status[k] in ("free", "scattered"):
             t[k] = traj.total_time
             sojourn[k] = flow.sojourn_time(scene, traj)
-    t = np.array(t)
+    return (_status_column(status), np.array(reflections, dtype=np.int64), np.array(t), theta,
+            np.array(sojourn), np.array(error, dtype=object))
+
+
+def build_lens_table(scene, spec: SampleSpec) -> LensTable:
+    """Trace every entry of the spec once and record its lens data
+    (_trace_rows). Tangent-flagged samples (an orbit with any tangent event)
+    carry no travelling time: they sit on the measure-zero strata excluded
+    from the comparison harness."""
+    entries = sample_phase_sphere(spec, scene.ball_radius, scene.dimension)
+    status, reflections, t, theta, sojourn, error = _trace_rows(scene, entries.q, entries.v,
+                                                                spec.limits())
     return LensTable(geometry.scene_hash(scene), spec, entries.params, entries.q, entries.v,
-                     _status_column(status), np.array(reflections, dtype=np.int64), t, theta,
-                     np.array(sojourn), np.array(error, dtype=object), _summary(status, t))
+                     status, reflections, t, theta, sojourn, error, _summary(status, t))
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +403,15 @@ class SpectrumBin:
         return asdict(self)
 
 
+class Spectrum(list):
+    """The SpectrumBins of a scattering spectrum, by increasing sojourn, with
+    `counts`: the rays traced, by status, as a lens table's summary has them."""
+
+    def __init__(self, bins, counts: dict):
+        super().__init__(bins)
+        self.counts = counts
+
+
 def _impact_offsets(scene, omega, spec: SampleSpec):
     """Sample points of the impact plane tangent to the sphere at -a*omega."""
     a = scene.ball_radius
@@ -425,20 +449,16 @@ def _impact_offsets(scene, omega, spec: SampleSpec):
     return offsets
 
 
-def scattering_spectrum(scene, omega, theta, angular_tol: float, spec: SampleSpec):
+def scattering_spectrum(scene, omega, theta, angular_tol: float, spec: SampleSpec) -> Spectrum:
     """Sojourn-time bins of rays entering with direction omega and leaving
     within angular_tol of theta. Rays are launched from the support plane of
-    the sphere across the obstacle shadow, traced, filtered by exit
-    direction, and their sojourn times clustered with the gap threshold
-    SPECTRUM_GAP_FACTOR * a."""
-    omega = np.asarray(omega, dtype=float)
-    omega = omega / np.linalg.norm(omega)
-    theta = np.asarray(theta, dtype=float)
-    theta = theta / np.linalg.norm(theta)
+    the sphere across the obstacle shadow, recorded (_trace_rows), filtered
+    by exit direction, and their sojourn times clustered with the gap
+    threshold SPECTRUM_GAP_FACTOR * a."""
+    omega, theta = (np.asarray(x, dtype=float) / np.linalg.norm(x) for x in (omega, theta))
     a = scene.ball_radius
     gap = SPECTRUM_GAP_FACTOR * a
-    limits = spec.limits()
-    kept = []
+    kept, entries = [], []
     for offset in _impact_offsets(scene, omega, spec):
         origin = -a * omega + offset
         b = float(origin @ omega)
@@ -447,17 +467,14 @@ def scattering_spectrum(scene, omega, theta, angular_tol: float, spec: SampleSpe
             if float(np.arccos(np.clip(theta @ omega, -1.0, 1.0))) <= angular_tol:
                 kept.append(0.0)  # misses the ball: a straight line with zero sojourn
             continue
-        t_enter = -b - math.sqrt(disc)
-        q0 = origin + t_enter * omega
-        traj = flow.trace(scene, PhasePoint(q0, omega.copy()), limits)
-        if classify_trajectory(traj) not in ("free", "scattered"):
-            continue
-        theta_exit = traj.exit_state.v
-        if float(np.arccos(np.clip(theta_exit @ theta, -1.0, 1.0))) > angular_tol:
-            continue
-        kept.append(flow.sojourn_time(scene, traj))
-    if not kept:
-        return []
+        entries.append(origin + (-b - math.sqrt(disc)) * omega)
+    Q = np.array(entries).reshape(-1, len(omega))
+    status, _, _, exits, sojourns, _ = _trace_rows(scene, Q, np.tile(omega, (len(Q), 1)),
+                                                   spec.limits())
+    for ray, theta_exit, sojourn in zip(status.tolist(), exits, sojourns.tolist()):
+        if (ray in ("free", "scattered")
+                and float(np.arccos(np.clip(theta_exit @ theta, -1.0, 1.0))) <= angular_tol):
+            kept.append(sojourn)
     kept.sort()
     bins = []
     start = 0
@@ -466,7 +483,7 @@ def scattering_spectrum(scene, omega, theta, angular_tol: float, spec: SampleSpe
             group = kept[start:k]
             bins.append(SpectrumBin(_mean(group), len(group), group[0], group[-1]))
             start = k
-    return bins
+    return Spectrum(bins, _counts(status))
 
 
 # ---------------------------------------------------------------------------

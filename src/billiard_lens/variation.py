@@ -20,18 +20,18 @@ import numpy as np
 
 from . import flow
 from .flow import TANGENCY_THRESHOLD
-from .geometry import ambient_shape, tangent_basis
+from .geometry import NumericFailure, ambient_shape, tangent_basis
 
 
-class TangentIncidence(RuntimeError):
+class TangentIncidence(NumericFailure):
     """Reflection transfer is undefined at (near-)tangent incidence."""
 
 
-class TangentOnPath(RuntimeError):
+class TangentOnPath(NumericFailure):
     """Differentials are only propagated across transversal events."""
 
 
-class ItineraryChanged(RuntimeError):
+class ItineraryChanged(NumericFailure):
     """A finite-difference probe changed the event sequence."""
 
 

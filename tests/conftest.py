@@ -166,6 +166,14 @@ class FaintSphere(bl.SphereObstacle):
         return self.scale * super().gradient(x)
 
 
+def _subclasses(cls):
+    return [c for sub in cls.__subclasses__() for c in (sub, *_subclasses(sub))]
+
+
+# a class of each kind of numeric failure: every NumericFailure, and an ArithmeticError
+NUMERIC_FAILURES = [*_subclasses(geometry.NumericFailure), OverflowError]
+
+
 def entry_through(point, direction, a=A_BALL):
     """Entry phase point on the sphere whose ray passes through `point` with
     the given direction."""

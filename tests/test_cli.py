@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import billiard_lens as bl
-from billiard_lens import cli, geometry, lens
+from billiard_lens import cli, geometry, lens, variation
 from billiard_lens.geometry import canonical_json
 
-from conftest import plugged_crescent_scene, run_python
+from conftest import NUMERIC_FAILURES, plugged_crescent_scene, run_python
 
 
 def _reject_constant(name):
@@ -214,6 +214,47 @@ def test_lens_records_an_overflow_per_ray(tmp_path, capsys):
     assert cli.main(["validate", "--scene", str(path)]) == 3
     assert capsys.readouterr().err == \
         "numeric failure: OverflowError: (34, 'Numerical result out of range')\n"
+
+
+def test_sls_counts_the_rays_that_overflow(tmp_path):
+    # the thin body of the test above: the rays that overflow are counted,
+    # and the spectrum of the others is still written
+    scene = bl.make_scene(2, 10.0, [bl.SuperellipsoidObstacle([0.0, 0.0], [5.0, 0.1], 200.0)], "thin")
+    path, out = tmp_path / "thin.json", tmp_path / "sls.json"
+    path.write_text(geometry.scene_to_json(scene) + "\n")
+    assert cli.main(["sls", "--scene", str(path), "--omega", "1,0", "--theta", "1,0",
+                     "--spec", "grid:64x1", "--out", str(out)]) == 0
+    doc = _strict_json(out.read_text())
+    assert doc["counts"] == {**dict.fromkeys(lens.STATUSES, 0), "free": 44, "scattered": 2,
+                             "error": 18}
+    assert [(b["sojourn"], b["count"]) for b in doc["bins"]] == [(0, 44)]
+
+
+def test_spec_too_large_for_memory_exits_2(disc_json, tmp_path, monkeypatch, capsys):
+    # as the sampler's arrays of a spec like grid:100000x100000 would fail
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 75 GiB for an array")
+
+    monkeypatch.setattr(lens, "sample_phase_sphere", too_large)
+    out = tmp_path / "t.jsonl"
+    assert cli.main(["lens", "--scene", disc_json, "--spec", "grid:100000x100000",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 75 GiB for an array\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("failure", NUMERIC_FAILURES, ids=lambda cls: cls.__name__)
+def test_a_numeric_failure_that_ends_a_command_exits_3(failure, disc_json, tmp_path,
+                                                       monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise failure("stub failure")
+
+    monkeypatch.setattr(variation, "regularity_test", fail)
+    out = tmp_path / "reg.json"
+    assert cli.main(["regularity", "--scene", disc_json, "--entry", "0,0", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"numeric failure: {failure.__name__}: stub failure\n"
+    assert not out.exists()
 
 
 def test_compare_expect_equal_exit_code(disc_json, tmp_path):

@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import billiard_lens as bl
-from billiard_lens import flow, geometry
+from billiard_lens import flow, geometry, lens
 from billiard_lens.flow import Limits, NotScattered, PhasePoint
+from billiard_lens.lens import SampleSpec
 from billiard_lens.rng import Xoshiro256StarStar
 
 from conftest import A_BALL, FaintSphere, _all_pieces_curve, _rotation, entry_through
@@ -84,29 +85,35 @@ def test_two_disc_corridor_orbit_trapped(two_disc_scene):
 
 
 def test_travelling_time_examples(empty3, two_disc_scene):
-    status, t = flow.travelling_time(empty3, PhasePoint(np.array([-10.0, 0, 0]), np.array([1.0, 0, 0])))
-    assert status == "exited" and t == pytest.approx(20.0, abs=1e-12)
-    # tangential entry reports zero immediately
-    q = np.array([0.0, 10.0, 0.0])
-    v = np.array([1.0, 0.0, 0.0])
-    status, t = flow.travelling_time(empty3, PhasePoint(q, v))
-    assert status == "exited" and t == 0.0
-    # reflection cutoff reports trapped, never a number
+    # the travelling time is the total time of an exited trajectory
+    traj = flow.trace(empty3, PhasePoint(np.array([-10.0, 0, 0]), np.array([1.0, 0, 0])))
+    assert traj.status == "exited" and traj.total_time == pytest.approx(20.0, abs=1e-12)
+    # a tangential entry leaves at once
+    traj = flow.trace(empty3, PhasePoint(np.array([0.0, 10.0, 0.0]), np.array([1.0, 0.0, 0.0])))
+    assert traj.status == "exited" and traj.total_time == 0.0
+    # the reflection cutoff makes a trapped trajectory, with no time and no exit
     corridor = entry_through([2.0, 0.35], [-1.0, 0.02], a=A_BALL)
-    status, t = flow.travelling_time(two_disc_scene, corridor, Limits(n_max=1))
-    assert status == "trapped" and t is None
+    traj = flow.trace(two_disc_scene, corridor, Limits(n_max=1))
+    assert traj.status == "trapped" and traj.total_time is None and traj.exit_state is None
 
 
 def test_omega_theta(empty3, sphere_scene, two_disc_scene):
+    # omega is the entry direction, theta the exit direction of an exited trajectory
     free = flow.trace(empty3, PhasePoint(np.array([-10.0, 0, 0]), np.array([1.0, 0, 0])))
-    om, th = flow.omega_theta(free)
-    assert np.allclose(om, th)
+    assert np.allclose(free.entry.v, free.exit_state.v)
     back = flow.trace(sphere_scene, PhasePoint(np.array([-10.0, 0, 0]), np.array([1.0, 0, 0])))
-    om, th = flow.omega_theta(back)
-    assert np.allclose(th, -om)
+    assert np.allclose(back.exit_state.v, -back.entry.v)
     trapped = flow.trace(two_disc_scene, entry_through([2.0, 0.35], [-1.0, 0.02]), Limits(n_max=1))
-    with pytest.raises(NotScattered):
-        flow.omega_theta(trapped)
+    assert trapped.status == "trapped" and trapped.exit_state is None
+    # a lens table row holds the same theta, and none for a ray that did not exit
+    for scene, spec in ((sphere_scene, SampleSpec("grid", 6, 4)),
+                        (two_disc_scene, SampleSpec("grid", 6, 4, n_max=1))):
+        for row in lens.build_lens_table(scene, spec).samples:
+            traj = flow.trace(scene, PhasePoint(row.q, row.v), spec.limits())
+            if traj.status == "exited":
+                assert np.array_equal(row.theta, traj.exit_state.v)
+            else:
+                assert row.theta is None
 
 
 def _single_bounce_disc_oracle(q0, v, r):
@@ -172,7 +179,7 @@ def test_reflection_count_corridor_oracle(two_disc_scene):
         v = v - 2.0 * float(v @ n) * n
         count += 1
     assert count >= 2
-    assert flow.reflection_count(traj) == count
+    assert len(traj.events) == count
 
 
 def test_speed_and_specular_invariants(disc_ellipse_scene):
@@ -330,8 +337,6 @@ def test_not_scattered_errors(two_disc_scene):
     assert trapped.status == "trapped"
     with pytest.raises(NotScattered):
         flow.sojourn_time(two_disc_scene, trapped)
-    with pytest.raises(NotScattered):
-        flow.reflection_count(trapped)
 
 
 def test_tangent_event_continues_straight(disc_scene):

@@ -24,7 +24,6 @@ from billiard_lens.geometry import (
     ValidationFailed,
     canonical_json,
     fnv1a64,
-    implicit_value,
     scene_from_json,
     scene_hash,
     scene_to_json,
@@ -39,9 +38,9 @@ from conftest import (A_BALL, _all_pieces_chain, _all_pieces_curve, _rotation, c
 
 def test_implicit_value_sphere_examples():
     s = bl.SphereObstacle([0.0, 0.0, 0.0], 1.0)
-    assert implicit_value(s, [2.0, 0.0, 0.0]) == pytest.approx(3.0)
-    assert implicit_value(s, [1.0, 0.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
-    assert implicit_value(s, [0.0, 0.0, 0.0]) == pytest.approx(-1.0)
+    assert s.implicit([2.0, 0.0, 0.0]) == pytest.approx(3.0)
+    assert s.implicit([1.0, 0.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
+    assert s.implicit([0.0, 0.0, 0.0]) == pytest.approx(-1.0)
 
 
 def test_surface_frame_sphere():

@@ -18,7 +18,7 @@ from billiard_lens.flow import PhasePoint
 from billiard_lens.lens import LensTable, SampleSpec, SpecMismatch
 from billiard_lens.rng import Xoshiro256StarStar
 
-from conftest import A_BALL, FaintSphere, cross_basis
+from conftest import A_BALL, NUMERIC_FAILURES, FaintSphere, cross_basis
 
 
 def test_parse_spec_round_trip():
@@ -154,6 +154,32 @@ def test_gradient_under_the_floor_is_an_error_row():
     assert all(e is None for e in table.error[~errors])
     assert np.isnan(table.t[errors]).all() and (table.reflections[errors] == 0).all()
     assert table.summary["counts"]["free"] == len(table) - np.count_nonzero(errors)
+
+
+@pytest.mark.parametrize("failure", NUMERIC_FAILURES, ids=lambda cls: cls.__name__)
+def test_every_numeric_failure_is_recorded_per_ray(failure, monkeypatch):
+    # a stub tracer that raises the failure on every ray that meets the disc
+    # (the real one reads a RootPolishFailed in its loop as a boundary
+    # penetration): the lens table and the spectrum share one recorder, and
+    # those rays are error rows of the one and counted errors of the other
+    trace_phase = flow.trace_phase
+
+    def failing(scene, q, v, limits=None):
+        traj = trace_phase(scene, q, v, limits)
+        if traj.events:
+            raise failure("stub failure")
+        return traj
+
+    monkeypatch.setattr(flow, "trace_phase", failing)
+    scene = bl.make_scene(2, A_BALL, [bl.SphereObstacle([0.0, 0.0], 3.0)], "disc-3")
+    table = lens.build_lens_table(scene, SampleSpec("grid", 8, 8))
+    errors = table.status == "error"
+    assert 0 < table.summary["counts"]["error"] == np.count_nonzero(errors) < len(table)
+    assert set(table.error[errors]) == {f"{failure.__name__}: stub failure"}
+    assert set(table.status[~errors]) == {"free"}
+    spectrum = lens.scattering_spectrum(scene, [1.0, 0.0], [1.0, 0.0], 1e-2, SampleSpec("grid", 16, 1))
+    assert spectrum.counts == {**dict.fromkeys(lens.STATUSES, 0), "free": 2, "error": 14}
+    assert len(spectrum) == 1 and spectrum[0].count == 2 and abs(spectrum[0].sojourn) < 1e-9
 
 
 def test_compare_with_itself(disc_scene):

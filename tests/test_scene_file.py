@@ -79,6 +79,31 @@ REFUSED = [
     ("exponent-null", _scene([{**SUPER, "params": {**SUPER["params"], "exponent": None}}], 3),
      "exponent must be a number"),
     ("radius-text", _scene([{**SPHERE, "params": {"radius": "abc"}}]), "radius must be a number"),
+    # strings and booleans where numbers are read, which a float conversion would take
+    ("radius-string", _scene([{**SPHERE, "params": {"radius": "2"}}]),
+     "obstacle 0: sphere radius must be a number, not '2'"),
+    ("radius-true", _scene([{**SPHERE, "params": {"radius": True}}]),
+     "sphere radius must be a number, not True"),
+    ("ball-radius-string", _scene([SPHERE], ball_radius="10"),
+     "ball_radius must be a number, not '10'"),
+    ("name-5", {**_scene([SPHERE]), "name": 5}, "name must be a string, not 5"),
+    ("center-true", _scene([{**SPHERE, "center": [0, True]}]),
+     "obstacle 0: center must be a number, not True"),
+    ("curve-center-true", _scene([{**_curve(HALVES), "center": [0, True]}]),
+     "obstacle 0: center must be a number, not True"),
+    ("semi-axis-string", _scene([{**ELLIPSE, "params": {"semi_axes": [2.0, "1"]}}]),
+     "semi_axes must be a number, not '1'"),
+    ("exponent-true", _scene([{**SUPER, "params": {**SUPER["params"], "exponent": True}}], 3),
+     "superellipsoid exponent must be a number, not True"),
+    ("rotation-false", _scene([{**ELLIPSE, "rotation": [1, False, 0, 1]}]),
+     "rotation must be a number, not False"),
+    ("arc-theta0-false", _scene([_curve(_replace(HALVES, 0, theta0=False))]),
+     "obstacle 0: arc theta0 must be a number, not False"),
+    ("line-point-string", _scene([_curve(_replace(ROUND_SQUARE, 1, p0=["-1", 0.0]))]),
+     "line p0 must be a list of 2 numbers, not ['-1', 0.0]"),
+    ("every-string-and-boolean", {**_scene([{**SPHERE, "center": [0, True],
+                                             "params": {"radius": "2"}}], ball_radius="10"),
+                                  "name": 5}, "error:"),
     # non-finite numbers
     ("radius-nan", _scene([{**SPHERE, "params": {"radius": math.nan}}]),
      "radius must be positive and finite"),
