@@ -10,13 +10,15 @@ hash, spec and seed. Identical invocations reproduce byte-identical files.
 
 Exit codes: 0 success, 2 bad input (with a message on stderr), 3 numeric
 failure that ends a command (`lens`, `trapped` and `sls` record one per
-ray), 4 distinguishable comparison verdict when --expect-equal is set.
+ray), 4 distinguishable comparison verdict when --expect-equal is set, 141
+(128 + SIGPIPE) when the reader of stdout closed it early, with no message.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -315,7 +317,14 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 2
     args._invocation = list(argv)
     try:
-        return _COMMANDS[args.command][0](args)
+        code = _COMMANDS[args.command][0](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # as the `signal` module documents: stdout goes to devnull, so that the
+        # flush at exit finds no closed pipe; 141 is how a shell reports SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError, MemoryError, geometry.ValidationFailed) as exc:
         # ValueError: schema errors, spec mismatches, malformed JSON; MemoryError: a huge spec
         print(f"error: {exc}", file=sys.stderr)

@@ -61,6 +61,11 @@ class ValidationFailed(RuntimeError):
 _GRAD_FLOOR = 1e-10
 _BOUNDARY_TOL = 1e-6  # relative to the obstacle bounding radius
 _VALIDATION_SAMPLES = {2: 512, 3: 900}  # boundary samples per obstacle, by dimension
+# nearest_distances: above TREE_PAIRS pairs of rows a k-d tree serves; below,
+# validate's largest query (900 x 900 boundary samples in 3D) among them, the
+# exact search takes BLOCK_PAIRS pairs at a time (256 KB of squared distances)
+TREE_PAIRS = 1 << 20
+BLOCK_PAIRS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -792,10 +797,59 @@ def _free_cells(scene: Scene) -> np.ndarray:
 
 def _exterior_connected(scene: Scene) -> bool:
     """Whether the free cells of `_free_cells` form at most one face-connected
-    component; a gap narrower than one cell counts as closed."""
-    from scipy import ndimage
+    component, counted on runs by `_face_components` (no scipy); a gap
+    narrower than one cell counts as closed."""
+    return _face_components(_free_cells(scene)) <= 1
 
-    return ndimage.label(_free_cells(scene))[1] <= 1
+
+def _face_components(grid: np.ndarray) -> int:
+    """The number of face-connected components of the true cells of a boolean
+    grid, as `scipy.ndimage.label` counts them by default: cells that touch
+    only along an edge or at a corner stay apart.
+
+    Components are counted on runs, not cells: each line of the grid along
+    its last axis is cut into runs of true cells, and two runs on
+    face-adjacent lines join when their cell ranges overlap."""
+    cells = grid.shape[-1]
+    width = cells + 1  # a run key is line * width + cell; a run can end at `cells`
+    # the cell boundaries where true and false cells alternate: starts and ends in turn
+    flips = np.flatnonzero(np.diff(grid.reshape(-1, cells), axis=1, prepend=False, append=False))
+    starts, ends = flips[0::2], flips[1::2]
+    line, first = np.divmod(starts, width)
+    last = ends - line * width
+    u, v = [], []
+    for axis, size in enumerate(grid.shape[:-1]):
+        stride = math.prod(grid.shape[axis + 1:-1])  # from a line to the next along `axis`
+        has = (line // stride) % size < size - 1
+        base = (line[has] + stride) * width
+        # the runs of the next line that overlap a run are a range [lo, hi)
+        lo = np.searchsorted(ends, base + first[has], side="right")
+        hi = np.searchsorted(starts, base + last[has], side="left")
+        meets = lo < hi
+        u.append(np.flatnonzero(has)[meets])
+        v.append(lo[meets])
+        # through that run, each run of the range joins the next one of it
+        chained = np.cumsum(np.bincount(lo[meets], minlength=starts.size)
+                            - np.bincount(hi[meets] - 1, minlength=starts.size)) > 0
+        u.append(np.flatnonzero(chained))
+        v.append(u[-1] + 1)
+    return _component_count(starts.size, np.concatenate(u), np.concatenate(v))
+
+
+def _component_count(nodes: int, u: np.ndarray, v: np.ndarray) -> int:
+    """The number of connected components of the graph on `nodes` nodes with
+    the edges (u[i], v[i]): every root hooks to the least root it shares an
+    edge with, then every node jumps to its root, until no edge joins two
+    roots."""
+    root = np.arange(nodes)
+    while True:
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        if not split.any():
+            return int(np.count_nonzero(root == np.arange(nodes)))
+        np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
+        while not np.array_equal(up := root[root], root):
+            root = up
 
 
 def validate_scene(scene: Scene) -> ValidationReport:
@@ -808,7 +862,10 @@ def validate_scene(scene: Scene) -> ValidationReport:
     diagnostic are reported, not raised. Connectivity is judged on a grid of
     resolution a/200 in 2D and a/64 in 3D whose lines are classified from
     their exact `ray_roots` crossings (see `_free_cells`), so a gap narrower
-    than one cell counts as closed.
+    than one cell counts as closed; its components are counted on runs of
+    cells (`_face_components`). The overlap and flat-patch checks take exact
+    nearest distances in numpy: boundary clouds stay under TREE_PAIRS, so
+    validation never imports scipy.
     """
     a = scene.ball_radius
     samples = _VALIDATION_SAMPLES[scene.dimension]
@@ -885,10 +942,36 @@ def validate_scene(scene: Scene) -> ValidationReport:
 
 
 def nearest_distances(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each row of P to the nearest row of Q."""
-    from scipy.spatial import cKDTree
+    """Euclidean distance from each row of P to the nearest row of Q.
 
-    return cKDTree(Q).query(P)[0]
+    Up to TREE_PAIRS pairs of rows, the exact minimum over all pairs, taken
+    over blocks of about BLOCK_PAIRS pairs. Squared differences are summed
+    one axis at a time from the first, as `np.sum` over the last axis and
+    scipy's cKDTree sum them, so all three give the same bits. Above
+    TREE_PAIRS a cKDTree of Q serves, and only then is scipy imported: in
+    practice only for `estimate_trapped`'s cluster radius over many rays."""
+    if len(P) * len(Q) > TREE_PAIRS:
+        from scipy.spatial import cKDTree
+
+        return cKDTree(Q).query(P)[0]
+    rows = max(1, BLOCK_PAIRS // max(1, len(Q)))
+    Pt, Qt = P.T, np.ascontiguousarray(Q.T)
+    nearest = np.empty(len(P))
+    for lo in range(0, len(P), rows):
+        nearest[lo:lo + rows] = squared_distances(Pt[:, lo:lo + rows, None], Qt).min(axis=1)
+    return np.sqrt(nearest)
+
+
+def squared_distances(X, Y) -> np.ndarray:
+    """|x - y|^2 of points given as arrays of their coordinates, X[k] and Y[k]
+    for axis k, broadcast together: the squared differences summed one axis
+    at a time from the first."""
+    diff = X[0] - Y[0]
+    total = diff * diff
+    for x, y in zip(X[1:], Y[1:]):
+        np.subtract(x, y, out=diff)
+        total += np.multiply(diff, diff, out=diff)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,10 @@ from .rng import Xoshiro256StarStar
 STATUSES = ("free", "scattered", "trapped", "gliding_rejected", "tangent_flagged", "error")
 SPECTRUM_GAP_FACTOR = 5e-3  # * a; sojourn times closer than this share a spectrum bin
 BLOCK_ROWS = 1024  # rows that the table writers format, and the reader decodes, at a time
+# boundary_distance: the neighbours in each axis order that bound a point's
+# distance, and the points whose exact distance is taken at a time
+HAUSDORFF_WINDOW = 8
+HAUSDORFF_CHUNK = 16
 
 
 class SpecMismatch(ValueError):
@@ -413,7 +417,9 @@ class Spectrum(list):
 
 
 def _impact_offsets(scene, omega, spec: SampleSpec):
-    """Sample points of the impact plane tangent to the sphere at -a*omega."""
+    """Sample points of the impact plane tangent to the sphere at -a*omega,
+    offsets orthogonal to omega of length at most 0.999 a, so that the line
+    along omega through each one crosses the ball."""
     a = scene.ball_radius
     shadow = 0.1 * a
     for obs in scene.obstacles:
@@ -463,10 +469,6 @@ def scattering_spectrum(scene, omega, theta, angular_tol: float, spec: SampleSpe
         origin = -a * omega + offset
         b = float(origin @ omega)
         disc = b * b - (float(origin @ origin) - a * a)
-        if disc <= 0.0:
-            if float(np.arccos(np.clip(theta @ omega, -1.0, 1.0))) <= angular_tol:
-                kept.append(0.0)  # misses the ball: a straight line with zero sojourn
-            continue
         entries.append(origin + (-b - math.sqrt(disc)) * omega)
     Q = np.array(entries).reshape(-1, len(omega))
     status, _, _, exits, sojourns, _ = _trace_rows(scene, Q, np.tile(omega, (len(Q), 1)),
@@ -542,7 +544,10 @@ def compare_lens(table_k: LensTable, table_l: LensTable, time_tolerance: float) 
 
 
 def boundary_distance(scene_k, scene_l, density: float) -> float:
-    """Symmetric Hausdorff distance between sampled boundary clouds.
+    """Symmetric Hausdorff distance between sampled boundary clouds, exact:
+    the pruned search of `_farthest_nearest`, whose exact passes take a few
+    points at a time through `geometry.nearest_distances`, so scipy is never
+    imported.
 
     `density` is the target number of boundary samples per unit length."""
     if scene_k.dimension != scene_l.dimension:
@@ -559,8 +564,34 @@ def boundary_distance(scene_k, scene_l, density: float) -> float:
         return np.vstack(pts)
 
     A, B = cloud(scene_k), cloud(scene_l)
-    return float(max(np.max(geometry.nearest_distances(A, B)),
-                     np.max(geometry.nearest_distances(B, A))))
+    return _farthest_nearest(B, A, _farthest_nearest(A, B, 0.0))
+
+
+def _farthest_nearest(A: np.ndarray, B: np.ndarray, floor: float) -> float:
+    """max(floor, the largest distance from a row of A to its nearest row of
+    B), exact (Taha and Hanbury, IEEE TPAMI 37(11), 2015).
+
+    Each row's distance to the nearest of its HAUSDORFF_WINDOW neighbours in
+    each axis order of B bounds its distance to B from above, in the same
+    arithmetic as `geometry.nearest_distances`. Rows are visited by
+    decreasing bound, HAUSDORFF_CHUNK at a time, for their exact distance,
+    until no bound left exceeds the largest distance found."""
+    w = min(HAUSDORFF_WINDOW, len(B))
+    At = np.ascontiguousarray(A.T)
+    nearest = np.full(len(A), np.inf)
+    for k in range(len(At)):
+        Bt = np.ascontiguousarray(B[np.argsort(B[:, k])].T)
+        first = np.clip(np.searchsorted(Bt[k], At[k]) - w // 2, 0, len(B) - w)
+        for j in range(w):
+            np.minimum(nearest, geometry.squared_distances(At, Bt[:, first + j]), out=nearest)
+    bound = np.sqrt(nearest)
+    visit = np.argsort(-bound)
+    for lo in range(0, len(A), HAUSDORFF_CHUNK):
+        if bound[visit[lo]] <= floor:
+            break
+        rows = A[visit[lo:lo + HAUSDORFF_CHUNK]]
+        floor = max(floor, float(np.max(geometry.nearest_distances(rows, B))))
+    return floor
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +611,15 @@ def _lines(table: LensTable, template, lo: int, hi: int) -> list:
     block = slice(lo, hi)
     nulls = (np.isnan(table.t[block]) + 2 * np.isnan(table.sojourn[block])
              + 4 * np.isnan(table.theta[block, 0]))
-    names, status = np.unique(table.status[block], return_inverse=True)
-    groups = 8 * status + nulls
+    status = table.status[block]
+    groups = nulls  # 8 * the status's index in STATUSES + nulls
+    for k, name in enumerate(STATUSES):
+        groups[status == name] += 8 * k
     out = np.empty(hi - lo, dtype=object)
-    for group in np.unique(groups).tolist():
+    for group in np.flatnonzero(np.bincount(groups)).tolist():
         rows = np.flatnonzero(groups == group)
         k, null = divmod(group, 8)
-        tpl, cols = template(str(names[k]), null & 1, null & 2, null & 4)
+        tpl, cols = template(STATUSES[k], null & 1, null & 2, null & 4)
         tpl += "\n"
         out[rows] = [tpl % tuple(r) for r in np.column_stack([c[rows + lo] for c in cols]).tolist()]
     return out.tolist()

@@ -198,10 +198,22 @@ def cross_basis(n):
     return np.column_stack([e1, np.cross(n, e1)])
 
 
+def _python_env() -> dict:
+    """The environment of a fresh interpreter that imports this source tree."""
+    src = str(Path(bl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_python(*args, text=True):
     """Run a fresh interpreter on this source tree; returns the CompletedProcess,
     whose output is text, or bytes if not `text`."""
-    src = str(Path(bl.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=text, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=text,
+                          env=_python_env())
+
+
+def popen_python(*args):
+    """Start a fresh interpreter on this source tree, its stdout and stderr
+    piped (bytes); returns the Popen."""
+    return subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_python_env())

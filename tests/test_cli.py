@@ -15,7 +15,7 @@ import billiard_lens as bl
 from billiard_lens import cli, geometry, lens, variation
 from billiard_lens.geometry import canonical_json
 
-from conftest import NUMERIC_FAILURES, plugged_crescent_scene, run_python
+from conftest import NUMERIC_FAILURES, plugged_crescent_scene, popen_python, run_python
 
 
 def _reject_constant(name):
@@ -285,6 +285,68 @@ def test_lens_prints_to_stdout_the_bytes_it_writes(disc_json, tmp_path):
     printed = run_python(*args, text=False)
     assert printed.returncode == 0 and printed.stdout.count(b"\n") == 1201
     assert printed.stdout == out.read_bytes().replace(b',"--out",' + json.dumps(str(out)).encode(), b"")
+
+
+def test_lens_into_a_closed_pipe_exits_141_quietly(disc_json):
+    # about 1 MB of table, far more than a pipe holds, so the writer meets the
+    # closed pipe; 141 = 128 + SIGPIPE, and no message: the input was good
+    proc = popen_python("-m", "billiard_lens.cli", "lens", "--scene", disc_json,
+                        "--spec", "grid:64x64")
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    try:
+        assert proc.wait(timeout=120) == 141
+    finally:
+        proc.kill()
+    assert head == b'{"invocati'
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_lens_leaves_numpy_ma_unloaded(tmp_path):
+    # the first np.unique of a process imports numpy.ma (about 10 ms and 0.5 MB)
+    scene = bl.make_scene(2, 10.0, [bl.SphereObstacle([-3.0, 0.0], 1.0),
+                                    bl.SphereObstacle([3.0, 0.0], 1.0)], "two-disc")
+    path = tmp_path / "two.json"
+    path.write_text(geometry.scene_to_json(scene) + "\n")
+    code = ("import sys\nfrom billiard_lens import cli\n"
+            "for out in sys.argv[2:]:\n"
+            "    assert cli.main(['lens', '--scene', sys.argv[1], '--spec', 'grid:16x16', "
+            "'--nmax', '5', '--out', out]) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    proc = run_python("-c", code, str(path), str(tmp_path / "t.jsonl"), str(tmp_path / "t.csv"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_livshits_pipeline_and_validate_load_no_scipy(tmp_path, livshits_pair):
+    # the `livshits` benchmark's calls, and `validate` of a 3D sphere, in one
+    # process: scipy is left for nearest_distances above TREE_PAIRS
+    base, deformed, _ = livshits_pair
+    sphere = bl.make_scene(3, 10.0, [bl.SphereObstacle([0.0, 0.0, 0.0], 1.0)], "one-sphere")
+    paths = {}
+    for name, scene in [("base", base), ("deformed", deformed), ("sphere", sphere)]:
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(geometry.scene_to_json(scene) + "\n")
+    code = "\n".join([
+        "import sys",
+        "from billiard_lens import cli, geometry, lens",
+        "base, deformed, sphere, work = sys.argv[1:]",
+        "codes = [cli.main(['validate', '--scene', scene, '--out', work + '/v.json'])",
+        "         for scene in (base, sphere)]",
+        "for k, scene in enumerate((base, deformed)):",
+        "    codes.append(cli.main(['lens', '--scene', scene, '--spec', 'grid:36x24',",
+        "                           '--nmax', '600', '--out', f'{work}/{k}.jsonl']))",
+        "codes.append(cli.main(['compare', '--scene', work + '/0.jsonl', '--scene-b',",
+        "                       work + '/1.jsonl', '--expect-equal', '--out', work + '/c.json']))",
+        "load = geometry.scene_from_json",
+        "d = lens.boundary_distance(load(open(base).read()), load(open(deformed).read()), 100.0)",
+        "print(codes, 0.45 < d < 0.55, sorted(m for m in sys.modules if m.startswith('scipy')))",
+    ])
+    proc = run_python("-c", code, *(str(paths[k]) for k in ("base", "deformed", "sphere")),
+                      str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0] True []"
 
 
 def test_lens_csv_output(disc_json, tmp_path):

@@ -807,6 +807,53 @@ def test_free_cells_differ_from_per_cell_signs_only_on_the_boundary(radius):
     assert np.all(np.abs(F[differ]) <= 1e-12)
 
 
+# -- face components on runs against scipy.ndimage.label -----------------------
+
+
+@pytest.mark.parametrize("name", sorted(_mask_scenes()))
+def test_face_components_match_ndimage_on_mask_scenes(name):
+    from scipy import ndimage
+
+    free = geometry._free_cells(_mask_scenes()[name])
+    assert geometry._face_components(free) == ndimage.label(free)[1]
+
+
+def _cells(shape, *cells):
+    grid = np.zeros(shape, dtype=bool)
+    for cell in cells:
+        grid[cell] = True
+    return grid
+
+
+@pytest.mark.parametrize("grid, count", [
+    (_cells((5, 7)), 0),
+    (np.ones((5, 7), dtype=bool), 1),
+    (np.ones((4, 3, 5), dtype=bool), 1),
+    (np.indices((6, 5)).sum(axis=0) % 2 == 0, 15),  # a checkerboard: corners only
+    (_cells((3, 3, 3), (0, 0, 0), (1, 1, 1)), 2),  # a shared corner
+    (_cells((3, 3, 3), (0, 0, 0), (0, 1, 1)), 2),  # a shared edge
+    (_cells((3, 3, 3), (0, 0, 0), (1, 0, 0)), 1),  # a shared face
+    (_cells((3, 6), (0, 0), (0, 1), (0, 3), (0, 4), (1, 1), (1, 2), (1, 3)), 1),  # a bridge below
+    (_cells((3, 6), (1, 0), (1, 1), (1, 3), (1, 4), (0, 1), (0, 2), (0, 3)), 1),  # a bridge above
+], ids=["empty", "full-2d", "full-3d", "checkerboard", "corner-3d", "edge-3d", "face-3d",
+        "bridge-below", "bridge-above"])
+def test_face_components_examples(grid, count):
+    from scipy import ndimage
+
+    assert ndimage.label(grid)[1] == count
+    assert geometry._face_components(grid) == count
+
+
+@given(data=st.data())
+def test_face_components_match_ndimage_on_drawn_grids(data):
+    from scipy import ndimage
+
+    shape = data.draw(st.one_of(st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                                st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5))))
+    grid = data.draw(hnp.arrays(bool, shape))
+    assert geometry._face_components(grid) == ndimage.label(grid)[1]
+
+
 # -- nearest_distances against a brute-force oracle ----------------------------
 
 
@@ -825,7 +872,16 @@ def test_nearest_distances_match_brute_force(single_target, data):
     P = np.vstack([P, Q[: data.draw(st.integers(0, Q.shape[0]))]])
     if not single_target:
         Q = np.vstack([Q, P[: data.draw(st.integers(0, 3))], Q[:1]])
-    brute = np.sqrt(np.min(np.sum((P[:, None, :] - Q[None, :, :]) ** 2, axis=2), axis=1))
+        if data.draw(st.booleans(), label="pairs about TREE_PAIRS"):
+            # seeded rows: P gets one row fewer than, as many as or one more than
+            # TREE_PAIRS pairs with Q allow, so both sides of the size dispatch run
+            rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+            Q = np.vstack([Q, rng.uniform(-1.0, 1.0, (1024, dim)) * scale])
+            rows = geometry.TREE_PAIRS // len(Q) + data.draw(st.integers(-1, 1)) - len(P)
+            P = np.vstack([P, rng.uniform(-1.0, 1.0, (rows, dim)) * scale])
+    brute = np.concatenate([np.sqrt(np.min(np.sum((block[:, None, :] - Q[None, :, :]) ** 2,
+                                                  axis=2), axis=1))
+                            for block in np.array_split(P, -(-len(P) // 64))])
     np.testing.assert_array_equal(geometry.nearest_distances(P, Q), brute)
 
 

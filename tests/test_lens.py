@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import billiard_lens as bl
 from billiard_lens import cli, flow, geometry, lens
@@ -338,6 +339,39 @@ def test_boundary_distance_examples(livshits_pair):
     assert lens.boundary_distance(s1, s2, density=300.0) == pytest.approx(0.01, abs=1e-3)
     base, deformed, _ = livshits_pair
     assert lens.boundary_distance(base, deformed, density=40.0) == pytest.approx(0.5, rel=0.1)
+
+
+def _directed_brute(A, B):
+    """The largest distance from a row of A to its nearest row of B, over all pairs."""
+    return float(np.max(np.sqrt(np.min(np.sum((A[:, None, :] - B[None, :, :]) ** 2, axis=2),
+                                       axis=1))))
+
+
+@given(data=st.data())
+def test_pruned_hausdorff_matches_all_pairs(data):
+    dim = data.draw(st.sampled_from([2, 3]))
+
+    def cloud(rows):
+        return data.draw(hnp.arrays(float, (rows, dim), elements=st.floats(-1.0, 1.0)))
+
+    A = cloud(data.draw(st.integers(1, 40)))
+    kind = data.draw(st.sampled_from(["drawn", "identical", "near-copy"]))
+    if kind == "drawn":
+        B = cloud(data.draw(st.integers(1, 40)))
+    elif kind == "identical":
+        B = A[data.draw(st.permutations(range(len(A))))]
+    else:
+        # many rows a little apart, the case the bounds prune: seeded, then a few drawn outliers
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        A = np.vstack([A, rng.uniform(-1.0, 1.0, (data.draw(st.integers(0, 400)), dim))])
+        B = np.vstack([A + rng.normal(0.0, 1e-3, A.shape), cloud(data.draw(st.integers(0, 3)))])
+    # duplicate rows within a cloud, and rows shared by both
+    A = np.vstack([A, A[: data.draw(st.integers(0, 3))], B[: data.draw(st.integers(0, 3))]])
+    ab, ba = _directed_brute(A, B), _directed_brute(B, A)
+    assert lens._farthest_nearest(A, B, 0.0) == ab
+    assert lens._farthest_nearest(B, A, 0.0) == ba
+    assert lens._farthest_nearest(B, A, lens._farthest_nearest(A, B, 0.0)) == max(ab, ba)
+    assert lens._farthest_nearest(A, B, 2.0 * ab + 1.0) == 2.0 * ab + 1.0
 
 
 def test_livshits_pocket_is_open_trapped_set(livshits_pair):
