@@ -466,15 +466,17 @@ class EllipseArcPiece(CurvePiece):
         # a non-finite rotation gives NaN points, which CurveChain refuses by name
         c, s = ((math.cos(self.rotation), math.sin(self.rotation)) if math.isfinite(self.rotation)
                 else (math.nan, math.nan))
-        self._R = np.array([[c, -s], [s, c]])
         self._sweep = _nonzero_sweep(self.theta0, self.theta1)
         self._floats = (*self.center.tolist(), c, s, *self.semi_axes.tolist())  # for the ray solver
 
     def _theta(self, s):
         return self.theta0 + np.asarray(s, dtype=float) * self._sweep
 
-    def _rotate(self, body):  # a product per row: a point rounds alike in any batch
-        return (body[..., None, :] @ self._R.T)[..., 0, :]
+    def _rotate(self, body):
+        # two element-wise products per component: a point rounds alike in any batch
+        _, _, c, s, _, _ = self._floats
+        x, y = body[..., 0], body[..., 1]
+        return np.stack([c * x - s * y, s * x + c * y], axis=-1)
 
     def point(self, s):
         th = self._theta(s)
@@ -661,7 +663,7 @@ class CurveChain:
         dist = np.sqrt(dist2)
         tang = np.zeros_like(X)
         curv = np.zeros(n)
-        for idx in np.unique(piece_idx):
+        for idx in np.flatnonzero(np.bincount(piece_idx)).tolist():  # np.unique imports numpy.ma
             mask = piece_idx == idx
             piece = self.pieces[idx]
             g1 = piece.deriv(s_out[mask])

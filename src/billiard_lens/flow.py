@@ -14,6 +14,14 @@ parameter its root carries, so the tracer makes no closest-point query
 gradient, which `normal_at` reads). Orbits that graze into the boundary
 (gliding) are detected and rejected, never integrated.
 
+After a transversal reflection off an obstacle whose kind is `convex`
+(sphere, ellipsoid, superellipsoid), the next segment does not ask that
+obstacle for its roots: the body lies behind the tangent plane at the hit,
+so the reflected ray cannot meet it again, and its roots there are the hit
+itself and the chord behind it, none beyond the re-hit guard. A `curve2d`
+may be concave and is asked again, and after a tangent event every obstacle
+is asked.
+
 The per-ray path runs on Python floats, as lists of two or three: the entry
 checks of `trace`, the normalisation and event loop of `trace_phase`, the
 ball exit, `ray_roots`, the unit normal (the kind's `root_gradient`,
@@ -113,11 +121,14 @@ def _ball_exit_time(q, v, a):
     return -b + math.sqrt(disc)
 
 
-def _first_root(scene, q, v, t_min, cap):
-    """Smallest boundary root over all obstacles in (t_min, cap]:
-    (t, obstacle index), or None; on a tie, the first obstacle's."""
+def _first_root(scene, q, v, t_min, cap, left):
+    """Smallest boundary root over all obstacles but the one of index `left`
+    (None: all of them) in (t_min, cap]: (t, obstacle index), or None; on a
+    tie, the first obstacle's."""
     best = None
     for idx, obs in enumerate(scene.obstacles):
+        if idx == left:
+            continue
         for r in obs.ray_roots(q, v):  # sorted: only the first beyond t_min counts
             if r > t_min:
                 if r <= cap and (best is None or r < best[0]):
@@ -126,14 +137,14 @@ def _first_root(scene, q, v, t_min, cap):
     return best
 
 
-def _first_crossing(scene, q, v, t_min, cap):
+def _first_crossing(scene, q, v, t_min, cap, left):
     """First boundary root in (t_min, cap] that the ray meets from outside or
     tangentially: (t, obstacle index, point, unit normal, <v, normal>), or
-    None. A departure from an obstacle inside the tangent dead zone is
-    skipped; one beyond it means the segment ran inside the solid, and
-    raises RootPolishFailed."""
+    None; the obstacle of index `left` is not asked. A departure from an
+    obstacle inside the tangent dead zone is skipped; one beyond it means the
+    segment ran inside the solid, and raises RootPolishFailed."""
     a = scene.ball_radius
-    while (found := _first_root(scene, q, v, t_min, cap)) is not None:
+    while (found := _first_root(scene, q, v, t_min, cap, left)) is not None:
         t, idx = found
         x = _axpy(q, t, v)
         normal = _normal_at(scene, idx, x, t)
@@ -156,7 +167,7 @@ def first_hit(scene, phase_point: PhasePoint, max_advance: float):
     q, v = phase_point.q.tolist(), phase_point.v.tolist()
     a = scene.ball_radius
     cap = min(max_advance, _ball_exit_time(q, v, a))
-    hit = _first_crossing(scene, q, v, REHIT_FACTOR * a, cap)
+    hit = _first_crossing(scene, q, v, REHIT_FACTOR * a, cap, None)
     return None if hit is None else (hit[0], hit[1], np.array(hit[2]))
 
 
@@ -189,6 +200,7 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
     events: list[Event] = []
     total = 0.0
     last_tangent = None  # (obstacle index, point)
+    left = None  # the convex obstacle the ray just reflected off, which it cannot meet again
 
     def near_last_tangent(hit, radius):
         if last_tangent is None or last_tangent[0] != hit[1]:
@@ -205,7 +217,7 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
         t_ball = _ball_exit_time(q, v, a)
         t_min = guard
         try:
-            while (hit := _first_crossing(scene, q, v, t_min, t_ball)) is not None:
+            while (hit := _first_crossing(scene, q, v, t_min, t_ball, left)) is not None:
                 if abs(hit[4]) > TANGENCY_THRESHOLD or not near_last_tangent(hit, dead_zone):
                     break
                 t_min = hit[0] + guard  # residue of the same grazing chord
@@ -222,8 +234,10 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
         t_hit, idx, x_hit, normal, cos_in = hit
         if abs(cos_in) > TANGENCY_THRESHOLD:
             etype, v_out = "transversal", reflect(v, normal)
+            left = idx if scene.obstacles[idx].convex else None
         else:
             etype, v_out = "tangent", v
+            left = None
         events.append(Event(total + t_hit, np.array(x_hit), idx, etype, np.array(v), np.array(v_out)))
         total += t_hit
 

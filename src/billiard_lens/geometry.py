@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -129,8 +130,18 @@ def tangent_basis(normal: np.ndarray) -> np.ndarray:
 
     In 3D, e1 = h x n / |h x n| with h the axis of the smallest |n_k| (the
     first on ties) and e2 = n x e1. The norm is a matmul of e1 with itself,
-    which rounds like `np.linalg.norm` of one vector."""
+    which rounds like `np.linalg.norm` of one vector. One 3D normal takes
+    the same steps on floats, all but that dot product, which stays numpy's
+    (BLAS may fuse its multiply-adds, where float arithmetic rounds each)."""
     n = np.asarray(normal, dtype=float)
+    if n.shape == (3,):
+        n0, n1, n2 = n.tolist()
+        a0, a1, a2 = abs(n0), abs(n1), abs(n2)
+        h0, h1, h2 = ((1.0, 0.0, 0.0) if a0 <= a1 and a0 <= a2
+                      else (0.0, 1.0, 0.0) if a1 <= a2 else (0.0, 0.0, 1.0))
+        e1 = np.array([h1 * n2 - h2 * n1, h2 * n0 - h0 * n2, h0 * n1 - h1 * n0])
+        x, y, z = (e1 / math.sqrt(e1 @ e1)).tolist()
+        return np.array([[x, n1 * z - n2 * y], [y, n2 * x - n0 * z], [z, n0 * y - n1 * x]])
     if n.shape[-1] == 2:
         return np.stack([-n[..., 1], n[..., 0]], axis=-1)[..., None]
     h = np.eye(3)[np.argmin(np.abs(n), axis=-1)]
@@ -176,6 +187,10 @@ class Obstacle:
 
     kind = "obstacle"
     params = ()
+    # true when every body of the kind is convex: it lies behind the tangent
+    # plane at each boundary point, so a ray reflected transversally off it
+    # cannot meet it again (the tracer skips that query)
+    convex = False
 
     def __init__(self, center):
         self.center = np.asarray(check_numeric(center, "center"), dtype=float)
@@ -270,6 +285,7 @@ class SphereObstacle(Obstacle):
     """Ball in dimension n with F(x) = |x - c|^2 - r^2."""
 
     kind = "sphere"
+    convex = True
     params = ("radius",)
 
     def __init__(self, center, radius):
@@ -351,6 +367,7 @@ class EllipsoidObstacle(AxesObstacle):
     """Ellipsoid with F(x) = (x-c)^T M (x-c) - 1, M = R diag(1/a_i^2) R^T."""
 
     kind = "ellipsoid"
+    convex = True
     params = ("semi_axes",)
 
     def __init__(self, center, semi_axes, rotation=None):
@@ -401,6 +418,7 @@ class SuperellipsoidObstacle(AxesObstacle):
     """
 
     kind = "superellipsoid"
+    convex = True
     params = ("semi_axes", "exponent")
 
     def __init__(self, center, semi_axes, exponent, rotation=None):
@@ -774,7 +792,7 @@ def _free_cells(scene: Scene) -> np.ndarray:
     free = r2 < (a - 0.5 * step) ** 2
     lines = free.reshape(-1, cells)  # a view; row i is the line through heads[i]
     heads = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"), axis=-1).reshape(-1, n - 1)
-    heads_f = heads.tolist()  # each line's ray in floats, for `ray_roots`
+    heads_f, axis_f = heads.tolist(), axis.tolist()  # in floats, for `ray_roots` and bisect
     e = [0.0] * (n - 1) + [1.0]
     for obs in scene.obstacles:
         c = obs.bounding_center()
@@ -782,12 +800,14 @@ def _free_cells(scene: Scene) -> np.ndarray:
         if not hit.size:
             continue
         # run starts as flat indices into lines[hit]; every line has a run at 0,
-        # so the next start is also the end of a line's last run
+        # so the next start is also the end of a line's last run. A line's
+        # starts are a sorted set of a few cells: no `np.unique`, which would
+        # import numpy.ma
         starts = []
-        for k, i in enumerate(hit):
-            cuts = np.searchsorted(axis, obs.ray_roots(heads_f[i] + [0.0], e))
-            starts.append(k * cells + np.unique(np.append(cuts[cuts < cells], 0)))
-        starts = np.concatenate(starts)
+        for k, i in enumerate(hit.tolist()):
+            cuts = {bisect_left(axis_f, r) for r in obs.ray_roots(heads_f[i] + [0.0], e)}
+            starts += [k * cells + cut for cut in sorted(cuts | {0}) if cut < cells]
+        starts = np.array(starts)
         ends = np.append(starts[1:], hit.size * cells)
         rows, cols = np.divmod((starts + ends - 1) // 2, cells)
         outside = obs.implicit_batch(np.column_stack([heads[hit[rows]], axis[cols]])) > 0.0

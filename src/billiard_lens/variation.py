@@ -10,6 +10,10 @@ transverse offsets onto the tangent plane along the ray. Both maps are
 linear symplectic. H is orthogonal, so the mirrored basis stays orthonormal
 up to rounding and is not re-orthonormalised: its columns drift by about
 one rounding per reflection.
+
+A new frame shares every array it does not change with the old one (free
+flight builds only A + tB, a reflection keeps A), so no code writes into
+the arrays of a frame.
 """
 
 from __future__ import annotations
@@ -69,11 +73,11 @@ def seed_frame(direction, A0, B0) -> JacobiFrame:
 
 
 def propagate_free(frame: JacobiFrame, t: float) -> JacobiFrame:
-    """Flat free flight for time t >= 0: positions pick up t * direction variation."""
+    """Flat free flight for time t >= 0: positions pick up t * direction
+    variation; B, the basis and the direction are the old frame's arrays."""
     if t < 0:
         raise ValueError("free flight time must be non-negative")
-    return JacobiFrame(frame.A + t * frame.B, frame.B.copy(), frame.basis.copy(),
-                       frame.direction.copy())
+    return JacobiFrame(frame.A + t * frame.B, frame.B, frame.basis, frame.direction)
 
 
 def _reflect_basis(basis: np.ndarray, normal: np.ndarray) -> np.ndarray:
@@ -94,7 +98,7 @@ def propagate_reflection(frame: JacobiFrame, incidence: Incidence) -> JacobiFram
     C = 2.0 * cos_phi * (dy.T @ incidence.shape_ambient @ dy)
     C = 0.5 * (C + C.T)
     v_out = v + 2.0 * cos_phi * n
-    return JacobiFrame(frame.A.copy(), frame.B + C @ frame.A, _reflect_basis(E, n), v_out)
+    return JacobiFrame(frame.A, frame.B + C @ frame.A, _reflect_basis(E, n), v_out)
 
 
 def symplectic_pairing(f1: JacobiFrame, f2: JacobiFrame) -> np.ndarray:
@@ -181,17 +185,18 @@ def fd_flow_jacobian(scene, entry: flow.PhasePoint, t: float, h: float):
     m = entry.q.shape[0] - 1
     pos_block = np.zeros((m, m))
     dir_block = np.zeros((m, m))
+    cos_h, sin_h, two_h = np.cos(h), np.sin(h), 2.0 * h
     for i in range(m):
         e = basis_0[:, i]
         # direction perturbation -> position response
         states = []
         for sign in (+1.0, -1.0):
-            v = np.cos(h) * entry.v + np.sin(h) * sign * e
+            v = cos_h * entry.v + sin_h * sign * e
             traj = flow.trace_phase(scene, entry.q, v)
             if _itinerary(traj, t) != signature:
                 raise ItineraryChanged(f"direction probe {i} changed the event list")
             states.append(flow.state_at(traj, t))
-        pos_block[:, i] = basis_t.T @ (states[0][0] - states[1][0]) / (2.0 * h)
+        pos_block[:, i] = basis_t.T @ (states[0][0] - states[1][0]) / two_h
         # position perturbation -> direction response
         states = []
         for sign in (+1.0, -1.0):
@@ -199,7 +204,7 @@ def fd_flow_jacobian(scene, entry: flow.PhasePoint, t: float, h: float):
             if _itinerary(traj, t) != signature:
                 raise ItineraryChanged(f"position probe {i} changed the event list")
             states.append(flow.state_at(traj, t))
-        dir_block[:, i] = basis_t.T @ (states[0][1] - states[1][1]) / (2.0 * h)
+        dir_block[:, i] = basis_t.T @ (states[0][1] - states[1][1]) / two_h
     return pos_block, dir_block
 
 

@@ -319,6 +319,25 @@ def test_lens_leaves_numpy_ma_unloaded(tmp_path):
     assert proc.stdout.strip() == "False"
 
 
+def test_validate_leaves_numpy_ma_unloaded(tmp_path, livshits_pair):
+    # the scanline cells of `validate` and the curve's closest-point queries
+    # group without np.unique, which imports numpy.ma
+    scenes = [bl.make_scene(2, 10.0, [bl.SphereObstacle([-3.0, 0.0], 1.0),
+                                      bl.SphereObstacle([3.0, 0.0], 1.0)], "two-disc"),
+              livshits_pair[0]]
+    paths = []
+    for k, scene in enumerate(scenes):
+        paths.append(tmp_path / f"{k}.json")
+        paths[-1].write_text(geometry.scene_to_json(scene) + "\n")
+    code = ("import sys\nfrom billiard_lens import cli\n"
+            "for scene in sys.argv[2:]:\n"
+            "    assert cli.main(['validate', '--scene', scene, '--out', sys.argv[1]]) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    proc = run_python("-c", code, str(tmp_path / "v.json"), *map(str, paths))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_livshits_pipeline_and_validate_load_no_scipy(tmp_path, livshits_pair):
     # the `livshits` benchmark's calls, and `validate` of a 3D sphere, in one
     # process: scipy is left for nearest_distances above TREE_PAIRS

@@ -214,16 +214,17 @@ def test_speed_and_specular_invariants(disc_ellipse_scene):
     assert checked > 50
 
 
-def _drawn_pair(draw, kind, dim):
+def _drawn_pair(draw, kind, dim, rotated=True):
     """Two obstacles of one kind, left and right of the ball centre, with
-    drawn sizes, turns, exponent and jittered centres."""
+    drawn sizes, turns (none unless `rotated`), exponent and jittered
+    centres."""
     obstacles = []
     for side in (-1.0, 1.0):
         center = [side * 3.0 + draw(st.floats(-0.5, 0.5))] + [draw(st.floats(-1.0, 1.0))
                                                               for _ in range(dim - 1)]
         axes = [draw(st.floats(0.5, 2.0)) for _ in range(dim)]
         rotation = _rotation(dim, [draw(st.floats(-math.pi, math.pi))
-                                   for _ in range(1 if dim == 2 else 3)])
+                                   for _ in range(1 if dim == 2 else 3)]) if rotated else None
         if kind == "sphere":
             obstacles.append(bl.SphereObstacle(center, axes[0]))
         elif kind == "ellipsoid":
@@ -290,6 +291,68 @@ def test_time_reversibility_on_every_curve_piece_kind(data):
             assert np.linalg.norm(ev_f.x - ev_b.x) < 1e-7 * A_BALL
         checked += 1
     assert checked >= 4
+
+
+def _first_hit_chain(scene, traj):
+    """Check a trajectory of transversal events against `first_hit` from each
+    of its states, which asks every obstacle: the same obstacle and point at
+    each event, and no hit after the last."""
+    q, v = traj.entry.q, traj.entry.v
+    for ev in traj.events:
+        _, idx, x = flow.first_hit(scene, PhasePoint(q, v), math.inf)
+        assert idx == ev.obstacle and x.tobytes() == ev.x.tobytes()
+        q, v = ev.x, ev.v_out
+    assert flow.first_hit(scene, PhasePoint(q, v), math.inf) is None
+
+
+@pytest.mark.parametrize("kind", ["sphere", "ellipsoid", "superellipsoid"])
+@pytest.mark.parametrize("dim", [2, 3])
+@given(data=st.data())
+def test_a_convex_obstacle_is_not_met_again_after_a_reflection(kind, dim, data):
+    # the premise of the tracer's skip of the obstacle a ray reflected off:
+    # a convex kind has no root beyond the re-hit guard along the outgoing
+    # ray. Rays through drawn points of either obstacle's bounding box, and
+    # rays that meet a boundary sample at a drawn angle down to 1e-6 rad
+    scene = _drawn_pair(data.draw, kind, dim, rotated=data.draw(st.booleans(), label="rotated"))
+    assert all(obs.convex for obs in scene.obstacles)
+    guard = flow.REHIT_FACTOR * scene.ball_radius
+    reflections = 0
+    for k in range(16):
+        obs = scene.obstacles[data.draw(st.integers(0, 1))]
+        phi = data.draw(st.floats(-math.pi, math.pi))
+        if k % 2:
+            target = obs.bounding_center() + obs.bounding_radius() * np.array(
+                [data.draw(st.floats(-1.0, 1.0)) for _ in range(dim)])
+            mu = data.draw(st.floats(-1.0, 1.0)) if dim == 3 else 0.0
+            rho = math.sqrt(1.0 - mu * mu)
+            direction = [rho * math.cos(phi), rho * math.sin(phi), mu][:dim]
+        else:
+            cloud = obs.boundary_points(64)
+            target = cloud[data.draw(st.integers(0, len(cloud) - 1))]
+            nu = obs.normal_at(target)
+            along = geometry.tangent_basis(nu) @ [math.cos(phi), math.sin(phi)][:dim - 1]
+            sin_in = 10.0 ** data.draw(st.floats(-6.0, 0.0))
+            direction = math.sqrt(1.0 - sin_in**2) * along / np.linalg.norm(along) - sin_in * nu
+        traj = flow.trace(scene, entry_through(target, direction))
+        for ev in traj.events:
+            if ev.type == "transversal":
+                roots = scene.obstacles[ev.obstacle].ray_roots(ev.x, ev.v_out)
+                assert all(r <= guard for r in roots)
+                reflections += 1
+        if traj.status == "exited" and all(ev.type == "transversal" for ev in traj.events):
+            _first_hit_chain(scene, traj)
+    assert reflections >= 4
+
+
+def test_curve_orbit_meets_the_same_curve_again(livshits_pair):
+    # a curve2d is not convex, so the tracer asks it again after a reflection
+    # off it: this orbit enters the Livshits cavity and reflects six times on
+    # its one obstacle, each event where `first_hit` finds it
+    base, _, _ = livshits_pair
+    traj = flow.trace(base, entry_through([1.0, 0.0], [-0.5, 1.0]))
+    assert traj.status == "exited"
+    assert [(ev.obstacle, ev.type) for ev in traj.events] == [(0, "transversal")] * 6
+    _first_hit_chain(base, traj)
 
 
 def test_single_convex_obstacle_at_most_one_bounce(disc_scene):
