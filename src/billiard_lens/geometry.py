@@ -13,6 +13,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -235,9 +236,10 @@ class Obstacle:
         return self._unit_normals(x[None, :], self.gradient(x)[None, :])[0][0]
 
     def _unit_normals(self, X, G):
-        """(G / |G|, |G|) for the gradients G (N, n) at the rows of X, |G| rounded
-        like `math.sqrt(g.dot(g))`. Raises SingularGradient below the floor."""
-        norms = np.sqrt(np.matmul(G[:, None, :], G[:, :, None]))[:, 0, 0]
+        """(G / |G|, |G|) for the gradients G (N, n) at the rows of X, |G| summed
+        left to right like the tracer's `_normal_at`, so an event's normal is
+        its reflection normal bit for bit. Raises SingularGradient below the floor."""
+        norms = np.sqrt(reduce(np.add, (G * G).T))
         floor = self.gradient_floor()
         if norms.min() < floor:
             k = np.flatnonzero(norms < floor)[0]

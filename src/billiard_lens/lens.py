@@ -72,6 +72,8 @@ class SampleSpec:
             raise ValueError("grid mode needs n_positions >= 1 and n_directions >= 1")
         if self.mode == "mc" and self.n_total < 1:
             raise ValueError("mc mode needs n_total >= 1")
+        if not 0 <= self.seed < 2**64:  # the generator would take it mod 2^64
+            raise ValueError(f"seed must be an integer in [0, 2^64), not {self.seed}")
         self.limits()  # range checks of n_max and t_max
 
     def count(self) -> int:
@@ -97,14 +99,18 @@ class SampleSpec:
 
 
 def parse_spec(text: str, seed: int = 0, n_max: int = 10000, t_max: float | None = None) -> SampleSpec:
-    """Parse 'grid:POSxDIR' or 'mc:N'."""
+    """Parse 'grid:POSxDIR' or 'mc:N'; ValueError naming the spec and these
+    forms if it is neither."""
     kind, _, rest = text.partition(":")
-    if kind == "grid":
-        pos, _, dirs = rest.partition("x")
-        return SampleSpec("grid", int(pos), int(dirs), 0, seed, n_max, t_max)
-    if kind == "mc":
-        return SampleSpec("mc", 0, 0, int(rest), seed, n_max, t_max)
-    raise ValueError(f"bad sample spec {text!r}")
+    fields = {"grid": rest.split("x") + ["0"], "mc": ["0", "0", rest]}.get(kind, [])
+    try:
+        counts = [int(field) for field in fields]  # n_positions, n_directions, n_total
+    except ValueError:
+        counts = []
+    if len(counts) != 3:
+        raise ValueError(f"bad sample spec {text!r}: expected grid:POSxDIR or mc:N, "
+                         "with POS, DIR and N whole numbers")
+    return SampleSpec(kind, *counts, seed, n_max, t_max)
 
 
 class _RowViews(Sequence):

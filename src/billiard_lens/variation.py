@@ -1,15 +1,17 @@
 """Linearized dynamics along trajectories.
 
 A JacobiFrame carries the transverse position block A and direction block B
-of a family of variations, expressed in a basis orthogonal to the current
-ray direction. Free flight maps (A, B) to (A + tB, B); a transversal
-reflection maps the basis E to H E with the mirror H = I - 2 n n^T, keeps A
-and adds C A to B, with the curvature term C = 2 cos(phi) * dy^T S dy built
-from the ambient shape operator S at the event, where dy projects
-transverse offsets onto the tangent plane along the ray. Both maps are
-linear symplectic. H is orthogonal, so the mirrored basis stays orthonormal
-up to rounding and is not re-orthonormalised: its columns drift by about
-one rounding per reflection.
+of a family of variations, expressed in a basis orthogonal to the ray
+direction, which is the traced one: the frame holds no direction, and each
+reflected direction is the event's `v_out`. Free flight maps (A, B) to
+(A + tB, B); a transversal reflection maps the basis E to H E with the
+mirror H = I - 2 n n^T, keeps A and adds C A to B, with the curvature term
+C = 2 cos(phi) * dy^T S dy built from the ambient shape operator S at the
+event, where dy projects transverse offsets onto the tangent plane along the
+ray. Both maps are linear symplectic. The normal n is the tracer's bit for
+bit (`ambient_shape`), and H is orthogonal, so the mirrored basis stays
+orthonormal and orthogonal to `v_out` = H v_in up to rounding; it is not
+re-orthonormalised: its columns drift by about one rounding per reflection.
 
 A new frame shares every array it does not change with the old one (free
 flight builds only A + tB, a reflection keeps A), so no code writes into
@@ -45,10 +47,9 @@ class IndexOutOfRange(IndexError):
 
 @dataclass
 class JacobiFrame:
-    A: np.ndarray          # (n-1, n-1) transverse position variation
-    B: np.ndarray          # (n-1, n-1) transverse direction variation
-    basis: np.ndarray      # (n, n-1) columns orthogonal to direction, orthonormal up to rounding
-    direction: np.ndarray  # (n,)
+    A: np.ndarray      # (n-1, k) transverse position variation of k variations
+    B: np.ndarray      # (n-1, k) transverse direction variation
+    basis: np.ndarray  # (n, n-1) columns orthogonal to the ray direction, orthonormal up to rounding
 
 
 @dataclass
@@ -69,15 +70,15 @@ def seed_frame(direction, A0, B0) -> JacobiFrame:
     m = v.shape[0] - 1
     A = np.asarray(A0, dtype=float) * np.eye(m) if np.isscalar(A0) else np.array(A0, dtype=float)
     B = np.asarray(B0, dtype=float) * np.eye(m) if np.isscalar(B0) else np.array(B0, dtype=float)
-    return JacobiFrame(A, B, tangent_basis(v), v.copy())
+    return JacobiFrame(A, B, tangent_basis(v))
 
 
 def propagate_free(frame: JacobiFrame, t: float) -> JacobiFrame:
     """Flat free flight for time t >= 0: positions pick up t * direction
-    variation; B, the basis and the direction are the old frame's arrays."""
+    variation; B and the basis are the old frame's arrays."""
     if t < 0:
         raise ValueError("free flight time must be non-negative")
-    return JacobiFrame(frame.A + t * frame.B, frame.B, frame.basis, frame.direction)
+    return JacobiFrame(frame.A + t * frame.B, frame.B, frame.basis)
 
 
 def _reflect_basis(basis: np.ndarray, normal: np.ndarray) -> np.ndarray:
@@ -97,8 +98,7 @@ def propagate_reflection(frame: JacobiFrame, incidence: Incidence) -> JacobiFram
     dy = E - np.outer(v, (n @ E) / -cos_phi)
     C = 2.0 * cos_phi * (dy.T @ incidence.shape_ambient @ dy)
     C = 0.5 * (C + C.T)
-    v_out = v + 2.0 * cos_phi * n
-    return JacobiFrame(frame.A, frame.B + C @ frame.A, _reflect_basis(E, n), v_out)
+    return JacobiFrame(frame.A, frame.B + C @ frame.A, _reflect_basis(E, n))
 
 
 def symplectic_pairing(f1: JacobiFrame, f2: JacobiFrame) -> np.ndarray:
@@ -123,22 +123,6 @@ def _walk(scene, events, frame: JacobiFrame, t_prev: float, t: float) -> JacobiF
     return propagate_free(frame, t - t_prev)
 
 
-def _frames_along(scene, trajectory, t: float, seeds):
-    """Propagate seed frames from the entry to time t through the recorded
-    transversal events. Raises TangentOnPath on a tangent event before t.
-
-    The seeds (scalar A0, B0 pairs) travel as one frame with their blocks
-    side by side, so each event mirrors one basis; every column is
-    propagated on its own, and the frames are split apart at the end."""
-    eye = np.eye(trajectory.entry.v.shape[0] - 1)
-    frame = seed_frame(trajectory.entry.v, np.hstack([A0 * eye for A0, _ in seeds]),
-                       np.hstack([B0 * eye for _, B0 in seeds]))
-    frame = _walk(scene, trajectory.events, frame, 0.0, t)
-    m = eye.shape[0]
-    return [JacobiFrame(frame.A[:, k:k + m], frame.B[:, k:k + m], frame.basis, frame.direction)
-            for k in range(0, frame.A.shape[1], m)]
-
-
 def flow_differentials(scene, entry: flow.PhasePoint, t: float, trajectory=None):
     """Transverse blocks of the flow differential at time t.
 
@@ -151,8 +135,12 @@ def flow_differentials(scene, entry: flow.PhasePoint, t: float, trajectory=None)
         trajectory = flow.trace(scene, entry)
     if trajectory.status != "exited" and trajectory.events and t > trajectory.events[-1].t:
         raise ValueError("time t beyond a truncated trajectory")
-    f_dir, f_pos = _frames_along(scene, trajectory, t, [(0.0, 1.0), (1.0, 0.0)])
-    return f_dir.A.copy(), f_pos.B.copy()
+    # the seeds (A, B) = (0, I) and (I, 0) side by side: each event mirrors one basis
+    m = trajectory.entry.v.shape[0] - 1
+    eye, zero = np.eye(m), np.zeros((m, m))
+    seeds = seed_frame(trajectory.entry.v, np.hstack([zero, eye]), np.hstack([eye, zero]))
+    frame = _walk(scene, trajectory.events, seeds, 0.0, t)
+    return frame.A[:, :m].copy(), frame.B[:, m:].copy()
 
 
 def transport_basis(scene, trajectory, t: float, basis: np.ndarray) -> np.ndarray:

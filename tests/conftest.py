@@ -10,7 +10,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 import billiard_lens as bl
-from billiard_lens import geometry
+from billiard_lens import geometry, variation
 from billiard_lens.curves import ArcPiece, BumpLinePiece, EllipseArcPiece, LinePiece
 
 A_BALL = 10.0
@@ -184,6 +184,17 @@ def entry_through(point, direction, a=A_BALL):
     t_back = b + np.sqrt(b * b - (float(p @ p) - a * a))
     q = p - t_back * v
     return bl.PhasePoint(q, v)
+
+
+def seed_pair_frames(scene, trajectory, t):
+    """The frames of `flow_differentials`' two seeds, (A, B) = (0, I) and
+    (I, 0), walked to time t side by side as it walks them, then split."""
+    m = trajectory.entry.v.shape[0] - 1
+    eye, zero = np.eye(m), np.zeros((m, m))
+    seeds = variation.seed_frame(trajectory.entry.v, np.hstack([zero, eye]), np.hstack([eye, zero]))
+    frame = variation._walk(scene, trajectory.events, seeds, 0.0, t)
+    return [variation.JacobiFrame(frame.A[:, k:k + m], frame.B[:, k:k + m], frame.basis)
+            for k in (0, m)]
 
 
 def cross_basis(n):

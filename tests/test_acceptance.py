@@ -15,7 +15,7 @@ from billiard_lens.flow import Limits, PhasePoint
 from billiard_lens.lens import SampleSpec
 from billiard_lens.rng import Xoshiro256StarStar
 
-from conftest import A_BALL, entry_through
+from conftest import A_BALL, entry_through, seed_pair_frames
 
 
 def _report(name, ok, detail=""):
@@ -118,7 +118,7 @@ def test_criterion_3_jacobi_vs_fd(disc_ellipse_scene, sphere_ellipsoid_scene):
         for a_blk, b_blk in zip(jac, fd):
             err = np.abs(a_blk - b_blk) - 1e-4 * np.abs(b_blk) - 1e-8
             worst_rel = max(worst_rel, float(np.max(err)))
-        frames = variation._frames_along(scene, traj, t, [(0.0, 1.0), (1.0, 0.0)])
+        frames = seed_pair_frames(scene, traj, t)
         m = entry.q.shape[0] - 1
         drift = np.max(np.abs(variation.symplectic_pairing(frames[0], frames[1]) + np.eye(m)))
         worst_sympl = max(worst_sympl, float(drift))

@@ -653,6 +653,42 @@ def test_non_positive_size_exits_2(command, args, obstacle, param, tmp_path, cap
     assert not out.exists()
 
 
+_SAMPLING_ARGS = {
+    "lens": [],
+    "trapped": [],
+    "sls": ["--omega", "1,0", "--theta=-1,0"],
+}
+
+
+@pytest.mark.parametrize("spec", ["grid:3", "grid:3x", "grid:x4", "grid:2x2x2", "mc:", "mc:1e3",
+                                  "mc:3x4", "grid", "poisson:5"])
+@pytest.mark.parametrize("command", sorted(_SAMPLING_ARGS))
+def test_bad_spec_exits_2_naming_it(command, spec, disc_json, tmp_path, capsys):
+    # in a trapped ladder, the bad spec among good ones
+    text = f"mc:2,{spec},mc:8" if command == "trapped" else spec
+    out = tmp_path / "out.json"
+    assert cli.main([command, "--scene", disc_json, *_SAMPLING_ARGS[command], "--spec", text,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: bad sample spec {spec!r}: expected grid:POSxDIR "
+                                       "or mc:N, with POS, DIR and N whole numbers\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 99999999999999999999999])
+@pytest.mark.parametrize("command", sorted(_SAMPLING_ARGS))
+def test_seed_outside_64_bits_exits_2_naming_it(command, seed, disc_json, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    spec = "mc:2,mc:4,mc:8" if command == "trapped" else "mc:5"
+    argv = [command, "--scene", disc_json, *_SAMPLING_ARGS[command], "--spec", spec,
+            "--out", str(out)]
+    assert cli.main([*argv, f"--seed={seed}"]) == 2
+    assert capsys.readouterr().err == f"error: seed must be an integer in [0, 2^64), not {seed}\n"
+    assert not out.exists()
+    # the largest seed is taken, and written as given
+    assert cli.main([*argv, f"--seed={2**64 - 1}"]) == 0
+    assert str(2**64 - 1) in out.read_text()
+
+
 # -- property: argv drawn from the flag table ---------------------------------------
 #
 # Values are good or bad (0, -1, nan, inf, text, a missing path, a path below a

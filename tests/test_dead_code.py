@@ -1,6 +1,7 @@
-"""No dead code: every module-level function and class of the package is
-named by the package itself or by the benchmark, except a short list of
-names that only the tests and the library's users call."""
+"""No dead code: every module-level function and class of the package, and
+every method and property of its classes, is named by the package itself or
+by the benchmark, except a short list of names that only the tests and the
+library's users call."""
 
 import ast
 from collections import Counter
@@ -28,15 +29,42 @@ def _mentions(node):
             yield sub.value
 
 
-def test_every_definition_is_named_by_the_package_or_the_benchmark():
-    # the re-exports of __init__ do not count as a use, nor does a name inside
-    # its own definition; the benchmark names some callables by string (the
-    # tracer wraps them by name)
+# module.Class.method: why it stays although no code in src/ or perfbench/ names it
+ALLOWED_METHODS = {}
+
+
+def _named():
+    """(the package's modules by name, as trees; the count of each name the
+    package and the benchmark mention). The re-exports of __init__ do not
+    count as a use; the benchmark names some callables by string (the tracer
+    wraps them by name)."""
     trees = [ast.parse(path.read_text()) for path in sorted(ROOT.glob("perfbench/*.py"))]
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted(ROOT.glob("src/billiard_lens/*.py")) if path.name != "__init__.py"}
-    named = Counter(chain.from_iterable(map(_mentions, [*trees, *modules.values()])))
+    return modules, Counter(chain.from_iterable(map(_mentions, [*trees, *modules.values()])))
+
+
+def test_every_definition_is_named_by_the_package_or_the_benchmark():
+    # a name inside its own definition is no use of it
+    modules, named = _named()
     unused = {f"{module}.{node.name}" for module, tree in modules.items() for node in tree.body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and named[node.name] == Counter(_mentions(node))[node.name]}
     assert unused == set(ALLOWED)
+
+
+def test_every_method_is_named_by_the_package_or_the_benchmark():
+    # methods and properties of the package's classes, dunders aside: a name
+    # inside any definition of that name (an override calling its base, a
+    # recursion) is no use of it
+    modules, named = _named()
+    definitions = {}
+    for module, tree in modules.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                    definitions.setdefault(node.name, []).append((f"{module}.{cls.name}", node))
+    unused = {f"{owner}.{name}" for name, defs in definitions.items()
+              if named[name] == sum(Counter(_mentions(node))[name] for _, node in defs)
+              for owner, _ in defs}
+    assert unused == set(ALLOWED_METHODS)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import billiard_lens as bl
-from billiard_lens import flow, geometry, lens
+from billiard_lens import flow, geometry, lens, variation
 from billiard_lens.flow import Limits, NotScattered, PhasePoint
 from billiard_lens.lens import SampleSpec
 from billiard_lens.rng import Xoshiro256StarStar
@@ -82,6 +82,71 @@ def test_two_disc_corridor_orbit_trapped(two_disc_scene):
     # an entry aimed down the axis from the sphere bounces off the outer pole instead
     axis_entry = flow.trace(two_disc_scene, PhasePoint(np.array([-10.0, 0.0]), np.array([1.0, 0.0])))
     assert axis_entry.status == "exited" and len(axis_entry.events) == 1
+
+
+def test_two_disc_corridor_orbit_meets_the_time_cutoff(two_disc_scene):
+    # the corridor orbit reflects at t = 2, 6, 10, ...; the cutoff is checked
+    # before each segment, so the orbit ends at the first event past t_max
+    traj = flow.trace_phase(two_disc_scene, [0.0, 0.0], [1.0, 0.0], Limits(t_max=25.0))
+    assert traj.status == "trapped" and traj.cutoff_reason == "max_time"
+    assert traj.total_time is None and traj.exit_state is None
+    assert [ev.t for ev in traj.events] == pytest.approx([2.0, 6.0, 10.0, 14.0, 18.0, 22.0, 26.0])
+
+
+class TwoTouches(bl.SphereObstacle):
+    """A unit disc whose boundary, as the tracer sees it, is the two points
+    (-gap/2, 1) and (gap/2, 1) with the normal (0, 1): a ray along the line
+    y = 1 touches it twice, gap apart, as it would two bumps of one wavy
+    boundary."""
+
+    def __init__(self, gap):
+        super().__init__([0.0, 0.0], 1.0)
+        self.touches = [[-0.5 * gap, 1.0], [0.5 * gap, 1.0]]
+
+    def ray_roots(self, q, v):
+        roots = []
+        for p in self.touches:
+            d = [p[0] - q[0], p[1] - q[1]]
+            if abs(d[0] * v[1] - d[1] * v[0]) < 1e-9:  # p is on the ray's line
+                roots.append(d[0] * v[0] + d[1] * v[1])
+        return sorted(roots)
+
+    def gradient(self, x):
+        return np.array([0.0, 2.0])
+
+
+@pytest.mark.parametrize("gap, status, reason", [
+    (0.05, "gliding_rejected", "tangency_chain"),
+    (0.5, "exited", None),
+], ids=["inside-gliding-arc", "beyond-gliding-arc"])
+def test_two_tangencies_closer_than_the_gliding_arc_reject_the_orbit(gap, status, reason):
+    # the gliding arc is GLIDING_ARC_FACTOR a = 0.1, the tangent dead zone 1e-4
+    scene = bl.make_scene(2, A_BALL, [TwoTouches(gap)], "two-touches")
+    traj = flow.trace(scene, PhasePoint([-math.sqrt(A_BALL**2 - 1.0), 1.0], [1.0, 0.0]))
+    assert traj.status == status and traj.cutoff_reason == reason
+    assert [(ev.obstacle, ev.type) for ev in traj.events] == [(0, "tangent"), (0, "tangent")]
+    assert np.allclose([ev.x for ev in traj.events], scene.obstacles[0].touches, atol=1e-12)
+
+
+@pytest.mark.parametrize("depth, status", [(1e-6, "exited"), (1e-3, "gliding_rejected")],
+                         ids=["inside-dead-zone", "beyond-dead-zone"])
+def test_a_departure_inside_the_tangent_dead_zone_is_skipped(two_disc_scene, depth, status):
+    # a ray that starts `depth` inside the right disc and leaves it: its exit
+    # root is a departure, skipped within the dead zone 1e-5 a = 1e-4, where
+    # it stands for a rounding of a boundary point; beyond it the ray ran
+    # inside the solid
+    q, v = [2.0 + depth, 0.0], [-0.6, 0.08]
+    traj = flow.trace_phase(two_disc_scene, q, v)
+    assert traj.status == status
+    if status == "exited":
+        # the left disc is met next, as `first_hit` finds it
+        assert [(ev.obstacle, ev.type) for ev in traj.events] == [(0, "transversal")]
+        t, idx, x = flow.first_hit(two_disc_scene, PhasePoint(q, v), math.inf)
+        assert idx == 0 and np.allclose(x, traj.events[0].x, atol=1e-12)
+    else:
+        assert traj.cutoff_reason == "boundary_penetration" and not traj.events
+        with pytest.raises(flow.RootPolishFailed):
+            flow.first_hit(two_disc_scene, PhasePoint(q, v), math.inf)
 
 
 def test_travelling_time_examples(empty3, two_disc_scene):
@@ -293,6 +358,28 @@ def test_time_reversibility_on_every_curve_piece_kind(data):
     assert checked >= 4
 
 
+def _drawn_entry(draw, scene, grazing):
+    """Entry of a ray through a drawn point of either obstacle's bounding box,
+    or, if `grazing`, of a ray that meets a boundary sample at a drawn angle
+    down to 1e-6 rad."""
+    dim = scene.dimension
+    obs = scene.obstacles[draw(st.integers(0, 1))]
+    phi = draw(st.floats(-math.pi, math.pi))
+    if not grazing:
+        target = obs.bounding_center() + obs.bounding_radius() * np.array(
+            [draw(st.floats(-1.0, 1.0)) for _ in range(dim)])
+        mu = draw(st.floats(-1.0, 1.0)) if dim == 3 else 0.0
+        rho = math.sqrt(1.0 - mu * mu)
+        return entry_through(target, [rho * math.cos(phi), rho * math.sin(phi), mu][:dim])
+    cloud = obs.boundary_points(64)
+    target = cloud[draw(st.integers(0, len(cloud) - 1))]
+    nu = obs.normal_at(target)
+    along = geometry.tangent_basis(nu) @ [math.cos(phi), math.sin(phi)][:dim - 1]
+    sin_in = 10.0 ** draw(st.floats(-6.0, 0.0))
+    return entry_through(target,
+                         math.sqrt(1.0 - sin_in**2) * along / np.linalg.norm(along) - sin_in * nu)
+
+
 def _first_hit_chain(scene, traj):
     """Check a trajectory of transversal events against `first_hit` from each
     of its states, which asks every obstacle: the same obstacle and point at
@@ -318,22 +405,7 @@ def test_a_convex_obstacle_is_not_met_again_after_a_reflection(kind, dim, data):
     guard = flow.REHIT_FACTOR * scene.ball_radius
     reflections = 0
     for k in range(16):
-        obs = scene.obstacles[data.draw(st.integers(0, 1))]
-        phi = data.draw(st.floats(-math.pi, math.pi))
-        if k % 2:
-            target = obs.bounding_center() + obs.bounding_radius() * np.array(
-                [data.draw(st.floats(-1.0, 1.0)) for _ in range(dim)])
-            mu = data.draw(st.floats(-1.0, 1.0)) if dim == 3 else 0.0
-            rho = math.sqrt(1.0 - mu * mu)
-            direction = [rho * math.cos(phi), rho * math.sin(phi), mu][:dim]
-        else:
-            cloud = obs.boundary_points(64)
-            target = cloud[data.draw(st.integers(0, len(cloud) - 1))]
-            nu = obs.normal_at(target)
-            along = geometry.tangent_basis(nu) @ [math.cos(phi), math.sin(phi)][:dim - 1]
-            sin_in = 10.0 ** data.draw(st.floats(-6.0, 0.0))
-            direction = math.sqrt(1.0 - sin_in**2) * along / np.linalg.norm(along) - sin_in * nu
-        traj = flow.trace(scene, entry_through(target, direction))
+        traj = flow.trace(scene, _drawn_entry(data.draw, scene, grazing=k % 2 == 0))
         for ev in traj.events:
             if ev.type == "transversal":
                 roots = scene.obstacles[ev.obstacle].ray_roots(ev.x, ev.v_out)
@@ -342,6 +414,34 @@ def test_a_convex_obstacle_is_not_met_again_after_a_reflection(kind, dim, data):
         if traj.status == "exited" and all(ev.type == "transversal" for ev in traj.events):
             _first_hit_chain(scene, traj)
     assert reflections >= 4
+
+
+@pytest.mark.parametrize("kind", ["sphere", "ellipsoid", "superellipsoid"])
+@pytest.mark.parametrize("dim", [2, 3])
+@given(data=st.data())
+def test_the_jacobi_layer_takes_each_reflection_from_the_tracer(kind, dim, data):
+    # at every transversal event the obstacle's normal, as `normal_at`,
+    # `surface_frame` and `ambient_shape` give it, is the one the tracer
+    # reflected by, bit for bit, and the basis the Jacobi walk carries past
+    # the last event is orthogonal to the traced outgoing direction
+    scene = _drawn_pair(data.draw, kind, dim, rotated=data.draw(st.booleans(), label="rotated"))
+    walked = 0
+    for k in range(16):
+        traj = flow.trace(scene, _drawn_entry(data.draw, scene, grazing=k % 2 == 0))
+        transversal = [ev for ev in traj.events if ev.type == "transversal"]
+        for ev in transversal:
+            obs = scene.obstacles[ev.obstacle]
+            normal = obs.normal_at(ev.x)
+            assert ev.v_out.tolist() == flow.reflect(ev.v_in, normal)
+            assert normal.tolist() == geometry.surface_frame(obs, ev.x).normal.tolist()
+            assert normal.tolist() == geometry.ambient_shape(obs, ev.x)[0].tolist()
+        if transversal and len(transversal) == len(traj.events):
+            last = traj.events[-1]
+            frame = variation._walk(scene, traj.events, variation.seed_frame(traj.entry.v, 0.0, 1.0),
+                                    0.0, math.nextafter(last.t, math.inf))
+            assert float(np.max(np.abs(frame.basis.T @ last.v_out))) <= 1e-12
+            walked += 1
+    assert walked >= 2
 
 
 def test_curve_orbit_meets_the_same_curve_again(livshits_pair):

@@ -122,6 +122,31 @@ def test_backscatter_spectrum(sphere_scene, empty3):
     assert nothing == []
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_monte_carlo_spectrum(dim):
+    # a sphere off the axis widens the shadow 2 % past the 0.999 a cap, so
+    # about one draw in fifty would pass the cap without it
+    scene = bl.make_scene(dim, A_BALL, [bl.SphereObstacle(np.zeros(dim), 1.0),
+                                        bl.SphereObstacle([0.0, 8.0, 0.0][:dim], 1.9)], "wide")
+    omega = np.eye(dim)[0]
+    spec = SampleSpec("mc", n_total=1000, seed=5)
+    offsets = np.array(lens._impact_offsets(scene, omega, spec))
+    assert offsets.shape == (1000, dim)
+    radii = np.linalg.norm(offsets, axis=1)
+    assert np.all(radii <= 0.999 * A_BALL) and np.max(radii) > 0.95 * A_BALL
+    assert np.max(np.abs(offsets @ omega)) <= 1e-12 * A_BALL
+    assert np.array_equal(np.array(lens._impact_offsets(scene, omega, spec)), offsets)
+    other = np.array(lens._impact_offsets(scene, omega, dataclasses.replace(spec, seed=6)))
+    assert not np.any(np.all(other == offsets, axis=1))
+    # every ray is kept within a half turn of theta
+    spectrum = lens.scattering_spectrum(scene, omega, -omega, math.pi, spec)
+    again = lens.scattering_spectrum(scene, omega, -omega, math.pi, spec)
+    assert spectrum == again and spectrum.counts == again.counts
+    assert sum(spectrum.counts.values()) == 1000
+    assert sum(b.count for b in spectrum) == spectrum.counts["free"] + spectrum.counts["scattered"]
+    assert spectrum.counts["scattered"] > 0
+
+
 def test_means_are_correctly_rounded(disc_scene, livshits_pair):
     # the builtin sum of floats adds left to right up to Python 3.11 and
     # compensates from 3.12 on; the means and the chain length use the
