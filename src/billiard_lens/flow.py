@@ -14,6 +14,10 @@ parameter its root carries, so the tracer makes no closest-point query
 gradient, which `normal_at` reads). Orbits that graze into the boundary
 (gliding) are detected and rejected, never integrated.
 
+Each segment is one search (`_first_crossing`) up to the ball exit or the
+time cutoff; it skips a departure inside the tangent dead zone and the
+residue of the grazing chord that ended at the last tangent point.
+
 After a transversal reflection off an obstacle whose kind is `convex`
 (sphere, ellipsoid, superellipsoid), the next segment does not ask that
 obstacle for its roots: the body lies behind the tangent plane at the hit,
@@ -137,24 +141,38 @@ def _first_root(scene, q, v, t_min, cap, left):
     return best
 
 
-def _first_crossing(scene, q, v, t_min, cap, left):
-    """First boundary root in (t_min, cap] that the ray meets from outside or
-    tangentially: (t, obstacle index, point, unit normal, <v, normal>), or
-    None; the obstacle of index `left` is not asked. A departure from an
-    obstacle inside the tangent dead zone is skipped; one beyond it means the
-    segment ran inside the solid, and raises RootPolishFailed."""
+def _first_crossing(scene, q, v, cap, left, last_tangent):
+    """First boundary root in (REHIT_FACTOR a, cap] that the ray meets from
+    outside or tangentially: (t, obstacle index, point, unit normal,
+    <v, normal>), or None; the obstacle of index `left` is not asked. Two
+    roots are skipped: a departure from an obstacle inside the tangent dead
+    zone (one beyond it means the segment ran inside the solid, and raises
+    RootPolishFailed), and a tangency within the dead zone of `last_tangent`
+    on the same obstacle, the residue of the grazing chord it ended."""
     a = scene.ball_radius
+    dead_zone, guard = _TANGENT_DEAD_ZONE * a, REHIT_FACTOR * a
+    t_min = guard
     while (found := _first_root(scene, q, v, t_min, cap, left)) is not None:
         t, idx = found
         x = _axpy(q, t, v)
         normal = _normal_at(scene, idx, x, t)
         cos_in = _dot(v, normal)
-        if cos_in <= TANGENCY_THRESHOLD:
+        if cos_in > TANGENCY_THRESHOLD:
+            if t > dead_zone:
+                raise RootPolishFailed("ray runs inside an obstacle")
+        elif cos_in < -TANGENCY_THRESHOLD or not _near(last_tangent, idx, x, dead_zone):
             return t, idx, x, normal, cos_in
-        if t > _TANGENT_DEAD_ZONE * a:
-            raise RootPolishFailed("ray runs inside an obstacle")
-        t_min = t + REHIT_FACTOR * a
+        t_min = t + guard
     return None
+
+
+def _near(tangent, idx, x, radius) -> bool:
+    """Whether x, on obstacle idx, lies closer than `radius` to the tangent
+    point `tangent` (obstacle index, point) on that obstacle."""
+    if tangent is None or tangent[0] != idx:
+        return False
+    d = _sub(x, tangent[1])
+    return math.sqrt(_dot(d, d)) < radius
 
 
 def first_hit(scene, phase_point: PhasePoint, max_advance: float):
@@ -167,7 +185,7 @@ def first_hit(scene, phase_point: PhasePoint, max_advance: float):
     q, v = phase_point.q.tolist(), phase_point.v.tolist()
     a = scene.ball_radius
     cap = min(max_advance, _ball_exit_time(q, v, a))
-    hit = _first_crossing(scene, q, v, REHIT_FACTOR * a, cap, None)
+    hit = _first_crossing(scene, q, v, cap, None, None)
     return None if hit is None else (hit[0], hit[1], np.array(hit[2]))
 
 
@@ -184,13 +202,11 @@ def _normal_at(scene, idx, x, root):
 
 def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
     """Trace from an arbitrary phase point inside the ball (no entry check);
-    q and v are arrays, tuples or lists, and v is normalised."""
+    q and v are arrays, tuples or lists, and v is normalised. A ray whose
+    next event or exit lies past t_max ends `trapped` (max_time)."""
     limits = limits or Limits()
     a = scene.ball_radius
     t_max = limits.t_max if limits.t_max is not None else 1000.0 * a
-    gliding_arc = GLIDING_ARC_FACTOR * a
-    guard = REHIT_FACTOR * a
-    dead_zone = _TANGENT_DEAD_ZONE * a
 
     q, v = _floats(q), _floats(v)
     speed = math.sqrt(_dot(v, v))
@@ -202,25 +218,13 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
     last_tangent = None  # (obstacle index, point)
     left = None  # the convex obstacle the ray just reflected off, which it cannot meet again
 
-    def near_last_tangent(hit, radius):
-        if last_tangent is None or last_tangent[0] != hit[1]:
-            return False
-        d = _sub(hit[2], last_tangent[1])
-        return math.sqrt(_dot(d, d)) < radius
-
     while True:
         if len(events) >= limits.n_max:
             return Trajectory(entry, events, "trapped", None, None, "max_reflections")
-        if total > t_max:
-            return Trajectory(entry, events, "trapped", None, None, "max_time")
 
-        t_ball = _ball_exit_time(q, v, a)
-        t_min = guard
+        t_ball, t_left = _ball_exit_time(q, v, a), t_max - total
         try:
-            while (hit := _first_crossing(scene, q, v, t_min, t_ball, left)) is not None:
-                if abs(hit[4]) > TANGENCY_THRESHOLD or not near_last_tangent(hit, dead_zone):
-                    break
-                t_min = hit[0] + guard  # residue of the same grazing chord
+            hit = _first_crossing(scene, q, v, min(t_ball, t_left), left, last_tangent)
         except RootPolishFailed:
             return Trajectory(entry, events, "gliding_rejected", None, None,
                               "boundary_penetration")
@@ -228,6 +232,8 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
         # the loop's points and directions are lists of floats, never changed
         # in place; events and the exit get arrays of their own
         if hit is None:
+            if t_ball > t_left:
+                return Trajectory(entry, events, "trapped", None, None, "max_time")
             total += t_ball
             return Trajectory(entry, events, "exited", PhasePoint(_axpy(q, t_ball, v), v), total)
 
@@ -242,7 +248,7 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
         total += t_hit
 
         if etype == "tangent":
-            if near_last_tangent(hit, gliding_arc):
+            if _near(last_tangent, idx, x_hit, GLIDING_ARC_FACTOR * a):
                 return Trajectory(entry, events, "gliding_rejected", None, None,
                                   "tangency_chain")
             last_tangent = (idx, x_hit)

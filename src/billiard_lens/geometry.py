@@ -63,10 +63,8 @@ class ValidationFailed(RuntimeError):
 _GRAD_FLOOR = 1e-10
 _BOUNDARY_TOL = 1e-6  # relative to the obstacle bounding radius
 _VALIDATION_SAMPLES = {2: 512, 3: 900}  # boundary samples per obstacle, by dimension
-# nearest_distances: above TREE_PAIRS pairs of rows a k-d tree serves; below,
-# validate's largest query (900 x 900 boundary samples in 3D) among them, the
-# exact search takes BLOCK_PAIRS pairs at a time (256 KB of squared distances)
-TREE_PAIRS = 1 << 20
+# nearest_distances takes BLOCK_PAIRS pairs of rows at a time (256 KB of
+# squared distances)
 BLOCK_PAIRS = 1 << 15
 
 
@@ -129,11 +127,13 @@ def tangent_basis(normal: np.ndarray) -> np.ndarray:
     returned as an (n, n-1) matrix of columns; a stack of normals (N, n)
     gives (N, n, n-1), each row equal bit for bit to its single call.
 
-    In 3D, e1 = h x n / |h x n| with h the axis of the smallest |n_k| (the
-    first on ties) and e2 = n x e1. The norm is a matmul of e1 with itself,
-    which rounds like `np.linalg.norm` of one vector. One 3D normal takes
-    the same steps on floats, all but that dot product, which stays numpy's
-    (BLAS may fuse its multiply-adds, where float arithmetic rounds each)."""
+    In 2D the basis is (-n1, n0), one expression for one normal and for a
+    stack. In 3D, e1 = h x n / |h x n| with h the axis of the smallest |n_k|
+    (the first on ties) and e2 = n x e1. The norm is a matmul of e1 with
+    itself, which rounds like `np.linalg.norm` of one vector. One 3D normal
+    takes the same steps on floats, all but that dot product, which stays
+    numpy's (BLAS may fuse its multiply-adds, where float arithmetic rounds
+    each)."""
     n = np.asarray(normal, dtype=float)
     if n.shape == (3,):
         n0, n1, n2 = n.tolist()
@@ -144,7 +144,7 @@ def tangent_basis(normal: np.ndarray) -> np.ndarray:
         x, y, z = (e1 / math.sqrt(e1 @ e1)).tolist()
         return np.array([[x, n1 * z - n2 * y], [y, n2 * x - n0 * z], [z, n0 * y - n1 * x]])
     if n.shape[-1] == 2:
-        return np.stack([-n[..., 1], n[..., 0]], axis=-1)[..., None]
+        return n[..., ::-1, None] * [[-1.0], [1.0]]
     h = np.eye(3)[np.argmin(np.abs(n), axis=-1)]
     e1 = _cross(h, n)
     e1 = e1 / np.sqrt(np.matmul(e1[..., None, :], e1[..., :, None]))[..., 0]
@@ -254,9 +254,6 @@ class Obstacle:
     # -- extents -----------------------------------------------------------
     def bounding_radius(self) -> float:
         raise NotImplementedError
-
-    def bounding_center(self) -> np.ndarray:
-        return self.center
 
     def boundary_points(self, target: int) -> np.ndarray:
         raise NotImplementedError
@@ -542,11 +539,7 @@ class CurveObstacle(Obstacle):
         super().__init__(self.chain.bounding_circle()[0])
 
     def implicit_batch(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.empty(X.shape[0])
-        for lo in range(0, X.shape[0], 4096):
-            out[lo : lo + 4096] = self.chain.closest_batch(X[lo : lo + 4096]).signed
-        return out
+        return self.chain.closest_batch(np.atleast_2d(np.asarray(X, dtype=float))).signed
 
     def gradient(self, x):
         # the signed-distance gradient of a C^1 chain is the foot normal on both sides
@@ -797,8 +790,8 @@ def _free_cells(scene: Scene) -> np.ndarray:
     heads_f, axis_f = heads.tolist(), axis.tolist()  # in floats, for `ray_roots` and bisect
     e = [0.0] * (n - 1) + [1.0]
     for obs in scene.obstacles:
-        c = obs.bounding_center()
-        hit = np.flatnonzero(np.sum((heads - c[:-1]) ** 2, axis=1) <= obs.bounding_radius() ** 2)
+        hit = np.flatnonzero(np.sum((heads - obs.center[:-1]) ** 2, axis=1)
+                             <= obs.bounding_radius() ** 2)
         if not hit.size:
             continue
         # run starts as flat indices into lines[hit]; every line has a run at 0,
@@ -886,8 +879,8 @@ def validate_scene(scene: Scene) -> ValidationReport:
     their exact `ray_roots` crossings (see `_free_cells`), so a gap narrower
     than one cell counts as closed; its components are counted on runs of
     cells (`_face_components`). The overlap and flat-patch checks take exact
-    nearest distances in numpy: boundary clouds stay under TREE_PAIRS, so
-    validation never imports scipy.
+    nearest distances (`nearest_distances`), so validation never imports
+    scipy.
     """
     a = scene.ball_radius
     samples = _VALIDATION_SAMPLES[scene.dimension]
@@ -964,18 +957,11 @@ def validate_scene(scene: Scene) -> ValidationReport:
 
 
 def nearest_distances(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each row of P to the nearest row of Q.
-
-    Up to TREE_PAIRS pairs of rows, the exact minimum over all pairs, taken
-    over blocks of about BLOCK_PAIRS pairs. Squared differences are summed
-    one axis at a time from the first, as `np.sum` over the last axis and
-    scipy's cKDTree sum them, so all three give the same bits. Above
-    TREE_PAIRS a cKDTree of Q serves, and only then is scipy imported: in
-    practice only for `estimate_trapped`'s cluster radius over many rays."""
-    if len(P) * len(Q) > TREE_PAIRS:
-        from scipy.spatial import cKDTree
-
-        return cKDTree(Q).query(P)[0]
+    """Euclidean distance from each row of P to the nearest row of Q: the
+    exact minimum over all pairs, taken over blocks of about BLOCK_PAIRS
+    pairs, in numpy alone. Squared differences are summed one axis at a time
+    from the first, as `np.sum` over the last axis and scipy's cKDTree sum
+    them, so all three give the same bits."""
     rows = max(1, BLOCK_PAIRS // max(1, len(Q)))
     Pt, Qt = P.T, np.ascontiguousarray(Q.T)
     nearest = np.empty(len(P))

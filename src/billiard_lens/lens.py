@@ -49,6 +49,7 @@ BLOCK_ROWS = 1024  # rows that the table writers format, and the reader decodes,
 # distance, and the points whose exact distance is taken at a time
 HAUSDORFF_WINDOW = 8
 HAUSDORFF_CHUNK = 16
+TREE_PAIRS = 1 << 20  # estimate_trapped: a k-d tree above this many trapped x free pairs
 
 
 class SpecMismatch(ValueError):
@@ -371,7 +372,9 @@ def estimate_trapped(scene, specs) -> TrappedEstimate:
     The cluster radius is the largest distance (in normalized phase space)
     from a trapped sample to its nearest non-trapped sample: a radius that
     stays put under refinement indicates an open trapped pocket, a shrinking
-    radius is consistent with a null trapped set. Heuristic only.
+    radius is consistent with a null trapped set. Heuristic only. Above
+    TREE_PAIRS trapped x non-trapped pairs a cKDTree takes the distances (the
+    bits of `geometry.nearest_distances`), and only then is scipy imported.
     """
     specs = list(specs)
     if len(specs) < 3:
@@ -390,8 +393,13 @@ def estimate_trapped(scene, specs) -> TrappedEstimate:
         elif count == len(table):
             radius = 2.0 * math.sqrt(2.0)  # diameter bound of the normalized phase space
         else:
-            radius = float(np.max(geometry.nearest_distances(_phase_coords(table, trapped, a),
-                                                             _phase_coords(table, ~trapped, a))))
+            P, Q = _phase_coords(table, trapped, a), _phase_coords(table, ~trapped, a)
+            if len(P) * len(Q) > TREE_PAIRS:
+                from scipy.spatial import cKDTree
+
+                radius = float(np.max(cKDTree(Q).query(P)[0]))
+            else:
+                radius = float(np.max(geometry.nearest_distances(P, Q)))
         fractions.append(count / len(table))
         radii.append(radius)
         trapped_counts.append(count)
@@ -429,7 +437,7 @@ def _impact_offsets(scene, omega, spec: SampleSpec):
     a = scene.ball_radius
     shadow = 0.1 * a
     for obs in scene.obstacles:
-        c = obs.bounding_center()
+        c = obs.center
         perp = c - float(c @ omega) * omega
         shadow = max(shadow, float(np.linalg.norm(perp)) + obs.bounding_radius())
     shadow = min(1.02 * shadow, 0.999 * a)
@@ -551,9 +559,9 @@ def compare_lens(table_k: LensTable, table_l: LensTable, time_tolerance: float) 
 
 def boundary_distance(scene_k, scene_l, density: float) -> float:
     """Symmetric Hausdorff distance between sampled boundary clouds, exact:
-    the pruned search of `_farthest_nearest`, whose exact passes take a few
-    points at a time through `geometry.nearest_distances`, so scipy is never
-    imported.
+    the pruned search of `_farthest_nearest`, whose exact passes take
+    HAUSDORFF_CHUNK points at a time through `geometry.nearest_distances`,
+    numpy alone, so scipy is never imported, at any density.
 
     `density` is the target number of boundary samples per unit length."""
     if scene_k.dimension != scene_l.dimension:

@@ -170,30 +170,27 @@ def fd_flow_jacobian(scene, entry: flow.PhasePoint, t: float, h: float):
     # from it by a rounding of the tracer's normalisation
     basis_0 = tangent_basis(central.entry.v)
     basis_t = transport_basis(scene, central, t, basis_0)
-    m = entry.q.shape[0] - 1
-    pos_block = np.zeros((m, m))
-    dir_block = np.zeros((m, m))
     cos_h, sin_h, two_h = np.cos(h), np.sin(h), 2.0 * h
-    for i in range(m):
-        e = basis_0[:, i]
-        # direction perturbation -> position response
-        states = []
+
+    def difference(probe, k, what):
+        """Central difference in basis_t of part k (0: q, 1: v) of the
+        states at time t of the orbits from probe(+1) and probe(-1)."""
+        ends = []
         for sign in (+1.0, -1.0):
-            v = cos_h * entry.v + sin_h * sign * e
-            traj = flow.trace_phase(scene, entry.q, v)
+            traj = flow.trace_phase(scene, *probe(sign))
             if _itinerary(traj, t) != signature:
-                raise ItineraryChanged(f"direction probe {i} changed the event list")
-            states.append(flow.state_at(traj, t))
-        pos_block[:, i] = basis_t.T @ (states[0][0] - states[1][0]) / two_h
-        # position perturbation -> direction response
-        states = []
-        for sign in (+1.0, -1.0):
-            traj = flow.trace_phase(scene, entry.q + sign * h * e, entry.v)
-            if _itinerary(traj, t) != signature:
-                raise ItineraryChanged(f"position probe {i} changed the event list")
-            states.append(flow.state_at(traj, t))
-        dir_block[:, i] = basis_t.T @ (states[0][1] - states[1][1]) / two_h
-    return pos_block, dir_block
+                raise ItineraryChanged(f"{what} changed the event list")
+            ends.append(flow.state_at(traj, t)[k])
+        return basis_t.T @ (ends[0] - ends[1]) / two_h
+
+    # direction probes answer in position, position probes in direction
+    pos_block, dir_block = [], []
+    for i, e in enumerate(basis_0.T):
+        pos_block.append(difference(lambda s: (entry.q, cos_h * entry.v + sin_h * s * e), 0,
+                                    f"direction probe {i}"))
+        dir_block.append(difference(lambda s: (entry.q + s * h * e, entry.v), 1,
+                                    f"position probe {i}"))
+    return np.column_stack(pos_block), np.column_stack(dir_block)
 
 
 @dataclass

@@ -340,7 +340,7 @@ def test_validate_leaves_numpy_ma_unloaded(tmp_path, livshits_pair):
 
 def test_livshits_pipeline_and_validate_load_no_scipy(tmp_path, livshits_pair):
     # the `livshits` benchmark's calls, and `validate` of a 3D sphere, in one
-    # process: scipy is left for nearest_distances above TREE_PAIRS
+    # process: scipy is left for `trapped` cluster radii above lens.TREE_PAIRS
     base, deformed, _ = livshits_pair
     sphere = bl.make_scene(3, 10.0, [bl.SphereObstacle([0.0, 0.0, 0.0], 1.0)], "one-sphere")
     paths = {}

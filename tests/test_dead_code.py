@@ -1,7 +1,7 @@
-"""No dead code: every module-level function and class of the package, and
-every method and property of its classes, is named by the package itself or
-by the benchmark, except a short list of names that only the tests and the
-library's users call."""
+"""No dead code: every module-level function, class and constant of the
+package, and every method and property of its classes, is named by the
+package itself or by the benchmark, except a short list of names that only
+the tests and the library's users call."""
 
 import ast
 from collections import Counter
@@ -33,15 +33,21 @@ def _mentions(node):
 ALLOWED_METHODS = {}
 
 
-def _named():
-    """(the package's modules by name, as trees; the count of each name the
-    package and the benchmark mention). The re-exports of __init__ do not
-    count as a use; the benchmark names some callables by string (the tracer
-    wraps them by name)."""
-    trees = [ast.parse(path.read_text()) for path in sorted(ROOT.glob("perfbench/*.py"))]
+def _trees():
+    """(the benchmark's modules, as trees; the package's modules by name, as
+    trees). __init__ is left out: its re-exports do not count as a use."""
+    bench = [ast.parse(path.read_text()) for path in sorted(ROOT.glob("perfbench/*.py"))]
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted(ROOT.glob("src/billiard_lens/*.py")) if path.name != "__init__.py"}
-    return modules, Counter(chain.from_iterable(map(_mentions, [*trees, *modules.values()])))
+    return bench, modules
+
+
+def _named():
+    """(the package's modules by name, as trees; the count of each name the
+    package and the benchmark mention). The benchmark names some callables
+    by string (the tracer wraps them by name)."""
+    bench, modules = _trees()
+    return modules, Counter(chain.from_iterable(map(_mentions, [*bench, *modules.values()])))
 
 
 def test_every_definition_is_named_by_the_package_or_the_benchmark():
@@ -68,3 +74,30 @@ def test_every_method_is_named_by_the_package_or_the_benchmark():
               if named[name] == sum(Counter(_mentions(node))[name] for _, node in defs)
               for owner, _ in defs}
     assert unused == set(ALLOWED_METHODS)
+
+
+def _names_of(module: str, tree):
+    """The names of the package module `module` that another module's tree
+    uses: attributes of the name `module`, and names imported from it."""
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id == module:
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom) and (sub.module or "").split(".")[-1] == module:
+            yield from (alias.name for alias in sub.names)
+
+
+def test_every_module_constant_is_named_by_the_package_or_the_benchmark():
+    # a module-level assignment to a name is used by its own module outside
+    # the assignment, or by another module through the module's name: a
+    # constant of the same name elsewhere is no use of it
+    bench, modules = _trees()
+    outside = {module: set(chain.from_iterable(_names_of(module, other)
+                                               for other in [*bench, *modules.values()]
+                                               if other is not tree))
+               for module, tree in modules.items()}
+    unused = {f"{module}.{target.id}" for module, tree in modules.items() for node in tree.body
+              if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+              if isinstance(target, ast.Name) and target.id not in outside[module]
+              and Counter(_mentions(tree))[target.id] == Counter(_mentions(node))[target.id]}
+    assert unused == set()

@@ -85,12 +85,23 @@ def test_two_disc_corridor_orbit_trapped(two_disc_scene):
 
 
 def test_two_disc_corridor_orbit_meets_the_time_cutoff(two_disc_scene):
-    # the corridor orbit reflects at t = 2, 6, 10, ...; the cutoff is checked
-    # before each segment, so the orbit ends at the first event past t_max
+    # the corridor orbit reflects at t = 2, 6, 10, ...; each segment's search
+    # stops at t_max, so the orbit ends with its events up to t_max
     traj = flow.trace_phase(two_disc_scene, [0.0, 0.0], [1.0, 0.0], Limits(t_max=25.0))
     assert traj.status == "trapped" and traj.cutoff_reason == "max_time"
     assert traj.total_time is None and traj.exit_state is None
-    assert [ev.t for ev in traj.events] == pytest.approx([2.0, 6.0, 10.0, 14.0, 18.0, 22.0, 26.0])
+    assert [ev.t for ev in traj.events] == pytest.approx([2.0, 6.0, 10.0, 14.0, 18.0, 22.0])
+
+
+def test_free_chord_longer_than_the_time_cutoff_is_cut(empty2):
+    # a diameter of the empty ball is a free chord of length 20: it exits
+    # within a cutoff of 20, and is cut as trapped under a cutoff of 5
+    entry = PhasePoint(np.array([-10.0, 0.0]), np.array([1.0, 0.0]))
+    traj = flow.trace(empty2, entry, Limits(t_max=20.0))
+    assert traj.status == "exited" and traj.total_time == 20.0
+    traj = flow.trace(empty2, entry, Limits(t_max=5.0))
+    assert traj.status == "trapped" and traj.cutoff_reason == "max_time"
+    assert traj.events == [] and traj.total_time is None and traj.exit_state is None
 
 
 class TwoTouches(bl.SphereObstacle):
@@ -304,17 +315,20 @@ def _drawn_pair(draw, kind, dim, rotated=True):
 @pytest.mark.parametrize("dim", [2, 3])
 @given(data=st.data())
 def test_time_reversibility_on_every_obstacle_kind(kind, dim, data):
-    # rays through drawn points of either obstacle's bounding box; an orbit
-    # that exits with transversal reflections only, traced back from its exit,
-    # retraces its reflections in reverse order (an orbit that grazes an
-    # obstacle may meet it tangentially on the way back, or miss it: it is on
-    # the measure-zero tangent strata and is not compared)
+    # rays through drawn points inside either obstacle, so that each ray meets
+    # an obstacle; an orbit that exits with transversal reflections only,
+    # traced back from its exit, retraces its reflections in reverse order (an
+    # orbit that grazes an obstacle may meet it tangentially on the way back,
+    # or miss it: it is on the measure-zero tangent strata and is not compared)
     scene = _drawn_pair(data.draw, kind, dim)
     checked = 0
     for _ in range(8):
         obs = scene.obstacles[data.draw(st.integers(0, 1))]
-        target = obs.bounding_center() + obs.bounding_radius() * np.array(
-            [data.draw(st.floats(-1.0, 1.0)) for _ in range(dim)])
+        # a point of the segment from the centre to a boundary sample: inside
+        # the body, which is convex
+        cloud = obs.boundary_points(64)
+        target = obs.center + data.draw(st.floats(0.0, 0.99)) * (
+            cloud[data.draw(st.integers(0, len(cloud) - 1))] - obs.center)
         phi = data.draw(st.floats(-math.pi, math.pi))
         mu = data.draw(st.floats(-1.0, 1.0)) if dim == 3 else 0.0
         rho = math.sqrt(1.0 - mu * mu)
@@ -366,7 +380,7 @@ def _drawn_entry(draw, scene, grazing):
     obs = scene.obstacles[draw(st.integers(0, 1))]
     phi = draw(st.floats(-math.pi, math.pi))
     if not grazing:
-        target = obs.bounding_center() + obs.bounding_radius() * np.array(
+        target = obs.center + obs.bounding_radius() * np.array(
             [draw(st.floats(-1.0, 1.0)) for _ in range(dim)])
         mu = draw(st.floats(-1.0, 1.0)) if dim == 3 else 0.0
         rho = math.sqrt(1.0 - mu * mu)

@@ -127,9 +127,9 @@ def test_local_views_agree_at_boundary_points(kind, data):
     v = np.array([data.draw(_unit) for _ in range(obs.dim)])
     assume(np.linalg.norm(v) > 1e-3)
     v /= np.linalg.norm(v)
-    roots = obs.ray_roots(obs.bounding_center(), v)
+    roots = obs.ray_roots(obs.center, v)
     assume(roots)
-    x = obs.bounding_center() + roots[data.draw(st.integers(0, len(roots) - 1))] * v
+    x = obs.center + roots[data.draw(st.integers(0, len(roots) - 1))] * v
     frame = surface_frame(obs, x)
     normal, shape = geometry.ambient_shape(obs, x)
     assert np.array_equal(obs.normal_at(x), frame.normal)
@@ -149,7 +149,7 @@ def test_local_geometry_of_a_stack_is_its_rows(kind, data):
     # boundary points gets the bits of its rows queried one at a time
     obs = _obstacle(data.draw, kind)
     dirs = data.draw(hnp.arrays(float, (data.draw(st.integers(2, 6)), obs.dim), elements=_unit))
-    c = obs.bounding_center()
+    c = obs.center
     rows = []
     for v in dirs:
         if np.linalg.norm(v) > 1e-3:
@@ -576,14 +576,14 @@ def test_ray_roots_match_sign_scan(kind, data):
         if np.linalg.norm(v) < 1e-3:
             v[0] = 1.0
         v /= np.linalg.norm(v)
-        q = obs.bounding_center() + np.array([1.2 * r * data.draw(_unit) for _ in range(dim)])
+        q = obs.center + np.array([1.2 * r * data.draw(_unit) for _ in range(dim)])
     roots = obs.ray_roots(q, v)
     assert roots == sorted(roots)
     for t in roots:
         x = q + t * v
         assert abs(obs.implicit(x)) / np.linalg.norm(obs.gradient(x)) <= 1e-12 * A_BALL
     # every sign change on a dense grid over the bounding chord is bracketed by a root
-    b = float((q - obs.bounding_center()) @ v)
+    b = float((q - obs.center) @ v)
     ts = np.linspace(-b - 1.1 * r, -b + 1.1 * r, 4001)
     inside = obs.implicit_batch(q[None, :] + ts[:, None] * v[None, :]) <= 0.0
     slack = 1e-9 * A_BALL
@@ -706,7 +706,7 @@ def test_ray_roots_are_the_same_for_arrays_tuples_and_lists(kind, data):
     mu = data.draw(_unit) if dim == 3 else 0.0
     v = np.array([math.sqrt(1.0 - mu * mu) * math.cos(phi), math.sqrt(1.0 - mu * mu) * math.sin(phi),
                   mu][:dim])
-    c, r = obs.bounding_center(), obs.bounding_radius()
+    c, r = obs.center, obs.bounding_radius()
     offset = r * np.array([data.draw(_unit) for _ in range(dim)])
     hits = 0
     for q in (c + offset - 2.0 * r * v, c - 2.0 * r * v):
@@ -872,12 +872,12 @@ def test_nearest_distances_match_brute_force(single_target, data):
     P = np.vstack([P, Q[: data.draw(st.integers(0, Q.shape[0]))]])
     if not single_target:
         Q = np.vstack([Q, P[: data.draw(st.integers(0, 3))], Q[:1]])
-        if data.draw(st.booleans(), label="pairs about TREE_PAIRS"):
+        if data.draw(st.booleans(), label="pairs about 2^20"):
             # seeded rows: P gets one row fewer than, as many as or one more than
-            # TREE_PAIRS pairs with Q allow, so both sides of the size dispatch run
+            # 2^20 pairs with Q allow, many blocks of BLOCK_PAIRS pairs
             rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
             Q = np.vstack([Q, rng.uniform(-1.0, 1.0, (1024, dim)) * scale])
-            rows = geometry.TREE_PAIRS // len(Q) + data.draw(st.integers(-1, 1)) - len(P)
+            rows = (1 << 20) // len(Q) + data.draw(st.integers(-1, 1)) - len(P)
             P = np.vstack([P, rng.uniform(-1.0, 1.0, (rows, dim)) * scale])
     brute = np.concatenate([np.sqrt(np.min(np.sum((block[:, None, :] - Q[None, :, :]) ** 2,
                                                   axis=2), axis=1))

@@ -19,7 +19,7 @@ from billiard_lens.flow import PhasePoint
 from billiard_lens.lens import LensTable, SampleSpec, SpecMismatch
 from billiard_lens.rng import Xoshiro256StarStar
 
-from conftest import A_BALL, NUMERIC_FAILURES, FaintSphere, cross_basis
+from conftest import A_BALL, NUMERIC_FAILURES, FaintSphere, cross_basis, run_python
 
 
 def test_parse_spec_round_trip():
@@ -356,6 +356,22 @@ def test_estimate_trapped_cutoff_cluster(two_disc_scene):
     assert all(0.0 <= f <= 1.0 for f in est.fractions)
 
 
+def test_estimate_trapped_cluster_radius_above_tree_pairs(two_disc_scene):
+    # under a reflection cutoff of 1 every ray that meets a disc is trapped:
+    # the last rung has more than TREE_PAIRS trapped x free pairs, so its
+    # radius comes from the k-d tree, and equals the all-pairs one bit for bit
+    ladder = [SampleSpec("grid", 8, 20, n_max=1), SampleSpec("grid", 16, 40, n_max=1),
+              SampleSpec("grid", 64, 80, n_max=1)]
+    est = lens.estimate_trapped(two_disc_scene, ladder)
+    table = lens.build_lens_table(two_disc_scene, ladder[-1])
+    trapped = table.status == "trapped"
+    P, Q = (np.hstack([table.q[rows] / A_BALL, table.v[rows]]) for rows in (trapped, ~trapped))
+    assert len(P) * len(Q) > lens.TREE_PAIRS
+    brute = max(float(np.sqrt(np.min(np.sum((p - Q) ** 2, axis=1)))) for p in P)
+    assert est.trapped_counts[-1] == len(P)
+    assert est.cluster_radii[-1] == brute > 0.0
+
+
 def test_boundary_distance_examples(livshits_pair):
     s1 = bl.make_scene(2, A_BALL, [bl.SphereObstacle([0.0, 0.0], 1.0)], "x")
     s1b = bl.make_scene(2, A_BALL, [bl.SphereObstacle([0.0, 0.0], 1.0)], "y")
@@ -364,6 +380,29 @@ def test_boundary_distance_examples(livshits_pair):
     assert lens.boundary_distance(s1, s2, density=300.0) == pytest.approx(0.01, abs=1e-3)
     base, deformed, _ = livshits_pair
     assert lens.boundary_distance(base, deformed, density=40.0) == pytest.approx(0.5, rel=0.1)
+
+
+def test_boundary_distance_at_high_density_is_exact_without_scipy(livshits_pair):
+    # at density 2000 each cloud has more than 65,536 points, so each exact
+    # pass of HAUSDORFF_CHUNK points meets more than 2^20 pairs: in a fresh
+    # process the distance loads no scipy, and it is the symmetric Hausdorff
+    # distance of a k-d tree's nearest distances both ways
+    code = ("import sys\nfrom billiard_lens import geometry, lens\n"
+            "base, _ = geometry.livshits_scene()\n"
+            "deformed, _ = geometry.livshits_scene(deformation=0.5)\n"
+            "print(repr(lens.boundary_distance(base, deformed, 2000.0)),"
+            " sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    distance, modules = proc.stdout.split(" ", 1)
+    assert modules.strip() == "[]"
+    from scipy.spatial import cKDTree
+
+    A, B = (np.vstack([obs.boundary_points(max(64, int(2.0 * math.pi * obs.bounding_radius() * 2000.0)))
+                       for obs in scene.obstacles]) for scene in livshits_pair[:2])
+    assert min(len(A), len(B)) > 65536
+    assert float(distance) == max(float(np.max(cKDTree(B).query(A)[0])),
+                                  float(np.max(cKDTree(A).query(B)[0])))
 
 
 def _directed_brute(A, B):
