@@ -17,6 +17,7 @@ ray), 4 distinguishable comparison verdict when --expect-equal is set, 141
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -155,7 +156,7 @@ def _cmd_lens(args):
     spec = lens.parse_spec(args.spec, seed=args.seed, n_max=args.nmax, t_max=args.tmax)
     table = lens.build_lens_table(scene, spec)
     if args.out and args.out.endswith(".csv"):
-        _stream(args.out, lens.csv_writer(table, scene.dimension))
+        _stream(args.out, lens.csv_writer(table))
     else:
         _stream(args.out, lens.jsonl_writer(table, header_extra=_header(args, scene, spec)))
     return 0
@@ -212,16 +213,12 @@ def _cmd_conjugate(args):
     scene = _load_scene(args.scene)
     entry = _parse_entry(args.entry, scene)
     traj = flow.trace(scene, entry, _limits(args))
-    tol = args.tol if args.tol is not None else 1e-4
-    results = []
+    tol = args.tol if args.tol is not None else variation.CONJUGATE_TOL
     trans = [k for k, ev in enumerate(traj.events) if ev.type == "transversal"]
-    for a_idx in range(len(trans)):
-        for b_idx in range(a_idx + 1, len(trans)):
-            i, j = trans[a_idx], trans[b_idx]
-            res = variation.conjugate_test(scene, traj, i, j, tol)
-            results.append({"i": i, "j": j, **res.to_dict()})
+    pairs = [{"i": i, "j": j, **variation.conjugate_test(scene, traj, i, j, tol).to_dict()}
+             for i, j in itertools.combinations(trans, 2)]
     doc = {"header": _header(args, scene), "status": traj.status,
-           "events": len(traj.events), "pairs": results}
+           "events": len(traj.events), "pairs": pairs}
     _write(args.out, canonical_json(doc) + "\n")
     return 0
 
@@ -229,7 +226,7 @@ def _cmd_conjugate(args):
 def _cmd_regularity(args):
     scene = _load_scene(args.scene)
     entry = _parse_entry(args.entry, scene)
-    tol = args.tol if args.tol is not None else 1e-6
+    tol = args.tol if args.tol is not None else variation.REGULARITY_TOL
     result = variation.regularity_test(scene, entry, tolerance=tol)
     doc = {"header": _header(args, scene), **result.to_dict()}
     _write(args.out, canonical_json(doc) + "\n")

@@ -859,10 +859,11 @@ def table_from_jsonl(text: str) -> LensTable:
     return read_jsonl(text.splitlines())
 
 
-def csv_writer(table: LensTable, dimension: int):
+def csv_writer(table: LensTable):
     """The table's CSV writer, a function of an open text stream: it writes
     a `#` line with the version, scene hash, spec and seed, a column line,
     then one row per sample."""
+    dimension = table.q.shape[1]
     param_names = ["alpha", "beta"] if dimension == 2 else ["pos_z", "pos_phi", "dir_mu", "dir_psi"]
     theta_names = [f"theta_{ax}" for ax in "xyz"[:dimension]]
     cols = param_names + ["status", "t", "reflections"] + theta_names + ["sojourn"]
@@ -882,6 +883,6 @@ def csv_writer(table: LensTable, dimension: int):
     return _block_writer(head, len(table), partial(_lines, table, template))
 
 
-def table_to_csv(table: LensTable, dimension: int) -> str:
+def table_to_csv(table: LensTable) -> str:
     """The text that csv_writer writes."""
-    return _text(csv_writer(table, dimension))
+    return _text(csv_writer(table))

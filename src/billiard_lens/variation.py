@@ -8,25 +8,36 @@ reflected direction is the event's `v_out`. Free flight maps (A, B) to
 mirror H = I - 2 n n^T, keeps A and adds C A to B, with the curvature term
 C = 2 cos(phi) * dy^T S dy built from the ambient shape operator S at the
 event, where dy projects transverse offsets onto the tangent plane along the
-ray. Both maps are linear symplectic. The normal n is the tracer's bit for
-bit (`ambient_shape`), and H is orthogonal, so the mirrored basis stays
-orthonormal and orthogonal to `v_out` = H v_in up to rounding; it is not
-re-orthonormalised: its columns drift by about one rounding per reflection.
+ray (`_onto_tangent_plane`). Both maps are linear symplectic. The normal n
+is the tracer's bit for bit (`ambient_shape`), and H is orthogonal, so the
+mirrored basis stays orthonormal and orthogonal to `v_out` = H v_in up to
+rounding; it is not re-orthonormalised: its columns drift by about one
+rounding per reflection.
 
 A new frame shares every array it does not change with the old one (free
 flight builds only A + tB, a reflection keeps A), so no code writes into
 the arrays of a frame.
+
+Both verdicts are one rank rule, `rank_report`'s: a singular value counts
+toward the rank when it exceeds tolerance * max(largest singular value,
+floor). `regularity_test` applies it to the two flow differentials at time t
+with floor t; `conjugate_test` to the map from a direction offset after one
+event onto the tangent plane at a later one, by the reflection transfer's
+projection, with the flight span between the events as floor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import flow
 from .flow import TANGENCY_THRESHOLD
 from .geometry import NumericFailure, ambient_shape, tangent_basis
+
+REGULARITY_TOL = 1e-6  # regularity_test's default rank tolerance (`regularity --tol`)
+CONJUGATE_TOL = 1e-4   # conjugate_test's default rank tolerance (`conjugate --tol`)
 
 
 class TangentIncidence(NumericFailure):
@@ -60,10 +71,6 @@ class Incidence:
     # symmetric, annihilates the normal
     shape_ambient: np.ndarray
 
-    @property
-    def cos_incidence(self) -> float:
-        return -float(self.v_in @ self.normal)
-
 
 def seed_frame(direction, A0, B0) -> JacobiFrame:
     v = np.asarray(direction, dtype=float)
@@ -87,27 +94,29 @@ def _reflect_basis(basis: np.ndarray, normal: np.ndarray) -> np.ndarray:
     return basis - 2.0 * np.outer(normal, normal @ basis)
 
 
-def propagate_reflection(frame: JacobiFrame, incidence: Incidence) -> JacobiFrame:
-    """Reflection transfer of the transverse variations at a transversal event."""
-    v = incidence.v_in
-    n = incidence.normal
-    cos_phi = incidence.cos_incidence
+def _onto_tangent_plane(X: np.ndarray, v: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The columns of X moved along the ray direction v onto the tangent
+    plane of the unit normal n, X - v (n^T X) / (v . n): where a ray offset
+    by a column of X meets the boundary, to first order. Raises
+    TangentIncidence at (near-)tangent incidence, where it is undefined."""
+    cos_phi = -float(v @ n)
     if cos_phi <= TANGENCY_THRESHOLD:
         raise TangentIncidence(f"cos(incidence) = {cos_phi:g}")
-    E = frame.basis
-    dy = E - np.outer(v, (n @ E) / -cos_phi)
-    C = 2.0 * cos_phi * (dy.T @ incidence.shape_ambient @ dy)
+    return X - np.outer(v, (n @ X) / -cos_phi)
+
+
+def propagate_reflection(frame: JacobiFrame, incidence: Incidence) -> JacobiFrame:
+    """Reflection transfer of the transverse variations at a transversal event."""
+    v, n = incidence.v_in, incidence.normal
+    dy = _onto_tangent_plane(frame.basis, v, n)
+    C = -2.0 * float(v @ n) * (dy.T @ incidence.shape_ambient @ dy)
     C = 0.5 * (C + C.T)
-    return JacobiFrame(frame.A, frame.B + C @ frame.A, _reflect_basis(E, n))
+    return JacobiFrame(frame.A, frame.B + C @ frame.A, _reflect_basis(frame.basis, n))
 
 
 def symplectic_pairing(f1: JacobiFrame, f2: JacobiFrame) -> np.ndarray:
     """A1^T B2 - B1^T A2; conserved by free flight and reflection."""
     return f1.A.T @ f2.B - f1.B.T @ f2.A
-
-
-def _incidence_at(scene, event) -> Incidence:
-    return Incidence(event.v_in, *ambient_shape(scene.obstacles[event.obstacle], event.x))
 
 
 def _walk(scene, events, frame: JacobiFrame, t_prev: float, t: float) -> JacobiFrame:
@@ -118,7 +127,8 @@ def _walk(scene, events, frame: JacobiFrame, t_prev: float, t: float) -> JacobiF
             break
         if ev.type != "transversal":
             raise TangentOnPath(f"tangent event at t = {ev.t:g}")
-        frame = propagate_reflection(propagate_free(frame, ev.t - t_prev), _incidence_at(scene, ev))
+        incidence = Incidence(ev.v_in, *ambient_shape(scene.obstacles[ev.obstacle], ev.x))
+        frame = propagate_reflection(propagate_free(frame, ev.t - t_prev), incidence)
         t_prev = ev.t
     return propagate_free(frame, t - t_prev)
 
@@ -195,17 +205,12 @@ def fd_flow_jacobian(scene, entry: flow.PhasePoint, t: float, h: float):
 
 @dataclass
 class RankReport:
-    matrix: np.ndarray
     singular_values: np.ndarray  # descending
     rank: int
     tolerance: float
 
-    def to_dict(self):
-        return {
-            "singular_values": [float(s) for s in self.singular_values],
-            "rank": self.rank,
-            "tolerance": self.tolerance,
-        }
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def rank_report(matrix: np.ndarray, tolerance: float, floor: float = 0.0) -> RankReport:
@@ -218,7 +223,7 @@ def rank_report(matrix: np.ndarray, tolerance: float, floor: float = 0.0) -> Ran
     smax = float(sv[0]) if sv.size else 0.0
     threshold = tolerance * max(smax, floor)
     rank = int(np.count_nonzero(sv > threshold)) if threshold > 0 else int(np.count_nonzero(sv > 0))
-    return RankReport(np.array(matrix), sv, rank, tolerance)
+    return RankReport(sv, rank, tolerance)
 
 
 @dataclass
@@ -228,22 +233,18 @@ class RegularityResult:
     regular: bool
     t: float
 
-    def to_dict(self):
-        return {
-            "position_by_direction": self.position_by_direction.to_dict(),
-            "direction_by_position": self.direction_by_position.to_dict(),
-            "regular": self.regular,
-            "t": self.t,
-        }
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def regularity_test(scene, entry: flow.PhasePoint, t: float | None = None,
-                    tolerance: float = 1e-6) -> RegularityResult:
+                    tolerance: float = REGULARITY_TOL) -> RegularityResult:
     """Rank reports of both flow differentials at time t (default: exit time
-    plus one ball radius). A trajectory that meets the boundary is regular
-    when both ranks equal the transverse dimension n-1; a free ray never
-    reflects, its direction response to position offsets is identically
-    zero, and it counts as regular vacuously."""
+    plus one ball radius), each by rank_report with floor |t|. A trajectory
+    that meets the boundary is regular when both ranks equal the transverse
+    dimension n-1; a free ray never reflects, its direction response to
+    position offsets is identically zero, and it counts as regular
+    vacuously."""
     trajectory = flow.trace(scene, entry)
     if t is None:
         if trajectory.status != "exited":
@@ -262,28 +263,24 @@ def regularity_test(scene, entry: flow.PhasePoint, t: float | None = None,
 class ConjugateResult:
     conjugate: bool
     smallest_singular_value: float
-    singular_values: np.ndarray
+    singular_values: np.ndarray  # descending
     tolerance: float
 
-    def to_dict(self):
-        return {
-            "conjugate": self.conjugate,
-            "smallest_singular_value": self.smallest_singular_value,
-            "singular_values": [float(s) for s in self.singular_values],
-            "tolerance": self.tolerance,
-        }
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
-def conjugate_test(scene, trajectory, i: int, j: int, tolerance: float = 1e-4) -> ConjugateResult:
+def conjugate_test(scene, trajectory, i: int, j: int,
+                   tolerance: float = CONJUGATE_TOL) -> ConjugateResult:
     """Conjugacy of two boundary reflection points along a trajectory.
 
     Builds the differential of the map sending a direction perturbation just
-    after event i to the boundary arrival point near event j (projected onto
-    the tangent plane along the ray) and declares the pair conjugate when the
-    smallest singular value drops below tolerance times the larger of the
-    largest singular value and the flight span between the events (the span
-    is the natural magnitude of the map, so a fully collapsed 1x1 block in
-    the plane still registers)."""
+    after event i to the boundary arrival point near event j (the reflection
+    transfer's projection onto the tangent plane there, along the ray), and
+    declares the pair conjugate when its rank by rank_report falls below n-1,
+    with the flight span between the events as the floor: the span is the
+    natural magnitude of the map, so a fully collapsed 1x1 block in the
+    plane still registers."""
     events = trajectory.events
     if not (0 <= i < j < len(events)):
         raise IndexOutOfRange(f"need 0 <= i < j < {len(events)}, got ({i}, {j})")
@@ -291,23 +288,11 @@ def conjugate_test(scene, trajectory, i: int, j: int, tolerance: float = 1e-4) -
         raise TangentIncidence("conjugate_test endpoints must be transversal events")
     if any(ev.type != "transversal" for ev in events[i + 1:j]):
         raise TangentIncidence(f"tangent event between indices {i} and {j}")
-    frame = _walk(scene, events[i + 1:j], seed_frame(events[i].v_out, 0.0, 1.0), events[i].t,
-                  events[j].t)
-
     arrival = events[j]
+    frame = _walk(scene, events[i + 1:j], seed_frame(events[i].v_out, 0.0, 1.0), events[i].t,
+                  arrival.t)
     normal = scene.obstacles[arrival.obstacle].normal_at(arrival.x)
-    v = arrival.v_in
-    cos_j = -float(v @ normal)
-    if cos_j <= TANGENCY_THRESHOLD:
-        raise TangentIncidence("tangent incidence at the arrival event")
-    ambient = frame.basis @ frame.A
-    coef = (normal @ ambient) / float(v @ normal)
-    # columns in the tangent plane at the arrival, so their singular values
-    # are those of the map onto it
-    onto_boundary = ambient - np.outer(v, coef)
-    sv = np.linalg.svd(onto_boundary, compute_uv=False)
-    smax = float(sv[0]) if sv.size else 0.0
-    smin = float(sv[-1]) if sv.size else 0.0
-    span = events[j].t - events[i].t
-    conjugate = smin <= tolerance * max(smax, span)
-    return ConjugateResult(conjugate, smin, sv, tolerance)
+    onto = _onto_tangent_plane(frame.basis @ frame.A, arrival.v_in, normal)
+    report = rank_report(onto, tolerance, floor=arrival.t - events[i].t)
+    sv = report.singular_values
+    return ConjugateResult(report.rank < onto.shape[1], float(sv[-1]), sv, tolerance)

@@ -15,7 +15,7 @@ import billiard_lens as bl
 from billiard_lens import cli, geometry, lens, variation
 from billiard_lens.geometry import canonical_json
 
-from conftest import NUMERIC_FAILURES, plugged_crescent_scene, popen_python, run_python
+from conftest import NUMERIC_FAILURES, entry_through, plugged_crescent_scene, popen_python, run_python
 
 
 def _reject_constant(name):
@@ -399,7 +399,7 @@ def test_trapped_command(disc_json, tmp_path):
     assert doc["estimate"]["fractions"] == [0.0, 0.0, 0.0]
 
 
-def test_regularity_and_conjugate_commands(sphere_json, tmp_path):
+def test_regularity_and_conjugate_commands(sphere_json, conjugate_fixture_scene, tmp_path):
     qx = float(-np.sqrt(100.0 - 0.2**2 - 0.1**2))
     entry = f"{qx!r},0.2,0.1,1,0,0"
     out = tmp_path / "reg.json"
@@ -417,6 +417,33 @@ def test_regularity_and_conjugate_commands(sphere_json, tmp_path):
     doc2 = json.loads(out2.read_text())
     assert doc2["status"] == "exited"
     assert doc2["pairs"] == []  # single bounce has no event pairs
+    # the refocusing orbit of the conjugate fixture: the disc's reflection
+    # point is the mirror's centre of curvature, so the fan leaving event 0
+    # refocuses at event 2; of the pairs (0, 1), (0, 2) and (1, 2) only
+    # (0, 2) is conjugate, and under --tol 0 none is
+    path, out = tmp_path / "conj-scene.json", tmp_path / "conj.json"
+    path.write_text(geometry.scene_to_json(conjugate_fixture_scene) + "\n")
+    entry = entry_through([0.0, 1.0], [2**-0.5, -(2**-0.5)])
+    entry = ",".join(repr(float(x)) for x in [*entry.q, *entry.v])
+    keys = {"i", "j", "conjugate", "smallest_singular_value", "singular_values", "tolerance"}
+    for flags, tol, verdicts in (([], 1e-4, [False, True, False]),
+                                 (["--tol", "0"], 0.0, [False, False, False])):
+        argv = ["conjugate", "--scene", str(path), f"--entry={entry}", "--out", str(out), *flags]
+        assert cli.main(argv) == 0
+        pairs = _strict_json(out.read_text())["pairs"]
+        assert [(p["i"], p["j"]) for p in pairs] == [(0, 1), (0, 2), (1, 2)]
+        assert [p["conjugate"] for p in pairs] == verdicts
+        for p in pairs:
+            assert set(p) == keys and p["tolerance"] == tol
+            assert p["singular_values"] == [p["smallest_singular_value"]]  # one, in 2D
+    for flags, tol in (([], 1e-6), (["--tol", "1e-3"], 1e-3)):
+        argv = ["regularity", "--scene", str(path), f"--entry={entry}", "--out", str(out), *flags]
+        assert cli.main(argv) == 0
+        doc = _strict_json(out.read_text())
+        assert set(doc) == {"header", "position_by_direction", "direction_by_position", "regular", "t"}
+        for key in ("position_by_direction", "direction_by_position"):
+            assert set(doc[key]) == {"singular_values", "rank", "tolerance"}
+            assert doc[key]["tolerance"] == tol
 
 
 @pytest.mark.parametrize("command", ["regularity", "conjugate"])
@@ -505,10 +532,13 @@ def test_svg_one_polyline_per_segment(disc_json, tmp_path):
     assert svg.read_text().count("<polyline") == n_segments
 
 
-def test_entry_parsing_errors(disc_json):
+def test_entry_parsing_errors(disc_json, capsys):
     assert cli.main(["trace", "--scene", disc_json, "--entry", "1,2,3"]) == 2
     assert cli.main(["trace", "--scene", disc_json, "--entry=-5,0,1,0"]) == 2  # off sphere
     assert cli.main(["trace", "--scene", disc_json]) == 2  # entry required
+    capsys.readouterr()
+    assert cli.main(["trace", "--scene", disc_json, "--entry=-10,0,0,0"]) == 2
+    assert capsys.readouterr().err == "error: zero entry direction\n"
 
 
 def test_intrinsic_entry(disc_json, tmp_path):

@@ -545,6 +545,24 @@ def test_gliding_rejected_on_concave_tangency():
     assert traj.cutoff_reason == "boundary_penetration"
 
 
+def test_lens_rows_of_grazing_orbits(disc_scene):
+    """lens._trace_rows on the grazing entries above: a tangent event flags
+    the row and a tangency chain rejects it; neither row has a time or a
+    sojourn, and theta is recorded only for a ray that left the ball."""
+    b = 1.0 - 5e-16
+    touches = [bl.make_scene(2, A_BALL, [TwoTouches(gap)], "two-touches") for gap in (0.05, 0.5)]
+    cases = [(disc_scene, b, "tangent_flagged", 1, True),
+             (touches[0], 1.0, "gliding_rejected", 2, False),
+             (touches[1], 1.0, "tangent_flagged", 2, True)]
+    for scene, y, status, reflections, left in cases:
+        Q, V = np.array([[-math.sqrt(A_BALL**2 - y * y), y]]), np.array([[1.0, 0.0]])
+        got, refl, t, theta, sojourn, error = lens._trace_rows(scene, Q, V, Limits())
+        assert got.tolist() == [status] and refl.tolist() == [reflections]
+        assert np.isnan(t).all() and np.isnan(sojourn).all() and error.tolist() == [None]
+        # a tangent event continues straight, so a ray that left exits along V
+        assert np.array_equal(theta, V) if left else np.isnan(theta).all()
+
+
 @pytest.mark.parametrize("thickness", [0.005, 0.002, 1e-4])
 def test_thin_mirror_is_not_tunnelled(thickness):
     # head-on rays through the centre of curvature across the whole aperture,

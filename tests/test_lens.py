@@ -287,7 +287,7 @@ def test_table_serialization_determinism(disc_scene):
 
 def test_table_csv_export(disc_scene):
     table = lens.build_lens_table(disc_scene, SampleSpec("grid", 6, 4))
-    text = lens.table_to_csv(table, 2)
+    text = lens.table_to_csv(table)
     lines = text.strip().split("\n")
     assert lines[0].startswith("#")
     assert lines[1].split(",")[:2] == ["alpha", "beta"]
@@ -681,8 +681,8 @@ def test_writers_match_row_oracles(dim):
         back = lens.table_from_jsonl(text)
         assert back.params[0, 0] == 0.0 and back.t[0] == 20.0 and back.reflections[2] == 10000
         assert lens.table_to_jsonl(back, header_extra) == text
-    assert lens.table_to_csv(table, dim) == _oracle_csv(table, dim)
-    assert lens.table_to_csv(lens.table_from_jsonl(lens.table_to_jsonl(table)), dim) \
+    assert lens.table_to_csv(table) == _oracle_csv(table, dim)
+    assert lens.table_to_csv(lens.table_from_jsonl(lens.table_to_jsonl(table))) \
         == _oracle_csv(table, dim)
 
 
@@ -690,7 +690,7 @@ def test_writers_of_an_empty_table():
     table = _table_of_rows([], 2)
     assert len(table) == 0 and table.samples[:] == []
     assert lens.table_to_jsonl(table).count("\n") == 1
-    assert lens.table_to_csv(table, 2) == _oracle_csv(table, 2)
+    assert lens.table_to_csv(table) == _oracle_csv(table, 2)
 
 
 def _oracle_read(text):
@@ -732,7 +732,7 @@ def test_tables_round_trip_byte_for_byte(dim, data):
     text = lens.table_to_jsonl(table)
     back = lens.table_from_jsonl(text)
     assert lens.table_to_jsonl(back) == text
-    assert lens.table_to_csv(back, dim) == lens.table_to_csv(table, dim)
+    assert lens.table_to_csv(back) == lens.table_to_csv(table)
     oracle = _oracle_read(text)
     for key in ("params", "q", "v", "t", "theta", "sojourn"):
         assert _same_bits(getattr(back, key), [r[key] for r in oracle]), key
@@ -788,7 +788,7 @@ def _check_rows_and_columns(table, dim):
         a, b = getattr(back, key), getattr(table, key)
         assert a.tolist() == b.tolist() if key == "error" else (
             a.dtype == b.dtype and a.tobytes() == b.tobytes()), key
-    assert lens.table_to_csv(table, dim) == _oracle_csv(table, dim)
+    assert lens.table_to_csv(table) == _oracle_csv(table, dim)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -107,26 +107,40 @@ def _random_entry(gen, dim):
     return PhasePoint(q, st * (math.cos(psi) * T[:, 0] + math.sin(psi) * T[:, 1]) + mu * nu)
 
 
+def _matches_fd(scene, entry, times):
+    """flow_differentials within 1e-4 relative + 1e-8 of fd_flow_jacobian at
+    each of the times; False when a probe changes the itinerary."""
+    try:
+        fds = [fd_flow_jacobian(scene, entry, t, 1e-6 * A_BALL) for t in times]
+    except ItineraryChanged:
+        return False
+    for t, fd in zip(times, fds):
+        for a_blk, b_blk in zip(flow_differentials(scene, entry, t), fd):
+            assert np.all(np.abs(a_blk - b_blk) <= 1e-4 * np.abs(b_blk) + 1e-8)
+    return True
+
+
 def test_one_bounce_matches_fd(sphere_ellipsoid_scene, disc_ellipse_scene):
     for scene, dim, seed in ((sphere_ellipsoid_scene, 3, 31), (disc_ellipse_scene, 2, 32)):
         gen = Xoshiro256StarStar(seed)
-        done = 0
-        while done < 6:
-            entry = _random_entry(gen, dim)
+        done = between = 0
+        while done < 6 or between < 3:
+            # random entries first, then entries aimed between the obstacles,
+            # which more often reflect twice
+            entry = _random_entry(gen, dim) if done < 6 else _aimed_entry(gen, scene)
             traj = flow.trace(scene, entry)
             if traj.status != "exited" or not (1 <= len(traj.events) <= 2):
                 continue
             if any(ev.type != "transversal" for ev in traj.events):
                 continue
-            t = traj.events[-1].t + 0.5 * (traj.total_time - traj.events[-1].t)
-            jac = flow_differentials(scene, entry, t)
-            try:
-                fd = fd_flow_jacobian(scene, entry, t, 1e-6 * A_BALL)
-            except ItineraryChanged:
-                continue
-            for a_blk, b_blk in zip(jac, fd):
-                assert np.all(np.abs(a_blk - b_blk) <= 1e-4 * np.abs(b_blk) + 1e-8)
-            done += 1
+            last = traj.events[-1].t
+            times = [last + 0.5 * (traj.total_time - last)]
+            if len(traj.events) == 2:
+                # between the two reflections: the walk stops before event 1
+                times.append(0.5 * (traj.events[0].t + last))
+            if _matches_fd(scene, entry, times):
+                done += 1
+                between += len(times) - 1
 
 
 def test_fd_itinerary_changed(disc_scene):
@@ -289,7 +303,7 @@ def _tangent_plane_reflection(frame, inc):
     v, n = inc.v_in, inc.normal
     E = frame.basis
     dy = E - np.outer(v, (n @ E) / float(v @ n))
-    C = 2.0 * inc.cos_incidence * (dy.T @ inc.shape_ambient @ dy)
+    C = -2.0 * float(v @ n) * (dy.T @ inc.shape_ambient @ dy)
     C = 0.5 * (C + C.T)
     mirrored = E - 2.0 * np.outer(n, n @ E)
     Q, R = np.linalg.qr(mirrored)
@@ -387,9 +401,11 @@ def test_ambient_route_matches_tangent_plane_route(name, request):
                              _tangent_plane_blocks(scene, traj, t)):
             assert _relative_gap(got, want) <= 1e-13
         reg = regularity_test(scene, entry)
-        for rep, want in zip((reg.position_by_direction, reg.direction_by_position),
-                             _tangent_plane_blocks(scene, traj, reg.t)):
-            assert _relative_gap(rep.matrix, want) <= 1e-13
+        for rep, got, want in zip((reg.position_by_direction, reg.direction_by_position),
+                                  flow_differentials(scene, entry, reg.t, traj),
+                                  _tangent_plane_blocks(scene, traj, reg.t)):
+            assert np.array_equal(rep.singular_values, np.linalg.svd(got, compute_uv=False))
+            assert _relative_gap(got, want) <= 1e-13
             assert rep.rank == rank_report(want, 1e-6, floor=reg.t).rank
         n = len(traj.events)
         for i in range(n):
