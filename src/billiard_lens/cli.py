@@ -17,7 +17,6 @@ ray), 4 distinguishable comparison verdict when --expect-equal is set, 141
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import sys
@@ -177,7 +176,7 @@ def _cmd_sls(args):
     omega = _parse_vector(args.omega, scene.dimension)
     theta = _parse_vector(args.theta, scene.dimension)
     spec = lens.parse_spec(args.spec, seed=args.seed, n_max=args.nmax, t_max=args.tmax)
-    tol = args.tol if args.tol is not None else 1e-2
+    tol = args.tol if args.tol is not None else lens.ANGULAR_TOL
     spectrum = lens.scattering_spectrum(scene, omega, theta, tol, spec)
     doc = {
         "header": _header(args, scene, spec),
@@ -197,9 +196,8 @@ def _cmd_compare(args):
     with open(args.scene_b) as fh:
         table_l = lens.read_jsonl(fh)
     tol = args.tol
-    if tol is None:
-        # default 1e-6 * ball radius; entry points sit on the sphere
-        tol = 1e-6 * float(np.linalg.norm(table_k.q[0]))
+    if tol is None:  # entry points sit on the sphere of radius a
+        tol = lens.TIME_TOL_FACTOR * float(np.linalg.norm(table_k.q[0]))
     report = lens.compare_lens(table_k, table_l, tol)
     doc = {"header": _header(args), "table_k": table_k.scene_hash,
            "table_l": table_l.scene_hash, "report": report.to_dict()}
@@ -215,8 +213,8 @@ def _cmd_conjugate(args):
     traj = flow.trace(scene, entry, _limits(args))
     tol = args.tol if args.tol is not None else variation.CONJUGATE_TOL
     trans = [k for k, ev in enumerate(traj.events) if ev.type == "transversal"]
-    pairs = [{"i": i, "j": j, **variation.conjugate_test(scene, traj, i, j, tol).to_dict()}
-             for i, j in itertools.combinations(trans, 2)]
+    pairs = [{"i": i, "j": j, **r.to_dict()} for a, i in enumerate(trans)
+             for j, r in variation._conjugacies(scene, traj.events, i, trans[a + 1:], tol)]
     doc = {"header": _header(args, scene), "status": traj.status,
            "events": len(traj.events), "pairs": pairs}
     _write(args.out, canonical_json(doc) + "\n")

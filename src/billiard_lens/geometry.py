@@ -103,6 +103,13 @@ def canonical_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+class _Record:
+    """Base of the dataclasses whose documents are `dataclasses.asdict`'s."""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+
 def fnv1a64(data: bytes) -> int:
     h = 0xCBF29CE484222325
     for b in data:
@@ -748,7 +755,7 @@ def scene_hash(scene: Scene) -> str:
 
 
 @dataclass
-class ValidationReport:
+class ValidationReport(_Record):
     obstacle_count: int
     pairwise_gap_min: float | None
     containment_margin: float
@@ -759,9 +766,6 @@ class ValidationReport:
     flagged_nonconvex: bool
     exterior_connected: bool
     notes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _free_cells(scene: Scene) -> np.ndarray:

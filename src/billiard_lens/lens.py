@@ -28,7 +28,7 @@ import io
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
@@ -39,11 +39,13 @@ import numpy as np
 from . import __version__ as VERSION
 from . import flow, geometry
 from .flow import Limits, PhasePoint
-from .geometry import canonical_json, tangent_basis
+from .geometry import _Record, canonical_json, tangent_basis
 from .rng import Xoshiro256StarStar
 
 STATUSES = ("free", "scattered", "trapped", "gliding_rejected", "tangent_flagged", "error")
 SPECTRUM_GAP_FACTOR = 5e-3  # * a; sojourn times closer than this share a spectrum bin
+ANGULAR_TOL = 1e-2  # rad; `sls`'s default exit-direction tolerance (`sls --tol`)
+TIME_TOL_FACTOR = 1e-6  # * a; `compare`'s default time tolerance (`compare --tol`)
 BLOCK_ROWS = 1024  # rows that the table writers format, and the reader decodes, at a time
 # boundary_distance: the neighbours in each axis order that bound a point's
 # distance, and the points whose exact distance is taken at a time
@@ -57,7 +59,7 @@ class SpecMismatch(ValueError):
 
 
 @dataclass(frozen=True)
-class SampleSpec:
+class SampleSpec(_Record):
     mode: str                    # "grid" | "mc"
     n_positions: int = 0
     n_directions: int = 0
@@ -87,9 +89,6 @@ class SampleSpec:
         if self.mode == "grid":
             return f"grid:{self.n_positions}x{self.n_directions}"
         return f"mc:{self.n_total}"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "SampleSpec":
@@ -351,14 +350,11 @@ def build_lens_table(scene, spec: SampleSpec) -> LensTable:
 
 
 @dataclass
-class TrappedEstimate:
+class TrappedEstimate(_Record):
     resolutions: list
     fractions: list
     cluster_radii: list
     trapped_counts: list
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _phase_coords(table: LensTable, rows: np.ndarray, a: float) -> np.ndarray:
@@ -411,14 +407,11 @@ def estimate_trapped(scene, specs) -> TrappedEstimate:
 
 
 @dataclass
-class SpectrumBin:
+class SpectrumBin(_Record):
     sojourn: float
     count: int
     lo: float
     hi: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class Spectrum(list):
@@ -507,7 +500,7 @@ def scattering_spectrum(scene, omega, theta, angular_tol: float, spec: SampleSpe
 
 
 @dataclass
-class ComparisonReport:
+class ComparisonReport(_Record):
     matched: int
     compared: int
     excluded_tangent: int
@@ -519,9 +512,6 @@ class ComparisonReport:
     exceed_fraction: float
     time_tolerance: float
     verdict: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def compare_lens(table_k: LensTable, table_l: LensTable, time_tolerance: float) -> ComparisonReport:

@@ -9,14 +9,18 @@ mirror H = I - 2 n n^T, keeps A and adds C A to B, with the curvature term
 C = 2 cos(phi) * dy^T S dy built from the ambient shape operator S at the
 event, where dy projects transverse offsets onto the tangent plane along the
 ray (`_onto_tangent_plane`). Both maps are linear symplectic. The normal n
-is the tracer's bit for bit (`ambient_shape`), and H is orthogonal, so the
-mirrored basis stays orthonormal and orthogonal to `v_out` = H v_in up to
-rounding; it is not re-orthonormalised: its columns drift by about one
-rounding per reflection.
+is `ambient_shape`'s: the tracer's bit for bit on spheres, ellipsoids and
+superellipsoids; on a curve2d the tracer reflects by the piece normal at
+the root's parameter and n is the closest-point foot's, the same to a few
+1e-14. H is orthogonal, so the mirrored basis stays orthonormal and
+orthogonal to `v_out` up to rounding; it is not re-orthonormalised: its
+columns drift by about one rounding per reflection.
 
 A new frame shares every array it does not change with the old one (free
 flight builds only A + tB, a reflection keeps A), so no code writes into
-the arrays of a frame.
+the arrays of a frame. One walk, `_walk`, serves `flow_differentials` (at
+time t), `conjugate_test` (on arrival at event j) and the `conjugate`
+command (once per start event, read at every later one).
 
 Both verdicts are one rank rule, `rank_report`'s: a singular value counts
 toward the rank when it exceeds tolerance * max(largest singular value,
@@ -28,13 +32,14 @@ projection, with the flight span between the events as floor.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from . import flow
 from .flow import TANGENCY_THRESHOLD
-from .geometry import NumericFailure, ambient_shape, tangent_basis
+from .geometry import NumericFailure, _Record, ambient_shape, tangent_basis
 
 REGULARITY_TOL = 1e-6  # regularity_test's default rank tolerance (`regularity --tol`)
 CONJUGATE_TOL = 1e-4   # conjugate_test's default rank tolerance (`conjugate --tol`)
@@ -119,18 +124,21 @@ def symplectic_pairing(f1: JacobiFrame, f2: JacobiFrame) -> np.ndarray:
     return f1.A.T @ f2.B - f1.B.T @ f2.A
 
 
-def _walk(scene, events, frame: JacobiFrame, t_prev: float, t: float) -> JacobiFrame:
-    """Propagate `frame` from time t_prev to t through the events before t.
-    Raises TangentOnPath on a tangent one."""
+def _walk(scene, events, frame: JacobiFrame, t_prev: float, t: float):
+    """Carry `frame` from time t_prev through the events before time t:
+    yield it on arrival at each, and last at t. It is reflected at an event
+    only when the next frame is asked for; a tangent event then raises
+    TangentOnPath."""
     for ev in events:
         if ev.t >= t:
             break
+        frame = propagate_free(frame, ev.t - t_prev)
+        yield frame
         if ev.type != "transversal":
             raise TangentOnPath(f"tangent event at t = {ev.t:g}")
         incidence = Incidence(ev.v_in, *ambient_shape(scene.obstacles[ev.obstacle], ev.x))
-        frame = propagate_reflection(propagate_free(frame, ev.t - t_prev), incidence)
-        t_prev = ev.t
-    return propagate_free(frame, t - t_prev)
+        frame, t_prev = propagate_reflection(frame, incidence), ev.t
+    yield propagate_free(frame, t - t_prev)
 
 
 def flow_differentials(scene, entry: flow.PhasePoint, t: float, trajectory=None):
@@ -149,7 +157,7 @@ def flow_differentials(scene, entry: flow.PhasePoint, t: float, trajectory=None)
     m = trajectory.entry.v.shape[0] - 1
     eye, zero = np.eye(m), np.zeros((m, m))
     seeds = seed_frame(trajectory.entry.v, np.hstack([zero, eye]), np.hstack([eye, zero]))
-    frame = _walk(scene, trajectory.events, seeds, 0.0, t)
+    *_, frame = _walk(scene, trajectory.events, seeds, 0.0, t)
     return frame.A[:, :m].copy(), frame.B[:, m:].copy()
 
 
@@ -204,13 +212,10 @@ def fd_flow_jacobian(scene, entry: flow.PhasePoint, t: float, h: float):
 
 
 @dataclass
-class RankReport:
+class RankReport(_Record):
     singular_values: np.ndarray  # descending
     rank: int
     tolerance: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def rank_report(matrix: np.ndarray, tolerance: float, floor: float = 0.0) -> RankReport:
@@ -227,14 +232,11 @@ def rank_report(matrix: np.ndarray, tolerance: float, floor: float = 0.0) -> Ran
 
 
 @dataclass
-class RegularityResult:
+class RegularityResult(_Record):
     position_by_direction: RankReport
     direction_by_position: RankReport
     regular: bool
     t: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def regularity_test(scene, entry: flow.PhasePoint, t: float | None = None,
@@ -260,14 +262,11 @@ def regularity_test(scene, entry: flow.PhasePoint, t: float | None = None,
 
 
 @dataclass
-class ConjugateResult:
+class ConjugateResult(_Record):
     conjugate: bool
     smallest_singular_value: float
     singular_values: np.ndarray  # descending
     tolerance: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def conjugate_test(scene, trajectory, i: int, j: int,
@@ -286,13 +285,22 @@ def conjugate_test(scene, trajectory, i: int, j: int,
         raise IndexOutOfRange(f"need 0 <= i < j < {len(events)}, got ({i}, {j})")
     if events[i].type != "transversal" or events[j].type != "transversal":
         raise TangentIncidence("conjugate_test endpoints must be transversal events")
-    if any(ev.type != "transversal" for ev in events[i + 1:j]):
-        raise TangentIncidence(f"tangent event between indices {i} and {j}")
-    arrival = events[j]
-    frame = _walk(scene, events[i + 1:j], seed_frame(events[i].v_out, 0.0, 1.0), events[i].t,
-                  arrival.t)
-    normal = scene.obstacles[arrival.obstacle].normal_at(arrival.x)
-    onto = _onto_tangent_plane(frame.basis @ frame.A, arrival.v_in, normal)
-    report = rank_report(onto, tolerance, floor=arrival.t - events[i].t)
-    sv = report.singular_values
-    return ConjugateResult(report.rank < onto.shape[1], float(sv[-1]), sv, tolerance)
+    return next(_conjugacies(scene, events, i, [j], tolerance))[1]
+
+
+def _conjugacies(scene, events, i: int, later, tolerance: float):
+    """(j, conjugate_test(i, j)) for each j of the ascending `later` in
+    turn, from one walk of the frame seeded after event i, read on arrival
+    at each j, so nothing past the last j is reflected. Raises
+    TangentIncidence at the first j past a tangent event."""
+    start, reached = events[i], i
+    walk = _walk(scene, events[i + 1:], seed_frame(start.v_out, 0.0, 1.0), start.t, np.inf)
+    for j in later:
+        if any(ev.type != "transversal" for ev in events[reached + 1:j]):
+            raise TangentIncidence(f"tangent event between indices {i} and {j}")
+        frame, arrival, reached = next(islice(walk, j - reached - 1, None)), events[j], j
+        normal = scene.obstacles[arrival.obstacle].normal_at(arrival.x)
+        onto = _onto_tangent_plane(frame.basis @ frame.A, arrival.v_in, normal)
+        report = rank_report(onto, tolerance, floor=arrival.t - start.t)
+        sv = report.singular_values
+        yield j, ConjugateResult(report.rank < onto.shape[1], float(sv[-1]), sv, tolerance)

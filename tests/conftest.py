@@ -192,7 +192,7 @@ def seed_pair_frames(scene, trajectory, t):
     m = trajectory.entry.v.shape[0] - 1
     eye, zero = np.eye(m), np.zeros((m, m))
     seeds = variation.seed_frame(trajectory.entry.v, np.hstack([zero, eye]), np.hstack([eye, zero]))
-    frame = variation._walk(scene, trajectory.events, seeds, 0.0, t)
+    *_, frame = variation._walk(scene, trajectory.events, seeds, 0.0, t)
     return [variation.JacobiFrame(frame.A[:, k:k + m], frame.B[:, k:k + m], frame.basis)
             for k in (0, m)]
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -468,6 +469,75 @@ def test_tangent_event_on_the_path_exits_3(command, tmp_path, capsys):
     assert code == 3
     assert err.startswith("numeric failure:") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("end", ["first", "last"])
+def test_tangent_event_at_an_end_of_the_conjugate_orbit(end, tmp_path):
+    # a tangent event before the first transversal event or after the last
+    # lies between no pair: `conjugate` exits 0 with the pairs of transversal
+    # events, each conjugate_test's own result
+    b, s = 1.0 - 2e-15, 2**-0.5
+    if end == "first":
+        # the entry runs along y = b past disc G (|cos| ~ 6e-8), then
+        # reflects off R, D and R
+        obstacles = [bl.SphereObstacle([0.0, 0.0], 1.0), bl.SphereObstacle([4.0, b + 0.6], 1.0),
+                     bl.SphereObstacle([2.08, -2.84], 1.0)]
+        entry, types = f"{-math.sqrt(100.0 - b * b)!r},{b!r},1,0", ["tangent"] + ["transversal"] * 3
+    else:
+        # K turns the entry down the line x = -4, and L turns it along a
+        # line that grazes G
+        obstacles = [bl.SphereObstacle([-4.0 + s, 5.0 + s], 1.0),
+                     bl.SphereObstacle([-4.0 - s, 1.0 - s], 1.0), bl.SphereObstacle([0.0, -1.11e-13], 1.0)]
+        entry, types = f"{-math.sqrt(75.0)!r},5.0,1,0", ["transversal"] * 2 + ["tangent"]
+    scene = bl.make_scene(2, 10.0, obstacles, f"graze-{end}")
+    path, out = tmp_path / "graze.json", tmp_path / "out.json"
+    path.write_text(geometry.scene_to_json(scene) + "\n")
+    traj = bl.trace(scene, cli._parse_entry(entry, scene))
+    assert [ev.type for ev in traj.events] == types
+    assert cli.main(["conjugate", "--scene", str(path), f"--entry={entry}", "--out", str(out)]) == 0
+    pairs = _strict_json(out.read_text())["pairs"]
+    transversal = [k for k, kind in enumerate(types) if kind == "transversal"]
+    expected = [(i, j) for i in transversal for j in transversal if i < j]
+    assert [(p.pop("i"), p.pop("j")) for p in pairs] == expected
+    for p, (i, j) in zip(pairs, expected):
+        assert p == json.loads(canonical_json(variation.conjugate_test(scene, traj, i, j).to_dict()))
+
+
+def test_conjugate_walks_the_orbit_once_per_start_event(livshits_pair, tmp_path, monkeypatch):
+    # on an orbit of n transversal events, `conjugate` carries one frame from
+    # each event i past every later event j: n(n-1)/2 free flights, and an
+    # ambient shape at each event it reflects the frame at, fewer (a walk per
+    # pair makes about n^3/6 of each). conjugate_test(i, j) itself walks the
+    # events between i and j and takes one normal at j
+    base, _, _ = livshits_pair
+    entry = entry_through([1.0, 0.0], [-0.5, 1.0])
+    traj = bl.trace(base, entry)
+    n = len(traj.events)
+    assert n == 6 and all(ev.type == "transversal" for ev in traj.events)
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for name in ("propagate_free", "ambient_shape"):
+        monkeypatch.setattr(variation, name, counted(name, getattr(variation, name)))
+    obstacle = type(base.obstacles[0])
+    monkeypatch.setattr(obstacle, "normal_at", counted("normal_at", obstacle.normal_at))
+    path, out = tmp_path / "liv.json", tmp_path / "out.json"
+    path.write_text(geometry.scene_to_json(base) + "\n")
+    entry = ",".join(repr(float(x)) for x in [*entry.q, *entry.v])
+    assert cli.main(["conjugate", "--scene", str(path), f"--entry={entry}", "--out", str(out)]) == 0
+    assert len(_strict_json(out.read_text())["pairs"]) == n * (n - 1) // 2
+    assert calls["propagate_free"] == n * (n - 1) // 2
+    assert calls["ambient_shape"] == (n - 1) * (n - 2) // 2
+    for i in range(n):
+        for j in range(i + 1, n):
+            calls.clear()
+            variation.conjugate_test(base, traj, i, j)
+            assert calls == Counter(propagate_free=j - i, ambient_shape=j - i - 1, normal_at=1)
 
 
 def test_livshits_command(tmp_path, capsys):

@@ -377,7 +377,7 @@ def _drawn_entry(draw, scene, grazing):
     or, if `grazing`, of a ray that meets a boundary sample at a drawn angle
     down to 1e-6 rad."""
     dim = scene.dimension
-    obs = scene.obstacles[draw(st.integers(0, 1))]
+    obs = scene.obstacles[draw(st.integers(0, len(scene.obstacles) - 1))]
     phi = draw(st.floats(-math.pi, math.pi))
     if not grazing:
         target = obs.center + obs.bounding_radius() * np.array(
@@ -430,15 +430,26 @@ def test_a_convex_obstacle_is_not_met_again_after_a_reflection(kind, dim, data):
     assert reflections >= 4
 
 
-@pytest.mark.parametrize("kind", ["sphere", "ellipsoid", "superellipsoid"])
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim, kind", [(dim, kind) for dim in (2, 3)
+                                       for kind in ("sphere", "ellipsoid", "superellipsoid")]
+                         + [(2, "livshits"), (2, "crescent")])
 @given(data=st.data())
-def test_the_jacobi_layer_takes_each_reflection_from_the_tracer(kind, dim, data):
+def test_the_jacobi_layer_takes_each_reflection_from_the_tracer(dim, kind, data):
     # at every transversal event the obstacle's normal, as `normal_at`,
     # `surface_frame` and `ambient_shape` give it, is the one the tracer
-    # reflected by, bit for bit, and the basis the Jacobi walk carries past
-    # the last event is orthogonal to the traced outgoing direction
-    scene = _drawn_pair(data.draw, kind, dim, rotated=data.draw(st.booleans(), label="rotated"))
+    # reflected by: bit for bit on the implicit kinds, and within 1e-13 on a
+    # curve2d, whose tracer takes the piece normal at the root's parameter
+    # where the three take the normal at the closest-point foot (over 6,000
+    # drawn rays each, the Livshits cavity reaches 2.2e-14 and the crescent
+    # mirror 3.4e-14). The basis the Jacobi walk carries past the last event
+    # is orthogonal to the traced outgoing direction
+    if kind == "livshits":
+        scene, bound = geometry.livshits_scene()[0], 1e-13
+    elif kind == "crescent":
+        mirror = geometry.concave_mirror_obstacle([-A_BALL, 0.0], 3.0, 0.5, 0.6, [1.0, 0.0])
+        scene, bound = bl.make_scene(2, A_BALL, [mirror], "crescent-focus"), 1e-13
+    else:
+        scene, bound = _drawn_pair(data.draw, kind, dim, rotated=data.draw(st.booleans(), label="rotated")), 0.0
     walked = 0
     for k in range(16):
         traj = flow.trace(scene, _drawn_entry(data.draw, scene, grazing=k % 2 == 0))
@@ -446,13 +457,13 @@ def test_the_jacobi_layer_takes_each_reflection_from_the_tracer(kind, dim, data)
         for ev in transversal:
             obs = scene.obstacles[ev.obstacle]
             normal = obs.normal_at(ev.x)
-            assert ev.v_out.tolist() == flow.reflect(ev.v_in, normal)
+            assert float(np.max(np.abs(ev.v_out - flow.reflect(ev.v_in, normal)))) <= bound
             assert normal.tolist() == geometry.surface_frame(obs, ev.x).normal.tolist()
             assert normal.tolist() == geometry.ambient_shape(obs, ev.x)[0].tolist()
         if transversal and len(transversal) == len(traj.events):
             last = traj.events[-1]
-            frame = variation._walk(scene, traj.events, variation.seed_frame(traj.entry.v, 0.0, 1.0),
-                                    0.0, math.nextafter(last.t, math.inf))
+            *_, frame = variation._walk(scene, traj.events, variation.seed_frame(traj.entry.v, 0.0, 1.0),
+                                        0.0, math.nextafter(last.t, math.inf))
             assert float(np.max(np.abs(frame.basis.T @ last.v_out))) <= 1e-12
             walked += 1
     assert walked >= 2
