@@ -213,8 +213,10 @@ def _cmd_conjugate(args):
     traj = flow.trace(scene, entry, _limits(args))
     tol = args.tol if args.tol is not None else variation.CONJUGATE_TOL
     trans = [k for k, ev in enumerate(traj.events) if ev.type == "transversal"]
+    # one local query per event, shared by the walks from every start event
+    incidence = variation._incidences(scene, traj.events)
     pairs = [{"i": i, "j": j, **r.to_dict()} for a, i in enumerate(trans)
-             for j, r in variation._conjugacies(scene, traj.events, i, trans[a + 1:], tol)]
+             for j, r in variation._conjugacies(traj.events, incidence, i, trans[a + 1:], tol)]
     doc = {"header": _header(args, scene), "status": traj.status,
            "events": len(traj.events), "pairs": pairs}
     _write(args.out, canonical_json(doc) + "\n")

@@ -10,7 +10,7 @@ validated feature is too thin to hit. The normal at a root is
 superellipsoids, and for a `curve2d` the closed-form normal at the piece and
 parameter its root carries, so the tracer makes no closest-point query
 (those serve `validate`, the curve's one local query
-`local_geometry`, which `surface_frame` and `ambient_shape` read, and its
+`local_geometry`, which `surface_frame` and the Jacobi layer read, and its
 gradient, which `normal_at` reads). Orbits that graze into the boundary
 (gliding) are detected and rejected, never integrated.
 

@@ -129,32 +129,38 @@ def _cross(a, b):
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
+def _tangent_columns(n) -> list:
+    """`tangent_basis` of one normal, as floats: its n-1 columns as lists."""
+    if len(n) == 2:
+        return [[-n[1], n[0]]]
+    n0, n1, n2 = n
+    a0, a1, a2 = abs(n0), abs(n1), abs(n2)
+    h0, h1, h2 = ((1.0, 0.0, 0.0) if a0 <= a1 and a0 <= a2
+                  else (0.0, 1.0, 0.0) if a1 <= a2 else (0.0, 0.0, 1.0))
+    x, y, z = h1 * n2 - h2 * n1, h2 * n0 - h0 * n2, h0 * n1 - h1 * n0
+    norm = math.sqrt(x * x + y * y + z * z)
+    x, y, z = x / norm, y / norm, z / norm
+    return [[x, y, z], [n1 * z - n2 * y, n2 * x - n0 * z, n0 * y - n1 * x]]
+
+
 def tangent_basis(normal: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the plane orthogonal to `normal`,
     returned as an (n, n-1) matrix of columns; a stack of normals (N, n)
     gives (N, n, n-1), each row equal bit for bit to its single call.
 
-    In 2D the basis is (-n1, n0), one expression for one normal and for a
-    stack. In 3D, e1 = h x n / |h x n| with h the axis of the smallest |n_k|
-    (the first on ties) and e2 = n x e1. The norm is a matmul of e1 with
-    itself, which rounds like `np.linalg.norm` of one vector. One 3D normal
-    takes the same steps on floats, all but that dot product, which stays
-    numpy's (BLAS may fuse its multiply-adds, where float arithmetic rounds
-    each)."""
+    In 2D the basis is (-n1, n0). In 3D, e1 = h x n / |h x n| with h the axis
+    of the smallest |n_k| (the first on ties) and e2 = n x e1, the norm's
+    squares added left to right. One normal takes these steps on floats
+    (`_tangent_columns`), a stack takes them with numpy's elementwise
+    operations and no matrix product, which round alike on every platform."""
     n = np.asarray(normal, dtype=float)
-    if n.shape == (3,):
-        n0, n1, n2 = n.tolist()
-        a0, a1, a2 = abs(n0), abs(n1), abs(n2)
-        h0, h1, h2 = ((1.0, 0.0, 0.0) if a0 <= a1 and a0 <= a2
-                      else (0.0, 1.0, 0.0) if a1 <= a2 else (0.0, 0.0, 1.0))
-        e1 = np.array([h1 * n2 - h2 * n1, h2 * n0 - h0 * n2, h0 * n1 - h1 * n0])
-        x, y, z = (e1 / math.sqrt(e1 @ e1)).tolist()
-        return np.array([[x, n1 * z - n2 * y], [y, n2 * x - n0 * z], [z, n0 * y - n1 * x]])
+    if n.ndim == 1:
+        return np.array(_tangent_columns(n.tolist())).T
     if n.shape[-1] == 2:
         return n[..., ::-1, None] * [[-1.0], [1.0]]
     h = np.eye(3)[np.argmin(np.abs(n), axis=-1)]
     e1 = _cross(h, n)
-    e1 = e1 / np.sqrt(np.matmul(e1[..., None, :], e1[..., :, None]))[..., 0]
+    e1 = e1 / np.sqrt(reduce(np.add, np.moveaxis(e1 * e1, -1, 0)))[..., None]
     return np.stack([e1, _cross(n, e1)], axis=-1)
 
 
@@ -590,8 +596,8 @@ class CurveObstacle(Obstacle):
 # ---------------------------------------------------------------------------
 # the [OP] surface: the views of an obstacle's one local query
 # (`local_geometry`): the tangent-plane shape of `surface_frame` and of
-# validate's principal curvatures, the ambient shape of `ambient_shape`, and
-# `Obstacle.normal_at`
+# validate's principal curvatures, the Jacobi layer's incidences (through
+# `_on_boundary`), and `Obstacle.normal_at`
 
 
 def _tangent_shapes(normals, grad_norms, hessians):
@@ -624,17 +630,6 @@ def surface_frame(obstacle: Obstacle, point) -> SurfaceFrame:
     x, normals, grad_norms, hessians = _on_boundary(obstacle, point)
     T, S = _tangent_shapes(normals, grad_norms, hessians)
     return SurfaceFrame(x, normals[0], S[0], T[0])
-
-
-def ambient_shape(obstacle: Obstacle, point):
-    """Unit normal into the free region and ambient shape operator at a
-    boundary point: (n, P Hess F P / |grad F|) with P = I - n n^T, the
-    (n, n) form of `surface_frame`'s tangent-plane shape, built without a
-    tangent basis. Same checks as `surface_frame`."""
-    _, normals, grad_norms, hessians = _on_boundary(obstacle, point)
-    n = normals[0]
-    P = obstacle._eye - n[:, None] * n
-    return n, P @ hessians[0] @ P / grad_norms[0]
 
 
 # ---------------------------------------------------------------------------

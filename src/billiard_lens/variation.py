@@ -1,26 +1,40 @@
 """Linearized dynamics along trajectories.
 
 A JacobiFrame carries the transverse position block A and direction block B
-of a family of variations, expressed in a basis orthogonal to the ray
-direction, which is the traced one: the frame holds no direction, and each
-reflected direction is the event's `v_out`. Free flight maps (A, B) to
-(A + tB, B); a transversal reflection maps the basis E to H E with the
-mirror H = I - 2 n n^T, keeps A and adds C A to B, with the curvature term
-C = 2 cos(phi) * dy^T S dy built from the ambient shape operator S at the
-event, where dy projects transverse offsets onto the tangent plane along the
-ray (`_onto_tangent_plane`). Both maps are linear symplectic. The normal n
-is `ambient_shape`'s: the tracer's bit for bit on spheres, ellipsoids and
-superellipsoids; on a curve2d the tracer reflects by the piece normal at
-the root's parameter and n is the closest-point foot's, the same to a few
-1e-14. H is orthogonal, so the mirrored basis stays orthonormal and
-orthogonal to `v_out` up to rounding; it is not re-orthonormalised: its
+of k variations, each (m, k) with m = n - 1, in a basis of m columns
+orthogonal to the ray direction, which is the traced one: the frame holds no
+direction, and each reflected direction is the event's `v_out`. Free flight
+maps (A, B) to (A + tB, B); a transversal reflection maps the basis E to H E
+with the mirror H = I - 2 n n^T, keeps A and adds C A to B, with the
+curvature term C = 2 cos(phi) * dy^T S dy, where dy moves the basis along the
+ray onto the tangent plane (`_onto_tangent_plane`) and S is the obstacle's
+shape form there, Hess F / |grad F|. Only its restriction to the tangent
+plane matters, which holds dy, so S need not be projected. Both maps are
+linear symplectic. H is orthogonal, so the mirrored basis stays orthonormal
+and orthogonal to `v_out` up to rounding; it is not re-orthonormalised: its
 columns drift by about one rounding per reflection.
 
-A new frame shares every array it does not change with the old one (free
-flight builds only A + tB, a reflection keeps A), so no code writes into
-the arrays of a frame. One walk, `_walk`, serves `flow_differentials` (at
-time t), `conjugate_test` (on arrival at event j) and the `conjugate`
-command (once per start event, read at every later one).
+The layer runs on Python floats, as the tracer does. A frame holds A and B
+row by row and the basis column by column, as lists of floats; `A`, `B` and
+`basis` read them as float64 arrays. Each map is written out for m = 1 and
+m = 2 with every sum taken left to right, and a rank test takes its singular
+values in closed form, so the layer adds no BLAS or LAPACK rounding of its
+own (a rotated body's local query still may: see README).
+An `Incidence` holds arrays, tuples or lists.
+
+Each event's geometry is one local query (`Obstacle.local_geometry` on one
+row, under `geometry._on_boundary`'s checks), made on first use and kept
+(`_incidences`): the `conjugate` command shares it between every walk that
+reflects there and every arrival there. Its normal is the tracer's bit for bit on spheres, ellipsoids
+and superellipsoids; on a curve2d the tracer reflects by the piece normal at
+the root's parameter and the query's normal is the closest-point foot's, the
+same to a few 1e-14.
+
+A new frame shares every row it does not change with the old one (free
+flight builds only A + tB, a reflection keeps A), so no code writes into a
+frame. One walk, `_walk`, serves `flow_differentials` (at time t),
+`conjugate_test` (on arrival at event j) and the `conjugate` command (once
+per start event, read at every later one).
 
 Both verdicts are one rank rule, `rank_report`'s: a singular value counts
 toward the rank when it exceeds tolerance * max(largest singular value,
@@ -32,14 +46,16 @@ projection, with the flight span between the events as floor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from . import flow
+from .curves import _dot, _floats
 from .flow import TANGENCY_THRESHOLD
-from .geometry import NumericFailure, _Record, ambient_shape, tangent_basis
+from .geometry import NumericFailure, _on_boundary, _Record, _tangent_columns
 
 REGULARITY_TOL = 1e-6  # regularity_test's default rank tolerance (`regularity --tol`)
 CONJUGATE_TOL = 1e-4   # conjugate_test's default rank tolerance (`conjugate --tol`)
@@ -63,81 +79,166 @@ class IndexOutOfRange(IndexError):
 
 @dataclass
 class JacobiFrame:
-    A: np.ndarray      # (n-1, k) transverse position variation of k variations
-    B: np.ndarray      # (n-1, k) transverse direction variation
-    basis: np.ndarray  # (n, n-1) columns orthogonal to the ray direction, orthonormal up to rounding
+    a: list  # the m rows of A, (n-1, k): transverse position variation of k variations
+    b: list  # the m rows of B, (n-1, k): transverse direction variation
+    e: list  # the m basis columns, each of n floats, orthogonal to the ray direction
+
+    @property
+    def A(self) -> np.ndarray:
+        return np.array(self.a)
+
+    @property
+    def B(self) -> np.ndarray:
+        return np.array(self.b)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """(n, n-1): the columns, orthonormal up to rounding."""
+        return np.array(self.e).T
 
 
 @dataclass
 class Incidence:
-    v_in: np.ndarray
-    normal: np.ndarray
-    # (n, n) P Hess F P / |grad F| with P = I - n n^T (geometry.ambient_shape):
-    # symmetric, annihilates the normal
-    shape_ambient: np.ndarray
+    v_in: object  # (n,) the incoming direction
+    normal: object  # (n,) the unit normal into the free region
+    # (n, n) the shape form: symmetric, Hess F / |grad F| on the tangent plane,
+    # such as `SurfaceFrame.shape_ambient()` or Hess F / |grad F| itself
+    shape_ambient: object
+
+
+def _seed_rows(X, m: int) -> list:
+    """A seed block as m rows of floats: X times the identity for a scalar X,
+    else the (m, k) matrix X."""
+    if np.isscalar(X):
+        return [[X * float(r == c) for c in range(m)] for r in range(m)]
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] != m:
+        raise ValueError(f"a seed block has {m} rows, not shape {X.shape}")
+    return X.tolist()
 
 
 def seed_frame(direction, A0, B0) -> JacobiFrame:
-    v = np.asarray(direction, dtype=float)
-    m = v.shape[0] - 1
-    A = np.asarray(A0, dtype=float) * np.eye(m) if np.isscalar(A0) else np.array(A0, dtype=float)
-    B = np.asarray(B0, dtype=float) * np.eye(m) if np.isscalar(B0) else np.array(B0, dtype=float)
-    return JacobiFrame(A, B, tangent_basis(v))
+    """The frame (A0, B0) in `tangent_basis(direction)`; a scalar seed block
+    is that multiple of the identity."""
+    v = _floats(direction)
+    m = len(v) - 1
+    a, b = _seed_rows(A0, m), _seed_rows(B0, m)
+    if len(a[0]) != len(b[0]):
+        raise ValueError("seed blocks A0 and B0 differ in width")
+    return JacobiFrame(a, b, _tangent_columns(v))
 
 
 def propagate_free(frame: JacobiFrame, t: float) -> JacobiFrame:
     """Flat free flight for time t >= 0: positions pick up t * direction
-    variation; B and the basis are the old frame's arrays."""
+    variation; B and the basis are the old frame's rows."""
     if t < 0:
         raise ValueError("free flight time must be non-negative")
-    return JacobiFrame(frame.A + t * frame.B, frame.B, frame.basis)
+    a = [[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(frame.a, frame.b)]
+    return JacobiFrame(a, frame.b, frame.e)
 
 
-def _reflect_basis(basis: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """The mirrored basis H E, H = I - 2 n n^T. H is orthogonal, so the
-    coordinates of a variation in the basis pass the mirror unchanged."""
-    return basis - 2.0 * np.outer(normal, normal @ basis)
+def _reflect_basis(columns: list, n) -> list:
+    """The mirrored basis H E, H = I - 2 n n^T, column by column. H is
+    orthogonal, so the coordinates of a variation in the basis pass the
+    mirror unchanged."""
+    out = []
+    for e in columns:
+        s = 2.0 * _dot(n, e)
+        out.append([ei - s * ni for ei, ni in zip(e, n)])
+    return out
 
 
-def _onto_tangent_plane(X: np.ndarray, v: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """The columns of X moved along the ray direction v onto the tangent
-    plane of the unit normal n, X - v (n^T X) / (v . n): where a ray offset
-    by a column of X meets the boundary, to first order. Raises
-    TangentIncidence at (near-)tangent incidence, where it is undefined."""
-    cos_phi = -float(v @ n)
-    if cos_phi <= TANGENCY_THRESHOLD:
-        raise TangentIncidence(f"cos(incidence) = {cos_phi:g}")
-    return X - np.outer(v, (n @ X) / -cos_phi)
+def _onto_tangent_plane(columns: list, v, n) -> list:
+    """The columns moved along the ray direction v onto the tangent plane of
+    the unit normal n, x - v (n . x) / (v . n): where a ray offset by a
+    column meets the boundary, to first order. Raises TangentIncidence at
+    (near-)tangent incidence, where it is undefined."""
+    vn = _dot(v, n)
+    if -vn <= TANGENCY_THRESHOLD:
+        raise TangentIncidence(f"cos(incidence) = {-vn:g}")
+    out = []
+    for x in columns:
+        r = _dot(n, x) / vn
+        out.append([xi - vi * r for xi, vi in zip(x, v)])
+    return out
 
 
 def propagate_reflection(frame: JacobiFrame, incidence: Incidence) -> JacobiFrame:
     """Reflection transfer of the transverse variations at a transversal event."""
-    v, n = incidence.v_in, incidence.normal
-    dy = _onto_tangent_plane(frame.basis, v, n)
-    C = -2.0 * float(v @ n) * (dy.T @ incidence.shape_ambient @ dy)
-    C = 0.5 * (C + C.T)
-    return JacobiFrame(frame.A, frame.B + C @ frame.A, _reflect_basis(frame.basis, n))
+    v, n = _floats(incidence.v_in), _floats(incidence.normal)
+    shape = _floats(incidence.shape_ambient)
+    dy = _onto_tangent_plane(frame.e, v, n)
+    w = -2.0 * _dot(v, n)  # 2 cos(phi)
+    s_dy = [[_dot(row, d) for row in shape] for d in dy]
+    a, b = frame.a, frame.b
+    if len(dy) == 1:
+        c = w * _dot(dy[0], s_dy[0])
+        b = [[y + c * x for x, y in zip(a[0], b[0])]]
+    else:
+        # C symmetrised, as the form is symmetric
+        c00, c11 = w * _dot(dy[0], s_dy[0]), w * _dot(dy[1], s_dy[1])
+        c01 = 0.5 * (w * _dot(dy[0], s_dy[1]) + w * _dot(dy[1], s_dy[0]))
+        a0, a1 = a
+        b = [[y + (c00 * x0 + c01 * x1) for x0, x1, y in zip(a0, a1, b[0])],
+             [y + (c01 * x0 + c11 * x1) for x0, x1, y in zip(a0, a1, b[1])]]
+    return JacobiFrame(a, b, _reflect_basis(frame.e, n))
+
+
+def _transpose(rows) -> list:
+    """The columns of a matrix given by its rows, or the rows of one given by
+    its columns, as lists."""
+    return [list(col) for col in zip(*rows)]
+
+
+def _dot_m(x, y) -> float:
+    """<x, y> of two columns of m = 1 or 2 floats, left to right."""
+    return x[0] * y[0] if len(x) == 1 else x[0] * y[0] + x[1] * y[1]
 
 
 def symplectic_pairing(f1: JacobiFrame, f2: JacobiFrame) -> np.ndarray:
     """A1^T B2 - B1^T A2; conserved by free flight and reflection."""
-    return f1.A.T @ f2.B - f1.B.T @ f2.A
+    a2, b2 = _transpose(f2.a), _transpose(f2.b)
+    return np.array([[_dot_m(p, q) - _dot_m(r, s) for q, s in zip(b2, a2)]
+                     for p, r in zip(_transpose(f1.a), _transpose(f1.b))])
 
 
-def _walk(scene, events, frame: JacobiFrame, t_prev: float, t: float):
-    """Carry `frame` from time t_prev through the events before time t:
+def _incidence(obstacle, x, v_in) -> Incidence:
+    """The Incidence of a ray of direction v_in at the boundary point x, from
+    one local query on one row: SingularGradient below the gradient floor,
+    ValueError off the boundary."""
+    _, normals, grad_norms, hessians = _on_boundary(obstacle, x)
+    g = float(grad_norms[0])
+    return Incidence(_floats(v_in), normals[0].tolist(),
+                     [[h / g for h in row] for row in hessians[0].tolist()])
+
+
+def _incidences(scene, events):
+    """incidence(k): the Incidence at events[k], made on first use and kept."""
+    made = {}
+
+    def incidence(k: int) -> Incidence:
+        if k not in made:
+            ev = events[k]
+            made[k] = _incidence(scene.obstacles[ev.obstacle], ev.x, ev.v_in)
+        return made[k]
+
+    return incidence
+
+
+def _walk(events, incidence, frame: JacobiFrame, first: int, t_prev: float, t: float):
+    """Carry `frame` from time t_prev through events[first:] before time t:
     yield it on arrival at each, and last at t. It is reflected at an event
     only when the next frame is asked for; a tangent event then raises
     TangentOnPath."""
-    for ev in events:
+    for k in range(first, len(events)):
+        ev = events[k]
         if ev.t >= t:
             break
         frame = propagate_free(frame, ev.t - t_prev)
         yield frame
         if ev.type != "transversal":
             raise TangentOnPath(f"tangent event at t = {ev.t:g}")
-        incidence = Incidence(ev.v_in, *ambient_shape(scene.obstacles[ev.obstacle], ev.x))
-        frame, t_prev = propagate_reflection(frame, incidence), ev.t
+        frame, t_prev = propagate_reflection(frame, incidence(k)), ev.t
     yield propagate_free(frame, t - t_prev)
 
 
@@ -151,27 +252,31 @@ def flow_differentials(scene, entry: flow.PhasePoint, t: float, trajectory=None)
     """
     if trajectory is None:
         trajectory = flow.trace(scene, entry)
-    if trajectory.status != "exited" and trajectory.events and t > trajectory.events[-1].t:
+    events = trajectory.events
+    if trajectory.status != "exited" and events and t > events[-1].t:
         raise ValueError("time t beyond a truncated trajectory")
     # the seeds (A, B) = (0, I) and (I, 0) side by side: each event mirrors one basis
-    m = trajectory.entry.v.shape[0] - 1
-    eye, zero = np.eye(m), np.zeros((m, m))
-    seeds = seed_frame(trajectory.entry.v, np.hstack([zero, eye]), np.hstack([eye, zero]))
-    *_, frame = _walk(scene, trajectory.events, seeds, 0.0, t)
-    return frame.A[:, :m].copy(), frame.B[:, m:].copy()
+    v = trajectory.entry.v.tolist()
+    m = len(v) - 1
+    eye = [[1.0]] if m == 1 else [[1.0, 0.0], [0.0, 1.0]]
+    seeds = JacobiFrame([[0.0] * m + row for row in eye], [row + [0.0] * m for row in eye],
+                        _tangent_columns(v))
+    *_, frame = _walk(events, _incidences(scene, events), seeds, 0, 0.0, t)
+    return np.array([row[:m] for row in frame.a]), np.array([row[m:] for row in frame.b])
 
 
-def transport_basis(scene, trajectory, t: float, basis: np.ndarray) -> np.ndarray:
-    """The transverse basis `basis` at the entry, mirrored at every event
-    before time t by the normals of `Obstacle.normal_at`: the oracle's own
-    copy of the chain the frame propagation mirrors through."""
+def transport_basis(scene, trajectory, t: float, columns: list) -> list:
+    """The transverse basis at the entry, its columns as lists of floats,
+    mirrored at every event before time t by the normals of
+    `Obstacle.normal_at`: the oracle's own copy of the chain the frame
+    propagation mirrors through."""
     for ev in trajectory.events:
         if ev.t >= t:
             break
         if ev.type != "transversal":
             raise TangentOnPath(f"tangent event at t = {ev.t:g}")
-        basis = _reflect_basis(basis, scene.obstacles[ev.obstacle].normal_at(ev.x))
-    return basis
+        columns = _reflect_basis(columns, scene.obstacles[ev.obstacle].normal_at(ev.x).tolist())
+    return columns
 
 
 def _itinerary(trajectory, t: float):
@@ -186,9 +291,10 @@ def fd_flow_jacobian(scene, entry: flow.PhasePoint, t: float, h: float):
     signature = _itinerary(central, t)
     # the traced entry direction, as the frames are seeded: entry.v may differ
     # from it by a rounding of the tracer's normalisation
-    basis_0 = tangent_basis(central.entry.v)
+    basis_0 = _tangent_columns(central.entry.v.tolist())
     basis_t = transport_basis(scene, central, t, basis_0)
-    cos_h, sin_h, two_h = np.cos(h), np.sin(h), 2.0 * h
+    q, v = entry.q.tolist(), entry.v.tolist()
+    cos_h, sin_h, two_h = math.cos(h), math.sin(h), 2.0 * h
 
     def difference(probe, k, what):
         """Central difference in basis_t of part k (0: q, 1: v) of the
@@ -198,17 +304,18 @@ def fd_flow_jacobian(scene, entry: flow.PhasePoint, t: float, h: float):
             traj = flow.trace_phase(scene, *probe(sign))
             if _itinerary(traj, t) != signature:
                 raise ItineraryChanged(f"{what} changed the event list")
-            ends.append(flow.state_at(traj, t)[k])
-        return basis_t.T @ (ends[0] - ends[1]) / two_h
+            ends.append(flow.state_at(traj, t)[k].tolist())
+        step = [x - y for x, y in zip(*ends)]
+        return [_dot(e, step) / two_h for e in basis_t]
 
     # direction probes answer in position, position probes in direction
     pos_block, dir_block = [], []
-    for i, e in enumerate(basis_0.T):
-        pos_block.append(difference(lambda s: (entry.q, cos_h * entry.v + sin_h * s * e), 0,
-                                    f"direction probe {i}"))
-        dir_block.append(difference(lambda s: (entry.q + s * h * e, entry.v), 1,
-                                    f"position probe {i}"))
-    return np.column_stack(pos_block), np.column_stack(dir_block)
+    for i, e in enumerate(basis_0):
+        pos_block.append(difference(lambda s: (q, [cos_h * vj + sin_h * s * ej for vj, ej in zip(v, e)]),
+                                    0, f"direction probe {i}"))
+        dir_block.append(difference(lambda s: ([qj + s * h * ej for qj, ej in zip(q, e)], v),
+                                    1, f"position probe {i}"))
+    return np.array(_transpose(pos_block)), np.array(_transpose(dir_block))
 
 
 @dataclass
@@ -218,17 +325,52 @@ class RankReport(_Record):
     tolerance: float
 
 
-def rank_report(matrix: np.ndarray, tolerance: float, floor: float = 0.0) -> RankReport:
-    """Singular values and rank at tolerance * max(largest value, floor).
+def _sum_squares(x) -> float:
+    total = 0.0
+    for xi in x:
+        total += xi * xi
+    return total
+
+
+def _singular_values(columns) -> list:
+    """Singular values, descending, of a map of one column, or of two
+    columns of two or three rows, in closed form. One column x: |x|. Two
+    columns p, q: with c = sigma_1 sigma_2 the area |p x q| (|det| for two
+    rows) and F^2 the sum of the squares, (sigma_1 + sigma_2)^2 = F^2 + 2c
+    and (sigma_1 - sigma_2)^2 = F^2 - 2c, here written as
+    (|p| - |q|)^2 + 2 (p . q)^2 / (|p| |q| + c), a sum of squares that keeps
+    every digit when the two values are close (Blinn, "Consider the lowly
+    2x2 matrix", IEEE CG&A 1996). Then sigma_1 is the mean of the two roots
+    and sigma_2 = c / sigma_1, never taken from the Gram determinant."""
+    if len(columns) == 1:
+        return [math.sqrt(_sum_squares(columns[0]))]
+    p, q = columns
+    pp, qq = _sum_squares(p), _sum_squares(q)
+    if len(p) == 2:
+        area = abs(p[0] * q[1] - p[1] * q[0])
+    else:
+        area = math.sqrt(_sum_squares([p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
+                                       p[0] * q[1] - p[1] * q[0]]))
+    norm_p, norm_q = math.sqrt(pp), math.sqrt(qq)
+    pq, span = _dot(p, q), norm_p * norm_q + area
+    gap = norm_p - norm_q
+    spread = gap * gap + (2.0 * pq * pq / span if span > 0.0 else 0.0)
+    largest = 0.5 * (math.sqrt(pp + qq + 2.0 * area) + math.sqrt(spread))
+    return [largest, area / largest if largest > 0.0 else 0.0]
+
+
+def rank_report(matrix, tolerance: float, floor: float = 0.0) -> RankReport:
+    """Singular values and rank at tolerance * max(largest value, floor) of
+    a map of one column, or of two columns of two or three rows (an array,
+    or its rows as lists of floats).
 
     The floor supplies an absolute scale so that a numerically-zero block
     still reads as rank deficient; with floor 0 the test is purely relative.
     """
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    smax = float(sv[0]) if sv.size else 0.0
-    threshold = tolerance * max(smax, floor)
-    rank = int(np.count_nonzero(sv > threshold)) if threshold > 0 else int(np.count_nonzero(sv > 0))
-    return RankReport(sv, rank, tolerance)
+    sv = _singular_values(_transpose(_floats(matrix)))
+    threshold = tolerance * max(sv[0], floor)
+    rank = sum(s > threshold for s in sv) if threshold > 0 else sum(s > 0 for s in sv)
+    return RankReport(np.array(sv), rank, tolerance)
 
 
 @dataclass
@@ -285,22 +427,27 @@ def conjugate_test(scene, trajectory, i: int, j: int,
         raise IndexOutOfRange(f"need 0 <= i < j < {len(events)}, got ({i}, {j})")
     if events[i].type != "transversal" or events[j].type != "transversal":
         raise TangentIncidence("conjugate_test endpoints must be transversal events")
-    return next(_conjugacies(scene, events, i, [j], tolerance))[1]
+    return next(_conjugacies(events, _incidences(scene, events), i, [j], tolerance))[1]
 
 
-def _conjugacies(scene, events, i: int, later, tolerance: float):
+def _conjugacies(events, incidence, i: int, later, tolerance: float):
     """(j, conjugate_test(i, j)) for each j of the ascending `later` in
     turn, from one walk of the frame seeded after event i, read on arrival
-    at each j, so nothing past the last j is reflected. Raises
-    TangentIncidence at the first j past a tangent event."""
+    at each j, so nothing past the last j is reflected. `incidence` is
+    `_incidences` of the events, which a caller may share between starts.
+    Raises TangentIncidence at the first j past a tangent event."""
     start, reached = events[i], i
-    walk = _walk(scene, events[i + 1:], seed_frame(start.v_out, 0.0, 1.0), start.t, np.inf)
+    walk = _walk(events, incidence, seed_frame(start.v_out, 0.0, 1.0), i + 1, start.t, math.inf)
     for j in later:
         if any(ev.type != "transversal" for ev in events[reached + 1:j]):
             raise TangentIncidence(f"tangent event between indices {i} and {j}")
-        frame, arrival, reached = next(islice(walk, j - reached - 1, None)), events[j], j
-        normal = scene.obstacles[arrival.obstacle].normal_at(arrival.x)
-        onto = _onto_tangent_plane(frame.basis @ frame.A, arrival.v_in, normal)
-        report = rank_report(onto, tolerance, floor=arrival.t - start.t)
+        frame, arrival, reached = next(islice(walk, j - reached - 1, None)), incidence(j), j
+        # the arrival map E A, column by column, onto the tangent plane at j
+        if len(frame.a) == 1:
+            ambient = [[x * a0 for x in frame.e[0]] for a0 in frame.a[0]]
+        else:
+            ambient = [[x * a0 + y * a1 for x, y in zip(*frame.e)] for a0, a1 in zip(*frame.a)]
+        onto = _onto_tangent_plane(ambient, arrival.v_in, arrival.normal)
+        report = rank_report(_transpose(onto), tolerance, floor=events[j].t - start.t)
         sv = report.singular_values
-        yield j, ConjugateResult(report.rank < onto.shape[1], float(sv[-1]), sv, tolerance)
+        yield j, ConjugateResult(report.rank < len(onto), float(sv[-1]), sv, tolerance)

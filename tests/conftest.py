@@ -154,6 +154,27 @@ def _all_pieces_curve(draw, bump_direction=(0.0, 1.0)):
     return _all_pieces_chain(a, b, h, r, amp, rho, c, bump_direction)
 
 
+def _drawn_pair(draw, kind, dim, rotated=True):
+    """Two obstacles of one kind, left and right of the ball centre, with
+    drawn sizes, turns (none unless `rotated`), exponent and jittered
+    centres."""
+    obstacles = []
+    for side in (-1.0, 1.0):
+        center = [side * 3.0 + draw(st.floats(-0.5, 0.5))] + [draw(st.floats(-1.0, 1.0))
+                                                              for _ in range(dim - 1)]
+        axes = [draw(st.floats(0.5, 2.0)) for _ in range(dim)]
+        rotation = _rotation(dim, [draw(st.floats(-math.pi, math.pi))
+                                   for _ in range(1 if dim == 2 else 3)]) if rotated else None
+        if kind == "sphere":
+            obstacles.append(bl.SphereObstacle(center, axes[0]))
+        elif kind == "ellipsoid":
+            obstacles.append(bl.EllipsoidObstacle(center, axes, rotation))
+        else:
+            obstacles.append(bl.SuperellipsoidObstacle(center, axes, draw(st.floats(4.0, 10.0)),
+                                                       rotation))
+    return bl.make_scene(dim, A_BALL, obstacles, f"{kind}-pair")
+
+
 class FaintSphere(bl.SphereObstacle):
     """A sphere whose gradient is scaled by `scale`: the same boundary, a
     weaker |grad F|."""
@@ -186,26 +207,34 @@ def entry_through(point, direction, a=A_BALL):
     return bl.PhasePoint(q, v)
 
 
+def walk_to(scene, trajectory, frame, t_prev, t, first=0):
+    """`frame`, at time t_prev on the ray into event `first`, carried by the
+    Jacobi walk through that event and the later ones before time t."""
+    events = trajectory.events
+    *_, last = variation._walk(events, variation._incidences(scene, events), frame, first, t_prev, t)
+    return last
+
+
 def seed_pair_frames(scene, trajectory, t):
     """The frames of `flow_differentials`' two seeds, (A, B) = (0, I) and
     (I, 0), walked to time t side by side as it walks them, then split."""
     m = trajectory.entry.v.shape[0] - 1
     eye, zero = np.eye(m), np.zeros((m, m))
     seeds = variation.seed_frame(trajectory.entry.v, np.hstack([zero, eye]), np.hstack([eye, zero]))
-    *_, frame = variation._walk(scene, trajectory.events, seeds, 0.0, t)
-    return [variation.JacobiFrame(frame.A[:, k:k + m], frame.B[:, k:k + m], frame.basis)
-            for k in (0, m)]
+    frame = walk_to(scene, trajectory, seeds, 0.0, t)
+    return [variation.JacobiFrame([row[k:k + m] for row in frame.a], [row[k:k + m] for row in frame.b],
+                                  frame.e) for k in (0, m)]
 
 
 def cross_basis(n):
-    """Tangent basis of one normal by np.cross and np.linalg.norm: the
-    reference for `geometry.tangent_basis`."""
+    """Tangent basis of one normal by np.cross and a norm whose squares are
+    added left to right: the reference for `geometry.tangent_basis`."""
     if n.shape[0] == 2:
         return np.array([[-n[1]], [n[0]]])
     h = np.zeros(3)
     h[int(np.argmin(np.abs(n)))] = 1.0
     e1 = np.cross(h, n)
-    e1 = e1 / np.linalg.norm(e1)
+    e1 = e1 / math.sqrt(e1[0] * e1[0] + e1[1] * e1[1] + e1[2] * e1[2])
     return np.column_stack([e1, np.cross(n, e1)])
 
 

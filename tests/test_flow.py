@@ -11,7 +11,7 @@ from billiard_lens.flow import Limits, NotScattered, PhasePoint
 from billiard_lens.lens import SampleSpec
 from billiard_lens.rng import Xoshiro256StarStar
 
-from conftest import A_BALL, FaintSphere, _all_pieces_curve, _rotation, entry_through
+from conftest import A_BALL, FaintSphere, _all_pieces_curve, _drawn_pair, entry_through, walk_to
 
 
 def test_first_hit_diametric(sphere_scene):
@@ -290,27 +290,6 @@ def test_speed_and_specular_invariants(disc_ellipse_scene):
     assert checked > 50
 
 
-def _drawn_pair(draw, kind, dim, rotated=True):
-    """Two obstacles of one kind, left and right of the ball centre, with
-    drawn sizes, turns (none unless `rotated`), exponent and jittered
-    centres."""
-    obstacles = []
-    for side in (-1.0, 1.0):
-        center = [side * 3.0 + draw(st.floats(-0.5, 0.5))] + [draw(st.floats(-1.0, 1.0))
-                                                              for _ in range(dim - 1)]
-        axes = [draw(st.floats(0.5, 2.0)) for _ in range(dim)]
-        rotation = _rotation(dim, [draw(st.floats(-math.pi, math.pi))
-                                   for _ in range(1 if dim == 2 else 3)]) if rotated else None
-        if kind == "sphere":
-            obstacles.append(bl.SphereObstacle(center, axes[0]))
-        elif kind == "ellipsoid":
-            obstacles.append(bl.EllipsoidObstacle(center, axes, rotation))
-        else:
-            obstacles.append(bl.SuperellipsoidObstacle(center, axes, draw(st.floats(4.0, 10.0)),
-                                                       rotation))
-    return bl.make_scene(dim, A_BALL, obstacles, f"{kind}-pair")
-
-
 @pytest.mark.parametrize("kind", ["sphere", "ellipsoid", "superellipsoid"])
 @pytest.mark.parametrize("dim", [2, 3])
 @given(data=st.data())
@@ -436,7 +415,7 @@ def test_a_convex_obstacle_is_not_met_again_after_a_reflection(kind, dim, data):
 @given(data=st.data())
 def test_the_jacobi_layer_takes_each_reflection_from_the_tracer(dim, kind, data):
     # at every transversal event the obstacle's normal, as `normal_at`,
-    # `surface_frame` and `ambient_shape` give it, is the one the tracer
+    # `surface_frame` and the Jacobi incidence give it, is the one the tracer
     # reflected by: bit for bit on the implicit kinds, and within 1e-13 on a
     # curve2d, whose tracer takes the piece normal at the root's parameter
     # where the three take the normal at the closest-point foot (over 6,000
@@ -459,11 +438,11 @@ def test_the_jacobi_layer_takes_each_reflection_from_the_tracer(dim, kind, data)
             normal = obs.normal_at(ev.x)
             assert float(np.max(np.abs(ev.v_out - flow.reflect(ev.v_in, normal)))) <= bound
             assert normal.tolist() == geometry.surface_frame(obs, ev.x).normal.tolist()
-            assert normal.tolist() == geometry.ambient_shape(obs, ev.x)[0].tolist()
+            assert normal.tolist() == variation._incidence(obs, ev.x, ev.v_in).normal
         if transversal and len(transversal) == len(traj.events):
             last = traj.events[-1]
-            *_, frame = variation._walk(scene, traj.events, variation.seed_frame(traj.entry.v, 0.0, 1.0),
-                                        0.0, math.nextafter(last.t, math.inf))
+            frame = walk_to(scene, traj, variation.seed_frame(traj.entry.v, 0.0, 1.0),
+                            0.0, math.nextafter(last.t, math.inf))
             assert float(np.max(np.abs(frame.basis.T @ last.v_out))) <= 1e-12
             walked += 1
     assert walked >= 2

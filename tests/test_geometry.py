@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import billiard_lens as bl
-from billiard_lens import geometry
+from billiard_lens import geometry, variation
 from billiard_lens.curves import (
     _JOIN_OVERLAP,
     ArcPiece,
@@ -72,12 +72,13 @@ def test_surface_frame_interior_point_rejected():
 def test_singular_gradient_raised_by_every_view():
     # the gradient floor is checked in the local query, before its division
     s = bl.SphereObstacle([0.0, 0.0, 0.0], 1.0)
-    for view in (s.normal_at, lambda x: surface_frame(s, x), lambda x: geometry.ambient_shape(s, x)):
+    for view in (s.normal_at, lambda x: surface_frame(s, x),
+                 lambda x: variation._incidence(s, x, [1.0, 0.0, 0.0])):
         with pytest.raises(SingularGradient):
             view([0.0, 0.0, 0.0])
 
 
-@pytest.mark.parametrize("view", ["surface_frame", "ambient_shape", "normal_at", "validate"])
+@pytest.mark.parametrize("view", ["surface_frame", "incidence", "normal_at", "validate"])
 def test_each_local_view_of_a_curve_makes_one_closest_point_query(monkeypatch, view):
     obs = _all_pieces_chain(2.5, 1.5, 1.2, 0.4, 0.5, 0.7, [0.3, -0.2])
     x = obs.chain.pieces[3].point(np.array(0.3))
@@ -107,10 +108,14 @@ def test_each_local_view_of_a_curve_makes_one_closest_point_query(monkeypatch, v
         assert abs(frame.shape[0, 0] - kappa) <= 1e-15 * abs(kappa)
         build = surface_frame
     else:
-        n, shape = geometry.ambient_shape(obs, x)
-        assert np.array_equal(n, normal)
-        assert np.max(np.abs(shape - kappa * np.outer(t, t))) <= 1e-15 * abs(kappa)
-        build = geometry.ambient_shape
+        # the Jacobi layer's incidence: the local query's normal and its
+        # Hess F / |grad F|, for a curve kappa t t^T
+        def build(obs, x):
+            return variation._incidence(obs, x, -normal)
+
+        incidence = build(obs, x)
+        assert incidence.normal == normal.tolist()
+        assert np.max(np.abs(np.array(incidence.shape_ambient) - kappa * np.outer(t, t))) <= 1e-15 * abs(kappa)
     assert len(calls) == 1
     with pytest.raises(ValueError):
         build(obs, x + 1e-3 * normal)
@@ -121,8 +126,9 @@ def test_each_local_view_of_a_curve_makes_one_closest_point_query(monkeypatch, v
                                   "superellipsoid2d", "superellipsoid3d", "curve2d"])
 @given(data=st.data())
 def test_local_views_agree_at_boundary_points(kind, data):
-    # normal_at, surface_frame and ambient_shape are views of one local query:
-    # the same normal bit for bit, and the same shape operator up to rounding
+    # normal_at, surface_frame and the Jacobi layer's incidence are views of
+    # one local query: the same normal bit for bit, and the same shape
+    # operator on the tangent plane up to rounding
     obs = _obstacle(data.draw, kind)
     v = np.array([data.draw(_unit) for _ in range(obs.dim)])
     assume(np.linalg.norm(v) > 1e-3)
@@ -131,14 +137,16 @@ def test_local_views_agree_at_boundary_points(kind, data):
     assume(roots)
     x = obs.center + roots[data.draw(st.integers(0, len(roots) - 1))] * v
     frame = surface_frame(obs, x)
-    normal, shape = geometry.ambient_shape(obs, x)
+    incidence = variation._incidence(obs, x, -frame.normal)
     assert np.array_equal(obs.normal_at(x), frame.normal)
-    assert np.array_equal(obs.normal_at(x), normal)
-    _, _, grad_norms, hessians = obs.local_geometry(x[None, :])
-    # rounding scales with Hess F / |grad F|, which at a flat point of a
-    # superellipsoid is much larger than the projected shape
-    scale = max(float(np.max(np.abs(shape))), float(np.max(np.abs(hessians[0]))) / grad_norms[0])
-    assert np.max(np.abs(frame.shape_ambient() - shape)) <= 1e-13 * scale
+    assert obs.normal_at(x).tolist() == incidence.normal
+    # the incidence's form is Hess F / |grad F| unprojected: on the tangent
+    # plane it is the shape operator; rounding scales with it, which at a
+    # flat point of a superellipsoid is much larger than the shape
+    form = np.array(incidence.shape_ambient)
+    on_plane = frame.tangent.T @ form @ frame.tangent
+    scale = max(float(np.max(np.abs(frame.shape))), float(np.max(np.abs(form))))
+    assert np.max(np.abs(on_plane - frame.shape)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("kind", ["sphere2d", "sphere3d", "ellipsoid2d", "ellipsoid3d",

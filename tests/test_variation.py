@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from billiard_lens.variation import (
 )
 
 from conftest import A_BALL, _rotation, entry_through, seed_pair_frames
+
+EPS = sys.float_info.epsilon
 
 
 def test_propagate_free_examples():
@@ -255,13 +258,13 @@ def test_2d_transfer_determinant(disc_ellipse_scene):
 
 
 def _frames_one_seed_at_a_time(scene, traj, t, seeds):
-    """The reference: each seed propagated on its own through ambient_shape incidences."""
+    """The reference: each seed propagated on its own through the walk's incidences."""
     frames = [seed_frame(traj.entry.v, A0, B0) for A0, B0 in seeds]
     t_prev = 0.0
     for ev in traj.events:
         if ev.t >= t:
             break
-        inc = Incidence(ev.v_in, *geometry.ambient_shape(scene.obstacles[ev.obstacle], ev.x))
+        inc = variation._incidence(scene.obstacles[ev.obstacle], ev.x, ev.v_in)
         frames = [propagate_reflection(propagate_free(f, ev.t - t_prev), inc) for f in frames]
         t_prev = ev.t
     return [propagate_free(f, t - t_prev) for f in frames]
@@ -292,7 +295,7 @@ def test_frames_along_match_one_seed_at_a_time(name, request):
         for ev in traj.events:
             obs = scene.obstacles[ev.obstacle]
             assert np.array_equal(obs.normal_at(ev.x), geometry.surface_frame(obs, ev.x).normal)
-            assert np.array_equal(obs.normal_at(ev.x), geometry.ambient_shape(obs, ev.x)[0])
+            assert obs.normal_at(ev.x).tolist() == variation._incidence(obs, ev.x, ev.v_in).normal
         done += 1
 
 
@@ -309,7 +312,7 @@ def _tangent_plane_reflection(frame, inc):
     Q, R = np.linalg.qr(mirrored)
     fresh = Q * np.where(np.diag(R) < 0.0, -1.0, 1.0)
     M = fresh.T @ mirrored
-    return JacobiFrame(M @ frame.A, M @ (frame.B + C @ frame.A), fresh)
+    return JacobiFrame((M @ frame.A).tolist(), (M @ (frame.B + C @ frame.A)).tolist(), fresh.T.tolist())
 
 
 def _tangent_plane_frame(scene, events, frame, t_prev, t):
@@ -404,7 +407,9 @@ def test_ambient_route_matches_tangent_plane_route(name, request):
         for rep, got, want in zip((reg.position_by_direction, reg.direction_by_position),
                                   flow_differentials(scene, entry, reg.t, traj),
                                   _tangent_plane_blocks(scene, traj, reg.t)):
-            assert np.array_equal(rep.singular_values, np.linalg.svd(got, compute_uv=False))
+            # closed-form singular values against LAPACK's
+            lapack = np.linalg.svd(got, compute_uv=False)
+            assert np.max(np.abs(rep.singular_values - lapack)) <= 4.0 * EPS * lapack[0]
             assert _relative_gap(got, want) <= 1e-13
             assert rep.rank == rank_report(want, 1e-6, floor=reg.t).rank
         n = len(traj.events)
