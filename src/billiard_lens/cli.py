@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__ as VERSION
 from . import flow, geometry, lens, render, variation
+from .curves import _dot
 from .geometry import canonical_json
 
 
@@ -97,11 +98,10 @@ def _parse_vector(text: str, dim: int):
     vals = _csv_floats(text)
     if len(vals) != dim:
         raise ValueError(f"expected {dim} comma-separated components")
-    v = np.array(vals)
-    norm = np.linalg.norm(v)
+    norm = math.sqrt(_dot(vals, vals))
     if norm == 0:
         raise ValueError("zero direction vector")
-    return v / norm
+    return np.array(vals) / norm
 
 
 def _parse_entry(text: str, scene) -> flow.PhasePoint:
@@ -114,11 +114,11 @@ def _parse_entry(text: str, scene) -> flow.PhasePoint:
     if len(vals) == 2 * dim:
         q = np.array(vals[:dim])
         v = np.array(vals[dim:])
-        qn = np.linalg.norm(q)
+        qn = math.sqrt(_dot(q, q))
         if abs(qn - a) > 1e-6 * a:
             raise ValueError(f"entry point is not on the boundary sphere (|q| = {qn:g})")
         q = q * (a / qn)
-        vn = np.linalg.norm(v)
+        vn = math.sqrt(_dot(v, v))
         if vn == 0:
             raise ValueError("zero entry direction")
         return flow.PhasePoint(q, v / vn)
@@ -197,7 +197,7 @@ def _cmd_compare(args):
         table_l = lens.read_jsonl(fh)
     tol = args.tol
     if tol is None:  # entry points sit on the sphere of radius a
-        tol = lens.TIME_TOL_FACTOR * float(np.linalg.norm(table_k.q[0]))
+        tol = lens.TIME_TOL_FACTOR * math.sqrt(_dot(table_k.q[0], table_k.q[0]))
     report = lens.compare_lens(table_k, table_l, tol)
     doc = {"header": _header(args), "table_k": table_k.scene_hash,
            "table_l": table_l.scene_hash, "report": report.to_dict()}

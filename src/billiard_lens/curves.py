@@ -101,7 +101,8 @@ def _rot90(v):
 
 
 def _speed(piece, s):
-    return float(np.linalg.norm(piece.deriv(s)))
+    g = piece.deriv(s).tolist()  # |g'(s)|, its squares added left to right
+    return math.sqrt(_dot(g, g))
 
 
 def _nonzero_chord(p0, p1):
@@ -330,7 +331,7 @@ class BumpLinePiece(CurvePiece):
         self.p1 = _pair("bump_line p1", p1)
         self.amplitude = _number("bump_line amplitude", amplitude)
         self.direction = _pair("bump_line direction", direction)
-        norm = float(np.linalg.norm(self.direction))
+        norm = math.sqrt(_dot(self.direction, self.direction))
         if not 0.0 < norm < math.inf:
             raise ValueError("bump direction must be nonzero and finite")
         self._u = self.direction / norm
@@ -623,8 +624,9 @@ class CurveChain:
         elif s < 0.0:
             s = 1.0 + s * _speed(self.pieces[k], 0.0) / _speed(self.pieces[k - 1], 1.0)
             k = (k - 1) % n
-        g1 = self.pieces[k].deriv(s)
-        return self.orientation * _rot90(g1 / np.linalg.norm(g1))
+        g = self.pieces[k].deriv(s).tolist()
+        speed = math.sqrt(_dot(g, g))
+        return [-self.orientation * g[1] / speed, self.orientation * g[0] / speed]
 
     def closest_batch(self, X: np.ndarray) -> FootData:
         """Nearest point of the chain to each row of X (N, 2). Of two feet at

@@ -6,13 +6,11 @@ obstacle boundaries, continue straight through diffractive tangencies, and
 finish when they cross the boundary sphere outward. Every obstacle kind
 intersects rays exactly through `ray_roots`, with no step size, so no
 validated feature is too thin to hit. The normal at a root is
-`root_gradient` normalised: the implicit gradient for quadrics and
+`root_gradient` through the obstacle's one unit-normal step (`_unit_normal`,
+which its local query takes too): the implicit gradient for quadrics and
 superellipsoids, and for a `curve2d` the closed-form normal at the piece and
-parameter its root carries, so the tracer makes no closest-point query
-(those serve `validate`, the curve's one local query
-`local_geometry`, which `surface_frame` and the Jacobi layer read, and its
-gradient, which `normal_at` reads). Orbits that graze into the boundary
-(gliding) are detected and rejected, never integrated.
+parameter its root carries, so the tracer makes no closest-point query.
+Orbits that graze into the boundary (gliding) are detected and rejected.
 
 Each segment is one search (`_first_crossing`) up to the ball exit or the
 time cutoff; it skips a departure inside the tangent dead zone and the
@@ -28,10 +26,10 @@ is asked.
 
 The per-ray path runs on Python floats, as lists of two or three: the entry
 checks of `trace`, the normalisation and event loop of `trace_phase`, the
-ball exit, `ray_roots`, the unit normal (the kind's `root_gradient`,
-converted once, under the obstacle's `gradient_floor`), `reflect` and
-`sojourn_time`. Numpy arrays appear only at the boundary: each `Event` and
-`PhasePoint` gets its own, once per event and once at the exit.
+ball exit, `ray_roots`, the unit normal, `reflect` and `sojourn_time`, with
+no matrix product or numpy kernel, so a trajectory has the same bits
+whatever BLAS or SIMD kernels the CPU selects. Numpy arrays appear only at
+the boundary: each `Event` and `PhasePoint` gets its own.
 
 A `Trajectory` holds each datum of its ray once: `status`, `total_time` (the
 travelling time t), `exit_state.v` (the exit direction theta) and
@@ -155,7 +153,7 @@ def _first_crossing(scene, q, v, cap, left, last_tangent):
     while (found := _first_root(scene, q, v, t_min, cap, left)) is not None:
         t, idx = found
         x = _axpy(q, t, v)
-        normal = _normal_at(scene, idx, x, t)
+        normal = scene.obstacles[idx]._unit_normal(scene.obstacles[idx].root_gradient(x, t), idx)[0]
         cos_in = _dot(v, normal)
         if cos_in > TANGENCY_THRESHOLD:
             if t > dead_zone:
@@ -187,17 +185,6 @@ def first_hit(scene, phase_point: PhasePoint, max_advance: float):
     cap = min(max_advance, _ball_exit_time(q, v, a))
     hit = _first_crossing(scene, q, v, cap, None, None)
     return None if hit is None else (hit[0], hit[1], np.array(hit[2]))
-
-
-def _normal_at(scene, idx, x, root):
-    """Unit normal at the point x of a root: the kind's `root_gradient`, in
-    floats, over its length; SingularGradient under the obstacle's floor."""
-    obs = scene.obstacles[idx]
-    g = _floats(obs.root_gradient(x, root))
-    gn = math.sqrt(_dot(g, g))
-    if gn < obs.gradient_floor():
-        raise geometry.SingularGradient(f"singular normal on obstacle {idx}: |grad F| = {gn:g}")
-    return [gi / gn for gi in g]
 
 
 def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:

@@ -5,6 +5,15 @@ derivatives: F < 0 strictly inside, F > 0 outside, so the gradient points
 from the obstacle into the free region. Scenes collect disjoint obstacles
 inside a reference ball of radius `ball_radius` whose boundary sphere is the
 measurement surface for all lens data.
+
+An implicit kind writes F once, `_value(d)` at the offset d = x - c on a
+point's floats or a batch's coordinate rows (whose `**` is numpy's power,
+for a sign), and grad F and Hess F at one point on floats (`_gradient`,
+`_hessian`), each sum left to right over the rows of its one matrix, with
+libm's pow and no matrix product: the tracer's normals and the Jacobi
+layer's incidences do not depend on the CPU's BLAS or SIMD kernels.
+`validate`'s figures (matmuls, numpy's power, LAPACK's `eigvalsh`) and the
+closest-point ones do.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -213,51 +223,48 @@ class Obstacle:
         if not np.isfinite(self.center).all():
             raise InvalidParameters(f"center must be finite, not {self.center.tolist()}")
         self.dim = len(self.center)
-        self._eye = np.eye(self.dim)
-        self._c = tuple(self.center.tolist())  # the centre in floats, for the ray solvers
+        self._c = tuple(self.center.tolist())  # the centre in floats
 
-    # -- implicit data: each formula once, over a batch of points ----------
+    # -- implicit data -----------------------------------------------------
     def implicit(self, x) -> float:
         """F at the point x: `implicit_batch` on a batch of one."""
         return float(self.implicit_batch(np.asarray(x, dtype=float)[None, :])[0])
 
     def implicit_batch(self, X) -> np.ndarray:
-        """F at the rows of X (N, n)."""
-        raise NotImplementedError
+        """F at the rows of X (N, n): `_value` on the coordinate rows, whose
+        `**` is numpy's power; it serves sign tests only."""
+        return self._value((np.asarray(X, dtype=float) - self.center).T)
 
     def gradient(self, x) -> np.ndarray:
-        """grad F at the point x (n,), or at each row of X (N, n)."""
-        raise NotImplementedError
-
-    def hessian(self, X) -> np.ndarray:
-        """Hess F at the rows of X (N, n): one (n, n) block per row; here the
-        constant `_hessian` a quadric sets, which other kinds override."""
-        return self._hessian[None].repeat(len(X), axis=0)
+        """grad F at the point x (n,), or at each row of X (N, n), by `_gradient`."""
+        x = np.asarray(x, dtype=float)
+        return np.array([self._gradient(r) for r in x.reshape(-1, self.dim).tolist()]).reshape(x.shape)
 
     def local_geometry(self, X):
-        """The local geometry at the rows of X (N, n): (F (N,), unit normals
-        into the free region (N, n), |grad F| (N,), Hess F (N, n, n)), each
-        evaluated once for the whole batch. Raises SingularGradient below
-        the gradient floor."""
-        normals, norms = self._unit_normals(X, self.gradient(X))
-        return self.implicit_batch(X), normals, norms, self.hessian(X)
+        """`_local` at each row of X (N, n), stacked: F (N,), unit normals (N, n),
+        |grad F| (N,), Hess F (N, n, n). SingularGradient below the floor."""
+        local = [self._local(x) for x in np.asarray(X, dtype=float).tolist()]
+        return tuple(np.array([q[k] for q in local]).reshape(len(local), *tail)
+                     for k, tail in enumerate([(), (self.dim,), (), (self.dim, self.dim)]))
+
+    def _local(self, x):
+        """(F, unit normal into the free region, |grad F|, the rows of Hess F)
+        at the point x, all floats. Raises SingularGradient below the floor."""
+        normal, norm = self._unit_normal(self._gradient(x), self.kind)
+        return self._value(_sub(x, self._c)), normal, norm, self._hessian(x)
 
     def normal_at(self, x) -> np.ndarray:
-        """Unit normal into the free region at x: `local_geometry`'s normal,
-        from the gradient alone."""
-        x = np.asarray(x, dtype=float)
-        return self._unit_normals(x[None, :], self.gradient(x)[None, :])[0][0]
+        """Unit normal into the free region at x: `_local`'s, from `_gradient` alone."""
+        return np.array(self._unit_normal(self._gradient(_floats(x)), self.kind)[0])
 
-    def _unit_normals(self, X, G):
-        """(G / |G|, |G|) for the gradients G (N, n) at the rows of X, |G| summed
-        left to right like the tracer's `_normal_at`, so an event's normal is
-        its reflection normal bit for bit. Raises SingularGradient below the floor."""
-        norms = np.sqrt(reduce(np.add, (G * G).T))
-        floor = self.gradient_floor()
-        if norms.min() < floor:
-            k = np.flatnonzero(norms < floor)[0]
-            raise SingularGradient(f"|grad F| = {norms[k]:g} at {X[k]}")
-        return G / norms[:, None], norms
+    def _unit_normal(self, g, label):
+        """(g / |g|, |g|) of a gradient g of floats, |g| summed left to right:
+        the one unit-normal step of the tracer and of the local query. Raises
+        SingularGradient, naming obstacle `label`, below the gradient floor."""
+        norm = math.sqrt(_dot(g, g))
+        if norm < self.gradient_floor():
+            raise SingularGradient(f"singular normal on obstacle {label}: |grad F| = {norm:g}")
+        return [gi / norm for gi in g], norm
 
     def gradient_floor(self) -> float:
         """|grad F| under which a boundary normal is singular: 1e-10 max(1, R)
@@ -281,8 +288,8 @@ class Obstacle:
         raise NotImplementedError
 
     def root_gradient(self, x, root):
-        """Gradient of F at the point x = q + root v of a root of `ray_roots`."""
-        return self.gradient(x)
+        """grad F, as floats, at the point x (floats) of a root of `ray_roots`."""
+        return self._gradient(x)
 
     def params_dict(self) -> dict:
         """The scene file's "params": the value of each of `params`."""
@@ -291,6 +298,19 @@ class Obstacle:
     def rotation_list(self):
         """Row-major entries of the rotation the obstacle was built with, or None."""
         return None
+
+
+def _apply(rows, d):
+    """The matrix of the rows (of floats) times d, each row's products summed
+    left to right; d is a point's floats or a batch's coordinate rows."""
+    return [_dot(row, d) for row in rows]
+
+
+def _gram(w, rows):
+    """The rows of sum_i w_i r_i r_i^T for floats w_i and rows r_i: entry
+    (j, k) is sum_i w_i (r_ij r_ik), left to right, symmetric bit for bit."""
+    cols = list(zip(*rows))
+    return [[_dot(w, [x * y for x, y in zip(cj, ck)]) for ck in cols] for cj in cols]
 
 
 class SphereObstacle(Obstacle):
@@ -303,15 +323,16 @@ class SphereObstacle(Obstacle):
     def __init__(self, center, radius):
         super().__init__(center)
         self.radius = _positive("sphere radius", radius)
-        self._hessian = 2.0 * self._eye
         self._r2 = self.radius**2
 
-    def implicit_batch(self, X):
-        d = np.asarray(X, dtype=float) - self.center
-        return (d * d).sum(axis=1) - self.radius**2
+    def _value(self, d):
+        return _dot(d, d) - self._r2
 
-    def gradient(self, x):
-        return 2.0 * (np.asarray(x, dtype=float) - self.center)
+    def _gradient(self, x):
+        return [2.0 * di for di in _sub(x, self._c)]
+
+    def _hessian(self, x):
+        return [[2.0 * (j == k) for k in range(self.dim)] for j in range(self.dim)]
 
     def bounding_radius(self):
         return self.radius
@@ -368,7 +389,7 @@ class AxesObstacle(Obstacle):
         if R.size != self.dim**2:
             raise InvalidParameters(f"rotation must have {self.dim**2} entries")
         self.rotation = R.reshape(self.dim, self.dim)
-        if not np.allclose(self.rotation @ self.rotation.T, self._eye, atol=1e-9):
+        if not np.allclose(self.rotation @ self.rotation.T, np.eye(self.dim), atol=1e-9):
             raise InvalidParameters("rotation matrix is not orthonormal")
 
     def rotation_list(self):
@@ -384,20 +405,17 @@ class EllipsoidObstacle(AxesObstacle):
 
     def __init__(self, center, semi_axes, rotation=None):
         super().__init__(center, semi_axes, rotation)
-        self._M = self.rotation @ np.diag(1.0 / self.semi_axes**2) @ self.rotation.T
-        self._m_rows = tuple(map(tuple, self._M.tolist()))  # for the ray solver
-        self._hessian = 2.0 * self._M
+        self._m_rows = _gram((1.0 / self.semi_axes**2).tolist(), self.rotation.T.tolist())  # M
         self._bounding_radius = float(np.max(self.semi_axes))
 
-    def implicit_batch(self, X):
-        # (d M) d row by row, as stacked matmuls: each row rounds alone
-        d = np.asarray(X, dtype=float) - self.center
-        return (d[:, None, :] @ self._M @ d[:, :, None])[:, 0, 0] - 1.0
+    def _value(self, d):
+        return _dot(d, _apply(self._m_rows, d)) - 1.0
 
-    def gradient(self, x):
-        # Hess F d: doubling M is exact, so this is 2 (M d) bit for bit
-        d = np.asarray(x, dtype=float) - self.center
-        return (self._hessian @ d[..., None])[..., 0]
+    def _gradient(self, x):
+        return [2.0 * g for g in _apply(self._m_rows, _sub(x, self._c))]
+
+    def _hessian(self, x):
+        return [[2.0 * m for m in row] for row in self._m_rows]
 
     def bounding_radius(self):
         return self._bounding_radius
@@ -406,11 +424,11 @@ class EllipsoidObstacle(AxesObstacle):
         # as `_ball_roots`, about the ray point p nearest the centre in the metric M
         v = _floats(v)
         d = _sub(_floats(q), self._c)
-        mv = [_dot(row, v) for row in self._m_rows]
+        mv = _apply(self._m_rows, v)
         vmv = _dot(v, mv)
         t0 = -_dot(d, mv) / vmv
         p = _axpy(d, t0, v)
-        mp = [_dot(row, p) for row in self._m_rows]
+        mp = _apply(self._m_rows, p)
         return [t0 + t for t in _stable_quadratic(vmv, 2.0 * _dot(p, mv), _dot(p, mp) - 1.0)]
 
     def boundary_points(self, target):
@@ -438,31 +456,26 @@ class SuperellipsoidObstacle(AxesObstacle):
         self.exponent = _positive("superellipsoid exponent", exponent)
         if self.exponent < 4.0:
             raise InvalidParameters("superellipsoid exponent must be >= 4 (use ellipsoid below)")
-        self._bounding_radius = float(np.linalg.norm(self.semi_axes))
-        # for the ray solver: R^2, and the rows of R^T / a that map x - c to y / a
-        self._r2 = self._bounding_radius**2
-        self._body_rows = tuple(map(tuple, (self.rotation.T / self.semi_axes[:, None]).tolist()))
-        self._grad_factor = self.exponent / self.semi_axes
-        self._hess_factor = self.exponent * (self.exponent - 1.0) / self.semi_axes**2
+        self._bounding_radius = math.sqrt(_dot(self.semi_axes, self.semi_axes))
+        self._r2 = self._bounding_radius**2  # the ray solver's bounding sphere
+        # the rows b_i of R^T / a, which map x - c to the body coordinates u = y / a
+        self._body_rows = (self.rotation.T / self.semi_axes[:, None]).tolist()
 
-    def _body(self, x):
-        """Body coordinates R^T (x - c) of a point or of each row."""
-        d = np.asarray(x, dtype=float) - self.center
-        return (self.rotation.T @ d[..., None])[..., 0]
+    def _value(self, d):
+        # `**`: libm's pow on a point, numpy's power (overflow: infinity) on a batch
+        return reduce(add, (abs(u) ** self.exponent for u in _apply(self._body_rows, d))) - 1.0
 
-    def implicit_batch(self, X):
-        return (np.abs(self._body(X) / self.semi_axes) ** self.exponent).sum(axis=1) - 1.0
+    def _gradient(self, x):
+        # sum_i p sign(u_i) |u_i|^(p-1) b_i
+        p = self.exponent
+        w = [p * math.copysign(abs(u) ** (p - 1.0), u) for u in _apply(self._body_rows, _sub(x, self._c))]
+        return [_dot(w, col) for col in zip(*self._body_rows)]
 
-    def gradient(self, x):
-        y = self._body(x)
-        gy = self._grad_factor * np.abs(y / self.semi_axes) ** (self.exponent - 1.0) * np.sign(y)
-        return (self.rotation @ gy[..., None])[..., 0]
-
-    def hessian(self, X):
-        y = self._body(X)
-        hy = self._hess_factor * np.abs(y / self.semi_axes) ** (self.exponent - 2.0)
-        # hy[..., None] * I is np.diag(hy) row by row, bit for bit
-        return self.rotation @ (hy[..., None] * self._eye) @ self.rotation.T
+    def _hessian(self, x):
+        # sum_i p (p-1) |u_i|^(p-2) b_i b_i^T
+        p = self.exponent
+        u = _apply(self._body_rows, _sub(x, self._c))
+        return _gram([p * (p - 1.0) * abs(ui) ** (p - 2.0) for ui in u], self._body_rows)
 
     def bounding_radius(self):
         return self._bounding_radius
@@ -477,8 +490,7 @@ class SuperellipsoidObstacle(AxesObstacle):
         ends = _ball_roots(d, v, self._r2)
         if not ends:
             return []
-        y = [_dot(row, d) for row in self._body_rows]
-        w = [_dot(row, v) for row in self._body_rows]
+        y, w = _apply(self._body_rows, d), _apply(self._body_rows, v)
         p = self.exponent
         pm1, inv_p = p - 1.0, 1.0 / p
         roots = []
@@ -575,6 +587,9 @@ class CurveObstacle(Obstacle):
         return (fd.signed, fd.normal, np.ones(len(fd.signed)),
                 fd.shape[:, None, None] * (t[:, :, None] * t[:, None, :]))
 
+    def _local(self, x):
+        return tuple(q[0].tolist() for q in self.local_geometry(np.array([x], dtype=float)))
+
     def bounding_radius(self):
         return self.chain.bounding_circle()[1]
 
@@ -594,10 +609,9 @@ class CurveObstacle(Obstacle):
 
 
 # ---------------------------------------------------------------------------
-# the [OP] surface: the views of an obstacle's one local query
-# (`local_geometry`): the tangent-plane shape of `surface_frame` and of
-# validate's principal curvatures, the Jacobi layer's incidences (through
-# `_on_boundary`), and `Obstacle.normal_at`
+# the [OP] surface: the views of an obstacle's one local query, `_local`
+# (`local_geometry` on a batch): the shape of `surface_frame` and validate's
+# curvatures, and the Jacobi layer's incidences (through `_on_boundary`)
 
 
 def _tangent_shapes(normals, grad_norms, hessians):
@@ -610,15 +624,15 @@ def _tangent_shapes(normals, grad_norms, hessians):
 
 
 def _on_boundary(obstacle: Obstacle, point):
-    """(x, normals, gradient norms, Hessians): the local query at x as a batch
-    of one, once x is checked to be on the boundary: ValueError beyond 1e-6
-    of the obstacle scale."""
-    x = np.asarray(point, dtype=float)
-    values, normals, grad_norms, hessians = obstacle.local_geometry(x[None, :])
-    dist_est = abs(values[0]) / max(grad_norms[0], _GRAD_FLOOR)
+    """(x, unit normal, |grad F|, the rows of Hess F), all floats: the local
+    query at the point x, once x is checked to be on the boundary:
+    ValueError beyond 1e-6 of the obstacle scale."""
+    x = _floats(point)
+    value, normal, norm, hessian = obstacle._local(x)
+    dist_est = abs(value) / max(norm, _GRAD_FLOOR)
     if dist_est > _BOUNDARY_TOL * max(1.0, obstacle.bounding_radius()):
         raise ValueError(f"point {x} is not on the obstacle boundary (distance ~ {dist_est:g})")
-    return x, normals, grad_norms, hessians
+    return x, normal, norm, hessian
 
 
 def surface_frame(obstacle: Obstacle, point) -> SurfaceFrame:
@@ -627,9 +641,9 @@ def surface_frame(obstacle: Obstacle, point) -> SurfaceFrame:
     Raises SingularGradient below the gradient floor and ValueError when the
     point is not on the boundary (within 1e-6 of the obstacle scale).
     """
-    x, normals, grad_norms, hessians = _on_boundary(obstacle, point)
-    T, S = _tangent_shapes(normals, grad_norms, hessians)
-    return SurfaceFrame(x, normals[0], S[0], T[0])
+    x, normal, norm, hessian = _on_boundary(obstacle, point)
+    T, S = _tangent_shapes(np.array([normal]), np.array([norm]), np.array([hessian]))
+    return SurfaceFrame(np.array(x, dtype=float), np.array(normal), S[0], T[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1095,7 +1109,7 @@ def concave_mirror_obstacle(focus_point, radius, half_angle, thickness, axis_dir
     if r <= 0 or w <= 0 or not (0 < beta < math.pi / 2):
         raise InvalidParameters("need radius > 0, thickness > 0, 0 < half_angle < pi/2")
     d = np.asarray(axis_direction, dtype=float)
-    d = d / np.linalg.norm(d)
+    d = d / math.sqrt(_dot(d, d))
     phi = math.atan2(d[1], d[0])
     phi0, phi1 = phi - beta, phi + beta
     m0 = C + (r + 0.5 * w) * np.array([math.cos(phi0), math.sin(phi0)])

@@ -38,6 +38,7 @@ import numpy as np
 
 from . import __version__ as VERSION
 from . import flow, geometry
+from .curves import _dot
 from .flow import Limits, PhasePoint
 from .geometry import _Record, canonical_json, tangent_basis
 from .rng import Xoshiro256StarStar
@@ -431,8 +432,8 @@ def _impact_offsets(scene, omega, spec: SampleSpec):
     shadow = 0.1 * a
     for obs in scene.obstacles:
         c = obs.center
-        perp = c - float(c @ omega) * omega
-        shadow = max(shadow, float(np.linalg.norm(perp)) + obs.bounding_radius())
+        perp = c - _dot(c, omega) * omega
+        shadow = max(shadow, math.sqrt(_dot(perp, perp)) + obs.bounding_radius())
     shadow = min(1.02 * shadow, 0.999 * a)
     n = spec.count()
     offsets = []
@@ -468,21 +469,21 @@ def scattering_spectrum(scene, omega, theta, angular_tol: float, spec: SampleSpe
     the sphere across the obstacle shadow, recorded (_trace_rows), filtered
     by exit direction, and their sojourn times clustered with the gap
     threshold SPECTRUM_GAP_FACTOR * a."""
-    omega, theta = (np.asarray(x, dtype=float) / np.linalg.norm(x) for x in (omega, theta))
+    omega, theta = (x / math.sqrt(_dot(x, x)) for x in (np.asarray(omega, float), np.asarray(theta, float)))
     a = scene.ball_radius
     gap = SPECTRUM_GAP_FACTOR * a
     kept, entries = [], []
     for offset in _impact_offsets(scene, omega, spec):
         origin = -a * omega + offset
-        b = float(origin @ omega)
-        disc = b * b - (float(origin @ origin) - a * a)
+        b = float(_dot(origin, omega))
+        disc = b * b - (_dot(origin, origin) - a * a)
         entries.append(origin + (-b - math.sqrt(disc)) * omega)
     Q = np.array(entries).reshape(-1, len(omega))
     status, _, _, exits, sojourns, _ = _trace_rows(scene, Q, np.tile(omega, (len(Q), 1)),
                                                    spec.limits())
     for ray, theta_exit, sojourn in zip(status.tolist(), exits, sojourns.tolist()):
         if (ray in ("free", "scattered")
-                and float(np.arccos(np.clip(theta_exit @ theta, -1.0, 1.0))) <= angular_tol):
+                and math.acos(min(1.0, max(-1.0, _dot(theta_exit, theta)))) <= angular_tol):
             kept.append(sojourn)
     kept.sort()
     bins = []

@@ -18,17 +18,16 @@ The layer runs on Python floats, as the tracer does. A frame holds A and B
 row by row and the basis column by column, as lists of floats; `A`, `B` and
 `basis` read them as float64 arrays. Each map is written out for m = 1 and
 m = 2 with every sum taken left to right, and a rank test takes its singular
-values in closed form, so the layer adds no BLAS or LAPACK rounding of its
-own (a rotated body's local query still may: see README).
-An `Incidence` holds arrays, tuples or lists.
+values in closed form. An `Incidence` holds arrays, tuples or lists.
 
-Each event's geometry is one local query (`Obstacle.local_geometry` on one
-row, under `geometry._on_boundary`'s checks), made on first use and kept
+Each event's geometry is one local query (`Obstacle._local`, under
+`geometry._on_boundary`'s checks), made on first use and kept
 (`_incidences`): the `conjugate` command shares it between every walk that
-reflects there and every arrival there. Its normal is the tracer's bit for bit on spheres, ellipsoids
-and superellipsoids; on a curve2d the tracer reflects by the piece normal at
-the root's parameter and the query's normal is the closest-point foot's, the
-same to a few 1e-14.
+reflects there and every arrival there. On spheres, ellipsoids and
+superellipsoids the query is float arithmetic too, and its normal the
+tracer's bit for bit, so no output of the layer depends on the CPU's BLAS
+or SIMD kernels; on a curve2d it is a closest-point query on numpy's
+kernels, whose foot normal is the tracer's piece normal to a few 1e-14.
 
 A new frame shares every row it does not change with the old one (free
 flight builds only A + tB, a reflection keeps A), so no code writes into a
@@ -204,12 +203,10 @@ def symplectic_pairing(f1: JacobiFrame, f2: JacobiFrame) -> np.ndarray:
 
 def _incidence(obstacle, x, v_in) -> Incidence:
     """The Incidence of a ray of direction v_in at the boundary point x, from
-    one local query on one row: SingularGradient below the gradient floor,
-    ValueError off the boundary."""
-    _, normals, grad_norms, hessians = _on_boundary(obstacle, x)
-    g = float(grad_norms[0])
-    return Incidence(_floats(v_in), normals[0].tolist(),
-                     [[h / g for h in row] for row in hessians[0].tolist()])
+    the obstacle's local query of x, on floats: SingularGradient below the
+    gradient floor, ValueError off the boundary."""
+    _, normal, norm, hessian = _on_boundary(obstacle, x)
+    return Incidence(_floats(v_in), normal, [[h / norm for h in row] for row in hessian])
 
 
 def _incidences(scene, events):
@@ -256,11 +253,9 @@ def flow_differentials(scene, entry: flow.PhasePoint, t: float, trajectory=None)
     if trajectory.status != "exited" and events and t > events[-1].t:
         raise ValueError("time t beyond a truncated trajectory")
     # the seeds (A, B) = (0, I) and (I, 0) side by side: each event mirrors one basis
-    v = trajectory.entry.v.tolist()
-    m = len(v) - 1
-    eye = [[1.0]] if m == 1 else [[1.0, 0.0], [0.0, 1.0]]
-    seeds = JacobiFrame([[0.0] * m + row for row in eye], [row + [0.0] * m for row in eye],
-                        _tangent_columns(v))
+    m = trajectory.entry.v.shape[0] - 1
+    eye = _seed_rows(1.0, m)
+    seeds = seed_frame(trajectory.entry.v, [[0.0] * m + r for r in eye], [r + [0.0] * m for r in eye])
     *_, frame = _walk(events, _incidences(scene, events), seeds, 0, 0.0, t)
     return np.array([row[:m] for row in frame.a]), np.array([row[m:] for row in frame.b])
 

@@ -177,14 +177,15 @@ def _drawn_pair(draw, kind, dim, rotated=True):
 
 class FaintSphere(bl.SphereObstacle):
     """A sphere whose gradient is scaled by `scale`: the same boundary, a
-    weaker |grad F|."""
+    weaker |grad F|. Its per-point gradient is scaled, so every view sees
+    it: the tracer's normal, the local query and `gradient`."""
 
     def __init__(self, center, radius, scale):
         super().__init__(center, radius)
         self.scale = scale
 
-    def gradient(self, x):
-        return self.scale * super().gradient(x)
+    def _gradient(self, x):
+        return [self.scale * g for g in super()._gradient(x)]
 
 
 def _subclasses(cls):
@@ -252,8 +253,9 @@ def run_python(*args, text=True):
                           env=_python_env())
 
 
-def popen_python(*args):
-    """Start a fresh interpreter on this source tree, its stdout and stderr
+def popen_python(*args, cwd=None, env=None):
+    """Start a fresh interpreter on this source tree in the directory `cwd`,
+    with the variables `env` added to its environment, its stdout and stderr
     piped (bytes); returns the Popen."""
     return subprocess.Popen([sys.executable, *args], stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=_python_env())
+                            stderr=subprocess.PIPE, cwd=cwd, env={**_python_env(), **(env or {})})

@@ -122,8 +122,8 @@ class TwoTouches(bl.SphereObstacle):
                 roots.append(d[0] * v[0] + d[1] * v[1])
         return sorted(roots)
 
-    def gradient(self, x):
-        return np.array([0.0, 2.0])
+    def _gradient(self, x):
+        return [0.0, 2.0]
 
 
 @pytest.mark.parametrize("gap, status, reason", [

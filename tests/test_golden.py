@@ -1,4 +1,4 @@
-"""Golden digests: the bits of the Jacobi layer's outputs, pinned.
+"""Golden digests: the bits of lens, trapped, compare and Jacobi outputs, pinned.
 
 Each case is computed from inputs built with +, -, *, / and sqrt only, or
 from a scene file written in the run's own directory and named by a relative
@@ -6,14 +6,19 @@ path, so that a file's bytes (its header holds the invocation) do not depend
 on where the test runs.
 
 - The block digests of the sphere-ellipsoid and disc-ellipse fixtures are
-  platform-exact: the tracer and the Jacobi layer add in a fixed order on
-  floats, and on bodies without a rotation the local query's matrix
-  products only add exact zeros, so neither a BLAS nor a math library
-  enters their bits.
+  platform-exact: the tracer, the local query and the Jacobi layer add in
+  a fixed order on floats, with +, -, *, / and sqrt only on spheres and
+  ellipsoids, so neither a BLAS nor a math library enters their bits.
 - The `regularity` and `conjugate` files of the refocusing fixture are
   host-exact: its mirror is built with the math library's atan2, cos and
   sin, and its curve's closest-point query uses numpy's cos, sin and
   arctan2, whose last bits may differ between platforms.
+- The CLI outputs of `CLI_PINS` are platform-exact: their bits do not
+  depend on the BLAS kernel or the numpy SIMD target the CPU selects
+  (`test_kernels.py` builds them under two of each). They do take the
+  math library's cos, sin, atan2 and pow (the sampler, the curve solvers,
+  the superellipsoid), so a math library that rounds those differently
+  moves them.
 
 The CI matrix runs these on two Python versions on either side of 3.12's
 change to the builtin `sum`.
@@ -35,6 +40,40 @@ from conftest import A_BALL, entry_through
 REFOCUSING = {
     "regularity": "dd4159eb46e2091374f841f50e71307d55c2578ef17c90674c6677e1aa44f864",
     "conjugate": "1e6b8caf864dbdf684f71facbee351a84cc637f130a0bd96c0165de2b4e15b11",
+}
+# the rotation of the unit quaternion (1, 2, 3, 4) / sqrt(30): entries k / 30,
+# built without the math library
+ROTATION = [k / 30 for k in (-20, 4, 22, 20, -10, 20, 10, 28, 4)]
+# output file: (invocation, sha256), each run in the directory of the scene
+# files of `write_scenes`
+CLI_PINS = {
+    "two.jsonl": (
+        "lens --scene two-disc.json --spec grid:32x32 --out two.jsonl",
+        "eb26fd9e3f0c38ab08f075e3b82e1621660b6cb2c72b61c4fbb9a731ca5acbc6"),
+    "trapped.json": (
+        "trapped --scene two-disc.json --spec grid:4x4,grid:8x8,grid:16x16 --out trapped.json",
+        "b5bafd816fd3365366a059303727927b991ed602a6bc480d2e079f19ce68d2a7"),
+    "compare.json": (
+        "compare --scene two.jsonl --scene-b two.jsonl --out compare.json",
+        "d1e6cef3a77f1451ebe8868acb34a14e6ac5d52ffb19efcdaca3192d295cdd86"),
+    "se.jsonl": (
+        "lens --scene sphere-ellipsoid.json --spec mc:500 --seed 7 --out se.jsonl",
+        "91be375afb45d9ad3645860b0be2e170bbede4cf3aa39587aa131149c1cf65d6"),
+    "sup.csv": (
+        "lens --scene superellipsoid.json --spec mc:500 --seed 7 --out sup.csv",
+        "5dc97bef01b83684b8cee5ff62d02d742a02a2c078571b3301ce49d835cbf0e2"),
+    "upright.csv": (
+        "lens --scene upright.json --spec mc:500 --seed 7 --out upright.csv",
+        "9305a033601264a4a452bf07778a285137ef475fc88889eece909c821841545d"),
+    "livshits.jsonl": (
+        "lens --scene livshits.json --spec grid:16x12 --out livshits.jsonl",
+        "14330fb6a393ab7d1ec37e723b3fcb986e328895587627ebc120600c95183b16"),
+    "se-regularity.json": (
+        "regularity --scene sphere-ellipsoid.json --entry=0,-10,0,3,9.6,0.2 --out se-regularity.json",
+        "8cbfc4150c76a2ad5fe60771127d93834c6c3cefca7060ea1807066a111c9744"),
+    "sup-regularity.json": (
+        "regularity --scene superellipsoid.json --entry=-10,0,0,1,0.05,0.03 --out sup-regularity.json",
+        "0ce8a3af30b46631bdc22025ff8ec0090f9c5da63df3f479cb5f6684b3f5c928"),
 }
 BLOCKS = {
     "sphere_ellipsoid_scene": "b8165c52ae890b6e68f0febed4bc70af643a3f3c40ecc279c82feacd3d86a88c",
@@ -109,3 +148,33 @@ def test_regularity_and_conjugate_files_are_pinned(conjugate_fixture_scene, tmp_
         out = f"{command}.json"
         assert cli.main([command, "--scene", "refocus.json", f"--entry={entry}", "--out", out]) == 0
         assert hashlib.sha256(Path(out).read_bytes()).hexdigest() == pin, command
+
+
+def write_scenes(directory):
+    """The scene files the invocations of `CLI_PINS` name, in `directory`: two
+    discs, a sphere and a rotated ellipsoid, a superellipsoid rotated and
+    upright, and the Livshits base scene."""
+    superellipsoid = lambda rotation: bl.SuperellipsoidObstacle([0.1, -0.2, 0.1], [3.0, 2.5, 2.0],
+                                                                 6.0, rotation)
+    scenes = {
+        "two-disc": bl.make_scene(2, A_BALL, [bl.SphereObstacle([-3.0, 0.0], 1.0),
+                                              bl.SphereObstacle([3.0, 0.5], 1.2)], "two-disc"),
+        "sphere-ellipsoid": bl.make_scene(3, A_BALL, [
+            bl.SphereObstacle([-3.0, 0.4, 0.0], 1.0),
+            bl.EllipsoidObstacle([3.0, -0.4, 0.2], [1.5, 1.0, 0.8], ROTATION)], "sphere-ellipsoid"),
+        "superellipsoid": bl.make_scene(3, A_BALL, [superellipsoid(ROTATION)], "superellipsoid"),
+        "upright": bl.make_scene(3, A_BALL, [superellipsoid(None)], "upright"),
+        "livshits": geometry.livshits_scene()[0],
+    }
+    for name, scene in scenes.items():
+        (Path(directory) / f"{name}.json").write_text(geometry.scene_to_json(scene) + "\n")
+
+
+def test_cli_outputs_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_scenes(tmp_path)
+    digests = {}
+    for out, (invocation, _) in CLI_PINS.items():
+        assert cli.main(invocation.split()) == 0, invocation
+        digests[out] = hashlib.sha256(Path(out).read_bytes()).hexdigest()
+    assert digests == {out: pin for out, (_, pin) in CLI_PINS.items()}
