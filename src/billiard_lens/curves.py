@@ -8,8 +8,8 @@ Each piece projects points onto itself: segments, flat bumps and circular
 arcs in closed form, ellipse arcs and curved bumps by safeguarded Newton, and
 the chain keeps the nearest foot over its pieces. Its ray roots come from
 each piece's exact solver and carry the piece and parameter of the crossing,
-so the normal there needs no closest-point query. The ray solvers work in
-plain float arithmetic on (x, y) pairs.
+so the normal and curvature there need no closest-point query. The ray
+solvers work in plain float arithmetic on (x, y) pairs.
 
 The scene file's shape checks live here too, shared with `geometry`.
 """
@@ -611,22 +611,34 @@ class CurveChain:
             return []
         return sorted(Root(t, k, s) for k, piece in enumerate(self.pieces) for t, s in piece.ray_roots(q, v))
 
-    def piece_normal(self, k, s):
-        """Unit normal into the free side at parameter s of piece k, by the
-        formula `closest_batch` applies at a foot. A root past an end of its
-        piece (inside the join overlap) lies on the neighbouring piece, where
-        the normal has turned by the neighbour's curvature: it is taken there,
-        the same arc length past the join."""
-        n = len(self.pieces)
+    def _on_piece(self, k, s):
+        """(piece, parameter) of parameter s of piece k: a root past an end of its piece
+        (in the join overlap) lies on the neighbour, the same arc length past the join."""
+        nxt, prv = (k + 1) % len(self.pieces), (k - 1) % len(self.pieces)
         if s > 1.0:
-            s = (s - 1.0) * _speed(self.pieces[k], 1.0) / _speed(self.pieces[(k + 1) % n], 0.0)
-            k = (k + 1) % n
-        elif s < 0.0:
-            s = 1.0 + s * _speed(self.pieces[k], 0.0) / _speed(self.pieces[k - 1], 1.0)
-            k = (k - 1) % n
+            return nxt, (s - 1.0) * _speed(self.pieces[k], 1.0) / _speed(self.pieces[nxt], 0.0)
+        if s < 0.0:
+            return prv, 1.0 + s * _speed(self.pieces[k], 0.0) / _speed(self.pieces[prv], 1.0)
+        return k, s
+
+    def piece_normal(self, k, s):
+        """Unit normal into the free side at parameter s of piece k (`_on_piece`),
+        by the formula `closest_batch` applies at a foot."""
+        k, s = self._on_piece(k, s)
         g = self.pieces[k].deriv(s).tolist()
         speed = math.sqrt(_dot(g, g))
         return [-self.orientation * g[1] / speed, self.orientation * g[0] / speed]
+
+    def piece_shape(self, k, s):
+        """kappa t t^T at parameter s of piece k (`_on_piece`) by `closest_batch`'s formulas:
+        t the unit tangent, kappa the curvature seen from the free side, negative where concave."""
+        k, s = self._on_piece(k, s)
+        g1, g2 = self.pieces[k].deriv(s).tolist(), self.pieces[k].deriv2(s).tolist()
+        gg = _dot(g1, g1)
+        speed = math.sqrt(gg)
+        kappa = -self.orientation * (g1[0] * g2[1] - g1[1] * g2[0]) / (gg * speed)
+        t0, t1 = g1[0] / speed, g1[1] / speed
+        return [[kappa * (t0 * t0), kappa * (t0 * t1)], [kappa * (t0 * t1), kappa * (t1 * t1)]]
 
     def closest_batch(self, X: np.ndarray) -> FootData:
         """Nearest point of the chain to each row of X (N, 2). Of two feet at

@@ -39,7 +39,7 @@ travelling time t), `exit_state.v` (the exit direction theta) and
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,6 +79,7 @@ class Event:
     type: str            # "transversal" | "tangent"
     v_in: np.ndarray
     v_out: np.ndarray
+    root: float          # the segment's `ray_roots` root (on a curve2d a `Root`), for the Jacobi layer
 
 
 @dataclass
@@ -231,7 +232,7 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
         else:
             etype, v_out = "tangent", v
             left = None
-        events.append(Event(total + t_hit, np.array(x_hit), idx, etype, np.array(v), np.array(v_out)))
+        events.append(Event(total + t_hit, np.array(x_hit), idx, etype, np.array(v), np.array(v_out), t_hit))
         total += t_hit
 
         if etype == "tangent":
@@ -284,7 +285,7 @@ def state_at(trajectory: Trajectory, t: float):
 
 
 def trajectory_jsonl(trajectory: Trajectory, header_extra: dict | None = None) -> str:
-    """JSONL dump: one header line, then one line per event."""
+    """JSONL dump: one header line, then one line per event, less its root."""
     header = {
         "entry_q": list(trajectory.entry.q),
         "entry_v": list(trajectory.entry.v),
@@ -295,5 +296,6 @@ def trajectory_jsonl(trajectory: Trajectory, header_extra: dict | None = None) -
     }
     if header_extra:
         header.update(header_extra)
-    lines = [canonical_json(header)] + [canonical_json(asdict(ev)) for ev in trajectory.events]
+    events = [{k: v for k, v in vars(ev).items() if k != "root"} for ev in trajectory.events]
+    lines = [canonical_json(header)] + [canonical_json(ev) for ev in events]
     return "\n".join(lines) + "\n"

@@ -253,14 +253,10 @@ class Obstacle:
         normal, norm = self._unit_normal(self._gradient(x), self.kind)
         return self._value(_sub(x, self._c)), normal, norm, self._hessian(x)
 
-    def normal_at(self, x) -> np.ndarray:
-        """Unit normal into the free region at x: `_local`'s, from `_gradient` alone."""
-        return np.array(self._unit_normal(self._gradient(_floats(x)), self.kind)[0])
-
     def _unit_normal(self, g, label):
         """(g / |g|, |g|) of a gradient g of floats, |g| summed left to right:
-        the one unit-normal step of the tracer and of the local query. Raises
-        SingularGradient, naming obstacle `label`, below the gradient floor."""
+        the one unit-normal step of the tracer, its incidences and the local
+        query. SingularGradient, naming obstacle `label`, below the floor."""
         norm = math.sqrt(_dot(g, g))
         if norm < self.gradient_floor():
             raise SingularGradient(f"singular normal on obstacle {label}: |grad F| = {norm:g}")
@@ -291,6 +287,10 @@ class Obstacle:
         """grad F, as floats, at the point x (floats) of a root of `ray_roots`."""
         return self._gradient(x)
 
+    def root_hessian(self, x, root):
+        """The rows of Hess F, as floats, at the point x of a root of `ray_roots`."""
+        return self._hessian(x)
+
     def params_dict(self) -> dict:
         """The scene file's "params": the value of each of `params`."""
         return {key: _floats(getattr(self, key)) for key in self.params}
@@ -307,10 +307,13 @@ def _apply(rows, d):
 
 
 def _gram(w, rows):
-    """The rows of sum_i w_i r_i r_i^T for floats w_i and rows r_i: entry
-    (j, k) is sum_i w_i (r_ij r_ik), left to right, symmetric bit for bit."""
-    cols = list(zip(*rows))
-    return [[_dot(w, [x * y for x, y in zip(cj, ck)]) for ck in cols] for cj in cols]
+    """Rows of sum_i w_i r_i r_i^T: entry (j, k) = (k, j) is sum_i w_i (r_ij r_ik), left to right."""
+    n = len(rows[0])
+    out = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j, n):
+            out[j][k] = out[k][j] = _dot(w, [r[j] * r[k] for r in rows])
+    return out
 
 
 class SphereObstacle(Obstacle):
@@ -576,9 +579,6 @@ class CurveObstacle(Obstacle):
         fd = self.chain.closest_batch(np.asarray(x, dtype=float)[None, :])
         return float(fd.signed[0]), fd.normal[0].copy()
 
-    def normal_at(self, x):
-        return self.gradient(x)  # already of unit length
-
     def local_geometry(self, X):
         # signed distance, foot normal and kappa t t^T from one closest-point
         # query; the signed-distance gradient has unit length
@@ -601,6 +601,10 @@ class CurveObstacle(Obstacle):
         # root's piece and parameter, in closed form
         return self.chain.piece_normal(root.piece, root.s)
 
+    def root_hessian(self, x, root):
+        # the signed-distance Hessian there, kappa t t^T at the root's piece and parameter
+        return self.chain.piece_shape(root.piece, root.s)
+
     def boundary_points(self, target):
         return self.chain.sample_points(target)
 
@@ -610,8 +614,8 @@ class CurveObstacle(Obstacle):
 
 # ---------------------------------------------------------------------------
 # the [OP] surface: the views of an obstacle's one local query, `_local`
-# (`local_geometry` on a batch): the shape of `surface_frame` and validate's
-# curvatures, and the Jacobi layer's incidences (through `_on_boundary`)
+# (`local_geometry` on a batch): the shape of `surface_frame` at a given point
+# and validate's curvatures
 
 
 def _tangent_shapes(normals, grad_norms, hessians):
@@ -623,25 +627,17 @@ def _tangent_shapes(normals, grad_norms, hessians):
     return T, 0.5 * (S + np.swapaxes(S, 1, 2))
 
 
-def _on_boundary(obstacle: Obstacle, point):
-    """(x, unit normal, |grad F|, the rows of Hess F), all floats: the local
-    query at the point x, once x is checked to be on the boundary:
-    ValueError beyond 1e-6 of the obstacle scale."""
-    x = _floats(point)
-    value, normal, norm, hessian = obstacle._local(x)
-    dist_est = abs(value) / max(norm, _GRAD_FLOOR)
-    if dist_est > _BOUNDARY_TOL * max(1.0, obstacle.bounding_radius()):
-        raise ValueError(f"point {x} is not on the obstacle boundary (distance ~ {dist_est:g})")
-    return x, normal, norm, hessian
-
-
 def surface_frame(obstacle: Obstacle, point) -> SurfaceFrame:
     """Unit normal into the free region and shape operator at a boundary point.
 
     Raises SingularGradient below the gradient floor and ValueError when the
     point is not on the boundary (within 1e-6 of the obstacle scale).
     """
-    x, normal, norm, hessian = _on_boundary(obstacle, point)
+    x = _floats(point)
+    value, normal, norm, hessian = obstacle._local(x)
+    dist_est = abs(value) / max(norm, _GRAD_FLOOR)
+    if dist_est > _BOUNDARY_TOL * max(1.0, obstacle.bounding_radius()):
+        raise ValueError(f"point {x} is not on the obstacle boundary (distance ~ {dist_est:g})")
     T, S = _tangent_shapes(np.array([normal]), np.array([norm]), np.array([hessian]))
     return SurfaceFrame(np.array(x, dtype=float), np.array(normal), S[0], T[0])
 

@@ -20,14 +20,14 @@ row by row and the basis column by column, as lists of floats; `A`, `B` and
 m = 2 with every sum taken left to right, and a rank test takes its singular
 values in closed form. An `Incidence` holds arrays, tuples or lists.
 
-Each event's geometry is one local query (`Obstacle._local`, under
-`geometry._on_boundary`'s checks), made on first use and kept
-(`_incidences`): the `conjugate` command shares it between every walk that
-reflects there and every arrival there. On spheres, ellipsoids and
-superellipsoids the query is float arithmetic too, and its normal the
-tracer's bit for bit, so no output of the layer depends on the CPU's BLAS
-or SIMD kernels; on a curve2d it is a closest-point query on numpy's
-kernels, whose foot normal is the tracer's piece normal to a few 1e-14.
+Each incidence is the obstacle's figure at the tracer's root, which the
+event keeps: the tracer's unit normal of `root_gradient`, so the layer
+transfers the traced reflection bit for bit, and the form `root_hessian` /
+|grad F| (on a curve2d kappa t t^T at the root's piece and parameter). It is
+made on first use and kept (`_incidences`): the `conjugate` command shares
+it between every walk that reflects there and every arrival there. No
+incidence makes a closest-point query, and on spheres, ellipsoids and
+superellipsoids none depends on the CPU's BLAS or SIMD kernels.
 
 A new frame shares every row it does not change with the old one (free
 flight builds only A + tB, a reflection keeps A), so no code writes into a
@@ -54,7 +54,7 @@ import numpy as np
 from . import flow
 from .curves import _dot, _floats
 from .flow import TANGENCY_THRESHOLD
-from .geometry import NumericFailure, _on_boundary, _Record, _tangent_columns
+from .geometry import NumericFailure, _Record, _tangent_columns
 
 REGULARITY_TOL = 1e-6  # regularity_test's default rank tolerance (`regularity --tol`)
 CONJUGATE_TOL = 1e-4   # conjugate_test's default rank tolerance (`conjugate --tol`)
@@ -201,12 +201,13 @@ def symplectic_pairing(f1: JacobiFrame, f2: JacobiFrame) -> np.ndarray:
                      for p, r in zip(_transpose(f1.a), _transpose(f1.b))])
 
 
-def _incidence(obstacle, x, v_in) -> Incidence:
-    """The Incidence of a ray of direction v_in at the boundary point x, from
-    the obstacle's local query of x, on floats: SingularGradient below the
-    gradient floor, ValueError off the boundary."""
-    _, normal, norm, hessian = _on_boundary(obstacle, x)
-    return Incidence(_floats(v_in), normal, [[h / norm for h in row] for row in hessian])
+def _incidence(obstacle, event) -> Incidence:
+    """The Incidence of an event at its root, on floats: the tracer's unit
+    normal step on `root_gradient`, and `root_hessian` / |grad F|."""
+    x = _floats(event.x)
+    normal, norm = obstacle._unit_normal(obstacle.root_gradient(x, event.root), event.obstacle)
+    hessian = obstacle.root_hessian(x, event.root)
+    return Incidence(_floats(event.v_in), normal, [[h / norm for h in row] for row in hessian])
 
 
 def _incidences(scene, events):
@@ -216,7 +217,7 @@ def _incidences(scene, events):
     def incidence(k: int) -> Incidence:
         if k not in made:
             ev = events[k]
-            made[k] = _incidence(scene.obstacles[ev.obstacle], ev.x, ev.v_in)
+            made[k] = _incidence(scene.obstacles[ev.obstacle], ev)
         return made[k]
 
     return incidence
@@ -262,15 +263,14 @@ def flow_differentials(scene, entry: flow.PhasePoint, t: float, trajectory=None)
 
 def transport_basis(scene, trajectory, t: float, columns: list) -> list:
     """The transverse basis at the entry, its columns as lists of floats,
-    mirrored at every event before time t by the normals of
-    `Obstacle.normal_at`: the oracle's own copy of the chain the frame
-    propagation mirrors through."""
+    mirrored at every event before time t by the normal at its root: the
+    oracle's own copy of the chain the frame propagation mirrors through."""
     for ev in trajectory.events:
         if ev.t >= t:
             break
         if ev.type != "transversal":
             raise TangentOnPath(f"tangent event at t = {ev.t:g}")
-        columns = _reflect_basis(columns, scene.obstacles[ev.obstacle].normal_at(ev.x).tolist())
+        columns = _reflect_basis(columns, _incidence(scene.obstacles[ev.obstacle], ev).normal)
     return columns
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import billiard_lens as bl
 from billiard_lens import cli, geometry, lens, variation
+from billiard_lens.curves import CurveChain
 from billiard_lens.geometry import canonical_json
 
 from conftest import NUMERIC_FAILURES, entry_through, plugged_crescent_scene, popen_python, run_python
@@ -506,11 +507,9 @@ def test_tangent_event_at_an_end_of_the_conjugate_orbit(end, tmp_path):
 def test_conjugate_walks_the_orbit_once_per_start_event(livshits_pair, tmp_path, monkeypatch):
     # on an orbit of n transversal events, `conjugate` carries one frame from
     # each event i past every later event j: n(n-1)/2 free flights (a walk
-    # per pair makes about n^3/6). The walks and the arrivals share one local
-    # query per event they reach, events 1 to n-1, and ask no `normal_at`
-    # (a query per walk and per arrival made (n-1)(n-2)/2 + n(n-1)/2).
-    # conjugate_test(i, j) itself walks the events between i and j and makes
-    # one local query at each event past i
+    # per pair makes about n^3/6). Each incidence is read at the event's
+    # root, so neither the command nor conjugate_test(i, j), which walks the
+    # events between i and j, makes a closest-point query
     base, _, _ = livshits_pair
     entry = entry_through([1.0, 0.0], [-0.5, 1.0])
     traj = bl.trace(base, entry)
@@ -525,20 +524,18 @@ def test_conjugate_walks_the_orbit_once_per_start_event(livshits_pair, tmp_path,
         return call
 
     monkeypatch.setattr(variation, "propagate_free", counted("propagate_free", variation.propagate_free))
-    obstacle = type(base.obstacles[0])
-    for name in ("local_geometry", "normal_at"):
-        monkeypatch.setattr(obstacle, name, counted(name, getattr(obstacle, name)))
+    monkeypatch.setattr(CurveChain, "closest_batch", counted("closest_batch", CurveChain.closest_batch))
     path, out = tmp_path / "liv.json", tmp_path / "out.json"
     path.write_text(geometry.scene_to_json(base) + "\n")
     entry = ",".join(repr(float(x)) for x in [*entry.q, *entry.v])
     assert cli.main(["conjugate", "--scene", str(path), f"--entry={entry}", "--out", str(out)]) == 0
     assert len(_strict_json(out.read_text())["pairs"]) == n * (n - 1) // 2
-    assert calls == Counter(propagate_free=n * (n - 1) // 2, local_geometry=n - 1)
+    assert calls == Counter(propagate_free=n * (n - 1) // 2)
     for i in range(n):
         for j in range(i + 1, n):
             calls.clear()
             variation.conjugate_test(base, traj, i, j)
-            assert calls == Counter(propagate_free=j - i, local_geometry=j - i)
+            assert calls == Counter(propagate_free=j - i)
 
 
 def test_livshits_command(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import billiard_lens as bl
-from billiard_lens import geometry, variation
+from billiard_lens import flow, geometry, variation
 from billiard_lens.curves import (
     _JOIN_OVERLAP,
     ArcPiece,
@@ -69,16 +69,24 @@ def test_surface_frame_interior_point_rejected():
         surface_frame(s, [0.5, 0.0, 0.0])
 
 
+def _event_at(x, root, v_in):
+    """An event on obstacle 0 at the point x of the ray root `root`, entered
+    along v_in: what the Jacobi layer reads of a traced one."""
+    x, v_in = np.asarray(x, dtype=float), np.asarray(v_in, dtype=float)
+    return flow.Event(0.0, x, 0, "transversal", v_in, v_in, root)
+
+
 def test_singular_gradient_raised_by_every_view():
-    # the gradient floor is checked in the local query, before its division
+    # the gradient floor is checked in the one unit-normal step, before its
+    # division: by the local query and by the incidence at a root
     s = bl.SphereObstacle([0.0, 0.0, 0.0], 1.0)
-    for view in (s.normal_at, lambda x: surface_frame(s, x),
-                 lambda x: variation._incidence(s, x, [1.0, 0.0, 0.0])):
+    for view in (lambda x: surface_frame(s, x),
+                 lambda x: variation._incidence(s, _event_at(x, 1.0, [1.0, 0.0, 0.0]))):
         with pytest.raises(SingularGradient):
             view([0.0, 0.0, 0.0])
 
 
-@pytest.mark.parametrize("view", ["surface_frame", "incidence", "normal_at", "validate"])
+@pytest.mark.parametrize("view", ["surface_frame", "validate"])
 def test_each_local_view_of_a_curve_makes_one_closest_point_query(monkeypatch, view):
     obs = _all_pieces_chain(2.5, 1.5, 1.2, 0.4, 0.5, 0.7, [0.3, -0.2])
     x = obs.chain.pieces[3].point(np.array(0.3))
@@ -94,31 +102,16 @@ def test_each_local_view_of_a_curve_makes_one_closest_point_query(monkeypatch, v
         assert len(calls) == 2
         assert np.array_equal(calls[0], obs.boundary_points(geometry._VALIDATION_SAMPLES[2]))
         return
-    if view == "normal_at":
-        assert np.array_equal(obs.normal_at(x), normal)
-        assert len(calls) == 1
-        return
-    if view == "surface_frame":
-        frame = surface_frame(obs, x)
-        assert np.array_equal(frame.point, x)
-        assert np.array_equal(frame.normal, normal)
-        # the chain runs counter-clockwise, so the basis (-n_y, n_x) of the
-        # outward normal is the traversal tangent itself
-        assert np.array_equal(frame.tangent[:, 0], t)
-        assert abs(frame.shape[0, 0] - kappa) <= 1e-15 * abs(kappa)
-        build = surface_frame
-    else:
-        # the Jacobi layer's incidence: the local query's normal and its
-        # Hess F / |grad F|, for a curve kappa t t^T
-        def build(obs, x):
-            return variation._incidence(obs, x, -normal)
-
-        incidence = build(obs, x)
-        assert incidence.normal == normal.tolist()
-        assert np.max(np.abs(np.array(incidence.shape_ambient) - kappa * np.outer(t, t))) <= 1e-15 * abs(kappa)
+    frame = surface_frame(obs, x)
+    assert np.array_equal(frame.point, x)
+    assert np.array_equal(frame.normal, normal)
+    # the chain runs counter-clockwise, so the basis (-n_y, n_x) of the
+    # outward normal is the traversal tangent itself
+    assert np.array_equal(frame.tangent[:, 0], t)
+    assert abs(frame.shape[0, 0] - kappa) <= 1e-15 * abs(kappa)
     assert len(calls) == 1
     with pytest.raises(ValueError):
-        build(obs, x + 1e-3 * normal)
+        surface_frame(obs, x + 1e-3 * normal)
     assert len(calls) == 2
 
 
@@ -126,20 +119,26 @@ def test_each_local_view_of_a_curve_makes_one_closest_point_query(monkeypatch, v
                                   "superellipsoid2d", "superellipsoid3d", "curve2d"])
 @given(data=st.data())
 def test_local_views_agree_at_boundary_points(kind, data):
-    # normal_at, surface_frame and the Jacobi layer's incidence are views of
-    # one local query: the same normal bit for bit, and the same shape
-    # operator on the tangent plane up to rounding
+    # surface_frame, the local query's view at a point, and the Jacobi
+    # layer's incidence at a ray root agree on an implicit kind, where the
+    # root changes nothing: the same normal bit for bit, and the same shape
+    # operator on the tangent plane up to rounding. On a curve2d
+    # surface_frame's normal is `gradient`'s, the closest-point foot's; the
+    # incidence there is the root's (test_curve_hit_normals_are_closed_form)
     obs = _obstacle(data.draw, kind)
     v = np.array([data.draw(_unit) for _ in range(obs.dim)])
     assume(np.linalg.norm(v) > 1e-3)
     v /= np.linalg.norm(v)
     roots = obs.ray_roots(obs.center, v)
     assume(roots)
-    x = obs.center + roots[data.draw(st.integers(0, len(roots) - 1))] * v
+    root = roots[data.draw(st.integers(0, len(roots) - 1))]
+    x = obs.center + root * v
     frame = surface_frame(obs, x)
-    incidence = variation._incidence(obs, x, -frame.normal)
-    assert np.array_equal(obs.normal_at(x), frame.normal)
-    assert obs.normal_at(x).tolist() == incidence.normal
+    if kind == "curve2d":
+        assert np.array_equal(obs.gradient(x), frame.normal)
+        return
+    incidence = variation._incidence(obs, _event_at(x, root, -frame.normal))
+    assert frame.normal.tolist() == incidence.normal
     # the incidence's form is Hess F / |grad F| unprojected: on the tangent
     # plane it is the shape operator; rounding scales with it, which at a
     # flat point of a superellipsoid is much larger than the shape
@@ -623,8 +622,15 @@ def test_curve_hit_normals_are_closed_form(data):
     for t in roots:
         x = q + t * v
         normal = obs.root_gradient(x, t)
+        foot = chain.closest_batch(x[None, :])
         assert abs(np.linalg.norm(normal) - 1.0) <= 1e-15
-        assert np.max(np.abs(normal - chain.closest_batch(x[None, :]).normal[0])) <= 1e-12
+        assert np.max(np.abs(normal - foot.normal[0])) <= 1e-12
+        # and the shape form kappa t t^T, where the foot lies on the piece the
+        # root is taken on: the curvature jumps at a join, where both are right
+        if chain._on_piece(t.piece, t.s)[0] == foot.piece[0]:
+            tangent = foot.tangent[0]
+            form = foot.shape[0] * np.outer(tangent, tangent)
+            assert np.max(np.abs(obs.root_hessian(x, t) - form)) <= 1e-12 * max(1.0, abs(foot.shape[0]))
 
 
 @given(data=st.data())

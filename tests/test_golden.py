@@ -6,13 +6,14 @@ path, so that a file's bytes (its header holds the invocation) do not depend
 on where the test runs.
 
 - The block digests of the sphere-ellipsoid and disc-ellipse fixtures are
-  platform-exact: the tracer, the local query and the Jacobi layer add in
-  a fixed order on floats, with +, -, *, / and sqrt only on spheres and
-  ellipsoids, so neither a BLAS nor a math library enters their bits.
+  platform-exact: the tracer and the Jacobi layer add in a fixed order on
+  floats, with +, -, *, / and sqrt only on spheres and ellipsoids, so
+  neither a BLAS nor a math library enters their bits.
 - The `regularity` and `conjugate` files of the refocusing fixture are
   host-exact: its mirror is built with the math library's atan2, cos and
-  sin, and its curve's closest-point query uses numpy's cos, sin and
-  arctan2, whose last bits may differ between platforms.
+  sin, and the normal and curvature at each root on it come from its arc
+  pieces' formulas, which call numpy's cos and sin on one parameter, whose
+  last bits may differ between platforms.
 - The CLI outputs of `CLI_PINS` are platform-exact: their bits do not
   depend on the BLAS kernel or the numpy SIMD target the CPU selects
   (`test_kernels.py` builds them under two of each). They do take the
@@ -44,6 +45,8 @@ REFOCUSING = {
 # the rotation of the unit quaternion (1, 2, 3, 4) / sqrt(30): entries k / 30,
 # built without the math library
 ROTATION = [k / 30 for k in (-20, 4, 22, 20, -10, 20, 10, 28, 4)]
+# the intrinsic entry of a 58-event orbit of the Livshits base scene, from grid:90x60
+LIVSHITS_ENTRY = "4.677482395344803,-0.49741883681838406"
 # output file: (invocation, sha256), each run in the directory of the scene
 # files of `write_scenes`
 CLI_PINS = {
@@ -74,6 +77,17 @@ CLI_PINS = {
     "sup-regularity.json": (
         "regularity --scene superellipsoid.json --entry=-10,0,0,1,0.05,0.03 --out sup-regularity.json",
         "0ce8a3af30b46631bdc22025ff8ec0090f9c5da63df3f479cb5f6684b3f5c928"),
+    # an event keeps its root, which a trace file leaves out
+    "livshits-trace.jsonl": (
+        f"trace --scene livshits.json --entry={LIVSHITS_ENTRY} --out livshits-trace.jsonl",
+        "639fa7d370ca9f51fecdd458125470ffc86978b23ac5764e22a254370e874d40"),
+    "sup-trace.jsonl": (
+        "trace --scene superellipsoid.json --entry=-10,0,0,1,0.05,0.03 --out sup-trace.jsonl",
+        "475a9038bece1f3c980f49c6dcd30a0f1b6ddb4c458e9553724744ee49849ae6"),
+    "livshits-sls.json": (
+        "sls --scene livshits.json --omega 0,1 --theta=0,-1 --spec grid:128x1 --tol 0.3 "
+        "--out livshits-sls.json",
+        "d55b02e3c1530cad00674f75b7d27850984de76aa99ea2e63528a347a544471d"),
 }
 BLOCKS = {
     "sphere_ellipsoid_scene": "b8165c52ae890b6e68f0febed4bc70af643a3f3c40ecc279c82feacd3d86a88c",

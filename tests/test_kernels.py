@@ -12,6 +12,9 @@ left to right, with the math library's pow.
   `test_golden.CLI_PINS` in two fresh interpreters, one with the default
   kernels and one with OpenBLAS's Prescott kernel and every numpy dispatch
   target of this CPU disabled, and asserts the same bytes, and the pins.
+  Both also run `regularity` and `conjugate` on a Livshits orbit, which
+  must agree between the two but are not pinned: the curve pieces' normals
+  and curvatures call numpy's cos and sin on one parameter.
 - `test_row_geometry_has_no_matrix_product_or_numpy_power` reads the source
   of that path, so that a host whose kernels happen to round alike still
   catches a matrix product or a numpy power coming back.
@@ -22,7 +25,7 @@ import json
 from pathlib import Path
 
 from conftest import popen_python
-from test_golden import CLI_PINS, write_scenes
+from test_golden import CLI_PINS, LIVSHITS_ENTRY, write_scenes
 
 try:
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -51,8 +54,15 @@ FORCED = {
 }
 
 
+# output file: invocation, unpinned
+LIVSHITS_JACOBI = {f"livshits-{command}.json":
+                   f"{command} --scene livshits.json --entry={LIVSHITS_ENTRY} --out livshits-{command}.json"
+                   for command in ("regularity", "conjugate")}
+
+
 def test_cli_pins_do_not_depend_on_the_cpu_kernels(tmp_path):
-    invocations = json.dumps({out: invocation for out, (invocation, _) in CLI_PINS.items()})
+    invocations = json.dumps({**{out: invocation for out, (invocation, _) in CLI_PINS.items()},
+                              **LIVSHITS_JACOBI})
     procs = []
     for name, env in (("default", {}), ("forced", FORCED)):
         (tmp_path / name).mkdir()
@@ -65,18 +75,18 @@ def test_cli_pins_do_not_depend_on_the_cpu_kernels(tmp_path):
         digests.append(json.loads(out))
     default, forced = digests
     assert {k for k in default if forced[k] != default[k]} == set()
-    assert default == {out: pin for out, (_, pin) in CLI_PINS.items()}
+    assert {out: default[out] for out in CLI_PINS} == {out: pin for out, (_, pin) in CLI_PINS.items()}
 
 
 # the methods of the obstacle classes that a lens row or an incidence runs
-METHODS = {"implicit", "_value", "gradient", "_gradient", "_hessian", "root_gradient", "normal_at",
+METHODS = {"implicit", "_value", "gradient", "_gradient", "_hessian", "root_gradient", "root_hessian",
            "local_geometry", "_local", "_unit_normal"}
 # the other functions on that path, by module: module-level, or Class.method
 FUNCTIONS = {
-    "geometry": {"_apply", "_gram", "_on_boundary"},
+    "geometry": {"_apply", "_gram"},
     "flow": {"_first_crossing", "reflect"},
-    "variation": {"_incidence"},
-    "curves": {"_dot", "_speed", "CurveChain.piece_normal"},
+    "variation": {"_incidence", "transport_basis"},
+    "curves": {"_dot", "_speed", "CurveChain.piece_normal", "CurveChain.piece_shape"},
 }
 # numpy functions that reach a BLAS, or a dispatched power
 NUMPY_KERNELS = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum", "power", "float_power"}

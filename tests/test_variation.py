@@ -264,7 +264,7 @@ def _frames_one_seed_at_a_time(scene, traj, t, seeds):
     for ev in traj.events:
         if ev.t >= t:
             break
-        inc = variation._incidence(scene.obstacles[ev.obstacle], ev.x, ev.v_in)
+        inc = variation._incidence(scene.obstacles[ev.obstacle], ev)
         frames = [propagate_reflection(propagate_free(f, ev.t - t_prev), inc) for f in frames]
         t_prev = ev.t
     return [propagate_free(f, t - t_prev) for f in frames]
@@ -292,10 +292,10 @@ def test_frames_along_match_one_seed_at_a_time(name, request):
                 assert np.array_equal(getattr(got, attr), getattr(one, attr))
         pos, dirn = flow_differentials(scene, entry, t, traj)
         assert np.array_equal(pos, want[0].A) and np.array_equal(dirn, want[1].B)
+        # each incidence has the normal the tracer reflected by
         for ev in traj.events:
-            obs = scene.obstacles[ev.obstacle]
-            assert np.array_equal(obs.normal_at(ev.x), geometry.surface_frame(obs, ev.x).normal)
-            assert obs.normal_at(ev.x).tolist() == variation._incidence(obs, ev.x, ev.v_in).normal
+            normal = variation._incidence(scene.obstacles[ev.obstacle], ev).normal
+            assert flow.reflect(ev.v_in, normal) == ev.v_out.tolist()
         done += 1
 
 
@@ -341,7 +341,7 @@ def _tangent_plane_conjugate(scene, traj, i, j, tolerance=1e-4):
     events = traj.events
     frame = _tangent_plane_frame(scene, events[i + 1:j], seed_frame(events[i].v_out, 0.0, 1.0),
                                  events[i].t, events[j].t)
-    normal = scene.obstacles[events[j].obstacle].normal_at(events[j].x)
+    normal = geometry.surface_frame(scene.obstacles[events[j].obstacle], events[j].x).normal
     v = events[j].v_in
     ambient = frame.basis @ frame.A
     onto = ambient - np.outer(v, (normal @ ambient) / float(v @ normal))

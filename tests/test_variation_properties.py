@@ -8,7 +8,9 @@ of any rewrite of its transfer maps.
 - The mirror equation: at a reflection off a disc or sphere of radius r at
   incidence angle phi, the walk adds C A to B with C = 2 / (r cos phi) in
   2D, and the eigenvalues of C are the tangential and sagittal powers
-  2 / (r cos phi) and 2 cos phi / r in 3D.
+  2 / (r cos phi) and 2 cos phi / r in 3D. Off a curve2d, C = 2 kappa /
+  cos phi with kappa the signed curvature, seen from the free side, of the
+  piece the root lies on: a concave arc focuses.
 """
 
 import math
@@ -20,7 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import billiard_lens as bl
-from billiard_lens import flow
+from billiard_lens import flow, geometry
 from billiard_lens.variation import seed_frame
 
 from conftest import A_BALL, _all_pieces_curve, _drawn_pair, entry_through, walk_to
@@ -43,16 +45,16 @@ def _drawn_scene(draw, dim, kind):
     return _drawn_pair(draw, kind, dim, rotated=draw(st.booleans(), label="rotated"))
 
 
-def _drawn_orbits(draw, scene, tries):
+def _drawn_orbits(draw, scene, tries, at=st.floats(0.0, 1.0)):
     """Orbits that exit after transversal reflections only, of rays through
-    drawn points inside a convex obstacle or on a curve piece, each with a
-    drawn direction."""
+    drawn points inside a convex obstacle or on a curve piece, at a parameter
+    drawn from `at`, each with a drawn direction."""
     dim = scene.dimension
     for _ in range(tries):
         obs = scene.obstacles[draw(st.integers(0, len(scene.obstacles) - 1))]
         if obs.kind == "curve2d":
             piece = obs.chain.pieces[draw(st.integers(0, len(obs.chain.pieces) - 1))]
-            target = piece.point(np.array(draw(st.floats(0.0, 1.0))))
+            target = piece.point(np.array(draw(at)))
         else:
             cloud = obs.boundary_points(64)
             target = obs.center + draw(st.floats(0.0, 0.99)) * (
@@ -120,5 +122,54 @@ def test_each_reflection_off_a_sphere_obeys_the_mirror_equation(dim, data):
             else:
                 powers, got = [2.0 * cos_phi / obs.radius, tangential], np.linalg.eigvalsh(0.5 * (C + C.T))
             assert np.max(np.abs(got - powers)) <= MIRROR_REL * tangential
+            checked += 1
+    assert checked >= 1
+
+
+def _curvature_at_root(chain, root, n_free):
+    """Signed curvature of the piece a chain root lies on, at the root, seen
+    from the side of the unit normal n_free: |g' x g''| / |g'|^3, negative
+    where the centre of curvature lies on that side. A root past an end of
+    its piece (in the join overlap) lies on the neighbour, taken at its end:
+    each piece of these chains has constant curvature, or curvature
+    stationary at its ends (the Livshits ellipse at its vertices)."""
+    n = len(chain.pieces)
+    piece, s = chain.pieces[root.piece], root.s
+    if s > 1.0:
+        piece, s = chain.pieces[(root.piece + 1) % n], 0.0
+    elif s < 0.0:
+        piece, s = chain.pieces[(root.piece - 1) % n], 1.0
+    g1, g2 = piece.deriv(np.array(s)), piece.deriv2(np.array(s))
+    speed = math.sqrt(float(g1 @ g1))
+    toward_centre = g2 - (float(g2 @ g1) / (speed * speed)) * g1
+    kappa = abs(float(g1[0] * g2[1] - g1[1] * g2[0])) / speed**3
+    return -kappa if float(toward_centre @ n_free) > 0.0 else kappa
+
+
+@pytest.mark.parametrize("name", ["livshits", "crescent"])
+@given(data=st.data())
+def test_each_reflection_off_a_curve_obeys_the_mirror_equation(name, data):
+    # a frame seeded (A, B) = (1, 0) on arrival at an event and walked through
+    # it carries B = C = 2 kappa / cos(phi); the free-side normal and cos(phi)
+    # are read off the traced reflection, v_out - v_in = 2 cos(phi) n. Half
+    # the rays pass a join, where a root may lie past the end of its piece
+    if name == "livshits":
+        scene = geometry.livshits_scene()[0]
+    else:
+        mirror = geometry.concave_mirror_obstacle([-A_BALL, 0.0], 3.0, 0.5, 0.6, [1.0, 0.0])
+        scene = bl.make_scene(2, A_BALL, [mirror], "crescent-focus")
+    chain = scene.obstacles[0].chain
+    checked = 0
+    for traj in _drawn_orbits(data.draw, scene, 4, at=st.one_of(st.just(0.0), st.floats(0.0, 1.0))):
+        events = traj.events
+        for k, ev in enumerate(events):
+            turn = ev.v_out - ev.v_in
+            cos_phi = 0.5 * math.sqrt(float(turn @ turn))
+            if cos_phi < MIRROR_MIN_COS:
+                continue
+            want = 2.0 * _curvature_at_root(chain, ev.root, turn / (2.0 * cos_phi)) / cos_phi
+            t_next = events[k + 1].t if k + 1 < len(events) else traj.total_time
+            frame = walk_to(scene, traj, seed_frame(ev.v_in, 1.0, 0.0), ev.t, t_next, first=k)
+            assert abs(frame.B[0, 0] - want) <= MIRROR_REL * abs(want)
             checked += 1
     assert checked >= 1
