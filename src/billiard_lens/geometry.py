@@ -10,10 +10,9 @@ An implicit kind writes F once, `_value(d)` at the offset d = x - c on a
 point's floats or a batch's coordinate rows (whose `**` is numpy's power,
 for a sign), and grad F and Hess F at one point on floats (`_gradient`,
 `_hessian`), each sum left to right over the rows of its one matrix, with
-libm's pow and no matrix product: the tracer's normals and the Jacobi
-layer's incidences do not depend on the CPU's BLAS or SIMD kernels.
-`validate`'s figures (matmuls, numpy's power, LAPACK's `eigvalsh`) and the
-closest-point ones do.
+libm's pow and no matrix product: the tracer's normals, the Jacobi layer's
+incidences and `validate`'s figures on these kinds do not depend on the
+CPU's BLAS or SIMD kernels. A curve2d's closest-point figures may.
 """
 
 from __future__ import annotations
@@ -186,7 +185,10 @@ class SurfaceFrame:
     tangent: np.ndarray  # (n, n-1) orthonormal columns
 
     def shape_ambient(self) -> np.ndarray:
-        return self.tangent @ self.shape @ self.tangent.T
+        """T S T^T: the rows of T S, then their products with the rows of T, left to right."""
+        rows, shape = self.tangent.tolist(), self.shape.tolist()
+        ts = [[reduce(add, (x * s for x, s in zip(r, col))) for col in zip(*shape)] for r in rows]
+        return np.array([[reduce(add, (x * y for x, y in zip(a, r))) for r in rows] for a in ts])
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +244,18 @@ class Obstacle:
 
     def local_geometry(self, X):
         """`_local` at each row of X (N, n), stacked: F (N,), unit normals (N, n),
-        |grad F| (N,), Hess F (N, n, n). SingularGradient below the floor."""
+        |grad F| (N,), shape operators (N, n-1, n-1). SingularGradient below the floor."""
         local = [self._local(x) for x in np.asarray(X, dtype=float).tolist()]
         return tuple(np.array([q[k] for q in local]).reshape(len(local), *tail)
-                     for k, tail in enumerate([(), (self.dim,), (), (self.dim, self.dim)]))
+                     for k, tail in enumerate([(), (self.dim,), (), (self.dim - 1,) * 2]))
 
     def _local(self, x):
-        """(F, unit normal into the free region, |grad F|, the rows of Hess F)
-        at the point x, all floats. Raises SingularGradient below the floor."""
+        """(F, unit normal into the free region, |grad F|, the rows of the shape
+        operator on the columns of `_tangent_columns(normal)`) at the point x,
+        all floats, summed left to right. SingularGradient below the floor."""
         normal, norm = self._unit_normal(self._gradient(x), self.kind)
-        return self._value(_sub(x, self._c)), normal, norm, self._hessian(x)
+        return (self._value(_sub(x, self._c)), normal, norm,
+                _shape_operator(self._hessian(x), _tangent_columns(normal), norm))
 
     def _unit_normal(self, g, label):
         """(g / |g|, |g|) of a gradient g of floats, |g| summed left to right:
@@ -344,10 +348,7 @@ class SphereObstacle(Obstacle):
         return _ball_roots(_sub(_floats(q), self._c), _floats(v), self._r2)
 
     def boundary_points(self, target):
-        if self.dim == 2:
-            t = 2.0 * np.pi * np.arange(target) / max(1, target)
-            return self.center + self.radius * np.column_stack([np.cos(t), np.sin(t)])
-        return self.center + self.radius * _lat_band_sphere(target)
+        return _boundary_points(self.center, [self.radius] * self.dim, 2.0, None, target)
 
 
 def _ball_roots(d, v, r2):
@@ -358,6 +359,23 @@ def _ball_roots(d, v, r2):
     t0 = -_dot(d, v) / vv
     p = _axpy(d, t0, v)
     return [t0 + t for t in _stable_quadratic(vv, 2.0 * _dot(p, v), _dot(p, p) - r2)]
+
+
+def _boundary_points(center, axes, exponent, rows, target) -> np.ndarray:
+    """About `target` samples (N, n) of the surface sum |y_i / a_i|^p = 1, y =
+    R^T (x - c), R the matrix of `rows` (None: I): each unit direction u (a
+    circle; `_lat_band_sphere` in 3D) maps to y = a sign(u) |u|^(2/p) by libm's
+    pow, which is u itself at p = 2, and x = c + R y, summed left to right."""
+    if len(axes) == 2:
+        t = 2.0 * np.pi * np.arange(target) / max(1, target)
+        u = [np.cos(t).tolist(), np.sin(t).tolist()]
+    else:
+        u = _lat_band_sphere(target).T.tolist()
+    e = 2.0 / exponent
+    y = [a * np.array([math.copysign(abs(ui) ** e, ui) for ui in col]) for a, col in zip(axes, u)]
+    if rows is not None:
+        y = _apply(rows, y)
+    return center + np.column_stack(y)
 
 
 def _lat_band_sphere(target: int) -> np.ndarray:
@@ -435,13 +453,7 @@ class EllipsoidObstacle(AxesObstacle):
         return [t0 + t for t in _stable_quadratic(vmv, 2.0 * _dot(p, mv), _dot(p, mp) - 1.0)]
 
     def boundary_points(self, target):
-        if self.dim == 2:
-            t = 2.0 * np.pi * np.arange(target) / max(1, target)
-            body = np.column_stack([self.semi_axes[0] * np.cos(t), self.semi_axes[1] * np.sin(t)])
-        else:
-            u = _lat_band_sphere(target)
-            body = u * self.semi_axes
-        return self.center + body @ self.rotation.T
+        return _boundary_points(self.center, self.semi_axes.tolist(), 2.0, self.rotation.tolist(), target)
 
 
 class SuperellipsoidObstacle(AxesObstacle):
@@ -523,32 +535,8 @@ class SuperellipsoidObstacle(AxesObstacle):
         return sorted(roots)
 
     def boundary_points(self, target):
-        e = 2.0 / self.exponent
-
-        def spow(t, ex):
-            return np.sign(t) * np.abs(t) ** ex
-
-        if self.dim == 2:
-            k = max(8, target // 4 * 4)
-            t = 2.0 * np.pi * np.arange(k) / k
-            body = np.column_stack(
-                [self.semi_axes[0] * spow(np.cos(t), e), self.semi_axes[1] * spow(np.sin(t), e)]
-            )
-        else:
-            nu = max(5, int(round(math.sqrt(target / 2))) | 1)
-            nv = max(8, (target // nu) // 4 * 4)
-            u = np.linspace(-np.pi / 2, np.pi / 2, nu)
-            v = 2.0 * np.pi * np.arange(nv) / nv
-            uu, vv = np.meshgrid(u, v, indexing="ij")
-            cu, su = spow(np.cos(uu), e), spow(np.sin(uu), e)
-            body = np.column_stack(
-                [
-                    (self.semi_axes[0] * cu * spow(np.cos(vv), e)).ravel(),
-                    (self.semi_axes[1] * cu * spow(np.sin(vv), e)).ravel(),
-                    (self.semi_axes[2] * su * np.ones_like(vv)).ravel(),
-                ]
-            )
-        return self.center + body @ self.rotation.T
+        return _boundary_points(self.center, self.semi_axes.tolist(), self.exponent,
+                                self.rotation.tolist(), target)
 
 
 class CurveObstacle(Obstacle):
@@ -580,12 +568,10 @@ class CurveObstacle(Obstacle):
         return float(fd.signed[0]), fd.normal[0].copy()
 
     def local_geometry(self, X):
-        # signed distance, foot normal and kappa t t^T from one closest-point
-        # query; the signed-distance gradient has unit length
+        # signed distance, foot normal and the foot's kappa, the shape operator,
+        # from one closest-point query; the signed-distance gradient has unit length
         fd = self.chain.closest_batch(X)
-        t = fd.tangent
-        return (fd.signed, fd.normal, np.ones(len(fd.signed)),
-                fd.shape[:, None, None] * (t[:, :, None] * t[:, None, :]))
+        return fd.signed, fd.normal, np.ones(len(fd.signed)), fd.shape[:, None, None]
 
     def _local(self, x):
         return tuple(q[0].tolist() for q in self.local_geometry(np.array([x], dtype=float)))
@@ -614,32 +600,44 @@ class CurveObstacle(Obstacle):
 
 # ---------------------------------------------------------------------------
 # the [OP] surface: the views of an obstacle's one local query, `_local`
-# (`local_geometry` on a batch): the shape of `surface_frame` at a given point
-# and validate's curvatures
+# (`local_geometry` on a batch): `surface_frame` at a given point and
+# validate's curvatures
 
 
-def _tangent_shapes(normals, grad_norms, hessians):
-    """(tangent bases (N, n, n-1), shape operators T^T Hess F T / |grad F|
-    on them (N, n-1, n-1), symmetrised) from a local query's normals,
-    gradient norms and Hessians."""
-    T = tangent_basis(normals)
-    S = np.swapaxes(T, 1, 2) @ hessians @ T / grad_norms[:, None, None]
-    return T, 0.5 * (S + np.swapaxes(S, 1, 2))
+def _shape_operator(hessian, columns, norm):
+    """The rows of T^T H T / |grad F| for the rows of H = Hess F and the tangent
+    columns T: entry (a, b) = (b, a) is t_a . (H t_b) / |grad F| for a <= b."""
+    h = [_apply(hessian, t) for t in columns]
+    m = len(columns)
+    return [[_dot(columns[min(a, b)], h[max(a, b)]) / norm for b in range(m)] for a in range(m)]
+
+
+def _principal_curvatures(shapes) -> np.ndarray:
+    """The eigenvalues, ascending, of each shape operator of a stack (N, m, m),
+    as (N, m), elementwise in closed form: S itself for m = 1, and for
+    [[a, b], [b, c]] the mean (a + c) / 2 -+ sqrt(((a - c) / 2)^2 + b^2)."""
+    if shapes.shape[1] == 1:
+        return shapes[:, 0]
+    a, b, c = shapes[:, 0, 0], shapes[:, 0, 1], shapes[:, 1, 1]
+    mean, half = 0.5 * (a + c), 0.5 * (a - c)
+    radius = np.sqrt(half * half + b * b)
+    return np.column_stack([mean - radius, mean + radius])
 
 
 def surface_frame(obstacle: Obstacle, point) -> SurfaceFrame:
-    """Unit normal into the free region and shape operator at a boundary point.
+    """Unit normal into the free region and shape operator at a boundary
+    point, as the local query gives them, on `_tangent_columns(normal)`.
 
     Raises SingularGradient below the gradient floor and ValueError when the
     point is not on the boundary (within 1e-6 of the obstacle scale).
     """
     x = _floats(point)
-    value, normal, norm, hessian = obstacle._local(x)
+    value, normal, norm, shape = obstacle._local(x)
     dist_est = abs(value) / max(norm, _GRAD_FLOOR)
     if dist_est > _BOUNDARY_TOL * max(1.0, obstacle.bounding_radius()):
         raise ValueError(f"point {x} is not on the obstacle boundary (distance ~ {dist_est:g})")
-    T, S = _tangent_shapes(np.array([normal]), np.array([norm]), np.array([hessian]))
-    return SurfaceFrame(np.array(x, dtype=float), np.array(normal), S[0], T[0])
+    return SurfaceFrame(np.array(x, dtype=float), np.array(normal), np.array(shape),
+                        np.array(_tangent_columns(normal)).T)
 
 
 # ---------------------------------------------------------------------------
@@ -897,7 +895,7 @@ def validate_scene(scene: Scene) -> ValidationReport:
 
     containment_margin = a
     for obs, cloud in zip(scene.obstacles, clouds):
-        max_norm = float(np.max(np.linalg.norm(cloud, axis=1))) if cloud.size else 0.0
+        max_norm = math.sqrt(float(np.max(squared_distances(cloud.T, [0.0] * obs.dim), initial=0.0)))
         containment_margin = min(containment_margin, a - max_norm)
         if max_norm >= a * (1.0 - 1e-9):
             raise ValidationFailed(
@@ -926,8 +924,8 @@ def validate_scene(scene: Scene) -> ValidationReport:
     flagged_nonconvex = False
     notes = []
     for obs, cloud in zip(scene.obstacles, clouds):
-        _, normals, grad_norms, hessians = obs.local_geometry(cloud)
-        curv = np.linalg.eigvalsh(_tangent_shapes(normals, grad_norms, hessians)[1])
+        _, _, grad_norms, shapes = obs.local_geometry(cloud)
+        curv = _principal_curvatures(shapes)
         min_grad = min(min_grad, float(np.min(grad_norms)))
         curv_min = min(curv_min, float(np.min(curv)))
         curv_max = max(curv_max, float(np.max(curv)))

@@ -108,7 +108,8 @@ def test_each_local_view_of_a_curve_makes_one_closest_point_query(monkeypatch, v
     # the chain runs counter-clockwise, so the basis (-n_y, n_x) of the
     # outward normal is the traversal tangent itself
     assert np.array_equal(frame.tangent[:, 0], t)
-    assert abs(frame.shape[0, 0] - kappa) <= 1e-15 * abs(kappa)
+    # the shape operator of a curve2d is its foot's kappa, as the query gives it
+    assert frame.shape[0, 0] == kappa
     assert len(calls) == 1
     with pytest.raises(ValueError):
         surface_frame(obs, x + 1e-3 * normal)
@@ -153,7 +154,8 @@ def test_local_views_agree_at_boundary_points(kind, data):
 @given(data=st.data())
 def test_local_geometry_of_a_stack_is_its_rows(kind, data):
     # each quantity has one formula over a batch of points: a stack of
-    # boundary points gets the bits of its rows queried one at a time
+    # boundary points, ray roots and `boundary_points` samples, gets the bits
+    # of its rows queried one at a time
     obs = _obstacle(data.draw, kind)
     dirs = data.draw(hnp.arrays(float, (data.draw(st.integers(2, 6)), obs.dim), elements=_unit))
     c = obs.center
@@ -163,7 +165,10 @@ def test_local_geometry_of_a_stack_is_its_rows(kind, data):
             v = v / np.linalg.norm(v)
             rows += [c + t * v for t in obs.ray_roots(c, v)]
     assume(len(rows) > 1)
-    X = np.array(rows)
+    samples = obs.boundary_points(data.draw(st.integers(1, 64)))
+    X = np.vstack([rows, samples])
+    # every sample of the one sampler lies on the drawn (rotated) body, to rounding
+    assert np.max(np.abs(obs.local_geometry(samples)[0])) <= 1e-13 * max(1.0, obs.bounding_radius())
     one_row = [obs.local_geometry(x[None, :]) for x in X]
     for k, stacked in enumerate(obs.local_geometry(X)):
         assert stacked.tobytes() == np.concatenate([q[k] for q in one_row]).tobytes()
@@ -292,6 +297,38 @@ def test_obstacles_outside_2d_and_3d_rejected_when_built(dim):
     # the ray solvers work on float pairs and triples
     with pytest.raises(InvalidParameters, match="2D or 3D"):
         bl.SphereObstacle([0.0] * dim, 1.0)
+
+
+def _symmetric_forms(draw, count):
+    """A stack of `count` symmetric 2x2 forms R diag(k1, k2) R^T, each of a
+    drawn turn R and eigenvalues k1 and k2 = k1, 0, -k1 or drawn, each drawn
+    value 0 or of magnitude 1e-9 to 1e5 (where no square underflows)."""
+    def curvature():
+        k = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
+        return k * draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.integers(-6, 2))
+
+    forms = []
+    for _ in range(count):
+        k1 = curvature()
+        k2 = draw(st.sampled_from([k1, 0.0, -k1, None]))
+        k2 = curvature() if k2 is None else k2
+        angle = draw(_angle)
+        c, s = math.cos(angle), math.sin(angle)
+        off = c * s * (k1 - k2)
+        forms.append([[c * c * k1 + s * s * k2, off], [off, s * s * k1 + c * c * k2]])
+    return np.array(forms)
+
+
+@given(data=st.data())
+def test_principal_curvatures_are_the_eigenvalues(data):
+    # the closed form, elementwise over a stack, against LAPACK's eigvalsh
+    # (the reference here): the worst over 10^6 forms is 2.7 eps max|kappa|
+    shapes = _symmetric_forms(data.draw, data.draw(st.integers(1, 8)))
+    got, want = geometry._principal_curvatures(shapes), np.linalg.eigvalsh(shapes)
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * scale)
+    # a 1x1 shape operator (2D) is its own curvature
+    assert np.array_equal(geometry._principal_curvatures(shapes[:, :1, :1]), shapes[:, 0, :1])
 
 
 def test_validate_scene_superellipsoid_flatness_flag():

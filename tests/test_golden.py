@@ -16,10 +16,11 @@ on where the test runs.
   last bits may differ between platforms.
 - The CLI outputs of `CLI_PINS` are platform-exact: their bits do not
   depend on the BLAS kernel or the numpy SIMD target the CPU selects
-  (`test_kernels.py` builds them under two of each). They do take the
-  math library's cos, sin, atan2 and pow (the sampler, the curve solvers,
-  the superellipsoid), so a math library that rounds those differently
-  moves them.
+  (`test_kernels.py` builds them under two of each), `validate`'s reports
+  included. They do take the math library's cos, sin, atan2 and pow (the
+  sampler, the curve solvers, the superellipsoid, `validate`'s boundary
+  samples, whose cos and sin are numpy's float64 loops), so a math library
+  that rounds those differently moves them.
 
 The CI matrix runs these on two Python versions on either side of 3.12's
 change to the builtin `sum`.
@@ -88,6 +89,18 @@ CLI_PINS = {
         "sls --scene livshits.json --omega 0,1 --theta=0,-1 --spec grid:128x1 --tol 0.3 "
         "--out livshits-sls.json",
         "d55b02e3c1530cad00674f75b7d27850984de76aa99ea2e63528a347a544471d"),
+    "two-disc-validate.json": (
+        "validate --scene two-disc.json --out two-disc-validate.json",
+        "a0506944d80f6cb5a26ccb57308e3622d600ab23c7c501df0e787db51f6563cf"),
+    "sphere-ellipsoid-validate.json": (
+        "validate --scene sphere-ellipsoid.json --out sphere-ellipsoid-validate.json",
+        "afb5a239400cbe62e187a96fc7d35bbbebe42ca5720ad5d51be7a6e2fa68801b"),
+    "superellipsoid-validate.json": (
+        "validate --scene superellipsoid.json --out superellipsoid-validate.json",
+        "3ba67da4de0d5ee480170f5e406e0a5f0f22f40bb0925baba45f4f867b30c817"),
+    "upright-validate.json": (
+        "validate --scene upright.json --out upright-validate.json",
+        "a9d1fc315f034221444e97c25ccd47989c76daf78dd1bf913d8f4f9e1b1bc20d"),
 }
 BLOCKS = {
     "sphere_ellipsoid_scene": "b8165c52ae890b6e68f0febed4bc70af643a3f3c40ecc279c82feacd3d86a88c",

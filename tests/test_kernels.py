@@ -4,17 +4,19 @@ numpy hands matrix products and `np.linalg` to its BLAS, and OpenBLAS built
 with DYNAMIC_ARCH picks a kernel by CPU, which may fuse multiply-adds; numpy
 also runs float64 `power`, `exp` and `arctan2` through loops it dispatches
 by CPU feature. A result that passes through either carries the machine in
-its last bits. Lens rows, and the Jacobi layer's incidences on implicit
-obstacles, pass through neither: their geometry is float arithmetic summed
-left to right, with the math library's pow.
+its last bits. Lens rows, and the Jacobi layer's incidences and
+`validate`'s figures on implicit obstacles, pass through neither: their
+geometry is float arithmetic summed left to right, with the math library's
+pow, or numpy's elementwise arithmetic and sqrt.
 
 - `test_cli_pins_do_not_depend_on_the_cpu_kernels` builds the outputs of
   `test_golden.CLI_PINS` in two fresh interpreters, one with the default
   kernels and one with OpenBLAS's Prescott kernel and every numpy dispatch
   target of this CPU disabled, and asserts the same bytes, and the pins.
-  Both also run `regularity` and `conjugate` on a Livshits orbit, which
-  must agree between the two but are not pinned: the curve pieces' normals
-  and curvatures call numpy's cos and sin on one parameter.
+  Both also run `regularity` and `conjugate` on a Livshits orbit and
+  `validate` on the Livshits scene, which must agree between the two but
+  are not pinned: the curve pieces' normals and curvatures call numpy's cos
+  and sin on one parameter.
 - `test_row_geometry_has_no_matrix_product_or_numpy_power` reads the source
   of that path, so that a host whose kernels happen to round alike still
   catches a matrix product or a numpy power coming back.
@@ -55,14 +57,15 @@ FORCED = {
 
 
 # output file: invocation, unpinned
-LIVSHITS_JACOBI = {f"livshits-{command}.json":
-                   f"{command} --scene livshits.json --entry={LIVSHITS_ENTRY} --out livshits-{command}.json"
-                   for command in ("regularity", "conjugate")}
+LIVSHITS = {**{f"livshits-{command}.json":
+               f"{command} --scene livshits.json --entry={LIVSHITS_ENTRY} --out livshits-{command}.json"
+               for command in ("regularity", "conjugate")},
+            "livshits-validate.json": "validate --scene livshits.json --out livshits-validate.json"}
 
 
 def test_cli_pins_do_not_depend_on_the_cpu_kernels(tmp_path):
     invocations = json.dumps({**{out: invocation for out, (invocation, _) in CLI_PINS.items()},
-                              **LIVSHITS_JACOBI})
+                              **LIVSHITS})
     procs = []
     for name, env in (("default", {}), ("forced", FORCED)):
         (tmp_path / name).mkdir()
@@ -78,12 +81,14 @@ def test_cli_pins_do_not_depend_on_the_cpu_kernels(tmp_path):
     assert {out: default[out] for out in CLI_PINS} == {out: pin for out, (_, pin) in CLI_PINS.items()}
 
 
-# the methods of the obstacle classes that a lens row or an incidence runs
+# the methods of the obstacle classes that a lens row, an incidence or a
+# `validate` figure runs
 METHODS = {"implicit", "_value", "gradient", "_gradient", "_hessian", "root_gradient", "root_hessian",
-           "local_geometry", "_local", "_unit_normal"}
+           "local_geometry", "_local", "_unit_normal", "boundary_points"}
 # the other functions on that path, by module: module-level, or Class.method
 FUNCTIONS = {
-    "geometry": {"_apply", "_gram"},
+    "geometry": {"_apply", "_gram", "_boundary_points", "_shape_operator", "_principal_curvatures",
+                 "surface_frame", "SurfaceFrame.shape_ambient", "validate_scene"},
     "flow": {"_first_crossing", "reflect"},
     "variation": {"_incidence", "transport_basis"},
     "curves": {"_dot", "_speed", "CurveChain.piece_normal", "CurveChain.piece_shape"},
@@ -136,9 +141,10 @@ def test_row_geometry_has_no_matrix_product_or_numpy_power():
                 offending[f"{module}.{name}"] = calls
     # the path is all there: a rename must not leave it unguarded
     kinds = ["SphereObstacle", "EllipsoidObstacle", "SuperellipsoidObstacle"]
+    per_kind = {"_value", "_gradient", "_hessian", "boundary_points"}
     expected = {f"{module}.{name}" for module, names in FUNCTIONS.items() for name in names}
-    expected |= {f"geometry.{kind}.{m}" for kind in kinds for m in ("_value", "_gradient", "_hessian")}
-    expected |= {f"geometry.Obstacle.{m}" for m in METHODS - {"_value", "_gradient", "_hessian"}}
+    expected |= {f"geometry.{kind}.{m}" for kind in kinds for m in per_kind}
+    expected |= {f"geometry.Obstacle.{m}" for m in METHODS - per_kind}
     assert offending == {}
     assert expected - checked == set()
 
