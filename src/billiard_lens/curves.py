@@ -9,7 +9,10 @@ arcs in closed form, ellipse arcs and curved bumps by safeguarded Newton, and
 the chain keeps the nearest foot over its pieces. Its ray roots come from
 each piece's exact solver and carry the piece and parameter of the crossing,
 so the normal and curvature there need no closest-point query. The ray
-solvers work in plain float arithmetic on (x, y) pairs.
+solvers work in plain float arithmetic on (x, y) pairs. A closest point
+takes no numpy kernel that the CPU picks: an arc maps the angle, by libm's
+atan2, to its parameter as the ray solver does, and a foot's normal and
+curvature are `piece_normal`'s and `piece_shape`'s, bit for bit.
 
 The scene file's shape checks live here too, shared with `geometry`.
 """
@@ -86,18 +89,15 @@ def _circle_roots(px, py, wx, wy, radius, theta0, sweep):
     mid, half = theta0 + 0.5 * sweep, 0.5 * abs(sweep) + _JOIN_OVERLAP
     roots = []
     for t in _stable_quadratic(ww, 2.0 * (px * wx + py * wy), px * px + py * py - radius * radius):
-        off = (math.atan2(py + t * wy, px + t * wx) - mid + math.pi) % (2.0 * math.pi) - math.pi
+        off = _angle_offset(math.atan2(py + t * wy, px + t * wx), mid)
         if abs(off) <= half:
             roots.append((t0 + t, 0.5 + off / sweep))
     return roots
 
 
-def _rot90(v):
-    # (x, y) -> (-y, x)
-    out = np.empty_like(v)
-    out[..., 0] = -v[..., 1]
-    out[..., 1] = v[..., 0]
-    return out
+def _angle_offset(angle, mid):
+    # angle - mid reduced to [-pi, pi), on floats or elementwise on an array
+    return (angle - mid + math.pi) % (2.0 * math.pi) - math.pi
 
 
 def _speed(piece, s):
@@ -342,7 +342,8 @@ class BumpLinePiece(CurvePiece):
     def point(self, s):
         s = np.asarray(s, dtype=float)
         base = self.p0 + np.multiply.outer(s, self._d)
-        return base + np.multiply.outer(self.amplitude * np.sin(np.pi * s) ** 2, self._u)
+        sin = np.sin(np.pi * s)
+        return base + np.multiply.outer(self.amplitude * (sin * sin), self._u)
 
     def deriv(self, s):
         s = np.asarray(s, dtype=float)
@@ -415,7 +416,6 @@ class ArcPiece(CurvePiece):
         self.theta0 = _number("arc theta0", theta0)
         self.theta1 = _number("arc theta1", theta1)
         self._sweep = _nonzero_sweep(self.theta0, self.theta1)
-        self._ends = (self.start(), self.end())
         self._floats = tuple(self.center.tolist())  # centre, for the ray solver
 
     def _theta(self, s):
@@ -434,17 +434,11 @@ class ArcPiece(CurvePiece):
         return -self.radius * self._sweep**2 * np.stack([np.cos(th), np.sin(th)], axis=-1)
 
     def project(self, X, s0=None):
-        # the angle's fraction of the sweep where it falls within it, else the nearer end
-        rel = X - self.center
-        ang = np.arctan2(rel[:, 1], rel[:, 0])
-        if self._sweep >= 0.0:
-            s = np.mod(ang - self.theta0, 2.0 * math.pi) / self._sweep
-        else:
-            s = -np.mod(self.theta0 - ang, 2.0 * math.pi) / self._sweep
-        e0, e1 = self._ends
-        d0 = np.sum((X - e0) ** 2, axis=1)
-        d1 = np.sum((X - e1) ** 2, axis=1)
-        return np.where(s <= 1.0, s, np.where(d0 <= d1, 0.0, 1.0))  # s >= 0 by the mod
+        # the ray roots' parameter of the angle (by libm's atan2), clamped: on a
+        # circle the end nearer in angle is the nearer end
+        x, y = (X - self.center).T.tolist()
+        off = _angle_offset(np.array(list(map(math.atan2, y, x))), self.theta0 + 0.5 * self._sweep)
+        return np.clip(0.5 + off / self._sweep, 0.0, 1.0)
 
     def ray_roots(self, q, v):
         (qx, qy), (vx, vy) = q, v
@@ -552,14 +546,15 @@ class CurveChain:
             named = next((f": {piece.kind} {key} = {_floats(getattr(piece, key))}"
                           for key in piece.keys if not np.isfinite(getattr(piece, key)).all()), "")
             raise ValueError(f"curve piece {k} has a non-finite number{named}")
-        self.lengths = [
-            float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1))) for pts in self._coarse_pts
-        ]
+        steps = [np.diff(pts, axis=0) for pts in self._coarse_pts]
+        steps = [np.sqrt(np.sum(d * d, axis=1)) for d in steps]  # chord lengths
+        self.lengths = [float(np.sum(step)) for step in steps]
         self.total_length = math.fsum(self.lengths)
         dense = self.sample_points(max(256, 48 * len(self.pieces)))
         self._bbox_center = 0.5 * (dense.min(axis=0) + dense.max(axis=0))
         self._bbox_xy = tuple(self._bbox_center.tolist())
-        self._bound_radius = float(np.max(np.linalg.norm(dense - self._bbox_center, axis=1))) * 1.0001
+        rel = dense - self._bbox_center
+        self._bound_radius = float(np.sqrt(np.max(np.sum(rel * rel, axis=1)))) * 1.0001
         # shoelace area decides which side of the traversal is free space
         x, y = dense[:, 0], dense[:, 1]
         area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
@@ -569,22 +564,18 @@ class CurveChain:
         self._projection_order = sorted(range(len(self.pieces)),
                                         key=lambda k: not self.pieces[k].closed_form_projection)
         # coarse-sampling slack: true distance >= coarse distance - slack
-        self._coarse_slack = [0.55 * float(np.max(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
-                              for pts in self._coarse_pts]
+        self._coarse_slack = [0.55 * float(np.max(step)) for step in steps]
         self._check_chain()
 
     def _check_chain(self):
         scale = max(self.total_length, 1e-12)
         for i, piece in enumerate(self.pieces):
             nxt = self.pieces[(i + 1) % len(self.pieces)]
-            gap = np.linalg.norm(piece.end() - nxt.start())
-            if gap > 1e-9 * scale:
+            gap = _sub(piece.end().tolist(), nxt.start().tolist())
+            if math.sqrt(_dot(gap, gap)) > 1e-9 * scale:
                 raise ValueError(f"chain not closed between pieces {i} and {(i + 1) % len(self.pieces)}")
-            t0 = piece.deriv(np.array(1.0))
-            t1 = nxt.deriv(np.array(0.0))
-            t0 = t0 / np.linalg.norm(t0)
-            t1 = t1 / np.linalg.norm(t1)
-            if float(t0 @ t1) < 1.0 - 1e-6:
+            turn = _dot(piece.deriv(1.0).tolist(), nxt.deriv(0.0).tolist())
+            if turn / (_speed(piece, 1.0) * _speed(nxt, 0.0)) < 1.0 - 1e-6:
                 raise ValueError(f"chain not C1 between pieces {i} and {(i + 1) % len(self.pieces)}")
 
     def sample_points(self, n_total: int) -> np.ndarray:
@@ -682,12 +673,13 @@ class CurveChain:
             piece = self.pieces[idx]
             g1 = piece.deriv(s_out[mask])
             g2 = piece.deriv2(s_out[mask])
-            speed = np.linalg.norm(g1, axis=1)
+            gg = np.sum(g1 * g1, axis=1)  # `piece_normal`'s and `piece_shape`'s formulas
+            speed = np.sqrt(gg)
             tang[mask] = g1 / speed[:, None]
             cross = g1[:, 0] * g2[:, 1] - g1[:, 1] * g2[:, 0]
-            curv[mask] = cross / speed**3
+            curv[mask] = cross / (gg * speed)
 
-        normal = self.orientation * _rot90(tang)
+        normal = self.orientation * np.column_stack([-tang[:, 1], tang[:, 0]])
         shape = -self.orientation * curv
         rel = X - foot
         sgn = np.where(np.sum(rel * normal, axis=1) >= 0.0, 1.0, -1.0)

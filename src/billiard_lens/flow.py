@@ -259,7 +259,7 @@ def trace(scene, entry: PhasePoint, limits: Limits | None = None) -> Trajectory:
     return trace_phase(scene, q, v, limits)
 
 
-def sojourn_time(scene, trajectory: Trajectory) -> float:
+def sojourn_time(trajectory: Trajectory) -> float:
     """Sojourn time: length between the support planes tangent to the sphere
     and orthogonal to the incoming/outgoing directions, minus one diameter."""
     if trajectory.status != "exited":

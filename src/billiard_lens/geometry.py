@@ -11,8 +11,9 @@ point's floats or a batch's coordinate rows (whose `**` is numpy's power,
 for a sign), and grad F and Hess F at one point on floats (`_gradient`,
 `_hessian`), each sum left to right over the rows of its one matrix, with
 libm's pow and no matrix product: the tracer's normals, the Jacobi layer's
-incidences and `validate`'s figures on these kinds do not depend on the
-CPU's BLAS or SIMD kernels. A curve2d's closest-point figures may.
+incidences and `validate`'s figures do not depend on the CPU's BLAS or SIMD
+kernels, on these kinds or on a curve2d (see `curves`). Only `implicit_batch`
+takes numpy's power, for a sign.
 """
 
 from __future__ import annotations
@@ -372,7 +373,7 @@ def _boundary_points(center, axes, exponent, rows, target) -> np.ndarray:
     else:
         u = _lat_band_sphere(target).T.tolist()
     e = 2.0 / exponent
-    y = [a * np.array([math.copysign(abs(ui) ** e, ui) for ui in col]) for a, col in zip(axes, u)]
+    y = [a * np.array([math.copysign(math.pow(abs(ui), e), ui) for ui in col]) for a, col in zip(axes, u)]
     if rows is not None:
         y = _apply(rows, y)
     return center + np.column_stack(y)
@@ -410,7 +411,10 @@ class AxesObstacle(Obstacle):
         if R.size != self.dim**2:
             raise InvalidParameters(f"rotation must have {self.dim**2} entries")
         self.rotation = R.reshape(self.dim, self.dim)
-        if not np.allclose(self.rotation @ self.rotation.T, np.eye(self.dim), atol=1e-9):
+        # R R^T = I as `np.allclose` judges it, each product of rows on floats
+        rows = self.rotation.tolist()
+        if not all(abs(_dot(ri, rj) - (i == j)) <= 1e-9 + 1e-5 * (i == j)
+                   for i, ri in enumerate(rows) for j, rj in enumerate(rows)):
             raise InvalidParameters("rotation matrix is not orthonormal")
 
     def rotation_list(self):
@@ -905,14 +909,16 @@ def validate_scene(scene: Scene) -> ValidationReport:
     gap_min = None
     for i in range(len(clouds)):
         for j in range(i + 1, len(clouds)):
-            # a boundary sample of one obstacle inside the other is an overlap
-            cross = min(
-                float(np.min(scene.obstacles[i].implicit_batch(clouds[j]))),
-                float(np.min(scene.obstacles[j].implicit_batch(clouds[i]))),
-            )
+            # a boundary sample of one obstacle inside the other is an overlap,
+            # whatever the distance between the two clouds
+            for inner, outer in ((j, i), (i, j)):
+                if np.min(scene.obstacles[outer].implicit_batch(clouds[inner])) < 0.0:
+                    raise ValidationFailed(
+                        "overlap", f"a boundary sample of obstacle {inner} lies inside obstacle {outer}"
+                    )
             d = float(np.min(nearest_distances(clouds[i], clouds[j])))
             gap_min = d if gap_min is None else min(gap_min, d)
-            if cross < 0.0 or d <= 1e-6 * a:
+            if d <= 1e-6 * a:
                 raise ValidationFailed(
                     "overlap", f"obstacles {i} and {j} are not disjoint (gap ~ {d:g})"
                 )

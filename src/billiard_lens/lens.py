@@ -329,7 +329,7 @@ def _trace_rows(scene, Q, V, limits: Limits) -> tuple:
             theta[k] = traj.exit_state.v
         if status[k] in ("free", "scattered"):
             t[k] = traj.total_time
-            sojourn[k] = flow.sojourn_time(scene, traj)
+            sojourn[k] = flow.sojourn_time(traj)
     return (_status_column(status), np.array(reflections, dtype=np.int64), np.array(t), theta,
             np.array(sojourn), np.array(error, dtype=object))
 

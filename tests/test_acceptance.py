@@ -49,7 +49,7 @@ def test_criterion_2_sphere_backscatter(sphere_scene, tmp_path):
         entry = PhasePoint(-A_BALL * omega, omega.copy())
         traj = flow.trace(sphere_scene, entry)
         worst_t = max(worst_t, abs(traj.total_time - 2.0 * (A_BALL - 1.0)))
-        worst_s = max(worst_s, abs(flow.sojourn_time(sphere_scene, traj) + 2.0))
+        worst_s = max(worst_s, abs(flow.sojourn_time(traj) + 2.0))
     ok_t = worst_t <= 1e-9 * A_BALL
     ok_s = worst_s <= 1e-6
 

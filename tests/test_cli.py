@@ -95,6 +95,22 @@ def test_validate_disconnected_scene_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("obstacles, message", [
+    ([bl.SphereObstacle([-0.5, 0.0], 1.0), bl.SphereObstacle([0.5, 0.0], 1.0)],
+     "a boundary sample of obstacle 1 lies inside obstacle 0"),
+    ([bl.SphereObstacle([0.2, 0.0], 0.3), bl.SphereObstacle([0.0, 0.0], 1.0)],
+     "a boundary sample of obstacle 0 lies inside obstacle 1"),
+], ids=["crossing", "nested"])
+def test_validate_overlapping_scene_exits_2(obstacles, message, tmp_path, capsys):
+    # obstacles that overlap get no gap figure, which would be positive
+    scene = tmp_path / "overlap.json"
+    scene.write_text(geometry.scene_to_json(bl.make_scene(2, 10.0, obstacles, "overlap")) + "\n")
+    out = tmp_path / "report.json"
+    assert cli.main(["validate", "--scene", str(scene), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: overlap: {message}\n"
+    assert not out.exists()
+
+
 def test_trace_command_diametric(sphere_json, tmp_path):
     out = tmp_path / "traj.jsonl"
     svg = tmp_path / "traj.svg"

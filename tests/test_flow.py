@@ -206,9 +206,9 @@ def _single_bounce_disc_oracle(q0, v, r):
 
 def test_sojourn_time_examples(empty3, sphere_scene, disc_scene):
     free = flow.trace(empty3, PhasePoint(np.array([-10.0, 0, 0]), np.array([1.0, 0, 0])))
-    assert flow.sojourn_time(empty3, free) == pytest.approx(0.0, abs=1e-12)
+    assert flow.sojourn_time(free) == pytest.approx(0.0, abs=1e-12)
     back = flow.trace(sphere_scene, PhasePoint(np.array([-10.0, 0, 0]), np.array([1.0, 0, 0])))
-    assert flow.sojourn_time(sphere_scene, back) == pytest.approx(-2.0, abs=1e-10)
+    assert flow.sojourn_time(back) == pytest.approx(-2.0, abs=1e-10)
     # off-axis single bounce vs the independent plane-geometry oracle
     entry = entry_through([-0.4, -2.0], [0.05, 1.0])
     traj = flow.trace(disc_scene, entry)
@@ -218,7 +218,7 @@ def test_sojourn_time_examples(empty3, sphere_scene, disc_scene):
     t2 = -bq + math.sqrt(bq * bq - (float(x1 @ x1) - A_BALL**2))
     q_exit = x1 + t2 * v1
     oracle = (t1 + t2) + float(entry.q @ entry.v) - float(q_exit @ v1)
-    assert flow.sojourn_time(disc_scene, traj) == pytest.approx(oracle, abs=1e-9)
+    assert flow.sojourn_time(traj) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_reflection_count_corridor_oracle(two_disc_scene):
@@ -504,7 +504,7 @@ def test_not_scattered_errors(two_disc_scene):
     trapped = flow.trace(two_disc_scene, entry_through(p1, d_in), Limits(n_max=1))
     assert trapped.status == "trapped"
     with pytest.raises(NotScattered):
-        flow.sojourn_time(two_disc_scene, trapped)
+        flow.sojourn_time(trapped)
 
 
 def test_tangent_event_continues_straight(disc_scene):

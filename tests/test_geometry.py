@@ -716,6 +716,12 @@ def _assert_feet_are_nearest(chain, X):
     for k, piece in enumerate(chain.pieces):
         rows = fd.piece == k
         assert np.max(np.abs(piece.point(fd.s[rows]) - fd.foot[rows]), initial=0.0) <= 1e-15 * scale
+    # each foot's normal and kappa t t^T are the root formulas' at its piece and parameter
+    for k, s, normal, kappa, (t0, t1) in zip(fd.piece.tolist(), fd.s.tolist(), fd.normal.tolist(),
+                                             fd.shape.tolist(), fd.tangent.tolist()):
+        assert chain.piece_normal(k, s) == normal
+        assert chain.piece_shape(k, s) == [[kappa * (t0 * t0), kappa * (t0 * t1)],
+                                           [kappa * (t0 * t1), kappa * (t1 * t1)]]
     dense = [piece.point(np.linspace(0.0, 1.0, 2049)) for piece in chain.pieces]
     spacing = max(float(np.max(np.linalg.norm(np.diff(d, axis=0), axis=1))) for d in dense)
     nearest = [(np.vstack(dense), fd.dist)]

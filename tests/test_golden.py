@@ -8,7 +8,9 @@ on where the test runs.
 - The block digests of the sphere-ellipsoid and disc-ellipse fixtures are
   platform-exact: the tracer and the Jacobi layer add in a fixed order on
   floats, with +, -, *, / and sqrt only on spheres and ellipsoids, so
-  neither a BLAS nor a math library enters their bits.
+  neither a BLAS nor a math library enters their bits. The block digest of
+  the rotated superellipsoid of `_scenes` takes the math library's pow as
+  well, as the CLI outputs below do.
 - The `regularity` and `conjugate` files of the refocusing fixture are
   host-exact: its mirror is built with the math library's atan2, cos and
   sin, and the normal and curvature at each root on it come from its arc
@@ -101,10 +103,21 @@ CLI_PINS = {
     "upright-validate.json": (
         "validate --scene upright.json --out upright-validate.json",
         "a9d1fc315f034221444e97c25ccd47989c76daf78dd1bf913d8f4f9e1b1bc20d"),
+    "livshits-validate.json": (
+        "validate --scene livshits.json --out livshits-validate.json",
+        "01cf8d7cc7517633f934b57754c6e6af1dd862b83d928a996d4bec0c9a8dbbfe"),
+    "livshits-regularity.json": (
+        f"regularity --scene livshits.json --entry={LIVSHITS_ENTRY} --out livshits-regularity.json",
+        "effdea7c775166bc1c037494e843f6452c9b2c017ac3170b3f0da1693c652723"),
+    "livshits-conjugate.json": (
+        f"conjugate --scene livshits.json --entry={LIVSHITS_ENTRY} --out livshits-conjugate.json",
+        "de90d6e003f625a0196d0d50809c0e157bfa0344ae8e48d91b8c2150d88b900d"),
 }
+# scene fixture: (reach, sha256) of `_block_digest`
 BLOCKS = {
-    "sphere_ellipsoid_scene": "b8165c52ae890b6e68f0febed4bc70af643a3f3c40ecc279c82feacd3d86a88c",
-    "disc_ellipse_scene": "bf2ef254e23a48c4efc8fd32c5761a3af63ca1f4a255d5647a068009c0826d1d",
+    "sphere_ellipsoid_scene": (1.0, "b8165c52ae890b6e68f0febed4bc70af643a3f3c40ecc279c82feacd3d86a88c"),
+    "disc_ellipse_scene": (1.0, "bf2ef254e23a48c4efc8fd32c5761a3af63ca1f4a255d5647a068009c0826d1d"),
+    "superellipsoid_scene": (4.0, "10cb1d895aa1d4b141c7d005215aa26419601b7f0c8f6b025d8e068b14e64052"),
 }
 
 
@@ -126,23 +139,21 @@ def _entry(point, direction, a=A_BALL):
 
 
 def _outside(obs, point):
-    """Whether `point` lies outside a sphere or an ellipsoid without a
-    rotation, on floats."""
-    axes = obs.semi_axes.tolist() if obs.kind == "ellipsoid" else [obs.radius] * len(point)
-    scaled = [(p - c) / a for p, c, a in zip(point, obs.center.tolist(), axes)]
-    return _dot(scaled, scaled) > 1.0
+    """Whether `point` lies outside an implicit obstacle: F > 0, on floats."""
+    return obs._value([p - c for p, c in zip(point, obs.center.tolist())]) > 0.0
 
 
-def _block_digest(scene, orbits=30):
+def _block_digest(scene, reach, orbits=30):
     """sha256 of the flow differentials at a time past the last reflection,
     and the regularity singular values, of the first `orbits` seeded rays
-    through points near an obstacle that reflect transversally and exit."""
+    through points within `reach` of an obstacle's centre in each coordinate
+    that reflect transversally and exit."""
     gen = Xoshiro256StarStar(2024)
     h = hashlib.sha256()
     done = 0
     while done < orbits:
-        obs = scene.obstacles[int(2.0 * gen.uniform())]
-        point = [c + 2.0 * gen.uniform() - 1.0 for c in obs.center.tolist()]
+        obs = scene.obstacles[int(len(scene.obstacles) * gen.uniform())]
+        point = [c + 2.0 * reach * gen.uniform() - reach for c in obs.center.tolist()]
         direction = [2.0 * gen.uniform() - 1.0 for _ in point]
         if _dot(direction, direction) < 1e-2 or not all(_outside(o, point) for o in scene.obstacles):
             continue
@@ -161,9 +172,16 @@ def _block_digest(scene, orbits=30):
     return h.hexdigest()
 
 
+@pytest.fixture(scope="module")
+def superellipsoid_scene():
+    """The rotated superellipsoid of `_scenes`."""
+    return _scenes()["superellipsoid"]
+
+
 @pytest.mark.parametrize("name", sorted(BLOCKS))
 def test_jacobi_blocks_are_pinned(name, request):
-    assert _block_digest(request.getfixturevalue(name)) == BLOCKS[name]
+    reach, pin = BLOCKS[name]
+    assert _block_digest(request.getfixturevalue(name), reach) == pin
 
 
 def test_regularity_and_conjugate_files_are_pinned(conjugate_fixture_scene, tmp_path, monkeypatch):
@@ -177,13 +195,12 @@ def test_regularity_and_conjugate_files_are_pinned(conjugate_fixture_scene, tmp_
         assert hashlib.sha256(Path(out).read_bytes()).hexdigest() == pin, command
 
 
-def write_scenes(directory):
-    """The scene files the invocations of `CLI_PINS` name, in `directory`: two
-    discs, a sphere and a rotated ellipsoid, a superellipsoid rotated and
-    upright, and the Livshits base scene."""
+def _scenes():
+    """{name: scene} of two discs, a sphere and a rotated ellipsoid, a
+    superellipsoid rotated and upright, and the Livshits base scene."""
     superellipsoid = lambda rotation: bl.SuperellipsoidObstacle([0.1, -0.2, 0.1], [3.0, 2.5, 2.0],
                                                                  6.0, rotation)
-    scenes = {
+    return {
         "two-disc": bl.make_scene(2, A_BALL, [bl.SphereObstacle([-3.0, 0.0], 1.0),
                                               bl.SphereObstacle([3.0, 0.5], 1.2)], "two-disc"),
         "sphere-ellipsoid": bl.make_scene(3, A_BALL, [
@@ -193,7 +210,11 @@ def write_scenes(directory):
         "upright": bl.make_scene(3, A_BALL, [superellipsoid(None)], "upright"),
         "livshits": geometry.livshits_scene()[0],
     }
-    for name, scene in scenes.items():
+
+
+def write_scenes(directory):
+    """The scene files the invocations of `CLI_PINS` name, `_scenes`, in `directory`."""
+    for name, scene in _scenes().items():
         (Path(directory) / f"{name}.json").write_text(geometry.scene_to_json(scene) + "\n")
 
 

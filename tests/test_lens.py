@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -19,7 +19,8 @@ from billiard_lens.flow import PhasePoint
 from billiard_lens.lens import LensTable, SampleSpec, SpecMismatch
 from billiard_lens.rng import Xoshiro256StarStar
 
-from conftest import A_BALL, NUMERIC_FAILURES, FaintSphere, cross_basis, run_python
+from conftest import (A_BALL, NUMERIC_FAILURES, FaintSphere, _all_pieces_curve, _drawn_pair, cross_basis,
+                      run_python)
 
 
 def test_parse_spec_round_trip():
@@ -75,6 +76,35 @@ def test_empty_scene_chords(empty2):
         chord = 2.0 * A_BALL * float(s.v @ (-s.q / A_BALL))
         assert s.t == pytest.approx(chord, abs=1e-9 * A_BALL)
         assert s.sojourn == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("dim, kind", [(dim, kind) for dim in (2, 3)
+                                       for kind in ("sphere", "ellipsoid", "superellipsoid")]
+                         + [(2, "curve2d")])
+@pytest.mark.parametrize("mode", ["grid", "mc"])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_free_rows_keep_the_chord_law(dim, kind, mode, data):
+    # a row whose line misses every bounding sphere (widened by 1e-9 relative)
+    # is free, and a free row crosses the ball on its chord: t = 2a <v, nu>,
+    # theta = v and a zero sojourn, over 256 rays of a drawn scene
+    scene = (bl.make_scene(2, A_BALL, [_all_pieces_curve(data.draw)], "all-pieces") if kind == "curve2d"
+             else _drawn_pair(data.draw, kind, dim))
+    spec = (SampleSpec("grid", 16, 16) if mode == "grid"
+            else SampleSpec("mc", n_total=256, seed=data.draw(st.integers(0, 2**64 - 1))))
+    table = lens.build_lens_table(scene, spec)
+    missed = np.ones(len(table.q), dtype=bool)
+    for obs in scene.obstacles:
+        d = table.q - obs.center
+        b = np.sum(d * table.v, axis=1)
+        missed &= np.sum(d * d, axis=1) - b * b > (obs.bounding_radius() * (1.0 + 1e-9)) ** 2
+    free = table.status == "free"
+    assert missed.any() and np.all(free[missed])
+    chord = 2.0 * A_BALL * np.sum(table.v * (-table.q / A_BALL), axis=1)
+    assert np.all(table.reflections[free] == 0)
+    assert np.max(np.abs(table.t - chord)[free]) <= 1e-12 * A_BALL
+    assert np.max(np.abs(table.theta - table.v)[free]) <= 1e-15
+    assert np.max(np.abs(table.sojourn[free])) <= 1e-12 * A_BALL
 
 
 def test_disc_shadow_fraction(disc_scene):
