@@ -235,8 +235,10 @@ class Obstacle:
 
     def implicit_batch(self, X) -> np.ndarray:
         """F at the rows of X (N, n): `_value` on the coordinate rows, whose
-        `**` is numpy's power; it serves sign tests only."""
-        return self._value((np.asarray(X, dtype=float) - self.center).T)
+        `**` is numpy's power; it serves sign tests only, so a power past the
+        float range reads +inf, and F with it, without a warning."""
+        with np.errstate(over="ignore"):
+            return self._value((np.asarray(X, dtype=float) - self.center).T)
 
     def gradient(self, x) -> np.ndarray:
         """grad F at the point x (n,), or at each row of X (N, n), by `_gradient`."""
@@ -346,32 +348,31 @@ class SphereObstacle(Obstacle):
         return self.radius
 
     def ray_roots(self, q, v):
-        return _ball_roots(_sub(_floats(q), self._c), _floats(v), self._r2)
+        # solved about the point p of the line nearest the centre, so that a
+        # small ball far from q keeps its precision
+        d, v = _sub(_floats(q), self._c), _floats(v)
+        vv = _dot(v, v)
+        t0 = -_dot(d, v) / vv
+        p = _axpy(d, t0, v)
+        return [t0 + t for t in _stable_quadratic(vv, 2.0 * _dot(p, v), _dot(p, p) - self._r2)]
 
     def boundary_points(self, target):
         return _boundary_points(self.center, [self.radius] * self.dim, 2.0, None, target)
 
 
-def _ball_roots(d, v, r2):
-    """Sorted roots t of |d + t v|^2 = r2 for float pairs or triples d and v,
-    solved about the point p of the line nearest the centre, so that a small
-    ball far from d keeps its precision."""
-    vv = _dot(v, v)
-    t0 = -_dot(d, v) / vv
-    p = _axpy(d, t0, v)
-    return [t0 + t for t in _stable_quadratic(vv, 2.0 * _dot(p, v), _dot(p, p) - r2)]
-
-
 def _boundary_points(center, axes, exponent, rows, target) -> np.ndarray:
-    """About `target` samples (N, n) of the surface sum |y_i / a_i|^p = 1, y =
-    R^T (x - c), R the matrix of `rows` (None: I): each unit direction u (a
-    circle; `_lat_band_sphere` in 3D) maps to y = a sign(u) |u|^(2/p) by libm's
-    pow, which is u itself at p = 2, and x = c + R y, summed left to right."""
+    """`target` samples (N, n) of the surface sum |y_i / a_i|^p = 1, y = R^T (x
+    - c), R the matrix of `rows` (None: I): each unit direction u (equally
+    spaced on a circle; in 3D the golden-angle lattice at heights 1 - 2k/(N-1),
+    both poles included) maps to y = a sign(u) |u|^(2/p) by libm's pow, which
+    is u itself at p = 2, and x = c + R y, summed left to right."""
     if len(axes) == 2:
         t = 2.0 * np.pi * np.arange(target) / max(1, target)
         u = [np.cos(t).tolist(), np.sin(t).tolist()]
     else:
-        u = _lat_band_sphere(target).T.tolist()
+        z, phi = golden_lattice([1.0 - 2.0 * k / max(1, target - 1) for k in range(target)]).T
+        rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        u = [(rho * np.cos(phi)).tolist(), (rho * np.sin(phi)).tolist(), z.tolist()]
     e = 2.0 / exponent
     y = [a * np.array([math.copysign(math.pow(abs(ui), e), ui) for ui in col]) for a, col in zip(axes, u)]
     if rows is not None:
@@ -379,17 +380,12 @@ def _boundary_points(center, axes, exponent, rows, target) -> np.ndarray:
     return center + np.column_stack(y)
 
 
-def _lat_band_sphere(target: int) -> np.ndarray:
-    """Roughly equal-area unit-sphere points on latitude bands (pole rows included)."""
-    n_bands = max(2, int(round(math.sqrt(target))))
-    pts = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
-    for k in range(n_bands):
-        z = 1.0 - 2.0 * (k + 0.5) / n_bands
-        rho = math.sqrt(max(0.0, 1.0 - z * z))
-        m = max(4, int(round(target * rho / n_bands)))
-        phi = 2.0 * np.pi * np.arange(m) / m
-        pts.append(np.column_stack([rho * np.cos(phi), rho * np.sin(phi), np.full(m, z)]))
-    return np.vstack([np.atleast_2d(p) for p in pts])
+def golden_lattice(heights) -> np.ndarray:
+    """Rows (h_k, k pi (3 - sqrt 5) mod 2 pi), one for the k-th of the
+    heights: the golden-angle spiral of a spherical Fibonacci lattice
+    (González 2010), on whatever heights (z, mu or a radius) the caller takes."""
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    return np.array([(h, golden * k % (2.0 * math.pi)) for k, h in enumerate(heights)])
 
 
 class AxesObstacle(Obstacle):
@@ -446,7 +442,7 @@ class EllipsoidObstacle(AxesObstacle):
         return self._bounding_radius
 
     def ray_roots(self, q, v):
-        # as `_ball_roots`, about the ray point p nearest the centre in the metric M
+        # as the sphere's, about the ray point p nearest the centre in the metric M
         v = _floats(v)
         d = _sub(_floats(q), self._c)
         mv = _apply(self._m_rows, v)
@@ -476,7 +472,6 @@ class SuperellipsoidObstacle(AxesObstacle):
         if self.exponent < 4.0:
             raise InvalidParameters("superellipsoid exponent must be >= 4 (use ellipsoid below)")
         self._bounding_radius = math.sqrt(_dot(self.semi_axes, self.semi_axes))
-        self._r2 = self._bounding_radius**2  # the ray solver's bounding sphere
         # the rows b_i of R^T / a, which map x - c to the body coordinates u = y / a
         self._body_rows = (self.rotation.T / self.semi_axes[:, None]).tolist()
 
@@ -501,19 +496,28 @@ class SuperellipsoidObstacle(AxesObstacle):
 
     def ray_roots(self, q, v):
         # the gauge |R^T(x-c)/a|_p - 1 is convex along the ray, so Newton from
-        # either end of the bounding-sphere chord converges monotonically to
-        # the entry or exit root; a slope turning away first, or a step that
-        # leaves the chord (where a near-tangent miss sends it), means a miss
-        v = _floats(v)
-        d = _sub(_floats(q), self._c)
-        ends = _ball_roots(d, v, self._r2)
-        if not ends:
+        # either end of the line's chord of the box |u_i| <= 1, which holds
+        # the body, converges monotonically to the entry or exit root; a slope
+        # turning away first, or a step that leaves the chord (where a
+        # near-tangent miss sends it), means a miss. In the box no |u_i|^(p-1)
+        # exceeds 1, so no power overflows.
+        y = _apply(self._body_rows, _sub(_floats(q), self._c))
+        w = _apply(self._body_rows, _floats(v))
+        lo, hi = -math.inf, math.inf
+        for yi, wi in zip(y, w):
+            if wi != 0.0:
+                near, far = (-1.0 - yi) / wi, (1.0 - yi) / wi
+                if wi < 0.0:
+                    near, far = far, near
+                lo, hi = max(lo, near), min(hi, far)
+            elif abs(yi) > 1.0:
+                return []
+        if lo > hi:
             return []
-        y, w = _apply(self._body_rows, d), _apply(self._body_rows, v)
         p = self.exponent
         pm1, inv_p = p - 1.0, 1.0 / p
         roots = []
-        for t, toward in ((ends[0], 1.0), (ends[1], -1.0)):
+        for t, toward in ((lo, 1.0), (hi, -1.0)):
             for _ in range(100):
                 # with s = sum |u_i|^p at u = y + t w, the gauge is s^(1/p) and its
                 # slope s^(1/p - 1) sum sign(u_i) |u_i|^(p-1) w_i: one pass gives both
@@ -530,7 +534,7 @@ class SuperellipsoidObstacle(AxesObstacle):
                 if slope * toward >= 0.0:
                     return []
                 t_next = t - (gauge - 1.0) / slope
-                if not ends[0] <= t_next <= ends[1]:
+                if not lo <= t_next <= hi:
                     return []
                 if t_next == t:
                     break

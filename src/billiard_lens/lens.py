@@ -144,11 +144,6 @@ class Entries(_RowViews):
         return Entry(tuple(self.params[k].tolist()), self.q[k], self.v[k])
 
 
-def _rounded_partition(total: int, bands: int):
-    edges = [round(total * k / bands) for k in range(bands + 1)]
-    return [edges[k + 1] - edges[k] for k in range(bands)]
-
-
 def _cos_sin(x: np.ndarray):
     """cos and sin of each element by `math`, so that a batch rounds like the
     one-entry formulas on every platform (numpy's own may differ by an ulp)."""
@@ -181,20 +176,15 @@ def _entries(a: float, dim: int, P: np.ndarray) -> Entries:
     return Entries(P, q, v)
 
 
-def _band_grid(total: int, heights: list) -> np.ndarray:
-    """(height, azimuth) rows: the total split between bands at the given
-    heights, each band at equally spaced azimuths."""
-    return np.array([(h, 2.0 * math.pi * i / max(1, m))
-                     for h, m in zip(heights, _rounded_partition(total, len(heights)))
-                     for i in range(m)])
-
-
 def sample_phase_sphere(spec: SampleSpec, ball_radius: float, dimension: int) -> Entries:
     """Entry samples covering the inward phase set of the boundary sphere,
     as columns; entries[k] is the Entry of row k.
 
-    Grid mode: positions on an equal-area grid of the sphere crossed with an
-    equal-area grid of the inward hemisphere in the local tangent frame.
+    Grid mode: positions crossed with inward directions in the local tangent
+    frame, equally spaced in 2D; in 3D each is a golden-angle lattice
+    (`geometry.golden_lattice`), positions at the n midpoint heights
+    z = 1 - (2k + 1)/n and directions at mu = 1 - k/m, from normal incidence
+    (impact parameter 0) to just short of grazing.
     MC mode: uniform draws from the seeded generator. Every entry satisfies
     <v, inward normal> >= 0.
     """
@@ -205,10 +195,9 @@ def sample_phase_sphere(spec: SampleSpec, ball_radius: float, dimension: int) ->
             beta = -0.5 * math.pi + math.pi * (np.arange(spec.n_directions) + 0.5) / spec.n_directions
             positions, directions = alpha[:, None], beta[:, None]
         else:
-            nb = max(2, int(round(math.sqrt(spec.n_positions))))
-            db = max(1, int(round(math.sqrt(spec.n_directions / 2.0))))
-            positions = _band_grid(spec.n_positions, [1.0 - (2.0 * k + 1.0) / nb for k in range(nb)])
-            directions = _band_grid(spec.n_directions, [1.0 - (k + 0.5) / db for k in range(db)])
+            n, m = spec.n_positions, spec.n_directions
+            positions = geometry.golden_lattice([1.0 - (2.0 * k + 1.0) / n for k in range(n)])
+            directions = geometry.golden_lattice([1.0 - k / m for k in range(m)])
         P = np.hstack([np.repeat(positions, len(directions), axis=0),
                        np.tile(directions, (len(positions), 1))])
     else:
@@ -427,7 +416,9 @@ class Spectrum(list):
 def _impact_offsets(scene, omega, spec: SampleSpec):
     """Sample points of the impact plane tangent to the sphere at -a*omega,
     offsets orthogonal to omega of length at most 0.999 a, so that the line
-    along omega through each one crosses the ball."""
+    along omega through each one crosses the ball. A 3D grid is the
+    golden-angle lattice (`geometry.golden_lattice`) at radii shadow sqrt(k/n),
+    whose first, k = 0, is the centre ray."""
     a = scene.ball_radius
     shadow = 0.1 * a
     for obs in scene.obstacles:
@@ -436,7 +427,6 @@ def _impact_offsets(scene, omega, spec: SampleSpec):
         shadow = max(shadow, math.sqrt(_dot(perp, perp)) + obs.bounding_radius())
     shadow = min(1.02 * shadow, 0.999 * a)
     n = spec.count()
-    offsets = []
     if scene.dimension == 2:
         t_hat = np.array([-omega[1], omega[0]])
         if spec.mode == "grid":
@@ -448,18 +438,11 @@ def _impact_offsets(scene, omega, spec: SampleSpec):
     else:
         T = tangent_basis(omega)
         if spec.mode == "grid":
-            offsets = [np.zeros(3)]
-            golden = math.pi * (3.0 - math.sqrt(5.0))
-            for j in range(n - 1):
-                r = shadow * math.sqrt((j + 0.5) / max(1, n - 1))
-                ang = golden * j
-                offsets.append(r * (math.cos(ang) * T[:, 0] + math.sin(ang) * T[:, 1]))
+            polar = geometry.golden_lattice([shadow * math.sqrt(k / n) for k in range(n)]).tolist()
         else:
             gen = Xoshiro256StarStar(spec.seed)
-            for _ in range(n):
-                r = shadow * math.sqrt(gen.uniform())
-                ang = gen.unit_angle()
-                offsets.append(r * (math.cos(ang) * T[:, 0] + math.sin(ang) * T[:, 1]))
+            polar = [(shadow * math.sqrt(gen.uniform()), gen.unit_angle()) for _ in range(n)]
+        offsets = [r * (math.cos(ang) * T[:, 0] + math.sin(ang) * T[:, 1]) for r, ang in polar]
     return offsets
 
 

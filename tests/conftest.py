@@ -10,7 +10,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 import billiard_lens as bl
-from billiard_lens import geometry, variation
+from billiard_lens import flow, geometry, variation
 from billiard_lens.curves import ArcPiece, BumpLinePiece, EllipseArcPiece, LinePiece
 
 A_BALL = 10.0
@@ -196,6 +196,22 @@ def _subclasses(cls):
 NUMERIC_FAILURES = [*_subclasses(geometry.NumericFailure), OverflowError]
 
 
+def fail_rays_that_reflect(monkeypatch, failure):
+    """Stub `flow.trace_phase` so that every ray that meets an obstacle raises
+    `failure("stub failure")` and every other ray is traced as before: a source
+    of per-ray numeric failures on any scene (the real tracer reads a
+    RootPolishFailed in its loop as a boundary penetration)."""
+    trace_phase = flow.trace_phase
+
+    def failing(scene, q, v, limits=None):
+        traj = trace_phase(scene, q, v, limits)
+        if traj.events:
+            raise failure("stub failure")
+        return traj
+
+    monkeypatch.setattr(flow, "trace_phase", failing)
+
+
 def entry_through(point, direction, a=A_BALL):
     """Entry phase point on the sphere whose ray passes through `point` with
     the given direction."""
@@ -240,10 +256,11 @@ def cross_basis(n):
 
 
 def _python_env() -> dict:
-    """The environment of a fresh interpreter that imports this source tree."""
+    """The environment of a fresh interpreter that imports this source tree
+    and, as the tests themselves do, turns a RuntimeWarning into an error."""
     src = str(Path(bl.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
 
 
 def run_python(*args, text=True):

@@ -17,7 +17,8 @@ from billiard_lens import cli, geometry, lens, variation
 from billiard_lens.curves import CurveChain
 from billiard_lens.geometry import canonical_json
 
-from conftest import NUMERIC_FAILURES, entry_through, plugged_crescent_scene, popen_python, run_python
+from conftest import (NUMERIC_FAILURES, entry_through, fail_rays_that_reflect, plugged_crescent_scene,
+                      popen_python, run_python)
 
 
 def _reject_constant(name):
@@ -215,37 +216,58 @@ def test_compare_truncated_table_exits_2(disc_json, tmp_path, kept):
     assert "Traceback" not in proc.stderr
 
 
-def test_lens_records_an_overflow_per_ray(tmp_path, capsys):
-    # |u_i|^(p-1) leaves the float range inside the bounding circle of this
-    # thin body: those rays are error rows, and the table is still written;
-    # `validate`, which has no rows, ends with the same text
+def _thin_scene(tmp_path):
+    """The scene file of a thin superellipsoid at p = 200, whose |u_i|^(p-1)
+    leaves the float range inside its bounding circle."""
     scene = bl.make_scene(2, 10.0, [bl.SuperellipsoidObstacle([0.0, 0.0], [5.0, 0.1], 200.0)], "thin")
-    path, out = tmp_path / "thin.json", tmp_path / "thin.jsonl"
+    path = tmp_path / "thin.json"
     path.write_text(geometry.scene_to_json(scene) + "\n")
-    assert cli.main(["lens", "--scene", str(path), "--spec", "grid:16x16", "--out", str(out)]) == 0
-    table = lens.table_from_jsonl(out.read_text())
-    errors = table.status == "error"
-    assert table.summary["counts"]["error"] == np.count_nonzero(errors) == 60
-    assert set(table.error[errors]) == {"OverflowError: (34, 'Numerical result out of range')"}
-    assert table.summary["counts"]["scattered"] > 0
-    capsys.readouterr()
-    assert cli.main(["validate", "--scene", str(path)]) == 3
-    assert capsys.readouterr().err == \
-        "numeric failure: OverflowError: (34, 'Numerical result out of range')\n"
+    return str(path)
 
 
-def test_sls_counts_the_rays_that_overflow(tmp_path):
-    # the thin body of the test above: the rays that overflow are counted,
-    # and the spectrum of the others is still written
-    scene = bl.make_scene(2, 10.0, [bl.SuperellipsoidObstacle([0.0, 0.0], [5.0, 0.1], 200.0)], "thin")
-    path, out = tmp_path / "thin.json", tmp_path / "sls.json"
-    path.write_text(geometry.scene_to_json(scene) + "\n")
-    assert cli.main(["sls", "--scene", str(path), "--omega", "1,0", "--theta", "1,0",
+def test_thin_superellipsoid_is_accepted_and_traced_without_error(tmp_path, capsys):
+    # the ray solver starts from the body's box, where no power overflows:
+    # `validate` accepts the scene without a word on stderr (a RuntimeWarning
+    # fails the test), and `lens` and `sls` write no error row
+    path = _thin_scene(tmp_path)
+    assert cli.main(["validate", "--scene", path]) == 0
+    assert capsys.readouterr().err == ""
+    out = tmp_path / "thin.jsonl"
+    assert cli.main(["lens", "--scene", path, "--spec", "grid:16x16", "--out", str(out)]) == 0
+    counts = lens.table_from_jsonl(out.read_text()).summary["counts"]
+    assert counts == {**dict.fromkeys(lens.STATUSES, 0), "free": 200, "scattered": 56}
+    out = tmp_path / "sls.json"
+    assert cli.main(["sls", "--scene", path, "--omega", "1,0", "--theta", "1,0",
                      "--spec", "grid:64x1", "--out", str(out)]) == 0
     doc = _strict_json(out.read_text())
-    assert doc["counts"] == {**dict.fromkeys(lens.STATUSES, 0), "free": 44, "scattered": 2,
-                             "error": 18}
-    assert [(b["sojourn"], b["count"]) for b in doc["bins"]] == [(0, 44)]
+    assert doc["counts"] == {**dict.fromkeys(lens.STATUSES, 0), "free": 62, "scattered": 2}
+    assert [(b["sojourn"], b["count"]) for b in doc["bins"]] == [(0, 62)]
+
+
+def test_lens_records_an_overflow_per_ray(tmp_path, monkeypatch):
+    # the stub tracer overflows on every ray that meets the thin body: those
+    # rays are error rows of the written table, each with the exception's
+    # text, and the others are traced
+    fail_rays_that_reflect(monkeypatch, OverflowError)
+    path, out = _thin_scene(tmp_path), tmp_path / "thin.jsonl"
+    assert cli.main(["lens", "--scene", path, "--spec", "grid:16x16", "--out", str(out)]) == 0
+    table = lens.table_from_jsonl(out.read_text())
+    errors = table.status == "error"
+    assert table.summary["counts"]["error"] == np.count_nonzero(errors) == 56
+    assert set(table.error[errors]) == {"OverflowError: stub failure"}
+    assert set(table.status[~errors]) == {"free"}
+
+
+def test_sls_counts_the_rays_that_overflow(tmp_path, monkeypatch):
+    # the stub tracer of the test above: the rays that overflow are counted,
+    # and the spectrum of the others is still written
+    fail_rays_that_reflect(monkeypatch, OverflowError)
+    path, out = _thin_scene(tmp_path), tmp_path / "sls.json"
+    assert cli.main(["sls", "--scene", path, "--omega", "1,0", "--theta", "1,0",
+                     "--spec", "grid:64x1", "--out", str(out)]) == 0
+    doc = _strict_json(out.read_text())
+    assert doc["counts"] == {**dict.fromkeys(lens.STATUSES, 0), "free": 62, "error": 2}
+    assert [(b["sojourn"], b["count"]) for b in doc["bins"]] == [(0, 62)]
 
 
 def test_spec_too_large_for_memory_exits_2(disc_json, tmp_path, monkeypatch, capsys):

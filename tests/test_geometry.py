@@ -775,9 +775,10 @@ def test_ray_roots_are_the_same_for_arrays_tuples_and_lists(kind, data):
 
 
 def test_superellipsoid_ray_roots_miss_inside_the_bounding_sphere():
-    # the line misses the body (|x| > 2) inside the bounding sphere, where the
-    # gauge is nearly flat along it: a Newton step leaves the chord, and at
-    # p = 40 the next |y|^p overflowed
+    # the line misses the body (|x| > 2) inside the bounding sphere but
+    # crosses its box |u_i| <= 1, where the gauge is nearly flat along it: a
+    # Newton step leaves the box's chord, which means a miss (from the
+    # bounding sphere's chord, at p = 40, the next |y|^p once overflowed)
     obs = bl.SuperellipsoidObstacle([0.0, 0.0, 0.0], [2.0, 1.5, 1.0], 40.0)
     assert obs.ray_roots(np.array([-2.578125, -0.703125, 0.0]), np.array([0.0, 0.0, 1.0])) == []
     assert len(obs.ray_roots(np.array([-1.9, -0.703125, 0.0]), np.array([0.0, 0.0, 1.0]))) == 2

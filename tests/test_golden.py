@@ -67,10 +67,10 @@ CLI_PINS = {
         "91be375afb45d9ad3645860b0be2e170bbede4cf3aa39587aa131149c1cf65d6"),
     "sup.csv": (
         "lens --scene superellipsoid.json --spec mc:500 --seed 7 --out sup.csv",
-        "5dc97bef01b83684b8cee5ff62d02d742a02a2c078571b3301ce49d835cbf0e2"),
+        "91a821278b2e628b1eb74450425409ce86ba49143b8d67290c29e475c956c18f"),
     "upright.csv": (
         "lens --scene upright.json --spec mc:500 --seed 7 --out upright.csv",
-        "9305a033601264a4a452bf07778a285137ef475fc88889eece909c821841545d"),
+        "a78a23eada97fdb69a04cffa3b9cec73f11687f888eb68b576244e646bd46601"),
     "livshits.jsonl": (
         "lens --scene livshits.json --spec grid:16x12 --out livshits.jsonl",
         "14330fb6a393ab7d1ec37e723b3fcb986e328895587627ebc120600c95183b16"),
@@ -79,14 +79,14 @@ CLI_PINS = {
         "8cbfc4150c76a2ad5fe60771127d93834c6c3cefca7060ea1807066a111c9744"),
     "sup-regularity.json": (
         "regularity --scene superellipsoid.json --entry=-10,0,0,1,0.05,0.03 --out sup-regularity.json",
-        "0ce8a3af30b46631bdc22025ff8ec0090f9c5da63df3f479cb5f6684b3f5c928"),
+        "72f86839de954d9499e2c1a0cd7df99ebac30dabe49d6be92c2769ef03d676cb"),
     # an event keeps its root, which a trace file leaves out
     "livshits-trace.jsonl": (
         f"trace --scene livshits.json --entry={LIVSHITS_ENTRY} --out livshits-trace.jsonl",
         "639fa7d370ca9f51fecdd458125470ffc86978b23ac5764e22a254370e874d40"),
     "sup-trace.jsonl": (
         "trace --scene superellipsoid.json --entry=-10,0,0,1,0.05,0.03 --out sup-trace.jsonl",
-        "475a9038bece1f3c980f49c6dcd30a0f1b6ddb4c458e9553724744ee49849ae6"),
+        "24562b68d867caaa0661972a58b76b8eaa250800884ddcf5747c3c497c171267"),
     "livshits-sls.json": (
         "sls --scene livshits.json --omega 0,1 --theta=0,-1 --spec grid:128x1 --tol 0.3 "
         "--out livshits-sls.json",
@@ -96,13 +96,13 @@ CLI_PINS = {
         "a0506944d80f6cb5a26ccb57308e3622d600ab23c7c501df0e787db51f6563cf"),
     "sphere-ellipsoid-validate.json": (
         "validate --scene sphere-ellipsoid.json --out sphere-ellipsoid-validate.json",
-        "afb5a239400cbe62e187a96fc7d35bbbebe42ca5720ad5d51be7a6e2fa68801b"),
+        "157cdc8793410b9d31f4b02de2b3851da9a0435cb1450a6394310837fa613fcd"),
     "superellipsoid-validate.json": (
         "validate --scene superellipsoid.json --out superellipsoid-validate.json",
-        "3ba67da4de0d5ee480170f5e406e0a5f0f22f40bb0925baba45f4f867b30c817"),
+        "71e02264987487224d1b9710c92861ed71084bbb8267a6abbcf53ddca5400df1"),
     "upright-validate.json": (
         "validate --scene upright.json --out upright-validate.json",
-        "a9d1fc315f034221444e97c25ccd47989c76daf78dd1bf913d8f4f9e1b1bc20d"),
+        "889c9351fdecbb6efed19af7c7a848a912b383523b7fe6a46a64879fbfa13325"),
     "livshits-validate.json": (
         "validate --scene livshits.json --out livshits-validate.json",
         "01cf8d7cc7517633f934b57754c6e6af1dd862b83d928a996d4bec0c9a8dbbfe"),
@@ -117,7 +117,7 @@ CLI_PINS = {
 BLOCKS = {
     "sphere_ellipsoid_scene": (1.0, "b8165c52ae890b6e68f0febed4bc70af643a3f3c40ecc279c82feacd3d86a88c"),
     "disc_ellipse_scene": (1.0, "bf2ef254e23a48c4efc8fd32c5761a3af63ca1f4a255d5647a068009c0826d1d"),
-    "superellipsoid_scene": (4.0, "10cb1d895aa1d4b141c7d005215aa26419601b7f0c8f6b025d8e068b14e64052"),
+    "superellipsoid_scene": (4.0, "92ff1052e78cafb4dce8006746a307019b9152b48fc3eae5c278771eb4949b56"),
 }
 
 

@@ -20,7 +20,7 @@ from billiard_lens.lens import LensTable, SampleSpec, SpecMismatch
 from billiard_lens.rng import Xoshiro256StarStar
 
 from conftest import (A_BALL, NUMERIC_FAILURES, FaintSphere, _all_pieces_curve, _drawn_pair, cross_basis,
-                      run_python)
+                      fail_rays_that_reflect, run_python)
 
 
 def test_parse_spec_round_trip():
@@ -46,6 +46,17 @@ def test_grid_counts_and_inwardness():
     assert len(entries3) == 20 * 16
     for e in entries3[:: 17]:
         assert float(e.v @ (-e.q / A_BALL)) >= 0.0
+
+
+@given(st.integers(1, 40), st.integers(1, 40))
+def test_3d_grid_reaches_normal_incidence_and_stops_short_of_grazing(n_positions, n_directions):
+    # each position has a normal-incidence row, whose ray meets the centre
+    # of the ball, and no row grazes
+    P = lens.sample_phase_sphere(SampleSpec("grid", n_positions, n_directions), A_BALL, 3).params
+    z, phi, mu, psi = P.T
+    assert np.array_equal(P[mu == 1.0, :2], P[::n_directions, :2])
+    assert np.all((-1.0 < z) & (z < 1.0) & (0.0 < mu) & (mu <= 1.0))
+    assert np.all((0.0 <= phi) & (phi < 2.0 * math.pi) & (0.0 <= psi) & (psi < 2.0 * math.pi))
 
 
 def test_sampling_determinism():
@@ -214,19 +225,10 @@ def test_gradient_under_the_floor_is_an_error_row():
 
 @pytest.mark.parametrize("failure", NUMERIC_FAILURES, ids=lambda cls: cls.__name__)
 def test_every_numeric_failure_is_recorded_per_ray(failure, monkeypatch):
-    # a stub tracer that raises the failure on every ray that meets the disc
-    # (the real one reads a RootPolishFailed in its loop as a boundary
-    # penetration): the lens table and the spectrum share one recorder, and
-    # those rays are error rows of the one and counted errors of the other
-    trace_phase = flow.trace_phase
-
-    def failing(scene, q, v, limits=None):
-        traj = trace_phase(scene, q, v, limits)
-        if traj.events:
-            raise failure("stub failure")
-        return traj
-
-    monkeypatch.setattr(flow, "trace_phase", failing)
+    # the stub tracer raises the failure on every ray that meets the disc: the
+    # lens table and the spectrum share one recorder, and those rays are error
+    # rows of the one and counted errors of the other
+    fail_rays_that_reflect(monkeypatch, failure)
     scene = bl.make_scene(2, A_BALL, [bl.SphereObstacle([0.0, 0.0], 3.0)], "disc-3")
     table = lens.build_lens_table(scene, SampleSpec("grid", 8, 8))
     errors = table.status == "error"
@@ -257,6 +259,21 @@ def test_compare_detects_radius_change():
     rep = lens.compare_lens(t1, t2, 1e-6 * A_BALL)
     assert rep.verdict == "distinguishable"
     assert rep.max_dt >= 2.0 * 0.01 * (1.0 - 1e-6)
+
+
+def test_compare_sees_the_size_of_a_centred_sphere():
+    # every 3D grid position has a ray through the centre of the ball, so
+    # the tables see a centred sphere and its size
+    spec = SampleSpec("grid", 32, 32)
+    s1 = bl.make_scene(3, A_BALL, [bl.SphereObstacle([0.0, 0.0, 0.0], 1.0)], "r1")
+    s2 = bl.make_scene(3, A_BALL, [bl.SphereObstacle([0.0, 0.0, 0.0], 1.2)], "r2")
+    t1 = lens.build_lens_table(s1, spec)
+    t2 = lens.build_lens_table(s2, spec)
+    assert t1.summary["counts"]["scattered"] >= 32 and t2.summary["counts"]["scattered"] >= 32
+    rep = lens.compare_lens(t1, t2, 1e-6 * A_BALL)
+    assert rep.verdict == "distinguishable"
+    # the normal-incidence rays turn back 0.2 sooner
+    assert rep.max_dt >= 2.0 * 0.2 * (1.0 - 1e-6)
 
 
 def _with_row(table, index, **fields):
@@ -543,12 +560,11 @@ def _oracle_entry_3d(a, z, phi, mu, psi):
     return (z, phi, mu, psi), q, v
 
 
-def _oracle_bands(total, bands, height):
-    edges = [round(total * k / bands) for k in range(bands + 1)]
+def _oracle_lattice(heights):
+    """The golden-angle lattice, one (height, azimuth) at a time."""
     out = []
-    for k in range(bands):
-        m = edges[k + 1] - edges[k]
-        out.extend((height(k), 2.0 * math.pi * i / max(1, m)) for i in range(m))
+    for k, h in enumerate(heights):
+        out.append((h, math.fmod(k * (math.pi * (3.0 - math.sqrt(5.0))), 2.0 * math.pi)))
     return out
 
 
@@ -559,10 +575,9 @@ def _oracle_entries(spec, a, dim):
                                  -0.5 * math.pi + math.pi * (j + 0.5) / spec.n_directions)
                 for i in range(spec.n_positions) for j in range(spec.n_directions)]
     if spec.mode == "grid":
-        nb = max(2, int(round(math.sqrt(spec.n_positions))))
-        db = max(1, int(round(math.sqrt(spec.n_directions / 2.0))))
-        positions = _oracle_bands(spec.n_positions, nb, lambda k: 1.0 - (2.0 * k + 1.0) / nb)
-        directions = _oracle_bands(spec.n_directions, db, lambda k: 1.0 - (k + 0.5) / db)
+        n, m = spec.n_positions, spec.n_directions
+        positions = _oracle_lattice([1.0 - (2.0 * k + 1.0) / n for k in range(n)])
+        directions = _oracle_lattice([1.0 - k / m for k in range(m)])
         return [_oracle_entry_3d(a, z, phi, mu, psi) for z, phi in positions for mu, psi in directions]
     gen = Xoshiro256StarStar(spec.seed)
     out = []
@@ -830,13 +845,15 @@ def test_tables_across_block_boundaries(n, dim):
     _check_rows_and_columns(table, dim)
 
 
-def test_error_rows_in_several_blocks():
-    # the thin superellipsoid of test_lens_records_an_overflow_per_ray: its
-    # overflow rows fall in every block of a 4096-row table
-    scene = bl.make_scene(2, 10.0, [bl.SuperellipsoidObstacle([0.0, 0.0], [5.0, 0.1], 200.0)], "thin")
+def test_error_rows_in_several_blocks(monkeypatch):
+    # the stub tracer fails every ray that meets the disc: error rows, with
+    # their text, fall in every block of a 4096-row table, beside free rows
+    fail_rays_that_reflect(monkeypatch, OverflowError)
+    scene = bl.make_scene(2, A_BALL, [bl.SphereObstacle([0.0, 0.0], 3.0)], "disc-3")
     table = lens.build_lens_table(scene, SampleSpec("grid", 64, 64))
     errors = np.flatnonzero(table.status == "error")
     assert set((errors // lens.BLOCK_ROWS).tolist()) == {0, 1, 2, 3}
+    assert set(table.status.tolist()) == {"free", "error"}
     _check_rows_and_columns(table, 2)
 
 
@@ -991,3 +1008,76 @@ def test_small_disc_far_from_the_entry_keeps_its_precision():
     # written about the entry point, the quadratic loses 1.3e-10 of t on this
     # disc, 13 times the bound; about the ray point nearest the centre, 1e-13
     assert _check_one_ball_table(2, np.array([5.0, 0.0]), 0.03, SampleSpec("grid", 16, 12)) > 0
+
+
+def _superellipsoid_lens(q, v, axes, p, a):
+    """(reflections, t, |cos| at the hit) of the entry (q, v) in a ball of
+    radius a around one upright superellipsoid sum |x_i / a_i|^p = 1 about the
+    origin (an integer p), in 50-digit decimals: the minimum of F along the
+    line's chord of the box |x_i| <= a_i, then, if F < 0 there, the entry root
+    bisected before it, the reflection there and the ball's chord from it."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+
+        def dot(x, y):
+            return sum((xi * yi for xi, yi in zip(x, y)), Decimal(0))
+
+        def exit_time(x, w):
+            b = dot(x, w)
+            return -b + (b * b - dot(x, x) + a * a).sqrt()
+
+        def bisect(lo, hi, below):
+            # the last point of [lo, hi] at which `below` holds, to 50 digits
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if below(mid) else (lo, mid)
+            return lo
+
+        q, v, s, a = [Decimal(x) for x in q], [Decimal(x) for x in v], [Decimal(x) for x in axes], Decimal(a)
+        speed = dot(v, v).sqrt()
+        v = [x / speed for x in v]
+        y, w = [x / si for x, si in zip(q, s)], [x / si for x, si in zip(v, s)]
+        ends = [max((-1 - yi) / wi, (1 - yi) / wi) if wi else Decimal("Infinity") for yi, wi in zip(y, w)]
+        starts = [min((-1 - yi) / wi, (1 - yi) / wi) if wi else Decimal("-Infinity") for yi, wi in zip(y, w)]
+        lo, hi = max(starts), min(ends)
+
+        def F(t):
+            return sum((abs(yi + t * wi) ** p for yi, wi in zip(y, w)), Decimal(0)) - 1
+
+        def slope(t):
+            return sum((p * (yi + t * wi) * abs(yi + t * wi) ** (p - 2) * wi for yi, wi in zip(y, w)),
+                       Decimal(0))
+
+        t_min = bisect(lo, hi, lambda t: slope(t) < 0) if lo < hi else None
+        if t_min is None or F(t_min) >= 0:  # a miss: the entry chord
+            return 0, float(exit_time(q, v)), None
+        t1 = bisect(lo, t_min, lambda t: F(t) > 0)
+        hit = [x + t1 * wi for x, wi in zip(q, v)]
+        g = [p * (x / si) * abs(x / si) ** (p - 2) / si for x, si in zip(hit, s)]
+        norm = dot(g, g).sqrt()
+        n = [gi / norm for gi in g]
+        cos_in = dot(v, n)
+        theta = [wi - 2 * cos_in * m for wi, m in zip(v, n)]
+        return 1, float(t1 + exit_time(hit, theta)), abs(float(cos_in))
+
+
+def test_thin_superellipsoid_matches_a_decimal_reference():
+    # a thin body at p = 200: the grid rows whose line meets its bounding
+    # circle, where the ray solver once started Newton from the circle's
+    # chord and |u_i|^(p-1) overflowed on 60 of them; each against the
+    # 50-digit reference, status and reflections exactly, t within 1e-12 a
+    axes, p = [5.0, 0.1], 200
+    scene = bl.make_scene(2, A_BALL, [bl.SuperellipsoidObstacle([0.0, 0.0], axes, float(p))], "thin")
+    r2 = axes[0] ** 2 + axes[1] ** 2
+    checked = scattered = 0
+    for s in lens.build_lens_table(scene, SampleSpec("grid", 16, 16)).samples:
+        b = float(s.q @ s.v)
+        if b * b - float(s.q @ s.q) + r2 <= 0.0:
+            continue
+        refl, t, cos_in = _superellipsoid_lens(s.q, s.v, axes, p, A_BALL)
+        assert cos_in is None or cos_in > 2.0 * flow.TANGENCY_THRESHOLD
+        assert (s.status, s.reflections) == (("scattered", 1) if refl else ("free", 0))
+        assert abs(s.t - t) <= 1e-12 * A_BALL
+        checked += 1
+        scattered += refl
+    assert (checked, scattered) == (96, 56)
