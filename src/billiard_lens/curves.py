@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,12 @@ def _dot(a, b):
     if len(a) == 2:
         return a[0] * b[0] + a[1] * b[1]
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _inner(x, y):
+    """<x, y> of two float sequences of any equal length, summed left to
+    right; `_dot` is the same sum unrolled for pairs and triples."""
+    return functools.reduce(operator.add, map(operator.mul, x, y))
 
 
 def _sub(a, b):
@@ -237,6 +244,13 @@ class CurvePiece:
     def end(self):
         return self.point(np.array(1.0))
 
+    def reach(self, c):
+        """The largest distance from the point c (a float pair) to the piece,
+        or a bound above it, in closed form. Here the farther end: a
+        segment's reach, which the other kinds extend."""
+        ends = [_sub(p.tolist(), c) for p in (self.start(), self.end())]
+        return math.sqrt(max(_dot(d, d) for d in ends))
+
     def to_dict(self) -> dict:
         """The piece's scene-file object: its type and the value of each of
         `keys`, less those left at their constructor default."""
@@ -361,6 +375,9 @@ class BumpLinePiece(CurvePiece):
     def closed_form_projection(self):
         return self.amplitude == 0.0
 
+    def reach(self, c):
+        return super().reach(c) + abs(self.amplitude)
+
     def project(self, X, s0=None):
         if self.closed_form_projection:  # flat: the segment's closed form
             return _segment_parameter(X, self.p0, self._d, self._dd)
@@ -425,6 +442,12 @@ class ArcPiece(CurvePiece):
         th = self._theta(s)
         return self.center + self.radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
 
+    def reach(self, c):
+        # the circle's farthest point from c lies on the ray from c through the centre
+        d = _sub(self._floats, c)
+        off = _angle_offset(math.atan2(d[1], d[0]), self.theta0 + 0.5 * self._sweep)
+        return math.sqrt(_dot(d, d)) + self.radius if abs(off) <= 0.5 * abs(self._sweep) else super().reach(c)
+
     def deriv(self, s):
         th = self._theta(s)
         return self.radius * self._sweep * np.stack([-np.sin(th), np.cos(th)], axis=-1)
@@ -466,6 +489,10 @@ class EllipseArcPiece(CurvePiece):
 
     def _theta(self, s):
         return self.theta0 + np.asarray(s, dtype=float) * self._sweep
+
+    def reach(self, c):
+        d = _sub(self.center.tolist(), c)
+        return math.sqrt(_dot(d, d)) + float(max(self.semi_axes))
 
     def _rotate(self, body):
         # two element-wise products per component: a point rounds alike in any batch
@@ -553,8 +580,7 @@ class CurveChain:
         dense = self.sample_points(max(256, 48 * len(self.pieces)))
         self._bbox_center = 0.5 * (dense.min(axis=0) + dense.max(axis=0))
         self._bbox_xy = tuple(self._bbox_center.tolist())
-        rel = dense - self._bbox_center
-        self._bound_radius = float(np.sqrt(np.max(np.sum(rel * rel, axis=1)))) * 1.0001
+        self._bound_radius = max(piece.reach(self._bbox_xy) for piece in self.pieces)
         # shoelace area decides which side of the traversal is free space
         x, y = dense[:, 0], dense[:, 1]
         area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
@@ -597,8 +623,11 @@ class CurveChain:
         q, v = _floats(q), _floats(v)
         cx, cy = self._bbox_xy
         dx, dy = q[0] - cx, q[1] - cy
-        b = dx * v[0] + dy * v[1]
-        if dx * dx + dy * dy - b * b >= self._bound_radius**2:
+        b, dd = dx * v[0] + dy * v[1], dx * dx + dy * dy
+        # dd - b^2 / |v|^2, the line's squared distance from the centre, and the
+        # squared radius carry rounding of under 20 * 2^-53 dd together: the margin
+        # 2^-48 dd (16 to 32 ulps of dd) keeps every line that meets the chain
+        if dd - b * b / (v[0] * v[0] + v[1] * v[1]) >= self._bound_radius**2 + dd * 2.0**-48:
             return []
         return sorted(Root(t, k, s) for k, piece in enumerate(self.pieces) for t, s in piece.ray_roots(q, v))
 

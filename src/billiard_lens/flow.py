@@ -26,7 +26,7 @@ is asked.
 
 The per-ray path runs on Python floats, as lists of two or three: the entry
 checks of `trace`, the normalisation and event loop of `trace_phase`, the
-ball exit, `ray_roots`, the unit normal, `reflect` and `sojourn_time`, with
+ball chord, `ray_roots`, the unit normal, `reflect` and `sojourn_time`, with
 no matrix product or numpy kernel, so a trajectory has the same bits
 whatever BLAS or SIMD kernels the CPU selects. Numpy arrays appear only at
 the boundary: each `Event` and `PhasePoint` gets its own.
@@ -115,28 +115,35 @@ def reflect(v, normal):
     return _axpy(v, -2.0 * c, n)
 
 
-def _ball_exit_time(q, v, a):
+def _ball_chord(q, v, a):
+    """(entry, exit) times of the line q + t v (|v| = 1) on the sphere |x| = a,
+    -<q, v> -/+ sqrt(<q, v>^2 - |q|^2 + a^2); (0.0, 0.0) if it misses or touches."""
     b = _dot(q, v)
     c0 = _dot(q, q) - a * a
     disc = b * b - c0
     if disc <= 0.0:
-        return 0.0
-    return -b + math.sqrt(disc)
+        return 0.0, 0.0
+    root = math.sqrt(disc)
+    return -b - root, -b + root
 
 
 def _first_root(scene, q, v, t_min, cap, left):
     """Smallest boundary root over all obstacles but the one of index `left`
     (None: all of them) in (t_min, cap]: (t, obstacle index), or None; on a
-    tie, the first obstacle's."""
+    tie, the first obstacle's. A numeric failure of an obstacle's roots is
+    raised again, of its type, naming the obstacle."""
     best = None
-    for idx, obs in enumerate(scene.obstacles):
-        if idx == left:
-            continue
-        for r in obs.ray_roots(q, v):  # sorted: only the first beyond t_min counts
-            if r > t_min:
-                if r <= cap and (best is None or r < best[0]):
-                    best = (r, idx)
-                break
+    try:
+        for idx, obs in enumerate(scene.obstacles):
+            if idx == left:
+                continue
+            for r in obs.ray_roots(q, v):  # sorted: only the first beyond t_min counts
+                if r > t_min:
+                    if r <= cap and (best is None or r < best[0]):
+                        best = (r, idx)
+                    break
+    except geometry.NUMERIC_FAILURES as exc:  # of `ray_roots`: nothing else here can fail
+        raise type(exc)(f"obstacle {idx} ray roots: {exc}") from exc
     return best
 
 
@@ -183,7 +190,7 @@ def first_hit(scene, phase_point: PhasePoint, max_advance: float):
     precondition requires a free or outgoing phase point)."""
     q, v = phase_point.q.tolist(), phase_point.v.tolist()
     a = scene.ball_radius
-    cap = min(max_advance, _ball_exit_time(q, v, a))
+    cap = min(max_advance, _ball_chord(q, v, a)[1])
     hit = _first_crossing(scene, q, v, cap, None, None)
     return None if hit is None else (hit[0], hit[1], np.array(hit[2]))
 
@@ -210,7 +217,7 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
         if len(events) >= limits.n_max:
             return Trajectory(entry, events, "trapped", None, None, "max_reflections")
 
-        t_ball, t_left = _ball_exit_time(q, v, a), t_max - total
+        t_ball, t_left = _ball_chord(q, v, a)[1], t_max - total
         try:
             hit = _first_crossing(scene, q, v, min(t_ball, t_left), left, last_tangent)
         except RootPolishFailed:

@@ -37,6 +37,7 @@ from .curves import (
     _axpy,
     _dot,
     _floats,
+    _inner,
     _stable_quadratic,
     _sub,
     check_list,
@@ -188,8 +189,8 @@ class SurfaceFrame:
     def shape_ambient(self) -> np.ndarray:
         """T S T^T: the rows of T S, then their products with the rows of T, left to right."""
         rows, shape = self.tangent.tolist(), self.shape.tolist()
-        ts = [[reduce(add, (x * s for x, s in zip(r, col))) for col in zip(*shape)] for r in rows]
-        return np.array([[reduce(add, (x * y for x, y in zip(a, r))) for r in rows] for a in ts])
+        ts = [[_inner(r, col) for col in zip(*shape)] for r in rows]
+        return np.array([[_inner(a, r) for r in rows] for a in ts])
 
 
 # ---------------------------------------------------------------------------
@@ -825,13 +826,6 @@ def _free_cells(scene: Scene) -> np.ndarray:
     return free
 
 
-def _exterior_connected(scene: Scene) -> bool:
-    """Whether the free cells of `_free_cells` form at most one face-connected
-    component, counted on runs by `_face_components` (no scipy); a gap
-    narrower than one cell counts as closed."""
-    return _face_components(_free_cells(scene)) <= 1
-
-
 def _face_components(grid: np.ndarray) -> int:
     """The number of face-connected components of the true cells of a boolean
     grid, as `scipy.ndimage.label` counts them by default: cells that touch
@@ -953,7 +947,7 @@ def validate_scene(scene: Scene) -> ValidationReport:
     if min_grad < _GRAD_FLOOR * max(1.0, a):
         raise ValidationFailed("gradient_floor", f"boundary gradient norm {min_grad:g} too small")
 
-    if not _exterior_connected(scene):
+    if _face_components(_free_cells(scene)) > 1:
         raise ValidationFailed("exterior_disconnected", "free region splits into components")
 
     if flagged_nonconvex:

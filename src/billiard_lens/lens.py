@@ -15,7 +15,10 @@ A table moves between its columns and a JSONL or CSV file one block of
 BLOCK_ROWS rows at a time: the writers format a block and write it to an
 open text stream before they format the next, and the reader turns each
 block of lines of an open file into columns, so that neither holds more than
-one block of text or of decoded rows besides the columns.
+one block of text or of decoded rows besides the columns. The reader checks
+each column of a block once, by the converter that makes its array
+(`_column`): on a bad column the converter, run on each row alone, names
+the line of the first bad row.
 
 Lens tables, the trapped ladder and the scattering spectrum record their
 rays through one recorder (`_trace_rows`): one trace per entry, and a
@@ -342,9 +345,10 @@ def build_lens_table(scene, spec: SampleSpec) -> LensTable:
 @dataclass
 class TrappedEstimate(_Record):
     resolutions: list
-    fractions: list
-    cluster_radii: list
+    fractions: list       # of the rays that are not errors; None if every ray is one
+    cluster_radii: list   # None likewise
     trapped_counts: list
+    error_counts: list
 
 
 def _phase_coords(table: LensTable, rows: np.ndarray, a: float) -> np.ndarray:
@@ -361,6 +365,10 @@ def estimate_trapped(scene, specs) -> TrappedEstimate:
     radius is consistent with a null trapped set. Heuristic only. Above
     TREE_PAIRS trapped x non-trapped pairs a cKDTree takes the distances (the
     bits of `geometry.nearest_distances`), and only then is scipy imported.
+
+    Error rows (a numeric failure of the ray) are counted per rung and left
+    out of both: the fraction is of the other rays, and the radius is taken
+    to the non-trapped rays that are not errors.
     """
     specs = list(specs)
     if len(specs) < 3:
@@ -369,27 +377,30 @@ def estimate_trapped(scene, specs) -> TrappedEstimate:
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError("ladder resolutions must be strictly increasing")
     a = scene.ball_radius
-    fractions, radii, trapped_counts = [], [], []
+    fractions, radii, trapped_counts, error_counts = [], [], [], []
     for spec in specs:
         table = build_lens_table(scene, spec)
-        trapped = table.status == "trapped"
-        count = int(np.count_nonzero(trapped))
-        if count == 0:
+        trapped, judged = table.status == "trapped", table.status != "error"
+        count, rays = int(np.count_nonzero(trapped)), int(np.count_nonzero(judged))
+        if rays == 0:
+            radius = None
+        elif count == 0:
             radius = 0.0
-        elif count == len(table):
+        elif count == rays:
             radius = 2.0 * math.sqrt(2.0)  # diameter bound of the normalized phase space
         else:
-            P, Q = _phase_coords(table, trapped, a), _phase_coords(table, ~trapped, a)
+            P, Q = _phase_coords(table, trapped, a), _phase_coords(table, judged & ~trapped, a)
             if len(P) * len(Q) > TREE_PAIRS:
                 from scipy.spatial import cKDTree
 
                 radius = float(np.max(cKDTree(Q).query(P)[0]))
             else:
                 radius = float(np.max(geometry.nearest_distances(P, Q)))
-        fractions.append(count / len(table))
+        fractions.append(count / rays if rays else None)
         radii.append(radius)
         trapped_counts.append(count)
-    return TrappedEstimate(counts, fractions, radii, trapped_counts)
+        error_counts.append(len(table) - rays)
+    return TrappedEstimate(counts, fractions, radii, trapped_counts, error_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +469,7 @@ def scattering_spectrum(scene, omega, theta, angular_tol: float, spec: SampleSpe
     kept, entries = [], []
     for offset in _impact_offsets(scene, omega, spec):
         origin = -a * omega + offset
-        b = float(_dot(origin, omega))
-        disc = b * b - (_dot(origin, origin) - a * a)
-        entries.append(origin + (-b - math.sqrt(disc)) * omega)
+        entries.append(origin + flow._ball_chord(origin.tolist(), omega.tolist(), a)[0] * omega)
     Q = np.array(entries).reshape(-1, len(omega))
     status, _, _, exits, sojourns, _ = _trace_rows(scene, Q, np.tile(omega, (len(Q), 1)),
                                                    spec.limits())
@@ -698,60 +707,59 @@ def _json_object(line: str, lineno: int, keys) -> dict:
     return d
 
 
-def _finite(x) -> bool:
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
-def _check(every: bool, col, ok, linenos, message: str):
-    """Unless `every` (a test of the whole column) holds, raise SchemaError
-    naming the line of the first row of col that fails ok; the message may
-    name that row's value as {!r}."""
-    if not every:
-        k = next(k for k, x in enumerate(col) if not ok(x))
+def _column(col, convert, linenos, message: str):
+    """convert(col), a column's array, or None if a row of col is bad; then
+    SchemaError naming the line of the first row x for which convert([x])
+    is None, and the message, which may name x as {!r}."""
+    out = convert(col)
+    if out is None:
+        k = next(k for k, x in enumerate(col) if convert([x]) is None)
         raise geometry.SchemaError(f"lens table line {linenos[k]}: " + message.format(col[k]))
+    return out
 
 
-def _floats(numbers, count: int, col, ok, linenos, message) -> np.ndarray:
-    """The count numbers (of checked types; None gives NaN) of a column as
-    finite floats; col, ok and message name the first bad row otherwise."""
+def _statuses(col):
+    if set(map(type, col)) <= {str} and set(col) <= set(STATUSES):
+        return _status_column(col)
+
+
+def _reflection_counts(col):
+    # a count that the writers, which format it from a float, keep exactly
+    if set(map(type, col)) <= {int} and 0 <= min(col) and max(col) <= 2**53:
+        return np.array(col, dtype=np.int64)
+
+
+def _errors(col):
+    if set(map(type, col)) <= {str, type(None)}:
+        return np.array(col, dtype=object)
+
+
+def _float_array(numbers, count: int):
+    """The count numbers (None gives NaN) as floats; None if one is infinite
+    or an integer beyond the float range."""
     try:
         x = np.fromiter(numbers, dtype=float, count=count)
-        finite = not np.isinf(x).any()
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    _check(finite, col, ok, linenos, message)
-    return x
+    except OverflowError:
+        return None
+    return None if np.isinf(x).any() else x
+
+
+def _nullable_numbers(col):
+    if set(map(type, col)) <= _NUMBER_TYPES | {type(None)}:
+        return _float_array(col, len(col))
 
 
 def _vectors(col, width: int, linenos, key: str, nullable: bool = False) -> np.ndarray:
     """(N, width) floats of a column of lists of numbers; NaN rows for null."""
-    present = [x for x in col if x is not None] if nullable else col
-
-    def ok(x):
-        return ((nullable and x is None)
-                or (type(x) is list and len(x) == width and set(map(type, x)) <= _NUMBER_TYPES
-                    and all(map(_finite, x))))
+    def convert(col):
+        rows = [[math.nan] * width if x is None else x for x in col] if nullable else col
+        if (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}
+                and set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES):
+            x = _float_array(chain.from_iterable(rows), width * len(col))
+            return None if x is None else x.reshape(-1, width)
 
     message = f"{key} must be a list of {width} numbers" + (" or null" if nullable else "")
-    _check(set(map(type, present)) <= {list} and set(map(len, present)) <= {width}
-           and set(map(type, chain.from_iterable(present))) <= _NUMBER_TYPES,
-           col, ok, linenos, message)
-    rows = [[math.nan] * width if x is None else x for x in col] if nullable else col
-    return _floats(chain.from_iterable(rows), width * len(col), col, ok, linenos,
-                   message).reshape(-1, width)
-
-
-def _scalars(col, linenos, key: str) -> np.ndarray:
-    """Floats of a column of numbers or nulls; NaN for null."""
-    def ok(x):
-        return x is None or (type(x) in _NUMBER_TYPES and _finite(x))
-
-    message = f"{key} must be a number or null"
-    _check(set(map(type, col)) <= _NUMBER_TYPES | {type(None)}, col, ok, linenos, message)
-    return _floats(col, len(col), col, ok, linenos, message)
+    return _column(col, convert, linenos, message)
 
 
 def _columns(lines: list, n: int | None) -> tuple:
@@ -776,26 +784,21 @@ def _columns(lines: list, n: int | None) -> tuple:
         for lineno, ln in lines:
             _json_object(ln, lineno, frozenset(_ROW_KEYS))
         raise
-    error = [d.get("error") for d in rows]
-    _check(set(map(type, status)) <= {str} and set(status) <= set(STATUSES), status,
-           STATUSES.__contains__, linenos, "unknown status {!r}")
-    # a count that the writers, which format it from a float, keep exactly
-    _check(set(map(type, reflections)) <= {int} and 0 <= min(reflections)
-           and max(reflections) <= 2**53, reflections, lambda r: type(r) is int and 0 <= r <= 2**53,
-           linenos, "reflections must be an integer from 0 to 2**53")
-    _check(set(map(type, error)) <= {str, type(None)}, error, lambda e: e is None or type(e) is str,
-           linenos, "error must be a string or null")
-    status = _status_column(status)
-    t = _scalars(t, linenos, "t")
-    timed = (status == "free") | (status == "scattered")
-    _check(not np.isnan(t[timed]).any(), range(len(t)), lambda k: not (timed[k] and math.isnan(t[k])),
-           linenos, "a free or scattered row must have a number t")
+    status = _column(status, _statuses, linenos, "unknown status {!r}")
+    reflections = _column(reflections, _reflection_counts, linenos,
+                          "reflections must be an integer from 0 to 2**53")
+    error = _column([d.get("error") for d in rows], _errors, linenos, "error must be a string or null")
+    t = _column(t, _nullable_numbers, linenos, "t must be a number or null")
+    untimed = np.flatnonzero(((status == "free") | (status == "scattered")) & np.isnan(t))
+    if untimed.size:
+        raise geometry.SchemaError(f"lens table line {linenos[untimed[0]]}: "
+                                   "a free or scattered row must have a number t")
     if n is None:
         n = len(q[0]) if type(q[0]) is list and len(q[0]) in (2, 3) else 2
     return (_vectors(params, 2 * (n - 1), linenos, "params"), _vectors(q, n, linenos, "q"),
-            _vectors(v, n, linenos, "v"), status, np.array(reflections, dtype=np.int64), t,
-            _vectors(theta, n, linenos, "theta", nullable=True), _scalars(sojourn, linenos, "sojourn"),
-            np.array(error, dtype=object))
+            _vectors(v, n, linenos, "v"), status, reflections, t,
+            _vectors(theta, n, linenos, "theta", nullable=True),
+            _column(sojourn, _nullable_numbers, linenos, "sojourn must be a number or null"), error)
 
 
 def read_jsonl(lines) -> LensTable:

@@ -52,7 +52,7 @@ from itertools import islice
 import numpy as np
 
 from . import flow
-from .curves import _dot, _floats
+from .curves import _axpy, _dot, _floats, _inner
 from .flow import TANGENCY_THRESHOLD
 from .geometry import NumericFailure, _Record, _tangent_columns
 
@@ -140,11 +140,7 @@ def _reflect_basis(columns: list, n) -> list:
     """The mirrored basis H E, H = I - 2 n n^T, column by column. H is
     orthogonal, so the coordinates of a variation in the basis pass the
     mirror unchanged."""
-    out = []
-    for e in columns:
-        s = 2.0 * _dot(n, e)
-        out.append([ei - s * ni for ei, ni in zip(e, n)])
-    return out
+    return [_axpy(e, -2.0 * _dot(e, n), n) for e in columns]
 
 
 def _onto_tangent_plane(columns: list, v, n) -> list:
@@ -189,15 +185,10 @@ def _transpose(rows) -> list:
     return [list(col) for col in zip(*rows)]
 
 
-def _dot_m(x, y) -> float:
-    """<x, y> of two columns of m = 1 or 2 floats, left to right."""
-    return x[0] * y[0] if len(x) == 1 else x[0] * y[0] + x[1] * y[1]
-
-
 def symplectic_pairing(f1: JacobiFrame, f2: JacobiFrame) -> np.ndarray:
     """A1^T B2 - B1^T A2; conserved by free flight and reflection."""
     a2, b2 = _transpose(f2.a), _transpose(f2.b)
-    return np.array([[_dot_m(p, q) - _dot_m(r, s) for q, s in zip(b2, a2)]
+    return np.array([[_inner(p, q) - _inner(r, s) for q, s in zip(b2, a2)]
                      for p, r in zip(_transpose(f1.a), _transpose(f1.b))])
 
 
@@ -320,13 +311,6 @@ class RankReport(_Record):
     tolerance: float
 
 
-def _sum_squares(x) -> float:
-    total = 0.0
-    for xi in x:
-        total += xi * xi
-    return total
-
-
 def _singular_values(columns) -> list:
     """Singular values, descending, of a map of one column, or of two
     columns of two or three rows, in closed form. One column x: |x|. Two
@@ -338,14 +322,14 @@ def _singular_values(columns) -> list:
     2x2 matrix", IEEE CG&A 1996). Then sigma_1 is the mean of the two roots
     and sigma_2 = c / sigma_1, never taken from the Gram determinant."""
     if len(columns) == 1:
-        return [math.sqrt(_sum_squares(columns[0]))]
+        return [math.sqrt(_inner(columns[0], columns[0]))]
     p, q = columns
-    pp, qq = _sum_squares(p), _sum_squares(q)
+    pp, qq = _inner(p, p), _inner(q, q)
     if len(p) == 2:
         area = abs(p[0] * q[1] - p[1] * q[0])
     else:
-        area = math.sqrt(_sum_squares([p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2],
-                                       p[0] * q[1] - p[1] * q[0]]))
+        cross = [p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]]
+        area = math.sqrt(_dot(cross, cross))
     norm_p, norm_q = math.sqrt(pp), math.sqrt(qq)
     pq, span = _dot(p, q), norm_p * norm_q + area
     gap = norm_p - norm_q

@@ -12,7 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # name: why it stays although no code in src/ or perfbench/ names it
 ALLOWED = {
-    "flow.first_hit": "criterion 7's focal-chord check traces from a point inside the ball",
+    "flow.first_hit": ("criterion 7's focal-chord check traces from a point inside the ball, and "
+                       "test_flow's convex-obstacle skip takes it as its oracle"),
     "geometry.concave_mirror_obstacle": "criterion 4's crescent and a pinned scene of the file format",
 }
 

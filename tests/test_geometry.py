@@ -32,7 +32,7 @@ from billiard_lens.geometry import (
 )
 from billiard_lens.rng import Xoshiro256StarStar
 
-from conftest import (A_BALL, _all_pieces_chain, _all_pieces_curve, _rotation, cross_basis,
+from conftest import (A_BALL, _all_pieces_chain, _all_pieces_curve, _rotation, cross_basis, entry_through,
                       plugged_crescent_scene, run_python)
 
 
@@ -633,6 +633,38 @@ def test_ray_roots_match_sign_scan(kind, data):
     slack = 1e-9 * A_BALL
     for k in np.where(inside[:-1] != inside[1:])[0]:
         assert any(ts[k] - slack <= t <= ts[k + 1] + slack for t in roots)
+
+
+def test_curve_bounding_circle_holds_the_farthest_arc():
+    # a dome on a flat base with quarter-arc corners: each corner reaches
+    # sqrt(7.8125) + 0.5 from the box centre (0, 1.25), 2.2e-5 beyond 1.0001
+    # times the farthest of the chain's dense samples. Lines in that band cross
+    # a corner twice, along a direction of any length, and a ray along one
+    # reflects there.
+    obs = bl.CurveObstacle([ArcPiece((0.0, 0.0), 3.0, 0.0, math.pi),
+                            ArcPiece((-2.5, 0.0), 0.5, math.pi, 1.5 * math.pi),
+                            BumpLinePiece((-2.5, -0.5), (2.5, -0.5), 0.0, (0.0, -1.0)),
+                            ArcPiece((2.5, 0.0), 0.5, 1.5 * math.pi, 2.0 * math.pi)])
+    scene = bl.make_scene(2, A_BALL, [obs], "dome")
+    c, r = obs.chain.bounding_circle()
+    reach = math.sqrt(7.8125) + 0.5
+    assert c.tolist() == [0.0, 1.25] and r >= reach
+    u = np.array([-2.5, -1.25]) / math.sqrt(7.8125)
+    v = np.array([u[1], -u[0]])
+    for k in range(10):
+        point = c + (reach - 2e-6 * (k + 0.5)) * u
+        assert len(obs.ray_roots(point - v, v)) == len(obs.ray_roots(point - v, 0.5 * v)) == 2
+        traj = flow.trace(scene, entry_through(point, v))
+        assert [(ev.obstacle, ev.type) for ev in traj.events] == [(0, "transversal")]
+
+
+@given(data=st.data())
+def test_curve_bounding_circle_holds_every_piece_point(data):
+    chain = _all_pieces_curve(data.draw).chain
+    c, r = chain.bounding_circle()
+    for piece in chain.pieces:
+        points = piece.point(np.linspace(0.0, 1.0, 4097))
+        assert np.max(np.sqrt(np.sum((points - c) ** 2, axis=1))) <= r
 
 
 @given(data=st.data())

@@ -223,6 +223,23 @@ def test_gradient_under_the_floor_is_an_error_row():
     assert table.summary["counts"]["free"] == len(table) - np.count_nonzero(errors)
 
 
+class OverflowingSphere(bl.SphereObstacle):
+    """A sphere whose ray solver overflows on every line."""
+
+    def ray_roots(self, q, v):
+        raise OverflowError("math range error")
+
+
+def test_a_failure_of_the_ray_roots_names_its_obstacle():
+    # the second of two discs fails on every line, so every ray does; its
+    # row names that disc and keeps the failure's type
+    scene = bl.make_scene(2, A_BALL, [bl.SphereObstacle([-4.0, 0.0], 1.0),
+                                      OverflowingSphere([4.0, 0.0], 1.0)], "overflowing")
+    table = lens.build_lens_table(scene, SampleSpec("grid", 4, 4))
+    assert set(table.status.tolist()) == {"error"}
+    assert set(table.error.tolist()) == {"OverflowError: obstacle 1 ray roots: math range error"}
+
+
 @pytest.mark.parametrize("failure", NUMERIC_FAILURES, ids=lambda cls: cls.__name__)
 def test_every_numeric_failure_is_recorded_per_ray(failure, monkeypatch):
     # the stub tracer raises the failure on every ray that meets the disc: the
@@ -419,12 +436,51 @@ def test_estimate_trapped_cluster_radius_above_tree_pairs(two_disc_scene):
     assert est.cluster_radii[-1] == brute > 0.0
 
 
+def test_estimate_trapped_leaves_error_rows_out(two_disc_scene, monkeypatch):
+    # under a time cutoff of 1.8 a, a ray that meets no disc before it is
+    # trapped, and the stub fails every ray that meets a disc: each rung
+    # counts its errors, and its fraction and radius are of the other rays
+    fail_rays_that_reflect(monkeypatch, OverflowError)
+    ladder = [SampleSpec("grid", n, n, t_max=1.8 * A_BALL) for n in (8, 12, 16)]
+    est = lens.estimate_trapped(two_disc_scene, ladder)
+    for k, spec in enumerate(ladder):
+        table = lens.build_lens_table(two_disc_scene, spec)
+        trapped, free = table.status == "trapped", table.status == "free"
+        errors = int(np.count_nonzero(table.status == "error"))
+        assert est.error_counts[k] == errors > 0 and est.trapped_counts[k] == np.count_nonzero(trapped) > 0
+        assert (est.trapped_counts[k] + est.error_counts[k] + np.count_nonzero(free)
+                == est.resolutions[k] == len(table))
+        assert est.fractions[k] == est.trapped_counts[k] / (len(table) - errors)
+        P, Q = (np.hstack([table.q[rows] / A_BALL, table.v[rows]]) for rows in (trapped, free))
+        assert est.cluster_radii[k] == max(float(np.sqrt(np.min(np.sum((p - Q) ** 2, axis=1)))) for p in P)
+
+
+def test_estimate_trapped_rungs_of_one_kind(two_disc_scene):
+    # a time cutoff below every chord traps every ray: the radius is the
+    # diameter bound of the phase space; a disc whose roots overflow on every
+    # line makes every ray an error: no fraction and no radius
+    ladder = [SampleSpec("grid", n, n, t_max=1e-3 * A_BALL) for n in (4, 8, 16)]
+    est = lens.estimate_trapped(two_disc_scene, ladder)
+    assert est.fractions == [1.0] * 3 and est.cluster_radii == [2.0 * math.sqrt(2.0)] * 3
+    assert est.error_counts == [0] * 3
+    scene = bl.make_scene(2, A_BALL, [OverflowingSphere([0.0, 0.0], 1.0)], "overflowing")
+    est = lens.estimate_trapped(scene, ladder)
+    assert est.fractions == est.cluster_radii == [None] * 3
+    assert est.error_counts == est.resolutions and est.trapped_counts == [0] * 3
+
+
 def test_boundary_distance_examples(livshits_pair):
     s1 = bl.make_scene(2, A_BALL, [bl.SphereObstacle([0.0, 0.0], 1.0)], "x")
     s1b = bl.make_scene(2, A_BALL, [bl.SphereObstacle([0.0, 0.0], 1.0)], "y")
     assert lens.boundary_distance(s1, s1b, density=50.0) < 2e-3
     s2 = bl.make_scene(2, A_BALL, [bl.SphereObstacle([0.0, 0.0], 1.01)], "z")
     assert lens.boundary_distance(s1, s2, density=300.0) == pytest.approx(0.01, abs=1e-3)
+    # in 3D at density 10 both spheres take 512 points of the golden-angle
+    # lattice, one cloud the other's scaled by 1.01
+    t1, t1b, t2 = (bl.make_scene(3, A_BALL, [bl.SphereObstacle([0.0, 0.0, 0.0], r)], name)
+                   for r, name in ((1.0, "x"), (1.0, "y"), (1.01, "z")))
+    assert lens.boundary_distance(t1, t1b, density=50.0) < 2e-3
+    assert lens.boundary_distance(t1, t2, density=10.0) == pytest.approx(0.01, abs=1e-3)
     base, deformed, _ = livshits_pair
     assert lens.boundary_distance(base, deformed, density=40.0) == pytest.approx(0.5, rel=0.1)
 
@@ -868,6 +924,43 @@ def test_a_bad_row_in_the_third_block_is_named():
         lens.table_from_jsonl("\n".join(lines[:-1]))
     with pytest.raises(geometry.SchemaError, match="^lens table has 4098 rows, but its spec"):
         lens.table_from_jsonl("\n".join(text.splitlines()[:-1]))
+
+
+def _vector_texts(width):
+    """JSON texts that are no list of `width` numbers: a string, a bool, a
+    list holding a number beyond the float range, of the wrong length, of
+    lists."""
+    return ['"x"', "true", "[" + ",".join(["1e400"] + ["0.5"] * (width - 1)) + "]",
+            "[" + ",".join(["0.5"] * (width + 1)) + "]", "[" + ",".join(["[0.5]"] * width) + "]"]
+
+
+def _bad_fields(dim):
+    """(key, JSON text) of each bad kind of value for each row key of a
+    table of dimension dim, a negative count, an unknown status and an error
+    that is no string among them."""
+    scalar = ['"x"', "true", "1e400", "[0.5]"]
+    return ([("params", text) for text in _vector_texts(2 * (dim - 1))]
+            + [(key, text) for key in ("q", "v", "theta") for text in _vector_texts(dim)]
+            + [(key, text) for key in ("t", "sojourn") for text in scalar]
+            + [("reflections", text) for text in scalar + ["-1"]]
+            + [("status", text) for text in ('"x"', "true", '["free"]')]
+            + [("error", text) for text in ("1", "true", '["x"]')])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_bad_field_of_a_later_block_names_its_line(dim):
+    # each bad kind of value of each column, in one seeded row past the first
+    # block: the reader names that row's line and its column
+    lines = lens.table_to_jsonl(_block_table(2 * lens.BLOCK_ROWS + 3, dim)).splitlines()
+    rng = np.random.default_rng(dim)
+    for key, text in _bad_fields(dim):
+        k = int(rng.integers(lens.BLOCK_ROWS + 1, len(lines)))
+        row = json.loads(lines[k])
+        row[key] = "@"
+        bad = lines[:k] + [geometry.canonical_json(row).replace('"@"', text)] + lines[k + 1:]
+        named = "unknown status" if key == "status" else f"{key} must be"
+        with pytest.raises(geometry.SchemaError, match=f"^lens table line {k + 1}: {named}"):
+            lens.table_from_jsonl("\n".join(bad))
 
 
 def _traced_peak(fn):
