@@ -621,14 +621,6 @@ class CurveChain:
         tuples or lists) with the chain, as `Root`s that carry the piece and
         piece parameter."""
         q, v = _floats(q), _floats(v)
-        cx, cy = self._bbox_xy
-        dx, dy = q[0] - cx, q[1] - cy
-        b, dd = dx * v[0] + dy * v[1], dx * dx + dy * dy
-        # dd - b^2 / |v|^2, the line's squared distance from the centre, and the
-        # squared radius carry rounding of under 20 * 2^-53 dd together: the margin
-        # 2^-48 dd (16 to 32 ulps of dd) keeps every line that meets the chain
-        if dd - b * b / (v[0] * v[0] + v[1] * v[1]) >= self._bound_radius**2 + dd * 2.0**-48:
-            return []
         return sorted(Root(t, k, s) for k, piece in enumerate(self.pieces) for t, s in piece.ray_roots(q, v))
 
     def _on_piece(self, k, s):

@@ -5,11 +5,13 @@ Rays move at unit speed inside the reference ball, reflect specularly at
 obstacle boundaries, continue straight through diffractive tangencies, and
 finish when they cross the boundary sphere outward. Every obstacle kind
 intersects rays exactly through `ray_roots`, with no step size, so no
-validated feature is too thin to hit. The normal at a root is
-`root_gradient` through the obstacle's one unit-normal step (`_unit_normal`,
-which its local query takes too): the implicit gradient for quadrics and
-superellipsoids, and for a `curve2d` the closed-form normal at the piece and
-parameter its root carries, so the tracer makes no closest-point query.
+validated feature is too thin to hit; an obstacle whose bounding ball a
+segment's line misses is not asked for them (`_first_root`). The normal at
+a root is `root_gradient` through the obstacle's one unit-normal step
+(`_unit_normal`, which its local query takes too): the implicit gradient
+for quadrics and superellipsoids, and for a `curve2d` the closed-form
+normal at the piece and parameter its root carries, so the tracer makes no
+closest-point query.
 Orbits that graze into the boundary (gliding) are detected and rejected.
 
 Each segment is one search (`_first_crossing`) up to the ball exit or the
@@ -25,21 +27,26 @@ may be concave and is asked again, and after a tangent event every obstacle
 is asked.
 
 The per-ray path runs on Python floats, as lists of two or three: the entry
-checks of `trace`, the normalisation and event loop of `trace_phase`, the
-ball chord, `ray_roots`, the unit normal, `reflect` and `sojourn_time`, with
-no matrix product or numpy kernel, so a trajectory has the same bits
-whatever BLAS or SIMD kernels the CPU selects. Numpy arrays appear only at
-the boundary: each `Event` and `PhasePoint` gets its own.
+check (`check_entry`), the normalisation and event loop of `trace_phase`,
+the ball chord, `ray_roots`, the unit normal, `reflect` and `sojourn_time`,
+with no matrix product or numpy kernel, so a trajectory has the same bits
+whatever BLAS or SIMD kernels the CPU selects. Numpy arrays appear only
+where a caller reads them: each `Event` gets its own, and a `Trajectory`
+keeps its entry and exit as the loop's floats (`ends`), from which
+`entry` and `exit_state` build their `PhasePoint`s on first access. A lens
+ray, which reads neither, makes no numpy object.
 
 A `Trajectory` holds each datum of its ray once: `status`, `total_time` (the
-travelling time t), `exit_state.v` (the exit direction theta) and
-`len(events)` (the reflection count). `lens` records them per ray.
+travelling time t), the exit direction theta (`ends[3]`, read as
+`exit_state.v`) and `len(events)` (the reflection count). `lens` records
+them per ray.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,12 +91,22 @@ class Event:
 
 @dataclass
 class Trajectory:
-    entry: PhasePoint
+    """A traced ray. `entry` and `exit_state` (None unless exited) read as
+    PhasePoints of arrays, built on first access from `ends`."""
+
+    ends: tuple          # entry q, v, then exit q, v if exited: the loop's lists of floats
     events: list
     status: str          # "exited" | "trapped" | "gliding_rejected"
-    exit_state: PhasePoint | None
     total_time: float | None
     cutoff_reason: str | None = None
+
+    @cached_property
+    def entry(self) -> PhasePoint:
+        return PhasePoint(*self.ends[:2])
+
+    @cached_property
+    def exit_state(self) -> PhasePoint | None:
+        return PhasePoint(*self.ends[2:]) if len(self.ends) == 4 else None
 
 
 @dataclass
@@ -131,11 +148,23 @@ def _first_root(scene, q, v, t_min, cap, left):
     """Smallest boundary root over all obstacles but the one of index `left`
     (None: all of them) in (t_min, cap]: (t, obstacle index), or None; on a
     tie, the first obstacle's. A numeric failure of an obstacle's roots is
-    raised again, of its type, naming the obstacle."""
+    raised again, of its type, naming the obstacle.
+
+    An obstacle is not asked for its roots when the line misses its bounding
+    ball of radius R about its centre c: with d = q - c, the line's squared
+    distance from c, dd - b^2 / |v|^2 (b = <d, v>, dd = |d|^2; v need not be
+    a unit vector), is at least R^2 + 2^-48 dd. The two sides carry rounding
+    of under 20 * 2^-53 dd together: the margin (16 to 32 ulps of dd) keeps
+    every line that meets the ball."""
     best = None
+    vv = _dot(v, v)
     try:
         for idx, obs in enumerate(scene.obstacles):
             if idx == left:
+                continue
+            d = _sub(q, obs._c)
+            b, dd = _dot(d, v), _dot(d, d)
+            if dd - b * b / vv >= obs._reach2 + dd * 2.0**-48:
                 continue
             for r in obs.ray_roots(q, v):  # sorted: only the first beyond t_min counts
                 if r > t_min:
@@ -206,7 +235,7 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
     q, v = _floats(q), _floats(v)
     speed = math.sqrt(_dot(v, v))
     v = [vi / speed for vi in v]
-    entry = PhasePoint(q, v)
+    entry = (q, v)
 
     events: list[Event] = []
     total = 0.0
@@ -215,22 +244,21 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
 
     while True:
         if len(events) >= limits.n_max:
-            return Trajectory(entry, events, "trapped", None, None, "max_reflections")
+            return Trajectory(entry, events, "trapped", None, "max_reflections")
 
         t_ball, t_left = _ball_chord(q, v, a)[1], t_max - total
         try:
             hit = _first_crossing(scene, q, v, min(t_ball, t_left), left, last_tangent)
         except RootPolishFailed:
-            return Trajectory(entry, events, "gliding_rejected", None, None,
-                              "boundary_penetration")
+            return Trajectory(entry, events, "gliding_rejected", None, "boundary_penetration")
 
         # the loop's points and directions are lists of floats, never changed
-        # in place; events and the exit get arrays of their own
+        # in place: events get arrays of their own, the trajectory keeps the ends
         if hit is None:
             if t_ball > t_left:
-                return Trajectory(entry, events, "trapped", None, None, "max_time")
+                return Trajectory(entry, events, "trapped", None, "max_time")
             total += t_ball
-            return Trajectory(entry, events, "exited", PhasePoint(_axpy(q, t_ball, v), v), total)
+            return Trajectory(entry + (_axpy(q, t_ball, v), v), events, "exited", total)
 
         t_hit, idx, x_hit, normal, cos_in = hit
         if abs(cos_in) > TANGENCY_THRESHOLD:
@@ -244,17 +272,16 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
 
         if etype == "tangent":
             if _near(last_tangent, idx, x_hit, GLIDING_ARC_FACTOR * a):
-                return Trajectory(entry, events, "gliding_rejected", None, None,
-                                  "tangency_chain")
+                return Trajectory(entry, events, "gliding_rejected", None, "tangency_chain")
             last_tangent = (idx, x_hit)
 
         q, v = x_hit, v_out
 
 
-def trace(scene, entry: PhasePoint, limits: Limits | None = None) -> Trajectory:
-    """Trace an entry phase point: position on the boundary sphere, direction
-    with non-negative inward component."""
-    q, v = entry.q.tolist(), entry.v.tolist()
+def check_entry(scene, q, v):
+    """ValueError unless (q, v), lists of floats, is an entry phase point:
+    q on the boundary sphere, v a unit vector with non-negative inward
+    component."""
     if abs(_dot(v, v) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit vector")
     a = scene.ball_radius
@@ -263,6 +290,13 @@ def trace(scene, entry: PhasePoint, limits: Limits | None = None) -> Trajectory:
     inward = -_dot(q, v) / a
     if inward < -1e-9:
         raise ValueError("entry direction points outward")
+
+
+def trace(scene, entry: PhasePoint, limits: Limits | None = None) -> Trajectory:
+    """Trace an entry phase point (`check_entry`): position on the boundary
+    sphere, direction with non-negative inward component."""
+    q, v = entry.q.tolist(), entry.v.tolist()
+    check_entry(scene, q, v)
     return trace_phase(scene, q, v, limits)
 
 
@@ -271,9 +305,8 @@ def sojourn_time(trajectory: Trajectory) -> float:
     and orthogonal to the incoming/outgoing directions, minus one diameter."""
     if trajectory.status != "exited":
         raise NotScattered(f"trajectory status is {trajectory.status}")
-    entry, exit_state = trajectory.entry, trajectory.exit_state
-    return (trajectory.total_time + _dot(entry.q.tolist(), entry.v.tolist())
-            - _dot(exit_state.q.tolist(), exit_state.v.tolist()))
+    q0, v0, q1, v1 = trajectory.ends
+    return trajectory.total_time + _dot(q0, v0) - _dot(q1, v1)
 
 
 def state_at(trajectory: Trajectory, t: float):

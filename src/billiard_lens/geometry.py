@@ -22,7 +22,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 
 import numpy as np
@@ -290,6 +290,12 @@ class Obstacle:
         solves in plain float arithmetic, so the same points give the same
         roots whatever their type."""
         raise NotImplementedError
+
+    @cached_property
+    def _reach2(self) -> float:
+        """R^2 of the bounding radius R, taken once: the tracer asks no
+        obstacle for the roots of a line outside that ball (`flow._first_root`)."""
+        return self.bounding_radius() ** 2
 
     def root_gradient(self, x, root):
         """grad F, as floats, at the point x (floats) of a root of `ray_roots`."""

@@ -42,7 +42,7 @@ import numpy as np
 from . import __version__ as VERSION
 from . import flow, geometry
 from .curves import _dot
-from .flow import Limits, PhasePoint
+from .flow import Limits
 from .geometry import _Record, canonical_json, tangent_basis
 from .rng import Xoshiro256StarStar
 
@@ -50,7 +50,7 @@ STATUSES = ("free", "scattered", "trapped", "gliding_rejected", "tangent_flagged
 SPECTRUM_GAP_FACTOR = 5e-3  # * a; sojourn times closer than this share a spectrum bin
 ANGULAR_TOL = 1e-2  # rad; `sls`'s default exit-direction tolerance (`sls --tol`)
 TIME_TOL_FACTOR = 1e-6  # * a; `compare`'s default time tolerance (`compare --tol`)
-BLOCK_ROWS = 1024  # rows that the table writers format, and the reader decodes, at a time
+BLOCK_ROWS = 1024  # rows that the table writers format, the reader decodes and _trace_rows traces, at a time
 # boundary_distance: the neighbours in each axis order that bound a point's
 # distance, and the points whose exact distance is taken at a time
 HAUSDORFF_WINDOW = 8
@@ -206,7 +206,7 @@ def sample_phase_sphere(spec: SampleSpec, ball_radius: float, dimension: int) ->
     else:
         gen = Xoshiro256StarStar(spec.seed)
         draws = 2 * (dimension - 1)  # per entry, in the order of its parameters
-        U = np.array([gen.uniform() for _ in range(draws * spec.n_total)]).reshape(-1, draws)
+        U = np.array(gen.uniforms(draws * spec.n_total)).reshape(-1, draws)
         if dimension == 2:
             P = np.column_stack([2.0 * math.pi * U[:, 0], -0.5 * math.pi + math.pi * U[:, 1]])
         else:
@@ -300,28 +300,37 @@ def _summary(status: np.ndarray, t: np.ndarray) -> dict:
 
 def _trace_rows(scene, Q, V, limits: Limits) -> tuple:
     """The LensTable columns from status to error of the entries (Q[k], V[k]),
-    each traced once: the status by classify_trajectory, the reflection
+    each checked (`flow.check_entry`) and traced once by `flow.trace_phase`
+    on the rows' floats: the status by classify_trajectory, the reflection
     count, theta of an exited ray, t and sojourn of a free or scattered one.
-    A numeric failure of one ray (geometry.NUMERIC_FAILURES) is recorded in
-    its row, status "error" with the exception's name and message, rather
-    than aborting the batch."""
-    n = len(Q)
+    A ray reads only the floats of its trajectory, so it makes no numpy
+    object. The rows are taken as floats BLOCK_ROWS at a time, and each
+    block's theta rows go into their column in one assignment. A numeric
+    failure of one ray (geometry.NUMERIC_FAILURES) is recorded in its row,
+    status "error" with the exception's name and message, rather than
+    aborting the batch."""
+    n, dim = V.shape
     status, error, reflections = ["error"] * n, [None] * n, [0] * n
     t, sojourn = [math.nan] * n, [math.nan] * n
-    theta = np.full(V.shape, math.nan)
-    for k, (q, v) in enumerate(zip(Q, V)):
-        try:
-            traj = flow.trace(scene, PhasePoint(q, v), limits)
-        except geometry.NUMERIC_FAILURES as exc:
-            error[k] = f"{type(exc).__name__}: {exc}"
-            continue
-        status[k] = classify_trajectory(traj)
-        reflections[k] = len(traj.events)
-        if traj.status == "exited":
-            theta[k] = traj.exit_state.v
-        if status[k] in ("free", "scattered"):
-            t[k] = traj.total_time
-            sojourn[k] = flow.sojourn_time(traj)
+    theta = np.empty(V.shape)
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        exits = [[math.nan] * dim] * (hi - lo)  # rows replaced, never changed in place
+        for k, q, v in zip(range(lo, hi), Q[lo:hi].tolist(), V[lo:hi].tolist()):
+            try:
+                flow.check_entry(scene, q, v)
+                traj = flow.trace_phase(scene, q, v, limits)
+            except geometry.NUMERIC_FAILURES as exc:
+                error[k] = f"{type(exc).__name__}: {exc}"
+                continue
+            status[k] = classify_trajectory(traj)
+            reflections[k] = len(traj.events)
+            if traj.status == "exited":
+                exits[k - lo] = traj.ends[3]
+            if status[k] in ("free", "scattered"):
+                t[k] = traj.total_time
+                sojourn[k] = flow.sojourn_time(traj)
+        theta[lo:hi] = exits
     return (_status_column(status), np.array(reflections, dtype=np.int64), np.array(t), theta,
             np.array(sojourn), np.array(error, dtype=object))
 
@@ -443,16 +452,15 @@ def _impact_offsets(scene, omega, spec: SampleSpec):
         if spec.mode == "grid":
             ss = [0.0] if n == 1 else [shadow * (2.0 * i / (n - 1) - 1.0) for i in range(n)]
         else:
-            gen = Xoshiro256StarStar(spec.seed)
-            ss = [shadow * (2.0 * gen.uniform() - 1.0) for _ in range(n)]
+            ss = [shadow * (2.0 * u - 1.0) for u in Xoshiro256StarStar(spec.seed).uniforms(n)]
         offsets = [s * t_hat for s in ss]
     else:
         T = tangent_basis(omega)
         if spec.mode == "grid":
             polar = geometry.golden_lattice([shadow * math.sqrt(k / n) for k in range(n)]).tolist()
         else:
-            gen = Xoshiro256StarStar(spec.seed)
-            polar = [(shadow * math.sqrt(gen.uniform()), gen.unit_angle()) for _ in range(n)]
+            U = Xoshiro256StarStar(spec.seed).uniforms(2 * n)  # radius, then angle, per point
+            polar = [(shadow * math.sqrt(u), 2.0 * math.pi * w) for u, w in zip(U[::2], U[1::2])]
         offsets = [r * (math.cos(ang) * T[:, 0] + math.sin(ang) * T[:, 1]) for r, ang in polar]
     return offsets
 
@@ -546,7 +554,10 @@ def boundary_distance(scene_k, scene_l, density: float) -> float:
     HAUSDORFF_CHUNK points at a time through `geometry.nearest_distances`,
     numpy alone, so scipy is never imported, at any density.
 
-    `density` is the target number of boundary samples per unit length."""
+    An obstacle of bounding radius R takes n = max(64, int(2 pi R density))
+    points in 2D, about `density` per unit length of its bounding circle,
+    and max(256, 8 n) in 3D: linear in `density` there too, so a 3D cloud's
+    spacing is not 1/density and shrinks only as 1/sqrt(density)."""
     if scene_k.dimension != scene_l.dimension:
         raise ValueError("scenes must have equal dimension")
 

@@ -19,10 +19,6 @@ def _splitmix64(state: int):
     return state, (z ^ (z >> 31)) & _MASK
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK
-
-
 class Xoshiro256StarStar:
     """xoshiro256** generator seeded from a single 64-bit integer."""
 
@@ -34,21 +30,35 @@ class Xoshiro256StarStar:
             s.append(word)
         self._s = s
 
+    def _draws(self, n: int, shift: int, scale) -> list:
+        """The next n outputs r of the stream, each as (r >> shift) * scale:
+        one loop over the four state words, the rotations written out (the
+        output's rotation is reduced mod 2^64 with its product)."""
+        s0, s1, s2, s3 = self._s
+        out = []
+        for _ in range(n):
+            x = (s1 * 5) & _MASK
+            out.append(((((x << 7) | (x >> 57)) * 9 & _MASK) >> shift) * scale)
+            t = (s1 << 17) & _MASK
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
+        self._s = [s0, s1, s2, s3]
+        return out
+
     def next_u64(self) -> int:
-        s = self._s
-        result = (_rotl((s[1] * 5) & _MASK, 7) * 9) & _MASK
-        t = (s[1] << 17) & _MASK
-        s[2] ^= s[0]
-        s[3] ^= s[1]
-        s[1] ^= s[2]
-        s[0] ^= s[3]
-        s[2] ^= t
-        s[3] = _rotl(s[3], 45)
-        return result
+        return self._draws(1, 0, 1)[0]
+
+    def uniforms(self, n: int) -> list:
+        """The next n uniform doubles in [0, 1), each with 53 random bits."""
+        return self._draws(n, 11, 2.0 ** -53)
 
     def uniform(self) -> float:
-        """Uniform double in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0 ** -53
+        """One draw of `uniforms`."""
+        return self.uniforms(1)[0]
 
     def unit_angle(self) -> float:
         return 2.0 * math.pi * self.uniform()

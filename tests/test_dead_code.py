@@ -33,6 +33,8 @@ def _mentions(node):
 # module.Class.method: why it stays although no code in src/ or perfbench/ names it
 ALLOWED_METHODS = {
     "variation.JacobiFrame.basis": "a frame's basis read as an array: the frame holds its columns as floats",
+    "rng.Xoshiro256StarStar.next_u64": "the raw 64-bit stream, which the frozen regression vector pins",
+    "rng.Xoshiro256StarStar.unit_angle": "the tests' one-draw angle; the package takes its draws in blocks",
 }
 
 

@@ -658,6 +658,63 @@ def test_curve_bounding_circle_holds_the_farthest_arc():
         assert [(ev.obstacle, ev.type) for ev in traj.events] == [(0, "transversal")]
 
 
+def _unit_vector(draw, dim):
+    """A unit vector of a drawn angle (2D) or height and azimuth (3D)."""
+    phi = draw(_angle)
+    if dim == 2:
+        return np.array([math.cos(phi), math.sin(phi)])
+    z = draw(_unit)
+    rho = math.sqrt(1.0 - z * z)
+    return np.array([rho * math.cos(phi), rho * math.sin(phi), z])
+
+
+@pytest.mark.parametrize("kind, dim", [("sphere", 2), ("sphere", 3), ("ellipsoid", 2), ("ellipsoid", 3),
+                                       ("superellipsoid", 2), ("superellipsoid", 3), ("curve2d", 2)])
+@given(data=st.data())
+def test_a_line_that_misses_the_bounding_ball_has_no_roots(kind, dim, data):
+    # the tracer's bounding-ball reject (`flow._first_root`), on lines at
+    # squared distance R^2 (1 + delta) from the centre, delta of either sign
+    # down to tangency, along a direction of any length. Their normal is
+    # drawn, or points at the boundary point farthest out where the ball
+    # touches it (any of a sphere's, an end of an ellipsoid's longest axis, a
+    # curve's farthest sample), so that near-tangent lines graze the body.
+    # Where the reject fires, so that the obstacle is not asked, its
+    # `ray_roots` finds no root; a line well outside the ball is rejected and
+    # one well inside is not
+    draw = data.draw
+    if kind == "curve2d":
+        obs = _all_pieces_curve(draw)
+    else:
+        center = [draw(_unit) for _ in range(dim)]
+        axes = [draw(st.floats(0.3, 3.0)) for _ in range(dim)]
+        rotation = (_rotation(dim, [draw(_angle) for _ in range(1 if dim == 2 else 3)])
+                    if draw(st.booleans()) else None)
+        obs = (bl.SphereObstacle(center, axes[0]) if kind == "sphere"
+               else bl.EllipsoidObstacle(center, axes, rotation) if kind == "ellipsoid"
+               else bl.SuperellipsoidObstacle(center, axes, draw(st.floats(4.0, 12.0)), rotation))
+    c, radius = obs.center, obs.bounding_radius()
+    normal = _unit_vector(draw, dim)
+    if draw(st.booleans()):
+        if kind == "ellipsoid":
+            normal = obs.rotation[:, int(np.argmax(obs.semi_axes))] * draw(st.sampled_from([-1.0, 1.0]))
+        elif kind == "curve2d":
+            far = obs.boundary_points(4096) - c
+            normal = far[int(np.argmax(np.sum(far * far, axis=1)))]
+            normal = normal / np.linalg.norm(normal)
+    u = cross_basis(normal) @ _unit_vector(draw, dim - 1) if dim == 3 else cross_basis(normal)[:, 0]
+    delta = draw(st.one_of(st.floats(-0.5, 0.5), st.floats(-1e-9, 1e-9), st.floats(-1e-14, 1e-14)))
+    q = c + math.sqrt(radius**2 * (1.0 + delta)) * normal + draw(st.floats(-3.0, 3.0)) * radius * u
+    v = draw(st.floats(1e-2, 1e2)) * u
+    q, v = q.tolist(), v.tolist()
+    asked, ray_roots = [], obs.ray_roots
+    obs.ray_roots = lambda q, v: asked.append(q) or ray_roots(q, v)
+    flow._first_root(bl.make_scene(dim, A_BALL, [obs], kind), q, v, -math.inf, math.inf, None)
+    if not asked:
+        assert ray_roots(q, v) == []
+    if abs(delta) >= 1e-10:
+        assert (not asked) == (delta > 0.0)
+
+
 @given(data=st.data())
 def test_curve_bounding_circle_holds_every_piece_point(data):
     chain = _all_pieces_curve(data.draw).chain

@@ -14,13 +14,13 @@ from hypothesis.extra import numpy as hnp
 
 import billiard_lens as bl
 from billiard_lens import cli, flow, geometry, lens
-from billiard_lens.curves import CurveChain
+from billiard_lens.curves import CurveChain, _axpy, _dot
 from billiard_lens.flow import PhasePoint
 from billiard_lens.lens import LensTable, SampleSpec, SpecMismatch
 from billiard_lens.rng import Xoshiro256StarStar
 
-from conftest import (A_BALL, NUMERIC_FAILURES, FaintSphere, _all_pieces_curve, _drawn_pair, cross_basis,
-                      fail_rays_that_reflect, run_python)
+from conftest import (A_BALL, NUMERIC_FAILURES, FaintSphere, _all_pieces_curve, _drawn_pair, _rotation,
+                      cross_basis, fail_rays_that_reflect, run_python)
 
 
 def test_parse_spec_round_trip():
@@ -224,7 +224,11 @@ def test_gradient_under_the_floor_is_an_error_row():
 
 
 class OverflowingSphere(bl.SphereObstacle):
-    """A sphere whose ray solver overflows on every line."""
+    """A sphere whose ray solver overflows on every line: its bounding ball
+    holds the reference ball, so no line is rejected before the solver."""
+
+    def bounding_radius(self):
+        return 2.0 * A_BALL
 
     def ray_roots(self, q, v):
         raise OverflowError("math range error")
@@ -238,6 +242,58 @@ def test_a_failure_of_the_ray_roots_names_its_obstacle():
     table = lens.build_lens_table(scene, SampleSpec("grid", 4, 4))
     assert set(table.status.tolist()) == {"error"}
     assert set(table.error.tolist()) == {"OverflowError: obstacle 1 ray roots: math range error"}
+
+
+@pytest.mark.parametrize("kind", ["sphere", "ellipsoid", "superellipsoid", "curve2d"])
+def test_a_lens_ray_is_one_trace_phase_call_that_builds_no_phase_point(
+        kind, monkeypatch, two_disc_scene, sphere_ellipsoid_scene, livshits_pair):
+    # the benchmark counts the rays of a lens run by its `flow.trace_phase`
+    # spans: one call per entry. A ray reads its trajectory's floats, so no
+    # PhasePoint is built, and `entry` and `exit_state`, built on access,
+    # equal what the tracer built eagerly before: the entry row with v
+    # normalised, and the exit by the ball chord from the last event
+    scene, spec = {
+        "sphere": (two_disc_scene, SampleSpec("grid", 12, 12)),
+        "ellipsoid": (sphere_ellipsoid_scene, SampleSpec("grid", 16, 16)),
+        "superellipsoid": (bl.make_scene(3, A_BALL, [bl.SuperellipsoidObstacle(
+            [0.1, -0.2, 0.3], [3.0, 2.5, 2.0], 6.0, _rotation(3, [0.3, 0.5, 0.7]))], "superellipsoid"),
+            SampleSpec("grid", 16, 16)),
+        "curve2d": (livshits_pair[0], SampleSpec("grid", 12, 12)),
+    }[kind]
+    trajectories, built = [], []
+    trace_phase, post_init = flow.trace_phase, PhasePoint.__post_init__
+
+    def counting(*args):
+        trajectories.append(trace_phase(*args))
+        return trajectories[-1]
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(flow, "trace_phase", counting)
+    monkeypatch.setattr(PhasePoint, "__post_init__", counting_post_init)
+    table = lens.build_lens_table(scene, spec)
+    assert len(trajectories) == len(table) and not built
+    assert {"scattered", "free"} <= set(table.status.tolist())
+    for traj, row in zip(trajectories, table):
+        v = row.v.tolist()
+        speed = math.sqrt(_dot(v, v))
+        assert traj.entry is traj.entry and traj.entry.q.dtype == traj.entry.v.dtype == np.float64
+        assert traj.entry.q.tolist() == row.q.tolist()
+        assert traj.entry.v.tolist() == [vi / speed for vi in v]
+        if traj.status != "exited":
+            assert traj.exit_state is None and row.theta is None
+            continue
+        last = traj.events[-1] if traj.events else None
+        q_last = last.x.tolist() if last else row.q.tolist()
+        v_last = last.v_out.tolist() if last else traj.entry.v.tolist()
+        exit_q = _axpy(q_last, flow._ball_chord(q_last, v_last, A_BALL)[1], v_last)
+        assert traj.exit_state.q.tolist() == exit_q and traj.exit_state.v.tolist() == v_last
+        assert row.theta.tolist() == v_last
+        if row.status in ("free", "scattered"):
+            entry, out = traj.entry, traj.exit_state
+            assert row.sojourn == row.t + _dot(entry.q, entry.v) - _dot(out.q, out.v)
 
 
 @pytest.mark.parametrize("failure", NUMERIC_FAILURES, ids=lambda cls: cls.__name__)
