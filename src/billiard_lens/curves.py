@@ -7,12 +7,16 @@ field, boundary normals and the signed curvature seen from the free side.
 Each piece projects points onto itself: segments, flat bumps and circular
 arcs in closed form, ellipse arcs and curved bumps by safeguarded Newton, and
 the chain keeps the nearest foot over its pieces. Its ray roots come from
-each piece's exact solver and carry the piece and parameter of the crossing,
-so the normal and curvature there need no closest-point query. The ray
-solvers work in plain float arithmetic on (x, y) pairs. A closest point
-takes no numpy kernel that the CPU picks: an arc maps the angle, by libm's
-atan2, to its parameter as the ray solver does, and a foot's normal and
-curvature are `piece_normal`'s and `piece_shape`'s, bit for bit.
+the exact solvers of the pieces whose ball the line meets: each piece has a
+ball about the box centre of its coarse samples, of its closed-form reach
+plus its `overhang` past the ends, and a line that misses it by
+`_line_misses_ball` is not solved against the piece. The roots carry the
+piece and parameter of the crossing, so the normal and curvature there
+need no closest-point query. The ray solvers work in plain float
+arithmetic on (x, y) pairs. A closest point takes no numpy kernel that the
+CPU picks: an arc maps the angle, by libm's atan2, to its parameter as the
+ray solver does, and a foot's normal and curvature are `piece_normal`'s
+and `piece_shape`'s, bit for bit.
 
 The scene file's shape checks live here too, shared with `geometry`.
 """
@@ -62,6 +66,24 @@ def _axpy(q, t, v):
     if len(q) == 2:
         return [q[0] + t * v[0], q[1] + t * v[1]]
     return [q[0] + t * v[0], q[1] + t * v[1], q[2] + t * v[2]]
+
+
+def _line_misses_ball(q, v, vv, c, reach2):
+    """Whether the line q + t v misses the ball of squared radius reach2
+    about c (float pairs or triples; vv = <v, v>, v need not be a unit
+    vector): with d = q - c, the line's squared distance from c,
+    dd - b^2 / vv (b = <d, v>, dd = <d, d>), is at least reach2 + 2^-48 dd.
+    The two sides carry rounding of under 20 * 2^-53 dd together: the
+    margin (16 to 32 ulps of dd) keeps every line that meets the ball. The
+    sums are `_sub` and `_dot`'s, written out: the test runs once per
+    obstacle and curve piece a segment could meet."""
+    if len(q) == 2:
+        dx, dy = q[0] - c[0], q[1] - c[1]
+        b, dd = dx * v[0] + dy * v[1], dx * dx + dy * dy
+    else:
+        dx, dy, dz = q[0] - c[0], q[1] - c[1], q[2] - c[2]
+        b, dd = dx * v[0] + dy * v[1] + dz * v[2], dx * dx + dy * dy + dz * dz
+    return dd - b * b / vv >= reach2 + dd * 2.0**-48
 
 
 def _stable_quadratic(a: float, b: float, c: float):
@@ -250,6 +272,16 @@ class CurvePiece:
         segment's reach, which the other kinds extend."""
         ends = [_sub(p.tolist(), c) for p in (self.start(), self.end())]
         return math.sqrt(max(_dot(d, d) for d in ends))
+
+    def overhang(self):
+        """How far beyond `reach(c)`, for any c, a root of `ray_roots` may
+        lie: the solver takes roots up to `_JOIN_OVERLAP` of parameter past
+        an end, which moves a segment by that times its chord |end - start|.
+        The same bound serves a bump, whose reach adds its |amplitude| to the
+        segment's everywhere, and an ellipse arc, whose reach holds the whole
+        ellipse."""
+        d = _sub(self.end().tolist(), self.start().tolist())
+        return _JOIN_OVERLAP * math.sqrt(_dot(d, d))
 
     def to_dict(self) -> dict:
         """The piece's scene-file object: its type and the value of each of
@@ -448,6 +480,11 @@ class ArcPiece(CurvePiece):
         off = _angle_offset(math.atan2(d[1], d[0]), self.theta0 + 0.5 * self._sweep)
         return math.sqrt(_dot(d, d)) + self.radius if abs(off) <= 0.5 * abs(self._sweep) else super().reach(c)
 
+    def overhang(self):
+        # the ray solver takes up to `_JOIN_OVERLAP` of angle past an end, and
+        # that much parameter is |sweep| times as much angle: the larger arc
+        return _JOIN_OVERLAP * self.radius * max(1.0, abs(self._sweep))
+
     def deriv(self, s):
         th = self._theta(s)
         return self.radius * self._sweep * np.stack([-np.sin(th), np.cos(th)], axis=-1)
@@ -581,6 +618,13 @@ class CurveChain:
         self._bbox_center = 0.5 * (dense.min(axis=0) + dense.max(axis=0))
         self._bbox_xy = tuple(self._bbox_center.tolist())
         self._bound_radius = max(piece.reach(self._bbox_xy) for piece in self.pieces)
+        # (index, piece, centre, squared radius) of each piece's ball for
+        # `ray_roots`: about the box centre of its coarse samples, holding the
+        # piece and the join overlap past its ends
+        coarse = np.array(self._coarse_pts)
+        centres = (0.5 * (coarse.min(axis=1) + coarse.max(axis=1))).tolist()
+        self._piece_balls = [(k, piece, c, (piece.reach(c) + piece.overhang()) ** 2)
+                             for k, (piece, c) in enumerate(zip(self.pieces, centres))]
         # shoelace area decides which side of the traversal is free space
         x, y = dense[:, 0], dense[:, 1]
         area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
@@ -619,9 +663,12 @@ class CurveChain:
     def ray_roots(self, q, v):
         """Sorted parameters t of every crossing of the line q + t v (arrays,
         tuples or lists) with the chain, as `Root`s that carry the piece and
-        piece parameter."""
+        piece parameter. A piece whose ball the line misses
+        (`_line_misses_ball`) has no crossing and is not solved."""
         q, v = _floats(q), _floats(v)
-        return sorted(Root(t, k, s) for k, piece in enumerate(self.pieces) for t, s in piece.ray_roots(q, v))
+        vv = _dot(v, v)
+        return sorted(Root(t, k, s) for k, piece, c, reach2 in self._piece_balls
+                      if not _line_misses_ball(q, v, vv, c, reach2) for t, s in piece.ray_roots(q, v))
 
     def _on_piece(self, k, s):
         """(piece, parameter) of parameter s of piece k: a root past an end of its piece

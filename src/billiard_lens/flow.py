@@ -6,9 +6,12 @@ obstacle boundaries, continue straight through diffractive tangencies, and
 finish when they cross the boundary sphere outward. Every obstacle kind
 intersects rays exactly through `ray_roots`, with no step size, so no
 validated feature is too thin to hit; an obstacle whose bounding ball a
-segment's line misses is not asked for them (`_first_root`). The normal at
-a root is `root_gradient` through the obstacle's one unit-normal step
-(`_unit_normal`, which its local query takes too): the implicit gradient
+segment's line misses is not asked for them (`_first_root`), by the test
+`curves._line_misses_ball` that a `curve2d` also applies to each piece,
+with a margin of 2^-48 times the squared distance of the line's point from
+the centre, which exceeds the test's own rounding. The normal at a root,
+`_root_normal`, is `root_gradient` through the obstacle's one unit-normal
+step (`_unit_normal`, which its local query takes too): the implicit gradient
 for quadrics and superellipsoids, and for a `curve2d` the closed-form
 normal at the piece and parameter its root carries, so the tracer makes no
 closest-point query.
@@ -34,7 +37,9 @@ whatever BLAS or SIMD kernels the CPU selects. Numpy arrays appear only
 where a caller reads them: each `Event` gets its own, and a `Trajectory`
 keeps its entry and exit as the loop's floats (`ends`), from which
 `entry` and `exit_state` build their `PhasePoint`s on first access. A lens
-ray, which reads neither, makes no numpy object.
+ray reads neither and makes no numpy object; `state_at` and the Jacobi
+layer read `ends` too, so a single orbit's analysis builds no `PhasePoint`
+of its traced trajectories.
 
 A `Trajectory` holds each datum of its ray once: `status`, `total_time` (the
 travelling time t), the exit direction theta (`ends[3]`, read as
@@ -51,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry
-from .curves import _axpy, _dot, _floats, _sub
+from .curves import _axpy, _dot, _floats, _line_misses_ball, _sub
 from .geometry import canonical_json
 
 TANGENCY_THRESHOLD = 1e-7   # |<v, normal>| at or below this is a tangent encounter
@@ -151,20 +156,16 @@ def _first_root(scene, q, v, t_min, cap, left):
     raised again, of its type, naming the obstacle.
 
     An obstacle is not asked for its roots when the line misses its bounding
-    ball of radius R about its centre c: with d = q - c, the line's squared
-    distance from c, dd - b^2 / |v|^2 (b = <d, v>, dd = |d|^2; v need not be
-    a unit vector), is at least R^2 + 2^-48 dd. The two sides carry rounding
-    of under 20 * 2^-53 dd together: the margin (16 to 32 ulps of dd) keeps
-    every line that meets the ball."""
+    ball of radius R about its centre: `curves._line_misses_ball`, the one
+    rule for obstacles and curve pieces, whose margin of 2^-48 dd (dd the
+    squared distance of q from the centre) exceeds the rounding of both of
+    its sides, so no line that meets the ball is skipped. v need not be a
+    unit vector."""
     best = None
     vv = _dot(v, v)
     try:
         for idx, obs in enumerate(scene.obstacles):
-            if idx == left:
-                continue
-            d = _sub(q, obs._c)
-            b, dd = _dot(d, v), _dot(d, d)
-            if dd - b * b / vv >= obs._reach2 + dd * 2.0**-48:
+            if idx == left or _line_misses_ball(q, v, vv, obs._c, obs._reach2):
                 continue
             for r in obs.ray_roots(q, v):  # sorted: only the first beyond t_min counts
                 if r > t_min:
@@ -190,7 +191,7 @@ def _first_crossing(scene, q, v, cap, left, last_tangent):
     while (found := _first_root(scene, q, v, t_min, cap, left)) is not None:
         t, idx = found
         x = _axpy(q, t, v)
-        normal = scene.obstacles[idx]._unit_normal(scene.obstacles[idx].root_gradient(x, t), idx)[0]
+        normal = _root_normal(scene.obstacles[idx], x, t, idx)[0]
         cos_in = _dot(v, normal)
         if cos_in > TANGENCY_THRESHOLD:
             if t > dead_zone:
@@ -199,6 +200,14 @@ def _first_crossing(scene, q, v, cap, left, last_tangent):
             return t, idx, x, normal, cos_in
         t_min = t + guard
     return None
+
+
+def _root_normal(obstacle, x, root, label):
+    """(unit normal, |grad F|) at the point x (floats) of a root of the
+    obstacle's `ray_roots`: its unit-normal step on `root_gradient`, taken
+    by the tracer and by the Jacobi layer at an event. SingularGradient,
+    naming obstacle `label`, below the floor."""
+    return obstacle._unit_normal(obstacle.root_gradient(x, root), label)
 
 
 def _near(tangent, idx, x, radius) -> bool:
@@ -310,18 +319,21 @@ def sojourn_time(trajectory: Trajectory) -> float:
 
 
 def state_at(trajectory: Trajectory, t: float):
-    """Phase state (position, direction) at time t along the trajectory;
-    continues straight past the exit."""
+    """Phase state (position, direction) at time t along the trajectory, as
+    arrays; continues straight past the exit. It reads the trajectory's
+    `ends` and its events' floats, so it builds no `PhasePoint`."""
     if t < 0:
         raise ValueError("time must be non-negative")
-    q, v, t0 = trajectory.entry.q, trajectory.entry.v, 0.0
+    q, v, t0 = *trajectory.ends[:2], 0.0
     for ev in trajectory.events:
         if t <= ev.t:
-            return q + (t - t0) * v, v.copy()
+            break
         q, v, t0 = ev.x, ev.v_out, ev.t
-    if trajectory.status != "exited" and t > t0:
-        raise ValueError(f"time {t} beyond the truncated trajectory")
-    return q + (t - t0) * v, v.copy()
+    else:
+        if trajectory.status != "exited" and t > t0:
+            raise ValueError(f"time {t} beyond the truncated trajectory")
+    q, v, dt = _floats(q), _floats(v), t - t0
+    return np.array([qi + dt * vi for qi, vi in zip(q, v)]), np.array(v)
 
 
 def trajectory_jsonl(trajectory: Trajectory, header_extra: dict | None = None) -> str:

@@ -21,7 +21,7 @@ m = 2 with every sum taken left to right, and a rank test takes its singular
 values in closed form. An `Incidence` holds arrays, tuples or lists.
 
 Each incidence is the obstacle's figure at the tracer's root, which the
-event keeps: the tracer's unit normal of `root_gradient`, so the layer
+event keeps: the tracer's unit normal (`flow._root_normal`), so the layer
 transfers the traced reflection bit for bit, and the form `root_hessian` /
 |grad F| (on a curve2d kappa t t^T at the root's piece and parameter). It is
 made on first use and kept (`_incidences`): the `conjugate` command shares
@@ -194,9 +194,9 @@ def symplectic_pairing(f1: JacobiFrame, f2: JacobiFrame) -> np.ndarray:
 
 def _incidence(obstacle, event) -> Incidence:
     """The Incidence of an event at its root, on floats: the tracer's unit
-    normal step on `root_gradient`, and `root_hessian` / |grad F|."""
+    normal (`flow._root_normal`), and `root_hessian` / |grad F|."""
     x = _floats(event.x)
-    normal, norm = obstacle._unit_normal(obstacle.root_gradient(x, event.root), event.obstacle)
+    normal, norm = flow._root_normal(obstacle, x, event.root, event.obstacle)
     hessian = obstacle.root_hessian(x, event.root)
     return Incidence(_floats(event.v_in), normal, [[h / norm for h in row] for row in hessian])
 
@@ -244,24 +244,28 @@ def flow_differentials(scene, entry: flow.PhasePoint, t: float, trajectory=None)
     events = trajectory.events
     if trajectory.status != "exited" and events and t > events[-1].t:
         raise ValueError("time t beyond a truncated trajectory")
-    # the seeds (A, B) = (0, I) and (I, 0) side by side: each event mirrors one basis
-    m = trajectory.entry.v.shape[0] - 1
+    # the seeds (A, B) = (0, I) and (I, 0) side by side, in the basis of the
+    # traced entry direction (`ends[1]`): each event mirrors one basis
+    v0 = trajectory.ends[1]
+    m = len(v0) - 1
     eye = _seed_rows(1.0, m)
-    seeds = seed_frame(trajectory.entry.v, [[0.0] * m + r for r in eye], [r + [0.0] * m for r in eye])
+    seeds = seed_frame(v0, [[0.0] * m + r for r in eye], [r + [0.0] * m for r in eye])
     *_, frame = _walk(events, _incidences(scene, events), seeds, 0, 0.0, t)
     return np.array([row[:m] for row in frame.a]), np.array([row[m:] for row in frame.b])
 
 
 def transport_basis(scene, trajectory, t: float, columns: list) -> list:
     """The transverse basis at the entry, its columns as lists of floats,
-    mirrored at every event before time t by the normal at its root: the
-    oracle's own copy of the chain the frame propagation mirrors through."""
+    mirrored at every event before time t by the normal at its root
+    (`flow._root_normal`, with no shape form): the oracle's own copy of the
+    chain the frame propagation mirrors through."""
     for ev in trajectory.events:
         if ev.t >= t:
             break
         if ev.type != "transversal":
             raise TangentOnPath(f"tangent event at t = {ev.t:g}")
-        columns = _reflect_basis(columns, _incidence(scene.obstacles[ev.obstacle], ev).normal)
+        normal = flow._root_normal(scene.obstacles[ev.obstacle], _floats(ev.x), ev.root, ev.obstacle)[0]
+        columns = _reflect_basis(columns, normal)
     return columns
 
 
@@ -277,7 +281,7 @@ def fd_flow_jacobian(scene, entry: flow.PhasePoint, t: float, h: float):
     signature = _itinerary(central, t)
     # the traced entry direction, as the frames are seeded: entry.v may differ
     # from it by a rounding of the tracer's normalisation
-    basis_0 = _tangent_columns(central.entry.v.tolist())
+    basis_0 = _tangent_columns(central.ends[1])
     basis_t = transport_basis(scene, central, t, basis_0)
     q, v = entry.q.tolist(), entry.v.tolist()
     cos_h, sin_h, two_h = math.cos(h), math.sin(h), 2.0 * h

@@ -12,6 +12,7 @@ import billiard_lens as bl
 from billiard_lens import flow, geometry, variation
 from billiard_lens.curves import (
     _JOIN_OVERLAP,
+    _line_misses_ball,
     ArcPiece,
     BumpLinePiece,
     CurveChain,
@@ -668,6 +669,24 @@ def _unit_vector(draw, dim):
     return np.array([rho * math.cos(phi), rho * math.sin(phi), z])
 
 
+def _farthest_direction(points):
+    """The unit vector of the longest row of `points`."""
+    far = points[int(np.argmax(np.sum(points * points, axis=1)))]
+    return far / np.linalg.norm(far)
+
+
+def _line_near_ball(draw, c, radius, normal):
+    """(q, v, delta): a line, as lists of floats, at squared distance
+    radius^2 (1 + delta) from c, delta of either sign down to tangency, its
+    foot along `normal` from c, along a direction of any length."""
+    dim = len(c)
+    u = cross_basis(normal) @ _unit_vector(draw, dim - 1) if dim == 3 else cross_basis(normal)[:, 0]
+    delta = draw(st.one_of(st.floats(-0.5, 0.5), st.floats(-1e-9, 1e-9), st.floats(-1e-14, 1e-14)))
+    q = c + math.sqrt(radius**2 * (1.0 + delta)) * normal + draw(st.floats(-3.0, 3.0)) * radius * u
+    v = draw(st.floats(1e-2, 1e2)) * u
+    return q.tolist(), v.tolist(), delta
+
+
 @pytest.mark.parametrize("kind, dim", [("sphere", 2), ("sphere", 3), ("ellipsoid", 2), ("ellipsoid", 3),
                                        ("superellipsoid", 2), ("superellipsoid", 3), ("curve2d", 2)])
 @given(data=st.data())
@@ -698,14 +717,8 @@ def test_a_line_that_misses_the_bounding_ball_has_no_roots(kind, dim, data):
         if kind == "ellipsoid":
             normal = obs.rotation[:, int(np.argmax(obs.semi_axes))] * draw(st.sampled_from([-1.0, 1.0]))
         elif kind == "curve2d":
-            far = obs.boundary_points(4096) - c
-            normal = far[int(np.argmax(np.sum(far * far, axis=1)))]
-            normal = normal / np.linalg.norm(normal)
-    u = cross_basis(normal) @ _unit_vector(draw, dim - 1) if dim == 3 else cross_basis(normal)[:, 0]
-    delta = draw(st.one_of(st.floats(-0.5, 0.5), st.floats(-1e-9, 1e-9), st.floats(-1e-14, 1e-14)))
-    q = c + math.sqrt(radius**2 * (1.0 + delta)) * normal + draw(st.floats(-3.0, 3.0)) * radius * u
-    v = draw(st.floats(1e-2, 1e2)) * u
-    q, v = q.tolist(), v.tolist()
+            normal = _farthest_direction(obs.boundary_points(4096) - c)
+    q, v, delta = _line_near_ball(draw, c, radius, normal)
     asked, ray_roots = [], obs.ray_roots
     obs.ray_roots = lambda q, v: asked.append(q) or ray_roots(q, v)
     flow._first_root(bl.make_scene(dim, A_BALL, [obs], kind), q, v, -math.inf, math.inf, None)
@@ -717,11 +730,56 @@ def test_a_line_that_misses_the_bounding_ball_has_no_roots(kind, dim, data):
 
 @given(data=st.data())
 def test_curve_bounding_circle_holds_every_piece_point(data):
+    # the chain's circle holds every piece, and each piece's ball for
+    # `ray_roots` holds it and the join overlap past its ends
     chain = _all_pieces_curve(data.draw).chain
     c, r = chain.bounding_circle()
     for piece in chain.pieces:
         points = piece.point(np.linspace(0.0, 1.0, 4097))
         assert np.max(np.sqrt(np.sum((points - c) ** 2, axis=1))) <= r
+    for _, piece, center, reach2 in chain._piece_balls:
+        # the ends of the overlap lie on the ball: up to the points' rounding,
+        # a few ulps of their coordinates
+        points = piece.point(np.linspace(-_JOIN_OVERLAP, 1.0 + _JOIN_OVERLAP, 4097))
+        slack = 2.0**-50 * np.max(np.abs(points))
+        assert np.max(np.sqrt(np.sum((points - center) ** 2, axis=1))) <= math.sqrt(reach2) + slack
+
+
+@given(data=st.data())
+def test_a_chain_solves_only_the_pieces_whose_ball_its_line_meets(data):
+    # `CurveChain.ray_roots` against the roots of every piece, unfiltered, on
+    # lines near the ball of a drawn piece: at squared distance R^2 (1 + delta)
+    # from its centre (`_line_near_ball`, the normal drawn or pointing at the
+    # piece's farthest point), or through a point of the piece within the join
+    # overlap of an end, along a drawn direction or tangent to the ball there,
+    # where a segment's end lies on it. Where a ball rejects the line, its
+    # piece has no root; a line well outside the ball is rejected and one well
+    # inside is not
+    draw = data.draw
+    chain = _all_pieces_curve(draw).chain
+    _, piece, c, reach2 = chain._piece_balls[draw(st.integers(0, len(chain.pieces) - 1))]
+    c = np.array(c)
+    if draw(st.booleans()):
+        normal = _unit_vector(draw, 2)
+        if draw(st.booleans()):
+            normal = _farthest_direction(piece.point(np.linspace(0.0, 1.0, 4097)) - c)
+        q, v, delta = _line_near_ball(draw, c, math.sqrt(reach2), normal)
+    else:
+        s0 = draw(st.sampled_from([0.0, 1.0])) + draw(st.floats(-1.0, 1.0)) * _JOIN_OVERLAP
+        x = piece.point(np.array(s0))
+        u = (_unit_vector(draw, 2) if draw(st.booleans())
+             else cross_basis(_farthest_direction((x - c)[None, :]))[:, 0])
+        q, v = (x - 2.0 * chain.bounding_circle()[1] * u).tolist(), (draw(st.floats(1e-2, 1e2)) * u).tolist()
+        delta = 0.0
+    unfiltered = sorted(((t, k, s) for k, p in enumerate(chain.pieces) for t, s in p.ray_roots(q, v)),
+                        key=lambda root: root[0])
+    assert [(float(t), t.piece, t.s) for t in chain.ray_roots(q, v)] == unfiltered
+    vv = v[0] * v[0] + v[1] * v[1]
+    for _, p, center, r2 in chain._piece_balls:
+        if _line_misses_ball(q, v, vv, center, r2):
+            assert p.ray_roots(q, v) == []
+    if abs(delta) >= 1e-10:
+        assert _line_misses_ball(q, v, vv, c.tolist(), reach2) == (delta > 0.0)
 
 
 @given(data=st.data())

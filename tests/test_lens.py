@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 import billiard_lens as bl
 from billiard_lens import cli, flow, geometry, lens
-from billiard_lens.curves import CurveChain, _axpy, _dot
+from billiard_lens.curves import _PIECE_KINDS, CurveChain, _axpy, _dot
 from billiard_lens.flow import PhasePoint
 from billiard_lens.lens import LensTable, SampleSpec, SpecMismatch
 from billiard_lens.rng import Xoshiro256StarStar
@@ -294,6 +294,28 @@ def test_a_lens_ray_is_one_trace_phase_call_that_builds_no_phase_point(
         if row.status in ("free", "scattered"):
             entry, out = traj.entry, traj.exit_state
             assert row.sojourn == row.t + _dot(entry.q, entry.v) - _dot(out.q, out.v)
+
+
+def test_a_livshits_lens_solves_few_curve_pieces(livshits_pair, monkeypatch):
+    # the per-piece bounding-ball reject of `CurveChain.ray_roots`: on the
+    # base Livshits lens at grid:36x24, the benchmark's, fewer than a third of
+    # the (chain call, piece) pairs reach the piece's solver (about a fifth
+    # do; every one of them did without the reject)
+    base = livshits_pair[0]
+    n_pieces = len(base.obstacles[0].chain.pieces)
+    calls = {"chain": 0, "piece": 0}
+
+    def counted(method, key):
+        def call(self, q, v):
+            calls[key] += 1
+            return method(self, q, v)
+        return call
+
+    monkeypatch.setattr(CurveChain, "ray_roots", counted(CurveChain.ray_roots, "chain"))
+    for cls in _PIECE_KINDS.values():
+        monkeypatch.setattr(cls, "ray_roots", counted(cls.ray_roots, "piece"))
+    lens.build_lens_table(base, SampleSpec("grid", 36, 24, n_max=600))
+    assert calls["chain"] > 0 and 0 < calls["piece"] < calls["chain"] * n_pieces / 3
 
 
 @pytest.mark.parametrize("failure", NUMERIC_FAILURES, ids=lambda cls: cls.__name__)

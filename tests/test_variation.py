@@ -146,6 +146,28 @@ def test_one_bounce_matches_fd(sphere_ellipsoid_scene, disc_ellipse_scene):
                 between += len(times) - 1
 
 
+def test_orbit_differentials_build_no_phase_point_of_a_trajectory(disc_ellipse_scene, monkeypatch):
+    # `flow_differentials` and `fd_flow_jacobian`, with `state_at` at every
+    # probe, read the trajectories' floats (`ends`, the events' points), so
+    # none of the trajectories traced for them builds its `entry` or
+    # `exit_state`, and the orbit the caller passes in builds neither either
+    traced, trace_phase = [], flow.trace_phase
+
+    def recording(*args):
+        traced.append(trace_phase(*args))
+        return traced[-1]
+
+    monkeypatch.setattr(flow, "trace_phase", recording)
+    entry = entry_through([0.0, 0.0], [1.0, -0.15])
+    traj = flow.trace(disc_ellipse_scene, entry)
+    assert traj.status == "exited" and traj.events
+    t = traj.events[-1].t + 0.5 * (traj.total_time - traj.events[-1].t)
+    flow_differentials(disc_ellipse_scene, entry, t, traj)
+    fd_flow_jacobian(disc_ellipse_scene, entry, t, 1e-6 * A_BALL)
+    assert len(traced) == 2 + 4 * (len(entry.v) - 1)  # this trace, the central orbit, the probes
+    assert not any({"entry", "exit_state"} & set(tr.__dict__) for tr in traced)
+
+
 def test_fd_itinerary_changed(disc_scene):
     # near-grazing entry: a large probe step knocks the bounce off the disc
     b = 0.999
