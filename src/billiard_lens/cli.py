@@ -19,7 +19,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 
@@ -82,6 +84,28 @@ def _stream(path, write):
             write(fh)
     else:
         write(sys.stdout)
+
+
+def _spool(path):
+    """A temporary text file for the rows of a table, opened now, before the
+    first ray: beside path, so that a path whose directory cannot take a
+    file fails here, with the error that opening path gives, or in the
+    temporary directory without a path. It has no name, so nothing of it is
+    left behind."""
+    try:
+        return tempfile.TemporaryFile("w+", newline="\n",
+                                      dir=(os.path.dirname(path) or ".") if path else None)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
+
+
+def _after(head: str, spool):
+    """A writer of the line head, then of the text written to spool."""
+    def write(out):
+        out.write(head + "\n")
+        spool.seek(0)
+        shutil.copyfileobj(spool, out)
+    return write
 
 
 def _write(path, text: str):
@@ -151,13 +175,14 @@ def _cmd_trace(args):
 
 
 def _cmd_lens(args):
+    # the rows stream into a spool a block at a time; the head, which holds
+    # their summary, is written to the output before them
     scene = _load_scene(args.scene)
     spec = lens.parse_spec(args.spec, seed=args.seed, n_max=args.nmax, t_max=args.tmax)
-    table = lens.build_lens_table(scene, spec)
-    if args.out and args.out.endswith(".csv"):
-        _stream(args.out, lens.csv_writer(table))
-    else:
-        _stream(args.out, lens.jsonl_writer(table, header_extra=_header(args, scene, spec)))
+    csv = bool(args.out) and args.out.endswith(".csv")
+    with _spool(args.out) as rows:
+        head = lens.write_lens_rows(scene, spec, rows, csv, None if csv else _header(args, scene, spec))
+        _stream(args.out, _after(head, rows))
     return 0
 
 
@@ -191,16 +216,9 @@ def _cmd_sls(args):
 
 
 def _cmd_compare(args):
-    with open(args.scene) as fh:
-        table_k = lens.read_jsonl(fh)
-    with open(args.scene_b) as fh:
-        table_l = lens.read_jsonl(fh)
-    tol = args.tol
-    if tol is None:  # entry points sit on the sphere of radius a
-        tol = lens.TIME_TOL_FACTOR * math.sqrt(_dot(table_k.q[0], table_k.q[0]))
-    report = lens.compare_lens(table_k, table_l, tol)
-    doc = {"header": _header(args), "table_k": table_k.scene_hash,
-           "table_l": table_l.scene_hash, "report": report.to_dict()}
+    with open(args.scene) as table_k, open(args.scene_b) as table_l:
+        hash_k, hash_l, report = lens.compare_jsonl(table_k, table_l, args.tol)
+    doc = {"header": _header(args), "table_k": hash_k, "table_l": hash_l, "report": report.to_dict()}
     _write(args.out, canonical_json(doc) + "\n")
     if args.expect_equal and report.verdict != "indistinguishable":
         return 4

@@ -387,12 +387,17 @@ def _boundary_points(center, axes, exponent, rows, target) -> np.ndarray:
     return center + np.column_stack(y)
 
 
+def golden_angle(k):
+    """k pi (3 - sqrt 5) mod 2 pi, the azimuth of the k-th point of the
+    golden-angle spiral of a spherical Fibonacci lattice (González 2010); of
+    each element of an integer array alike, bit for bit."""
+    return math.pi * (3.0 - math.sqrt(5.0)) * k % (2.0 * math.pi)
+
+
 def golden_lattice(heights) -> np.ndarray:
-    """Rows (h_k, k pi (3 - sqrt 5) mod 2 pi), one for the k-th of the
-    heights: the golden-angle spiral of a spherical Fibonacci lattice
-    (González 2010), on whatever heights (z, mu or a radius) the caller takes."""
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    return np.array([(h, golden * k % (2.0 * math.pi)) for k, h in enumerate(heights)])
+    """Rows (h_k, golden_angle(k)), one for the k-th of the heights, on
+    whatever heights (z, mu or a radius) the caller takes."""
+    return np.array([(h, golden_angle(k)) for k, h in enumerate(heights)])
 
 
 class AxesObstacle(Obstacle):

@@ -11,14 +11,21 @@ sojourn and error. A null t, sojourn or theta is NaN in its column (a table
 holds no NaN otherwise), a null error is None. The table, like the entry set
 of the sampler, reads as a sequence of row views built on access.
 
-A table moves between its columns and a JSONL or CSV file one block of
-BLOCK_ROWS rows at a time: the writers format a block and write it to an
-open text stream before they format the next, and the reader turns each
-block of lines of an open file into columns, so that neither holds more than
-one block of text or of decoded rows besides the columns. The reader checks
-each column of a block once, by the converter that makes its array
-(`_column`): on a bad column the converter, run on each row alone, names
-the line of the first bad row.
+Lens data moves one block of BLOCK_ROWS rows at a time, as a `_Block` of
+the table's columns. One generator (`_lens_blocks`) samples a block of
+entries, grid rows as functions of their index and mc rows from the
+generator's next draws, and traces them (`_trace_rows`): `build_lens_table`
+concatenates its blocks, `estimate_trapped` keeps what it counts of each,
+and `write_lens_rows` formats each block into an open text stream as it
+comes, keeping the header's summary as the rows stream (`_Summary`, whose
+mean is exact). One reader (`_table_reader`) turns each block of lines of an
+open file into columns: `read_jsonl` concatenates them, and `compare_jsonl`
+reads two files in lockstep and feeds each pair of blocks to the join
+(`_Join`) that `compare_lens` runs on two whole tables. So writing a table
+that is traced, and comparing two files, hold one block, not the table. The
+reader checks each column of a block once, by the converter that makes its
+array (`_column`): on a bad column the converter, run on each row alone,
+names the line of the first bad row.
 
 Lens tables, the trapped ladder and the scattering spectrum record their
 rays through one recorder (`_trace_rows`): one trace per entry, and a
@@ -32,7 +39,6 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
 from typing import NamedTuple
@@ -50,7 +56,7 @@ STATUSES = ("free", "scattered", "trapped", "gliding_rejected", "tangent_flagged
 SPECTRUM_GAP_FACTOR = 5e-3  # * a; sojourn times closer than this share a spectrum bin
 ANGULAR_TOL = 1e-2  # rad; `sls`'s default exit-direction tolerance (`sls --tol`)
 TIME_TOL_FACTOR = 1e-6  # * a; `compare`'s default time tolerance (`compare --tol`)
-BLOCK_ROWS = 1024  # rows that the table writers format, the reader decodes and _trace_rows traces, at a time
+BLOCK_ROWS = 1024  # rows that are sampled, traced, formatted, decoded and joined at a time
 # boundary_distance: the neighbours in each axis order that bound a point's
 # distance, and the points whose exact distance is taken at a time
 HAUSDORFF_WINDOW = 8
@@ -179,40 +185,43 @@ def _entries(a: float, dim: int, P: np.ndarray) -> Entries:
     return Entries(P, q, v)
 
 
+def _param_blocks(spec: SampleSpec, dimension: int):
+    """The parameter rows of the spec's entries, BLOCK_ROWS at a time (see
+    sample_phase_sphere). Grid row r crosses position r // m with direction
+    r % m, each a function of its index; mc rows take the generator's next
+    draws, so the blocks hold the rows of one stream of draws."""
+    n, m = spec.count(), spec.n_directions
+    gen = Xoshiro256StarStar(spec.seed)
+    draws = 2 * (dimension - 1)  # per entry, in the order of its parameters
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        if spec.mode == "grid":
+            i, j = np.divmod(np.arange(lo, hi), m)
+            columns = ([2.0 * math.pi * i / spec.n_positions, -0.5 * math.pi + math.pi * (j + 0.5) / m]
+                       if dimension == 2 else
+                       [1.0 - (2.0 * i + 1.0) / spec.n_positions, geometry.golden_angle(i),
+                        1.0 - j / m, geometry.golden_angle(j)])
+        else:
+            U = np.array(gen.uniforms(draws * (hi - lo))).reshape(-1, draws)
+            columns = ([2.0 * math.pi * U[:, 0], -0.5 * math.pi + math.pi * U[:, 1]] if dimension == 2
+                       else [2.0 * U[:, 0] - 1.0, 2.0 * math.pi * U[:, 1], U[:, 2], 2.0 * math.pi * U[:, 3]])
+        yield np.column_stack(columns)
+
+
 def sample_phase_sphere(spec: SampleSpec, ball_radius: float, dimension: int) -> Entries:
     """Entry samples covering the inward phase set of the boundary sphere,
     as columns; entries[k] is the Entry of row k.
 
     Grid mode: positions crossed with inward directions in the local tangent
     frame, equally spaced in 2D; in 3D each is a golden-angle lattice
-    (`geometry.golden_lattice`), positions at the n midpoint heights
+    (`geometry.golden_angle`), positions at the n midpoint heights
     z = 1 - (2k + 1)/n and directions at mu = 1 - k/m, from normal incidence
     (impact parameter 0) to just short of grazing.
     MC mode: uniform draws from the seeded generator. Every entry satisfies
-    <v, inward normal> >= 0.
+    <v, inward normal> >= 0. The rows are those of `_param_blocks`, whose
+    blocks `_lens_blocks` traces one at a time.
     """
-    a = float(ball_radius)
-    if spec.mode == "grid":
-        if dimension == 2:
-            alpha = 2.0 * math.pi * np.arange(spec.n_positions) / spec.n_positions
-            beta = -0.5 * math.pi + math.pi * (np.arange(spec.n_directions) + 0.5) / spec.n_directions
-            positions, directions = alpha[:, None], beta[:, None]
-        else:
-            n, m = spec.n_positions, spec.n_directions
-            positions = geometry.golden_lattice([1.0 - (2.0 * k + 1.0) / n for k in range(n)])
-            directions = geometry.golden_lattice([1.0 - k / m for k in range(m)])
-        P = np.hstack([np.repeat(positions, len(directions), axis=0),
-                       np.tile(directions, (len(positions), 1))])
-    else:
-        gen = Xoshiro256StarStar(spec.seed)
-        draws = 2 * (dimension - 1)  # per entry, in the order of its parameters
-        U = np.array(gen.uniforms(draws * spec.n_total)).reshape(-1, draws)
-        if dimension == 2:
-            P = np.column_stack([2.0 * math.pi * U[:, 0], -0.5 * math.pi + math.pi * U[:, 1]])
-        else:
-            P = np.column_stack([2.0 * U[:, 0] - 1.0, 2.0 * math.pi * U[:, 1], U[:, 2],
-                                 2.0 * math.pi * U[:, 3]])
-    return _entries(a, dimension, P)
+    return _entries(float(ball_radius), dimension, np.concatenate(list(_param_blocks(spec, dimension))))
 
 
 class LensRow(NamedTuple):
@@ -273,6 +282,31 @@ def _mean(xs) -> float:
     return math.fsum(xs) / len(xs)
 
 
+class _ExactSum:
+    """The exact sum of the floats added so far, held in a few floats
+    (`parts`, non-overlapping partials as Shewchuk's): the first is fsum of
+    them all, and each next one is what the parts before it leave, rounded
+    once. Each add takes fsum of the parts and the new floats, and fsum is
+    correctly rounded, so mean() has the bits of `_mean` of every float added."""
+
+    def __init__(self):
+        self.parts, self.count = [], 0
+
+    def add(self, xs: list):
+        self.count += len(xs)
+        xs = self.parts + xs
+        part = math.fsum(xs)
+        self.parts = [part]  # fsum of them all, a zero with fsum's sign included
+        while part and math.isfinite(part):
+            xs.append(-part)
+            part = math.fsum(xs)
+            if part:
+                self.parts.append(part)
+
+    def mean(self) -> float:
+        return self.parts[0] / self.count
+
+
 def classify_trajectory(traj) -> str:
     if traj.status == "gliding_rejected":
         return "gliding_rejected"
@@ -288,14 +322,31 @@ def _counts(status: np.ndarray) -> dict:
     return {s: int(np.count_nonzero(status == s)) for s in STATUSES}
 
 
-def _summary(status: np.ndarray, t: np.ndarray) -> dict:
-    times = t[~np.isnan(t)].tolist()
-    return {
-        "counts": _counts(status),
-        "t_min": min(times) if times else None,
-        "t_max": max(times) if times else None,
-        "t_mean": _mean(times) if times else None,
-    }
+class _Summary:
+    """A lens table's summary, kept as its blocks stream: the rows of each
+    of STATUSES, and the least, the greatest and the exact sum of the
+    non-null t, so that to_dict() is the summary of the whole table."""
+
+    def __init__(self):
+        self.counts = dict.fromkeys(STATUSES, 0)
+        self.t_min = self.t_max = None
+        self.times = _ExactSum()
+
+    def tally(self, blocks):
+        """Each of the blocks, added to the summary as it passes."""
+        for block in blocks:
+            for status, count in _counts(block.status).items():
+                self.counts[status] += count
+            times = block.t[~np.isnan(block.t)].tolist()
+            if times:  # min and max keep the first of equal values, as on one list
+                self.t_min = min(times) if self.t_min is None else min(self.t_min, min(times))
+                self.t_max = max(times) if self.t_max is None else max(self.t_max, max(times))
+                self.times.add(times)
+            yield block
+
+    def to_dict(self) -> dict:
+        return {"counts": dict(self.counts), "t_min": self.t_min, "t_max": self.t_max,
+                "t_mean": self.times.mean() if self.times.count else None}
 
 
 def _trace_rows(scene, Q, V, limits: Limits) -> tuple:
@@ -304,47 +355,91 @@ def _trace_rows(scene, Q, V, limits: Limits) -> tuple:
     on the rows' floats: the status by classify_trajectory, the reflection
     count, theta of an exited ray, t and sojourn of a free or scattered one.
     A ray reads only the floats of its trajectory, so it makes no numpy
-    object. The rows are taken as floats BLOCK_ROWS at a time, and each
-    block's theta rows go into their column in one assignment. A numeric
-    failure of one ray (geometry.NUMERIC_FAILURES) is recorded in its row,
-    status "error" with the exception's name and message, rather than
+    object; lens tables pass one block of rows at a time (`_lens_blocks`). A
+    numeric failure of one ray (geometry.NUMERIC_FAILURES) is recorded in its
+    row, status "error" with the exception's name and message, rather than
     aborting the batch."""
     n, dim = V.shape
     status, error, reflections = ["error"] * n, [None] * n, [0] * n
     t, sojourn = [math.nan] * n, [math.nan] * n
-    theta = np.empty(V.shape)
-    for lo in range(0, n, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, n)
-        exits = [[math.nan] * dim] * (hi - lo)  # rows replaced, never changed in place
-        for k, q, v in zip(range(lo, hi), Q[lo:hi].tolist(), V[lo:hi].tolist()):
-            try:
-                flow.check_entry(scene, q, v)
-                traj = flow.trace_phase(scene, q, v, limits)
-            except geometry.NUMERIC_FAILURES as exc:
-                error[k] = f"{type(exc).__name__}: {exc}"
-                continue
-            status[k] = classify_trajectory(traj)
-            reflections[k] = len(traj.events)
-            if traj.status == "exited":
-                exits[k - lo] = traj.ends[3]
-            if status[k] in ("free", "scattered"):
-                t[k] = traj.total_time
-                sojourn[k] = flow.sojourn_time(traj)
-        theta[lo:hi] = exits
-    return (_status_column(status), np.array(reflections, dtype=np.int64), np.array(t), theta,
-            np.array(sojourn), np.array(error, dtype=object))
+    theta = [[math.nan] * dim] * n  # rows replaced, never changed in place
+    for k, q, v in zip(range(n), Q.tolist(), V.tolist()):
+        try:
+            flow.check_entry(scene, q, v)
+            traj = flow.trace_phase(scene, q, v, limits)
+        except geometry.NUMERIC_FAILURES as exc:
+            error[k] = f"{type(exc).__name__}: {exc}"
+            continue
+        status[k] = classify_trajectory(traj)
+        reflections[k] = len(traj.events)
+        if traj.status == "exited":
+            theta[k] = traj.ends[3]
+        if status[k] in ("free", "scattered"):
+            t[k] = traj.total_time
+            sojourn[k] = flow.sojourn_time(traj)
+    return (_status_column(status), np.array(reflections, dtype=np.int64), np.array(t),
+            np.array(theta).reshape(n, dim), np.array(sojourn), np.array(error, dtype=object))
+
+
+class _Block(NamedTuple):
+    """The columns of a block of rows of a lens table, in LensTable order."""
+    params: np.ndarray
+    q: np.ndarray
+    v: np.ndarray
+    status: np.ndarray
+    reflections: np.ndarray
+    t: np.ndarray
+    theta: np.ndarray
+    sojourn: np.ndarray
+    error: np.ndarray
+
+
+def _lens_blocks(scene, spec: SampleSpec):
+    """The lens data of the spec's entries, one _Block of BLOCK_ROWS rows at
+    a time: a block of parameters (`_param_blocks`), its entries and one
+    trace of each (`_trace_rows`). Each block is made when it is asked for,
+    so a caller that keeps none holds one block of entries and rows."""
+    a, dim, limits = float(scene.ball_radius), scene.dimension, spec.limits()
+    for P in _param_blocks(spec, dim):
+        entries = _entries(a, dim, P)
+        yield _Block(P, entries.q, entries.v, *_trace_rows(scene, entries.q, entries.v, limits))
+
+
+def _concatenated(blocks) -> list:
+    """The nine columns of a stream of _Blocks: one field at a time, each
+    freeing its blocks, so that the columns are held once."""
+    fields = [[] for _ in _Block._fields]
+    for block in blocks:
+        for parts, col in zip(fields, block):
+            parts.append(col)
+    return [np.concatenate(fields.pop(0)) for _ in range(len(fields))]
 
 
 def build_lens_table(scene, spec: SampleSpec) -> LensTable:
-    """Trace every entry of the spec once and record its lens data
-    (_trace_rows). Tangent-flagged samples (an orbit with any tangent event)
-    carry no travelling time: they sit on the measure-zero strata excluded
-    from the comparison harness."""
-    entries = sample_phase_sphere(spec, scene.ball_radius, scene.dimension)
-    status, reflections, t, theta, sojourn, error = _trace_rows(scene, entries.q, entries.v,
-                                                                spec.limits())
-    return LensTable(geometry.scene_hash(scene), spec, entries.params, entries.q, entries.v,
-                     status, reflections, t, theta, sojourn, error, _summary(status, t))
+    """Trace every entry of the spec once and record its lens data: the
+    blocks of `_lens_blocks`, concatenated, with their summary. Tangent-flagged
+    samples (an orbit with any tangent event) carry no travelling time: they
+    sit on the measure-zero strata excluded from the comparison harness."""
+    summary = _Summary()
+    columns = _concatenated(summary.tally(_lens_blocks(scene, spec)))
+    return LensTable(geometry.scene_hash(scene), spec, *columns, summary.to_dict())
+
+
+def write_lens_rows(scene, spec: SampleSpec, out, csv: bool = False,
+                    header_extra: dict | None = None) -> str:
+    """Trace every entry of the spec a block at a time (`_lens_blocks`) and
+    write each block's JSONL rows, or CSV rows, to the open text stream out
+    as it comes; return the head that precedes the rows in a file: the CSV
+    head, or the JSONL header, whose summary is kept as the rows stream. The
+    head and the rows are what jsonl_writer or csv_writer writes of
+    build_lens_table(scene, spec), byte for byte."""
+    summary = _Summary()
+    lines = _csv_lines if csv else _jsonl_lines
+    for block in summary.tally(_lens_blocks(scene, spec)):
+        out.writelines(lines(block))
+    if csv:
+        return _csv_head(geometry.scene_hash(scene), spec, scene.dimension)
+    return _jsonl_head(geometry.scene_hash(scene), spec, summary.to_dict(), header_extra)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +455,8 @@ class TrappedEstimate(_Record):
     error_counts: list
 
 
-def _phase_coords(table: LensTable, rows: np.ndarray, a: float) -> np.ndarray:
-    return np.hstack([table.q[rows] / a, table.v[rows]])
+def _phase_coords(block: _Block, rows: np.ndarray, a: float) -> np.ndarray:
+    return np.hstack([block.q[rows] / a, block.v[rows]])
 
 
 def estimate_trapped(scene, specs) -> TrappedEstimate:
@@ -378,6 +473,11 @@ def estimate_trapped(scene, specs) -> TrappedEstimate:
     Error rows (a numeric failure of the ray) are counted per rung and left
     out of both: the fraction is of the other rays, and the radius is taken
     to the non-trapped rays that are not errors.
+
+    Each rung drains the blocks of `_lens_blocks` and keeps of them only the
+    counts and the phase coordinates of the trapped and of the judged
+    non-trapped rows. The radius needs every non-trapped coordinate, so a
+    rung holds O(rows) floats, 2n of them a row, not one block.
     """
     specs = list(specs)
     if len(specs) < 3:
@@ -388,27 +488,29 @@ def estimate_trapped(scene, specs) -> TrappedEstimate:
     a = scene.ball_radius
     fractions, radii, trapped_counts, error_counts = [], [], [], []
     for spec in specs:
-        table = build_lens_table(scene, spec)
-        trapped, judged = table.status == "trapped", table.status != "error"
-        count, rays = int(np.count_nonzero(trapped)), int(np.count_nonzero(judged))
+        inside, outside = [], []  # phase coordinates of the trapped and the judged non-trapped rows
+        for block in _lens_blocks(scene, spec):
+            trapped, judged = block.status == "trapped", block.status != "error"
+            inside.append(_phase_coords(block, trapped, a))
+            outside.append(_phase_coords(block, judged & ~trapped, a))
+        P, Q = np.concatenate(inside), np.concatenate(outside)
+        count, rays = len(P), len(P) + len(Q)
         if rays == 0:
             radius = None
         elif count == 0:
             radius = 0.0
         elif count == rays:
             radius = 2.0 * math.sqrt(2.0)  # diameter bound of the normalized phase space
-        else:
-            P, Q = _phase_coords(table, trapped, a), _phase_coords(table, judged & ~trapped, a)
-            if len(P) * len(Q) > TREE_PAIRS:
-                from scipy.spatial import cKDTree
+        elif len(P) * len(Q) > TREE_PAIRS:
+            from scipy.spatial import cKDTree
 
-                radius = float(np.max(cKDTree(Q).query(P)[0]))
-            else:
-                radius = float(np.max(geometry.nearest_distances(P, Q)))
+            radius = float(np.max(cKDTree(Q).query(P)[0]))
+        else:
+            radius = float(np.max(geometry.nearest_distances(P, Q)))
         fractions.append(count / rays if rays else None)
         radii.append(radius)
         trapped_counts.append(count)
-        error_counts.append(len(table) - rays)
+        error_counts.append(spec.count() - rays)
     return TrappedEstimate(counts, fractions, radii, trapped_counts, error_counts)
 
 
@@ -515,37 +617,89 @@ class ComparisonReport(_Record):
     verdict: str
 
 
+class _Join:
+    """The per-sample join of two tables generated from the identical spec,
+    fed their aligned blocks a pair at a time (add): report() is the
+    ComparisonReport of the whole tables. The join keeps counts, the largest
+    |dt| and the exact sum of |dt| (`_ExactSum`), so its mean has the bits of
+    `_mean` over every compared row. A time_tolerance of None is
+    TIME_TOL_FACTOR times |q| of table k's first row: entry points sit on the
+    sphere of radius a."""
+
+    def __init__(self, spec_k: SampleSpec, spec_l: SampleSpec, time_tolerance: float | None):
+        if spec_k != spec_l:
+            raise SpecMismatch("lens tables were generated from different sample specs")
+        self.time_tolerance = time_tolerance
+        self.matched = self.excluded = self.both_trapped = 0
+        self.status_mismatches = self.reflection_mismatches = self.exceed = 0
+        self.max_dt = 0.0
+        self.dts = _ExactSum()
+
+    def add(self, k, l):
+        """Join the rows of k and l, two blocks (or tables) of equal length."""
+        if not np.array_equal(k.params, l.params):
+            raise SpecMismatch("sample entry parameters do not align")
+        if self.time_tolerance is None:
+            self.time_tolerance = TIME_TOL_FACTOR * math.sqrt(_dot(k.q[0], k.q[0]))
+        sk, sl = k.status, l.status
+        excluded = (sk == "tangent_flagged") | (sl == "tangent_flagged")
+        both_trapped = ~excluded & (sk == "trapped") & (sl == "trapped")
+        joined = ~excluded & ~both_trapped
+        status_mm = joined & (sk != sl)
+        timed = joined & ~status_mm & ((sk == "free") | (sk == "scattered"))
+        dts = np.abs(k.t[timed] - l.t[timed])
+        self.matched += len(sk)
+        self.excluded += int(np.count_nonzero(excluded))
+        self.both_trapped += int(np.count_nonzero(both_trapped))
+        self.status_mismatches += int(np.count_nonzero(status_mm))
+        self.reflection_mismatches += int(np.count_nonzero(k.reflections[timed] != l.reflections[timed]))
+        self.exceed += int(np.count_nonzero(dts > self.time_tolerance))
+        if len(dts):
+            self.max_dt = float(np.max([self.max_dt, dts.max()]))  # a NaN stays, as in one max
+            self.dts.add(dts.tolist())
+
+    def report(self) -> ComparisonReport:
+        compared = self.dts.count
+        verdict = ("indistinguishable" if self.exceed == 0 and self.status_mismatches == 0
+                   and self.reflection_mismatches == 0 else "distinguishable")
+        return ComparisonReport(self.matched, compared, self.excluded, self.both_trapped,
+                                self.status_mismatches, self.reflection_mismatches, self.max_dt,
+                                self.dts.mean() if compared else 0.0,
+                                self.exceed / compared if compared else 0.0, self.time_tolerance,
+                                verdict)
+
+
 def compare_lens(table_k: LensTable, table_l: LensTable, time_tolerance: float) -> ComparisonReport:
-    """Per-sample join of two lens tables generated from the identical spec.
+    """Per-sample join of two lens tables generated from the identical spec,
+    by the join (`_Join`) that `compare_jsonl` feeds block by block.
 
     Tangent-flagged samples are excluded (measure-zero strata); trapped
     samples compare by status only. The verdict is 'indistinguishable' iff
     no status or reflection-count mismatches and no time differences above
     tolerance remain."""
-    if table_k.spec != table_l.spec:
-        raise SpecMismatch("lens tables were generated from different sample specs")
+    join = _Join(table_k.spec, table_l.spec, time_tolerance)
     if len(table_k) != len(table_l):
         raise SpecMismatch("lens tables have different sample counts")
-    if not np.array_equal(table_k.params, table_l.params):
-        raise SpecMismatch("sample entry parameters do not align")
-    sk, sl = table_k.status, table_l.status
-    excluded = (sk == "tangent_flagged") | (sl == "tangent_flagged")
-    both_trapped = ~excluded & (sk == "trapped") & (sl == "trapped")
-    joined = ~excluded & ~both_trapped
-    status_mm = joined & (sk != sl)
-    timed = joined & ~status_mm & ((sk == "free") | (sk == "scattered"))
-    refl_mm = np.count_nonzero(table_k.reflections[timed] != table_l.reflections[timed])
-    dts = np.abs(table_k.t[timed] - table_l.t[timed])
-    compared = len(dts)
-    exceed = int(np.count_nonzero(dts > time_tolerance))
-    max_dt = float(dts.max()) if compared else 0.0
-    mean_dt = _mean(dts.tolist()) if compared else 0.0
-    exceed_fraction = exceed / compared if compared else 0.0
-    verdict = ("indistinguishable" if exceed == 0 and not status_mm.any() and refl_mm == 0
-               else "distinguishable")
-    return ComparisonReport(len(table_k), compared, int(np.count_nonzero(excluded)),
-                            int(np.count_nonzero(both_trapped)), int(np.count_nonzero(status_mm)),
-                            int(refl_mm), max_dt, mean_dt, exceed_fraction, time_tolerance, verdict)
+    join.add(table_k, table_l)
+    return join.report()
+
+
+def compare_jsonl(lines_k, lines_l, time_tolerance: float | None = None) -> tuple:
+    """(scene hash of k, scene hash of l, compare_lens of the two tables that
+    read_jsonl reads from the text lines lines_k and lines_l), read block by
+    block in lockstep by the reader of read_jsonl (`_table_reader`): so one
+    block of each is held, not the tables. Both headers are read first; then
+    block i of k, block i of l, and their join, so a fault in an early block
+    of l is reported before one in a later block of k. None takes the
+    tolerance of `_Join`."""
+    head_k, spec_k, blocks_k = _table_reader(lines_k)
+    head_l, spec_l, blocks_l = _table_reader(lines_l)
+    join = _Join(spec_k, spec_l, time_tolerance)
+    # the reader yields only blocks that agree with its spec's count, so two
+    # readers of one spec end together, and strict only runs l's last check
+    for block_k, block_l in zip(blocks_k, blocks_l, strict=True):
+        join.add(block_k, block_l)
+    return head_k["scene_hash"], head_l["scene_hash"], join.report()
 
 
 def boundary_distance(scene_k, scene_l, density: float) -> float:
@@ -611,75 +765,83 @@ def _numbers(width: int) -> str:
     return ",".join(["%.17g"] * width)
 
 
-def _lines(table: LensTable, template, lo: int, hi: int) -> list:
-    """One text line for each row of [lo, hi), ending in a newline. Rows that
-    share a status and a pattern of null t, sojourn and theta share one
-    %-template: template(status, t_null, sojourn_null, theta_null) returns it
-    and the columns whose numbers it takes, in order."""
-    block = slice(lo, hi)
-    nulls = (np.isnan(table.t[block]) + 2 * np.isnan(table.sojourn[block])
-             + 4 * np.isnan(table.theta[block, 0]))
-    status = table.status[block]
-    groups = nulls  # 8 * the status's index in STATUSES + nulls
+def _lines(block, template) -> list:
+    """One text line for each row of a block (a _Block or a LensTable),
+    ending in a newline. Rows that share a status and a pattern of null t,
+    sojourn and theta share one %-template: template(block, status, t_null,
+    sojourn_null, theta_null) returns it and the columns whose numbers it
+    takes, in order."""
+    groups = (np.isnan(block.t) + 2 * np.isnan(block.sojourn)
+              + 4 * np.isnan(block.theta[:, 0]))  # + 8 * the status's index in STATUSES
     for k, name in enumerate(STATUSES):
-        groups[status == name] += 8 * k
-    out = np.empty(hi - lo, dtype=object)
+        groups[block.status == name] += 8 * k
+    out = np.empty(len(groups), dtype=object)
     for group in np.flatnonzero(np.bincount(groups)).tolist():
         rows = np.flatnonzero(groups == group)
         k, null = divmod(group, 8)
-        tpl, cols = template(STATUSES[k], null & 1, null & 2, null & 4)
+        tpl, cols = template(block, STATUSES[k], null & 1, null & 2, null & 4)
         tpl += "\n"
-        out[rows] = [tpl % tuple(r) for r in np.column_stack([c[rows + lo] for c in cols]).tolist()]
+        out[rows] = [tpl % tuple(r) for r in np.column_stack([c[rows] for c in cols]).tolist()]
     return out.tolist()
 
 
-def _block_writer(head: str, n: int, lines):
+def _table_writer(head: str, lines, table: LensTable):
     """A function of an open text stream that writes the line head, then
-    the lines(lo, hi) of each block [lo, hi) of BLOCK_ROWS of the n rows."""
+    lines(block) of each block of BLOCK_ROWS rows of the table."""
     def write(out):
         out.write(head + "\n")
-        for lo in range(0, n, BLOCK_ROWS):
-            out.writelines(lines(lo, min(lo + BLOCK_ROWS, n)))
+        for lo in range(0, len(table), BLOCK_ROWS):
+            out.writelines(lines(_Block(*(getattr(table, key)[lo:lo + BLOCK_ROWS]
+                                          for key in _Block._fields))))
     return write
 
 
 def _text(write) -> str:
-    """What a writer of _block_writer writes, as one string."""
+    """What a writer of _table_writer writes, as one string."""
     out = io.StringIO()
     write(out)
     return out.getvalue()
 
 
-def jsonl_writer(table: LensTable, header_extra: dict | None = None):
-    """The table's JSONL writer, a function of an open text stream: it
-    writes the header line, then one row per sample, each equal to
-    canonical_json of the sample's fields. The header line is built here,
-    before any stream is opened."""
-    header = {"scene_hash": table.scene_hash, "spec": table.spec.to_dict(),
-              "version": VERSION, "summary": table.summary}
+def _jsonl_head(scene_hash: str, spec: SampleSpec, summary: dict,
+                header_extra: dict | None = None) -> str:
+    """The header line of a JSONL table, without its newline."""
+    header = {"scene_hash": scene_hash, "spec": spec.to_dict(), "version": VERSION,
+              "summary": summary}
     if header_extra:
         header = {**header_extra, **header}  # core table keys win on collision
-    params = _numbers(table.params.shape[1])
-    vector = "[" + _numbers(table.q.shape[1]) + "]"
+    return canonical_json(header)
 
-    def template(status, t_null, sojourn_null, theta_null):
-        # the keys in canonical_json's sorted order
-        cols = [table.params, table.q, table.reflections] + [
-            col for col, null in ((table.sojourn, sojourn_null), (table.t, t_null),
-                                  (table.theta, theta_null)) if not null] + [table.v]
-        return ('{"error":null,"params":[' + params + '],"q":' + vector + ',"reflections":%d'
-                + ',"sojourn":' + ("null" if sojourn_null else "%.17g")
-                + ',"status":' + json.dumps(status) + ',"t":' + ("null" if t_null else "%.17g")
-                + ',"theta":' + ("null" if theta_null else vector) + ',"v":' + vector + "}"), cols
 
-    def lines(lo, hi):
-        rows = _lines(table, template, lo, hi)
-        for k, error in enumerate(table.error[lo:hi].tolist()):
-            if error is not None:
-                rows[k] = '{"error":' + json.dumps(error) + rows[k][len('{"error":null'):]
-        return rows
+def _jsonl_template(block, status, t_null, sojourn_null, theta_null):
+    """A JSONL row's %-template (see _lines), the keys in canonical_json's
+    sorted order, and its columns."""
+    vector = "[" + _numbers(block.q.shape[1]) + "]"
+    cols = [block.params, block.q, block.reflections] + [
+        col for col, null in ((block.sojourn, sojourn_null), (block.t, t_null),
+                              (block.theta, theta_null)) if not null] + [block.v]
+    return ('{"error":null,"params":[' + _numbers(block.params.shape[1]) + '],"q":' + vector
+            + ',"reflections":%d,"sojourn":' + ("null" if sojourn_null else "%.17g")
+            + ',"status":' + json.dumps(status) + ',"t":' + ("null" if t_null else "%.17g")
+            + ',"theta":' + ("null" if theta_null else vector) + ',"v":' + vector + "}"), cols
 
-    return _block_writer(canonical_json(header), len(table), lines)
+
+def _jsonl_lines(block) -> list:
+    """The JSONL rows of a block, each equal to canonical_json of its row's
+    fields."""
+    rows = _lines(block, _jsonl_template)
+    for k, error in enumerate(block.error.tolist()):
+        if error is not None:
+            rows[k] = '{"error":' + json.dumps(error) + rows[k][len('{"error":null'):]
+    return rows
+
+
+def jsonl_writer(table: LensTable, header_extra: dict | None = None):
+    """The table's JSONL writer, a function of an open text stream: it
+    writes the header line, then one row per sample (`_jsonl_lines`). The
+    header line is built here, before any stream is opened."""
+    head = _jsonl_head(table.scene_hash, table.spec, table.summary, header_extra)
+    return _table_writer(head, _jsonl_lines, table)
 
 
 def table_to_jsonl(table: LensTable, header_extra: dict | None = None) -> str:
@@ -812,12 +974,15 @@ def _columns(lines: list, n: int | None) -> tuple:
             _column(sojourn, _nullable_numbers, linenos, "sojourn must be a number or null"), error)
 
 
-def read_jsonl(lines) -> LensTable:
-    """Parse a lens table from an iterable of text lines (an open file);
-    raises SchemaError naming the line on malformed input, a bad row before
-    a wrong row count. The rows become columns BLOCK_ROWS lines at a time,
-    so that besides the columns only one block of text and of decoded rows
-    is held."""
+def _table_reader(lines) -> tuple:
+    """(header, spec, blocks) of a lens table from an iterable of text lines
+    (an open file): the header line is read and checked now, and blocks is a
+    generator of the rows' _Blocks (`_columns`), BLOCK_ROWS lines at a time.
+    It raises SchemaError naming the line on malformed input, and one naming
+    both counts when the rows are fewer or more than the spec's, after a bad
+    row of any block read. It yields a block only while the rows read agree
+    with the spec's count, so two readers of one spec yield blocks of equal
+    lengths."""
     numbered = ((k, ln.rstrip("\n")) for k, ln in enumerate(lines, 1) if ln.strip())
     lineno, first = next(numbered, (None, None))
     if first is None:
@@ -827,18 +992,34 @@ def read_jsonl(lines) -> LensTable:
         spec = SampleSpec.from_dict(header["spec"])
     except (KeyError, TypeError, ValueError) as exc:
         raise geometry.SchemaError(f"lens table line {lineno}: bad spec: {exc!r}") from exc
-    fields = [[] for _ in range(9)]  # the blocks of each of the table's nine columns
-    n, rows = None, 0
-    for block in iter(lambda: list(islice(numbered, BLOCK_ROWS)), []):
-        for parts, col in zip(fields, _columns(block, n)):
-            parts.append(col)
-        n, rows = fields[1][0].shape[1], rows + len(block)
-    if rows != spec.count():
+    return header, spec, _row_blocks(numbered, spec)
+
+
+def _row_blocks(numbered, spec: SampleSpec):
+    """The _Blocks of the (line number, line) pairs of a table's rows (see
+    _table_reader): a block that leaves fewer rows than the spec's at the end
+    of the file, or passes its count, is not yielded, and the rest is read
+    before the count's SchemaError."""
+    n, rows, count = None, 0, spec.count()
+    for lines in iter(lambda: list(islice(numbered, BLOCK_ROWS)), []):
+        block = _Block(*_columns(lines, n))
+        n, rows, full = block.q.shape[1], rows + len(lines), len(lines) == BLOCK_ROWS
+        del lines  # the text is not held beside the block
+        if rows == count or (rows < count and full):
+            yield block
+    if rows != count:
         raise geometry.SchemaError(f"lens table has {rows} rows, but its spec "
-                                   f"{spec.spec_string()} has {spec.count()}")
-    # one field at a time, each freeing its blocks: the columns are held once
-    columns = [np.concatenate(fields.pop(0)) for _ in range(len(fields))]
-    return LensTable(header["scene_hash"], spec, *columns, header.get("summary", {}))
+                                   f"{spec.spec_string()} has {count}")
+
+
+def read_jsonl(lines) -> LensTable:
+    """Parse a lens table from an iterable of text lines (an open file), by
+    the block reader `_table_reader`, whose errors it raises: SchemaError
+    naming the line on malformed input, a bad row before a wrong row count.
+    The columns are the blocks', concatenated, so that besides them only one
+    block of text and of decoded rows is held."""
+    header, spec, blocks = _table_reader(lines)
+    return LensTable(header["scene_hash"], spec, *_concatenated(blocks), header.get("summary", {}))
 
 
 def table_from_jsonl(text: str) -> LensTable:
@@ -847,28 +1028,36 @@ def table_from_jsonl(text: str) -> LensTable:
     return read_jsonl(text.splitlines())
 
 
-def csv_writer(table: LensTable):
-    """The table's CSV writer, a function of an open text stream: it writes
-    a `#` line with the version, scene hash, spec and seed, a column line,
-    then one row per sample."""
-    dimension = table.q.shape[1]
+def _csv_head(scene_hash: str, spec: SampleSpec, dimension: int) -> str:
+    """The `#` line with the version, scene hash, spec and seed, and the
+    column line, of a CSV table."""
     param_names = ["alpha", "beta"] if dimension == 2 else ["pos_z", "pos_phi", "dir_mu", "dir_psi"]
     theta_names = [f"theta_{ax}" for ax in "xyz"[:dimension]]
     cols = param_names + ["status", "t", "reflections"] + theta_names + ["sojourn"]
-    head = ("# billiard-lens " + VERSION + " scene=" + table.scene_hash + " spec="
-            + table.spec.spec_string() + " seed=" + str(table.spec.seed) + "\n" + ",".join(cols))
-    params = _numbers(table.params.shape[1])
-    theta = _numbers(table.theta.shape[1])
+    return ("# billiard-lens " + VERSION + " scene=" + scene_hash + " spec=" + spec.spec_string()
+            + " seed=" + str(spec.seed) + "\n" + ",".join(cols))
 
-    def template(status, t_null, sojourn_null, theta_null):
-        cols = [table.params] + [col for col, null in ((table.t, t_null), (table.reflections, False),
-                                                       (table.theta, theta_null),
-                                                       (table.sojourn, sojourn_null)) if not null]
-        return (params + "," + status + "," + ("" if t_null else "%.17g") + ",%d,"
-                + ("," * (dimension - 1) if theta_null else theta) + ","
-                + ("" if sojourn_null else "%.17g")), cols
 
-    return _block_writer(head, len(table), partial(_lines, table, template))
+def _csv_template(block, status, t_null, sojourn_null, theta_null):
+    """A CSV row's %-template (see _lines), empty fields for nulls, and its
+    columns."""
+    dimension = block.q.shape[1]
+    cols = [block.params] + [col for col, null in ((block.t, t_null), (block.reflections, False),
+                                                   (block.theta, theta_null),
+                                                   (block.sojourn, sojourn_null)) if not null]
+    return (_numbers(block.params.shape[1]) + "," + status + "," + ("" if t_null else "%.17g")
+            + ",%d," + ("," * (dimension - 1) if theta_null else _numbers(dimension)) + ","
+            + ("" if sojourn_null else "%.17g")), cols
+
+
+def _csv_lines(block) -> list:
+    return _lines(block, _csv_template)
+
+
+def csv_writer(table: LensTable):
+    """The table's CSV writer, a function of an open text stream: it writes
+    the head (`_csv_head`), then one row per sample."""
+    return _table_writer(_csv_head(table.scene_hash, table.spec, table.q.shape[1]), _csv_lines, table)
 
 
 def table_to_csv(table: LensTable) -> str:

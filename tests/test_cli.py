@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import billiard_lens as bl
-from billiard_lens import cli, geometry, lens, variation
+from billiard_lens import cli, flow, geometry, lens, variation
 from billiard_lens.curves import CurveChain
 from billiard_lens.geometry import canonical_json
 
@@ -216,6 +216,98 @@ def test_compare_truncated_table_exits_2(disc_json, tmp_path, kept):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.fixture()
+def three_block_table(disc_json, tmp_path):
+    """The lines of a 2,304-row table (grid:48x48): three blocks, the last
+    of 256 rows."""
+    path = tmp_path / "three-blocks.jsonl"
+    assert cli.main(["lens", "--scene", disc_json, "--spec", "grid:48x48", "--out", str(path)]) == 0
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 + 2 * lens.BLOCK_ROWS + 256
+    return lines
+
+
+def _edit(lines, k, key, value):
+    """lines with the row of line k + 1 given value at key."""
+    row = json.loads(lines[k])
+    row[key] = value(row[key])
+    return lines[:k] + [canonical_json(row)] + lines[k + 1:]
+
+
+_FIRST, _THIRD = 1 + 10, 1 + 2 * lens.BLOCK_ROWS + 10  # a row of the first block, of the third
+
+
+@pytest.mark.parametrize("case", ["l-cut-in-block-2", "params-off-in-block-3", "l-bad-in-block-3",
+                                  "k-bad-in-block-3-l-bad-in-block-1", "l-longer"])
+def test_compare_reads_two_tables_in_lockstep(three_block_table, tmp_path, capsys, case):
+    # compare joins block i of k with block i of l as it reads them: each
+    # fault exits 2 with the message of the whole-table reader and join, and
+    # the first fault read is the one reported
+    lines_k = lines_l = three_block_table
+    if case == "l-cut-in-block-2":
+        lines_l = lines_l[:1 + lens.BLOCK_ROWS + 500]
+        message = "lens table has 1524 rows, but its spec grid:48x48 has 2304"
+    elif case == "params-off-in-block-3":
+        lines_l = _edit(lines_l, _THIRD, "params", lambda p: [p[0] + 0.5, p[1]])
+        message = "sample entry parameters do not align"
+    elif case == "l-bad-in-block-3":
+        lines_l = _edit(lines_l, _THIRD, "status", lambda s: "x")
+        message = f"lens table line {_THIRD + 1}: unknown status 'x'"
+    elif case == "k-bad-in-block-3-l-bad-in-block-1":
+        lines_k = _edit(lines_k, _THIRD, "status", lambda s: "x")
+        lines_l = _edit(lines_l, _FIRST, "reflections", lambda r: -1)
+        message = f"lens table line {_FIRST + 1}: reflections must be an integer from 0 to 2**53"
+    else:
+        lines_l = lines_l + lines_l[-3:]
+        message = "lens table has 2307 rows, but its spec grid:48x48 has 2304"
+    paths = []
+    for name, lines in (("k", lines_k), ("l", lines_l)):
+        paths.append(tmp_path / f"{name}.jsonl")
+        paths[-1].write_text("\n".join(lines) + "\n")
+    out = tmp_path / "compare.json"
+    assert cli.main(["compare", "--scene", str(paths[0]), "--scene-b", str(paths[1]),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suffix", ["jsonl", "csv"])
+def test_lens_leaves_nothing_but_its_output(disc_json, tmp_path, monkeypatch, suffix):
+    # the rows are spooled beside --out in a file without a name: after a
+    # run that succeeds the directory holds the output, after one that fails
+    # in its second block it holds nothing
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / f"t.{suffix}"
+    argv = ["lens", "--scene", disc_json, "--spec", "grid:32x64", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert [p.name for p in out_dir.iterdir()] == [out.name]
+    out.unlink()
+    trace_rows, calls = lens._trace_rows, []
+
+    def fail_in_block_2(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise MemoryError("stub failure")
+        return trace_rows(*args)
+
+    monkeypatch.setattr(lens, "_trace_rows", fail_in_block_2)
+    assert cli.main(argv) == 2
+    assert len(calls) == 2 and list(out_dir.iterdir()) == []
+
+
+def test_lens_to_a_missing_directory_fails_before_the_first_ray(disc_json, tmp_path, monkeypatch,
+                                                                capsys):
+    # the spool opens beside --out before any ray is traced, and fails as
+    # opening --out would
+    calls = []
+    monkeypatch.setattr(flow, "trace_phase", lambda *args: calls.append(args))
+    out = tmp_path / "missing" / "x.jsonl"
+    assert cli.main(["lens", "--scene", disc_json, "--spec", "grid:2x2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert calls == []
+
+
 def _thin_scene(tmp_path):
     """The scene file of a thin superellipsoid at p = 200, whose |u_i|^(p-1)
     leaves the float range inside its bounding circle."""
@@ -271,11 +363,11 @@ def test_sls_counts_the_rays_that_overflow(tmp_path, monkeypatch):
 
 
 def test_spec_too_large_for_memory_exits_2(disc_json, tmp_path, monkeypatch, capsys):
-    # as the sampler's arrays of a spec like grid:100000x100000 would fail
+    # as an allocation of the block sampler would fail when memory runs out
     def too_large(*args):
         raise MemoryError("Unable to allocate 75 GiB for an array")
 
-    monkeypatch.setattr(lens, "sample_phase_sphere", too_large)
+    monkeypatch.setattr(lens, "_param_blocks", too_large)
     out = tmp_path / "t.jsonl"
     assert cli.main(["lens", "--scene", disc_json, "--spec", "grid:100000x100000",
                      "--out", str(out)]) == 2
