@@ -17,6 +17,7 @@ ray), 4 distinguishable comparison verdict when --expect-equal is set, 141
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import shutil
@@ -89,9 +90,11 @@ def _stream(path, write):
 def _spool(path):
     """A temporary text file for the rows of a table, opened now, before the
     first ray: beside path, so that a path whose directory cannot take a
-    file fails here, with the error that opening path gives, or in the
-    temporary directory without a path. It has no name, so nothing of it is
-    left behind."""
+    file, or that names a directory, fails here, with the error that opening
+    path gives, or in the temporary directory without a path. It has no
+    name, so nothing of it is left behind."""
+    if path and os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:
         return tempfile.TemporaryFile("w+", newline="\n",
                                       dir=(os.path.dirname(path) or ".") if path else None)

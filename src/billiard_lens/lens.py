@@ -18,10 +18,12 @@ generator's next draws, and traces them (`_trace_rows`): `build_lens_table`
 concatenates its blocks, `estimate_trapped` keeps what it counts of each,
 and `write_lens_rows` formats each block into an open text stream as it
 comes, keeping the header's summary as the rows stream (`_Summary`, whose
-mean is exact). One reader (`_table_reader`) turns each block of lines of an
-open file into columns: `read_jsonl` concatenates them, and `compare_jsonl`
-reads two files in lockstep and feeds each pair of blocks to the join
-(`_Join`) that `compare_lens` runs on two whole tables. So writing a table
+mean is exact). `table_to_jsonl` and `table_to_csv` format a whole table
+with the same row formatter (`_lines`) and head. One reader
+(`_table_reader`) turns each block of lines of an open file into columns:
+`read_jsonl` concatenates them, and `compare_jsonl` reads two files in
+lockstep and feeds each pair of blocks to the join (`_Join`) that
+`compare_lens` runs on two whole tables. So writing a table
 that is traced, and comparing two files, hold one block, not the table. The
 reader checks each column of a block once, by the converter that makes its
 array (`_column`): on a bad column the converter, run on each row alone,
@@ -34,7 +36,6 @@ numeric failure of one ray is an "error" row, not the end of the batch.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from collections.abc import Sequence
@@ -431,7 +432,7 @@ def write_lens_rows(scene, spec: SampleSpec, out, csv: bool = False,
     write each block's JSONL rows, or CSV rows, to the open text stream out
     as it comes; return the head that precedes the rows in a file: the CSV
     head, or the JSONL header, whose summary is kept as the rows stream. The
-    head and the rows are what jsonl_writer or csv_writer writes of
+    head and the rows are table_to_jsonl or table_to_csv of
     build_lens_table(scene, spec), byte for byte."""
     summary = _Summary()
     lines = _csv_lines if csv else _jsonl_lines
@@ -785,24 +786,6 @@ def _lines(block, template) -> list:
     return out.tolist()
 
 
-def _table_writer(head: str, lines, table: LensTable):
-    """A function of an open text stream that writes the line head, then
-    lines(block) of each block of BLOCK_ROWS rows of the table."""
-    def write(out):
-        out.write(head + "\n")
-        for lo in range(0, len(table), BLOCK_ROWS):
-            out.writelines(lines(_Block(*(getattr(table, key)[lo:lo + BLOCK_ROWS]
-                                          for key in _Block._fields))))
-    return write
-
-
-def _text(write) -> str:
-    """What a writer of _table_writer writes, as one string."""
-    out = io.StringIO()
-    write(out)
-    return out.getvalue()
-
-
 def _jsonl_head(scene_hash: str, spec: SampleSpec, summary: dict,
                 header_extra: dict | None = None) -> str:
     """The header line of a JSONL table, without its newline."""
@@ -836,17 +819,11 @@ def _jsonl_lines(block) -> list:
     return rows
 
 
-def jsonl_writer(table: LensTable, header_extra: dict | None = None):
-    """The table's JSONL writer, a function of an open text stream: it
-    writes the header line, then one row per sample (`_jsonl_lines`). The
-    header line is built here, before any stream is opened."""
-    head = _jsonl_head(table.scene_hash, table.spec, table.summary, header_extra)
-    return _table_writer(head, _jsonl_lines, table)
-
-
 def table_to_jsonl(table: LensTable, header_extra: dict | None = None) -> str:
-    """The text that jsonl_writer writes."""
-    return _text(jsonl_writer(table, header_extra))
+    """The table's JSONL text: the header line, then one row per sample,
+    formatted by the block row formatter (`_jsonl_lines`) on the whole table."""
+    return (_jsonl_head(table.scene_hash, table.spec, table.summary, header_extra) + "\n"
+            + "".join(_jsonl_lines(table)))
 
 
 _HEADER_KEYS = frozenset(("scene_hash", "spec"))
@@ -1054,12 +1031,9 @@ def _csv_lines(block) -> list:
     return _lines(block, _csv_template)
 
 
-def csv_writer(table: LensTable):
-    """The table's CSV writer, a function of an open text stream: it writes
-    the head (`_csv_head`), then one row per sample."""
-    return _table_writer(_csv_head(table.scene_hash, table.spec, table.q.shape[1]), _csv_lines, table)
-
-
 def table_to_csv(table: LensTable) -> str:
-    """The text that csv_writer writes."""
-    return _text(csv_writer(table))
+    """The table's CSV text: the head (`_csv_head`), then one row per
+    sample, formatted by the block row formatter (`_csv_lines`) on the whole
+    table."""
+    return (_csv_head(table.scene_hash, table.spec, table.q.shape[1]) + "\n"
+            + "".join(_csv_lines(table)))

@@ -308,6 +308,16 @@ def test_lens_to_a_missing_directory_fails_before_the_first_ray(disc_json, tmp_p
     assert calls == []
 
 
+def test_lens_to_a_directory_fails_before_the_first_ray(disc_json, tmp_path, monkeypatch, capsys):
+    # an --out that names a directory fails before any ray is traced, as
+    # opening it would
+    calls = []
+    monkeypatch.setattr(flow, "trace_phase", lambda *args: calls.append(args))
+    assert cli.main(["lens", "--scene", disc_json, "--spec", "grid:2x2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    assert calls == []
+
+
 def _thin_scene(tmp_path):
     """The scene file of a thin superellipsoid at p = 200, whose |u_i|^(p-1)
     leaves the float range inside its bounding circle."""

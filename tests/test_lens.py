@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import io
 import json
 import math
 import operator
@@ -875,6 +876,24 @@ def test_writers_of_an_empty_table():
     assert lens.table_to_csv(table) == _oracle_csv(table, 2)
 
 
+@pytest.mark.parametrize("fixture, spec", [("two_disc_scene", "grid:48x48"),
+                                           ("sphere_ellipsoid_scene", "mc:1100")])
+def test_streamed_rows_are_the_whole_table_writers(fixture, spec, request):
+    # write_lens_rows' head and rows, a block at a time (grid:48x48 is two
+    # full blocks and one of 256 rows, mc:1100 a full block and 76 rows), are
+    # byte for byte table_to_jsonl and table_to_csv of the whole table
+    scene = request.getfixturevalue(fixture)
+    spec = lens.parse_spec(spec, seed=7)
+    table = lens.build_lens_table(scene, spec)
+    assert len(table) % lens.BLOCK_ROWS and len(table) > lens.BLOCK_ROWS
+    assert (table.status == "scattered").any()
+    extra = {"tool": "x", "invocation": ["lens", "--spec", spec.spec_string()]}
+    for csv, whole in ((False, lens.table_to_jsonl(table, extra)), (True, lens.table_to_csv(table))):
+        out = io.StringIO()
+        head = lens.write_lens_rows(scene, spec, out, csv, extra)
+        assert head + "\n" + out.getvalue() == whole
+
+
 def _oracle_read(text):
     """The rows of a table read one line at a time into Python values, as
     the per-line reader before the column model did, with "-0" read as -0.0."""
@@ -1055,29 +1074,23 @@ def _traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_writer_and_reader_hold_one_block(tmp_path):
-    # the JSONL writer's peak, and the reader's besides the columns it
-    # returns, do not grow with the table: they hold one block of rows
+def test_reader_holds_one_block(tmp_path):
+    # the reader's peak, besides the columns it returns, does not grow with
+    # the table: it holds one block of rows
     path = tmp_path / "table.jsonl"
-
-    def write(table):
-        with open(path, "w", newline="\n") as fh:
-            lens.jsonl_writer(table)(fh)
 
     def read():
         with open(path) as fh:
             return lens.read_jsonl(fh)
 
-    write(_block_table(64, 2))
+    path.write_text(lens.table_to_jsonl(_block_table(64, 2)))
     read()  # lazy imports and first-call caches, outside the measurements
-    writer, reader = [], []
+    peaks = []
     for n in (4096, 16384):
-        table = _block_table(n, 2)
-        writer.append(_traced_peak(lambda: write(table))[1])
+        path.write_text(lens.table_to_jsonl(_block_table(n, 2)))
         back, peak = _traced_peak(read)
-        reader.append(peak - sum(getattr(back, key).nbytes for key in _COLUMNS))
-    assert writer[1] <= 1.5 * writer[0], writer
-    assert reader[1] <= 1.5 * reader[0], reader
+        peaks.append(peak - sum(getattr(back, key).nbytes for key in _COLUMNS))
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_lens_and_compare_hold_one_block(tmp_path, disc_scene):
