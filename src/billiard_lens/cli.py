@@ -87,19 +87,28 @@ def _stream(path, write):
         write(sys.stdout)
 
 
-def _spool(path):
-    """A temporary text file for the rows of a table, opened now, before the
-    first ray: beside path, so that a path whose directory cannot take a
-    file, or that names a directory, fails here, with the error that opening
-    path gives, or in the temporary directory without a path. It has no
-    name, so nothing of it is left behind."""
-    if path and os.path.isdir(path):
+def _check_out(path):
+    """Fail now, before any work, if the output file at path could not be
+    opened later: if path names a directory, or its directory cannot take a
+    file (tried with a file that has no name, so nothing is left behind),
+    with the error that opening path gives. No path (stdout) passes."""
+    if not path:
+        return
+    if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:
-        return tempfile.TemporaryFile("w+", newline="\n",
-                                      dir=(os.path.dirname(path) or ".") if path else None)
+        tempfile.TemporaryFile(dir=os.path.dirname(path) or ".").close()
     except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, path) from None
+
+
+def _spool(path):
+    """A temporary text file for the rows of a table, opened now, before the
+    first ray, once path passes `_check_out`: beside path, or in the
+    temporary directory without a path. It has no name, so nothing of it is
+    left behind."""
+    _check_out(path)
+    return tempfile.TemporaryFile("w+", newline="\n", dir=(os.path.dirname(path) or ".") if path else None)
 
 
 def _after(head: str, spool):
@@ -193,6 +202,7 @@ def _cmd_trapped(args):
     scene = _load_scene(args.scene)
     specs = [lens.parse_spec(s, seed=args.seed, n_max=args.nmax, t_max=args.tmax)
              for s in args.spec.split(",")]
+    _check_out(args.out)
     estimate = lens.estimate_trapped(scene, specs)
     doc = {"header": _header(args, scene), "estimate": estimate.to_dict()}
     _write(args.out, canonical_json(doc) + "\n")
@@ -205,6 +215,7 @@ def _cmd_sls(args):
     theta = _parse_vector(args.theta, scene.dimension)
     spec = lens.parse_spec(args.spec, seed=args.seed, n_max=args.nmax, t_max=args.tmax)
     tol = args.tol if args.tol is not None else lens.ANGULAR_TOL
+    _check_out(args.out)
     spectrum = lens.scattering_spectrum(scene, omega, theta, tol, spec)
     doc = {
         "header": _header(args, scene, spec),
@@ -220,6 +231,7 @@ def _cmd_sls(args):
 
 def _cmd_compare(args):
     with open(args.scene) as table_k, open(args.scene_b) as table_l:
+        _check_out(args.out)
         hash_k, hash_l, report = lens.compare_jsonl(table_k, table_l, args.tol)
     doc = {"header": _header(args), "table_k": hash_k, "table_l": hash_l, "report": report.to_dict()}
     _write(args.out, canonical_json(doc) + "\n")

@@ -33,13 +33,11 @@ The per-ray path runs on Python floats, as lists of two or three: the entry
 check (`check_entry`), the normalisation and event loop of `trace_phase`,
 the ball chord, `ray_roots`, the unit normal, `reflect` and `sojourn_time`,
 with no matrix product or numpy kernel, so a trajectory has the same bits
-whatever BLAS or SIMD kernels the CPU selects. Numpy arrays appear only
-where a caller reads them: each `Event` gets its own, and a `Trajectory`
-keeps its entry and exit as the loop's floats (`ends`), from which
-`entry` and `exit_state` build their `PhasePoint`s on first access. A lens
-ray reads neither and makes no numpy object; `state_at` and the Jacobi
-layer read `ends` too, so a single orbit's analysis builds no `PhasePoint`
-of its traced trajectories.
+whatever BLAS or SIMD kernels the CPU selects. Those floats are the one
+record of a traced ray: `Event`s hold the loop's lists, a `Trajectory` its
+entry and exit (`ends`), and `state_at` answers in lists. Only the lazy
+`PhasePoint`s `Trajectory.entry` and `exit_state`, `first_hit` and the
+Jacobi layer's results give arrays.
 
 A `Trajectory` holds each datum of its ray once: `status`, `total_time` (the
 travelling time t), the exit direction theta (`ends[3]`, read as
@@ -85,12 +83,16 @@ class PhasePoint:
 
 @dataclass
 class Event:
+    """`x`, `v_in` and `v_out` are the tracer's lists of floats, shared and
+    never written into: an event's `v_out` is the next one's `v_in`, and a
+    tangent event's `v_out` is its `v_in`."""
+
     t: float
-    x: np.ndarray
+    x: list
     obstacle: int
     type: str            # "transversal" | "tangent"
-    v_in: np.ndarray
-    v_out: np.ndarray
+    v_in: list
+    v_out: list
     root: float          # the segment's `ray_roots` root (on a curve2d a `Root`), for the Jacobi layer
 
 
@@ -262,7 +264,7 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
             return Trajectory(entry, events, "gliding_rejected", None, "boundary_penetration")
 
         # the loop's points and directions are lists of floats, never changed
-        # in place: events get arrays of their own, the trajectory keeps the ends
+        # in place: the events and the trajectory's ends keep them as they are
         if hit is None:
             if t_ball > t_left:
                 return Trajectory(entry, events, "trapped", None, "max_time")
@@ -276,7 +278,7 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
         else:
             etype, v_out = "tangent", v
             left = None
-        events.append(Event(total + t_hit, np.array(x_hit), idx, etype, np.array(v), np.array(v_out), t_hit))
+        events.append(Event(total + t_hit, x_hit, idx, etype, v, v_out, t_hit))
         total += t_hit
 
         if etype == "tangent":
@@ -320,8 +322,8 @@ def sojourn_time(trajectory: Trajectory) -> float:
 
 def state_at(trajectory: Trajectory, t: float):
     """Phase state (position, direction) at time t along the trajectory, as
-    arrays; continues straight past the exit. It reads the trajectory's
-    `ends` and its events' floats, so it builds no `PhasePoint`."""
+    two lists of floats; continues straight past the exit. The direction is
+    the traced list itself, shared with the trajectory."""
     if t < 0:
         raise ValueError("time must be non-negative")
     q, v, t0 = *trajectory.ends[:2], 0.0
@@ -332,15 +334,14 @@ def state_at(trajectory: Trajectory, t: float):
     else:
         if trajectory.status != "exited" and t > t0:
             raise ValueError(f"time {t} beyond the truncated trajectory")
-    q, v, dt = _floats(q), _floats(v), t - t0
-    return np.array([qi + dt * vi for qi, vi in zip(q, v)]), np.array(v)
+    return [qi + (t - t0) * vi for qi, vi in zip(q, v)], v
 
 
 def trajectory_jsonl(trajectory: Trajectory, header_extra: dict | None = None) -> str:
     """JSONL dump: one header line, then one line per event, less its root."""
     header = {
-        "entry_q": list(trajectory.entry.q),
-        "entry_v": list(trajectory.entry.v),
+        "entry_q": trajectory.ends[0],
+        "entry_v": trajectory.ends[1],
         "status": trajectory.status,
         "total_time": trajectory.total_time,
         "cutoff_reason": trajectory.cutoff_reason,

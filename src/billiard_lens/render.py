@@ -8,8 +8,6 @@ produce byte-identical files.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .geometry import format_float as _fmt
 
 
@@ -43,9 +41,9 @@ def svg_scene(scene, trajectories=(), comment: str | None = None) -> str:
             f'stroke-width="{_fmt(0.005 * a)}"/>'
         )
     for traj in trajectories:
-        nodes = [traj.entry.q] + [ev.x for ev in traj.events]
+        nodes = [traj.ends[0]] + [ev.x for ev in traj.events]
         if traj.status == "exited":
-            nodes.append(traj.exit_state.q)
+            nodes.append(traj.ends[2])
         for p0, p1 in zip(nodes[:-1], nodes[1:]):
             out.append(
                 f'<polyline points="{_pt(p0)} {_pt(p1)}" fill="none" '
@@ -57,7 +55,7 @@ def svg_scene(scene, trajectories=(), comment: str | None = None) -> str:
                 f'r="{_fmt(0.008 * a)}" fill="#b03030"/>'
             )
         out.append(
-            f'<circle cx="{_fmt(traj.entry.q[0])}" cy="{_fmt(-traj.entry.q[1])}" '
+            f'<circle cx="{_fmt(traj.ends[0][0])}" cy="{_fmt(-traj.ends[0][1])}" '
             f'r="{_fmt(0.008 * a)}" fill="#2a6f2a"/>'
         )
     out.append("</svg>")

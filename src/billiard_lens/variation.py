@@ -195,10 +195,9 @@ def symplectic_pairing(f1: JacobiFrame, f2: JacobiFrame) -> np.ndarray:
 def _incidence(obstacle, event) -> Incidence:
     """The Incidence of an event at its root, on floats: the tracer's unit
     normal (`flow._root_normal`), and `root_hessian` / |grad F|."""
-    x = _floats(event.x)
-    normal, norm = flow._root_normal(obstacle, x, event.root, event.obstacle)
-    hessian = obstacle.root_hessian(x, event.root)
-    return Incidence(_floats(event.v_in), normal, [[h / norm for h in row] for row in hessian])
+    normal, norm = flow._root_normal(obstacle, event.x, event.root, event.obstacle)
+    hessian = obstacle.root_hessian(event.x, event.root)
+    return Incidence(event.v_in, normal, [[h / norm for h in row] for row in hessian])
 
 
 def _incidences(scene, events):
@@ -264,7 +263,7 @@ def transport_basis(scene, trajectory, t: float, columns: list) -> list:
             break
         if ev.type != "transversal":
             raise TangentOnPath(f"tangent event at t = {ev.t:g}")
-        normal = flow._root_normal(scene.obstacles[ev.obstacle], _floats(ev.x), ev.root, ev.obstacle)[0]
+        normal = flow._root_normal(scene.obstacles[ev.obstacle], ev.x, ev.root, ev.obstacle)[0]
         columns = _reflect_basis(columns, normal)
     return columns
 
@@ -294,7 +293,7 @@ def fd_flow_jacobian(scene, entry: flow.PhasePoint, t: float, h: float):
             traj = flow.trace_phase(scene, *probe(sign))
             if _itinerary(traj, t) != signature:
                 raise ItineraryChanged(f"{what} changed the event list")
-            ends.append(flow.state_at(traj, t)[k].tolist())
+            ends.append(flow.state_at(traj, t)[k])
         step = [x - y for x, y in zip(*ends)]
         return [_dot(e, step) / two_h for e in basis_t]
 

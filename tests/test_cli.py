@@ -318,6 +318,32 @@ def test_lens_to_a_directory_fails_before_the_first_ray(disc_json, tmp_path, mon
     assert calls == []
 
 
+_WORK_ARGS = {
+    "trapped": ["--spec", "grid:2x4,grid:4x8,grid:8x16"],
+    "sls": ["--omega", "1,0", "--theta", "1,0", "--spec", "grid:2x2"],
+    "compare": [],
+}
+
+
+def _fail_if_called(*args):
+    raise AssertionError("work began before --out was checked")
+
+
+@pytest.mark.parametrize("command", sorted(_WORK_ARGS))
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_bad_out_fails_before_the_work(command, where, disc_json, tmp_path, monkeypatch, capsys):
+    # trapped, sls and compare check --out before their first ray or table
+    # line, and fail as opening it would
+    monkeypatch.setattr(flow, "trace_phase", _fail_if_called)
+    monkeypatch.setattr(lens, "compare_jsonl", _fail_if_called)
+    out = tmp_path / "missing" / "x.json" if where == "missing" else tmp_path
+    tables = ["--scene-b", disc_json] if command == "compare" else []
+    argv = [command, "--scene", disc_json, *tables, *_WORK_ARGS[command], "--out", str(out)]
+    assert cli.main(argv) == 2
+    reason = "[Errno 2] No such file or directory" if where == "missing" else "[Errno 21] Is a directory"
+    assert capsys.readouterr().err == f"error: {reason}: {str(out)!r}\n"
+
+
 def _thin_scene(tmp_path):
     """The scene file of a thin superellipsoid at p = 200, whose |u_i|^(p-1)
     leaves the float range inside its bounding circle."""

@@ -275,14 +275,14 @@ def test_speed_and_specular_invariants(disc_ellipse_scene):
                 frame = geometry.surface_frame(disc_ellipse_scene.obstacles[ev.obstacle], ev.x)
                 n = frame.normal
                 assert abs(float(ev.v_out @ n) + float(ev.v_in @ n)) < 1e-10
-                diff = ev.v_out - ev.v_in
+                diff = np.array(ev.v_out) - ev.v_in
                 residual = diff - float(diff @ n) * n
                 assert np.linalg.norm(residual) < 1e-10
                 checked += 1
         if traj.status == "exited":
             # the last straight segment ends at the exit point at total_time
             last = traj.events[-1] if traj.events else None
-            x0, v0, t0 = (last.x, last.v_out, last.t) if last else (q, v, 0.0)
+            x0, v0, t0 = (np.array(last.x), np.array(last.v_out), last.t) if last else (q, v, 0.0)
             exit_q = x0 + (traj.total_time - t0) * v0
             assert np.linalg.norm(traj.exit_state.q - exit_q) <= 1e-10 * A_BALL
             times = [ev.t for ev in traj.events]
@@ -328,7 +328,7 @@ def test_time_reversibility_on_every_obstacle_kind(kind, dim, data):
         assert [ev.obstacle for ev in rev.events] == [ev.obstacle for ev in reversed(traj.events)]
         assert rev.total_time == pytest.approx(traj.total_time, abs=1e-9 * A_BALL)
         for ev_f, ev_b in zip(traj.events, reversed(rev.events)):
-            assert np.linalg.norm(ev_f.x - ev_b.x) < 1e-7 * A_BALL
+            assert np.linalg.norm(np.subtract(ev_f.x, ev_b.x)) < 1e-7 * A_BALL
         checked += bool(traj.events)
     assert checked >= 1
 
@@ -352,7 +352,7 @@ def test_time_reversibility_on_every_curve_piece_kind(data):
         assert [ev.type for ev in rev.events] == [ev.type for ev in traj.events]
         assert rev.total_time == pytest.approx(traj.total_time, abs=1e-9 * A_BALL)
         for ev_f, ev_b in zip(traj.events, reversed(rev.events)):
-            assert np.linalg.norm(ev_f.x - ev_b.x) < 1e-7 * A_BALL
+            assert np.linalg.norm(np.subtract(ev_f.x, ev_b.x)) < 1e-7 * A_BALL
         checked += 1
     assert checked >= 4
 
@@ -417,7 +417,7 @@ def _first_hit_chain(scene, traj):
     q, v = traj.entry.q, traj.entry.v
     for ev in traj.events:
         _, idx, x = flow.first_hit(scene, PhasePoint(q, v), math.inf)
-        assert idx == ev.obstacle and x.tobytes() == ev.x.tobytes()
+        assert idx == ev.obstacle and x.tobytes() == np.array(ev.x).tobytes()
         q, v = ev.x, ev.v_out
     assert flow.first_hit(scene, PhasePoint(q, v), math.inf) is None
 
@@ -473,9 +473,9 @@ def test_the_jacobi_layer_takes_each_reflection_from_the_tracer(dim, kind, data)
         for ev in transversal:
             obs = scene.obstacles[ev.obstacle]
             incidence = variation._incidence(obs, ev)
-            assert ev.v_out.tolist() == flow.reflect(ev.v_in, incidence.normal)
+            assert ev.v_out == flow.reflect(ev.v_in, incidence.normal)
             normal = geometry.surface_frame(obs, ev.x).normal
-            assert float(np.max(np.abs(ev.v_out - flow.reflect(ev.v_in, normal)))) <= bound
+            assert float(np.max(np.abs(np.subtract(ev.v_out, flow.reflect(ev.v_in, normal))))) <= bound
             assert bound or normal.tolist() == incidence.normal
         if transversal and len(transversal) == len(traj.events):
             last = traj.events[-1]
@@ -556,7 +556,7 @@ def test_tangent_event_continues_straight(disc_scene):
     assert np.allclose(ev.v_out, ev.v_in)
     # straight continuation never dips into the obstacle
     for eps in (1e-6, 1e-4, 1e-2):
-        assert disc_scene.obstacles[0].implicit(ev.x + eps * ev.v_out) >= -1e-12
+        assert disc_scene.obstacles[0].implicit(np.array(ev.x) + eps * np.array(ev.v_out)) >= -1e-12
 
 
 def test_gliding_rejected_on_concave_tangency():
@@ -645,6 +645,35 @@ def test_trajectory_jsonl_format(sphere_scene):
     ev = json.loads(lines[1])
     assert ev["type"] == "transversal"
     assert ev["obstacle"] == 0
+
+
+def _floats_only(x) -> bool:
+    return type(x) is list and all(type(xi) is float for xi in x)
+
+
+@pytest.mark.parametrize("dim, kind", [(dim, kind) for dim in (2, 3)
+                                       for kind in ("sphere", "ellipsoid", "superellipsoid")]
+                         + [(2, "curve2d")])
+def test_a_traced_ray_is_recorded_in_python_floats(dim, kind, livshits_pair):
+    # the record of a ray is the tracer's own lists of floats: each event's
+    # point and directions, the trajectory's ends and the states read from it
+    if kind == "curve2d":
+        scene, entry = livshits_pair[0], entry_through([1.0, 0.0], [-0.5, 1.0])
+    else:
+        centre, axes = [0.5, -0.25, 0.0][:dim], [1.5, 1.0, 1.25][:dim]
+        obstacle = {"sphere": bl.SphereObstacle(centre, 1.0), "ellipsoid": bl.EllipsoidObstacle(centre, axes),
+                    "superellipsoid": bl.SuperellipsoidObstacle(centre, axes, 4.0)}[kind]
+        scene = bl.make_scene(dim, A_BALL, [obstacle], kind)
+        entry = entry_through([0.7, 0.0, 0.2][:dim], [1.0, 0.3, -0.1][:dim])
+    traj = flow.trace(scene, entry)
+    assert traj.status == "exited" and traj.events
+    for ev in traj.events:
+        assert _floats_only(ev.x) and _floats_only(ev.v_in) and _floats_only(ev.v_out)
+    assert len(traj.ends) == 4 and all(map(_floats_only, traj.ends))
+    first, last = traj.events[0].t, traj.events[-1].t
+    for t in (0.5 * first, 0.5 * (last + traj.total_time), traj.total_time + 1.0):
+        q, v = flow.state_at(traj, t)
+        assert _floats_only(q) and _floats_only(v)
 
 
 def test_state_at(sphere_scene):

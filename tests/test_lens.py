@@ -287,8 +287,8 @@ def test_a_lens_ray_is_one_trace_phase_call_that_builds_no_phase_point(
             assert traj.exit_state is None and row.theta is None
             continue
         last = traj.events[-1] if traj.events else None
-        q_last = last.x.tolist() if last else row.q.tolist()
-        v_last = last.v_out.tolist() if last else traj.entry.v.tolist()
+        q_last = last.x if last else row.q.tolist()
+        v_last = last.v_out if last else traj.entry.v.tolist()
         exit_q = _axpy(q_last, flow._ball_chord(q_last, v_last, A_BALL)[1], v_last)
         assert traj.exit_state.q.tolist() == exit_q and traj.exit_state.v.tolist() == v_last
         assert row.theta.tolist() == v_last

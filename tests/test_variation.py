@@ -317,7 +317,7 @@ def test_frames_along_match_one_seed_at_a_time(name, request):
         # each incidence has the normal the tracer reflected by
         for ev in traj.events:
             normal = variation._incidence(scene.obstacles[ev.obstacle], ev).normal
-            assert flow.reflect(ev.v_in, normal) == ev.v_out.tolist()
+            assert flow.reflect(ev.v_in, normal) == ev.v_out
         done += 1
 
 

@@ -172,7 +172,7 @@ def test_each_reflection_off_a_curve_obeys_the_mirror_equation(name, data):
     for traj in _drawn_orbits(data.draw, scene, 4, at=st.one_of(st.just(0.0), st.floats(0.0, 1.0))):
         events = traj.events
         for k, ev in enumerate(events):
-            turn = ev.v_out - ev.v_in
+            turn = np.subtract(ev.v_out, ev.v_in)
             cos_phi = 0.5 * math.sqrt(float(turn @ turn))
             if cos_phi < MIRROR_MIN_COS:
                 continue
@@ -217,7 +217,7 @@ def test_the_reversed_orbit_transfers_by_the_symplectic_inverse(dim, kind, data)
         # the curvature term 2 kappa / cos(phi) moves with the root by about
         # 1 / cos(phi)^2: near grazing, the rounding of the two traced roots
         # apart outweighs the law
-        if any(0.5 * float(np.linalg.norm(ev.v_out - ev.v_in)) < MIRROR_MIN_COS for ev in traj.events):
+        if any(0.5 * float(np.linalg.norm(np.subtract(ev.v_out, ev.v_in))) < MIRROR_MIN_COS for ev in traj.events):
             continue
         if kind == "curve2d":
             # a root at a join lies on one of its pieces (`_on_piece`), whose
