@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import math
 import os
 import shutil
@@ -188,12 +189,13 @@ def _cmd_trace(args):
 
 def _cmd_lens(args):
     # the rows stream into a spool a block at a time; the head, which holds
-    # their summary, is written to the output before them
+    # their summary, is written to the output before them. The table's head
+    # writes the scene hash over the header's null, so it is taken once
     scene = _load_scene(args.scene)
     spec = lens.parse_spec(args.spec, seed=args.seed, n_max=args.nmax, t_max=args.tmax)
     csv = bool(args.out) and args.out.endswith(".csv")
     with _spool(args.out) as rows:
-        head = lens.write_lens_rows(scene, spec, rows, csv, None if csv else _header(args, scene, spec))
+        head = lens.write_lens_rows(scene, spec, rows, csv, None if csv else _header(args, spec=spec))
         _stream(args.out, _after(head, rows))
     return 0
 
@@ -327,7 +329,10 @@ def _attach_dash_values(argv):
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process: parsing leaves
+    nothing in it, so `main` reuses it."""
     parser = argparse.ArgumentParser(prog="billiard-lens", allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
     for name, (_, required, optional) in _COMMANDS.items():
@@ -340,9 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_dash_values(argv))
+        args = build_parser().parse_args(_attach_dash_values(argv))
     except SystemExit as exc:  # --help exits 0, a usage error 2
         return 0 if exc.code == 0 else 2
     args._invocation = list(argv)

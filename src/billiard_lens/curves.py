@@ -13,10 +13,15 @@ plus its `overhang` past the ends, and a line that misses it by
 `_line_misses_ball` is not solved against the piece. The roots carry the
 piece and parameter of the crossing, so the normal and curvature there
 need no closest-point query. The ray solvers work in plain float
-arithmetic on (x, y) pairs. A closest point takes no numpy kernel that the
-CPU picks: an arc maps the angle, by libm's atan2, to its parameter as the
-ray solver does, and a foot's normal and curvature are `piece_normal`'s
-and `piece_shape`'s, bit for bit.
+arithmetic on (x, y) pairs: segments and arcs in closed form, a bump by
+Newton's method safeguarded by the brackets between its closed-form
+turning points (`_bracketed_root`). A piece writes its point and two
+derivatives once each: at one parameter they run on floats by the math
+library, as `piece_normal` and `piece_shape` take them, and at an array
+of parameters on numpy, with the same bits. A closest point takes no
+numpy kernel that the CPU picks: an arc maps the angle, by libm's atan2,
+to its parameter as the ray solver does, and a foot's normal and
+curvature are `piece_normal`'s and `piece_shape`'s, bit for bit.
 
 The scene file's shape checks live here too, shared with `geometry`.
 """
@@ -106,6 +111,40 @@ def _stable_quadratic(a: float, b: float, c: float):
     return sorted(roots)
 
 
+def _bracketed_root(g, slope, a, b, g_a, g_b):
+    """The root in [a, b] of g, monotone there, given g_a = g(a) and
+    g_b = g(b) of opposite signs or one of them 0, and g's derivative
+    `slope`. Newton's method from the chord's root, safeguarded by the
+    bracket (rtsafe; Press et al., Numerical Recipes, 3rd ed., 9.4): a step
+    that would leave the bracket, or that is more than half the step before
+    last, bisects it instead. It stops at a Newton step of at most 1e-15,
+    which a Newton fixed point is, or, as bisection does, at a bracket of at
+    most 1e-15; a linear g takes one step. A NaN ends it."""
+    if g_a == 0.0 or g_b == 0.0:
+        return a if g_a == 0.0 else b
+    neg, pos = (a, b) if g_a < 0.0 else (b, a)  # the bracket's ends where g < 0 and g > 0
+    s = a + (b - a) * (g_a / (g_a - g_b))
+    step = last = abs(b - a)
+    while abs(pos - neg) > 1e-15:
+        f, df = g(s), slope(s)
+        if f == 0.0:
+            break
+        if f < 0.0:
+            neg = s
+        else:
+            pos = s
+        newton = f / df if df else math.inf  # no slope: a bisection
+        if abs(2.0 * newton) > abs(last) or not min(neg, pos) <= s - newton <= max(neg, pos):
+            last, step = step, 0.5 * (pos - neg)
+            s = neg + step
+        else:
+            last, step = step, newton
+            s -= step
+            if abs(step) <= 1e-15:
+                break
+    return s
+
+
 def _circle_roots(px, py, wx, wy, radius, theta0, sweep):
     """(t, s) pairs where (px, py) + t (wx, wy) meets the arc of the circle of
     given radius about the origin from angle theta0 through sweep: the ray
@@ -129,8 +168,30 @@ def _angle_offset(angle, mid):
     return (angle - mid + math.pi) % (2.0 * math.pi) - math.pi
 
 
+def _sin(x):
+    # sin of a float by libm, or of an array elementwise by numpy, whose float64
+    # sin no CPU dispatch changes and gives libm's bits (test_curves pins it)
+    return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
+
+
+def _cos(x):
+    # cos, as `_sin`
+    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
+
+
+def _vector(s, x, y):
+    """The vector of components x and y that a piece gives at parameter s:
+    a list of two floats at a float s, and at an array s an array of shape
+    s.shape + (2,), each component broadcast to s's shape."""
+    if not isinstance(s, np.ndarray):
+        return [x, y]
+    out = np.empty(s.shape + (2,))
+    out[..., 0], out[..., 1] = x, y
+    return out
+
+
 def _speed(piece, s):
-    g = piece.deriv(s).tolist()  # |g'(s)|, its squares added left to right
+    g = piece.deriv(s)  # |g'(s)| at a float s, its squares added left to right
     return math.sqrt(_dot(g, g))
 
 
@@ -245,7 +306,10 @@ class Root(float):
 class CurvePiece:
     """Base class: parametric map [0,1] -> R^2 with two derivatives. `keys`
     names the piece's scene-file keys besides "type": its constructor's
-    parameters, in order, each kept under the attribute of the same name."""
+    parameters, in order, each kept under the attribute of the same name.
+    `point`, `deriv` and `deriv2` write each formula once, on components
+    (`_vector`): at a float s they give a list of two floats by the math
+    library, and at an array s an array, whose rows have the same bits."""
 
     kind = "piece"
     keys = ()
@@ -261,16 +325,16 @@ class CurvePiece:
         raise NotImplementedError
 
     def start(self):
-        return self.point(np.array(0.0))
+        return self.point(0.0)
 
     def end(self):
-        return self.point(np.array(1.0))
+        return self.point(1.0)
 
     def reach(self, c):
         """The largest distance from the point c (a float pair) to the piece,
         or a bound above it, in closed form. Here the farther end: a
         segment's reach, which the other kinds extend."""
-        ends = [_sub(p.tolist(), c) for p in (self.start(), self.end())]
+        ends = [_sub(p, c) for p in (self.start(), self.end())]
         return math.sqrt(max(_dot(d, d) for d in ends))
 
     def overhang(self):
@@ -280,7 +344,7 @@ class CurvePiece:
         The same bound serves a bump, whose reach adds its |amplitude| to the
         segment's everywhere, and an ellipse arc, whose reach holds the whole
         ellipse."""
-        d = _sub(self.end().tolist(), self.start().tolist())
+        d = _sub(self.end(), self.start())
         return _JOIN_OVERLAP * math.sqrt(_dot(d, d))
 
     def to_dict(self) -> dict:
@@ -335,13 +399,14 @@ class LinePiece(CurvePiece):
         self._floats = (*self.p0.tolist(), *self._d.tolist())  # p0 and d, for the ray solver
 
     def point(self, s):
-        return self.p0 + np.multiply.outer(s, self._d)
+        x0, y0, dx, dy = self._floats
+        return _vector(s, x0 + s * dx, y0 + s * dy)
 
     def deriv(self, s):
-        return np.broadcast_to(self._d, np.shape(s) + (2,)).copy()
+        return _vector(s, *self._floats[2:])
 
     def deriv2(self, s):
-        return np.zeros(np.shape(s) + (2,))
+        return _vector(s, 0.0, 0.0)
 
     def project(self, X, s0=None):
         return _segment_parameter(X, self.p0, self._d, self._dd)
@@ -380,28 +445,26 @@ class BumpLinePiece(CurvePiece):
         norm = math.sqrt(_dot(self.direction, self.direction))
         if not 0.0 < norm < math.inf:
             raise ValueError("bump direction must be nonzero and finite")
-        self._u = self.direction / norm
         self._d = _nonzero_chord(self.p0, self.p1)
         self._dd = np.sum(self._d * self._d)
-        self._floats = (*self.p0.tolist(), *self._d.tolist(), *self._u.tolist())  # for the ray solver
+        # p0, d and the bump's unit vector, for the ray solver and the formulas
+        self._floats = (*self.p0.tolist(), *self._d.tolist(), *(self.direction / norm).tolist())
 
     def point(self, s):
-        s = np.asarray(s, dtype=float)
-        base = self.p0 + np.multiply.outer(s, self._d)
-        sin = np.sin(np.pi * s)
-        return base + np.multiply.outer(self.amplitude * (sin * sin), self._u)
+        x0, y0, dx, dy, ux, uy = self._floats
+        sin = _sin(math.pi * s)
+        k = self.amplitude * (sin * sin)
+        return _vector(s, x0 + s * dx + k * ux, y0 + s * dy + k * uy)
 
     def deriv(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.broadcast_to(self._d, np.shape(s) + (2,)).copy()
-        out += np.multiply.outer(self.amplitude * np.pi * np.sin(2.0 * np.pi * s), self._u)
-        return out
+        _, _, dx, dy, ux, uy = self._floats
+        k = self.amplitude * math.pi * _sin(2.0 * math.pi * s)
+        return _vector(s, dx + k * ux, dy + k * uy)
 
     def deriv2(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.multiply.outer(
-            self.amplitude * 2.0 * np.pi * np.pi * np.cos(2.0 * np.pi * s), self._u
-        )
+        _, _, _, _, ux, uy = self._floats
+        k = self.amplitude * 2.0 * math.pi * math.pi * _cos(2.0 * math.pi * s)
+        return _vector(s, k * ux, k * uy)
 
     @property
     def closed_form_projection(self):
@@ -434,19 +497,15 @@ class BumpLinePiece(CurvePiece):
         def g(s):
             return alpha + beta * s + gamma * math.sin(math.pi * s) ** 2
 
+        def slope(s):
+            return beta + gamma * math.pi * math.sin(2.0 * math.pi * s)
+
         roots = []
-        for lo, hi in zip(knots, knots[1:]):
-            g_lo, g_hi = g(lo), g(hi)
-            if g_lo * g_hi > 0.0:
+        at_knots = list(map(g, knots))
+        for lo, hi, g_lo, g_hi in zip(knots, knots[1:], at_knots, at_knots[1:]):
+            if (g_lo > 0.0 and g_hi > 0.0) or (g_lo < 0.0 and g_hi < 0.0):  # not g_lo * g_hi: it can underflow
                 continue
-            rising = g_hi > g_lo
-            while hi - lo > 1e-15:  # bisection: g is monotone on the bracket
-                mid = 0.5 * (lo + hi)
-                if (g(mid) > 0.0) == rising:
-                    hi = mid
-                else:
-                    lo = mid
-            s = 0.5 * (lo + hi)
+            s = _bracketed_root(g, slope, lo, hi, g_lo, g_hi)
             k = self.amplitude * math.sin(math.pi * s) ** 2
             roots.append((vx * (x0 + s * dx + k * ux - qx) + vy * (y0 + s * dy + k * uy - qy), s))
         return roots
@@ -468,11 +527,12 @@ class ArcPiece(CurvePiece):
         self._floats = tuple(self.center.tolist())  # centre, for the ray solver
 
     def _theta(self, s):
-        return self.theta0 + np.asarray(s, dtype=float) * self._sweep
+        return self.theta0 + s * self._sweep
 
     def point(self, s):
+        cx, cy = self._floats
         th = self._theta(s)
-        return self.center + self.radius * np.stack([np.cos(th), np.sin(th)], axis=-1)
+        return _vector(s, cx + self.radius * _cos(th), cy + self.radius * _sin(th))
 
     def reach(self, c):
         # the circle's farthest point from c lies on the ray from c through the centre
@@ -487,11 +547,13 @@ class ArcPiece(CurvePiece):
 
     def deriv(self, s):
         th = self._theta(s)
-        return self.radius * self._sweep * np.stack([-np.sin(th), np.cos(th)], axis=-1)
+        k = self.radius * self._sweep
+        return _vector(s, k * -_sin(th), k * _cos(th))
 
     def deriv2(self, s):
         th = self._theta(s)
-        return -self.radius * self._sweep**2 * np.stack([np.cos(th), np.sin(th)], axis=-1)
+        k = -self.radius * self._sweep**2
+        return _vector(s, k * _cos(th), k * _sin(th))
 
     def project(self, X, s0=None):
         # the ray roots' parameter of the angle (by libm's atan2), clamped: on a
@@ -525,36 +587,34 @@ class EllipseArcPiece(CurvePiece):
         self._floats = (*self.center.tolist(), c, s, *self.semi_axes.tolist())  # for the ray solver
 
     def _theta(self, s):
-        return self.theta0 + np.asarray(s, dtype=float) * self._sweep
+        return self.theta0 + s * self._sweep
 
     def reach(self, c):
         d = _sub(self.center.tolist(), c)
         return math.sqrt(_dot(d, d)) + float(max(self.semi_axes))
 
-    def _rotate(self, body):
-        # two element-wise products per component: a point rounds alike in any batch
+    def _rotate(self, x, y):
+        # the body vector (x, y) turned by the rotation: two products per
+        # component, so a point rounds alike in any batch
         _, _, c, s, _, _ = self._floats
-        x, y = body[..., 0], body[..., 1]
-        return np.stack([c * x - s * y, s * x + c * y], axis=-1)
+        return c * x - s * y, s * x + c * y
 
     def point(self, s):
+        cx, cy, _, _, a, b = self._floats
         th = self._theta(s)
-        body = np.stack([self.semi_axes[0] * np.cos(th), self.semi_axes[1] * np.sin(th)], axis=-1)
-        return self.center + self._rotate(body)
+        x, y = self._rotate(a * _cos(th), b * _sin(th))
+        return _vector(s, cx + x, cy + y)
 
     def deriv(self, s):
+        _, _, _, _, a, b = self._floats
         th = self._theta(s)
-        body = self._sweep * np.stack(
-            [-self.semi_axes[0] * np.sin(th), self.semi_axes[1] * np.cos(th)], axis=-1
-        )
-        return self._rotate(body)
+        return _vector(s, *self._rotate(self._sweep * (-a * _sin(th)), self._sweep * (b * _cos(th))))
 
     def deriv2(self, s):
+        _, _, _, _, a, b = self._floats
         th = self._theta(s)
-        body = -self._sweep**2 * np.stack(
-            [self.semi_axes[0] * np.cos(th), self.semi_axes[1] * np.sin(th)], axis=-1
-        )
-        return self._rotate(body)
+        k = -self._sweep**2
+        return _vector(s, *self._rotate(k * (a * _cos(th)), k * (b * _sin(th))))
 
     def ray_roots(self, q, v):
         # a unit-circle arc in scaled body coordinates; t is unchanged by the map
@@ -641,10 +701,10 @@ class CurveChain:
         scale = max(self.total_length, 1e-12)
         for i, piece in enumerate(self.pieces):
             nxt = self.pieces[(i + 1) % len(self.pieces)]
-            gap = _sub(piece.end().tolist(), nxt.start().tolist())
+            gap = _sub(piece.end(), nxt.start())
             if math.sqrt(_dot(gap, gap)) > 1e-9 * scale:
                 raise ValueError(f"chain not closed between pieces {i} and {(i + 1) % len(self.pieces)}")
-            turn = _dot(piece.deriv(1.0).tolist(), nxt.deriv(0.0).tolist())
+            turn = _dot(piece.deriv(1.0), nxt.deriv(0.0))
             if turn / (_speed(piece, 1.0) * _speed(nxt, 0.0)) < 1.0 - 1e-6:
                 raise ValueError(f"chain not C1 between pieces {i} and {(i + 1) % len(self.pieces)}")
 
@@ -684,7 +744,7 @@ class CurveChain:
         """Unit normal into the free side at parameter s of piece k (`_on_piece`),
         by the formula `closest_batch` applies at a foot."""
         k, s = self._on_piece(k, s)
-        g = self.pieces[k].deriv(s).tolist()
+        g = self.pieces[k].deriv(s)
         speed = math.sqrt(_dot(g, g))
         return [-self.orientation * g[1] / speed, self.orientation * g[0] / speed]
 
@@ -692,7 +752,7 @@ class CurveChain:
         """kappa t t^T at parameter s of piece k (`_on_piece`) by `closest_batch`'s formulas:
         t the unit tangent, kappa the curvature seen from the free side, negative where concave."""
         k, s = self._on_piece(k, s)
-        g1, g2 = self.pieces[k].deriv(s).tolist(), self.pieces[k].deriv2(s).tolist()
+        g1, g2 = self.pieces[k].deriv(s), self.pieces[k].deriv2(s)
         gg = _dot(g1, g1)
         speed = math.sqrt(gg)
         kappa = -self.orientation * (g1[0] * g2[1] - g1[1] * g2[0]) / (gg * speed)

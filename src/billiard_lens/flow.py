@@ -13,8 +13,8 @@ the centre, which exceeds the test's own rounding. The normal at a root,
 `_root_normal`, is `root_gradient` through the obstacle's one unit-normal
 step (`_unit_normal`, which its local query takes too): the implicit gradient
 for quadrics and superellipsoids, and for a `curve2d` the closed-form
-normal at the piece and parameter its root carries, so the tracer makes no
-closest-point query.
+normal at the piece and parameter its root carries, taken on floats, so the
+tracer makes no closest-point query and calls no numpy function.
 Orbits that graze into the boundary (gliding) are detected and rejected.
 
 Each segment is one search (`_first_crossing`) up to the ball exit or the
@@ -35,7 +35,8 @@ the ball chord, `ray_roots`, the unit normal, `reflect` and `sojourn_time`,
 with no matrix product or numpy kernel, so a trajectory has the same bits
 whatever BLAS or SIMD kernels the CPU selects. Those floats are the one
 record of a traced ray: `Event`s hold the loop's lists, a `Trajectory` its
-entry and exit (`ends`), and `state_at` answers in lists. Only the lazy
+entry (a list of its own, whatever sequence the caller passed) and exit
+(`ends`), and `state_at` answers in lists. Only the lazy
 `PhasePoint`s `Trajectory.entry` and `exit_state`, `first_hit` and the
 Jacobi layer's results give arrays.
 
@@ -243,7 +244,7 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
     a = scene.ball_radius
     t_max = limits.t_max if limits.t_max is not None else 1000.0 * a
 
-    q, v = _floats(q), _floats(v)
+    q, v = list(map(float, q)), _floats(v)  # a fresh list: the entry is the ray's own, not the caller's
     speed = math.sqrt(_dot(v, v))
     v = [vi / speed for vi in v]
     entry = (q, v)

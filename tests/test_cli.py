@@ -832,6 +832,7 @@ FLAG_TABLE = {  # command: (required flags, optional flags)
 
 def test_parser_flags_are_the_table():
     parser = cli.build_parser()
+    assert parser is cli.build_parser()  # the one parser `main` reads every command with
     subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     flags = {}
     for name, sub in subs.choices.items():
@@ -840,6 +841,32 @@ def test_parser_flags_are_the_table():
                        {o for a in actions if not a.required for o in a.option_strings})
     assert flags == {c: (set(r), set(o)) for c, (r, o) in FLAG_TABLE.items()}
     assert sum(len(r) + len(o) for r, o in flags.values()) == 50
+
+
+def test_the_reused_parser_leaks_nothing_between_commands(disc_json, tmp_path, capsys):
+    # a seeded lens, a usage error that had read another seed before its bad
+    # --nmax, and a lens on the default seed, in one process, write what the
+    # same calls write in fresh processes
+    out = tmp_path / "t.jsonl"
+    lens_args = ["lens", "--scene", disc_json, "--spec", "mc:60", "--out", str(out)]
+    calls = [[*lens_args, "--seed", "7"], [*lens_args, "--seed", "9", "--nmax", "x"], lens_args]
+
+    def written():  # the output file's bytes, None if there is none, which is then gone
+        data = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return data
+
+    in_process = []
+    for argv in calls:
+        code = cli.main(argv)
+        in_process.append((code, capsys.readouterr().err, written()))
+    fresh = []
+    for argv in calls:
+        proc = run_python("-m", "billiard_lens.cli", *argv)
+        fresh.append((proc.returncode, proc.stderr, written()))
+    assert [code for code, _, _ in in_process] == [0, 2, 0]
+    assert in_process[0][2] != in_process[2][2]  # the seed reaches the rows
+    assert in_process == fresh
 
 
 @pytest.mark.parametrize("argv", [

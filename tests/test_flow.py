@@ -676,6 +676,23 @@ def test_a_traced_ray_is_recorded_in_python_floats(dim, kind, livshits_pair):
         assert _floats_only(q) and _floats_only(v)
 
 
+@pytest.mark.parametrize("form", [list, tuple])
+def test_the_entry_is_the_rays_own_list(form, disc_scene):
+    # a list or tuple entry point is copied into a fresh list of floats: the
+    # record does not change when the caller's list does, and keeps the bits
+    # of the array entry's record
+    q, v = [-10.0, 0.5], [1.0, 0.0]
+    given_q = form(q)
+    traj = flow.trace_phase(disc_scene, given_q, v)
+    assert traj.events and traj.ends[0] is not given_q and _floats_only(traj.ends[0])
+    if form is list:
+        given_q[1] = 7.0
+    reference = flow.trace_phase(disc_scene, np.array(q), np.array(v))
+    assert traj.ends == reference.ends and traj.total_time == reference.total_time
+    assert [(ev.x, ev.v_in, ev.v_out) for ev in traj.events] == [(ev.x, ev.v_in, ev.v_out)
+                                                                for ev in reference.events]
+
+
 def test_state_at(sphere_scene):
     traj = flow.trace(sphere_scene, PhasePoint(np.array([-10.0, 0, 0]), np.array([1.0, 0, 0])))
     q, v = flow.state_at(traj, 4.5)
