@@ -7,6 +7,8 @@ JSONL and SVG output starts with a header embedding the tool version, scene
 hash, sample spec, seed (null for commands without --seed) and the exact
 invocation; a CSV lens table starts with a `#` line of the version, scene
 hash, spec and seed. Identical invocations reproduce byte-identical files.
+Each --out and --svg (not livshits's --out, a prefix) is checked before any
+work (`_check_out`): a bad one exits 2, and no file is written.
 
 Exit codes: 0 success, 2 bad input (with a message on stderr), 3 numeric
 failure that ends a command (`lens`, `trapped` and `sls` record one per
@@ -105,10 +107,8 @@ def _check_out(path):
 
 def _spool(path):
     """A temporary text file for the rows of a table, opened now, before the
-    first ray, once path passes `_check_out`: beside path, or in the
-    temporary directory without a path. It has no name, so nothing of it is
-    left behind."""
-    _check_out(path)
+    first ray: beside path, or in the temporary directory without a path. It
+    has no name, so nothing of it is left behind."""
     return tempfile.TemporaryFile("w+", newline="\n", dir=(os.path.dirname(path) or ".") if path else None)
 
 
@@ -204,7 +204,6 @@ def _cmd_trapped(args):
     scene = _load_scene(args.scene)
     specs = [lens.parse_spec(s, seed=args.seed, n_max=args.nmax, t_max=args.tmax)
              for s in args.spec.split(",")]
-    _check_out(args.out)
     estimate = lens.estimate_trapped(scene, specs)
     doc = {"header": _header(args, scene), "estimate": estimate.to_dict()}
     _write(args.out, canonical_json(doc) + "\n")
@@ -217,7 +216,6 @@ def _cmd_sls(args):
     theta = _parse_vector(args.theta, scene.dimension)
     spec = lens.parse_spec(args.spec, seed=args.seed, n_max=args.nmax, t_max=args.tmax)
     tol = args.tol if args.tol is not None else lens.ANGULAR_TOL
-    _check_out(args.out)
     spectrum = lens.scattering_spectrum(scene, omega, theta, tol, spec)
     doc = {
         "header": _header(args, scene, spec),
@@ -233,7 +231,6 @@ def _cmd_sls(args):
 
 def _cmd_compare(args):
     with open(args.scene) as table_k, open(args.scene_b) as table_l:
-        _check_out(args.out)
         hash_k, hash_l, report = lens.compare_jsonl(table_k, table_l, args.tol)
     doc = {"header": _header(args), "table_k": hash_k, "table_l": hash_l, "report": report.to_dict()}
     _write(args.out, canonical_json(doc) + "\n")
@@ -351,6 +348,9 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 2
     args._invocation = list(argv)
     try:
+        if args.command != "livshits":  # whose --out is a prefix of three files
+            for path in (vars(args).get("out"), vars(args).get("svg")):
+                _check_out(path)
         code = _COMMANDS[args.command][0](args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code

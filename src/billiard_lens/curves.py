@@ -21,7 +21,8 @@ library, as `piece_normal` and `piece_shape` take them, and at an array
 of parameters on numpy, with the same bits. A closest point takes no
 numpy kernel that the CPU picks: an arc maps the angle, by libm's atan2,
 to its parameter as the ray solver does, and a foot's normal and
-curvature are `piece_normal`'s and `piece_shape`'s, bit for bit.
+curvature are `piece_normal`'s and `piece_shape`'s formulas, bit for bit
+(`_curve_frame`, `_free_curvature`).
 
 The scene file's shape checks live here too, shared with `geometry`.
 """
@@ -81,7 +82,7 @@ def _line_misses_ball(q, v, vv, c, reach2):
     The two sides carry rounding of under 20 * 2^-53 dd together: the
     margin (16 to 32 ulps of dd) keeps every line that meets the ball. The
     sums are `_sub` and `_dot`'s, written out: the test runs once per
-    obstacle and curve piece a segment could meet."""
+    obstacle and curve piece a segment could meet, or on q's columns."""
     if len(q) == 2:
         dx, dy = q[0] - c[0], q[1] - c[1]
         b, dd = dx * v[0] + dy * v[1], dx * dx + dy * dy
@@ -170,13 +171,30 @@ def _angle_offset(angle, mid):
 
 def _sin(x):
     # sin of a float by libm, or of an array elementwise by numpy, whose float64
-    # sin no CPU dispatch changes and gives libm's bits (test_curves pins it)
+    # loop test_curves finds bit-equal to libm on its draws (on the build it runs)
     return np.sin(x) if isinstance(x, np.ndarray) else math.sin(x)
 
 
 def _cos(x):
     # cos, as `_sin`
     return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
+
+
+def _curve_frame(orientation, g):
+    """(|g|^2, |g|, the unit tangent t = g / |g|, the normal into the free side
+    orientation * rot90(t)) of a piece's derivative g = (gx, gy), floats or
+    arrays alike."""
+    gx, gy = g
+    gg = gx * gx + gy * gy
+    speed = np.sqrt(gg) if isinstance(gg, np.ndarray) else math.sqrt(gg)
+    tx, ty = gx / speed, gy / speed
+    return gg, speed, (tx, ty), [-orientation * ty, orientation * tx]
+
+
+def _free_curvature(orientation, g1, g2, gg, speed):
+    """-orientation (g1 x g2) / |g1|^3, the curvature seen from the free side,
+    of a piece's derivatives g1 and g2 (gg, speed: `_curve_frame`'s of g1)."""
+    return -orientation * (g1[0] * g2[1] - g1[1] * g2[0]) / (gg * speed)
 
 
 def _vector(s, x, y):
@@ -744,20 +762,17 @@ class CurveChain:
         """Unit normal into the free side at parameter s of piece k (`_on_piece`),
         by the formula `closest_batch` applies at a foot."""
         k, s = self._on_piece(k, s)
-        g = self.pieces[k].deriv(s)
-        speed = math.sqrt(_dot(g, g))
-        return [-self.orientation * g[1] / speed, self.orientation * g[0] / speed]
+        return _curve_frame(self.orientation, self.pieces[k].deriv(s))[3]
 
     def piece_shape(self, k, s):
         """kappa t t^T at parameter s of piece k (`_on_piece`) by `closest_batch`'s formulas:
         t the unit tangent, kappa the curvature seen from the free side, negative where concave."""
         k, s = self._on_piece(k, s)
         g1, g2 = self.pieces[k].deriv(s), self.pieces[k].deriv2(s)
-        gg = _dot(g1, g1)
-        speed = math.sqrt(gg)
-        kappa = -self.orientation * (g1[0] * g2[1] - g1[1] * g2[0]) / (gg * speed)
-        t0, t1 = g1[0] / speed, g1[1] / speed
-        return [[kappa * (t0 * t0), kappa * (t0 * t1)], [kappa * (t0 * t1), kappa * (t1 * t1)]]
+        gg, speed, (t0, t1), _ = _curve_frame(self.orientation, g1)
+        kappa = _free_curvature(self.orientation, g1, g2, gg, speed)
+        off = kappa * (t0 * t1)
+        return [[kappa * (t0 * t0), off], [off, kappa * (t1 * t1)]]
 
     def closest_batch(self, X: np.ndarray) -> FootData:
         """Nearest point of the chain to each row of X (N, 2). Of two feet at
@@ -794,21 +809,15 @@ class CurveChain:
             s_out[won] = s[take]
 
         dist = np.sqrt(dist2)
-        tang = np.zeros_like(X)
-        curv = np.zeros(n)
+        tang, normal, shape = np.zeros_like(X), np.zeros_like(X), np.zeros(n)
         for idx in np.flatnonzero(np.bincount(piece_idx)).tolist():  # np.unique imports numpy.ma
             mask = piece_idx == idx
             piece = self.pieces[idx]
-            g1 = piece.deriv(s_out[mask])
-            g2 = piece.deriv2(s_out[mask])
-            gg = np.sum(g1 * g1, axis=1)  # `piece_normal`'s and `piece_shape`'s formulas
-            speed = np.sqrt(gg)
-            tang[mask] = g1 / speed[:, None]
-            cross = g1[:, 0] * g2[:, 1] - g1[:, 1] * g2[:, 0]
-            curv[mask] = cross / (gg * speed)
+            g1, g2 = piece.deriv(s_out[mask]).T, piece.deriv2(s_out[mask]).T
+            gg, speed, t, nu = _curve_frame(self.orientation, g1)
+            tang[mask], normal[mask] = np.column_stack(t), np.column_stack(nu)
+            shape[mask] = _free_curvature(self.orientation, g1, g2, gg, speed)
 
-        normal = self.orientation * np.column_stack([-tang[:, 1], tang[:, 0]])
-        shape = -self.orientation * curv
         rel = X - foot
         sgn = np.where(np.sum(rel * normal, axis=1) >= 0.0, 1.0, -1.0)
         signed = np.where(dist < 1e-14, 0.0, sgn * dist)

@@ -30,15 +30,15 @@ may be concave and is asked again, and after a tangent event every obstacle
 is asked.
 
 The per-ray path runs on Python floats, as lists of two or three: the entry
-check (`check_entry`), the normalisation and event loop of `trace_phase`,
-the ball chord, `ray_roots`, the unit normal, `reflect` and `sojourn_time`,
-with no matrix product or numpy kernel, so a trajectory has the same bits
-whatever BLAS or SIMD kernels the CPU selects. Those floats are the one
-record of a traced ray: `Event`s hold the loop's lists, a `Trajectory` its
-entry (a list of its own, whatever sequence the caller passed) and exit
-(`ends`), and `state_at` answers in lists. Only the lazy
-`PhasePoint`s `Trajectory.entry` and `exit_state`, `first_hit` and the
-Jacobi layer's results give arrays.
+check (`check_entry`; a lens block's, on its columns), the normalisation
+and event loop of `trace_phase`, the ball chord, `ray_roots`, the unit
+normal, `reflect` and `sojourn_time`, with no matrix product or numpy
+kernel, so a trajectory has the same bits whatever BLAS or SIMD kernels the
+CPU selects. Those floats are the one record of a traced ray: `Event`s hold
+the loop's lists, a `Trajectory` its entry (a list of its own, whatever
+sequence the caller passed) and exit (`ends`), and `state_at` answers in
+lists. Only the lazy `PhasePoint`s `Trajectory.entry` and `exit_state`,
+`first_hit` and the Jacobi layer's results give arrays.
 
 A `Trajectory` holds each datum of its ray once: `status`, `total_time` (the
 travelling time t), the exit direction theta (`ends[3]`, read as
@@ -62,6 +62,8 @@ TANGENCY_THRESHOLD = 1e-7   # |<v, normal>| at or below this is a tangent encoun
 REHIT_FACTOR = 1e-9         # advance after an event, in units of the ball radius
 GLIDING_ARC_FACTOR = 0.01   # same-obstacle tangencies closer than this * a reject the orbit
 _TANGENT_DEAD_ZONE = 1e-5   # * a; grazing residues and departures inside it are skipped
+# `check_entry`'s sqrt and failure test: math's on floats, numpy's on columns (or ints)
+_ON_FLOATS, _ON_COLUMNS = (math.sqrt, bool), (np.sqrt, np.any)
 
 
 class RootPolishFailed(geometry.NumericFailure):
@@ -291,16 +293,17 @@ def trace_phase(scene, q, v, limits: Limits | None = None) -> Trajectory:
 
 
 def check_entry(scene, q, v):
-    """ValueError unless (q, v), lists of floats, is an entry phase point:
-    q on the boundary sphere, v a unit vector with non-negative inward
-    component."""
-    if abs(_dot(v, v) - 1.0) > 1e-9:
+    """ValueError unless (q, v), a point's lists of floats or a block's
+    coordinate columns, is an entry phase point: q on the boundary sphere, v
+    a unit vector with non-negative inward component; a block fails on the
+    first test that any of its rows fails."""
+    sqrt, fails = _ON_FLOATS if q[0].__class__ is float else _ON_COLUMNS
+    if fails(abs(_dot(v, v) - 1.0) > 1e-9):
         raise ValueError("direction must be a unit vector")
     a = scene.ball_radius
-    if abs(math.sqrt(_dot(q, q)) - a) > 1e-6 * a:
+    if fails(abs(sqrt(_dot(q, q)) - a) > 1e-6 * a):
         raise ValueError("entry point must lie on the boundary sphere")
-    inward = -_dot(q, v) / a
-    if inward < -1e-9:
+    if fails(-_dot(q, v) / a < -1e-9):
         raise ValueError("entry direction points outward")
 
 

@@ -38,6 +38,7 @@ from .curves import (
     _dot,
     _floats,
     _inner,
+    _line_misses_ball,
     _stable_quadratic,
     _sub,
     check_list,
@@ -133,23 +134,22 @@ def fnv1a64(data: bytes) -> int:
 # frames
 
 
-def _cross(a, b):
-    """3D cross product over the last axis, as component differences."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
-
-
 def _tangent_columns(n) -> list:
-    """`tangent_basis` of one normal, as floats: its n-1 columns as lists."""
+    """`tangent_basis` of one normal's floats, or of a stack's coordinate
+    columns (a list of arrays): its n-1 columns as lists of the same kind."""
     if len(n) == 2:
         return [[-n[1], n[0]]]
     n0, n1, n2 = n
     a0, a1, a2 = abs(n0), abs(n1), abs(n2)
-    h0, h1, h2 = ((1.0, 0.0, 0.0) if a0 <= a1 and a0 <= a2
-                  else (0.0, 1.0, 0.0) if a1 <= a2 else (0.0, 0.0, 1.0))
+    if isinstance(n0, np.ndarray):
+        h0, h1, h2 = np.eye(3)[np.argmin([a0, a1, a2], axis=0)].T
+        sqrt = np.sqrt
+    else:
+        h0, h1, h2 = ((1.0, 0.0, 0.0) if a0 <= a1 and a0 <= a2
+                      else (0.0, 1.0, 0.0) if a1 <= a2 else (0.0, 0.0, 1.0))
+        sqrt = math.sqrt
     x, y, z = h1 * n2 - h2 * n1, h2 * n0 - h0 * n2, h0 * n1 - h1 * n0
-    norm = math.sqrt(x * x + y * y + z * z)
+    norm = sqrt(x * x + y * y + z * z)
     x, y, z = x / norm, y / norm, z / norm
     return [[x, y, z], [n1 * z - n2 * y, n2 * x - n0 * z, n0 * y - n1 * x]]
 
@@ -161,18 +161,11 @@ def tangent_basis(normal: np.ndarray) -> np.ndarray:
 
     In 2D the basis is (-n1, n0). In 3D, e1 = h x n / |h x n| with h the axis
     of the smallest |n_k| (the first on ties) and e2 = n x e1, the norm's
-    squares added left to right. One normal takes these steps on floats
-    (`_tangent_columns`), a stack takes them with numpy's elementwise
-    operations and no matrix product, which round alike on every platform."""
-    n = np.asarray(normal, dtype=float)
-    if n.ndim == 1:
-        return np.array(_tangent_columns(n.tolist())).T
-    if n.shape[-1] == 2:
-        return n[..., ::-1, None] * [[-1.0], [1.0]]
-    h = np.eye(3)[np.argmin(np.abs(n), axis=-1)]
-    e1 = _cross(h, n)
-    e1 = e1 / np.sqrt(reduce(np.add, np.moveaxis(e1 * e1, -1, 0)))[..., None]
-    return np.stack([e1, _cross(n, e1)], axis=-1)
+    squares added left to right. One normal takes these steps on floats, a
+    stack on its coordinate columns (`_tangent_columns`), elementwise with no
+    matrix product, which rounds alike on every platform."""
+    columns = _tangent_columns(list(np.moveaxis(np.asarray(normal, dtype=float), -1, 0)))
+    return np.stack([np.stack(col, axis=-1) for col in columns], axis=-1)
 
 
 @dataclass
@@ -377,7 +370,8 @@ def _boundary_points(center, axes, exponent, rows, target) -> np.ndarray:
         t = 2.0 * np.pi * np.arange(target) / max(1, target)
         u = [np.cos(t).tolist(), np.sin(t).tolist()]
     else:
-        z, phi = golden_lattice([1.0 - 2.0 * k / max(1, target - 1) for k in range(target)]).T
+        k = np.arange(target)
+        z, phi = 1.0 - 2.0 * k / max(1, target - 1), golden_angle(k)
         rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         u = [(rho * np.cos(phi)).tolist(), (rho * np.sin(phi)).tolist(), z.tolist()]
     e = 2.0 / exponent
@@ -392,12 +386,6 @@ def golden_angle(k):
     golden-angle spiral of a spherical Fibonacci lattice (González 2010); of
     each element of an integer array alike, bit for bit."""
     return math.pi * (3.0 - math.sqrt(5.0)) * k % (2.0 * math.pi)
-
-
-def golden_lattice(heights) -> np.ndarray:
-    """Rows (h_k, golden_angle(k)), one for the k-th of the heights, on
-    whatever heights (z, mu or a radius) the caller takes."""
-    return np.array([(h, golden_angle(k)) for k, h in enumerate(heights)])
 
 
 class AxesObstacle(Obstacle):
@@ -796,13 +784,14 @@ def _free_cells(scene: Scene) -> np.ndarray:
     cell) and outside every obstacle: 400^2 cells in 2D, 128^3 in 3D.
 
     Scanline classification: each grid line along the last axis that meets an
-    obstacle's bounding sphere is cut at the exact crossings `ray_roots` gives
-    (parameter = last coordinate). F has no zero strictly between two
-    crossings, so each run of cells takes the sign of F at one cell, all of an
-    obstacle's runs in one `implicit_batch` call. That cell is the run's
-    middle one: a first cell can sit exactly on a crossing, where the sign of
-    F is rounding, but from three cells on the middle one is a whole cell
-    from both cuts. Lines that miss the bounding sphere stay free.
+    obstacle's bounding sphere (`curves._line_misses_ball` on the lines'
+    columns) is cut at the exact crossings `ray_roots` gives (parameter =
+    last coordinate). F has no zero strictly between two crossings, so each
+    run of cells takes the sign of F at one cell, all of an obstacle's runs
+    in one `implicit_batch` call. That cell is the run's middle one: a first
+    cell can sit exactly on a crossing, where the sign of F is rounding, but
+    from three cells on the middle one is a whole cell from both cuts. Lines
+    that miss the bounding sphere stay free.
     """
     a, n = scene.ball_radius, scene.dimension
     cells = 400 if n == 2 else 128  # resolution a/200 in 2D, a/64 in 3D
@@ -816,9 +805,9 @@ def _free_cells(scene: Scene) -> np.ndarray:
     heads = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"), axis=-1).reshape(-1, n - 1)
     heads_f, axis_f = heads.tolist(), axis.tolist()  # in floats, for `ray_roots` and bisect
     e = [0.0] * (n - 1) + [1.0]
+    starts_at = [*heads.T, 0.0]  # the lines' points at height 0, as coordinate columns
     for obs in scene.obstacles:
-        hit = np.flatnonzero(np.sum((heads - obs.center[:-1]) ** 2, axis=1)
-                             <= obs.bounding_radius() ** 2)
+        hit = np.flatnonzero(~_line_misses_ball(starts_at, e, 1.0, obs._c, obs._reach2))
         if not hit.size:
             continue
         # run starts as flat indices into lines[hit]; every line has a run at 0,

@@ -155,8 +155,9 @@ class Entries(_RowViews):
 
 
 def _cos_sin(x: np.ndarray):
-    """cos and sin of each element by `math`, so that a batch rounds like the
-    one-entry formulas on every platform (numpy's own may differ by an ulp)."""
+    """cos and sin of each element by `math`, as one entry takes them, so a batch
+    has their bits on any numpy build (test_curves finds numpy's float64 sin
+    and cos bit-equal to libm's on its draws, on the build it runs on)."""
     x = x.tolist()
     return np.array(list(map(math.cos, x))), np.array(list(map(math.sin, x)))
 
@@ -352,21 +353,21 @@ class _Summary:
 
 def _trace_rows(scene, Q, V, limits: Limits) -> tuple:
     """The LensTable columns from status to error of the entries (Q[k], V[k]),
-    each checked (`flow.check_entry`) and traced once by `flow.trace_phase`
-    on the rows' floats: the status by classify_trajectory, the reflection
-    count, theta of an exited ray, t and sojourn of a free or scattered one.
-    A ray reads only the floats of its trajectory, so it makes no numpy
-    object; lens tables pass one block of rows at a time (`_lens_blocks`). A
-    numeric failure of one ray (geometry.NUMERIC_FAILURES) is recorded in its
-    row, status "error" with the exception's name and message, rather than
-    aborting the batch."""
+    checked on the block's columns before its first ray (`flow.check_entry`)
+    and each traced once by `flow.trace_phase` on the rows' floats: the
+    status by classify_trajectory, the reflection count, theta of an exited
+    ray, t and sojourn of a free or scattered one. A ray reads only the floats
+    of its trajectory, so it makes no numpy object; lens tables pass one
+    block of rows at a time (`_lens_blocks`). A numeric failure of one ray
+    (geometry.NUMERIC_FAILURES) is recorded in its row, status "error" with
+    the exception's name and message, rather than aborting the batch."""
     n, dim = V.shape
+    flow.check_entry(scene, list(Q.T), list(V.T))
     status, error, reflections = ["error"] * n, [None] * n, [0] * n
     t, sojourn = [math.nan] * n, [math.nan] * n
     theta = [[math.nan] * dim] * n  # rows replaced, never changed in place
     for k, q, v in zip(range(n), Q.tolist(), V.tolist()):
         try:
-            flow.check_entry(scene, q, v)
             traj = flow.trace_phase(scene, q, v, limits)
         except geometry.NUMERIC_FAILURES as exc:
             error[k] = f"{type(exc).__name__}: {exc}"
@@ -540,7 +541,7 @@ def _impact_offsets(scene, omega, spec: SampleSpec):
     """Sample points of the impact plane tangent to the sphere at -a*omega,
     offsets orthogonal to omega of length at most 0.999 a, so that the line
     along omega through each one crosses the ball. A 3D grid is the
-    golden-angle lattice (`geometry.golden_lattice`) at radii shadow sqrt(k/n),
+    golden-angle lattice (`geometry.golden_angle`) at radii shadow sqrt(k/n),
     whose first, k = 0, is the centre ray."""
     a = scene.ball_radius
     shadow = 0.1 * a
@@ -549,23 +550,19 @@ def _impact_offsets(scene, omega, spec: SampleSpec):
         perp = c - _dot(c, omega) * omega
         shadow = max(shadow, math.sqrt(_dot(perp, perp)) + obs.bounding_radius())
     shadow = min(1.02 * shadow, 0.999 * a)
-    n = spec.count()
+    n, T = spec.count(), tangent_basis(omega)
     if scene.dimension == 2:
-        t_hat = np.array([-omega[1], omega[0]])
         if spec.mode == "grid":
             ss = [0.0] if n == 1 else [shadow * (2.0 * i / (n - 1) - 1.0) for i in range(n)]
         else:
             ss = [shadow * (2.0 * u - 1.0) for u in Xoshiro256StarStar(spec.seed).uniforms(n)]
-        offsets = [s * t_hat for s in ss]
+        return [s * T[:, 0] for s in ss]
+    if spec.mode == "grid":
+        polar = [(shadow * math.sqrt(k / n), geometry.golden_angle(k)) for k in range(n)]
     else:
-        T = tangent_basis(omega)
-        if spec.mode == "grid":
-            polar = geometry.golden_lattice([shadow * math.sqrt(k / n) for k in range(n)]).tolist()
-        else:
-            U = Xoshiro256StarStar(spec.seed).uniforms(2 * n)  # radius, then angle, per point
-            polar = [(shadow * math.sqrt(u), 2.0 * math.pi * w) for u, w in zip(U[::2], U[1::2])]
-        offsets = [r * (math.cos(ang) * T[:, 0] + math.sin(ang) * T[:, 1]) for r, ang in polar]
-    return offsets
+        U = Xoshiro256StarStar(spec.seed).uniforms(2 * n)  # radius, then angle, per point
+        polar = [(shadow * math.sqrt(u), 2.0 * math.pi * w) for u, w in zip(U[::2], U[1::2])]
+    return [r * (math.cos(ang) * T[:, 0] + math.sin(ang) * T[:, 1]) for r, ang in polar]
 
 
 def scattering_spectrum(scene, omega, theta, angular_tol: float, spec: SampleSpec) -> Spectrum:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import billiard_lens as bl
-from billiard_lens import cli, flow, geometry, lens, variation
+from billiard_lens import cli, flow, geometry, lens, render, variation
 from billiard_lens.curves import CurveChain
 from billiard_lens.geometry import canonical_json
 
@@ -296,32 +296,16 @@ def test_lens_leaves_nothing_but_its_output(disc_json, tmp_path, monkeypatch, su
     assert len(calls) == 2 and list(out_dir.iterdir()) == []
 
 
-def test_lens_to_a_missing_directory_fails_before_the_first_ray(disc_json, tmp_path, monkeypatch,
-                                                                capsys):
-    # the spool opens beside --out before any ray is traced, and fails as
-    # opening --out would
-    calls = []
-    monkeypatch.setattr(flow, "trace_phase", lambda *args: calls.append(args))
-    out = tmp_path / "missing" / "x.jsonl"
-    assert cli.main(["lens", "--scene", disc_json, "--spec", "grid:2x2", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
-    assert calls == []
-
-
-def test_lens_to_a_directory_fails_before_the_first_ray(disc_json, tmp_path, monkeypatch, capsys):
-    # an --out that names a directory fails before any ray is traced, as
-    # opening it would
-    calls = []
-    monkeypatch.setattr(flow, "trace_phase", lambda *args: calls.append(args))
-    assert cli.main(["lens", "--scene", disc_json, "--spec", "grid:2x2", "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
-    assert calls == []
-
-
 _WORK_ARGS = {
+    "validate": [],
+    "trace": ["--entry=-10,0,1,0"],
+    "lens": ["--spec", "grid:2x2"],
     "trapped": ["--spec", "grid:2x4,grid:4x8,grid:8x16"],
     "sls": ["--omega", "1,0", "--theta", "1,0", "--spec", "grid:2x2"],
     "compare": [],
+    "conjugate": ["--entry=-10,0,1,0"],
+    "regularity": ["--entry=-10,0,1,0"],
+    "render": ["--entry=-10,0,1,0"],
 }
 
 
@@ -329,19 +313,42 @@ def _fail_if_called(*args):
     raise AssertionError("work began before --out was checked")
 
 
+def _files(root):
+    return sorted(p.relative_to(root) for p in root.rglob("*"))
+
+
 @pytest.mark.parametrize("command", sorted(_WORK_ARGS))
 @pytest.mark.parametrize("where", ["missing", "directory"])
 def test_bad_out_fails_before_the_work(command, where, disc_json, tmp_path, monkeypatch, capsys):
-    # trapped, sls and compare check --out before their first ray or table
-    # line, and fail as opening it would
-    monkeypatch.setattr(flow, "trace_phase", _fail_if_called)
-    monkeypatch.setattr(lens, "compare_jsonl", _fail_if_called)
+    # every command but livshits checks its --out (render: --svg) before it
+    # reads the scene, traces a ray or reads a table line, fails as opening
+    # it would, and writes no file
+    for module, name in [(flow, "trace_phase"), (lens, "compare_jsonl"),
+                         (geometry, "validate_scene"), (render, "svg_scene")]:
+        monkeypatch.setattr(module, name, _fail_if_called)
     out = tmp_path / "missing" / "x.json" if where == "missing" else tmp_path
     tables = ["--scene-b", disc_json] if command == "compare" else []
-    argv = [command, "--scene", disc_json, *tables, *_WORK_ARGS[command], "--out", str(out)]
+    flag = "--svg" if command == "render" else "--out"
+    argv = [command, "--scene", disc_json, *tables, *_WORK_ARGS[command], flag, str(out)]
+    before = _files(tmp_path)
     assert cli.main(argv) == 2
     reason = "[Errno 2] No such file or directory" if where == "missing" else "[Errno 21] Is a directory"
     assert capsys.readouterr().err == f"error: {reason}: {str(out)!r}\n"
+    assert _files(tmp_path) == before
+
+
+@pytest.mark.parametrize("bad", ["--out", "--svg"])
+def test_trace_with_one_bad_output_writes_neither(bad, disc_json, tmp_path, capsys):
+    # both outputs are checked before the ray is traced: a bad --svg leaves
+    # no --out behind, and a bad --out no --svg
+    paths = {"--out": tmp_path / "t.jsonl", "--svg": tmp_path / "t.svg"}
+    paths[bad] = tmp_path / "missing" / paths[bad].name
+    argv = ["trace", "--scene", disc_json, *_WORK_ARGS["trace"],
+            "--out", str(paths["--out"]), "--svg", str(paths["--svg"])]
+    before = _files(tmp_path)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(paths[bad])!r}\n"
+    assert _files(tmp_path) == before
 
 
 def _thin_scene(tmp_path):

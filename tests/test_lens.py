@@ -658,6 +658,50 @@ def test_livshits_pocket_invisible_across_variants(base_kw, deformation):
     assert table_base.summary["counts"]["scattered"] > 100
 
 
+def test_livshits_verdict_tells_a_moved_mirror_apart(livshits_pair):
+    # the comparison that finds the deformed pair indistinguishable has power:
+    # a mirror whose minor semi-axis moved by 1e-3 moves travelling times by
+    # up to 0.277 and reads distinguishable, on the same grid and cutoff
+    base, deformed, _ = livshits_pair
+    moved, _ = geometry.livshits_scene(semi_axes=(4.2, 2.701))
+    spec = SampleSpec("grid", 36, 24, n_max=600)
+    table = lens.build_lens_table(base, spec)
+    tol = 1e-6 * A_BALL
+    power = lens.compare_lens(table, lens.build_lens_table(moved, spec), tol)
+    assert power.verdict == "distinguishable"
+    assert (power.compared, power.status_mismatches, power.reflection_mismatches) == (864, 0, 0)
+    assert power.max_dt == pytest.approx(0.277, abs=1e-3)
+    same = lens.compare_lens(table, lens.build_lens_table(deformed, spec), tol)
+    assert same.verdict == "indistinguishable" and same.compared == 864 and same.max_dt == 0.0
+
+
+@pytest.mark.parametrize("row", [0, 4, 9])
+@pytest.mark.parametrize("fault, message", [
+    ("long_v", "direction must be a unit vector"),
+    ("off_sphere", "entry point must lie on the boundary sphere"),
+    ("outward", "entry direction points outward"),
+])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_bad_entry_ends_the_block_before_its_first_ray(dim, fault, message, row, monkeypatch):
+    # the block's entries are checked on its columns at once: one bad row, of
+    # each of the three tests, raises that test's ValueError, not an error
+    # row, and no ray of the block is traced
+    scene = bl.make_scene(dim, A_BALL, [bl.SphereObstacle([0.0] * dim, 1.0)], "one-body")
+    entries = lens.sample_phase_sphere(SampleSpec("grid", 5, 2), A_BALL, dim)
+    Q, V = entries.q.copy(), entries.v.copy()
+    if fault == "long_v":
+        V[row] *= 1.001
+    elif fault == "off_sphere":
+        Q[row] *= 1.001
+    else:
+        V[row] = -V[row]
+    calls = []
+    monkeypatch.setattr(flow, "trace_phase", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        lens._trace_rows(scene, Q, V, flow.Limits())
+    assert calls == []
+
+
 def test_livshits_lens_build_makes_no_closest_point_query(livshits_pair, monkeypatch):
     # reflection normals on curve2d come from the piece and parameter of each root
     base, deformed, _ = livshits_pair
